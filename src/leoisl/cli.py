@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 
 from . import delivery, routing
@@ -51,6 +52,13 @@ def _write_rows(rows, output: str | None) -> None:
         return
     with open(output, "w", newline="", encoding="utf-8") as handle:
         csv.writer(handle, lineterminator="\n").writerows(rows)
+
+
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _parse_int_range(text: str) -> list[int]:
@@ -247,12 +255,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("propagate", help="satellite state CSV at one epoch")
     common(p)
-    p.add_argument("--epoch", type=float, default=0.0)
+    p.add_argument("--epoch", type=_finite_float, default=0.0)
     p.set_defaults(func=_cmd_propagate)
 
     p = sub.add_parser("topology", help="edge-list CSV at one epoch")
     common(p)
-    p.add_argument("--epoch", type=float, default=0.0)
+    p.add_argument("--epoch", type=_finite_float, default=0.0)
     p.add_argument("--mode", choices=TOPOLOGY_MODES, default=GRID_MODE)
     p.add_argument("--max-isls", type=int, default=None, dest="max_isls")
     p.add_argument("--ground", action="store_true", help="attach ground links")
@@ -260,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("route", help="one path between two nodes")
     common(p)
-    p.add_argument("--epoch", type=float, default=0.0)
+    p.add_argument("--epoch", type=_finite_float, default=0.0)
     p.add_argument("--src", required=True)
     p.add_argument("--dst", required=True)
     p.add_argument("--metric", choices=("distance", "hops"), default="distance")

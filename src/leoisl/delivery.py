@@ -147,13 +147,16 @@ class RequestPlan:
 
 @dataclass(frozen=True)
 class DeliveryPlan:
-    """All per-request decisions of one slot plus the slot aggregates."""
+    """All per-request decisions of one slot plus the slot aggregates.
+
+    ``average_delay_s`` is None when the slot delivered nothing.
+    """
 
     epoch_s: float
     max_isls: int
     mode: str
     request_plans: tuple[RequestPlan, ...]
-    average_delay_s: float
+    average_delay_s: float | None
     delivered: int
     undelivered: int
 
@@ -408,6 +411,7 @@ class _SlotContext:
         for neighbors in self._isl_adj.values():
             neighbors.sort(key=lambda item: item[0])
         self._sssp: dict[str, tuple[dict, dict]] = {}
+        self._non_cached_plans: dict[tuple, tuple[RequestPlan, ...]] = {}
 
     def edges_at(self, link_class: str, node: str) -> list[LinkEdge]:
         return self._by_class_by_node.get(link_class, {}).get(node, [])
@@ -860,6 +864,19 @@ def plan_non_cached(
             raise ValueError(f"request {request.request_id} is cached")
 
     budget = len(ctx.snapshot.nodes) if mode == ASSOC_FULL else max_isls
+    # Everything below reads only the context and these values (the budget
+    # only through the zero-budget route filter), so a slot's sweep cells
+    # share one plan per distinct key.
+    key = (
+        tuple(requests),
+        mode == ASSOC_GREEDY,
+        bandwidth_mode,
+        budget == 0,
+        store_and_forward,
+    )
+    memo = ctx._non_cached_plans.get(key)
+    if memo is not None:
+        return list(memo)
     options_by_request: dict[str, list[_RouteOption]] = {}
     plans: dict[str, RequestPlan] = {}
     deliverable: list[FileRequest] = []
@@ -946,7 +963,9 @@ def plan_non_cached(
                 ),
             )
 
-    return [plans[request.request_id] for request in requests]
+    result = [plans[request.request_id] for request in requests]
+    ctx._non_cached_plans[key] = tuple(result)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -1010,6 +1029,8 @@ def run_slot(
 ) -> DeliveryPlan:
     """Generate and plan one slot's requests; average over delivered files.
 
+    The average is None when nothing was delivered.
+
     Fully deterministic in (scenario, epoch, max_isls, mode, seed): request
     generation never looks at the degree budget or the mode, so a fixed seed
     compares the same workload across every sweep cell.
@@ -1048,7 +1069,7 @@ def run_slot(
         plans[plan.request.request_id] = plan
     ordered = tuple(plans[r.request_id] for r in requests)
     delivered = [p for p in ordered if p.delivered]
-    average = sum(p.delay_s for p in delivered) / len(delivered) if delivered else 0.0
+    average = sum(p.delay_s for p in delivered) / len(delivered) if delivered else None
     return DeliveryPlan(
         epoch_s=epoch_s,
         max_isls=max_isls,
@@ -1066,36 +1087,40 @@ class SweepRow:
     mode: str
     seed: int
     epoch_s: float
-    avg_delay_s: float
+    avg_delay_s: float | None
     delivered: int
     undelivered: int
 
 
 @dataclass(frozen=True)
 class SweepResult:
+    """Sweep cells; a cell or mean that delivered nothing is None, written
+    as a blank CSV cell."""
+
     rows: tuple[SweepRow, ...]
 
     def csv_rows(self) -> list[tuple]:
         out = [SWEEP_CSV_HEADER]
         for r in self.rows:
-            out.append(
-                (r.max_isls, r.mode, r.seed, r.epoch_s, r.avg_delay_s, r.delivered, r.undelivered)
-            )
+            delay = "" if r.avg_delay_s is None else r.avg_delay_s
+            out.append((r.max_isls, r.mode, r.seed, r.epoch_s, delay, r.delivered, r.undelivered))
         return out
 
-    def mean_delay(self, max_isls: int, mode: str) -> float:
-        cells = [r.avg_delay_s for r in self.rows if r.max_isls == max_isls and r.mode == mode]
-        if not cells:
+    def mean_delay(self, max_isls: int, mode: str) -> float | None:
+        """Mean over the (budget, mode) cells that delivered something."""
+        rows = [r for r in self.rows if r.max_isls == max_isls and r.mode == mode]
+        if not rows:
             raise KeyError(f"no rows for (max_isls={max_isls}, mode={mode!r})")
-        return sum(cells) / len(cells)
+        cells = [r.avg_delay_s for r in rows if r.avg_delay_s is not None]
+        return sum(cells) / len(cells) if cells else None
 
-    def summary(self) -> list[tuple[int, str, float]]:
+    def summary(self) -> list[tuple[int, str, float | None]]:
         keys = sorted({(r.max_isls, r.mode) for r in self.rows})
         return [(k, m, self.mean_delay(k, m)) for k, m in keys]
 
     def summary_csv_rows(self) -> list[tuple]:
         out = [("max_isls", "mode", "mean_avg_delay_s")]
-        out.extend(self.summary())
+        out.extend((k, m, "" if mean is None else mean) for k, m, mean in self.summary())
         return out
 
 

@@ -44,6 +44,18 @@ class LinkBudgetParams:
             raise ValueError(
                 f"link_class must be one of {LINK_CLASSES}, got {self.link_class!r}"
             )
+        for name in (
+            "tx_power_w",
+            "tx_gain_db",
+            "rx_gain_db",
+            "carrier_hz",
+            "bandwidth_hz",
+            "noise_temperature_k",
+            "lisl_fixed_rate_bps",
+        ):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.tx_power_w <= 0:
             raise ValueError(f"tx_power_w must be > 0, got {self.tx_power_w}")
         if self.bandwidth_hz <= 0:

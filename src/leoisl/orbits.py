@@ -46,6 +46,10 @@ class ConstellationConfig:
     raan_spread_deg: float = 360.0
 
     def __post_init__(self) -> None:
+        for name in ("altitude_km", "raan_spread_deg"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.num_planes < 1:
             raise ValueError(f"num_planes must be >= 1, got {self.num_planes}")
         if self.sats_per_plane < 1:
@@ -118,12 +122,18 @@ class GroundNode:
     def __post_init__(self) -> None:
         if self.kind not in GROUND_KINDS:
             raise ValueError(f"kind must be one of {GROUND_KINDS}, got {self.kind!r}")
+        for name in ("longitude_deg", "altitude_km", "heading_deg", "speed_km_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if not -90.0 <= self.latitude_deg <= 90.0:
             raise ValueError(
                 f"latitude_deg must be within [-90, 90], got {self.latitude_deg}"
             )
         if self.kind == GROUND_STATION and self.speed_km_s != 0.0:
             raise ValueError("ground stations must have speed_km_s == 0")
+        if self.speed_km_s < 0:
+            raise ValueError(f"speed_km_s must be >= 0, got {self.speed_km_s}")
         if self.altitude_km < 0:
             raise ValueError(f"altitude_km must be >= 0, got {self.altitude_km}")
 
@@ -154,8 +164,8 @@ def propagate(config: ConstellationConfig, epoch_s: float) -> list[SatelliteStat
     ``sqrt(mu / a^3)`` along its plane, so ``|position| == a`` exactly and
     velocity stays perpendicular to position.
     """
-    if epoch_s < 0:
-        raise ValueError(f"epoch_s must be >= 0, got {epoch_s}")
+    if not (math.isfinite(epoch_s) and epoch_s >= 0):
+        raise ValueError(f"epoch_s must be finite and >= 0, got {epoch_s}")
     a = config.semi_major_axis_km
     n = config.mean_motion_rad_s
     inc = math.radians(config.inclination_deg)

@@ -9,6 +9,7 @@ JSON; unknown keys are rejected with the offending field named.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -63,6 +64,10 @@ class TopologySettings:
     elevation_mask_deg: float = DEFAULT_ELEVATION_MASK_DEG
 
     def __post_init__(self) -> None:
+        for name in ("max_range_km", "grazing_altitude_km", "elevation_mask_deg"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ScenarioError(f"topology.{name} must be finite, got {value}")
         if self.mode not in TOPOLOGY_MODES:
             raise ScenarioError(
                 f"topology.mode must be one of {TOPOLOGY_MODES}, got {self.mode!r}"
@@ -96,6 +101,8 @@ class IfcSettings:
             )
         if self.packet_bits <= 0:
             raise ScenarioError(f"ifc.packet_bits must be > 0, got {self.packet_bits}")
+        if not self.file_class_packet_ranges:
+            raise ScenarioError("ifc.file_class_packet_ranges must be non-empty")
         for idx, (lo, hi) in enumerate(self.file_class_packet_ranges):
             if not 0 < lo <= hi:
                 raise ScenarioError(
@@ -137,9 +144,9 @@ class Scenario:
         missing = [c for c in LINK_CLASSES if c not in self.link_params]
         if missing:
             raise ScenarioError(f"link_params missing classes: {missing}")
-        if self.snapshot_duration_s <= 0:
+        if not (math.isfinite(self.snapshot_duration_s) and self.snapshot_duration_s > 0):
             raise ScenarioError(
-                f"snapshot_duration_s must be > 0, got {self.snapshot_duration_s}"
+                f"snapshot_duration_s must be finite and > 0, got {self.snapshot_duration_s}"
             )
 
 
@@ -212,31 +219,38 @@ def _section(raw: dict, name: str) -> dict:
     return value
 
 
+def _number(raw: dict, name: str, default, kind: type, where: str):
+    """``raw[name]`` (``default`` when absent) as ``kind``; errors name the field."""
+    try:
+        return kind(raw.get(name, default))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ScenarioError(f"{where}.{name}: {exc}") from exc
+
+
 def _ground_node(raw: dict, kind: str, where: str) -> GroundNode:
     if not isinstance(raw, dict):
         raise ScenarioError(f"{where} entries must be objects")
     _check_keys(raw, _GROUND_FIELDS, where)
-    if "node_id" not in raw:
-        raise ScenarioError(f"{where}.node_id is required")
+    for name in ("node_id", "latitude_deg", "longitude_deg"):
+        if name not in raw:
+            raise ScenarioError(f"{where}.{name} is required")
     defaults = {"altitude_km": 10.7, "heading_deg": 90.0, "speed_km_s": 0.23}
+
+    def motion(name: str) -> float:
+        return _number(raw, name, defaults[name] if kind == AIRCRAFT else 0.0, float, where)
+
     try:
         return GroundNode(
             node_id=str(raw["node_id"]),
             kind=kind,
-            latitude_deg=float(raw["latitude_deg"]),
-            longitude_deg=float(raw["longitude_deg"]),
-            altitude_km=float(
-                raw.get("altitude_km", defaults["altitude_km"] if kind == AIRCRAFT else 0.0)
-            ),
-            heading_deg=float(
-                raw.get("heading_deg", defaults["heading_deg"] if kind == AIRCRAFT else 0.0)
-            ),
-            speed_km_s=float(
-                raw.get("speed_km_s", defaults["speed_km_s"] if kind == AIRCRAFT else 0.0)
-            ),
+            latitude_deg=_number(raw, "latitude_deg", None, float, where),
+            longitude_deg=_number(raw, "longitude_deg", None, float, where),
+            altitude_km=motion("altitude_km"),
+            heading_deg=motion("heading_deg"),
+            speed_km_s=motion("speed_km_s"),
         )
-    except KeyError as exc:
-        raise ScenarioError(f"{where}.{exc.args[0]} is required") from exc
+    except ScenarioError:
+        raise
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
 
@@ -251,13 +265,15 @@ def scenario_from_dict(raw: dict, *, source: str = "<memory>") -> Scenario:
     _check_keys(cons_raw, _CONSTELLATION_FIELDS, "constellation")
     try:
         constellation = ConstellationConfig(
-            num_planes=int(cons_raw.get("num_planes", 6)),
-            sats_per_plane=int(cons_raw.get("sats_per_plane", 20)),
-            altitude_km=float(cons_raw.get("altitude_km", 1000.0)),
-            inclination_deg=float(cons_raw.get("inclination_deg", 53.0)),
-            phasing_factor=int(cons_raw.get("phasing_factor", 1)),
-            raan_spread_deg=float(cons_raw.get("raan_spread_deg", 360.0)),
+            num_planes=_number(cons_raw, "num_planes", 6, int, "constellation"),
+            sats_per_plane=_number(cons_raw, "sats_per_plane", 20, int, "constellation"),
+            altitude_km=_number(cons_raw, "altitude_km", 1000.0, float, "constellation"),
+            inclination_deg=_number(cons_raw, "inclination_deg", 53.0, float, "constellation"),
+            phasing_factor=_number(cons_raw, "phasing_factor", 1, int, "constellation"),
+            raan_spread_deg=_number(cons_raw, "raan_spread_deg", 360.0, float, "constellation"),
         )
+    except ScenarioError:
+        raise
     except ValueError as exc:
         raise ScenarioError(f"constellation: {exc}") from exc
 
@@ -282,38 +298,32 @@ def scenario_from_dict(raw: dict, *, source: str = "<memory>") -> Scenario:
             raise ScenarioError(f"unknown field link_params.{link_class!r}")
         if not isinstance(overrides, dict):
             raise ScenarioError(f"link_params.{link_class} must be an object")
-        _check_keys(overrides, _LINK_FIELDS, f"link_params.{link_class}")
+        where = f"link_params.{link_class}"
+        _check_keys(overrides, _LINK_FIELDS, where)
         base = params[link_class]
+        values = {
+            name: _number(overrides, name, getattr(base, name), float, where)
+            for name in _LINK_FIELDS
+        }
         try:
-            params[link_class] = LinkBudgetParams(
-                link_class=link_class,
-                tx_power_w=float(overrides.get("tx_power_w", base.tx_power_w)),
-                tx_gain_db=float(overrides.get("tx_gain_db", base.tx_gain_db)),
-                rx_gain_db=float(overrides.get("rx_gain_db", base.rx_gain_db)),
-                carrier_hz=float(overrides.get("carrier_hz", base.carrier_hz)),
-                bandwidth_hz=float(overrides.get("bandwidth_hz", base.bandwidth_hz)),
-                noise_temperature_k=float(
-                    overrides.get("noise_temperature_k", base.noise_temperature_k)
-                ),
-                lisl_fixed_rate_bps=float(
-                    overrides.get("lisl_fixed_rate_bps", base.lisl_fixed_rate_bps)
-                ),
-            )
+            params[link_class] = LinkBudgetParams(link_class=link_class, **values)
         except ValueError as exc:
-            raise ScenarioError(f"link_params.{link_class}: {exc}") from exc
+            raise ScenarioError(f"{where}: {exc}") from exc
 
     topo_raw = _section(raw, "topology")
     _check_keys(topo_raw, _TOPOLOGY_FIELDS, "topology")
     try:
         topology = TopologySettings(
             mode=str(topo_raw.get("mode", GRID_MODE)),
-            max_isls=int(topo_raw.get("max_isls", 4)),
-            max_range_km=float(topo_raw.get("max_range_km", DEFAULT_MAX_RANGE_KM)),
-            grazing_altitude_km=float(
-                topo_raw.get("grazing_altitude_km", DEFAULT_GRAZING_ALTITUDE_KM)
+            max_isls=_number(topo_raw, "max_isls", 4, int, "topology"),
+            max_range_km=_number(
+                topo_raw, "max_range_km", DEFAULT_MAX_RANGE_KM, float, "topology"
             ),
-            elevation_mask_deg=float(
-                topo_raw.get("elevation_mask_deg", DEFAULT_ELEVATION_MASK_DEG)
+            grazing_altitude_km=_number(
+                topo_raw, "grazing_altitude_km", DEFAULT_GRAZING_ALTITUDE_KM, float, "topology"
+            ),
+            elevation_mask_deg=_number(
+                topo_raw, "elevation_mask_deg", DEFAULT_ELEVATION_MASK_DEG, float, "topology"
             ),
         )
     except ScenarioError:
@@ -326,15 +336,17 @@ def scenario_from_dict(raw: dict, *, source: str = "<memory>") -> Scenario:
     ranges_raw = ifc_raw.get("file_class_packet_ranges", DEFAULT_FILE_CLASS_RANGES)
     try:
         ranges = tuple((int(lo), int(hi)) for lo, hi in ranges_raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioError(
             "ifc.file_class_packet_ranges must be a list of [lo, hi] pairs"
         ) from exc
     try:
         ifc = IfcSettings(
-            cache_fraction=float(ifc_raw.get("cache_fraction", 0.1)),
-            cache_hit_probability=float(ifc_raw.get("cache_hit_probability", 0.5)),
-            packet_bits=int(ifc_raw.get("packet_bits", 1080)),
+            cache_fraction=_number(ifc_raw, "cache_fraction", 0.1, float, "ifc"),
+            cache_hit_probability=_number(
+                ifc_raw, "cache_hit_probability", 0.5, float, "ifc"
+            ),
+            packet_bits=_number(ifc_raw, "packet_bits", 1080, int, "ifc"),
             file_class_packet_ranges=ranges,
             air_link_sharing=str(ifc_raw.get("air_link_sharing", PER_STREAM)),
             delay_model=str(ifc_raw.get("delay_model", CUT_THROUGH)),
@@ -351,8 +363,8 @@ def scenario_from_dict(raw: dict, *, source: str = "<memory>") -> Scenario:
         link_params=params,
         topology=topology,
         ifc=ifc,
-        snapshot_duration_s=float(raw.get("snapshot_duration_s", 10.0)),
-        seed=int(raw.get("seed", 1)),
+        snapshot_duration_s=_number(raw, "snapshot_duration_s", 10.0, float, "scenario"),
+        seed=_number(raw, "seed", 1, int, "scenario"),
     )
 
 

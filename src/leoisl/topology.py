@@ -82,7 +82,6 @@ class TopologySnapshot:
     edges: tuple[LinkEdge, ...]
     # Excluded from equality: ndarray comparison is elementwise.
     positions: dict[str, np.ndarray] = field(compare=False)
-    max_isl_degree: int | None = None
     _adjacency: dict[str, list[tuple[str, LinkEdge]]] | None = field(
         default=None, repr=False, compare=False
     )
@@ -192,7 +191,6 @@ def build_grid_topology(
         nodes=tuple(sorted(positions)),
         edges=tuple(edges),
         positions=positions,
-        max_isl_degree=4,
     )
 
 
@@ -270,7 +268,6 @@ def build_dynamic_topology(
         nodes=tuple(sorted(positions)),
         edges=tuple(edges),
         positions=positions,
-        max_isl_degree=max_isls,
     )
 
 
@@ -341,5 +338,4 @@ def attach_ground_links(
         nodes=tuple(sorted(positions)),
         edges=tuple(new_edges),
         positions=positions,
-        max_isl_degree=snapshot.max_isl_degree,
     )

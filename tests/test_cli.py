@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import math
 
 import pytest
@@ -159,6 +160,37 @@ class TestBadInput:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run_cli(["transmogrify"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["propagate", "--epoch", "nan"],
+            ["topology", "--epoch", "inf"],
+            ["route", "--src", "gs-london", "--dst", "gs-sydney", "--epoch", "-inf"],
+        ],
+    )
+    def test_non_finite_epoch(self, args, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (1, "")
+        assert "--epoch" in err
+
+    @pytest.mark.parametrize(
+        ("section", "field"),
+        [
+            ("constellation", "altitude_km"),
+            ("topology", "elevation_mask_deg"),
+            ("ifc", "cache_fraction"),
+        ],
+    )
+    def test_non_finite_scenario_value(self, section, field, tmp_path, capsys):
+        scenario = tmp_path / "nan.json"
+        scenario.write_text(json.dumps({section: {field: float("nan")}}))
+        code, out, err = run_cli(
+            ["ifc-sweep", "--isls", "1", "--seeds", "1", "--scenario", str(scenario)],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert field in err
 
     def test_bad_scenario_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

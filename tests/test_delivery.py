@@ -8,8 +8,13 @@ import pytest
 from leoisl.delivery import (
     EQUAL_SPLIT,
     PER_STREAM,
+    SWEEP_MODES,
     FileRequest,
     GsFlow,
+    SweepResult,
+    SweepRow,
+    _SlotContext,
+    build_slot_context,
     generate_requests,
     optimal_ratio_delay,
     optimize_gs_shares,
@@ -27,7 +32,7 @@ from leoisl.links import (
     propagation_delay_s,
 )
 from leoisl.routing import Path
-from leoisl.scenario import Scenario, default_scenario
+from leoisl.scenario import IfcSettings, Scenario, default_scenario, scenario_from_dict
 from leoisl.topology import LinkEdge, TopologySnapshot
 
 from oracles import bisection_delay_oracle, enumerate_cached_plan_delay
@@ -404,8 +409,25 @@ class TestSlotExecution:
         scenario = Scenario(aircraft=())
         plan = run_slot(scenario, 0.0, 4, "optimized", 1)
         assert plan.request_plans == ()
-        assert plan.average_delay_s == 0.0
+        assert plan.average_delay_s is None
         assert plan.delivered == 0
+
+    def test_zero_delivery_slot_reports_no_average(self):
+        # A near-vertical elevation mask hides every satellite and station.
+        scenario = scenario_from_dict({"topology": {"elevation_mask_deg": 89.9}})
+        plan = run_slot(scenario, 0.0, 4, "optimized", 1)
+        assert (plan.average_delay_s, plan.delivered, plan.undelivered) == (None, 0, 4)
+        result = sweep_max_isls(scenario, [4], ["optimized"], [0.0], [1])
+        assert result.csv_rows()[1][4:] == ("", 0, 4)
+        assert result.mean_delay(4, "optimized") is None
+        assert result.summary_csv_rows()[1] == (4, "optimized", "")
+
+    def test_mean_delay_skips_cells_without_deliveries(self):
+        rows = tuple(
+            SweepRow(2, "optimized", seed, 0.0, delay, 1 if delay else 0, 0 if delay else 1)
+            for seed, delay in ((1, 0.25), (2, None), (3, 0.75))
+        )
+        assert SweepResult(rows).mean_delay(2, "optimized") == 0.5
 
     def test_request_generation_is_seeded_and_classed(self):
         scenario = default_scenario()
@@ -432,6 +454,30 @@ class TestSlotExecution:
         plan = run_slot(scenario, 0.0, 3, "optimized", 5)
         assert row.avg_delay_s == plan.average_delay_s
         assert row.delivered == plan.delivered
+
+    def test_shared_context_matches_fresh_context(self):
+        # One context serves every cell, as in the sweep; each cell must plan
+        # as on a context of its own. Budget 0 exercises the entry == serving
+        # route filter and full vs optimized the association mode. Only
+        # without cache hits do two flows share a station, which the equal
+        # bandwidth mode needs to differ; those two scenarios draw the same
+        # requests under both delay models.
+        base = default_scenario()
+        shared = build_slot_context(base, 0.0)
+        no_hits = [
+            Scenario(ifc=IfcSettings(cache_hit_probability=0.0, delay_model=model))
+            for model in ("cut_through", "store_and_forward")
+        ]
+        cases = [(base, range(9), (1, 2, 3))]
+        cases += [(scenario, (0, 1, 8), (1,)) for scenario in no_hits]
+        for scenario, budgets, seeds in cases:
+            for max_isls in budgets:
+                for mode in SWEEP_MODES:
+                    for seed in seeds:
+                        fresh = _SlotContext(shared.snapshot, scenario.link_params)
+                        assert run_slot(
+                            scenario, 0.0, max_isls, mode, seed, ctx=shared
+                        ) == run_slot(scenario, 0.0, max_isls, mode, seed, ctx=fresh)
 
     def test_mode_dominance_and_convergence_small(self):
         scenario = default_scenario()

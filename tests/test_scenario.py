@@ -78,6 +78,70 @@ class TestValidation:
             scenario_from_dict({"ifc": {"air_link_sharing": "maximal"}})
 
 
+NAN = float("nan")
+INF = float("inf")
+
+
+@pytest.mark.parametrize(
+    ("raw", "field"),
+    [
+        ({"constellation": {"altitude_km": NAN}}, "altitude_km"),
+        ({"constellation": {"raan_spread_deg": INF}}, "raan_spread_deg"),
+        ({"constellation": {"inclination_deg": NAN}}, "inclination_deg"),
+        ({"topology": {"max_range_km": NAN}}, "max_range_km"),
+        ({"topology": {"grazing_altitude_km": INF}}, "grazing_altitude_km"),
+        ({"topology": {"elevation_mask_deg": NAN}}, "elevation_mask_deg"),
+        ({"ifc": {"cache_fraction": NAN}}, "cache_fraction"),
+        ({"ifc": {"cache_hit_probability": INF}}, "cache_hit_probability"),
+        ({"ifc": {"file_class_packet_ranges": []}}, "file_class_packet_ranges"),
+        ({"link_params": {"sat_to_air": {"tx_gain_db": NAN}}}, "tx_gain_db"),
+        ({"link_params": {"ground_to_sat": {"tx_power_w": INF}}}, "tx_power_w"),
+        ({"snapshot_duration_s": NAN}, "snapshot_duration_s"),
+        ({"constellation": {"num_planes": NAN}}, "num_planes"),
+        ({"ifc": {"packet_bits": INF}}, "packet_bits"),
+        ({"topology": {"max_isls": "four"}}, "max_isls"),
+        ({"link_params": {"sat_to_air": {"carrier_hz": "x"}}}, "carrier_hz"),
+        ({"seed": "x"}, "seed"),
+        ({"ifc": {"file_class_packet_ranges": [[1, INF]]}}, "file_class_packet_ranges"),
+        (
+            {"ground_stations": [{"node_id": "g", "latitude_deg": 0, "longitude_deg": INF}]},
+            "longitude_deg",
+        ),
+        (
+            {"aircraft": [{"node_id": "a", "latitude_deg": NAN, "longitude_deg": 0}]},
+            "latitude_deg",
+        ),
+        (
+            {"aircraft": [{"node_id": "a", "latitude_deg": "north", "longitude_deg": 0}]},
+            "latitude_deg",
+        ),
+        (
+            {"aircraft": [{"node_id": "a", "latitude_deg": 0, "longitude_deg": 0,
+                           "altitude_km": NAN}]},
+            "altitude_km",
+        ),
+        (
+            {"aircraft": [{"node_id": "a", "latitude_deg": 0, "longitude_deg": 0,
+                           "heading_deg": INF}]},
+            "heading_deg",
+        ),
+        (
+            {"aircraft": [{"node_id": "a", "latitude_deg": 0, "longitude_deg": 0,
+                           "speed_km_s": NAN}]},
+            "speed_km_s",
+        ),
+        (
+            {"aircraft": [{"node_id": "a", "latitude_deg": 0, "longitude_deg": 0,
+                           "speed_km_s": -0.2}]},
+            "speed_km_s",
+        ),
+    ],
+)
+def test_bad_value_names_field(raw, field):
+    with pytest.raises(ScenarioError, match=field):
+        scenario_from_dict(raw)
+
+
 class TestRoundTrip:
     def test_save_load_identity(self, tmp_path):
         scenario = scenario_from_dict(
