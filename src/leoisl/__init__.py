@@ -18,6 +18,7 @@ from .orbits import (
     GroundNode,
     SatelliteState,
     elevation_deg,
+    elevations_deg,
     generate_walker,
     ground_position,
     propagate,
@@ -59,6 +60,7 @@ __all__ = [
     "capacity_bps",
     "default_scenario",
     "elevation_deg",
+    "elevations_deg",
     "fspl_db",
     "generate_walker",
     "ground_pair_hop_stats",

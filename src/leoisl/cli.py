@@ -158,36 +158,58 @@ def _cmd_route(args) -> int:
     return 0
 
 
-def _load_pairs(path: str, scenario: Scenario):
-    """Pair file: CSV with header pair_id,lat_a,lon_a,lat_b,lon_b."""
+_PAIR_COORDINATES = ("lat_a", "lon_a", "lat_b", "lon_b")
+
+
+def _load_pairs(path: str):
+    """Pair file: CSV with header pair_id,lat_a,lon_a,lat_b,lon_b; ids unique."""
     from .orbits import GROUND_STATION, GroundNode
 
     pairs = []
+    seen: set[str] = set()
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.DictReader(handle)
-        required = {"pair_id", "lat_a", "lon_a", "lat_b", "lon_b"}
+        required = {"pair_id", *_PAIR_COORDINATES}
         if reader.fieldnames is None or not required.issubset(reader.fieldnames):
             raise _CliError(
                 f"pairs file must have columns {sorted(required)}, "
                 f"got {reader.fieldnames}"
             )
         for row in reader:
+            where = f"pairs file {path!r} line {reader.line_num}"
             pair_id = row["pair_id"]
-            node_a = GroundNode(
-                f"{pair_id}-a", GROUND_STATION, float(row["lat_a"]), float(row["lon_a"])
+            if pair_id in seen:
+                raise _CliError(f"{where}: duplicate pair_id {pair_id!r}")
+            seen.add(pair_id)
+            lat_a, lon_a, lat_b, lon_b = (
+                _pair_coordinate(row[column], column, where) for column in _PAIR_COORDINATES
             )
-            node_b = GroundNode(
-                f"{pair_id}-b", GROUND_STATION, float(row["lat_b"]), float(row["lon_b"])
-            )
+            try:
+                node_a = GroundNode(f"{pair_id}-a", GROUND_STATION, lat_a, lon_a)
+                node_b = GroundNode(f"{pair_id}-b", GROUND_STATION, lat_b, lon_b)
+            except ValueError as exc:
+                raise _CliError(f"{where}: {exc}") from None
             pairs.append((node_a, node_b))
     if not pairs:
         raise _CliError(f"pairs file {path!r} contains no pairs")
     return pairs
 
 
+def _pair_coordinate(text: str | None, column: str, where: str) -> float:
+    if text is None:
+        raise _CliError(f"{where}: column {column} is missing")
+    try:
+        value = float(text)
+    except ValueError:
+        raise _CliError(f"{where}: column {column} must be a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise _CliError(f"{where}: column {column} must be finite, got {text!r}")
+    return value
+
+
 def _cmd_hops(args) -> int:
     scenario = load_scenario(args.scenario)
-    pairs = _load_pairs(args.pairs, scenario)
+    pairs = _load_pairs(args.pairs)
     rows = routing.ground_pair_hop_stats(
         scenario.constellation,
         pairs,

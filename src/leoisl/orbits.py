@@ -270,6 +270,22 @@ def elevation_deg(observer_pos: np.ndarray, target_pos: np.ndarray) -> float:
     return math.degrees(math.asin(s))
 
 
+def elevations_deg(observer_pos: np.ndarray, positions: np.ndarray) -> np.ndarray:
+    """:func:`elevation_deg` of every row of an ``(N, 3)`` ``positions`` array.
+
+    Same zenith, clipping and zero-range (90 degrees) conventions. The sums
+    run in another order than the scalar form's, so a result can differ from
+    it in the last bits.
+    """
+    obs = np.asarray(observer_pos, dtype=float)
+    los = np.asarray(positions, dtype=float).reshape(-1, 3) - obs
+    rng = np.linalg.norm(los, axis=1)
+    zenith = obs / float(np.linalg.norm(obs))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.clip((los * zenith).sum(axis=1) / rng, -1.0, 1.0)
+    return np.where(rng == 0.0, 90.0, np.degrees(np.arcsin(s)))
+
+
 def visible_from_ground(
     observer_pos: np.ndarray,
     target_pos: np.ndarray,

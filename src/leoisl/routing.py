@@ -13,10 +13,10 @@ therefore reproducible across runs.
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,9 +26,9 @@ from .orbits import (
     DEFAULT_GRAZING_ALTITUDE_KM,
     ConstellationConfig,
     GroundNode,
+    elevations_deg,
     ground_position,
     propagate,
-    visible_from_ground,
 )
 from .topology import (
     DEFAULT_MAX_RANGE_KM,
@@ -146,51 +146,92 @@ def min_hop_path(snapshot: TopologySnapshot, src: str, dst: str) -> Path | None:
 
 
 # ---------------------------------------------------------------------------
-# Lightweight searches used by the statistics sweeps (counts only, no
-# per-path sequences).
+# Searches used by the statistics sweeps: counts only, no per-path
+# sequences, over an integer-indexed ISL graph, stopping once every target
+# is settled.
 # ---------------------------------------------------------------------------
 
 
-def _isl_adjacency(snapshot: TopologySnapshot) -> dict[str, list[tuple[str, float]]]:
-    adj: dict[str, list[tuple[str, float]]] = {}
+class _IslGraph(NamedTuple):
+    """ISL-only view of a snapshot: node ``i`` is ``nodes[i]``."""
+
+    nodes: tuple[str, ...]
+    index: dict[str, int]
+    neighbors: list[list[tuple[int, float]]]
+
+
+def _isl_graph(snapshot: TopologySnapshot) -> _IslGraph:
+    nodes = snapshot.nodes
+    index = {key: i for i, key in enumerate(nodes)}
+    neighbors: list[list[tuple[int, float]]] = [[] for _ in nodes]
     for edge in snapshot.edges:
         if edge.link_class != ISL_LASER:
             continue
-        adj.setdefault(edge.node_a, []).append((edge.node_b, edge.distance_km))
-        adj.setdefault(edge.node_b, []).append((edge.node_a, edge.distance_km))
-    for neighbors in adj.values():
-        neighbors.sort()
-    return adj
+        a, b = index[edge.node_a], index[edge.node_b]
+        neighbors[a].append((b, edge.distance_km))
+        neighbors[b].append((a, edge.distance_km))
+    return _IslGraph(nodes, index, neighbors)
 
 
-def _hops_from(adj: dict[str, list[tuple[str, float]]], src: str) -> dict[str, int]:
-    hops = {src: 0}
-    queue = deque([src])
-    while queue:
-        here = queue.popleft()
-        for neighbor, _ in adj.get(here, ()):
-            if neighbor not in hops:
-                hops[neighbor] = hops[here] + 1
-                queue.append(neighbor)
-    return hops
+def _hops_to(graph: _IslGraph, src: int, targets: Iterable[int]) -> dict[int, int]:
+    """Hop count from ``src`` to each reachable target.
+
+    A level-by-level BFS that stops after the level on which the last
+    target is reached; a node's label is final once it is reached.
+    """
+    targets = set(targets)
+    depth = [-1] * len(graph.nodes)
+    depth[src] = 0
+    remaining = targets - {src}
+    frontier = [src]
+    level = 0
+    while remaining and frontier:
+        level += 1
+        reached = []
+        for here in frontier:
+            for neighbor, _ in graph.neighbors[here]:
+                if depth[neighbor] < 0:
+                    depth[neighbor] = level
+                    reached.append(neighbor)
+        remaining.difference_update(reached)
+        frontier = reached
+    return {t: depth[t] for t in targets if depth[t] >= 0}
 
 
-def _dist_hops_from(
-    adj: dict[str, list[tuple[str, float]]], src: str
-) -> dict[str, tuple[float, int]]:
-    """Per-target (min distance, min hops among min-distance paths)."""
-    best = {src: (0.0, 0)}
+def _dist_hops_to(
+    graph: _IslGraph, src: int, targets: Iterable[int]
+) -> dict[int, tuple[float, int]]:
+    """Per reachable target: (min distance, min hops among min-distance paths).
+
+    Dijkstra on ``(distance, hops)`` that returns once every target has been
+    popped (settled); a node's first pop carries its final label. Distances
+    add up edge by edge from ``src``, so a label depends neither on neighbor
+    order nor on when the search stops.
+    """
+    targets = set(targets)
+    size = len(graph.nodes)
+    dist = [math.inf] * size
+    hops = [0] * size
+    settled = [False] * size
+    dist[src] = 0.0
+    remaining = set(targets)
     heap = [(0.0, 0, src)]
-    while heap:
-        dist, hops, here = heapq.heappop(heap)
-        if (dist, hops) != best.get(here):
+    while heap and remaining:
+        here_dist, here_hops, here = heapq.heappop(heap)
+        if settled[here]:
             continue
-        for neighbor, weight in adj.get(here, ()):
-            candidate = (dist + weight, hops + 1)
-            if neighbor not in best or candidate < best[neighbor]:
-                best[neighbor] = candidate
-                heapq.heappush(heap, (candidate[0], candidate[1], neighbor))
-    return best
+        settled[here] = True
+        remaining.discard(here)
+        next_hops = here_hops + 1
+        for neighbor, weight in graph.neighbors[here]:
+            candidate = here_dist + weight
+            if candidate < dist[neighbor] or (
+                candidate == dist[neighbor] and next_hops < hops[neighbor]
+            ):
+                dist[neighbor] = candidate
+                hops[neighbor] = next_hops
+                heapq.heappush(heap, (candidate, next_hops, neighbor))
+    return {t: (dist[t], hops[t]) for t in targets if dist[t] < math.inf}
 
 
 def _build_isl_snapshot(
@@ -281,31 +322,30 @@ def ground_pair_hop_stats(
             max_range_km=max_range_km,
             grazing_altitude_km=grazing_altitude_km,
         )
-        adj = _isl_adjacency(snapshot)
-        sat_positions = snapshot.positions
+        graph = _isl_graph(snapshot)
+        sat_positions = np.array([snapshot.positions[key] for key in graph.nodes])
 
-        def visible_sats(node: GroundNode) -> list[str]:
-            pos = ground_position(node, epoch_s)
-            return [
-                key
-                for key in snapshot.nodes
-                if visible_from_ground(pos, sat_positions[key], elevation_mask_deg)
-            ]
+        # Indices of the satellites each ground node sees, computed once per
+        # node. Keyed by the node itself: two nodes may share an id.
+        visibility: dict[GroundNode, list[int]] = {}
+        for node in itertools.chain.from_iterable(pairs):
+            if node not in visibility:
+                elevations = elevations_deg(ground_position(node, epoch_s), sat_positions)
+                visibility[node] = np.flatnonzero(elevations >= elevation_mask_deg).tolist()
 
-        visibility_cache: dict[str, list[str]] = {}
-        bfs_cache: dict[str, dict[str, int]] = {}
+        # One BFS per start satellite, to the union of its pairs' end satellites.
+        wanted: dict[int, set[int]] = {}
         for node_a, node_b in pairs:
-            for node in (node_a, node_b):
-                if node.node_id not in visibility_cache:
-                    visibility_cache[node.node_id] = visible_sats(node)
-            starts = visibility_cache[node_a.node_id]
-            ends = visibility_cache[node_b.node_id]
+            for start in visibility[node_a]:
+                wanted.setdefault(start, set()).update(visibility[node_b])
+        hops_from = {start: _hops_to(graph, start, ends) for start, ends in wanted.items()}
+
+        for node_a, node_b in pairs:
+            ends = visibility[node_b]
             pair_id = f"{node_a.node_id}|{node_b.node_id}"
             counts = []
-            for start in starts:
-                if start not in bfs_cache:
-                    bfs_cache[start] = _hops_from(adj, start)
-                hops = bfs_cache[start]
+            for start in visibility[node_a]:
+                hops = hops_from[start]
                 counts.extend(hops[end] for end in ends if end in hops)
             if not counts:
                 rows.append(
@@ -341,20 +381,22 @@ def snapshot_sdp_mhp_fraction(
     snapshot: TopologySnapshot, pairs: Sequence[tuple[str, str]]
 ) -> SdpMhpResult:
     """Evaluate the SDP-hops == MHP-hops discriminant on explicit pairs."""
-    adj = _isl_adjacency(snapshot)
-    by_source: dict[str, list[str]] = {}
+    graph = _isl_graph(snapshot)
+    by_source: dict[int, list[int]] = {}
     for src, dst in pairs:
-        by_source.setdefault(src, []).append(dst)
+        if src not in graph.index or dst not in graph.index:
+            raise ValueError(f"unknown node in pair ({src!r}, {dst!r})")
+        by_source.setdefault(graph.index[src], []).append(graph.index[dst])
     checked = matched = unreachable = 0
     for src, dsts in by_source.items():
-        dist_hops = _dist_hops_from(adj, src)
-        bfs = _hops_from(adj, src)
+        dist_hops = _dist_hops_to(graph, src, dsts)
+        hops = _hops_to(graph, src, dsts)
         for dst in dsts:
             if dst not in dist_hops:
                 unreachable += 1
                 continue
             checked += 1
-            if dist_hops[dst][1] == bfs[dst]:
+            if dist_hops[dst][1] == hops[dst]:
                 matched += 1
     fraction = matched / checked if checked else 0.0
     return SdpMhpResult(fraction, checked, matched, unreachable)

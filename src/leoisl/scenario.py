@@ -255,6 +255,16 @@ def _ground_node(raw: dict, kind: str, where: str) -> GroundNode:
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
+def _ground_nodes(
+    raw: dict, where: str, kind: str, default: tuple[GroundNode, ...]
+) -> tuple[GroundNode, ...]:
+    if where not in raw:
+        return default
+    if not isinstance(raw[where], list):
+        raise ScenarioError(f"{where} must be a list")
+    return tuple(_ground_node(item, kind, where) for item in raw[where])
+
+
 def scenario_from_dict(raw: dict, *, source: str = "<memory>") -> Scenario:
     """Build a validated scenario; omitted fields fall back to the baseline."""
     if not isinstance(raw, dict):
@@ -277,19 +287,8 @@ def scenario_from_dict(raw: dict, *, source: str = "<memory>") -> Scenario:
     except ValueError as exc:
         raise ScenarioError(f"constellation: {exc}") from exc
 
-    if "ground_stations" in raw:
-        stations = tuple(
-            _ground_node(item, GROUND_STATION, "ground_stations")
-            for item in raw["ground_stations"]
-        )
-    else:
-        stations = DEFAULT_GROUND_STATIONS
-    if "aircraft" in raw:
-        aircraft = tuple(
-            _ground_node(item, AIRCRAFT, "aircraft") for item in raw["aircraft"]
-        )
-    else:
-        aircraft = DEFAULT_AIRCRAFT
+    stations = _ground_nodes(raw, "ground_stations", GROUND_STATION, DEFAULT_GROUND_STATIONS)
+    aircraft = _ground_nodes(raw, "aircraft", AIRCRAFT, DEFAULT_AIRCRAFT)
 
     params = default_link_params()
     links_raw = _section(raw, "link_params")

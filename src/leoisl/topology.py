@@ -32,6 +32,7 @@ from .orbits import (
     ConstellationConfig,
     GroundNode,
     SatelliteState,
+    elevations_deg,
     ground_position,
     visible,
     visible_from_ground,
@@ -322,12 +323,20 @@ def attach_ground_links(
             if link is not None:
                 new_edges.append(link)
 
+    sat_positions = np.array([snapshot.positions[key] for key in sat_keys])
+
+    def attach_sats(ground_id: str, link_class: str) -> None:
+        elevations = elevations_deg(positions[ground_id], sat_positions)
+        for sat, elevation in zip(sat_keys, elevations.tolist()):
+            if elevation >= elevation_mask_deg:
+                link = rf_edge(ground_id, sat, link_class)
+                if link is not None:
+                    new_edges.append(link)
+
     for gs in stations:
-        for sat in sat_keys:
-            attach(gs.node_id, sat, GROUND_TO_SAT)
+        attach_sats(gs.node_id, GROUND_TO_SAT)
     for ac in aircraft:
-        for sat in sat_keys:
-            attach(ac.node_id, sat, SAT_TO_AIR)
+        attach_sats(ac.node_id, SAT_TO_AIR)
     for gs in stations:
         for ac in aircraft:
             attach(gs.node_id, ac.node_id, GROUND_TO_AIR)

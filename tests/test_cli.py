@@ -96,6 +96,27 @@ class TestHopsCommand:
         code, _, err = run_cli(["hops", "--pairs", "/nonexistent.csv"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize(
+        ("rows", "expected"),
+        [
+            (["p1,10,20,30,40", "p1,-10,-20,-30,-40"], ["line 3", "duplicate pair_id 'p1'"]),
+            (["p1,10,20,30"], ["line 2", "lon_b is missing"]),
+            (["p1,10,20", "p2,1,2,3,4"], ["line 2", "lat_b is missing"]),
+            (["p1,10,20,30,40", "p2,abc,2,3,4"], ["line 3", "lat_a must be a number", "'abc'"]),
+            (["p1,10,20,30,40", "p2,1,,3,4"], ["line 3", "lon_a must be a number"]),
+            (["p1,nan,20,30,40"], ["line 2", "lat_a must be finite"]),
+            (["p1,10,20,30,-inf"], ["line 2", "lon_b must be finite"]),
+            (["p1,10,20,95,40"], ["line 2", "latitude_deg"]),
+        ],
+    )
+    def test_bad_pairs_file_names_line_and_column(self, rows, expected, tmp_path, capsys):
+        pairs = tmp_path / "pairs.csv"
+        pairs.write_text("pair_id,lat_a,lon_a,lat_b,lon_b\n" + "\n".join(rows) + "\n")
+        code, out, err = run_cli(["hops", "--pairs", str(pairs), "--epochs", "1"], capsys)
+        assert (code, out) == (1, "")
+        for text in expected:
+            assert text in err
+
 
 class TestSdpMhpCommand:
     def test_fraction_report(self, capsys):

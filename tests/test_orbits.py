@@ -12,6 +12,7 @@ from leoisl.orbits import (
     ConstellationConfig,
     GroundNode,
     elevation_deg,
+    elevations_deg,
     generate_walker,
     ground_position,
     propagate,
@@ -196,3 +197,71 @@ class TestVisibility:
         ground = np.array([EARTH_RADIUS_KM, 0.0, 0.0])
         level = np.array([EARTH_RADIUS_KM, 500.0, 0.0])
         assert abs(elevation_deg(ground, level)) < 3.0  # slightly below true horizon
+
+
+def _target_at(observer, elevation, azimuth_vector, range_km):
+    """Point seen from ``observer`` at ``elevation`` degrees, ``range_km`` away."""
+    zenith = observer / np.linalg.norm(observer)
+    horizontal = azimuth_vector - (azimuth_vector @ zenith) * zenith
+    horizontal /= np.linalg.norm(horizontal)
+    rad = math.radians(elevation)
+    return observer + range_km * (math.cos(rad) * horizontal + math.sin(rad) * zenith)
+
+
+class TestVectorizedElevation:
+    """``elevations_deg`` against the scalar ``elevation_deg`` oracle."""
+
+    def test_matches_scalar_on_sampled_pairs(self):
+        rng = np.random.default_rng(11)
+        for epoch in (0.0, 1500.0, 4000.0):
+            sats = np.array([s.position_km for s in propagate(CASE_CONFIG, epoch)])
+            for _ in range(20):
+                node = GroundNode(
+                    "g", GROUND_STATION, rng.uniform(-80, 80), rng.uniform(-180, 180)
+                )
+                observer = ground_position(node, epoch)
+                scalar = np.array([elevation_deg(observer, p) for p in sats])
+                vector = elevations_deg(observer, sats)
+                # Rounding differs in the last bits; compare where asin is
+                # well conditioned, and in sine space everywhere.
+                assert np.allclose(
+                    np.sin(np.radians(vector)), np.sin(np.radians(scalar)), rtol=0, atol=1e-12
+                )
+                assert np.allclose(vector, scalar, rtol=0, atol=1e-9)
+
+    def test_special_geometry(self):
+        observer = ground_position(GroundNode("g", GROUND_STATION, 40.0, 10.0), 0.0)
+        east = np.array([0.0, 1.0, 0.0])
+        targets = np.array(
+            [
+                observer * (1.0 + 800.0 / np.linalg.norm(observer)),  # zenith
+                observer,  # zero range
+                _target_at(observer, -30.0, east, 2000.0),  # below the horizon
+                _target_at(observer, -90.0, east, 500.0),  # nadir
+            ]
+        )
+        vector = elevations_deg(observer, targets)
+        scalar = [elevation_deg(observer, t) for t in targets]
+        assert vector[1] == scalar[1] == 90.0
+        assert np.allclose(vector, scalar, rtol=0, atol=1e-6)
+        assert vector[2] < 0.0 and vector[3] == pytest.approx(-90.0, abs=1e-6)
+
+    @pytest.mark.parametrize("mask", [10.0, 25.0, 40.0])
+    def test_same_side_of_mask_within_a_micro_degree(self, mask):
+        observer = ground_position(GroundNode("g", GROUND_STATION, -33.9, 151.2), 700.0)
+        rng = np.random.default_rng(int(mask))
+        offsets = (-1e-6, 1e-6)
+        targets = np.array(
+            [
+                _target_at(observer, mask + offset, rng.normal(size=3), rng.uniform(600, 3000))
+                for _ in range(50)
+                for offset in offsets
+            ]
+        )
+        vector = elevations_deg(observer, targets) >= mask
+        scalar = [elevation_deg(observer, t) >= mask for t in targets]
+        assert vector.tolist() == scalar == [False, True] * 50
+
+    def test_empty_positions(self):
+        observer = ground_position(GroundNode("g", GROUND_STATION, 0.0, 0.0), 0.0)
+        assert elevations_deg(observer, np.empty((0, 3))).shape == (0,)

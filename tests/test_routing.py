@@ -5,17 +5,27 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leoisl.links import ISL_LASER
-from leoisl.orbits import GROUND_STATION, ConstellationConfig, GroundNode
+from leoisl.orbits import GROUND_STATION, ConstellationConfig, GroundNode, propagate
 from leoisl.routing import (
+    _dist_hops_to,
+    _hops_to,
+    _isl_graph,
     ground_pair_hop_stats,
     min_hop_path,
     sdp_mhp_fraction,
     shortest_distance_path,
     snapshot_sdp_mhp_fraction,
 )
-from leoisl.topology import LinkEdge, TopologySnapshot
+from leoisl.topology import (
+    LinkEdge,
+    TopologySnapshot,
+    build_dynamic_topology,
+    build_grid_topology,
+)
 
 
 def make_snapshot(nodes, weighted_edges, epoch_s=0.0):
@@ -212,6 +222,19 @@ class TestHopStats:
         with pytest.raises(ValueError):
             ground_pair_hop_stats(config, [], [0.0])
 
+    def test_nodes_sharing_an_id_keep_their_own_visibility(self):
+        config = ConstellationConfig()
+        london = GroundNode("x", GROUND_STATION, 51.507, -0.128)
+        singapore = GroundNode("y", GROUND_STATION, 1.352, 103.820)
+        sydney = GroundNode("x", GROUND_STATION, -33.87, 151.21)
+        lima = GroundNode("y", GROUND_STATION, -12.05, -77.04)
+        epochs = [0.0, 900.0]
+        together = ground_pair_hop_stats(config, [(london, singapore), (sydney, lima)], epochs)
+        first = ground_pair_hop_stats(config, [(london, singapore)], epochs)
+        second = ground_pair_hop_stats(config, [(sydney, lima)], epochs)
+        assert together == [first[0], second[0], first[1], second[1]]
+        assert first != second
+
 
 class TestSdpMhpFraction:
     def test_complete_uniform_graph(self):
@@ -231,8 +254,97 @@ class TestSdpMhpFraction:
         result = snapshot_sdp_mhp_fraction(snapshot, [("a", "c")])
         assert result.fraction == 0.0
 
+    def test_unknown_node_rejected(self):
+        snapshot = make_snapshot(["a", "b"], [("a", "b", 1.0)])
+        with pytest.raises(ValueError, match="unknown node"):
+            snapshot_sdp_mhp_fraction(snapshot, [("a", "zz")])
+
     def test_low_inclination_grid_fraction(self):
         config = ConstellationConfig()
         result = sdp_mhp_fraction(config, "grid", 50, [0.0, 1200.0], 11)
         assert result.pairs_checked == 100
         assert result.fraction >= 0.95
+
+
+def full_labels(graph, src):
+    everything = range(len(graph.nodes))
+    return _hops_to(graph, src, everything), _dist_hops_to(graph, src, everything)
+
+
+def baseline_snapshots():
+    config = ConstellationConfig()
+    states = propagate(config, 0.0)
+    return {
+        "grid": build_grid_topology(states, config, 0.0),
+        "dynamic-3": build_dynamic_topology(states, 3, 0.0),
+    }
+
+
+class TestSearchesAgainstNetworkx:
+    """The statistics searches against networkx on the 120-satellite shell."""
+
+    @pytest.mark.parametrize("name", ["grid", "dynamic-3"])
+    def test_every_source(self, name):
+        nx = pytest.importorskip("networkx")
+        snapshot = baseline_snapshots()[name]
+        oracle = nx.Graph()
+        oracle.add_nodes_from(snapshot.nodes)
+        for edge in snapshot.isl_edges():
+            oracle.add_edge(edge.node_a, edge.node_b, weight=edge.distance_km)
+        graph = _isl_graph(snapshot)
+        for src, key in enumerate(graph.nodes):
+            hops, dist_hops = full_labels(graph, src)
+            expected_hops = nx.single_source_shortest_path_length(oracle, key)
+            expected_dist = nx.single_source_dijkstra_path_length(oracle, key)
+            assert {graph.nodes[i]: h for i, h in hops.items()} == expected_hops
+            assert set(dist_hops) == set(hops)
+            for i, (dist, _) in dist_hops.items():
+                assert dist == pytest.approx(expected_dist[graph.nodes[i]], rel=1e-9)
+
+
+@st.composite
+def small_graphs(draw):
+    """Random graphs with integer distances: every path sum is exact, so
+    distance ties are real ties and the hop tie-break is exercised."""
+    n = draw(st.integers(2, 7))
+    nodes = [f"n{i}" for i in range(n)]
+    edges = [
+        (a, b, float(draw(st.integers(1, 3))))
+        for a, b in itertools.combinations(nodes, 2)
+        if draw(st.booleans())
+    ]
+    snapshot = make_snapshot(nodes, edges)
+    src = draw(st.integers(0, n - 1))
+    targets = draw(st.sets(st.integers(0, n - 1)))
+    return snapshot, src, targets
+
+
+class TestEarlyExitSearches:
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs())
+    def test_early_exit_matches_full_search_and_enumeration(self, case):
+        snapshot, src, targets = case
+        graph = _isl_graph(snapshot)
+        all_hops, all_dist_hops = full_labels(graph, src)
+        hops = _hops_to(graph, src, targets)
+        dist_hops = _dist_hops_to(graph, src, targets)
+        assert hops == {t: all_hops[t] for t in targets if t in all_hops}
+        assert dist_hops == {t: all_dist_hops[t] for t in targets if t in all_dist_hops}
+        for dst in range(len(graph.nodes)):
+            paths = enumerate_simple_paths(snapshot, graph.nodes[src], graph.nodes[dst])
+            if not paths:
+                assert dst not in all_hops and dst not in all_dist_hops
+                continue
+            assert all_hops[dst] == min(p[2] for p in paths)
+            assert all_dist_hops[dst] == min((p[1], p[2]) for p in paths)
+
+    def test_equal_distance_path_found_later_with_fewer_hops(self):
+        # s-x-y-t (1+1+4) relaxes t before s-z-t (3+3) does; both are 6 km.
+        snapshot = make_snapshot(
+            ["s", "t", "x", "y", "z"],
+            [("s", "x", 1.0), ("x", "y", 1.0), ("y", "t", 4.0), ("s", "z", 3.0), ("z", "t", 3.0)],
+        )
+        graph = _isl_graph(snapshot)
+        src, dst = graph.index["s"], graph.index["t"]
+        assert _dist_hops_to(graph, src, [dst]) == {dst: (6.0, 2)}
+        assert _hops_to(graph, src, [dst]) == {dst: 2}

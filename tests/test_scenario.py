@@ -174,3 +174,23 @@ class TestRoundTrip:
         (craft,) = scenario.aircraft
         assert craft.altitude_km == 10.7
         assert craft.speed_km_s == 0.23
+
+
+@pytest.mark.parametrize(
+    ("raw", "message"),
+    [
+        ({"aircraft": 5}, "aircraft must be a list"),
+        ({"aircraft": {"node_id": "a"}}, "aircraft must be a list"),
+        ({"ground_stations": {"a": 1}}, "ground_stations must be a list"),
+        ({"ground_stations": "gs-london"}, "ground_stations must be a list"),
+    ],
+)
+def test_node_sections_must_be_lists(raw, message, tmp_path, capsys):
+    from leoisl.cli import main
+
+    with pytest.raises(ScenarioError, match=message):
+        scenario_from_dict(raw)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(raw))
+    assert main(["propagate", "--scenario", str(path)]) == 1
+    assert message in capsys.readouterr().err

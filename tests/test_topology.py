@@ -3,19 +3,29 @@
 import numpy as np
 import pytest
 
-from leoisl.links import GROUND_TO_AIR, GROUND_TO_SAT, SAT_TO_AIR
+from leoisl.links import (
+    GROUND_TO_AIR,
+    GROUND_TO_SAT,
+    SAT_TO_AIR,
+    capacity_bps,
+    default_link_params,
+    propagation_delay_s,
+)
 from leoisl.orbits import (
     AIRCRAFT,
     GROUND_STATION,
     ConstellationConfig,
     GroundNode,
     SatelliteState,
+    ground_position,
     propagate,
     sat_key,
     visible,
+    visible_from_ground,
 )
 from leoisl.topology import (
     INTRA_ORBIT_PREFERRED,
+    LinkEdge,
     attach_ground_links,
     build_dynamic_topology,
     build_grid_topology,
@@ -284,3 +294,45 @@ class TestGroundAttachment:
         parked = GroundNode("ac-here", AIRCRAFT, 10.0, 20.0, 5.0)
         attached = attach_ground_links(snapshot, [station, parked])
         assert not [e for e in attached.edges if e.link_class == GROUND_TO_AIR]
+
+    @pytest.mark.parametrize("epoch", [0.0, 1800.0, 5400.0])
+    def test_matches_scalar_reference(self, epoch):
+        from leoisl.scenario import DEFAULT_AIRCRAFT, DEFAULT_GROUND_STATIONS
+
+        ground = list(DEFAULT_GROUND_STATIONS) + list(DEFAULT_AIRCRAFT)
+        snapshot = build_grid_topology(propagate(CASE_CONFIG, epoch), CASE_CONFIG, epoch)
+        attached = attach_ground_links(snapshot, ground)
+        assert attached.edges == scalar_attach_reference(snapshot, ground)
+
+
+def scalar_attach_reference(snapshot, ground):
+    """Edges of ``attach_ground_links`` with one scalar elevation test per pair."""
+    params = default_link_params()
+    positions = dict(snapshot.positions)
+    for node in ground:
+        positions[node.node_id] = ground_position(node, snapshot.epoch_s)
+    edges = list(snapshot.edges)
+    for node in ground:
+        if node.kind == GROUND_STATION:
+            others = [(sat, GROUND_TO_SAT) for sat in snapshot.nodes]
+            others += [(g.node_id, GROUND_TO_AIR) for g in ground if g.kind == AIRCRAFT]
+        else:
+            others = [(sat, SAT_TO_AIR) for sat in snapshot.nodes]
+        for other, link_class in others:
+            if not visible_from_ground(positions[node.node_id], positions[other]):
+                continue
+            distance = float(np.linalg.norm(positions[node.node_id] - positions[other]))
+            if distance == 0.0:
+                continue
+            a, b = sorted((node.node_id, other))
+            edges.append(
+                LinkEdge(
+                    a,
+                    b,
+                    link_class,
+                    distance,
+                    capacity_bps(params[link_class], distance, 1.0),
+                    propagation_delay_s(distance),
+                )
+            )
+    return tuple(sorted(edges, key=lambda e: (e.key, e.link_class)))
