@@ -38,6 +38,7 @@ from .topology import (
     attach_ground_links,
     build_dynamic_topology,
     build_grid_topology,
+    build_isl_snapshot,
 )
 
 __version__ = "0.1.0"
@@ -57,6 +58,7 @@ __all__ = [
     "attach_ground_links",
     "build_dynamic_topology",
     "build_grid_topology",
+    "build_isl_snapshot",
     "capacity_bps",
     "default_scenario",
     "elevation_deg",

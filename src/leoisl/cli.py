@@ -18,9 +18,8 @@ import sys
 
 from . import delivery, routing
 from .orbits import propagate
-from .routing import GRID_MODE, TOPOLOGY_MODES
 from .scenario import Scenario, ScenarioError, load_scenario
-from .topology import attach_ground_links, build_dynamic_topology, build_grid_topology
+from .topology import GRID_MODE, TOPOLOGY_MODES, attach_ground_links, build_isl_snapshot
 
 PROPAGATE_CSV_HEADER = (
     "sat_id",
@@ -80,27 +79,6 @@ def _epochs(scenario: Scenario, count: int) -> list[float]:
     return [i * period / count for i in range(count)]
 
 
-def _build_snapshot(scenario: Scenario, epoch_s: float, mode: str, max_isls: int):
-    states = propagate(scenario.constellation, epoch_s)
-    isl_params = scenario.link_params["isl_laser"]
-    if mode == GRID_MODE:
-        return build_grid_topology(
-            states,
-            scenario.constellation,
-            epoch_s,
-            grazing_altitude_km=scenario.topology.grazing_altitude_km,
-            isl_params=isl_params,
-        )
-    return build_dynamic_topology(
-        states,
-        max_isls,
-        epoch_s,
-        max_range_km=scenario.topology.max_range_km,
-        grazing_altitude_km=scenario.topology.grazing_altitude_km,
-        isl_params=isl_params,
-    )
-
-
 def _cmd_propagate(args) -> int:
     scenario = load_scenario(args.scenario)
     states = propagate(scenario.constellation, args.epoch)
@@ -118,7 +96,15 @@ def _cmd_propagate(args) -> int:
 def _cmd_topology(args) -> int:
     scenario = load_scenario(args.scenario)
     max_isls = scenario.topology.max_isls if args.max_isls is None else args.max_isls
-    snapshot = _build_snapshot(scenario, args.epoch, args.mode, max_isls)
+    snapshot = build_isl_snapshot(
+        scenario.constellation,
+        args.epoch,
+        args.mode,
+        max_isls=max_isls,
+        max_range_km=scenario.topology.max_range_km,
+        grazing_altitude_km=scenario.topology.grazing_altitude_km,
+        isl_params=scenario.link_params["isl_laser"],
+    )
     if args.ground:
         snapshot = attach_ground_links(
             snapshot,
@@ -132,8 +118,14 @@ def _cmd_topology(args) -> int:
 
 def _cmd_route(args) -> int:
     scenario = load_scenario(args.scenario)
-    snapshot = _build_snapshot(
-        scenario, args.epoch, scenario.topology.mode, scenario.topology.max_isls
+    snapshot = build_isl_snapshot(
+        scenario.constellation,
+        args.epoch,
+        scenario.topology.mode,
+        max_isls=scenario.topology.max_isls,
+        max_range_km=scenario.topology.max_range_km,
+        grazing_altitude_km=scenario.topology.grazing_altitude_km,
+        isl_params=scenario.link_params["isl_laser"],
     )
     snapshot = attach_ground_links(
         snapshot,

@@ -37,10 +37,11 @@ from .links import (
     snr_linear,
 )
 from .topology import (
+    DYNAMIC_MODE,
     LinkEdge,
     TopologySnapshot,
     attach_ground_links,
-    build_dynamic_topology,
+    build_isl_snapshot,
 )
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -465,11 +466,12 @@ class _SlotContext:
 
 def build_slot_context(scenario: "Scenario", epoch_s: float) -> _SlotContext:
     """Candidate snapshot for one epoch: full in-range mesh plus ground links."""
-    states = orbits.propagate(scenario.constellation, epoch_s)
-    mesh = build_dynamic_topology(
-        states,
-        max_isls=max(0, len(states) - 1),
-        epoch_s=epoch_s,
+    config = scenario.constellation
+    mesh = build_isl_snapshot(
+        config,
+        epoch_s,
+        DYNAMIC_MODE,
+        max_isls=config.total_satellites - 1,
         max_range_km=scenario.topology.max_range_km,
         grazing_altitude_km=scenario.topology.grazing_altitude_km,
         isl_params=scenario.link_params[ISL_LASER],

@@ -253,6 +253,35 @@ def visible(
     return float(np.linalg.norm(closest)) >= EARTH_RADIUS_KM + grazing_altitude_km
 
 
+def row_norms(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of an ``(N, 3)`` array.
+
+    Bit-identical to ``float(np.linalg.norm(row))``: that is
+    ``sqrt(row.dot(row))``, a BLAS dot, and ``np.vecdot`` runs the same dot
+    on every row. ``einsum`` and ``(v * v).sum(1)`` round differently.
+    """
+    return np.sqrt(np.vecdot(vectors, vectors))
+
+
+def visible_rows(
+    pos_a: np.ndarray,
+    pos_b: np.ndarray,
+    grazing_altitude_km: float = DEFAULT_GRAZING_ALTITUDE_KM,
+) -> np.ndarray:
+    """:func:`visible` of each row pair of two ``(N, 3)`` arrays.
+
+    Same operations in the same order as the scalar form, with its dot
+    products taken by ``np.vecdot``, so every decision matches it exactly.
+    """
+    a = np.asarray(pos_a, dtype=float).reshape(-1, 3)
+    d = np.asarray(pos_b, dtype=float).reshape(-1, 3) - a
+    dd = np.vecdot(d, d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.clip(-np.vecdot(a, d) / dd, 0.0, 1.0)
+    closest = a + t[:, None] * d
+    return (dd == 0.0) | (row_norms(closest) >= EARTH_RADIUS_KM + grazing_altitude_km)
+
+
 def elevation_deg(observer_pos: np.ndarray, target_pos: np.ndarray) -> float:
     """Elevation of ``target`` above the local horizon of ``observer``.
 

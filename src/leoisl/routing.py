@@ -16,7 +16,7 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,19 +28,13 @@ from .orbits import (
     GroundNode,
     elevations_deg,
     ground_position,
-    propagate,
 )
 from .topology import (
     DEFAULT_MAX_RANGE_KM,
-    NEAREST_FIRST,
+    GRID_MODE,
     TopologySnapshot,
-    build_dynamic_topology,
-    build_grid_topology,
+    build_isl_snapshot,
 )
-
-GRID_MODE = "grid"
-DYNAMIC_MODE = "dynamic"
-TOPOLOGY_MODES = (GRID_MODE, DYNAMIC_MODE)
 
 HOP_STATS_CSV_HEADER = (
     "pair_id",
@@ -173,29 +167,61 @@ def _isl_graph(snapshot: TopologySnapshot) -> _IslGraph:
     return _IslGraph(nodes, index, neighbors)
 
 
-def _hops_to(graph: _IslGraph, src: int, targets: Iterable[int]) -> dict[int, int]:
-    """Hop count from ``src`` to each reachable target.
+_BLOCK = 64  # sources per batched search: one bit of a uint64 word each
+_BITS = np.left_shift(np.uint64(1), np.arange(_BLOCK, dtype=np.uint64))
 
-    A level-by-level BFS that stops after the level on which the last
-    target is reached; a node's label is final once it is reached.
+
+def _hop_blocks(
+    graph: _IslGraph, sources: Sequence[int], targets: Sequence[int]
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Minimum hop counts from ``sources`` to ``targets``, 64 sources at a time.
+
+    Yields ``(first, depth)`` per block of up to 64 consecutive sources:
+    ``depth[k, j]`` is the hop count from ``sources[first + k]`` to
+    ``targets[j]``, or -1 when unreachable. Each block runs one
+    bit-parallel BFS: bit ``k`` of a node's word says source ``k`` has
+    reached it. A level ORs together the frontier words of each node's
+    neighbors (a gather over the CSR neighbor array) and keeps the bits not
+    seen before, so a bit first shows on a node at its hop count. The search
+    stops once every target holds every bit or nothing new is reached.
+    Memory per block is a few words per node and one per directed edge.
     """
-    targets = set(targets)
-    depth = [-1] * len(graph.nodes)
-    depth[src] = 0
-    remaining = targets - {src}
-    frontier = [src]
-    level = 0
-    while remaining and frontier:
-        level += 1
-        reached = []
-        for here in frontier:
-            for neighbor, _ in graph.neighbors[here]:
-                if depth[neighbor] < 0:
-                    depth[neighbor] = level
-                    reached.append(neighbor)
-        remaining.difference_update(reached)
-        frontier = reached
-    return {t: depth[t] for t in targets if depth[t] >= 0}
+    size = len(graph.nodes)
+    degree = np.array([len(nbrs) for nbrs in graph.neighbors], dtype=np.intp)
+    neighbors = np.array([j for nbrs in graph.neighbors for j, _ in nbrs], dtype=np.intp)
+    linked = np.flatnonzero(degree)
+    offsets = (np.cumsum(degree) - degree)[linked]
+    targets = np.asarray(targets, dtype=np.intp)
+    for first in range(0, len(sources), _BLOCK):
+        block = np.asarray(sources[first : first + _BLOCK], dtype=np.intp)
+        bits = _BITS[: len(block)]
+        everyone = np.bitwise_or.reduce(bits)
+        frontier = np.zeros(size, dtype=np.uint64)
+        np.bitwise_or.at(frontier, block, bits)
+        seen = frontier.copy()
+        # Target-major, so a level updates whole rows.
+        depth = np.full((len(targets), len(block)), -1, dtype=np.int32)
+        level = 0
+        while True:
+            arrived = frontier[targets]
+            rows = np.flatnonzero(arrived)
+            if rows.size:
+                hit = np.unpackbits(
+                    arrived[rows].astype("<u8", copy=False).view(np.uint8),
+                    bitorder="little",
+                ).reshape(-1, _BLOCK)[:, : len(block)]
+                depth[rows] = np.where(hit, level, depth[rows])
+            if not linked.size or (seen[targets] == everyone).all():
+                break
+            reached = np.zeros(size, dtype=np.uint64)
+            reached[linked] = np.bitwise_or.reduceat(frontier[neighbors], offsets)
+            reached &= ~seen
+            if not reached.any():
+                break
+            seen |= reached
+            frontier = reached
+            level += 1
+        yield first, depth.T
 
 
 def _dist_hops_to(
@@ -232,32 +258,6 @@ def _dist_hops_to(
                 hops[neighbor] = next_hops
                 heapq.heappush(heap, (candidate, next_hops, neighbor))
     return {t: (dist[t], hops[t]) for t in targets if dist[t] < math.inf}
-
-
-def _build_isl_snapshot(
-    config: ConstellationConfig,
-    epoch_s: float,
-    topology_mode: str,
-    *,
-    max_isls: int,
-    max_range_km: float,
-    grazing_altitude_km: float,
-) -> TopologySnapshot:
-    states = propagate(config, epoch_s)
-    if topology_mode == GRID_MODE:
-        return build_grid_topology(
-            states, config, epoch_s, grazing_altitude_km=grazing_altitude_km
-        )
-    if topology_mode == DYNAMIC_MODE:
-        return build_dynamic_topology(
-            states,
-            max_isls,
-            epoch_s,
-            max_range_km=max_range_km,
-            policy=NEAREST_FIRST,
-            grazing_altitude_km=grazing_altitude_km,
-        )
-    raise ValueError(f"topology_mode must be one of {TOPOLOGY_MODES}, got {topology_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -314,7 +314,7 @@ def ground_pair_hop_stats(
         raise ValueError("epochs must be non-empty")
     rows = []
     for epoch_s in epochs:
-        snapshot = _build_isl_snapshot(
+        snapshot = build_isl_snapshot(
             config,
             epoch_s,
             topology_mode,
@@ -325,29 +325,42 @@ def ground_pair_hop_stats(
         graph = _isl_graph(snapshot)
         sat_positions = np.array([snapshot.positions[key] for key in graph.nodes])
 
-        # Indices of the satellites each ground node sees, computed once per
-        # node. Keyed by the node itself: two nodes may share an id.
-        visibility: dict[GroundNode, list[int]] = {}
+        # Sorted indices of the satellites each ground node sees, computed
+        # once per node. Keyed by the node itself: two nodes may share an id.
+        visibility: dict[GroundNode, np.ndarray] = {}
         for node in itertools.chain.from_iterable(pairs):
             if node not in visibility:
                 elevations = elevations_deg(ground_position(node, epoch_s), sat_positions)
-                visibility[node] = np.flatnonzero(elevations >= elevation_mask_deg).tolist()
+                visibility[node] = np.flatnonzero(elevations >= elevation_mask_deg)
 
-        # One BFS per start satellite, to the union of its pairs' end satellites.
-        wanted: dict[int, set[int]] = {}
-        for node_a, node_b in pairs:
-            for start in visibility[node_a]:
-                wanted.setdefault(start, set()).update(visibility[node_b])
-        hops_from = {start: _hops_to(graph, start, ends) for start, ends in wanted.items()}
+        # One batched search from every start satellite to every end
+        # satellite; each pair reads its own rows and columns of each block.
+        sources = np.unique(np.concatenate([visibility[a] for a, _ in pairs]))
+        targets = np.unique(np.concatenate([visibility[b] for _, b in pairs]))
+        starts = [np.searchsorted(sources, visibility[a]) for a, _ in pairs]
+        ends = [np.searchsorted(targets, visibility[b]) for _, b in pairs]
+        low: list[int | None] = [None] * len(pairs)
+        high = [0] * len(pairs)
+        total = [0] * len(pairs)
+        count = [0] * len(pairs)
+        for first, depth in _hop_blocks(graph, sources, targets):
+            for p, (pair_starts, pair_ends) in enumerate(zip(starts, ends)):
+                lo, hi = np.searchsorted(pair_starts, (first, first + len(depth)))
+                if lo == hi or not pair_ends.size:
+                    continue
+                hops = depth[np.ix_(pair_starts[lo:hi] - first, pair_ends)]
+                hops = hops[hops >= 0]
+                if not hops.size:
+                    continue
+                least, most = int(hops.min()), int(hops.max())
+                low[p] = least if low[p] is None else min(low[p], least)
+                high[p] = max(high[p], most)
+                total[p] += int(hops.sum(dtype=np.int64))
+                count[p] += hops.size
 
-        for node_a, node_b in pairs:
-            ends = visibility[node_b]
+        for p, (node_a, node_b) in enumerate(pairs):
             pair_id = f"{node_a.node_id}|{node_b.node_id}"
-            counts = []
-            for start in visibility[node_a]:
-                hops = hops_from[start]
-                counts.extend(hops[end] for end in ends if end in hops)
-            if not counts:
+            if not count[p]:
                 rows.append(
                     HopStatsRow(pair_id, epoch_s, None, None, None, None, 0, True)
                 )
@@ -356,11 +369,11 @@ def ground_pair_hop_stats(
                 HopStatsRow(
                     pair_id=pair_id,
                     epoch_s=epoch_s,
-                    min_hops=min(counts),
-                    max_hops=max(counts),
-                    mean_hops=sum(counts) / len(counts),
-                    spread=max(counts) - min(counts),
-                    associations=len(counts),
+                    min_hops=low[p],
+                    max_hops=high[p],
+                    mean_hops=total[p] / count[p],
+                    spread=high[p] - low[p],
+                    associations=count[p],
                     skipped=False,
                 )
             )
@@ -387,17 +400,21 @@ def snapshot_sdp_mhp_fraction(
         if src not in graph.index or dst not in graph.index:
             raise ValueError(f"unknown node in pair ({src!r}, {dst!r})")
         by_source.setdefault(graph.index[src], []).append(graph.index[dst])
+    sources = list(by_source)
+    targets = sorted({dst for dsts in by_source.values() for dst in dsts})
+    column = {dst: j for j, dst in enumerate(targets)}
     checked = matched = unreachable = 0
-    for src, dsts in by_source.items():
-        dist_hops = _dist_hops_to(graph, src, dsts)
-        hops = _hops_to(graph, src, dsts)
-        for dst in dsts:
-            if dst not in dist_hops:
-                unreachable += 1
-                continue
-            checked += 1
-            if dist_hops[dst][1] == hops[dst]:
-                matched += 1
+    for first, depth in _hop_blocks(graph, sources, targets):
+        for src, hops in zip(sources[first:], depth):
+            dsts = by_source[src]
+            dist_hops = _dist_hops_to(graph, src, dsts)
+            for dst in dsts:
+                if dst not in dist_hops:
+                    unreachable += 1
+                    continue
+                checked += 1
+                if dist_hops[dst][1] == hops[column[dst]]:
+                    matched += 1
     fraction = matched / checked if checked else 0.0
     return SdpMhpResult(fraction, checked, matched, unreachable)
 
@@ -422,7 +439,7 @@ def sdp_mhp_fraction(
     rng = np.random.default_rng(rng_seed)
     checked = matched = unreachable = 0
     for epoch_s in epochs:
-        snapshot = _build_isl_snapshot(
+        snapshot = build_isl_snapshot(
             config,
             epoch_s,
             topology_mode,

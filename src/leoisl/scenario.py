@@ -28,8 +28,7 @@ from .orbits import (
     ConstellationConfig,
     GroundNode,
 )
-from .routing import GRID_MODE, TOPOLOGY_MODES
-from .topology import DEFAULT_MAX_RANGE_KM
+from .topology import DEFAULT_MAX_RANGE_KM, GRID_MODE, TOPOLOGY_MODES
 
 
 class ScenarioError(ValueError):

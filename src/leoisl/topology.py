@@ -44,6 +44,10 @@ DYNAMIC_POLICIES = (NEAREST_FIRST, INTRA_ORBIT_PREFERRED)
 
 DEFAULT_MAX_RANGE_KM = 5000.0
 
+GRID_MODE = "grid"
+DYNAMIC_MODE = "dynamic"
+TOPOLOGY_MODES = (GRID_MODE, DYNAMIC_MODE)
+
 CSV_HEADER = (
     "epoch_s",
     "node_a",
@@ -127,14 +131,9 @@ class TopologySnapshot:
 
 
 def _isl_edge(
-    key_a: str,
-    key_b: str,
-    pos_a: np.ndarray,
-    pos_b: np.ndarray,
-    params: LinkBudgetParams,
+    key_a: str, key_b: str, distance: float, params: LinkBudgetParams
 ) -> LinkEdge:
     a, b = (key_a, key_b) if key_a < key_b else (key_b, key_a)
-    distance = float(np.linalg.norm(pos_a - pos_b))
     return LinkEdge(
         node_a=a,
         node_b=b,
@@ -143,6 +142,29 @@ def _isl_edge(
         capacity_bps=params.lisl_fixed_rate_bps,
         delay_s=propagation_delay_s(distance),
     )
+
+
+def _grid_pairs(num_planes: int, slots: int) -> tuple[np.ndarray, np.ndarray]:
+    """Candidate +grid links as index pairs ``(lo, hi)``, each link once.
+
+    Satellite ``(plane, slot)`` has index ``plane * slots + slot``. Every
+    link joins a satellite to its next slot in the plane or to the same slot
+    in the next plane; a shell with two slots or two planes names a link
+    twice, and ``np.unique`` keeps one.
+    """
+    index = np.arange(num_planes * slots)
+    plane, slot = np.divmod(index, slots)
+    ends = []
+    if slots >= 2:
+        ends.append(plane * slots + (slot + 1) % slots)
+    if num_planes >= 2:
+        ends.append((plane + 1) % num_planes * slots + slot)
+    if not ends:
+        return index[:0], index[:0]
+    a = np.tile(index, len(ends))
+    b = np.concatenate(ends)
+    pairs = np.unique(np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1), axis=0)
+    return pairs[:, 0], pairs[:, 1]
 
 
 def build_grid_topology(
@@ -164,28 +186,18 @@ def build_grid_topology(
         isl_params = links.default_link_params()[ISL_LASER]
     positions = {s.node_key: s.position_km for s in states}
     num_planes, slots = config.num_planes, config.sats_per_plane
-    pair_keys: set[tuple[str, str]] = set()
-    edges = []
-    for plane in range(num_planes):
-        for slot in range(slots):
-            here = orbits.sat_key(plane, slot)
-            neighbors = []
-            if slots >= 2:
-                neighbors.append(orbits.sat_key(plane, (slot + 1) % slots))
-                neighbors.append(orbits.sat_key(plane, (slot - 1) % slots))
-            if num_planes >= 2:
-                neighbors.append(orbits.sat_key((plane + 1) % num_planes, slot))
-                neighbors.append(orbits.sat_key((plane - 1) % num_planes, slot))
-            for other in neighbors:
-                key = (here, other) if here < other else (other, here)
-                if key in pair_keys:
-                    continue
-                pair_keys.add(key)
-                if not visible(positions[here], positions[other], grazing_altitude_km):
-                    continue
-                edges.append(
-                    _isl_edge(here, other, positions[here], positions[other], isl_params)
-                )
+    keys = [orbits.sat_key(plane, slot) for plane in range(num_planes) for slot in range(slots)]
+    pos = np.array([positions[key] for key in keys])
+    # Line of sight runs from the lower index, as the scalar check would
+    # walking the shell plane by plane.
+    lo, hi = _grid_pairs(num_planes, slots)
+    seen = orbits.visible_rows(pos[lo], pos[hi], grazing_altitude_km)
+    lo, hi = lo[seen], hi[seen]
+    distances = orbits.row_norms(pos[lo] - pos[hi])
+    edges = [
+        _isl_edge(keys[a], keys[b], distance, isl_params)
+        for a, b, distance in zip(lo.tolist(), hi.tolist(), distances.tolist())
+    ]
     edges.sort(key=lambda e: e.key)
     return TopologySnapshot(
         epoch_s=epoch_s,
@@ -259,16 +271,49 @@ def build_dynamic_topology(
                     degree[b] += 1
         accepted = [c for c, ok in zip(candidates, taken) if ok]
 
-    edges = [
-        _isl_edge(a, b, positions[a], positions[b], isl_params)
-        for a, b, _ in accepted
-    ]
+    edges = [_isl_edge(a, b, distance, isl_params) for a, b, distance in accepted]
     edges.sort(key=lambda e: e.key)
     return TopologySnapshot(
         epoch_s=epoch_s,
         nodes=tuple(sorted(positions)),
         edges=tuple(edges),
         positions=positions,
+    )
+
+
+def build_isl_snapshot(
+    config: ConstellationConfig,
+    epoch_s: float,
+    mode: str,
+    *,
+    max_isls: int,
+    max_range_km: float = DEFAULT_MAX_RANGE_KM,
+    grazing_altitude_km: float = DEFAULT_GRAZING_ALTITUDE_KM,
+    isl_params: LinkBudgetParams | None = None,
+) -> TopologySnapshot:
+    """The shell's ISL snapshot at ``epoch_s`` in topology ``mode``.
+
+    ``grid`` builds the +grid; ``dynamic`` the nearest-first mesh with at
+    most ``max_isls`` links per satellite within ``max_range_km``.
+    """
+    if mode not in TOPOLOGY_MODES:
+        raise ValueError(f"topology mode must be one of {TOPOLOGY_MODES}, got {mode!r}")
+    states = orbits.propagate(config, epoch_s)
+    if mode == GRID_MODE:
+        return build_grid_topology(
+            states,
+            config,
+            epoch_s,
+            grazing_altitude_km=grazing_altitude_km,
+            isl_params=isl_params,
+        )
+    return build_dynamic_topology(
+        states,
+        max_isls,
+        epoch_s,
+        max_range_km=max_range_km,
+        grazing_altitude_km=grazing_altitude_km,
+        isl_params=isl_params,
     )
 
 

@@ -494,6 +494,23 @@ class TestSlotExecution:
                 cell[(8, "full", seed)], abs=1e-9
             )
 
+    def test_feeder_limited_split_beats_equal_shares(self):
+        # Without cache hits two non-cached flows share a station, but on the
+        # baseline links both reach their share cap and the split never
+        # matters. A 5 MHz feeder band makes it bind.
+        scenario = scenario_from_dict(
+            {
+                "ifc": {"cache_hit_probability": 0.0},
+                "link_params": {"ground_to_sat": {"bandwidth_hz": 5e6}},
+            }
+        )
+        seeds = range(1, 11)
+        result = sweep_max_isls(scenario, [1, 2], ["optimized", "equal"], [0.0], seeds)
+        cell = {(r.max_isls, r.mode, r.seed): r.avg_delay_s for r in result.rows}
+        pairs = [(cell[(k, "optimized", s)], cell[(k, "equal", s)]) for k in (1, 2) for s in seeds]
+        assert all(optimized <= equal for optimized, equal in pairs)
+        assert any(optimized < equal for optimized, equal in pairs)
+
     def test_degree_feasibility_of_plans(self):
         scenario = default_scenario()
         for seed in range(3):

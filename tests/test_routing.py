@@ -9,10 +9,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leoisl.links import ISL_LASER
-from leoisl.orbits import GROUND_STATION, ConstellationConfig, GroundNode, propagate
+from leoisl.orbits import (
+    GROUND_STATION,
+    ConstellationConfig,
+    GroundNode,
+    elevations_deg,
+    ground_position,
+    propagate,
+)
 from leoisl.routing import (
     _dist_hops_to,
-    _hops_to,
+    _hop_blocks,
     _isl_graph,
     ground_pair_hop_stats,
     min_hop_path,
@@ -266,9 +273,20 @@ class TestSdpMhpFraction:
         assert result.fraction >= 0.95
 
 
+def batched_hops(graph, sources, targets):
+    """The batched hop search as one ``{target: hops}`` dict per source."""
+    targets = list(targets)
+    labels = []
+    for first, depth in _hop_blocks(graph, list(sources), targets):
+        assert first == len(labels)
+        labels.extend({t: int(h) for t, h in zip(targets, row) if h >= 0} for row in depth)
+    assert len(labels) == len(sources)
+    return labels
+
+
 def full_labels(graph, src):
     everything = range(len(graph.nodes))
-    return _hops_to(graph, src, everything), _dist_hops_to(graph, src, everything)
+    return batched_hops(graph, [src], everything)[0], _dist_hops_to(graph, src, everything)
 
 
 def baseline_snapshots():
@@ -292,8 +310,12 @@ class TestSearchesAgainstNetworkx:
         for edge in snapshot.isl_edges():
             oracle.add_edge(edge.node_a, edge.node_b, weight=edge.distance_km)
         graph = _isl_graph(snapshot)
+        everything = range(len(graph.nodes))
+        # All 120 sources in one batched search: a full block and a partial one.
+        all_hops = batched_hops(graph, everything, everything)
         for src, key in enumerate(graph.nodes):
-            hops, dist_hops = full_labels(graph, src)
+            hops = all_hops[src]
+            dist_hops = _dist_hops_to(graph, src, everything)
             expected_hops = nx.single_source_shortest_path_length(oracle, key)
             expected_dist = nx.single_source_dijkstra_path_length(oracle, key)
             assert {graph.nodes[i]: h for i, h in hops.items()} == expected_hops
@@ -326,7 +348,7 @@ class TestEarlyExitSearches:
         snapshot, src, targets = case
         graph = _isl_graph(snapshot)
         all_hops, all_dist_hops = full_labels(graph, src)
-        hops = _hops_to(graph, src, targets)
+        hops = batched_hops(graph, [src], targets)[0]
         dist_hops = _dist_hops_to(graph, src, targets)
         assert hops == {t: all_hops[t] for t in targets if t in all_hops}
         assert dist_hops == {t: all_dist_hops[t] for t in targets if t in all_dist_hops}
@@ -347,4 +369,133 @@ class TestEarlyExitSearches:
         graph = _isl_graph(snapshot)
         src, dst = graph.index["s"], graph.index["t"]
         assert _dist_hops_to(graph, src, [dst]) == {dst: (6.0, 2)}
-        assert _hops_to(graph, src, [dst]) == {dst: 2}
+        assert batched_hops(graph, [src], [dst]) == [{dst: 2}]
+
+
+def edge_list_graph(n, edges):
+    """Integer-indexed ISL graph; node ``i`` is ``n{i:03d}``, links are index pairs."""
+    names = [f"n{i:03d}" for i in range(n)]
+    snapshot = make_snapshot(names, [(names[a], names[b], 1.0) for a, b in edges])
+    return _isl_graph(snapshot)
+
+
+def reference_hops(graph, src):
+    """Plain BFS hop counts from ``src``."""
+    hops = {src: 0}
+    frontier = [src]
+    while frontier:
+        reached = []
+        for here in frontier:
+            for neighbor, _ in graph.neighbors[here]:
+                if neighbor not in hops:
+                    hops[neighbor] = hops[here] + 1
+                    reached.append(neighbor)
+        frontier = reached
+    return hops
+
+
+class TestBatchedHopSearch:
+    def test_more_than_64_sources_with_partial_last_block(self):
+        # A 150-node ring with two chords; 150 sources make blocks of 64, 64, 22.
+        n = 150
+        graph = edge_list_graph(n, [(i, (i + 1) % n) for i in range(n)] + [(0, 75), (30, 110)])
+        sources = list(range(n))
+        targets = [0, 7, 75, 110, 149]
+        blocks = list(_hop_blocks(graph, sources, targets))
+        assert [first for first, _ in blocks] == [0, 64, 128]
+        assert [depth.shape for _, depth in blocks] == [(64, 5), (64, 5), (22, 5)]
+        labels = batched_hops(graph, sources, targets)
+        for src in sources:
+            expected = reference_hops(graph, src)
+            assert labels[src] == {t: expected[t] for t in targets}
+
+    def test_repeated_sources(self):
+        graph = edge_list_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
+        labels = batched_hops(graph, [3, 0, 3, 3, 5, 0], range(6))
+        assert labels[0] == labels[2] == labels[3] == reference_hops(graph, 3)
+        assert labels[1] == labels[5] == reference_hops(graph, 0)
+        assert labels[4] == reference_hops(graph, 5)
+
+    def test_source_that_is_its_own_target(self):
+        graph = edge_list_graph(3, [(0, 1), (1, 2)])
+        assert batched_hops(graph, [1], [1]) == [{1: 0}]
+        assert batched_hops(graph, [0, 2], [2, 0]) == [{2: 2, 0: 0}, {2: 0, 0: 2}]
+
+    def test_isolated_nodes(self):
+        # Nodes 2 and 5 have no link.
+        graph = edge_list_graph(6, [(0, 1), (1, 3), (3, 4)])
+        labels = batched_hops(graph, [0, 2, 5, 4], range(6))
+        assert labels[0] == {0: 0, 1: 1, 3: 2, 4: 3}
+        assert labels[1] == {2: 0}
+        assert labels[2] == {5: 0}
+        assert labels[3] == {4: 0, 3: 1, 1: 2, 0: 3}
+
+    def test_edgeless_graph(self):
+        graph = edge_list_graph(4, [])
+        labels = batched_hops(graph, [3, 0, 1], range(4))
+        assert labels == [{3: 0}, {0: 0}, {1: 0}]
+        assert batched_hops(graph, [], range(4)) == []
+        assert batched_hops(graph, [2], []) == [{}]
+
+
+def reference_hop_stats(snapshot, pairs, epoch_s, mask_deg):
+    """``ground_pair_hop_stats`` rows from one networkx BFS per start satellite."""
+    nx = pytest.importorskip("networkx")
+    oracle = nx.Graph()
+    oracle.add_nodes_from(snapshot.nodes)
+    oracle.add_edges_from(edge.key for edge in snapshot.isl_edges())
+    positions = np.array([snapshot.positions[key] for key in snapshot.nodes])
+
+    def seen_from(node):
+        elevations = elevations_deg(ground_position(node, epoch_s), positions)
+        return [snapshot.nodes[i] for i in np.flatnonzero(elevations >= mask_deg)]
+
+    rows = []
+    for node_a, node_b in pairs:
+        ends = seen_from(node_b)
+        counts = []
+        for start in seen_from(node_a):
+            hops = nx.single_source_shortest_path_length(oracle, start)
+            counts.extend(hops[end] for end in ends if end in hops)
+        rows.append(
+            (min(counts), max(counts), sum(counts) / len(counts), len(counts))
+            if counts
+            else None
+        )
+    return rows
+
+
+class TestHopStatsAgainstNetworkx:
+    PAIRS = [
+        (GroundNode("london", GROUND_STATION, 51.507, -0.128),
+         GroundNode("singapore", GROUND_STATION, 1.352, 103.820)),
+        (GroundNode("quito", GROUND_STATION, -0.18, -78.47),
+         GroundNode("nairobi", GROUND_STATION, -1.29, 36.82)),
+        (GroundNode("sydney", GROUND_STATION, -33.87, 151.21),
+         GroundNode("sydney-too", GROUND_STATION, -33.87, 151.21)),
+        (GroundNode("pole", GROUND_STATION, 89.0, 0.0),
+         GroundNode("lima", GROUND_STATION, -12.05, -77.04)),
+    ]  # fmt: skip
+
+    @pytest.mark.parametrize("mode, max_isls", [("grid", 4), ("dynamic", 3), ("dynamic", 119)])
+    def test_rows_match(self, mode, max_isls):
+        # max_isls 119 on 120 satellites admits every link in range and sight.
+        config = ConstellationConfig()
+        epochs = [0.0, 1500.0]
+        rows = ground_pair_hop_stats(config, self.PAIRS, epochs, mode, max_isls=max_isls)
+        got = [
+            None if row.skipped else (row.min_hops, row.max_hops, row.mean_hops, row.associations)
+            for row in rows
+        ]
+        expected = []
+        for epoch in epochs:
+            states = propagate(config, epoch)
+            if mode == "grid":
+                snapshot = build_grid_topology(states, config, epoch)
+            else:
+                snapshot = build_dynamic_topology(states, max_isls, epoch)
+            expected += reference_hop_stats(snapshot, self.PAIRS, epoch, 10.0)
+        assert got == expected
+        assert any(row is None for row in expected)  # the polar station sees nothing
+        if max_isls == 119:
+            assert max(len(n) for n in _isl_graph(snapshot).neighbors) > 10

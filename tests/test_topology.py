@@ -6,6 +6,7 @@ import pytest
 from leoisl.links import (
     GROUND_TO_AIR,
     GROUND_TO_SAT,
+    ISL_LASER,
     SAT_TO_AIR,
     capacity_bps,
     default_link_params,
@@ -29,6 +30,7 @@ from leoisl.topology import (
     attach_ground_links,
     build_dynamic_topology,
     build_grid_topology,
+    build_isl_snapshot,
 )
 
 CASE_CONFIG = ConstellationConfig()
@@ -156,6 +158,91 @@ class TestGrid:
                 )
 
 
+def scalar_grid_reference(states, config, grazing_altitude_km):
+    """Edges of ``build_grid_topology`` with one scalar line-of-sight test and
+    one ``np.linalg.norm`` per candidate link, walking the shell plane by plane."""
+    rate = default_link_params()[ISL_LASER].lisl_fixed_rate_bps
+    positions = {s.node_key: s.position_km for s in states}
+    seen = set()
+    edges = []
+    for plane in range(config.num_planes):
+        for slot in range(config.sats_per_plane):
+            here = sat_key(plane, slot)
+            for other in grid_structural_neighbors(config, plane, slot):
+                key = tuple(sorted((here, other)))
+                if key in seen:
+                    continue
+                seen.add(key)
+                if not visible(positions[here], positions[other], grazing_altitude_km):
+                    continue
+                distance = float(np.linalg.norm(positions[here] - positions[other]))
+                edges.append(
+                    LinkEdge(*key, ISL_LASER, distance, rate, propagation_delay_s(distance))
+                )
+    return tuple(sorted(edges, key=lambda e: e.key))
+
+
+GRAZING_ALTITUDES_KM = (80.0, 500.0, 2000.0)
+
+
+class TestGridMatchesScalarReference:
+    """The array-built +grid against the per-link loop, compared with ``==``."""
+
+    @pytest.mark.parametrize(
+        "planes, slots, altitude_km",
+        [(6, 20, 1000.0), (24, 22, 1000.0), (72, 22, 550.0)],
+    )
+    def test_shells(self, planes, slots, altitude_km):
+        config = ConstellationConfig(
+            num_planes=planes, sats_per_plane=slots, altitude_km=altitude_km
+        )
+        counts = set()
+        for epoch in (0.0, 0.3 * config.orbital_period_s, 2.0 * config.orbital_period_s / 3):
+            states = propagate(config, epoch)
+            for grazing in GRAZING_ALTITUDES_KM:
+                snapshot = build_grid_topology(
+                    states, config, epoch, grazing_altitude_km=grazing
+                )
+                assert snapshot.edges == scalar_grid_reference(states, config, grazing)
+                counts.add(len(snapshot.edges))
+        assert len(counts) > 1  # line of sight dropped links in some cases
+
+    @pytest.mark.parametrize("planes, slots", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_degenerate_shells(self, planes, slots):
+        config = ConstellationConfig(
+            num_planes=planes, sats_per_plane=slots, phasing_factor=0
+        )
+        # Real shells put two satellites of a ring on opposite sides of the
+        # Earth; a synthetic cluster keeps every candidate link in sight.
+        r = 7371.0
+        cluster = [
+            make_state(p, s, [r, 500.0 * s, 500.0 * p])
+            for p in range(planes)
+            for s in range(slots)
+        ]
+        for states in (propagate(config, 0.0), propagate(config, 1234.5), cluster):
+            for grazing in GRAZING_ALTITUDES_KM:
+                snapshot = build_grid_topology(states, config, 0.0, grazing_altitude_km=grazing)
+                assert snapshot.edges == scalar_grid_reference(states, config, grazing)
+        expected = {(1, 1): 0, (1, 2): 1, (2, 1): 1, (2, 2): 4}[(planes, slots)]
+        assert len(build_grid_topology(cluster, config, 0.0).edges) == expected
+
+
+    def test_line_of_sight_runs_from_the_lower_index(self):
+        # A segment grazing the 80 km sphere: the scalar test says visible
+        # from one end and blocked from the other, so the grid must test
+        # from (0, 0) as the plane-by-plane walk does.
+        a = np.array([1807.9173977577507, 4682.431569111662, -4588.206951069193])
+        b = np.array([1381.798756148761, 2750.236868856403, -5670.356098445968])
+        assert visible(a, b) != visible(b, a)
+        config = ConstellationConfig(num_planes=1, sats_per_plane=2, phasing_factor=0)
+        for first, second in ((a, b), (b, a)):
+            states = [make_state(0, 0, first), make_state(0, 1, second)]
+            snapshot = build_grid_topology(states, config, 0.0)
+            assert snapshot.edges == scalar_grid_reference(states, config, 80.0)
+            assert len(snapshot.edges) == visible(first, second)
+
+
 class TestDynamic:
     def test_zero_budget_empty(self):
         states = propagate(CASE_CONFIG, 0.0)
@@ -229,6 +316,19 @@ class TestDynamic:
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
             build_dynamic_topology(propagate(CASE_CONFIG, 0.0), 2, policy="fastest")
+
+
+class TestSnapshotEntryPoint:
+    def test_modes_match_the_builders(self):
+        states = propagate(CASE_CONFIG, 300.0)
+        grid = build_isl_snapshot(CASE_CONFIG, 300.0, "grid", max_isls=2)
+        dynamic = build_isl_snapshot(CASE_CONFIG, 300.0, "dynamic", max_isls=2)
+        assert grid == build_grid_topology(states, CASE_CONFIG, 300.0)
+        assert dynamic == build_dynamic_topology(states, 2, 300.0)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="topology mode"):
+            build_isl_snapshot(CASE_CONFIG, 0.0, "mesh", max_isls=4)
 
 
 class TestGroundAttachment:
