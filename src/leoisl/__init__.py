@@ -5,6 +5,8 @@ from .delivery import (
     DeliveryPlan,
     FileRequest,
     RequestPlan,
+    SlotContext,
+    build_slot_context,
     optimal_ratio_delay,
     plan_cached,
     plan_non_cached,
@@ -54,11 +56,13 @@ __all__ = [
     "RequestPlan",
     "SatelliteState",
     "Scenario",
+    "SlotContext",
     "TopologySnapshot",
     "attach_ground_links",
     "build_dynamic_topology",
     "build_grid_topology",
     "build_isl_snapshot",
+    "build_slot_context",
     "capacity_bps",
     "default_scenario",
     "elevation_deg",

@@ -60,15 +60,33 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    return value
+
+
 def _parse_int_range(text: str) -> list[int]:
-    """Accept '1..8' or a comma list '1,2,5'."""
-    if ".." in text:
-        lo_text, hi_text = text.split("..", 1)
-        lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise _CliError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(part) for part in text.split(",") if part]
+    """Degree budgets >= 0: a range '1..8' or a comma list '1,2,5'."""
+    try:
+        if ".." in text:
+            lo_text, hi_text = text.split("..", 1)
+            values = list(range(int(lo_text), int(hi_text) + 1))
+        else:
+            values = [int(part) for part in text.split(",") if part]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a range '1..8' or a list '1,2,4', got {text!r}"
+        ) from None
+    if not values:
+        raise argparse.ArgumentTypeError(f"names no budget: {text!r}")
+    if min(values) < 0:
+        raise argparse.ArgumentTypeError(f"budgets must be >= 0, got {text!r}")
+    return values
 
 
 def _epochs(scenario: Scenario, count: int) -> list[float]:
@@ -248,9 +266,7 @@ def _cmd_ifc_sweep(args) -> int:
             )
     seeds = [scenario.seed + i for i in range(args.seeds)]
     epochs = _epochs(scenario, args.epochs)
-    result = delivery.sweep_max_isls(
-        scenario, _parse_int_range(args.isls), modes, epochs, seeds
-    )
+    result = delivery.sweep_max_isls(scenario, args.isls, modes, epochs, seeds)
     rows = result.summary_csv_rows() if args.summary else result.csv_rows()
     _write_rows(rows, args.output)
     return 0
@@ -304,13 +320,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ifc-sweep", help="average delay vs the max-ISL budget")
     common(p)
-    p.add_argument("--isls", default="1..8", help="range '1..8' or list '1,2,4'")
+    p.add_argument(
+        "--isls", type=_parse_int_range, default="1..8", help="range '1..8' or list '1,2,4'"
+    )
     p.add_argument(
         "--modes",
         default=",".join(delivery.SWEEP_MODES),
         help="comma list of optimized,greedy,equal,full",
     )
-    p.add_argument("--seeds", type=int, default=10, help="number of seeds")
+    p.add_argument("--seeds", type=_positive_int, default=10, help="number of seeds")
     p.add_argument("--epochs", type=int, default=1)
     p.add_argument("--summary", action="store_true", help="emit per-(isls,mode) means")
     p.set_defaults(func=_cmd_ifc_sweep)

@@ -18,7 +18,6 @@ satellite do.
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -26,7 +25,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from . import links, orbits
+from . import orbits
 from .links import (
     GROUND_TO_AIR,
     GROUND_TO_SAT,
@@ -36,6 +35,7 @@ from .links import (
     capacity_bps,
     snr_linear,
 )
+from .routing import Path, _graph, _path, _shortest_paths, _to_root
 from .topology import (
     DYNAMIC_MODE,
     LinkEdge,
@@ -373,45 +373,27 @@ def optimize_gs_shares(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _IslRoute:
-    nodes: tuple[str, ...]
-    distance_km: float
-    delay_s: float
-    edge_capacities_bps: tuple[float, ...]
+class SlotContext:
+    """Per-epoch lookups over the candidate snapshot (mesh plus ground links).
 
-    @property
-    def hop_count(self) -> int:
-        return len(self.nodes) - 1
+    ``link_params`` must be the link budgets the snapshot was built with:
+    the planners read feeder rates from them. Laser routes come from one
+    shortest-path search per serving satellite, cached for the slot.
+    """
 
-
-class _SlotContext:
-    """Per-epoch lookups over the candidate snapshot (mesh plus ground links)."""
-
-    def __init__(
-        self,
-        snapshot: TopologySnapshot,
-        link_params: dict[str, LinkBudgetParams] | None = None,
-    ):
+    def __init__(self, snapshot: TopologySnapshot, link_params: dict[str, LinkBudgetParams]):
         self.snapshot = snapshot
-        self.link_params = link_params or links.default_link_params()
+        self.link_params = link_params
         self._by_class_by_node: dict[str, dict[str, list[LinkEdge]]] = {}
-        self._isl_adj: dict[str, list[tuple[str, LinkEdge]]] = {}
-        self._isl_edge: dict[tuple[str, str], LinkEdge] = {}
         for edge in snapshot.edges:
             per_node = self._by_class_by_node.setdefault(edge.link_class, {})
             per_node.setdefault(edge.node_a, []).append(edge)
             per_node.setdefault(edge.node_b, []).append(edge)
-            if edge.link_class == ISL_LASER:
-                self._isl_adj.setdefault(edge.node_a, []).append((edge.node_b, edge))
-                self._isl_adj.setdefault(edge.node_b, []).append((edge.node_a, edge))
-                self._isl_edge[edge.key] = edge
         for per_node in self._by_class_by_node.values():
             for node, edges in per_node.items():
                 edges.sort(key=lambda e: (e.distance_km, e.other(node)))
-        for neighbors in self._isl_adj.values():
-            neighbors.sort(key=lambda item: item[0])
-        self._sssp: dict[str, tuple[dict, dict]] = {}
+        self._isl = _graph(snapshot, snapshot.isl_edges())
+        self._searches: dict[int, tuple[list[float], list[int], list[int]]] = {}
         self._non_cached_plans: dict[tuple, tuple[RequestPlan, ...]] = {}
 
     def edges_at(self, link_class: str, node: str) -> list[LinkEdge]:
@@ -419,52 +401,30 @@ class _SlotContext:
 
     def edge_between(self, link_class: str, a: str, b: str) -> LinkEdge | None:
         if link_class == ISL_LASER:
-            return self._isl_edge.get((a, b) if a < b else (b, a))
+            return self._isl.edges.get((a, b) if a < b else (b, a))
         for edge in self.edges_at(link_class, a):
             if edge.other(a) == b:
                 return edge
         return None
 
-    def _shortest_tree(self, src: str) -> tuple[dict, dict]:
-        if src not in self._sssp:
-            best = {src: (0.0, 0)}
-            parent: dict[str, str | None] = {src: None}
-            heap = [(0.0, 0, src)]
-            while heap:
-                dist, hops, here = heapq.heappop(heap)
-                if (dist, hops) != best.get(here):
-                    continue
-                for neighbor, edge in self._isl_adj.get(here, ()):
-                    candidate = (dist + edge.distance_km, hops + 1)
-                    if neighbor not in best or candidate < best[neighbor]:
-                        best[neighbor] = candidate
-                        parent[neighbor] = here
-                        heapq.heappush(heap, (candidate[0], candidate[1], neighbor))
-            self._sssp[src] = (best, parent)
-        return self._sssp[src]
+    def isl_route(self, src: str, dst: str) -> Path | None:
+        """Shortest-distance laser path from src to dst over the mesh.
 
-    def isl_route(self, src: str, dst: str) -> _IslRoute | None:
-        """Shortest-distance laser path from src to dst over the mesh."""
-        if src == dst:
-            return _IslRoute((src,), 0.0, 0.0, ())
-        best, parent = self._shortest_tree(dst)
-        if src not in best:
+        The search is rooted at ``dst``, so among equal ``(distance, hops)``
+        paths this is the reverse of the lexicographically smallest one
+        from ``dst``.
+        """
+        root = self._isl.index[dst]
+        if root not in self._searches:
+            self._searches[root] = _shortest_paths(self._isl, root)
+        dist, _, parent = self._searches[root]
+        here = self._isl.index[src]
+        if math.isinf(dist[here]):
             return None
-        chain = [src]
-        while chain[-1] != dst:
-            chain.append(parent[chain[-1]])
-        distance = 0.0
-        delay = 0.0
-        caps = []
-        for a, b in zip(chain, chain[1:]):
-            edge = self._isl_edge[(a, b) if a < b else (b, a)]
-            distance += edge.distance_km
-            delay += edge.delay_s
-            caps.append(edge.capacity_bps)
-        return _IslRoute(tuple(chain), distance, delay, tuple(caps))
+        return _path(self._isl, _to_root(parent, here))
 
 
-def build_slot_context(scenario: "Scenario", epoch_s: float) -> _SlotContext:
+def build_slot_context(scenario: "Scenario", epoch_s: float) -> SlotContext:
     """Candidate snapshot for one epoch: full in-range mesh plus ground links."""
     config = scenario.constellation
     mesh = build_isl_snapshot(
@@ -482,7 +442,7 @@ def build_slot_context(scenario: "Scenario", epoch_s: float) -> _SlotContext:
         link_params=scenario.link_params,
         elevation_mask_deg=scenario.topology.elevation_mask_deg,
     )
-    return _SlotContext(snapshot, scenario.link_params)
+    return SlotContext(snapshot, scenario.link_params)
 
 
 # ---------------------------------------------------------------------------
@@ -637,11 +597,10 @@ def _search_subsets(
 
 def plan_cached(
     request: FileRequest,
-    snapshot: TopologySnapshot,
+    ctx: SlotContext,
     max_isls: int,
     mode: str = ASSOC_OPTIMIZED,
     *,
-    ctx: _SlotContext | None = None,
     air_sharing: str = PER_STREAM,
     store_and_forward: bool = False,
 ) -> RequestPlan:
@@ -659,8 +618,6 @@ def plan_cached(
         raise ValueError(f"max_isls must be >= 0, got {max_isls}")
     if not request.cached:
         raise ValueError(f"request {request.request_id} is not cached")
-    if ctx is None:
-        ctx = _SlotContext(snapshot)
     bits = float(request.total_bits)
     air_edges = ctx.edges_at(SAT_TO_AIR, request.aircraft_id)
     best: tuple[float, str, LinkEdge, bool, list[_HolderCandidate], tuple[int, ...]] | None = None
@@ -743,7 +700,7 @@ class _RouteOption:
 
 
 def _route_options(
-    ctx: _SlotContext, request: FileRequest, max_isls: int
+    ctx: SlotContext, request: FileRequest, max_isls: int
 ) -> list[_RouteOption]:
     options: list[_RouteOption] = []
     air_edges = ctx.edges_at(SAT_TO_AIR, request.aircraft_id)
@@ -780,7 +737,9 @@ def _route_options(
                         entry=entry,
                         serving=serving,
                         nodes=(gs,) + route.nodes + (request.aircraft_id,),
-                        base_prop_s=feeder.delay_s + route.delay_s + air_edge.delay_s,
+                        base_prop_s=(
+                            feeder.delay_s + route.total_propagation_delay_s + air_edge.delay_s
+                        ),
                         fixed_cap_bps=min(caps),
                         fixed_inv_rate=sum(1.0 / c for c in caps),
                         feeder_class=GROUND_TO_SAT,
@@ -796,7 +755,7 @@ def _route_options(
 
 
 def _flow_for(
-    ctx: _SlotContext, request: FileRequest, option: _RouteOption, store_and_forward: bool
+    ctx: SlotContext, request: FileRequest, option: _RouteOption, store_and_forward: bool
 ) -> GsFlow:
     return GsFlow(
         flow_id=request.request_id,
@@ -811,7 +770,7 @@ def _flow_for(
 
 
 def _greedy_route(
-    ctx: _SlotContext,
+    ctx: SlotContext,
     request: FileRequest,
     options: list[_RouteOption],
     store_and_forward: bool,
@@ -838,12 +797,11 @@ def _greedy_route(
 
 def plan_non_cached(
     requests: Sequence[FileRequest],
-    snapshot: TopologySnapshot,
+    ctx: SlotContext,
     max_isls: int,
     mode: str = ASSOC_OPTIMIZED,
     *,
     bandwidth_mode: str = BANDWIDTH_OPTIMIZED,
-    ctx: _SlotContext | None = None,
     store_and_forward: bool = False,
 ) -> list[RequestPlan]:
     """Jointly plan the slot's non-cached files.
@@ -859,8 +817,6 @@ def plan_non_cached(
         raise ValueError(f"unknown bandwidth_mode {bandwidth_mode!r}")
     if max_isls < 0:
         raise ValueError(f"max_isls must be >= 0, got {max_isls}")
-    if ctx is None:
-        ctx = _SlotContext(snapshot)
     for request in requests:
         if request.cached:
             raise ValueError(f"request {request.request_id} is cached")
@@ -1027,7 +983,7 @@ def run_slot(
     mode: str,
     rng_seed: int,
     *,
-    ctx: _SlotContext | None = None,
+    ctx: SlotContext | None = None,
 ) -> DeliveryPlan:
     """Generate and plan one slot's requests; average over delivered files.
 
@@ -1051,21 +1007,19 @@ def run_slot(
         if request.cached:
             plans[request.request_id] = plan_cached(
                 request,
-                ctx.snapshot,
+                ctx,
                 max_isls,
                 assoc_mode,
-                ctx=ctx,
                 air_sharing=scenario.ifc.air_link_sharing,
                 store_and_forward=store_and_forward,
             )
     non_cached = [r for r in requests if not r.cached]
     for plan in plan_non_cached(
         non_cached,
-        ctx.snapshot,
+        ctx,
         max_isls,
         assoc_mode,
         bandwidth_mode=bandwidth_mode,
-        ctx=ctx,
         store_and_forward=store_and_forward,
     ):
         plans[plan.request.request_id] = plan

@@ -5,9 +5,10 @@ snapshot, hop-count statistics between ground terminals across all possible
 satellite associations, and an empirical check of how often the SDP is also
 an MHP.
 
-Tie-breaking is total: minimum metric, then fewer hops (distance metric
-only), then the lexicographically smallest node sequence. Results are
-therefore reproducible across runs.
+Every path comes from one search, ``_shortest_paths``, with one tie-break:
+minimum ``(distance, hops)`` (an MHP weighs each link 1, so its distance is
+its hop count), then the lexicographically smallest node sequence from the
+search's root. Results are therefore reproducible across runs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .links import ISL_LASER
 from .orbits import (
     DEFAULT_ELEVATION_MASK_DEG,
     DEFAULT_GRAZING_ALTITUDE_KM,
@@ -32,6 +32,7 @@ from .orbits import (
 from .topology import (
     DEFAULT_MAX_RANGE_KM,
     GRID_MODE,
+    LinkEdge,
     TopologySnapshot,
     build_isl_snapshot,
 )
@@ -58,113 +59,148 @@ class Path:
     edge_capacities_bps: tuple[float, ...] = ()
 
 
-def _path_from_nodes(snapshot: TopologySnapshot, nodes: tuple[str, ...]) -> Path:
-    adjacency = snapshot.adjacency()
+class _Graph(NamedTuple):
+    """Integer-indexed view of some of a snapshot's links.
+
+    Node ``i`` is ``nodes[i]``; ``snapshot.nodes`` is sorted, so index order
+    is node-id order. ``edges`` maps each link's ``key`` to the link.
+    """
+
+    nodes: tuple[str, ...]
+    index: dict[str, int]
+    neighbors: list[list[tuple[int, float]]]
+    edges: dict[tuple[str, str], LinkEdge]
+
+
+def _graph(
+    snapshot: TopologySnapshot, edges: Iterable[LinkEdge], *, unit_weights: bool = False
+) -> _Graph:
+    """Graph over ``edges``, weighted by distance or, for hop counts, by 1."""
+    nodes = snapshot.nodes
+    index = {key: i for i, key in enumerate(nodes)}
+    neighbors: list[list[tuple[int, float]]] = [[] for _ in nodes]
+    by_key = {}
+    for edge in edges:
+        a, b = index[edge.node_a], index[edge.node_b]
+        weight = 1.0 if unit_weights else edge.distance_km
+        neighbors[a].append((b, weight))
+        neighbors[b].append((a, weight))
+        by_key[edge.key] = edge
+    return _Graph(nodes, index, neighbors, by_key)
+
+
+def _shortest_paths(
+    graph: _Graph, root: int, targets: Iterable[int] | None = None
+) -> tuple[list[float], list[int], list[int]]:
+    """Dijkstra from ``root`` on ``(distance, hops)``: ``(dist, hops, parent)``.
+
+    ``parent[v]`` is the node before ``v`` on the chosen path and -1 for the
+    root and for unreached nodes, whose distance is infinite. Among paths
+    with equal ``(distance, hops)`` the chosen one has the lexicographically
+    smallest node sequence from ``root``. With ``targets`` the search returns
+    once every target is settled; only settled labels are final. Distances
+    add up edge by edge from ``root``, so a label depends neither on
+    neighbor order nor on when the search stops.
+    """
+    size = len(graph.nodes)
+    dist = [math.inf] * size
+    hops = [0] * size
+    parent = [-1] * size
+    settled = [False] * size
+    dist[root] = 0.0
+    remaining = set(range(size) if targets is None else targets)
+    heap = [(0.0, 0, root)]
+    neighbors = graph.neighbors
+    push, pop = heapq.heappush, heapq.heappop
+    while heap and remaining:
+        here_dist, here_hops, here = pop(heap)
+        if settled[here]:
+            continue
+        settled[here] = True
+        remaining.discard(here)
+        next_hops = here_hops + 1
+        for there, weight in neighbors[here]:
+            candidate = here_dist + weight
+            if candidate < dist[there]:
+                dist[there] = candidate
+                hops[there] = next_hops
+                parent[there] = here
+                push(heap, (candidate, next_hops, there))
+            elif candidate == dist[there]:
+                if next_hops < hops[there]:
+                    hops[there] = next_hops
+                    parent[there] = here
+                    push(heap, (candidate, next_hops, there))
+                elif next_hops == hops[there] and _precedes(parent, here, parent[there]):
+                    parent[there] = here
+    return dist, hops, parent
+
+
+def _precedes(parent: list[int], a: int, b: int) -> bool:
+    """Whether the root-to-``a`` sequence sorts before the root-to-``b`` one.
+
+    ``a`` and ``b`` are settled at the same depth, so their sequences have
+    equal length and first differ just below their deepest common ancestor.
+    """
+    while parent[a] != parent[b]:
+        a, b = parent[a], parent[b]
+    return a < b
+
+
+def _path(graph: _Graph, chain: Sequence[int]) -> Path:
+    """The ``Path`` along node indices ``chain``, summed from its first node."""
+    nodes = tuple([graph.nodes[i] for i in chain])
     distance = 0.0
     delay = 0.0
     capacities = []
     for a, b in zip(nodes, nodes[1:]):
-        edge = next(e for nbr, e in adjacency[a] if nbr == b)
+        edge = graph.edges[(a, b) if a < b else (b, a)]
         distance += edge.distance_km
         delay += edge.delay_s
         capacities.append(edge.capacity_bps)
-    bottleneck = min(capacities) if capacities else math.inf
     return Path(
         nodes=nodes,
         hop_count=len(nodes) - 1,
         total_distance_km=distance,
         total_propagation_delay_s=delay,
-        bottleneck_capacity_bps=bottleneck,
+        bottleneck_capacity_bps=min(capacities) if capacities else math.inf,
         edge_capacities_bps=tuple(capacities),
     )
 
 
-def _best_node_sequence(
-    snapshot: TopologySnapshot, src: str, dst: str, metric: str
-) -> tuple[str, ...] | None:
-    """Label-setting search returning the optimal node sequence.
+def _to_root(parent: list[int], node: int) -> list[int]:
+    """``node`` and its ancestors, ending at the root of the search."""
+    chain = [node]
+    while parent[chain[-1]] >= 0:
+        chain.append(parent[chain[-1]])
+    return chain
 
-    Costs are tuples so the comparison is exactly the documented tie-break:
-    ``(distance, hops, sequence)`` or ``(hops, sequence)``. Appending the
-    same edge to two sequences that end on the same node preserves their
-    order, so Dijkstra stays exact under these composite costs.
-    """
-    adjacency = snapshot.adjacency()
-    if src not in adjacency or dst not in adjacency:
+
+def _best_path(graph: _Graph, src: str, dst: str) -> Path | None:
+    if src not in graph.index or dst not in graph.index:
         raise ValueError(f"unknown node in pair ({src!r}, {dst!r})")
-    if src == dst:
-        return (src,)
-    if metric == "distance":
-        start = (0.0, 0, (src,))
-    else:
-        start = (0, (src,))
-    best: dict[str, tuple] = {src: start}
-    heap = [start]
-    while heap:
-        cost = heapq.heappop(heap)
-        nodes = cost[-1]
-        here = nodes[-1]
-        if cost != best.get(here):
-            continue
-        if here == dst:
-            return nodes
-        for neighbor, edge in adjacency[here]:
-            if neighbor in nodes:
-                continue
-            if metric == "distance":
-                candidate = (cost[0] + edge.distance_km, cost[1] + 1, nodes + (neighbor,))
-            else:
-                candidate = (cost[0] + 1, nodes + (neighbor,))
-            if neighbor not in best or candidate < best[neighbor]:
-                best[neighbor] = candidate
-                heapq.heappush(heap, candidate)
-    return None
+    target = graph.index[dst]
+    dist, _, parent = _shortest_paths(graph, graph.index[src], [target])
+    if math.isinf(dist[target]):
+        return None
+    return _path(graph, _to_root(parent, target)[::-1])
 
 
 def shortest_distance_path(
     snapshot: TopologySnapshot, src: str, dst: str
 ) -> Path | None:
     """Minimum total-distance path, or None when the pair is disconnected."""
-    nodes = _best_node_sequence(snapshot, src, dst, "distance")
-    if nodes is None:
-        return None
-    return _path_from_nodes(snapshot, nodes)
+    return _best_path(_graph(snapshot, snapshot.edges), src, dst)
 
 
 def min_hop_path(snapshot: TopologySnapshot, src: str, dst: str) -> Path | None:
     """Minimum edge-count path, or None when the pair is disconnected."""
-    nodes = _best_node_sequence(snapshot, src, dst, "hops")
-    if nodes is None:
-        return None
-    return _path_from_nodes(snapshot, nodes)
+    return _best_path(_graph(snapshot, snapshot.edges, unit_weights=True), src, dst)
 
 
 # ---------------------------------------------------------------------------
-# Searches used by the statistics sweeps: counts only, no per-path
-# sequences, over an integer-indexed ISL graph, stopping once every target
-# is settled.
+# Statistics sweeps: counts only, no per-path sequences, over the ISL graph.
 # ---------------------------------------------------------------------------
-
-
-class _IslGraph(NamedTuple):
-    """ISL-only view of a snapshot: node ``i`` is ``nodes[i]``."""
-
-    nodes: tuple[str, ...]
-    index: dict[str, int]
-    neighbors: list[list[tuple[int, float]]]
-
-
-def _isl_graph(snapshot: TopologySnapshot) -> _IslGraph:
-    nodes = snapshot.nodes
-    index = {key: i for i, key in enumerate(nodes)}
-    neighbors: list[list[tuple[int, float]]] = [[] for _ in nodes]
-    for edge in snapshot.edges:
-        if edge.link_class != ISL_LASER:
-            continue
-        a, b = index[edge.node_a], index[edge.node_b]
-        neighbors[a].append((b, edge.distance_km))
-        neighbors[b].append((a, edge.distance_km))
-    return _IslGraph(nodes, index, neighbors)
 
 
 _BLOCK = 64  # sources per batched search: one bit of a uint64 word each
@@ -172,7 +208,7 @@ _BITS = np.left_shift(np.uint64(1), np.arange(_BLOCK, dtype=np.uint64))
 
 
 def _hop_blocks(
-    graph: _IslGraph, sources: Sequence[int], targets: Sequence[int]
+    graph: _Graph, sources: Sequence[int], targets: Sequence[int]
 ) -> Iterator[tuple[int, np.ndarray]]:
     """Minimum hop counts from ``sources`` to ``targets``, 64 sources at a time.
 
@@ -222,42 +258,6 @@ def _hop_blocks(
             frontier = reached
             level += 1
         yield first, depth.T
-
-
-def _dist_hops_to(
-    graph: _IslGraph, src: int, targets: Iterable[int]
-) -> dict[int, tuple[float, int]]:
-    """Per reachable target: (min distance, min hops among min-distance paths).
-
-    Dijkstra on ``(distance, hops)`` that returns once every target has been
-    popped (settled); a node's first pop carries its final label. Distances
-    add up edge by edge from ``src``, so a label depends neither on neighbor
-    order nor on when the search stops.
-    """
-    targets = set(targets)
-    size = len(graph.nodes)
-    dist = [math.inf] * size
-    hops = [0] * size
-    settled = [False] * size
-    dist[src] = 0.0
-    remaining = set(targets)
-    heap = [(0.0, 0, src)]
-    while heap and remaining:
-        here_dist, here_hops, here = heapq.heappop(heap)
-        if settled[here]:
-            continue
-        settled[here] = True
-        remaining.discard(here)
-        next_hops = here_hops + 1
-        for neighbor, weight in graph.neighbors[here]:
-            candidate = here_dist + weight
-            if candidate < dist[neighbor] or (
-                candidate == dist[neighbor] and next_hops < hops[neighbor]
-            ):
-                dist[neighbor] = candidate
-                hops[neighbor] = next_hops
-                heapq.heappush(heap, (candidate, next_hops, neighbor))
-    return {t: (dist[t], hops[t]) for t in targets if dist[t] < math.inf}
 
 
 @dataclass(frozen=True)
@@ -322,7 +322,7 @@ def ground_pair_hop_stats(
             max_range_km=max_range_km,
             grazing_altitude_km=grazing_altitude_km,
         )
-        graph = _isl_graph(snapshot)
+        graph = _graph(snapshot, snapshot.isl_edges())
         sat_positions = np.array([snapshot.positions[key] for key in graph.nodes])
 
         # Sorted indices of the satellites each ground node sees, computed
@@ -394,7 +394,7 @@ def snapshot_sdp_mhp_fraction(
     snapshot: TopologySnapshot, pairs: Sequence[tuple[str, str]]
 ) -> SdpMhpResult:
     """Evaluate the SDP-hops == MHP-hops discriminant on explicit pairs."""
-    graph = _isl_graph(snapshot)
+    graph = _graph(snapshot, snapshot.isl_edges())
     by_source: dict[int, list[int]] = {}
     for src, dst in pairs:
         if src not in graph.index or dst not in graph.index:
@@ -407,13 +407,13 @@ def snapshot_sdp_mhp_fraction(
     for first, depth in _hop_blocks(graph, sources, targets):
         for src, hops in zip(sources[first:], depth):
             dsts = by_source[src]
-            dist_hops = _dist_hops_to(graph, src, dsts)
+            dist, sdp_hops, _ = _shortest_paths(graph, src, dsts)
             for dst in dsts:
-                if dst not in dist_hops:
+                if math.isinf(dist[dst]):
                     unreachable += 1
                     continue
                 checked += 1
-                if dist_hops[dst][1] == hops[column[dst]]:
+                if sdp_hops[dst] == hops[column[dst]]:
                     matched += 1
     fraction = matched / checked if checked else 0.0
     return SdpMhpResult(fraction, checked, matched, unreachable)

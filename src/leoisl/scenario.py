@@ -127,7 +127,6 @@ class Scenario:
     link_params: dict[str, LinkBudgetParams] = field(default_factory=default_link_params)
     topology: TopologySettings = field(default_factory=TopologySettings)
     ifc: IfcSettings = field(default_factory=IfcSettings)
-    snapshot_duration_s: float = 10.0
     seed: int = 1
 
     def __post_init__(self) -> None:
@@ -143,10 +142,6 @@ class Scenario:
         missing = [c for c in LINK_CLASSES if c not in self.link_params]
         if missing:
             raise ScenarioError(f"link_params missing classes: {missing}")
-        if not (math.isfinite(self.snapshot_duration_s) and self.snapshot_duration_s > 0):
-            raise ScenarioError(
-                f"snapshot_duration_s must be finite and > 0, got {self.snapshot_duration_s}"
-            )
 
 
 def default_scenario() -> Scenario:
@@ -200,7 +195,6 @@ _TOP_FIELDS = (
     "link_params",
     "topology",
     "ifc",
-    "snapshot_duration_s",
     "seed",
 )
 
@@ -220,10 +214,16 @@ def _section(raw: dict, name: str) -> dict:
 
 def _number(raw: dict, name: str, default, kind: type, where: str):
     """``raw[name]`` (``default`` when absent) as ``kind``; errors name the field."""
-    try:
-        return kind(raw.get(name, default))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ScenarioError(f"{where}.{name}: {exc}") from exc
+    return _as_number(raw.get(name, default), kind, f"{where}.{name}")
+
+
+def _as_number(value, kind: type, field_name: str):
+    """A JSON number as ``kind``: never a bool, and integral for ``int``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{field_name} must be a number, got {value!r}")
+    if kind is int and isinstance(value, float) and not value.is_integer():
+        raise ScenarioError(f"{field_name} must be an integer, got {value!r}")
+    return kind(value)
 
 
 def _ground_node(raw: dict, kind: str, where: str) -> GroundNode:
@@ -333,11 +333,15 @@ def scenario_from_dict(raw: dict, *, source: str = "<memory>") -> Scenario:
     _check_keys(ifc_raw, _IFC_FIELDS, "ifc")
     ranges_raw = ifc_raw.get("file_class_packet_ranges", DEFAULT_FILE_CLASS_RANGES)
     try:
-        ranges = tuple((int(lo), int(hi)) for lo, hi in ranges_raw)
-    except (TypeError, ValueError, OverflowError) as exc:
+        pairs = [(lo, hi) for lo, hi in ranges_raw]
+    except (TypeError, ValueError) as exc:
         raise ScenarioError(
             "ifc.file_class_packet_ranges must be a list of [lo, hi] pairs"
         ) from exc
+    ranges = tuple(
+        tuple(_as_number(bound, int, f"ifc.file_class_packet_ranges[{idx}]") for bound in pair)
+        for idx, pair in enumerate(pairs)
+    )
     try:
         ifc = IfcSettings(
             cache_fraction=_number(ifc_raw, "cache_fraction", 0.1, float, "ifc"),
@@ -361,7 +365,6 @@ def scenario_from_dict(raw: dict, *, source: str = "<memory>") -> Scenario:
         link_params=params,
         topology=topology,
         ifc=ifc,
-        snapshot_duration_s=_number(raw, "snapshot_duration_s", 10.0, float, "scenario"),
         seed=_number(raw, "seed", 1, int, "scenario"),
     )
 
@@ -441,7 +444,6 @@ def scenario_to_dict(scenario: Scenario) -> dict:
             "air_link_sharing": scenario.ifc.air_link_sharing,
             "delay_model": scenario.ifc.delay_model,
         },
-        "snapshot_duration_s": scenario.snapshot_duration_s,
         "seed": scenario.seed,
     }
 

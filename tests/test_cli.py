@@ -177,6 +177,25 @@ class TestIfcSweepCommand:
         assert "psychic" in err
 
 
+    @pytest.mark.parametrize(
+        ("args", "flag"),
+        [
+            (["--isls", "1..x"], "--isls"),
+            (["--isls", "a,b"], "--isls"),
+            (["--isls", "4..1"], "--isls"),
+            (["--isls", ","], "--isls"),
+            (["--isls", "-1,2"], "--isls"),
+            (["--seeds", "-3"], "--seeds"),
+            (["--seeds", "0"], "--seeds"),
+            (["--seeds", "two"], "--seeds"),
+        ],
+    )
+    def test_bad_flag_is_named(self, args, flag, capsys):
+        code, out, err = run_cli(["ifc-sweep", *args], capsys)
+        assert (code, out) == (1, "")
+        assert f"argument {flag}:" in err
+
+
 class TestBadInput:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run_cli(["transmogrify"], capsys)
@@ -212,6 +231,21 @@ class TestBadInput:
         )
         assert (code, out) == (1, "")
         assert field in err
+
+    @pytest.mark.parametrize(
+        ("raw", "message"),
+        [
+            ({"seed": 1.5}, "scenario.seed must be an integer"),
+            ({"seed": True}, "scenario.seed must be a number"),
+            ({"snapshot_duration_s": 10.0}, "unknown field scenario.'snapshot_duration_s'"),
+        ],
+    )
+    def test_rejected_scenario_value(self, raw, message, tmp_path, capsys):
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text(json.dumps(raw))
+        code, out, err = run_cli(["propagate", "--scenario", str(scenario)], capsys)
+        assert (code, out) == (1, "")
+        assert message in err
 
     def test_bad_scenario_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -13,7 +13,7 @@ from leoisl.delivery import (
     GsFlow,
     SweepResult,
     SweepRow,
-    _SlotContext,
+    SlotContext,
     build_slot_context,
     generate_requests,
     optimal_ratio_delay,
@@ -53,6 +53,10 @@ def make_snapshot(edges):
         edges=tuple(sorted(edges, key=lambda e: (e.key, e.link_class))),
         positions={},
     )
+
+
+def context(snapshot):
+    return SlotContext(snapshot, default_link_params())
 
 
 def cached_request(holders, packets=1000, aircraft="air-1"):
@@ -222,7 +226,7 @@ class TestPlanCached:
     def test_local_cache_hit(self):
         snapshot = self.snapshot_one_serving()
         request = cached_request({"S0"}, packets=100)
-        plan = plan_cached(request, snapshot, 4)
+        plan = plan_cached(request, context(snapshot), 4)
         assert plan.delivered
         assert plan.serving_satellite == "S0"
         assert plan.activated_isl_edges == ()
@@ -235,14 +239,14 @@ class TestPlanCached:
             holders_spec=[("H1", 1200.0, 1e10), ("H2", 2500.0, 1e10)]
         )
         request = cached_request({"H1", "H2"})
-        constrained = plan_cached(request, snapshot, 8)
-        unconstrained = plan_cached(request, snapshot, 0, mode="fully_connected")
+        constrained = plan_cached(request, context(snapshot), 8)
+        unconstrained = plan_cached(request, context(snapshot), 0, mode="fully_connected")
         assert constrained == unconstrained
 
     def test_no_visible_satellite_undeliverable(self):
         snapshot = make_snapshot([edge("S0", "other-air", SAT_TO_AIR, 900.0, 8e8)])
         request = cached_request({"S0"})
-        plan = plan_cached(request, snapshot, 4)
+        plan = plan_cached(request, context(snapshot), 4)
         assert not plan.delivered
         assert math.isinf(plan.delay_s)
 
@@ -251,7 +255,7 @@ class TestPlanCached:
         snapshot = self.snapshot_one_serving(holders_spec=holders)
         request = cached_request({h for h, _, _ in holders}, packets=3000)
         for budget in (1, 2, 3):
-            plan = plan_cached(request, snapshot, budget)
+            plan = plan_cached(request, context(snapshot), budget)
             assert len(plan.activated_isl_edges) <= budget
 
     def test_optimized_beats_greedy_and_matches_enumeration(self):
@@ -284,8 +288,8 @@ class TestPlanCached:
             snapshot = make_snapshot(edges)
             request = cached_request(set(holders), packets=int(rng.integers(10, 3000)))
             k = int(rng.integers(1, 4))
-            optimized = plan_cached(request, snapshot, k)
-            greedy = plan_cached(request, snapshot, k, mode="greedy")
+            optimized = plan_cached(request, context(snapshot), k)
+            greedy = plan_cached(request, context(snapshot), k, mode="greedy")
             assert optimized.delivered == greedy.delivered
             if not optimized.delivered:
                 continue
@@ -303,8 +307,8 @@ class TestPlanCached:
         ]
         snapshot = make_snapshot(edges)
         request = cached_request({"S0", "H1"}, packets=3000)
-        per_stream = plan_cached(request, snapshot, 4, air_sharing=PER_STREAM)
-        split = plan_cached(request, snapshot, 4, air_sharing=EQUAL_SPLIT)
+        per_stream = plan_cached(request, context(snapshot), 4, air_sharing=PER_STREAM)
+        split = plan_cached(request, context(snapshot), 4, air_sharing=EQUAL_SPLIT)
         assert len(per_stream.streams) == 2
         assert per_stream.delay_s < air_prop + request.total_bits / 8e8 + 1e-15
         assert len(split.streams) == 1
@@ -334,12 +338,12 @@ class TestPlanNonCached:
     def test_single_file_full_share(self):
         snapshot = self.chain_snapshot()
         request = self.request("r1", {"G1"})
-        (plan,) = plan_non_cached([request], snapshot, 4)
+        (plan,) = plan_non_cached([request], context(snapshot), 4)
         assert plan.delivered
         assert plan.gs_id == "G1"
         assert plan.bandwidth_share == 1.0
         (equal_plan,) = plan_non_cached(
-            [request], snapshot, 4, bandwidth_mode="equal"
+            [request], context(snapshot), 4, bandwidth_mode="equal"
         )
         assert equal_plan.bandwidth_share == 1.0
 
@@ -354,10 +358,10 @@ class TestPlanNonCached:
             self.request("r1", {"G1"}, aircraft="air-1"),
             self.request("r2", {"G1"}, aircraft="air-2"),
         ]
-        plans = plan_non_cached(requests, snapshot, 4)
+        plans = plan_non_cached(requests, context(snapshot), 4)
         assert plans[0].bandwidth_share == pytest.approx(0.5, abs=1e-9)
         assert plans[1].bandwidth_share == pytest.approx(0.5, abs=1e-9)
-        equal_plans = plan_non_cached(requests, snapshot, 4, bandwidth_mode="equal")
+        equal_plans = plan_non_cached(requests, context(snapshot), 4, bandwidth_mode="equal")
         assert [p.bandwidth_share for p in equal_plans] == [0.5, 0.5]
 
     def test_unbalanced_sizes_beat_equal_allocation(self):
@@ -371,15 +375,15 @@ class TestPlanNonCached:
             self.request("r1", {"G1"}, packets=100, aircraft="air-1"),
             self.request("r2", {"G1"}, packets=1000, aircraft="air-2"),
         ]
-        optimized = plan_non_cached(requests, snapshot, 4)
-        equal = plan_non_cached(requests, snapshot, 4, bandwidth_mode="equal")
+        optimized = plan_non_cached(requests, context(snapshot), 4)
+        equal = plan_non_cached(requests, context(snapshot), 4, bandwidth_mode="equal")
         assert optimized[1].bandwidth_share > optimized[0].bandwidth_share
         assert sum(p.delay_s for p in optimized) < sum(p.delay_s for p in equal)
 
     def test_no_route_is_undeliverable(self):
         snapshot = make_snapshot([edge("S0", AIR, SAT_TO_AIR, 1200.0, 8e8)])
         request = self.request("r1", {"G1"})
-        (plan,) = plan_non_cached([request], snapshot, 4)
+        (plan,) = plan_non_cached([request], context(snapshot), 4)
         assert not plan.delivered
 
     def test_zero_budget_requires_shared_satellite(self):
@@ -391,9 +395,9 @@ class TestPlanNonCached:
         ]
         snapshot = make_snapshot(edges)
         request = self.request("r1", {"G1"})
-        (blocked,) = plan_non_cached([request], snapshot, 0)
+        (blocked,) = plan_non_cached([request], context(snapshot), 0)
         assert not blocked.delivered
-        (routed,) = plan_non_cached([request], snapshot, 1)
+        (routed,) = plan_non_cached([request], context(snapshot), 1)
         assert routed.delivered
         assert routed.activated_isl_edges == (("S-entry", "S-serve"),)
 
@@ -474,7 +478,7 @@ class TestSlotExecution:
             for max_isls in budgets:
                 for mode in SWEEP_MODES:
                     for seed in seeds:
-                        fresh = _SlotContext(shared.snapshot, scenario.link_params)
+                        fresh = SlotContext(shared.snapshot, scenario.link_params)
                         assert run_slot(
                             scenario, 0.0, max_isls, mode, seed, ctx=shared
                         ) == run_slot(scenario, 0.0, max_isls, mode, seed, ctx=fresh)

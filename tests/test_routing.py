@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leoisl.links import ISL_LASER
+from leoisl.delivery import SlotContext
+from leoisl.links import ISL_LASER, default_link_params
 from leoisl.orbits import (
     GROUND_STATION,
     ConstellationConfig,
@@ -18,9 +19,9 @@ from leoisl.orbits import (
     propagate,
 )
 from leoisl.routing import (
-    _dist_hops_to,
+    _graph,
     _hop_blocks,
-    _isl_graph,
+    _shortest_paths,
     ground_pair_hop_stats,
     min_hop_path,
     sdp_mhp_fraction,
@@ -273,6 +274,17 @@ class TestSdpMhpFraction:
         assert result.fraction >= 0.95
 
 
+def isl_graph(snapshot):
+    return _graph(snapshot, snapshot.isl_edges())
+
+
+def dist_hops_to(graph, src, targets):
+    """Per reachable target of ``_shortest_paths``: ``(distance, hops)``."""
+    targets = list(targets)
+    dist, hops, _ = _shortest_paths(graph, src, targets)
+    return {t: (dist[t], hops[t]) for t in targets if dist[t] < math.inf}
+
+
 def batched_hops(graph, sources, targets):
     """The batched hop search as one ``{target: hops}`` dict per source."""
     targets = list(targets)
@@ -286,7 +298,7 @@ def batched_hops(graph, sources, targets):
 
 def full_labels(graph, src):
     everything = range(len(graph.nodes))
-    return batched_hops(graph, [src], everything)[0], _dist_hops_to(graph, src, everything)
+    return batched_hops(graph, [src], everything)[0], dist_hops_to(graph, src, everything)
 
 
 def baseline_snapshots():
@@ -309,13 +321,13 @@ class TestSearchesAgainstNetworkx:
         oracle.add_nodes_from(snapshot.nodes)
         for edge in snapshot.isl_edges():
             oracle.add_edge(edge.node_a, edge.node_b, weight=edge.distance_km)
-        graph = _isl_graph(snapshot)
+        graph = isl_graph(snapshot)
         everything = range(len(graph.nodes))
         # All 120 sources in one batched search: a full block and a partial one.
         all_hops = batched_hops(graph, everything, everything)
         for src, key in enumerate(graph.nodes):
             hops = all_hops[src]
-            dist_hops = _dist_hops_to(graph, src, everything)
+            dist_hops = dist_hops_to(graph, src, everything)
             expected_hops = nx.single_source_shortest_path_length(oracle, key)
             expected_dist = nx.single_source_dijkstra_path_length(oracle, key)
             assert {graph.nodes[i]: h for i, h in hops.items()} == expected_hops
@@ -346,10 +358,10 @@ class TestEarlyExitSearches:
     @given(small_graphs())
     def test_early_exit_matches_full_search_and_enumeration(self, case):
         snapshot, src, targets = case
-        graph = _isl_graph(snapshot)
+        graph = isl_graph(snapshot)
         all_hops, all_dist_hops = full_labels(graph, src)
         hops = batched_hops(graph, [src], targets)[0]
-        dist_hops = _dist_hops_to(graph, src, targets)
+        dist_hops = dist_hops_to(graph, src, targets)
         assert hops == {t: all_hops[t] for t in targets if t in all_hops}
         assert dist_hops == {t: all_dist_hops[t] for t in targets if t in all_dist_hops}
         for dst in range(len(graph.nodes)):
@@ -366,17 +378,52 @@ class TestEarlyExitSearches:
             ["s", "t", "x", "y", "z"],
             [("s", "x", 1.0), ("x", "y", 1.0), ("y", "t", 4.0), ("s", "z", 3.0), ("z", "t", 3.0)],
         )
-        graph = _isl_graph(snapshot)
+        graph = isl_graph(snapshot)
         src, dst = graph.index["s"], graph.index["t"]
-        assert _dist_hops_to(graph, src, [dst]) == {dst: (6.0, 2)}
+        assert dist_hops_to(graph, src, [dst]) == {dst: (6.0, 2)}
         assert batched_hops(graph, [src], [dst]) == [{dst: 2}]
+
+
+class TestTieBreak:
+    """Equal ``(distance, hops)`` paths go to the smallest node sequence."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs())
+    def test_paths_are_the_lexicographic_minimum(self, case):
+        # Integer distances make equal-distance paths real ties.
+        snapshot, src, _ = case
+        ctx = SlotContext(snapshot, default_link_params())
+        a = snapshot.nodes[src]
+        for b in snapshot.nodes:
+            expected_sdp = oracle_best(snapshot, a, b, "distance")
+            sdp = shortest_distance_path(snapshot, a, b)
+            mhp = min_hop_path(snapshot, a, b)
+            route = ctx.isl_route(b, a)
+            if expected_sdp is None:
+                assert sdp is None and mhp is None and route is None
+                continue
+            assert sdp.nodes == expected_sdp[0]
+            assert mhp.nodes == oracle_best(snapshot, a, b, "hops")[0]
+            assert route.nodes == expected_sdp[0][::-1]
+
+    def test_tie_decided_above_the_last_hop(self):
+        # r-a-d-t and r-b-c-t tie; c reaches t first, but a < b decides.
+        snapshot = make_snapshot(
+            ["a", "b", "c", "d", "r", "t"],
+            [("r", "a", 1.0), ("a", "d", 1.0), ("d", "t", 1.0),
+             ("r", "b", 1.0), ("b", "c", 1.0), ("c", "t", 1.0)],
+        )  # fmt: skip
+        assert shortest_distance_path(snapshot, "r", "t").nodes == ("r", "a", "d", "t")
+        assert min_hop_path(snapshot, "r", "t").nodes == ("r", "a", "d", "t")
+        ctx = SlotContext(snapshot, default_link_params())
+        assert ctx.isl_route("t", "r").nodes == ("t", "d", "a", "r")
 
 
 def edge_list_graph(n, edges):
     """Integer-indexed ISL graph; node ``i`` is ``n{i:03d}``, links are index pairs."""
     names = [f"n{i:03d}" for i in range(n)]
     snapshot = make_snapshot(names, [(names[a], names[b], 1.0) for a, b in edges])
-    return _isl_graph(snapshot)
+    return isl_graph(snapshot)
 
 
 def reference_hops(graph, src):
@@ -498,4 +545,4 @@ class TestHopStatsAgainstNetworkx:
         assert got == expected
         assert any(row is None for row in expected)  # the polar station sees nothing
         if max_isls == 119:
-            assert max(len(n) for n in _isl_graph(snapshot).neighbors) > 10
+            assert max(len(n) for n in isl_graph(snapshot).neighbors) > 10

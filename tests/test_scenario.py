@@ -32,7 +32,6 @@ class TestDefaults:
         assert scenario.ifc.cache_hit_probability == 0.5
         assert scenario.link_params["sat_to_air"].carrier_hz == 15.0e9
         assert scenario.topology.max_range_km == 5000.0
-        assert scenario.snapshot_duration_s == 10.0
 
     def test_none_and_empty_file_mean_defaults(self, tmp_path):
         assert load_scenario(None) == default_scenario()
@@ -96,7 +95,7 @@ INF = float("inf")
         ({"ifc": {"file_class_packet_ranges": []}}, "file_class_packet_ranges"),
         ({"link_params": {"sat_to_air": {"tx_gain_db": NAN}}}, "tx_gain_db"),
         ({"link_params": {"ground_to_sat": {"tx_power_w": INF}}}, "tx_power_w"),
-        ({"snapshot_duration_s": NAN}, "snapshot_duration_s"),
+        ({"constellation": {"num_planes": 6.9}}, "constellation.num_planes"),
         ({"constellation": {"num_planes": NAN}}, "num_planes"),
         ({"ifc": {"packet_bits": INF}}, "packet_bits"),
         ({"topology": {"max_isls": "four"}}, "max_isls"),
@@ -135,6 +134,18 @@ INF = float("inf")
                            "speed_km_s": -0.2}]},
             "speed_km_s",
         ),
+        # Integer fields take only integral numbers; no number field takes a bool.
+        ({"seed": 1.5}, "scenario.seed"),
+        ({"seed": True}, "scenario.seed"),
+        ({"topology": {"max_isls": 4.5}}, "topology.max_isls"),
+        ({"ifc": {"packet_bits": False}}, "ifc.packet_bits"),
+        ({"ifc": {"file_class_packet_ranges": [[1, 2.5]]}}, r"file_class_packet_ranges\[0\]"),
+        ({"constellation": {"altitude_km": True}}, "constellation.altitude_km"),
+        ({"link_params": {"sat_to_air": {"tx_power_w": True}}}, "sat_to_air.tx_power_w"),
+        (
+            {"aircraft": [{"node_id": "a", "latitude_deg": True, "longitude_deg": 0}]},
+            "aircraft.latitude_deg",
+        ),
     ],
 )
 def test_bad_value_names_field(raw, field):
@@ -166,6 +177,12 @@ class TestRoundTrip:
         assert scenario.constellation.altitude_km == 550.0
         assert scenario.constellation.num_planes == 6
         assert scenario.link_params["ground_to_sat"].tx_power_w == 10.0
+
+    def test_integral_float_is_an_integer(self):
+        scenario = scenario_from_dict({"constellation": {"num_planes": 4.0}, "seed": 7.0})
+        assert scenario.constellation.num_planes == 4
+        assert scenario.seed == 7
+        assert isinstance(scenario.seed, int)
 
     def test_aircraft_defaults(self):
         scenario = scenario_from_dict(
