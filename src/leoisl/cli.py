@@ -60,14 +60,22 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text!r}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _parse_int_range(text: str) -> list[int]:
@@ -91,8 +99,6 @@ def _parse_int_range(text: str) -> list[int]:
 
 def _epochs(scenario: Scenario, count: int) -> list[float]:
     """Sample epochs evenly across one orbital period."""
-    if count < 1:
-        raise _CliError(f"--epochs must be >= 1, got {count}")
     period = scenario.constellation.orbital_period_s
     return [i * period / count for i in range(count)]
 
@@ -292,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--epoch", type=_finite_float, default=0.0)
     p.add_argument("--mode", choices=TOPOLOGY_MODES, default=GRID_MODE)
-    p.add_argument("--max-isls", type=int, default=None, dest="max_isls")
+    p.add_argument("--max-isls", type=_non_negative_int, default=None, dest="max_isls")
     p.add_argument("--ground", action="store_true", help="attach ground links")
     p.set_defaults(func=_cmd_topology)
 
@@ -307,14 +313,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hops", help="ground-pair hop statistics CSV")
     common(p)
     p.add_argument("--pairs", required=True, help="CSV: pair_id,lat_a,lon_a,lat_b,lon_b")
-    p.add_argument("--epochs", type=int, default=10)
+    p.add_argument("--epochs", type=_positive_int, default=10)
     p.set_defaults(func=_cmd_hops)
 
     p = sub.add_parser("sdp-mhp", help="fraction of SDPs that are also MHPs")
     common(p)
-    p.add_argument("--pairs", type=int, default=200, help="sampled pairs per epoch")
-    p.add_argument("--seed", type=int, default=1)
-    p.add_argument("--epochs", type=int, default=10)
+    p.add_argument("--pairs", type=_positive_int, default=200, help="sampled pairs per epoch")
+    p.add_argument("--seed", type=_non_negative_int, default=1)
+    p.add_argument("--epochs", type=_positive_int, default=10)
     p.add_argument("--mode", choices=TOPOLOGY_MODES, default=None)
     p.set_defaults(func=_cmd_sdp_mhp)
 
@@ -329,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma list of optimized,greedy,equal,full",
     )
     p.add_argument("--seeds", type=_positive_int, default=10, help="number of seeds")
-    p.add_argument("--epochs", type=int, default=1)
+    p.add_argument("--epochs", type=_positive_int, default=1)
     p.add_argument("--summary", action="store_true", help="emit per-(isls,mode) means")
     p.set_defaults(func=_cmd_ifc_sweep)
 

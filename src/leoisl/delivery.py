@@ -18,7 +18,6 @@ satellite do.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
@@ -77,8 +76,6 @@ _MODE_MAP = {
     MODE_FULL: (ASSOC_FULL, BANDWIDTH_OPTIMIZED),
 }
 
-EXHAUSTIVE_CANDIDATE_LIMIT = 12
-LOCAL_SEARCH_MAX_ITER = 200
 _MIN_SHARE = 1e-9
 
 SWEEP_CSV_HEADER = (
@@ -378,7 +375,8 @@ class SlotContext:
 
     ``link_params`` must be the link budgets the snapshot was built with:
     the planners read feeder rates from them. Laser routes come from one
-    shortest-path search per serving satellite, cached for the slot.
+    shortest-path search per serving satellite; the searches and the routes
+    read from them are cached for the slot.
     """
 
     def __init__(self, snapshot: TopologySnapshot, link_params: dict[str, LinkBudgetParams]):
@@ -394,6 +392,7 @@ class SlotContext:
                 edges.sort(key=lambda e: (e.distance_km, e.other(node)))
         self._isl = _graph(snapshot, snapshot.isl_edges())
         self._searches: dict[int, tuple[list[float], list[int], list[int]]] = {}
+        self._routes: dict[tuple[str, str], Path | None] = {}
         self._non_cached_plans: dict[tuple, tuple[RequestPlan, ...]] = {}
 
     def edges_at(self, link_class: str, node: str) -> list[LinkEdge]:
@@ -414,14 +413,16 @@ class SlotContext:
         paths this is the reverse of the lexicographically smallest one
         from ``dst``.
         """
+        if (src, dst) in self._routes:
+            return self._routes[src, dst]
         root = self._isl.index[dst]
         if root not in self._searches:
             self._searches[root] = _shortest_paths(self._isl, root)
         dist, _, parent = self._searches[root]
         here = self._isl.index[src]
-        if math.isinf(dist[here]):
-            return None
-        return _path(self._isl, _to_root(parent, here))
+        route = None if math.isinf(dist[here]) else _path(self._isl, _to_root(parent, here))
+        self._routes[src, dst] = route
+        return route
 
 
 def build_slot_context(scenario: "Scenario", epoch_s: float) -> SlotContext:
@@ -457,6 +458,32 @@ class _HolderCandidate:
     prop_s: float
 
 
+def _holder_rates(
+    air_edge: LinkEdge,
+    candidates: Sequence[_HolderCandidate],
+    streams: int,
+    air_sharing: str,
+    store_and_forward: bool,
+) -> tuple[float, list[float]]:
+    """Air share and each holder's stream rate when ``streams`` streams
+    share the serving satellite's air link.
+
+    ``per_stream`` grants each stream a full-rate beam, ``equal_split``
+    divides the air rate across the streams. A holder stream crosses its
+    laser link and then the air share: cut-through runs at the slower of
+    the two, store-and-forward pays both transmission times.
+    """
+    share = air_edge.capacity_bps if air_sharing == PER_STREAM else air_edge.capacity_bps / streams
+    if store_and_forward:
+        return share, [1.0 / (1.0 / c.edge.capacity_bps + 1.0 / share) for c in candidates]
+    return share, [min(c.edge.capacity_bps, share) for c in candidates]
+
+
+def _highest_rates(rates: Sequence[float], count: int) -> tuple[int, ...]:
+    """The ``count`` highest-rate candidates; ties by candidate order."""
+    return tuple(sorted(sorted(range(len(rates)), key=lambda i: (-rates[i], i))[:count]))
+
+
 def _evaluate_cached(
     serving: str,
     aircraft: str,
@@ -468,29 +495,21 @@ def _evaluate_cached(
     air_sharing: str,
     store_and_forward: bool,
 ) -> tuple[float, list[StreamPlan]]:
-    """Delay of one (serving satellite, holder subset) choice.
-
-    Streams share the serving satellite's air link according to
-    ``air_sharing``: ``per_stream`` grants each stream a full-rate beam,
-    ``equal_split`` divides the air rate across the streams.
-    """
+    """Delay of one (serving satellite, holder subset) choice."""
     m = len(chosen) + (1 if serving_holds else 0)
     if m == 0:
         return math.inf, []
-    air_rate = air_edge.capacity_bps
     air_prop = air_edge.delay_s
-    share = air_rate if air_sharing == PER_STREAM else air_rate / m
+    share, rates = _holder_rates(
+        air_edge, [candidates[i] for i in chosen], m, air_sharing, store_and_forward
+    )
     sources = []
     specs = []
     if serving_holds:
         sources.append((air_prop, share))
         specs.append((serving, (serving, aircraft), air_prop, share))
-    for idx in chosen:
+    for idx, rate in zip(chosen, rates):
         cand = candidates[idx]
-        if store_and_forward:
-            rate = 1.0 / (1.0 / cand.edge.capacity_bps + 1.0 / share)
-        else:
-            rate = min(cand.edge.capacity_bps, share)
         prop = cand.prop_s + air_prop
         sources.append((prop, rate))
         specs.append((cand.holder, (cand.holder, serving, aircraft), prop, rate))
@@ -502,7 +521,46 @@ def _evaluate_cached(
     return delay, streams
 
 
-def _search_subsets(
+def _largest_terms_holders(
+    own: list[tuple[float, float]],
+    props: Sequence[float],
+    rates: Sequence[float],
+    count: int,
+    bits: float,
+) -> tuple[int, ...]:
+    """Least-delay set of at most ``count`` holders at fixed stream rates.
+
+    A set S finishes at the D solving ``own(D) + sum_{c in S} r_c *
+    max(0, D - p_c) = bits``, and no set of at most ``count`` holders ships
+    more by any D than the ``count`` largest positive terms
+    ``r_c * (D - p_c)``. So, starting from the highest-rate holders, each
+    step takes the largest terms at the current set's finish time (ties by
+    candidate order) until the set stops changing or the delay would rise:
+    the parametric method of fractional programming (Dinkelbach,
+    Management Science 1967). A step that keeps the delay is taken, so
+    holders with ``p_c >= D`` are never kept.
+    """
+
+    def finish(chosen: tuple[int, ...]) -> float:
+        return optimal_ratio_delay(own + [(props[i], rates[i]) for i in chosen], bits)[0]
+
+    chosen = _highest_rates(rates, count)
+    delay = finish(chosen)
+    while True:
+        terms = [rate * (delay - prop) for prop, rate in zip(props, rates)]
+        ranked = sorted(
+            (i for i, term in enumerate(terms) if term > 0), key=lambda i: (-terms[i], i)
+        )
+        step = tuple(sorted(ranked[:count]))
+        if step == chosen:
+            return chosen
+        step_delay = finish(step)
+        if step_delay > delay:
+            return chosen
+        chosen, delay = step, step_delay
+
+
+def _select_holders(
     serving: str,
     aircraft: str,
     air_edge: LinkEdge,
@@ -513,86 +571,32 @@ def _search_subsets(
     air_sharing: str,
     store_and_forward: bool,
 ) -> tuple[float, tuple[int, ...]]:
-    """Best holder subset for a fixed serving satellite.
+    """Least-delay set of at most ``budget`` holders for one serving satellite.
 
-    Exhaustive over all subsets up to the budget while the candidate count
-    stays small; beyond that, prefix ladders (by single-stream rate and by
-    propagation) seed a pairwise add/drop/swap local search.
+    Under ``equal_split`` the stream rates depend on the stream count, so
+    each count is solved at its own rates; a set smaller than its count
+    only runs faster. The least delay wins, fewer holders on a tie.
     """
-
-    def evaluate(chosen: tuple[int, ...]) -> float:
-        delay, _ = _evaluate_cached(
-            serving,
-            aircraft,
-            air_edge,
-            serving_holds,
-            candidates,
-            chosen,
-            bits,
-            air_sharing,
-            store_and_forward,
-        )
-        return delay
-
-    n = len(candidates)
-    best_delay = math.inf
-    best_chosen: tuple[int, ...] = ()
-    if n <= EXHAUSTIVE_CANDIDATE_LIMIT:
-        for size in range(0, min(budget, n) + 1):
-            if size == 0 and not serving_holds:
-                continue
-            for combo in itertools.combinations(range(n), size):
-                delay = evaluate(combo)
-                if delay < best_delay:
-                    best_delay = delay
-                    best_chosen = combo
-        return best_delay, best_chosen
-
-    air_rate = air_edge.capacity_bps
-    if store_and_forward:
-        single_rate = [
-            1.0 / (1.0 / c.edge.capacity_bps + 1.0 / air_rate) for c in candidates
-        ]
+    air_prop = air_edge.delay_s
+    props = [c.prop_s + air_prop for c in candidates]
+    if air_sharing == PER_STREAM:
+        sizes: Iterable[int] = (budget,)
     else:
-        single_rate = [min(c.edge.capacity_bps, air_rate) for c in candidates]
-    rate_order = sorted(
-        range(n), key=lambda i: (-single_rate[i], candidates[i].prop_s, candidates[i].holder)
-    )
-    limit = min(budget, n)
-    seeds = {tuple(sorted(rate_order[:j])) for j in range(limit + 1)}
-    seeds.update(tuple(range(j)) for j in range(limit + 1))
-    for seed in sorted(seeds):
-        if not seed and not serving_holds:
-            continue
-        delay = evaluate(seed)
-        if delay < best_delay:
-            best_delay = delay
-            best_chosen = seed
-    for _ in range(LOCAL_SEARCH_MAX_ITER):
-        improved = False
-        current = set(best_chosen)
-        moves: list[tuple[int, ...]] = []
-        if len(current) < limit:
-            moves.extend(
-                tuple(sorted(current | {i})) for i in range(n) if i not in current
-            )
-        for i in sorted(current):
-            smaller = current - {i}
-            if smaller or serving_holds:
-                moves.append(tuple(sorted(smaller)))
-            moves.extend(
-                tuple(sorted(smaller | {j})) for j in range(n) if j not in current
-            )
-        for move in moves:
-            delay = evaluate(move)
-            if delay < best_delay:
-                best_delay = delay
-                best_chosen = move
-                improved = True
-                break
-        if not improved:
-            break
-    return best_delay, best_chosen
+        sizes = range(0 if serving_holds else 1, budget + 1)
+    best: tuple[float, tuple[int, ...]] = (math.inf, ())
+    for size in sizes:
+        share, rates = _holder_rates(
+            air_edge, candidates, size + serving_holds, air_sharing, store_and_forward
+        )
+        own = [(air_prop, share)] if serving_holds else []
+        chosen = _largest_terms_holders(own, props, rates, size, bits)
+        delay, _ = _evaluate_cached(
+            serving, aircraft, air_edge, serving_holds,
+            candidates, chosen, bits, air_sharing, store_and_forward,
+        )
+        if (delay, len(chosen)) < (best[0], len(best[1])):
+            best = (delay, chosen)
+    return best
 
 
 def plan_cached(
@@ -606,9 +610,13 @@ def plan_cached(
 ) -> RequestPlan:
     """Serving-satellite association and holder selection for a cached file.
 
-    ``optimized`` searches every visible serving satellite; ``greedy`` takes
-    the nearest one that can deliver and fills its budget with the
-    highest-rate holders; ``fully_connected`` lifts the degree budget.
+    ``optimized`` takes, at every visible serving satellite, the least-delay
+    holder set within the budget: the budget's largest positive
+    rate x slack terms ``r_c * (D - p_c)`` at the optimal delay D, ties by
+    (propagation, holder id), fewer holders winning across stream counts;
+    the least delay over serving satellites wins. ``greedy`` takes the
+    nearest serving satellite that can deliver and fills its budget with
+    the highest-rate holders; ``fully_connected`` lifts the degree budget.
     """
     if mode not in ASSOC_MODES:
         raise ValueError(f"mode must be one of {ASSOC_MODES}, got {mode!r}")
@@ -634,16 +642,8 @@ def plan_cached(
         candidates.sort(key=lambda c: (c.prop_s, c.holder))
         budget = len(candidates) if mode == ASSOC_FULL else min(max_isls, len(candidates))
         if mode == ASSOC_GREEDY:
-            air_rate = air_edge.capacity_bps
-            if store_and_forward:
-                rate_of = lambda c: 1.0 / (1.0 / c.edge.capacity_bps + 1.0 / air_rate)
-            else:
-                rate_of = lambda c: min(c.edge.capacity_bps, air_rate)
-            order = sorted(
-                range(len(candidates)),
-                key=lambda i: (-rate_of(candidates[i]), candidates[i].prop_s, candidates[i].holder),
-            )
-            chosen = tuple(sorted(order[:budget]))
+            _, rates = _holder_rates(air_edge, candidates, 1, air_sharing, store_and_forward)
+            chosen = _highest_rates(rates, budget)
             if not chosen and not serving_holds:
                 continue  # nothing to stream from here; try the next nearest
             delay, _ = _evaluate_cached(
@@ -652,7 +652,7 @@ def plan_cached(
             )
             best = (delay, serving, air_edge, serving_holds, candidates, chosen)
             break
-        delay, chosen = _search_subsets(
+        delay, chosen = _select_holders(
             serving, request.aircraft_id, air_edge, serving_holds,
             candidates, budget, bits, air_sharing, store_and_forward,
         )

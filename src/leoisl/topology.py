@@ -38,9 +38,6 @@ from .orbits import (
     visible_from_ground,
 )
 
-NEAREST_FIRST = "nearest_first"
-INTRA_ORBIT_PREFERRED = "intra_orbit_preferred"
-DYNAMIC_POLICIES = (NEAREST_FIRST, INTRA_ORBIT_PREFERRED)
 
 DEFAULT_MAX_RANGE_KM = 5000.0
 
@@ -213,15 +210,13 @@ def build_dynamic_topology(
     epoch_s: float = 0.0,
     *,
     max_range_km: float = DEFAULT_MAX_RANGE_KM,
-    policy: str = NEAREST_FIRST,
     grazing_altitude_km: float = DEFAULT_GRAZING_ALTITUDE_KM,
     isl_params: LinkBudgetParams | None = None,
 ) -> TopologySnapshot:
     """Degree-capped greedy assignment over all pairs in communication range.
 
-    Candidates (visible, within ``max_range_km``) are ranked by the policy
-    key; ``intra_orbit_preferred`` boosts same-plane pairs ahead of
-    inter-plane ones. Edges are then admitted in budget layers 1..max_isls:
+    Candidates (visible, within ``max_range_km``) are ranked nearest first,
+    ties by node id. Edges are then admitted in budget layers 1..max_isls:
     within each layer a candidate is accepted iff both endpoints still sit
     below the layer's degree. The layering makes the edge set for budget k
     a strict subset of the set for k+1, which a single greedy pass over the
@@ -229,14 +224,11 @@ def build_dynamic_topology(
     """
     if max_isls < 0:
         raise ValueError(f"max_isls must be >= 0, got {max_isls}")
-    if policy not in DYNAMIC_POLICIES:
-        raise ValueError(f"policy must be one of {DYNAMIC_POLICIES}, got {policy!r}")
     if isl_params is None:
         isl_params = links.default_link_params()[ISL_LASER]
 
     keyed = sorted(states, key=lambda s: s.node_key)
     positions = {s.node_key: s.position_km for s in keyed}
-    planes = {s.node_key: s.sat_id[0] for s in keyed}
 
     candidates = []
     for i, sa in enumerate(keyed):
@@ -247,12 +239,7 @@ def build_dynamic_topology(
             if not visible(sa.position_km, sb.position_km, grazing_altitude_km):
                 continue
             candidates.append((sa.node_key, sb.node_key, distance))
-    if policy == INTRA_ORBIT_PREFERRED:
-        candidates.sort(
-            key=lambda c: (planes[c[0]] != planes[c[1]], c[2], c[0], c[1])
-        )
-    else:
-        candidates.sort(key=lambda c: (c[2], c[0], c[1]))
+    candidates.sort(key=lambda c: (c[2], c[0], c[1]))
 
     accepted: list[tuple[str, str, float]] = []
     if max_isls >= len(keyed) - 1:

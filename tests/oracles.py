@@ -98,8 +98,14 @@ def feasible_split_delay(sources, bits, ratios):
     return worst
 
 
-def enumerate_cached_plan_delay(request, snapshot, max_isls, air_sharing=PER_STREAM):
-    """Best cached-delivery delay over every (serving, holder subset) choice."""
+def enumerate_cached_plan_delay(
+    request, snapshot, max_isls, air_sharing=PER_STREAM, store_and_forward=False
+):
+    """Best cached-delivery delay over every (serving, holder subset) choice.
+
+    A holder stream runs at the slower of its laser link and its air share
+    (cut-through), or pays both transmission times (store-and-forward).
+    """
     air_edges = sorted(
         (
             e
@@ -137,9 +143,11 @@ def enumerate_cached_plan_delay(request, snapshot, max_isls, air_sharing=PER_STR
                     streams.append((air_edge.delay_s, share))
                 for i in combo:
                     prop, _, link = cands[i]
-                    streams.append(
-                        (prop + air_edge.delay_s, min(link.capacity_bps, share))
-                    )
+                    if store_and_forward:
+                        rate = 1.0 / (1.0 / link.capacity_bps + 1.0 / share)
+                    else:
+                        rate = min(link.capacity_bps, share)
+                    streams.append((prop + air_edge.delay_s, rate))
                 delay, _ = optimal_ratio_delay(streams, bits)
                 best = min(best, delay)
     return best

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,9 @@ def run_cli(args, capsys):
 
 def parse_csv(text):
     return list(csv.reader(io.StringIO(text)))
+
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestPropagateCommand:
@@ -171,6 +175,32 @@ class TestIfcSweepCommand:
         assert main(args + ["--output", str(second)]) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    @pytest.mark.parametrize(
+        ("scenario", "pinned"),
+        [
+            (None, "sweep_baseline.csv"),
+            ("cached_equal_split_saf.json", "sweep_cached_equal_split_saf.csv"),
+        ],
+    )
+    def test_matches_pinned_output(self, scenario, pinned, capsys):
+        # Pinned before the holder search became the parametric solver: a
+        # refactor that changes any plan shows up here.
+        args = ["ifc-sweep", "--isls", "0..8", "--seeds", "3"]
+        if scenario is not None:
+            args += ["--scenario", str(DATA / scenario)]
+        code, out, _ = run_cli(args, capsys)
+        assert code == 0
+        rows = parse_csv(out)
+        expected = parse_csv((DATA / pinned).read_text(encoding="utf-8"))
+        assert len(rows) == len(expected)
+        delay = expected[0].index("avg_delay_s")
+        for row, want in zip(rows, expected):
+            assert row[:delay] + row[delay + 1 :] == want[:delay] + want[delay + 1 :]
+            if want[delay] in ("", "avg_delay_s"):
+                assert row[delay] == want[delay]
+            else:
+                assert float(row[delay]) == pytest.approx(float(want[delay]), rel=1e-9)
+
     def test_unknown_mode_is_bad_input(self, capsys):
         code, _, err = run_cli(["ifc-sweep", "--modes", "psychic"], capsys)
         assert code == 1
@@ -200,6 +230,23 @@ class TestBadInput:
     def test_unknown_subcommand(self, capsys):
         code, _, _ = run_cli(["transmogrify"], capsys)
         assert code == 1
+
+    @pytest.mark.parametrize(
+        ("args", "flag"),
+        [
+            (["sdp-mhp", "--pairs", "0"], "--pairs"),
+            (["sdp-mhp", "--seed", "-1"], "--seed"),
+            (["sdp-mhp", "--epochs", "0"], "--epochs"),
+            (["topology", "--max-isls", "-1"], "--max-isls"),
+            (["topology", "--max-isls", "two"], "--max-isls"),
+            (["hops", "--pairs", "pairs.csv", "--epochs", "-2"], "--epochs"),
+            (["ifc-sweep", "--epochs", "0"], "--epochs"),
+        ],
+    )
+    def test_bad_count_flag_is_named(self, args, flag, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (1, "")
+        assert f"argument {flag}:" in err
 
     @pytest.mark.parametrize(
         "args",

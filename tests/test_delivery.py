@@ -4,8 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leoisl.delivery import (
+    AIR_SHARING_MODES,
     EQUAL_SPLIT,
     PER_STREAM,
     SWEEP_MODES,
@@ -161,6 +164,26 @@ class TestOptimalRatioDelay:
                     finish = prop + ratio * bits / rate
                     assert finish == pytest.approx(delay, abs=1e-9)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(st.integers(0, 20), st.integers(1, 9)), min_size=1, max_size=8),
+        st.integers(1, 500),
+        st.tuples(st.integers(0, 20), st.integers(1, 9)),
+    )
+    def test_equal_finish_properties(self, sources, bits, extra):
+        # Integer props and rates make equal props and exact finishes real.
+        sources = [(float(p), float(r)) for p, r in sources]
+        delay, ratios = optimal_ratio_delay(sources, bits)
+        assert sum(ratios) == pytest.approx(1.0, abs=1e-12)
+        for (prop, rate), ratio in zip(sources, ratios):
+            assert ratio >= 0
+            if ratio > 0:
+                assert prop + ratio * bits / rate == pytest.approx(delay, rel=1e-12)
+            else:
+                assert prop >= delay * (1 - 1e-12)
+        more, _ = optimal_ratio_delay(sources + [tuple(map(float, extra))], bits)
+        assert more <= delay * (1 + 1e-12)
+
 
 class TestGsShares:
     def flow(self, flow_id, bits, fixed_cap=math.inf, distance=1500.0, prop=0.02):
@@ -296,6 +319,51 @@ class TestPlanCached:
             assert optimized.delay_s <= greedy.delay_s + 1e-15
             oracle = enumerate_cached_plan_delay(request, snapshot, k)
             assert optimized.delay_s == oracle
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_matches_enumeration_property(self, data):
+        # Integer propagation delays, rates and bits make ties between
+        # holders and between subsets real; up to 15 holders.
+        draw = data.draw
+        n = draw(st.integers(0, 15), label="holders")
+        budget = draw(st.integers(0, n if n <= 8 else 5), label="budget")
+        air_sharing = draw(st.sampled_from(AIR_SHARING_MODES), label="air_sharing")
+        store_and_forward = draw(st.booleans(), label="store_and_forward")
+        serving_holds = draw(st.booleans(), label="serving_holds")
+        air_prop, air_cap = draw(st.tuples(st.integers(0, 5), st.integers(1, 9)), label="air")
+        edges = [LinkEdge("S0", AIR, SAT_TO_AIR, 1.0, float(air_cap), float(air_prop))]
+        holders = {"S0"} if serving_holds else set()
+        for i in range(n):
+            prop, cap = draw(st.tuples(st.integers(1, 12), st.integers(1, 9)), label=f"H{i:02d}")
+            edges.append(LinkEdge(f"H{i:02d}", "S0", ISL_LASER, 1.0, float(cap), float(prop)))
+            holders.add(f"H{i:02d}")
+        snapshot = make_snapshot(edges)
+        request = FileRequest(
+            request_id="req-c",
+            aircraft_id=AIR,
+            file_class=0,
+            num_packets=draw(st.integers(1, 200), label="bits"),
+            cached=True,
+            packet_bits=1,
+            cache_holders=frozenset(holders),
+        )
+        plan = plan_cached(
+            request,
+            context(snapshot),
+            budget,
+            air_sharing=air_sharing,
+            store_and_forward=store_and_forward,
+        )
+        oracle = enumerate_cached_plan_delay(
+            request, snapshot, budget, air_sharing, store_and_forward
+        )
+        if math.isinf(oracle):
+            assert not plan.delivered
+            return
+        assert plan.delay_s == pytest.approx(oracle, rel=1e-12, abs=0)
+        assert len(plan.activated_isl_edges) <= budget
+        assert all(stream.ratio > 0 for stream in plan.streams)
 
     def test_air_sharing_modes(self):
         # Serving holds the file; a nearby holder helps only when every

@@ -25,7 +25,6 @@ from leoisl.orbits import (
     visible_from_ground,
 )
 from leoisl.topology import (
-    INTRA_ORBIT_PREFERRED,
     LinkEdge,
     attach_ground_links,
     build_dynamic_topology,
@@ -286,9 +285,9 @@ class TestDynamic:
             assert previous <= current
             previous = current
 
-    def test_intra_orbit_preference(self):
+    def test_nearest_pairs_first_at_budget_one(self):
         # Inter-plane pairs sit far closer than the in-plane ones here, so
-        # the two policies must disagree at budget 1.
+        # budget 1 links every satellite to its other-plane neighbor.
         r = 7371.0
         states = [
             make_state(0, 0, [r, 0.0, 0.0]),
@@ -297,25 +296,9 @@ class TestDynamic:
             make_state(1, 1, [r, 1000.0, 10.0]),
         ]
         planes = {s.node_key: s.sat_id[0] for s in states}
-        boosted = build_dynamic_topology(states, 1, policy=INTRA_ORBIT_PREFERRED)
-        assert len(boosted.edges) == 2
-        assert all(planes[e.node_a] == planes[e.node_b] for e in boosted.edges)
         nearest = build_dynamic_topology(states, 1)
         assert len(nearest.edges) == 2
         assert all(planes[e.node_a] != planes[e.node_b] for e in nearest.edges)
-
-    def test_intra_orbit_preference_on_shell(self):
-        # On the real shell the boost should leave the budget-2 assignment
-        # almost entirely in-plane (float ties can strand a few satellites).
-        states = propagate(CASE_CONFIG, 0.0)
-        snapshot = build_dynamic_topology(states, 2, policy=INTRA_ORBIT_PREFERRED)
-        planes = {s.node_key: s.sat_id[0] for s in states}
-        intra = sum(1 for e in snapshot.edges if planes[e.node_a] == planes[e.node_b])
-        assert intra >= 0.9 * len(snapshot.edges)
-
-    def test_unknown_policy_rejected(self):
-        with pytest.raises(ValueError):
-            build_dynamic_topology(propagate(CASE_CONFIG, 0.0), 2, policy="fastest")
 
 
 class TestSnapshotEntryPoint:
