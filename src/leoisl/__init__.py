@@ -24,6 +24,7 @@ from .orbits import (
     generate_walker,
     ground_position,
     propagate,
+    propagate_arrays,
     visible,
 )
 from .routing import (
@@ -77,6 +78,7 @@ __all__ = [
     "plan_cached",
     "plan_non_cached",
     "propagate",
+    "propagate_arrays",
     "propagation_delay_s",
     "run_slot",
     "save_scenario",

@@ -53,10 +53,10 @@ def _write_rows(rows, output: str | None) -> None:
         csv.writer(handle, lineterminator="\n").writerows(rows)
 
 
-def _finite_float(text: str) -> float:
+def _epoch_s(text: str) -> float:
     value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
     return value
 
 
@@ -291,12 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("propagate", help="satellite state CSV at one epoch")
     common(p)
-    p.add_argument("--epoch", type=_finite_float, default=0.0)
+    p.add_argument("--epoch", type=_epoch_s, default=0.0)
     p.set_defaults(func=_cmd_propagate)
 
     p = sub.add_parser("topology", help="edge-list CSV at one epoch")
     common(p)
-    p.add_argument("--epoch", type=_finite_float, default=0.0)
+    p.add_argument("--epoch", type=_epoch_s, default=0.0)
     p.add_argument("--mode", choices=TOPOLOGY_MODES, default=GRID_MODE)
     p.add_argument("--max-isls", type=_non_negative_int, default=None, dest="max_isls")
     p.add_argument("--ground", action="store_true", help="attach ground links")
@@ -304,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("route", help="one path between two nodes")
     common(p)
-    p.add_argument("--epoch", type=_finite_float, default=0.0)
+    p.add_argument("--epoch", type=_epoch_s, default=0.0)
     p.add_argument("--src", required=True)
     p.add_argument("--dst", required=True)
     p.add_argument("--metric", choices=("distance", "hops"), default="distance")

@@ -940,12 +940,7 @@ def generate_requests(scenario: "Scenario", rng_seed: int) -> list[FileRequest]:
     request of a class sees the same holder set. Non-cached files can be
     fetched from any ground station.
     """
-    cfg = scenario.constellation
-    sat_nodes = [
-        orbits.sat_key(p, s)
-        for p in range(cfg.num_planes)
-        for s in range(cfg.sats_per_plane)
-    ]
+    sat_nodes = orbits.sat_keys(scenario.constellation)
     rng = np.random.default_rng(rng_seed)
     ranges = scenario.ifc.file_class_packet_ranges
     n_cache = max(1, round(scenario.ifc.cache_fraction * len(sat_nodes)))

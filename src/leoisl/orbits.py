@@ -85,15 +85,6 @@ class ConstellationConfig:
         return 2.0 * math.pi / self.mean_motion_rad_s
 
 
-@dataclass(frozen=True)
-class WalkerElement:
-    """Initial orbital elements of one satellite in the pattern."""
-
-    sat_id: tuple[int, int]
-    raan_deg: float
-    anomaly_deg: float
-
-
 @dataclass(frozen=True, eq=False)
 class SatelliteState:
     """Inertial position/velocity of one satellite at some epoch."""
@@ -138,27 +129,38 @@ class GroundNode:
             raise ValueError(f"altitude_km must be >= 0, got {self.altitude_km}")
 
 
-def generate_walker(config: ConstellationConfig) -> list[WalkerElement]:
-    """Initial (RAAN, in-plane anomaly) for every satellite of the pattern.
+def sat_keys(config: ConstellationConfig) -> tuple[str, ...]:
+    """Node id of every satellite in shell index order, ``plane * sats_per_plane + slot``."""
+    return tuple(sat_key(*divmod(i, config.sats_per_plane)) for i in range(config.total_satellites))
+
+
+def generate_walker(config: ConstellationConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Initial RAAN and in-plane anomaly (degrees) of every satellite, in
+    shell index order.
 
     Plane ``p`` sits at RAAN ``p * raan_spread / num_planes``; slot ``s`` of
     plane ``p`` starts at anomaly
     ``s * 360/sats_per_plane + p * phasing_factor * 360/(num_planes*sats_per_plane)``.
     """
-    elements = []
+    plane, slot = np.divmod(np.arange(config.total_satellites), config.sats_per_plane)
     plane_step = config.raan_spread_deg / config.num_planes
     slot_step = 360.0 / config.sats_per_plane
     phase_step = config.phasing_factor * 360.0 / config.total_satellites
-    for plane in range(config.num_planes):
-        raan = plane * plane_step
-        for slot in range(config.sats_per_plane):
-            anomaly = (slot * slot_step + plane * phase_step) % 360.0
-            elements.append(WalkerElement((plane, slot), raan, anomaly))
-    return elements
+    return plane * plane_step, (slot * slot_step + plane * phase_step) % 360.0
 
 
-def propagate(config: ConstellationConfig, epoch_s: float) -> list[SatelliteState]:
-    """Advance the whole constellation to ``epoch_s`` seconds after t=0.
+def _cos_sin(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # libm's cos and sin, one call per angle: numpy may dispatch its own
+    # SIMD kernels, whose last bits differ from libm's on some machines.
+    values = angles.tolist()
+    return np.array([math.cos(x) for x in values]), np.array([math.sin(x) for x in values])
+
+
+def propagate_arrays(
+    config: ConstellationConfig, epoch_s: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(N, 3)`` positions and velocities of the whole shell at ``epoch_s``
+    seconds after t=0, in shell index order (see :func:`sat_keys`).
 
     Circular two-body motion: every satellite moves at the shared mean motion
     ``sqrt(mu / a^3)`` along its plane, so ``|position| == a`` exactly and
@@ -170,28 +172,22 @@ def propagate(config: ConstellationConfig, epoch_s: float) -> list[SatelliteStat
     n = config.mean_motion_rad_s
     inc = math.radians(config.inclination_deg)
     cos_i, sin_i = math.cos(inc), math.sin(inc)
-    states = []
-    for elem in generate_walker(config):
-        raan = math.radians(elem.raan_deg)
-        u = math.radians(elem.anomaly_deg) + n * epoch_s
-        cu, su = math.cos(u), math.sin(u)
-        co, so = math.cos(raan), math.sin(raan)
-        position = np.array(
-            [
-                a * (cu * co - su * cos_i * so),
-                a * (cu * so + su * cos_i * co),
-                a * su * sin_i,
-            ]
-        )
-        velocity = (a * n) * np.array(
-            [
-                -su * co - cu * cos_i * so,
-                -su * so + cu * cos_i * co,
-                cu * sin_i,
-            ]
-        )
-        states.append(SatelliteState(elem.sat_id, position, velocity))
-    return states
+    raan_deg, anomaly_deg = generate_walker(config)
+    cu, su = _cos_sin(np.radians(anomaly_deg) + n * epoch_s)
+    co, so = _cos_sin(np.radians(raan_deg))
+    x, y, z = a * (cu * co - su * cos_i * so), a * (cu * so + su * cos_i * co), a * su * sin_i
+    vx, vy, vz = -su * co - cu * cos_i * so, -su * so + cu * cos_i * co, cu * sin_i
+    return np.stack([x, y, z], axis=1), (a * n) * np.stack([vx, vy, vz], axis=1)
+
+
+def propagate(config: ConstellationConfig, epoch_s: float) -> list[SatelliteState]:
+    """:func:`propagate_arrays` as one :class:`SatelliteState` per satellite,
+    in shell index order; the states' arrays are rows of the shell arrays."""
+    positions, velocities = propagate_arrays(config, epoch_s)
+    return [
+        SatelliteState(divmod(i, config.sats_per_plane), position, velocity)
+        for i, (position, velocity) in enumerate(zip(positions, velocities))
+    ]
 
 
 def ground_position(node: GroundNode, epoch_s: float) -> np.ndarray:
@@ -314,11 +310,3 @@ def elevations_deg(observer_pos: np.ndarray, positions: np.ndarray) -> np.ndarra
         s = np.clip((los * zenith).sum(axis=1) / rng, -1.0, 1.0)
     return np.where(rng == 0.0, 90.0, np.degrees(np.arcsin(s)))
 
-
-def visible_from_ground(
-    observer_pos: np.ndarray,
-    target_pos: np.ndarray,
-    elevation_mask_deg: float = DEFAULT_ELEVATION_MASK_DEG,
-) -> bool:
-    """Ground-node visibility: target elevation at or above the mask."""
-    return elevation_deg(observer_pos, target_pos) >= elevation_mask_deg

@@ -31,11 +31,9 @@ from .orbits import (
     GROUND_STATION,
     ConstellationConfig,
     GroundNode,
-    SatelliteState,
+    elevation_deg,
     elevations_deg,
     ground_position,
-    visible,
-    visible_from_ground,
 )
 
 
@@ -84,21 +82,6 @@ class TopologySnapshot:
     edges: tuple[LinkEdge, ...]
     # Excluded from equality: ndarray comparison is elementwise.
     positions: dict[str, np.ndarray] = field(compare=False)
-    _adjacency: dict[str, list[tuple[str, LinkEdge]]] | None = field(
-        default=None, repr=False, compare=False
-    )
-
-    def adjacency(self) -> dict[str, list[tuple[str, LinkEdge]]]:
-        """Neighbor lists (sorted by neighbor id) for every node."""
-        if self._adjacency is None:
-            adj: dict[str, list[tuple[str, LinkEdge]]] = {n: [] for n in self.nodes}
-            for edge in self.edges:
-                adj[edge.node_a].append((edge.node_b, edge))
-                adj[edge.node_b].append((edge.node_a, edge))
-            for neighbors in adj.values():
-                neighbors.sort(key=lambda item: item[0])
-            self._adjacency = adj
-        return self._adjacency
 
     def isl_edges(self) -> list[LinkEdge]:
         return [e for e in self.edges if e.link_class == ISL_LASER]
@@ -127,20 +110,6 @@ class TopologySnapshot:
         return rows
 
 
-def _isl_edge(
-    key_a: str, key_b: str, distance: float, params: LinkBudgetParams
-) -> LinkEdge:
-    a, b = (key_a, key_b) if key_a < key_b else (key_b, key_a)
-    return LinkEdge(
-        node_a=a,
-        node_b=b,
-        link_class=ISL_LASER,
-        distance_km=distance,
-        capacity_bps=params.lisl_fixed_rate_bps,
-        delay_s=propagation_delay_s(distance),
-    )
-
-
 def _grid_pairs(num_planes: int, slots: int) -> tuple[np.ndarray, np.ndarray]:
     """Candidate +grid links as index pairs ``(lo, hi)``, each link once.
 
@@ -164,8 +133,47 @@ def _grid_pairs(num_planes: int, slots: int) -> tuple[np.ndarray, np.ndarray]:
     return pairs[:, 0], pairs[:, 1]
 
 
+def _shell(
+    positions: np.ndarray, config: ConstellationConfig
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The shell's node ids and its ``(N, 3)`` positions, in shell index order."""
+    keys = orbits.sat_keys(config)
+    pos = np.asarray(positions, dtype=float)
+    if pos.shape != (len(keys), 3):
+        raise ValueError(f"positions must have shape ({len(keys)}, 3), got {pos.shape}")
+    return keys, pos
+
+
+def _snapshot(
+    keys: tuple[str, ...],
+    pos: np.ndarray,
+    lo: np.ndarray,
+    hi: np.ndarray,
+    distances: np.ndarray,
+    epoch_s: float,
+    isl_params: LinkBudgetParams | None,
+) -> TopologySnapshot:
+    """ISL snapshot with one link per index pair ``(lo[i], hi[i])``, of
+    length ``distances[i]``: the tail both builders share."""
+    if isl_params is None:
+        isl_params = links.default_link_params()[ISL_LASER]
+    rate = isl_params.lisl_fixed_rate_bps
+    ends = sorted(
+        (min(keys[a], keys[b]), max(keys[a], keys[b]), distance)
+        for a, b, distance in zip(lo.tolist(), hi.tolist(), distances.tolist())
+    )
+    return TopologySnapshot(
+        epoch_s=epoch_s,
+        nodes=tuple(sorted(keys)),
+        edges=tuple(
+            LinkEdge(a, b, ISL_LASER, d, rate, propagation_delay_s(d)) for a, b, d in ends
+        ),
+        positions=dict(zip(keys, pos)),
+    )
+
+
 def build_grid_topology(
-    states: list[SatelliteState],
+    positions: np.ndarray,
     config: ConstellationConfig,
     epoch_s: float = 0.0,
     *,
@@ -174,38 +182,40 @@ def build_grid_topology(
 ) -> TopologySnapshot:
     """The +grid pattern: in-plane ring plus same-slot links to adjacent planes.
 
-    Candidate links that fail line-of-sight (Earth plus grazing buffer) are
-    dropped, so satellites near unfavorable geometry carry fewer than four
-    links. Degenerate shells (single plane, two slots, ...) yield the subset
-    of the pattern that exists without duplicate edges.
+    ``positions`` is the shell's ``(N, 3)`` array in shell index order, as
+    :func:`orbits.propagate_arrays` returns it. Candidate links that fail
+    line-of-sight (Earth plus grazing buffer) are dropped, so satellites near
+    unfavorable geometry carry fewer than four links. Degenerate shells
+    (single plane, two slots, ...) yield the subset of the pattern that
+    exists without duplicate edges.
     """
-    if isl_params is None:
-        isl_params = links.default_link_params()[ISL_LASER]
-    positions = {s.node_key: s.position_km for s in states}
-    num_planes, slots = config.num_planes, config.sats_per_plane
-    keys = [orbits.sat_key(plane, slot) for plane in range(num_planes) for slot in range(slots)]
-    pos = np.array([positions[key] for key in keys])
+    keys, pos = _shell(positions, config)
     # Line of sight runs from the lower index, as the scalar check would
     # walking the shell plane by plane.
-    lo, hi = _grid_pairs(num_planes, slots)
+    lo, hi = _grid_pairs(config.num_planes, config.sats_per_plane)
     seen = orbits.visible_rows(pos[lo], pos[hi], grazing_altitude_km)
     lo, hi = lo[seen], hi[seen]
     distances = orbits.row_norms(pos[lo] - pos[hi])
-    edges = [
-        _isl_edge(keys[a], keys[b], distance, isl_params)
-        for a, b, distance in zip(lo.tolist(), hi.tolist(), distances.tolist())
-    ]
-    edges.sort(key=lambda e: e.key)
-    return TopologySnapshot(
-        epoch_s=epoch_s,
-        nodes=tuple(sorted(positions)),
-        edges=tuple(edges),
-        positions=positions,
-    )
+    return _snapshot(keys, pos, lo, hi, distances, epoch_s, isl_params)
+
+
+def _admit(lo: list[int], hi: list[int], num_nodes: int, max_isls: int) -> np.ndarray:
+    """Mask of the ranked candidates admitted by budget layers ``1..max_isls``:
+    within a layer, a candidate is taken iff both ends sit below its degree."""
+    degree = [0] * num_nodes
+    taken = [False] * len(lo)
+    for level in range(1, max_isls + 1):
+        for c, (a, b) in enumerate(zip(lo, hi)):
+            if not taken[c] and degree[a] < level and degree[b] < level:
+                taken[c] = True
+                degree[a] += 1
+                degree[b] += 1
+    return np.array(taken, dtype=bool)
 
 
 def build_dynamic_topology(
-    states: list[SatelliteState],
+    positions: np.ndarray,
+    config: ConstellationConfig,
     max_isls: int,
     epoch_s: float = 0.0,
     *,
@@ -215,6 +225,7 @@ def build_dynamic_topology(
 ) -> TopologySnapshot:
     """Degree-capped greedy assignment over all pairs in communication range.
 
+    ``positions`` is the shell's ``(N, 3)`` array in shell index order.
     Candidates (visible, within ``max_range_km``) are ranked nearest first,
     ties by node id. Edges are then admitted in budget layers 1..max_isls:
     within each layer a candidate is accepted iff both endpoints still sit
@@ -224,48 +235,28 @@ def build_dynamic_topology(
     """
     if max_isls < 0:
         raise ValueError(f"max_isls must be >= 0, got {max_isls}")
-    if isl_params is None:
-        isl_params = links.default_link_params()[ISL_LASER]
-
-    keyed = sorted(states, key=lambda s: s.node_key)
-    positions = {s.node_key: s.position_km for s in keyed}
-
-    candidates = []
-    for i, sa in enumerate(keyed):
-        for sb in keyed[i + 1 :]:
-            distance = float(np.linalg.norm(sa.position_km - sb.position_km))
-            if distance > max_range_km:
-                continue
-            if not visible(sa.position_km, sb.position_km, grazing_altitude_km):
-                continue
-            candidates.append((sa.node_key, sb.node_key, distance))
-    candidates.sort(key=lambda c: (c[2], c[0], c[1]))
-
-    accepted: list[tuple[str, str, float]] = []
-    if max_isls >= len(keyed) - 1:
-        # Every candidate is admitted by the final layer anyway.
-        accepted = candidates
-    elif max_isls > 0:
-        degree = {s.node_key: 0 for s in keyed}
-        taken = [False] * len(candidates)
-        for level in range(1, max_isls + 1):
-            for idx, (a, b, _) in enumerate(candidates):
-                if taken[idx]:
-                    continue
-                if degree[a] < level and degree[b] < level:
-                    taken[idx] = True
-                    degree[a] += 1
-                    degree[b] += 1
-        accepted = [c for c, ok in zip(candidates, taken) if ok]
-
-    edges = [_isl_edge(a, b, distance, isl_params) for a, b, distance in accepted]
-    edges.sort(key=lambda e: e.key)
-    return TopologySnapshot(
-        epoch_s=epoch_s,
-        nodes=tuple(sorted(positions)),
-        edges=tuple(edges),
-        positions=positions,
-    )
+    keys, pos = _shell(positions, config)
+    # Pairs are taken in node-id order, so ties rank by id and line of sight
+    # runs from the lower id. Shell index order agrees with it only while
+    # planes and slots stay below 1000, where ``sat_key`` pads to 3 digits.
+    by_key = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
+    ranked = pos[by_key]
+    lo, hi, distances = [], [], []
+    # The last row has no later rows; its empty arrays keep the lists non-empty.
+    for i in range(len(keys)):
+        d = orbits.row_norms(ranked[i] - ranked[i + 1 :])
+        near = np.flatnonzero(d <= max_range_km)
+        near = near[orbits.visible_rows(ranked[i], ranked[i + 1 + near], grazing_altitude_km)]
+        lo.append(np.full(len(near), i))
+        hi.append(near + (i + 1))
+        distances.append(d[near])
+    lo, hi, distances = (np.concatenate(parts) for parts in (lo, hi, distances))
+    order = np.lexsort((hi, lo, distances))
+    if max_isls < len(keys) - 1:
+        # From n - 1 links per node on, the final layer admits every candidate.
+        order = order[_admit(lo[order].tolist(), hi[order].tolist(), len(keys), max_isls)]
+    lo, hi, distances = by_key[lo[order]], by_key[hi[order]], distances[order]
+    return _snapshot(keys, pos, lo, hi, distances, epoch_s, isl_params)
 
 
 def build_isl_snapshot(
@@ -285,17 +276,18 @@ def build_isl_snapshot(
     """
     if mode not in TOPOLOGY_MODES:
         raise ValueError(f"topology mode must be one of {TOPOLOGY_MODES}, got {mode!r}")
-    states = orbits.propagate(config, epoch_s)
+    positions, _ = orbits.propagate_arrays(config, epoch_s)
     if mode == GRID_MODE:
         return build_grid_topology(
-            states,
+            positions,
             config,
             epoch_s,
             grazing_altitude_km=grazing_altitude_km,
             isl_params=isl_params,
         )
     return build_dynamic_topology(
-        states,
+        positions,
+        config,
         max_isls,
         epoch_s,
         max_range_km=max_range_km,
@@ -330,48 +322,30 @@ def attach_ground_links(
             raise ValueError(f"duplicate node id {node.node_id!r} in snapshot")
         positions[node.node_id] = ground_position(node, snapshot.epoch_s)
 
-    def rf_edge(ground_id: str, other_id: str, link_class: str) -> LinkEdge | None:
-        params = link_params[link_class]
-        distance = float(np.linalg.norm(positions[ground_id] - positions[other_id]))
-        if distance == 0.0:  # coincident nodes; the loss model is undefined
-            return None
-        a, b = sorted((ground_id, other_id))
-        return LinkEdge(
-            node_a=a,
-            node_b=b,
-            link_class=link_class,
-            distance_km=distance,
-            capacity_bps=capacity_bps(params, distance, 1.0),
-            delay_s=propagation_delay_s(distance),
-        )
-
     new_edges = list(snapshot.edges)
 
-    def attach(ground_id: str, other_id: str, link_class: str) -> None:
-        if visible_from_ground(
-            positions[ground_id], positions[other_id], elevation_mask_deg
-        ):
-            link = rf_edge(ground_id, other_id, link_class)
-            if link is not None:
-                new_edges.append(link)
+    def link(ground_id: str, other_id: str, link_class: str) -> None:
+        distance = float(np.linalg.norm(positions[ground_id] - positions[other_id]))
+        if distance == 0.0:  # coincident nodes; the loss model is undefined
+            return
+        a, b = sorted((ground_id, other_id))
+        capacity = capacity_bps(link_params[link_class], distance, 1.0)
+        new_edges.append(
+            LinkEdge(a, b, link_class, distance, capacity, propagation_delay_s(distance))
+        )
 
     sat_positions = np.array([snapshot.positions[key] for key in sat_keys])
-
-    def attach_sats(ground_id: str, link_class: str) -> None:
-        elevations = elevations_deg(positions[ground_id], sat_positions)
+    for node in stations + aircraft:
+        sat_class = GROUND_TO_SAT if node.kind == GROUND_STATION else SAT_TO_AIR
+        elevations = elevations_deg(positions[node.node_id], sat_positions)
         for sat, elevation in zip(sat_keys, elevations.tolist()):
             if elevation >= elevation_mask_deg:
-                link = rf_edge(ground_id, sat, link_class)
-                if link is not None:
-                    new_edges.append(link)
-
-    for gs in stations:
-        attach_sats(gs.node_id, GROUND_TO_SAT)
-    for ac in aircraft:
-        attach_sats(ac.node_id, SAT_TO_AIR)
+                link(node.node_id, sat, sat_class)
     for gs in stations:
         for ac in aircraft:
-            attach(gs.node_id, ac.node_id, GROUND_TO_AIR)
+            here, there = positions[gs.node_id], positions[ac.node_id]
+            if elevation_deg(here, there) >= elevation_mask_deg:
+                link(gs.node_id, ac.node_id, GROUND_TO_AIR)
 
     new_edges.sort(key=lambda e: (e.key, e.link_class))
     return TopologySnapshot(

@@ -98,6 +98,17 @@ def feasible_split_delay(sources, bits, ratios):
     return worst
 
 
+def neighbor_lists(snapshot):
+    """Every node's ``(neighbor, edge)`` pairs, sorted by neighbor id."""
+    neighbors = {node: [] for node in snapshot.nodes}
+    for edge in snapshot.edges:
+        neighbors[edge.node_a].append((edge.node_b, edge))
+        neighbors[edge.node_b].append((edge.node_a, edge))
+    for pairs in neighbors.values():
+        pairs.sort(key=lambda item: item[0])
+    return neighbors
+
+
 def enumerate_cached_plan_delay(
     request, snapshot, max_isls, air_sharing=PER_STREAM, store_and_forward=False
 ):

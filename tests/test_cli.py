@@ -9,9 +9,8 @@ from pathlib import Path
 import pytest
 
 from leoisl.cli import main
-from leoisl.orbits import ConstellationConfig
+from leoisl.orbits import ConstellationConfig, propagate_arrays
 from leoisl.topology import build_grid_topology
-from leoisl.orbits import propagate
 
 
 def run_cli(args, capsys):
@@ -44,7 +43,7 @@ class TestTopologyCommand:
         assert code == 0
         rows = parse_csv(out)
         config = ConstellationConfig()
-        snapshot = build_grid_topology(propagate(config, 0.0), config, 0.0)
+        snapshot = build_grid_topology(propagate_arrays(config, 0.0)[0], config, 0.0)
         assert len(rows) - 1 == len(snapshot.edges)
         assert {row[3] for row in rows[1:]} == {"isl_laser"}
         # Handshake: twice the edge count equals the degree sum, <= 4 each.
@@ -65,6 +64,25 @@ class TestTopologyCommand:
             degree[row[1]] = degree.get(row[1], 0) + 1
             degree[row[2]] = degree.get(row[2], 0) + 1
         assert max(degree.values()) <= 1
+
+    @pytest.mark.parametrize("max_isls", ["2", "4"])
+    @pytest.mark.parametrize("epoch", ["0", "777.5", "2400"])
+    def test_matches_pinned_dynamic_output(self, max_isls, epoch, capsys):
+        # Pinned before the dynamic builder moved to index-pair arrays: ids
+        # and link classes must match exactly, the floats to 1e-12.
+        code, out, _ = run_cli(
+            ["topology", "--mode", "dynamic", "--max-isls", max_isls, "--ground", "--epoch", epoch],
+            capsys,
+        )
+        assert code == 0
+        rows = parse_csv(out)
+        pinned = DATA / f"topology_dynamic_k{max_isls}_epoch{epoch}.csv"
+        expected = parse_csv(pinned.read_text(encoding="utf-8"))
+        assert rows[0] == expected[0]
+        assert [row[1:4] for row in rows] == [row[1:4] for row in expected]
+        for row, want in zip(rows[1:], expected[1:]):
+            got = [float(row[0])] + [float(x) for x in row[4:]]
+            assert got == pytest.approx([float(want[0])] + [float(x) for x in want[4:]], rel=1e-12)
 
 
 class TestRouteCommand:
@@ -254,12 +272,15 @@ class TestBadInput:
             ["propagate", "--epoch", "nan"],
             ["topology", "--epoch", "inf"],
             ["route", "--src", "gs-london", "--dst", "gs-sydney", "--epoch", "-inf"],
+            ["propagate", "--epoch", "-5"],
+            ["topology", "--epoch", "-0.5"],
+            ["route", "--src", "gs-london", "--dst", "gs-sydney", "--epoch", "-5"],
         ],
     )
     def test_non_finite_epoch(self, args, capsys):
         code, out, err = run_cli(args, capsys)
         assert (code, out) == (1, "")
-        assert "--epoch" in err
+        assert "argument --epoch:" in err
 
     @pytest.mark.parametrize(
         ("section", "field"),

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leoisl.orbits import (
     EARTH_RADIUS_KM,
@@ -16,6 +18,9 @@ from leoisl.orbits import (
     generate_walker,
     ground_position,
     propagate,
+    propagate_arrays,
+    sat_key,
+    sat_keys,
     visible,
 )
 
@@ -26,27 +31,33 @@ CASE_CONFIG = ConstellationConfig()  # 6 planes x 20 sats, 1000 km, 53 deg
 
 class TestWalkerPattern:
     def test_case_constellation_count(self):
-        assert len(generate_walker(CASE_CONFIG)) == 120
+        raan, anomaly = generate_walker(CASE_CONFIG)
+        assert len(raan) == len(anomaly) == len(sat_keys(CASE_CONFIG)) == 120
         assert CASE_CONFIG.total_satellites == 120
 
     def test_single_satellite(self):
         config = ConstellationConfig(
             num_planes=1, sats_per_plane=1, altitude_km=500.0, phasing_factor=0
         )
-        (element,) = generate_walker(config)
-        assert element.raan_deg == 0.0
-        assert element.anomaly_deg == 0.0
+        (raan,), (anomaly,) = generate_walker(config)
+        assert raan == 0.0
+        assert anomaly == 0.0
 
     def test_two_by_two_phasing(self):
         config = ConstellationConfig(
             num_planes=2, sats_per_plane=2, altitude_km=700.0, phasing_factor=1
         )
-        elements = generate_walker(config)
-        by_plane = {}
-        for e in elements:
-            by_plane.setdefault(e.sat_id[0], []).append(e.anomaly_deg)
+        raan, anomaly = generate_walker(config)
+        by_plane = anomaly.reshape(2, 2).tolist()
+        assert raan.tolist() == [0.0, 0.0, 180.0, 180.0]
         assert by_plane[0] == [0.0, 180.0]
         assert by_plane[1] == [90.0, 270.0]
+
+    def test_keys_in_shell_index_order(self):
+        config = ConstellationConfig(num_planes=3, sats_per_plane=4, phasing_factor=2)
+        assert sat_keys(config) == tuple(
+            sat_key(*divmod(index, 4)) for index in range(12)
+        )
 
     def test_invalid_configs_rejected(self):
         with pytest.raises(ValueError):
@@ -62,14 +73,14 @@ class TestWalkerPattern:
 class TestPropagation:
     def test_epoch_zero_matches_pattern(self):
         states = propagate(CASE_CONFIG, 0.0)
-        elements = generate_walker(CASE_CONFIG)
         assert len(states) == 120
         first = states[0]
         a = CASE_CONFIG.semi_major_axis_km
         assert first.sat_id == (0, 0)
         np.testing.assert_allclose(first.position_km, [a, 0.0, 0.0], atol=1e-9)
-        for state, element in zip(states, elements):
-            assert state.sat_id == element.sat_id
+        for index, state in enumerate(states):
+            assert state.sat_id == divmod(index, CASE_CONFIG.sats_per_plane)
+        assert tuple(s.node_key for s in states) == sat_keys(CASE_CONFIG)
 
     def test_radius_conserved_over_random_epochs(self):
         rng = np.random.default_rng(1)
@@ -122,6 +133,110 @@ class TestPropagation:
     def test_negative_epoch_rejected(self):
         with pytest.raises(ValueError):
             propagate(CASE_CONFIG, -1.0)
+
+
+def scalar_propagate_reference(config, epoch_s):
+    """Positions and velocities from one scalar evaluation per satellite:
+    the per-satellite Walker pattern and two-body formula, walking the shell
+    plane by plane."""
+    a = config.semi_major_axis_km
+    n = config.mean_motion_rad_s
+    inc = math.radians(config.inclination_deg)
+    cos_i, sin_i = math.cos(inc), math.sin(inc)
+    plane_step = config.raan_spread_deg / config.num_planes
+    slot_step = 360.0 / config.sats_per_plane
+    phase_step = config.phasing_factor * 360.0 / config.total_satellites
+    positions, velocities = [], []
+    for plane in range(config.num_planes):
+        raan = math.radians(plane * plane_step)
+        for slot in range(config.sats_per_plane):
+            anomaly = (slot * slot_step + plane * phase_step) % 360.0
+            u = math.radians(anomaly) + n * epoch_s
+            cu, su = math.cos(u), math.sin(u)
+            co, so = math.cos(raan), math.sin(raan)
+            positions.append(
+                np.array(
+                    [
+                        a * (cu * co - su * cos_i * so),
+                        a * (cu * so + su * cos_i * co),
+                        a * su * sin_i,
+                    ]
+                )
+            )
+            velocities.append(
+                (a * n)
+                * np.array(
+                    [
+                        -su * co - cu * cos_i * so,
+                        -su * so + cu * cos_i * co,
+                        cu * sin_i,
+                    ]
+                )
+            )
+    return np.array(positions), np.array(velocities)
+
+
+class TestMatchesScalarReference:
+    """The array propagation against the per-satellite formula, with ``==``."""
+
+    @pytest.mark.parametrize(
+        "planes, slots, altitude_km, phasing",
+        [(6, 20, 1000.0, 1), (24, 22, 550.0, 1), (72, 22, 550.0, 1), (5, 7, 1234.5, 3)],
+    )
+    @pytest.mark.parametrize("epoch", [0.0, 777.5, 2400.0])
+    def test_shells(self, planes, slots, altitude_km, phasing, epoch):
+        config = ConstellationConfig(
+            num_planes=planes,
+            sats_per_plane=slots,
+            altitude_km=altitude_km,
+            phasing_factor=phasing,
+        )
+        positions, velocities = propagate_arrays(config, epoch)
+        ref_positions, ref_velocities = scalar_propagate_reference(config, epoch)
+        assert positions.shape == velocities.shape == (config.total_satellites, 3)
+        assert np.array_equal(positions, ref_positions)
+        assert np.array_equal(velocities, ref_velocities)
+        states = propagate(config, epoch)
+        assert np.array_equal([s.position_km for s in states], positions)
+        assert np.array_equal([s.velocity_km_s for s in states], velocities)
+
+
+class TestPropagationProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        planes=st.integers(1, 12),
+        slots=st.integers(1, 24),
+        altitude_km=st.floats(200.0, 36000.0),
+        inclination_deg=st.floats(0.0, 180.0),
+        phasing=st.integers(0, 11),
+        raan_spread_deg=st.floats(1.0, 360.0),
+        epoch=st.floats(0.0, 1.0e6),
+    )
+    def test_circular_motion(
+        self, planes, slots, altitude_km, inclination_deg, phasing, raan_spread_deg, epoch
+    ):
+        config = ConstellationConfig(
+            num_planes=planes,
+            sats_per_plane=slots,
+            altitude_km=altitude_km,
+            inclination_deg=inclination_deg,
+            phasing_factor=min(phasing, planes - 1),
+            raan_spread_deg=raan_spread_deg,
+        )
+        a = config.semi_major_axis_km
+        positions, velocities = propagate_arrays(config, epoch)
+        radius = np.linalg.norm(positions, axis=1)
+        speed = np.linalg.norm(velocities, axis=1)
+        assert np.allclose(radius, a, rtol=1e-12, atol=0.0)
+        assert np.allclose(speed, a * config.mean_motion_rad_s, rtol=1e-12, atol=0.0)
+        cosines = (positions * velocities).sum(axis=1) / (radius * speed)
+        assert np.all(np.abs(cosines) < 1e-12)
+        # One period later: the anomaly grew by 2 pi, up to the rounding of
+        # n * epoch, which grows with the epoch.
+        later, later_velocities = propagate_arrays(config, epoch + config.orbital_period_s)
+        tolerance = 1e-12 * (1.0 + config.mean_motion_rad_s * epoch)
+        assert np.allclose(later, positions, rtol=0.0, atol=tolerance * a)
+        assert np.allclose(later_velocities, velocities, rtol=0.0, atol=tolerance * speed.max())
 
 
 class TestGroundMotion:

@@ -16,7 +16,7 @@ from leoisl.orbits import (
     GroundNode,
     elevations_deg,
     ground_position,
-    propagate,
+    propagate_arrays,
 )
 from leoisl.routing import (
     _graph,
@@ -35,6 +35,8 @@ from leoisl.topology import (
     build_grid_topology,
 )
 
+from oracles import neighbor_lists
+
 
 def make_snapshot(nodes, weighted_edges, epoch_s=0.0):
     """Synthetic satellite-only snapshot from (a, b, distance) triples."""
@@ -51,7 +53,7 @@ def make_snapshot(nodes, weighted_edges, epoch_s=0.0):
 
 
 def enumerate_simple_paths(snapshot, src, dst):
-    adjacency = snapshot.adjacency()
+    adjacency = neighbor_lists(snapshot)
     paths = []
 
     def walk(node, seen, dist, hops):
@@ -140,11 +142,11 @@ class TestPathBasics:
         assert path.edge_capacities_bps == (1.0e10, 1.0e10)
 
     def test_grid_in_plane_neighbors_one_hop(self):
-        from leoisl.orbits import propagate, sat_key
+        from leoisl.orbits import sat_key
         from leoisl.topology import build_grid_topology
 
         config = ConstellationConfig()
-        snapshot = build_grid_topology(propagate(config, 0.0), config, 0.0)
+        snapshot = build_grid_topology(propagate_arrays(config, 0.0)[0], config, 0.0)
         path = min_hop_path(snapshot, sat_key(0, 0), sat_key(0, 1))
         assert path.hop_count == 1
 
@@ -303,10 +305,10 @@ def full_labels(graph, src):
 
 def baseline_snapshots():
     config = ConstellationConfig()
-    states = propagate(config, 0.0)
+    positions, _ = propagate_arrays(config, 0.0)
     return {
-        "grid": build_grid_topology(states, config, 0.0),
-        "dynamic-3": build_dynamic_topology(states, 3, 0.0),
+        "grid": build_grid_topology(positions, config, 0.0),
+        "dynamic-3": build_dynamic_topology(positions, config, 3, 0.0),
     }
 
 
@@ -536,11 +538,11 @@ class TestHopStatsAgainstNetworkx:
         ]
         expected = []
         for epoch in epochs:
-            states = propagate(config, epoch)
+            positions, _ = propagate_arrays(config, epoch)
             if mode == "grid":
-                snapshot = build_grid_topology(states, config, epoch)
+                snapshot = build_grid_topology(positions, config, epoch)
             else:
-                snapshot = build_dynamic_topology(states, max_isls, epoch)
+                snapshot = build_dynamic_topology(positions, config, max_isls, epoch)
             expected += reference_hop_stats(snapshot, self.PAIRS, epoch, 10.0)
         assert got == expected
         assert any(row is None for row in expected)  # the polar station sees nothing

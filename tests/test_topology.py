@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from leoisl.links import (
     GROUND_TO_AIR,
@@ -14,15 +16,16 @@ from leoisl.links import (
 )
 from leoisl.orbits import (
     AIRCRAFT,
+    DEFAULT_ELEVATION_MASK_DEG,
     GROUND_STATION,
     ConstellationConfig,
     GroundNode,
-    SatelliteState,
+    elevation_deg,
     ground_position,
-    propagate,
+    propagate_arrays,
     sat_key,
+    sat_keys,
     visible,
-    visible_from_ground,
 )
 from leoisl.topology import (
     LinkEdge,
@@ -35,8 +38,13 @@ from leoisl.topology import (
 CASE_CONFIG = ConstellationConfig()
 
 
-def make_state(plane, slot, position):
-    return SatelliteState((plane, slot), np.asarray(position, float), np.zeros(3))
+def shell_positions(config, epoch):
+    return propagate_arrays(config, epoch)[0]
+
+
+def cluster_config(planes, slots):
+    """A shell shape for synthetic positions, given in shell index order."""
+    return ConstellationConfig(num_planes=planes, sats_per_plane=slots, phasing_factor=0)
 
 
 def grid_structural_neighbors(config, plane, slot):
@@ -52,8 +60,7 @@ def grid_structural_neighbors(config, plane, slot):
 
 class TestGrid:
     def test_case_grid_degrees(self):
-        states = propagate(CASE_CONFIG, 0.0)
-        snapshot = build_grid_topology(states, CASE_CONFIG, 0.0)
+        snapshot = build_grid_topology(shell_positions(CASE_CONFIG, 0.0), CASE_CONFIG, 0.0)
         degrees = snapshot.isl_degrees()
         positions = snapshot.positions
         assert all(d <= 4 for d in degrees.values())
@@ -71,8 +78,7 @@ class TestGrid:
         assert full_everywhere > 0  # the check must actually bite
 
     def test_case_grid_edge_count_handshake(self):
-        states = propagate(CASE_CONFIG, 0.0)
-        snapshot = build_grid_topology(states, CASE_CONFIG, 0.0)
+        snapshot = build_grid_topology(shell_positions(CASE_CONFIG, 0.0), CASE_CONFIG, 0.0)
         degrees = snapshot.isl_degrees()
         assert sum(degrees.values()) == 2 * len(snapshot.edges)
         # 240 structural edges minus those failing line of sight.
@@ -94,8 +100,7 @@ class TestGrid:
 
     def test_single_plane_ring(self):
         config = ConstellationConfig(num_planes=1, sats_per_plane=20, phasing_factor=0)
-        states = propagate(config, 0.0)
-        snapshot = build_grid_topology(states, config, 0.0)
+        snapshot = build_grid_topology(shell_positions(config, 0.0), config, 0.0)
         degrees = snapshot.isl_degrees()
         assert len(snapshot.edges) == 20
         assert set(degrees.values()) == {2}
@@ -108,13 +113,10 @@ class TestGrid:
             num_planes=2, sats_per_plane=2, altitude_km=1000.0, phasing_factor=0
         )
         r = 7371.0
-        states = [
-            make_state(0, 0, [r, 0.0, 0.0]),
-            make_state(0, 1, [r, 500.0, 0.0]),
-            make_state(1, 0, [r, 0.0, 500.0]),
-            make_state(1, 1, [r, 500.0, 500.0]),
-        ]
-        snapshot = build_grid_topology(states, config, 0.0)
+        positions = np.array(
+            [[r, 0.0, 0.0], [r, 500.0, 0.0], [r, 0.0, 500.0], [r, 500.0, 500.0]]
+        )
+        snapshot = build_grid_topology(positions, config, 0.0)
         assert len(snapshot.edges) == 4
         assert len({e.key for e in snapshot.edges}) == 4
         assert set(snapshot.isl_degrees().values()) == {2}
@@ -125,12 +127,11 @@ class TestGrid:
         config = ConstellationConfig(
             num_planes=2, sats_per_plane=2, altitude_km=1000.0, phasing_factor=0
         )
-        snapshot = build_grid_topology(propagate(config, 0.0), config, 0.0)
+        snapshot = build_grid_topology(shell_positions(config, 0.0), config, 0.0)
         assert snapshot.edges == ()
 
     def test_edges_connect_visible_endpoints(self):
-        states = propagate(CASE_CONFIG, 321.0)
-        snapshot = build_grid_topology(states, CASE_CONFIG, 321.0)
+        snapshot = build_grid_topology(shell_positions(CASE_CONFIG, 321.0), CASE_CONFIG, 321.0)
         for edge in snapshot.edges:
             assert visible(
                 snapshot.positions[edge.node_a], snapshot.positions[edge.node_b]
@@ -147,7 +148,7 @@ class TestGrid:
                     structural.add(tuple(sorted((here, other))))
         for epoch in (0.0, 911.0, 4242.0):
             snapshot = build_grid_topology(
-                propagate(CASE_CONFIG, epoch), CASE_CONFIG, epoch
+                shell_positions(CASE_CONFIG, epoch), CASE_CONFIG, epoch
             )
             present = {e.key for e in snapshot.edges}
             assert present <= structural
@@ -157,11 +158,11 @@ class TestGrid:
                 )
 
 
-def scalar_grid_reference(states, config, grazing_altitude_km):
+def scalar_grid_reference(shell, config, grazing_altitude_km):
     """Edges of ``build_grid_topology`` with one scalar line-of-sight test and
     one ``np.linalg.norm`` per candidate link, walking the shell plane by plane."""
     rate = default_link_params()[ISL_LASER].lisl_fixed_rate_bps
-    positions = {s.node_key: s.position_km for s in states}
+    positions = dict(zip(sat_keys(config), np.asarray(shell, float)))
     seen = set()
     edges = []
     for plane in range(config.num_planes):
@@ -182,6 +183,10 @@ def scalar_grid_reference(states, config, grazing_altitude_km):
 
 
 GRAZING_ALTITUDES_KM = (80.0, 500.0, 2000.0)
+# A segment grazing the 80 km sphere: the scalar test says visible from A
+# and blocked from B.
+GRAZING_A = np.array([1807.9173977577507, 4682.431569111662, -4588.206951069193])
+GRAZING_B = np.array([1381.798756148761, 2750.236868856403, -5670.356098445968])
 
 
 class TestGridMatchesScalarReference:
@@ -197,12 +202,12 @@ class TestGridMatchesScalarReference:
         )
         counts = set()
         for epoch in (0.0, 0.3 * config.orbital_period_s, 2.0 * config.orbital_period_s / 3):
-            states = propagate(config, epoch)
+            positions = shell_positions(config, epoch)
             for grazing in GRAZING_ALTITUDES_KM:
                 snapshot = build_grid_topology(
-                    states, config, epoch, grazing_altitude_km=grazing
+                    positions, config, epoch, grazing_altitude_km=grazing
                 )
-                assert snapshot.edges == scalar_grid_reference(states, config, grazing)
+                assert snapshot.edges == scalar_grid_reference(positions, config, grazing)
                 counts.add(len(snapshot.edges))
         assert len(counts) > 1  # line of sight dropped links in some cases
 
@@ -214,73 +219,70 @@ class TestGridMatchesScalarReference:
         # Real shells put two satellites of a ring on opposite sides of the
         # Earth; a synthetic cluster keeps every candidate link in sight.
         r = 7371.0
-        cluster = [
-            make_state(p, s, [r, 500.0 * s, 500.0 * p])
-            for p in range(planes)
-            for s in range(slots)
-        ]
-        for states in (propagate(config, 0.0), propagate(config, 1234.5), cluster):
+        cluster = np.array(
+            [[r, 500.0 * s, 500.0 * p] for p in range(planes) for s in range(slots)]
+        )
+        for positions in (shell_positions(config, 0.0), shell_positions(config, 1234.5), cluster):
             for grazing in GRAZING_ALTITUDES_KM:
-                snapshot = build_grid_topology(states, config, 0.0, grazing_altitude_km=grazing)
-                assert snapshot.edges == scalar_grid_reference(states, config, grazing)
+                snapshot = build_grid_topology(
+                    positions, config, 0.0, grazing_altitude_km=grazing
+                )
+                assert snapshot.edges == scalar_grid_reference(positions, config, grazing)
         expected = {(1, 1): 0, (1, 2): 1, (2, 1): 1, (2, 2): 4}[(planes, slots)]
         assert len(build_grid_topology(cluster, config, 0.0).edges) == expected
-
 
     def test_line_of_sight_runs_from_the_lower_index(self):
         # A segment grazing the 80 km sphere: the scalar test says visible
         # from one end and blocked from the other, so the grid must test
         # from (0, 0) as the plane-by-plane walk does.
-        a = np.array([1807.9173977577507, 4682.431569111662, -4588.206951069193])
-        b = np.array([1381.798756148761, 2750.236868856403, -5670.356098445968])
-        assert visible(a, b) != visible(b, a)
-        config = ConstellationConfig(num_planes=1, sats_per_plane=2, phasing_factor=0)
-        for first, second in ((a, b), (b, a)):
-            states = [make_state(0, 0, first), make_state(0, 1, second)]
-            snapshot = build_grid_topology(states, config, 0.0)
-            assert snapshot.edges == scalar_grid_reference(states, config, 80.0)
+        assert visible(GRAZING_A, GRAZING_B) != visible(GRAZING_B, GRAZING_A)
+        config = cluster_config(1, 2)
+        for first, second in ((GRAZING_A, GRAZING_B), (GRAZING_B, GRAZING_A)):
+            positions = np.array([first, second])
+            snapshot = build_grid_topology(positions, config, 0.0)
+            assert snapshot.edges == scalar_grid_reference(positions, config, 80.0)
             assert len(snapshot.edges) == visible(first, second)
 
 
 class TestDynamic:
     def test_zero_budget_empty(self):
-        states = propagate(CASE_CONFIG, 0.0)
-        snapshot = build_dynamic_topology(states, 0)
+        positions = shell_positions(CASE_CONFIG, 0.0)
+        snapshot = build_dynamic_topology(positions, CASE_CONFIG, 0)
         assert snapshot.edges == ()
 
     def test_unbounded_budget_links_every_candidate(self):
-        states = propagate(CASE_CONFIG, 0.0)
-        snapshot = build_dynamic_topology(states, len(states) - 1, max_range_km=4000.0)
+        positions = shell_positions(CASE_CONFIG, 0.0)
+        snapshot = build_dynamic_topology(
+            positions, CASE_CONFIG, len(positions) - 1, max_range_km=4000.0
+        )
         expected = 0
-        ordered = sorted(states, key=lambda s: s.node_key)
-        for i, sa in enumerate(ordered):
-            for sb in ordered[i + 1 :]:
-                d = float(np.linalg.norm(sa.position_km - sb.position_km))
-                if d <= 4000.0 and visible(sa.position_km, sb.position_km):
+        ordered = sorted(zip(sat_keys(CASE_CONFIG), positions))
+        for i, (_, pa) in enumerate(ordered):
+            for _, pb in ordered[i + 1 :]:
+                d = float(np.linalg.norm(pa - pb))
+                if d <= 4000.0 and visible(pa, pb):
                     expected += 1
         assert len(snapshot.edges) == expected
 
     def test_three_collinear_budget_one(self):
-        states = [
-            make_state(0, 0, [7000.0, 0.0, 0.0]),
-            make_state(0, 1, [7000.0, 800.0, 0.0]),
-            make_state(0, 2, [7000.0, 2000.0, 0.0]),
-        ]
-        snapshot = build_dynamic_topology(states, 1, max_range_km=10000.0)
+        positions = np.array([[7000.0, 0.0, 0.0], [7000.0, 800.0, 0.0], [7000.0, 2000.0, 0.0]])
+        snapshot = build_dynamic_topology(
+            positions, cluster_config(1, 3), 1, max_range_km=10000.0
+        )
         assert len(snapshot.edges) == 1
         assert snapshot.edges[0].key == (sat_key(0, 0), sat_key(0, 1))
 
     def test_degree_cap_respected(self):
-        states = propagate(CASE_CONFIG, 777.0)
+        positions = shell_positions(CASE_CONFIG, 777.0)
         for k in (1, 2, 3, 5, 8):
-            snapshot = build_dynamic_topology(states, k, epoch_s=777.0)
+            snapshot = build_dynamic_topology(positions, CASE_CONFIG, k, epoch_s=777.0)
             assert max(snapshot.isl_degrees().values()) <= k
 
     def test_edge_sets_nested_in_budget(self):
-        states = propagate(CASE_CONFIG, 123.0)
+        positions = shell_positions(CASE_CONFIG, 123.0)
         previous = set()
         for k in range(1, 8):
-            snapshot = build_dynamic_topology(states, k, epoch_s=123.0)
+            snapshot = build_dynamic_topology(positions, CASE_CONFIG, k, epoch_s=123.0)
             current = {e.key for e in snapshot.edges}
             assert previous <= current
             previous = current
@@ -289,25 +291,198 @@ class TestDynamic:
         # Inter-plane pairs sit far closer than the in-plane ones here, so
         # budget 1 links every satellite to its other-plane neighbor.
         r = 7371.0
-        states = [
-            make_state(0, 0, [r, 0.0, 0.0]),
-            make_state(0, 1, [r, 1000.0, 0.0]),
-            make_state(1, 0, [r, 0.0, 10.0]),
-            make_state(1, 1, [r, 1000.0, 10.0]),
-        ]
-        planes = {s.node_key: s.sat_id[0] for s in states}
-        nearest = build_dynamic_topology(states, 1)
+        positions = np.array(
+            [[r, 0.0, 0.0], [r, 1000.0, 0.0], [r, 0.0, 10.0], [r, 1000.0, 10.0]]
+        )
+        config = cluster_config(2, 2)
+        planes = {key: index // 2 for index, key in enumerate(sat_keys(config))}
+        nearest = build_dynamic_topology(positions, config, 1)
         assert len(nearest.edges) == 2
         assert all(planes[e.node_a] != planes[e.node_b] for e in nearest.edges)
+
+    def test_positions_must_fit_the_shell(self):
+        with pytest.raises(ValueError, match=r"shape \(120, 3\)"):
+            build_dynamic_topology(np.zeros((119, 3)), CASE_CONFIG, 2)
+        with pytest.raises(ValueError, match=r"shape \(120, 3\)"):
+            build_grid_topology(np.zeros((120, 2)), CASE_CONFIG)
+
+
+def scalar_dynamic_candidates(shell, config, max_range_km, grazing_altitude_km):
+    """Ranked candidates of ``build_dynamic_topology`` from one
+    ``np.linalg.norm`` and one scalar line-of-sight test per pair, walking
+    the node ids in sorted order: ``(key_a, key_b, distance)`` tuples."""
+    keyed = sorted(zip(sat_keys(config), np.asarray(shell, float)), key=lambda kp: kp[0])
+    candidates = []
+    for i, (key_a, pa) in enumerate(keyed):
+        for key_b, pb in keyed[i + 1 :]:
+            distance = float(np.linalg.norm(pa - pb))
+            if distance > max_range_km:
+                continue
+            if not visible(pa, pb, grazing_altitude_km):
+                continue
+            candidates.append((key_a, key_b, distance))
+    candidates.sort(key=lambda c: (c[2], c[0], c[1]))
+    return candidates
+
+
+def scalar_dynamic_reference(candidates, num_nodes, max_isls):
+    """Edges of ``build_dynamic_topology`` from its ranked candidates: every
+    layer walks the whole list and skips the links already taken."""
+    rate = default_link_params()[ISL_LASER].lisl_fixed_rate_bps
+    accepted = []
+    if max_isls >= num_nodes - 1:
+        accepted = candidates
+    elif max_isls > 0:
+        degree = {}
+        taken = [False] * len(candidates)
+        for level in range(1, max_isls + 1):
+            for idx, (a, b, _) in enumerate(candidates):
+                if taken[idx]:
+                    continue
+                if degree.get(a, 0) < level and degree.get(b, 0) < level:
+                    taken[idx] = True
+                    degree[a] = degree.get(a, 0) + 1
+                    degree[b] = degree.get(b, 0) + 1
+        accepted = [c for c, ok in zip(candidates, taken) if ok]
+    edges = [
+        LinkEdge(a, b, ISL_LASER, distance, rate, propagation_delay_s(distance))
+        for a, b, distance in accepted
+    ]
+    return tuple(sorted(edges, key=lambda e: e.key))
+
+
+def assert_dynamic_matches_reference(positions, config, budgets, **geometry):
+    """``build_dynamic_topology`` equals the scalar reference at every budget."""
+    max_range_km = geometry.get("max_range_km", 5000.0)
+    grazing = geometry.get("grazing_altitude_km", 80.0)
+    candidates = scalar_dynamic_candidates(positions, config, max_range_km, grazing)
+    for k in budgets:
+        snapshot = build_dynamic_topology(
+            positions, config, k, max_range_km=max_range_km, grazing_altitude_km=grazing
+        )
+        assert snapshot.edges == scalar_dynamic_reference(candidates, len(positions), k)
+    return candidates
+
+
+class TestDynamicMatchesScalarReference:
+    """The index-pair dynamic builder against the per-pair loop, with ``==``."""
+
+    @pytest.mark.parametrize(
+        "planes, slots, altitude_km", [(6, 20, 1000.0), (24, 22, 550.0)]
+    )
+    def test_shells(self, planes, slots, altitude_km):
+        config = ConstellationConfig(
+            num_planes=planes, sats_per_plane=slots, altitude_km=altitude_km
+        )
+        n = config.total_satellites
+        counts = set()
+        for epoch in (0.0, 777.5, 2400.0):
+            positions = shell_positions(config, epoch)
+            for grazing in GRAZING_ALTITUDES_KM:
+                candidates = assert_dynamic_matches_reference(
+                    positions, config, (0, 1, 2, 4, n - 1), grazing_altitude_km=grazing
+                )
+                counts.add(len(candidates))
+        assert len(counts) > 1  # line of sight dropped candidates in some cases
+
+    def test_starlink_shell_budget_four(self):
+        config = ConstellationConfig(num_planes=72, sats_per_plane=22, altitude_km=550.0)
+        assert_dynamic_matches_reference(shell_positions(config, 777.5), config, (4,))
+
+    @pytest.mark.parametrize("planes, slots", [(1, 7), (3, 3), (2, 5)])
+    def test_exact_distance_ties(self, planes, slots):
+        # Points of an integer lattice: many pairs sit at exactly the same
+        # distance, so the id tie-break decides which links come first.
+        r = 7000.0
+        lattice = [[r, 100.0 * (i % 3), 100.0 * (i // 3)] for i in range(planes * slots)]
+        positions = np.array(lattice)
+        n = len(positions)
+        candidates = assert_dynamic_matches_reference(
+            positions, cluster_config(planes, slots), range(n)
+        )
+        distances = [c[2] for c in candidates]
+        assert len(set(distances)) < len(distances)
+        # A pair exactly at the range limit is in range.
+        candidates = assert_dynamic_matches_reference(
+            positions, cluster_config(planes, slots), range(n), max_range_km=200.0
+        )
+        assert max(c[2] for c in candidates) == 200.0
+
+    def test_line_of_sight_runs_from_the_lower_id(self):
+        config = cluster_config(1, 2)
+        for first, second in ((GRAZING_A, GRAZING_B), (GRAZING_B, GRAZING_A)):
+            positions = np.array([first, second])
+            assert_dynamic_matches_reference(positions, config, (0, 1))
+            snapshot = build_dynamic_topology(positions, config, 1)
+            assert len(snapshot.edges) == visible(first, second)
+
+    def test_node_id_order_past_three_digits(self):
+        # With 1001 slots, slot 1000 has id S000-1000, which sorts before
+        # S000-101 though its index is higher. Ties and line of sight follow
+        # the ids. The other satellites sit 6000 km apart, out of range.
+        config = cluster_config(1, 1001)
+        assert sat_keys(config)[1000] < sat_keys(config)[101]
+        far = np.array([[0.0, 0.0, 1.0e5 + 6000.0 * i] for i in range(1001)])
+        for first, second in ((GRAZING_A, GRAZING_B), (GRAZING_B, GRAZING_A)):
+            positions = far.copy()
+            positions[1000], positions[101] = first, second
+            snapshot = build_dynamic_topology(positions, config, 1)
+            assert len(snapshot.edges) == visible(first, second)
+        # Slots 101 and 1000 tie at 500 km from slot 0; the lower id wins.
+        positions = far.copy()
+        positions[0] = [7000.0, 0.0, 0.0]
+        positions[101] = [7000.0, 500.0, 0.0]
+        positions[1000] = [7000.0, -500.0, 0.0]
+        (edge,) = build_dynamic_topology(positions, config, 1).edges
+        assert edge.key == (sat_key(0, 0), sat_key(0, 1000))
+
+
+def integer_clusters():
+    """Small clusters on an integer lattice near 7000 km, so distances tie."""
+    return st.integers(1, 9).flatmap(
+        lambda n: st.lists(
+            st.tuples(st.integers(-8, 8), st.integers(-8, 8), st.integers(-8, 8)),
+            min_size=n,
+            max_size=n,
+        )
+    )
+
+
+class TestDynamicProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cluster=integer_clusters(),
+        scale=st.sampled_from([100.0, 400.0, 1500.0]),
+        max_range_km=st.sampled_from([800.0, 2500.0, 5000.0]),
+        grazing=st.sampled_from(GRAZING_ALTITUDES_KM),
+    )
+    def test_capped_nested_and_in_sight(self, cluster, scale, max_range_km, grazing):
+        positions = np.array([[6900.0 + scale * x, scale * y, scale * z] for x, y, z in cluster])
+        config = cluster_config(1, len(positions))
+        previous = set()
+        for k in range(len(positions)):
+            snapshot = build_dynamic_topology(
+                positions, config, k, max_range_km=max_range_km, grazing_altitude_km=grazing
+            )
+            degrees = snapshot.isl_degrees()
+            assert max(degrees.values()) <= k
+            current = {e.key for e in snapshot.edges}
+            assert previous <= current
+            previous = current
+            for edge in snapshot.edges:
+                assert edge.node_a < edge.node_b
+                assert edge.distance_km <= max_range_km
+                pa, pb = snapshot.positions[edge.node_a], snapshot.positions[edge.node_b]
+                assert visible(pa, pb, grazing)
 
 
 class TestSnapshotEntryPoint:
     def test_modes_match_the_builders(self):
-        states = propagate(CASE_CONFIG, 300.0)
+        positions = shell_positions(CASE_CONFIG, 300.0)
         grid = build_isl_snapshot(CASE_CONFIG, 300.0, "grid", max_isls=2)
         dynamic = build_isl_snapshot(CASE_CONFIG, 300.0, "dynamic", max_isls=2)
-        assert grid == build_grid_topology(states, CASE_CONFIG, 300.0)
-        assert dynamic == build_dynamic_topology(states, 2, 300.0)
+        assert grid == build_grid_topology(positions, CASE_CONFIG, 300.0)
+        assert dynamic == build_dynamic_topology(positions, CASE_CONFIG, 2, 300.0)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="topology mode"):
@@ -319,15 +494,14 @@ class TestGroundAttachment:
         config = ConstellationConfig(
             num_planes=1, sats_per_plane=12, inclination_deg=0.0, phasing_factor=0
         )
-        states = propagate(config, 0.0)
-        snapshot = build_grid_topology(states, config, 0.0)
+        snapshot = build_grid_topology(shell_positions(config, 0.0), config, 0.0)
         pole = GroundNode("gs-pole", GROUND_STATION, 90.0, 0.0)
         attached = attach_ground_links(snapshot, [pole])
         assert not [e for e in attached.edges if e.link_class == GROUND_TO_SAT]
 
     def test_nadir_aircraft_distance(self):
-        states = propagate(CASE_CONFIG, 0.0)  # (0,0) sits at (a, 0, 0)
-        snapshot = build_grid_topology(states, CASE_CONFIG, 0.0)
+        positions = shell_positions(CASE_CONFIG, 0.0)  # (0,0) sits at (a, 0, 0)
+        snapshot = build_grid_topology(positions, CASE_CONFIG, 0.0)
         craft = GroundNode("ac-nadir", AIRCRAFT, 0.0, 0.0, 10.7)
         attached = attach_ground_links(snapshot, [craft])
         edges = [
@@ -340,8 +514,7 @@ class TestGroundAttachment:
         assert edges[0].distance_km == pytest.approx(expected, abs=1e-9)
 
     def test_ground_to_air_edge_for_nearby_aircraft(self):
-        states = propagate(CASE_CONFIG, 0.0)
-        snapshot = build_grid_topology(states, CASE_CONFIG, 0.0)
+        snapshot = build_grid_topology(shell_positions(CASE_CONFIG, 0.0), CASE_CONFIG, 0.0)
         station = GroundNode("gs-0", GROUND_STATION, 0.0, 0.0)
         craft = GroundNode("ac-0", AIRCRAFT, 0.3, 0.0, 10.7)
         attached = attach_ground_links(snapshot, [station, craft])
@@ -352,8 +525,7 @@ class TestGroundAttachment:
     def test_station_coverage_report(self):
         from leoisl.scenario import DEFAULT_GROUND_STATIONS
 
-        states = propagate(CASE_CONFIG, 2500.0)
-        snapshot = build_grid_topology(states, CASE_CONFIG, 2500.0)
+        snapshot = build_grid_topology(shell_positions(CASE_CONFIG, 2500.0), CASE_CONFIG, 2500.0)
         attached = attach_ground_links(snapshot, list(DEFAULT_GROUND_STATIONS))
         per_station = {g.node_id: 0 for g in DEFAULT_GROUND_STATIONS}
         for edge in attached.edges:
@@ -364,15 +536,13 @@ class TestGroundAttachment:
         print(f"feeder visibility at epoch 2500s: {per_station}")
 
     def test_duplicate_ids_rejected(self):
-        states = propagate(CASE_CONFIG, 0.0)
-        snapshot = build_grid_topology(states, CASE_CONFIG, 0.0)
+        snapshot = build_grid_topology(shell_positions(CASE_CONFIG, 0.0), CASE_CONFIG, 0.0)
         clash = GroundNode(sat_key(0, 0), GROUND_STATION, 0.0, 0.0)
         with pytest.raises(ValueError):
             attach_ground_links(snapshot, [clash])
 
     def test_coincident_nodes_produce_no_edge(self):
-        states = propagate(CASE_CONFIG, 0.0)
-        snapshot = build_grid_topology(states, CASE_CONFIG, 0.0)
+        snapshot = build_grid_topology(shell_positions(CASE_CONFIG, 0.0), CASE_CONFIG, 0.0)
         station = GroundNode("gs-here", GROUND_STATION, 10.0, 20.0, 5.0)
         parked = GroundNode("ac-here", AIRCRAFT, 10.0, 20.0, 5.0)
         attached = attach_ground_links(snapshot, [station, parked])
@@ -383,7 +553,7 @@ class TestGroundAttachment:
         from leoisl.scenario import DEFAULT_AIRCRAFT, DEFAULT_GROUND_STATIONS
 
         ground = list(DEFAULT_GROUND_STATIONS) + list(DEFAULT_AIRCRAFT)
-        snapshot = build_grid_topology(propagate(CASE_CONFIG, epoch), CASE_CONFIG, epoch)
+        snapshot = build_grid_topology(shell_positions(CASE_CONFIG, epoch), CASE_CONFIG, epoch)
         attached = attach_ground_links(snapshot, ground)
         assert attached.edges == scalar_attach_reference(snapshot, ground)
 
@@ -402,7 +572,8 @@ def scalar_attach_reference(snapshot, ground):
         else:
             others = [(sat, SAT_TO_AIR) for sat in snapshot.nodes]
         for other, link_class in others:
-            if not visible_from_ground(positions[node.node_id], positions[other]):
+            elevation = elevation_deg(positions[node.node_id], positions[other])
+            if elevation < DEFAULT_ELEVATION_MASK_DEG:
                 continue
             distance = float(np.linalg.norm(positions[node.node_id] - positions[other]))
             if distance == 0.0:
