@@ -376,7 +376,9 @@ class SlotContext:
     ``link_params`` must be the link budgets the snapshot was built with:
     the planners read feeder rates from them. Laser routes come from one
     shortest-path search per serving satellite; the searches and the routes
-    read from them are cached for the slot.
+    read from them are cached for the slot. So are the planners' holder
+    candidates, route options and plans, each under a key holding
+    everything it reads, so that a sweep's cells share them.
     """
 
     def __init__(self, snapshot: TopologySnapshot, link_params: dict[str, LinkBudgetParams]):
@@ -393,6 +395,9 @@ class SlotContext:
         self._isl = _graph(snapshot, snapshot.isl_edges())
         self._searches: dict[int, tuple[list[float], list[int], list[int]]] = {}
         self._routes: dict[tuple[str, str], Path | None] = {}
+        self._servings: dict[tuple[str, frozenset[str]], tuple[_Serving, ...]] = {}
+        self._cached_plans: dict[tuple, RequestPlan] = {}
+        self._route_options: dict[tuple, tuple[_RouteOption, ...]] = {}
         self._non_cached_plans: dict[tuple, tuple[RequestPlan, ...]] = {}
 
     def edges_at(self, link_class: str, node: str) -> list[LinkEdge]:
@@ -456,6 +461,35 @@ class _HolderCandidate:
     holder: str
     edge: LinkEdge
     prop_s: float
+
+
+# (air edge, serving satellite, serving satellite holds the file, its
+# laser-linked holders by (propagation, holder id))
+_Serving = tuple[LinkEdge, str, bool, tuple[_HolderCandidate, ...]]
+
+
+def _servings(ctx: SlotContext, aircraft: str, holders: frozenset[str]) -> tuple[_Serving, ...]:
+    """The aircraft's visible serving satellites, nearest first, each with
+    its holder candidates; computed once per slot and holder set."""
+    key = (aircraft, holders)
+    memo = ctx._servings.get(key)
+    if memo is not None:
+        return memo
+    ordered_holders = sorted(holders)
+    servings = []
+    for air_edge in ctx.edges_at(SAT_TO_AIR, aircraft):
+        serving = air_edge.other(aircraft)
+        candidates = []
+        for holder in ordered_holders:
+            if holder == serving:
+                continue
+            edge = ctx.edge_between(ISL_LASER, holder, serving)
+            if edge is not None:
+                candidates.append(_HolderCandidate(holder, edge, edge.delay_s))
+        candidates.sort(key=lambda c: (c.prop_s, c.holder))
+        servings.append((air_edge, serving, serving in holders, tuple(candidates)))
+    ctx._servings[key] = memo = tuple(servings)
+    return memo
 
 
 def _holder_rates(
@@ -565,7 +599,7 @@ def _select_holders(
     aircraft: str,
     air_edge: LinkEdge,
     serving_holds: bool,
-    candidates: list[_HolderCandidate],
+    candidates: Sequence[_HolderCandidate],
     budget: int,
     bits: float,
     air_sharing: str,
@@ -617,6 +651,11 @@ def plan_cached(
     the least delay over serving satellites wins. ``greedy`` takes the
     nearest serving satellite that can deliver and fills its budget with
     the highest-rate holders; ``fully_connected`` lifts the degree budget.
+
+    Plans are memoised on the context: a budget at or above every serving
+    satellite's candidate count plans as that count, and
+    ``fully_connected`` reads no budget, so cells that differ only there
+    share one plan.
     """
     if mode not in ASSOC_MODES:
         raise ValueError(f"mode must be one of {ASSOC_MODES}, got {mode!r}")
@@ -626,20 +665,18 @@ def plan_cached(
         raise ValueError(f"max_isls must be >= 0, got {max_isls}")
     if not request.cached:
         raise ValueError(f"request {request.request_id} is not cached")
+    servings = _servings(ctx, request.aircraft_id, request.cache_holders)
+    if mode == ASSOC_FULL:
+        effective_budget = None
+    else:
+        effective_budget = min(max_isls, max((len(c) for *_, c in servings), default=0))
+    key = (request, mode, effective_budget, air_sharing, store_and_forward)
+    memo = ctx._cached_plans.get(key)
+    if memo is not None:
+        return memo
     bits = float(request.total_bits)
-    air_edges = ctx.edges_at(SAT_TO_AIR, request.aircraft_id)
-    best: tuple[float, str, LinkEdge, bool, list[_HolderCandidate], tuple[int, ...]] | None = None
-    for air_edge in air_edges:
-        serving = air_edge.other(request.aircraft_id)
-        serving_holds = serving in request.cache_holders
-        candidates = []
-        for holder in sorted(request.cache_holders):
-            if holder == serving:
-                continue
-            edge = ctx.edge_between(ISL_LASER, holder, serving)
-            if edge is not None:
-                candidates.append(_HolderCandidate(holder, edge, edge.delay_s))
-        candidates.sort(key=lambda c: (c.prop_s, c.holder))
+    best: tuple[float, str, LinkEdge, bool, Sequence[_HolderCandidate], tuple[int, ...]] | None = None
+    for air_edge, serving, serving_holds, candidates in servings:
         budget = len(candidates) if mode == ASSOC_FULL else min(max_isls, len(candidates))
         if mode == ASSOC_GREEDY:
             _, rates = _holder_rates(air_edge, candidates, 1, air_sharing, store_and_forward)
@@ -661,21 +698,23 @@ def plan_cached(
         if best is None or delay < best[0]:
             best = (delay, serving, air_edge, serving_holds, candidates, chosen)
     if best is None:
-        return RequestPlan(request=request, delivered=False, delay_s=math.inf)
-    delay, serving, air_edge, serving_holds, candidates, chosen = best
-    _, streams = _evaluate_cached(
-        serving, request.aircraft_id, air_edge, serving_holds,
-        candidates, chosen, bits, air_sharing, store_and_forward,
-    )
-    activated = tuple(sorted(candidates[i].edge.key for i in chosen))
-    return RequestPlan(
-        request=request,
-        delivered=True,
-        delay_s=delay,
-        serving_satellite=serving,
-        streams=tuple(streams),
-        activated_isl_edges=activated,
-    )
+        plan = RequestPlan(request=request, delivered=False, delay_s=math.inf)
+    else:
+        delay, serving, air_edge, serving_holds, candidates, chosen = best
+        _, streams = _evaluate_cached(
+            serving, request.aircraft_id, air_edge, serving_holds,
+            candidates, chosen, bits, air_sharing, store_and_forward,
+        )
+        plan = RequestPlan(
+            request=request,
+            delivered=True,
+            delay_s=delay,
+            serving_satellite=serving,
+            streams=tuple(streams),
+            activated_isl_edges=tuple(sorted(candidates[i].edge.key for i in chosen)),
+        )
+    ctx._cached_plans[key] = plan
+    return plan
 
 
 # ---------------------------------------------------------------------------
@@ -701,7 +740,14 @@ class _RouteOption:
 
 def _route_options(
     ctx: SlotContext, request: FileRequest, max_isls: int
-) -> list[_RouteOption]:
+) -> tuple[_RouteOption, ...]:
+    """Every chain to the request's aircraft, memoised on the context under
+    everything it reads: the aircraft, the source stations and whether the
+    budget is zero."""
+    key = (request.aircraft_id, request.source_gs_set, max_isls == 0)
+    memo = ctx._route_options.get(key)
+    if memo is not None:
+        return memo
     options: list[_RouteOption] = []
     air_edges = ctx.edges_at(SAT_TO_AIR, request.aircraft_id)
     for gs in sorted(request.source_gs_set):
@@ -751,7 +797,8 @@ def _route_options(
                         ),
                     )
                 )
-    return options
+    ctx._route_options[key] = memo = tuple(options)
+    return memo
 
 
 def _flow_for(
@@ -772,7 +819,7 @@ def _flow_for(
 def _greedy_route(
     ctx: SlotContext,
     request: FileRequest,
-    options: list[_RouteOption],
+    options: Sequence[_RouteOption],
     store_and_forward: bool,
 ) -> _RouteOption:
     def rate_key(option: _RouteOption):
@@ -835,7 +882,7 @@ def plan_non_cached(
     memo = ctx._non_cached_plans.get(key)
     if memo is not None:
         return list(memo)
-    options_by_request: dict[str, list[_RouteOption]] = {}
+    options_by_request: dict[str, Sequence[_RouteOption]] = {}
     plans: dict[str, RequestPlan] = {}
     deliverable: list[FileRequest] = []
     for request in requests:
@@ -979,6 +1026,7 @@ def run_slot(
     rng_seed: int,
     *,
     ctx: SlotContext | None = None,
+    requests: Sequence[FileRequest] | None = None,
 ) -> DeliveryPlan:
     """Generate and plan one slot's requests; average over delivered files.
 
@@ -986,7 +1034,10 @@ def run_slot(
 
     Fully deterministic in (scenario, epoch, max_isls, mode, seed): request
     generation never looks at the degree budget or the mode, so a fixed seed
-    compares the same workload across every sweep cell.
+    compares the same workload across every sweep cell. Cells that share
+    work pass it in: ``ctx`` must be ``build_slot_context(scenario,
+    epoch_s)`` and ``requests`` must be ``generate_requests(scenario,
+    rng_seed)``; either is built here when omitted.
     """
     if mode not in SWEEP_MODES:
         raise ValueError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
@@ -996,7 +1047,8 @@ def run_slot(
     if ctx is None:
         ctx = build_slot_context(scenario, epoch_s)
     store_and_forward = scenario.ifc.delay_model == STORE_AND_FORWARD
-    requests = generate_requests(scenario, rng_seed)
+    if requests is None:
+        requests = generate_requests(scenario, rng_seed)
     plans: dict[str, RequestPlan] = {}
     for request in requests:
         if request.cached:
@@ -1092,13 +1144,18 @@ def sweep_max_isls(
     for mode in modes:
         if mode not in SWEEP_MODES:
             raise ValueError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
+    # Requests read only the seed, so each seed's draw serves every cell.
+    requests = {seed: generate_requests(scenario, seed) for seed in seeds}
     rows = []
     for epoch_s in epochs:
         ctx = build_slot_context(scenario, epoch_s)
         for max_isls in isls_values:
             for mode in modes:
                 for seed in seeds:
-                    plan = run_slot(scenario, epoch_s, max_isls, mode, seed, ctx=ctx)
+                    plan = run_slot(
+                        scenario, epoch_s, max_isls, mode, seed,
+                        ctx=ctx, requests=requests[seed],
+                    )
                     rows.append(
                         SweepRow(
                             max_isls=max_isls,

@@ -158,15 +158,21 @@ def _snapshot(
     if isl_params is None:
         isl_params = links.default_link_params()[ISL_LASER]
     rate = isl_params.lisl_fixed_rate_bps
-    ends = sorted(
-        (min(keys[a], keys[b]), max(keys[a], keys[b]), distance)
-        for a, b, distance in zip(lo.tolist(), hi.tolist(), distances.tolist())
-    )
+    # Links are ordered by (lower id, higher id). Each pair occurs once, so
+    # sorting the id ranks of its ends gives that order.
+    by_key = sorted(range(len(keys)), key=keys.__getitem__)
+    nodes = tuple(keys[i] for i in by_key)
+    rank = np.empty(len(keys), dtype=np.intp)
+    rank[by_key] = np.arange(len(keys))
+    first, second = np.minimum(rank[lo], rank[hi]), np.maximum(rank[lo], rank[hi])
+    order = np.lexsort((second, first))
+    ends = zip(first[order].tolist(), second[order].tolist(), distances[order].tolist())
     return TopologySnapshot(
         epoch_s=epoch_s,
-        nodes=tuple(sorted(keys)),
+        nodes=nodes,
         edges=tuple(
-            LinkEdge(a, b, ISL_LASER, d, rate, propagation_delay_s(d)) for a, b, d in ends
+            LinkEdge(nodes[a], nodes[b], ISL_LASER, d, rate, propagation_delay_s(d))
+            for a, b, d in ends
         ),
         positions=dict(zip(keys, pos)),
     )

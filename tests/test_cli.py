@@ -198,11 +198,14 @@ class TestIfcSweepCommand:
         [
             (None, "sweep_baseline.csv"),
             ("cached_equal_split_saf.json", "sweep_cached_equal_split_saf.csv"),
+            ("feeder_limited.json", "sweep_feeder_limited.csv"),
         ],
     )
     def test_matches_pinned_output(self, scenario, pinned, capsys):
-        # Pinned before the holder search became the parametric solver: a
-        # refactor that changes any plan shows up here.
+        # Pinned before the holder search became the parametric solver (the
+        # feeder-limited sweep before the planners' memos): a refactor that
+        # changes any plan shows up here. Only the feeder-limited input makes
+        # the equal bandwidth split differ from the optimized one.
         args = ["ifc-sweep", "--isls", "0..8", "--seeds", "3"]
         if scenario is not None:
             args += ["--scenario", str(DATA / scenario)]

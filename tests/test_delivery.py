@@ -9,7 +9,10 @@ from hypothesis import strategies as st
 
 from leoisl.delivery import (
     AIR_SHARING_MODES,
+    ASSOC_MODES,
+    DELAY_MODELS,
     EQUAL_SPLIT,
+    STORE_AND_FORWARD,
     PER_STREAM,
     SWEEP_MODES,
     FileRequest,
@@ -27,6 +30,7 @@ from leoisl.delivery import (
     stream_delay,
     sweep_max_isls,
 )
+from leoisl.delivery import _marginal_gain, _share_cap
 from leoisl.links import (
     GROUND_TO_SAT,
     ISL_LASER,
@@ -234,6 +238,45 @@ class TestGsShares:
         shares = optimize_gs_shares(flows)
         assert shares["hungry"] > shares["capped"]
         assert flows[0].rate_bps(shares["capped"]) == pytest.approx(2e7)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 5000),
+                st.integers(500, 2500),
+                st.one_of(st.none(), st.integers(1, 2000)),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_optimal_split_properties(self, specs):
+        # Packets, feeder distance (km) and downstream cap (Mbps, None for
+        # none); full-band feeder rates run about 1.2-1.7 Gbps, so caps both
+        # bind and stay loose.
+        flows = [
+            self.flow(
+                f"f{i}",
+                packets * 1080.0,
+                fixed_cap=math.inf if cap is None else cap * 1e6,
+                distance=float(distance),
+            )
+            for i, (packets, distance, cap) in enumerate(specs)
+        ]
+        shares = optimize_gs_shares(flows)
+        assert sum(shares.values()) <= 1.0 + 1e-9
+        gains = [
+            _marginal_gain(flow, shares[flow.flow_id])
+            for flow in flows
+            if shares[flow.flow_id] < _share_cap(flow)
+        ]
+        if gains:
+            assert max(gains) == pytest.approx(min(gains), rel=1e-9)
+        equal = optimize_gs_shares(flows, equal=True)
+        optimized_total = sum(f.delay_s(shares[f.flow_id]) for f in flows)
+        equal_total = sum(f.delay_s(equal[f.flow_id]) for f in flows)
+        assert optimized_total <= equal_total * (1 + 1e-12)
 
 
 AIR = "air-1"
@@ -550,6 +593,42 @@ class TestSlotExecution:
                         assert run_slot(
                             scenario, 0.0, max_isls, mode, seed, ctx=shared
                         ) == run_slot(scenario, 0.0, max_isls, mode, seed, ctx=fresh)
+        # Every cached plan too, on the same context: all association modes,
+        # air sharing modes and delay models, and budgets past every serving
+        # satellite's candidate count (at most 4 here).
+        all_cached = [
+            Scenario(
+                ifc=IfcSettings(
+                    cache_hit_probability=1.0, air_link_sharing=sharing, delay_model=model
+                )
+            )
+            for sharing in AIR_SHARING_MODES
+            for model in DELAY_MODELS
+        ]
+        for scenario in all_cached:
+            kwargs = {
+                "air_sharing": scenario.ifc.air_link_sharing,
+                "store_and_forward": scenario.ifc.delay_model == STORE_AND_FORWARD,
+            }
+            for seed in (1, 2):
+                for request in generate_requests(scenario, seed):
+                    for mode in ASSOC_MODES:
+                        for max_isls in range(10):
+                            fresh = SlotContext(shared.snapshot, scenario.link_params)
+                            assert plan_cached(
+                                request, shared, max_isls, mode, **kwargs
+                            ) == plan_cached(request, fresh, max_isls, mode, **kwargs)
+
+    def test_passed_requests_match_drawn_requests(self):
+        scenario = default_scenario()
+        ctx = build_slot_context(scenario, 0.0)
+        for seed in (1, 2, 3):
+            requests = generate_requests(scenario, seed)
+            for max_isls in (0, 2):
+                for mode in SWEEP_MODES:
+                    assert run_slot(
+                        scenario, 0.0, max_isls, mode, seed, ctx=ctx, requests=requests
+                    ) == run_slot(scenario, 0.0, max_isls, mode, seed)
 
     def test_mode_dominance_and_convergence_small(self):
         scenario = default_scenario()
