@@ -94,7 +94,24 @@ def _parse_int_range(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"names no budget: {text!r}")
     if min(values) < 0:
         raise argparse.ArgumentTypeError(f"budgets must be >= 0, got {text!r}")
+    if len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"budgets must not repeat, got {text!r}")
     return values
+
+
+def _parse_modes(text: str) -> list[str]:
+    """Distinct sweep modes as a comma list, e.g. 'optimized,full'."""
+    modes = [mode for mode in text.split(",") if mode]
+    if not modes:
+        raise argparse.ArgumentTypeError(f"names no mode: {text!r}")
+    for mode in modes:
+        if mode not in delivery.SWEEP_MODES:
+            raise argparse.ArgumentTypeError(
+                f"unknown mode {mode!r}; choose from {','.join(delivery.SWEEP_MODES)}"
+            )
+    if len(set(modes)) < len(modes):
+        raise argparse.ArgumentTypeError(f"modes must not repeat, got {text!r}")
+    return modes
 
 
 def _epochs(scenario: Scenario, count: int) -> list[float]:
@@ -157,8 +174,9 @@ def _cmd_route(args) -> int:
         link_params=scenario.link_params,
         elevation_mask_deg=scenario.topology.elevation_mask_deg,
     )
-    if args.src not in snapshot.positions or args.dst not in snapshot.positions:
-        raise _CliError(f"unknown node id in --src/--dst: {args.src!r}/{args.dst!r}")
+    for flag, node in (("--src", args.src), ("--dst", args.dst)):
+        if node not in snapshot.positions:
+            raise _CliError(f"unknown node id in {flag}: {node!r}")
     if args.metric == "distance":
         path = routing.shortest_distance_path(snapshot, args.src, args.dst)
     else:
@@ -264,15 +282,9 @@ def _cmd_sdp_mhp(args) -> int:
 
 def _cmd_ifc_sweep(args) -> int:
     scenario = load_scenario(args.scenario)
-    modes = [m for m in args.modes.split(",") if m]
-    for mode in modes:
-        if mode not in delivery.SWEEP_MODES:
-            raise _CliError(
-                f"unknown mode {mode!r}; choose from {','.join(delivery.SWEEP_MODES)}"
-            )
     seeds = [scenario.seed + i for i in range(args.seeds)]
     epochs = _epochs(scenario, args.epochs)
-    result = delivery.sweep_max_isls(scenario, args.isls, modes, epochs, seeds)
+    result = delivery.sweep_max_isls(scenario, args.isls, args.modes, epochs, seeds)
     rows = result.summary_csv_rows() if args.summary else result.csv_rows()
     _write_rows(rows, args.output)
     return 0
@@ -331,6 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--modes",
+        type=_parse_modes,
         default=",".join(delivery.SWEEP_MODES),
         help="comma list of optimized,greedy,equal,full",
     )

@@ -34,7 +34,7 @@ from .links import (
     capacity_bps,
     snr_linear,
 )
-from .routing import Path, _graph, _path, _shortest_paths, _to_root
+from .routing import Path, _chain, _graph, _path, _shortest_paths
 from .topology import (
     DYNAMIC_MODE,
     LinkEdge,
@@ -374,9 +374,11 @@ class SlotContext:
     """Per-epoch lookups over the candidate snapshot (mesh plus ground links).
 
     ``link_params`` must be the link budgets the snapshot was built with:
-    the planners read feeder rates from them. Laser routes come from one
-    shortest-path search per serving satellite; the searches and the routes
-    read from them are cached for the slot. So are the planners' holder
+    the planners read feeder rates from them. Laser routes are read back
+    from distance labels rooted at serving satellites; a file's route
+    options label all of its aircraft's serving satellites in one batch
+    (``search``). The labels and the routes read from them are cached for
+    the slot. So are the planners' holder
     candidates, route options and plans, each under a key holding
     everything it reads, so that a sweep's cells share them.
     """
@@ -393,7 +395,7 @@ class SlotContext:
             for node, edges in per_node.items():
                 edges.sort(key=lambda e: (e.distance_km, e.other(node)))
         self._isl = _graph(snapshot, snapshot.isl_edges())
-        self._searches: dict[int, tuple[list[float], list[int], list[int]]] = {}
+        self._searches: dict[int, list[float]] = {}
         self._routes: dict[tuple[str, str], Path | None] = {}
         self._servings: dict[tuple[str, frozenset[str]], tuple[_Serving, ...]] = {}
         self._cached_plans: dict[tuple, RequestPlan] = {}
@@ -411,6 +413,12 @@ class SlotContext:
                 return edge
         return None
 
+    def search(self, roots: Iterable[str]) -> None:
+        """Distances over the mesh from every root not searched yet, in one batch."""
+        fresh = sorted({self._isl.index[root] for root in roots} - self._searches.keys())
+        if fresh:
+            self._searches.update(zip(fresh, _shortest_paths(self._isl, fresh).tolist()))
+
     def isl_route(self, src: str, dst: str) -> Path | None:
         """Shortest-distance laser path from src to dst over the mesh.
 
@@ -421,11 +429,13 @@ class SlotContext:
         if (src, dst) in self._routes:
             return self._routes[src, dst]
         root = self._isl.index[dst]
-        if root not in self._searches:
-            self._searches[root] = _shortest_paths(self._isl, root)
-        dist, _, parent = self._searches[root]
-        here = self._isl.index[src]
-        route = None if math.isinf(dist[here]) else _path(self._isl, _to_root(parent, here))
+        if src == dst:  # the zero-hop route needs no search
+            chain = [root]
+        else:
+            if root not in self._searches:
+                self.search([dst])
+            chain = _chain(self._isl, self._searches[root], root, self._isl.index[src])
+        route = None if chain is None else _path(self._isl, chain[::-1])
         self._routes[src, dst] = route
         return route
 
@@ -750,6 +760,8 @@ def _route_options(
         return memo
     options: list[_RouteOption] = []
     air_edges = ctx.edges_at(SAT_TO_AIR, request.aircraft_id)
+    if max_isls:  # a zero budget reads only zero-hop routes
+        ctx.search(edge.other(request.aircraft_id) for edge in air_edges)
     for gs in sorted(request.source_gs_set):
         direct = ctx.edge_between(GROUND_TO_AIR, gs, request.aircraft_id)
         if direct is not None:

@@ -5,15 +5,18 @@ snapshot, hop-count statistics between ground terminals across all possible
 satellite associations, and an empirical check of how often the SDP is also
 an MHP.
 
-Every path comes from one search, ``_shortest_paths``, with one tie-break:
-minimum ``(distance, hops)`` (an MHP weighs each link 1, so its distance is
-its hop count), then the lexicographically smallest node sequence from the
-search's root. Results are therefore reproducible across runs.
+Every path comes from one engine in two parts. ``_shortest_paths`` computes
+the distance labels of a batch of roots at once, in array rounds over the
+graph's CSR arrays; ``_chain`` reads one path back from a root's labels
+over tight links. The tie-break is minimum ``(distance, hops)`` (an MHP
+weighs each link 1, so its distance is its hop count), then the
+lexicographically smallest node sequence from the root: the path a Dijkstra
+search with that tie-break picks. Results are therefore reproducible across
+runs.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass
@@ -60,15 +63,20 @@ class Path:
 
 
 class _Graph(NamedTuple):
-    """Integer-indexed view of some of a snapshot's links.
+    """Integer-indexed view of some of a snapshot's links, as CSR arrays.
 
     Node ``i`` is ``nodes[i]``; ``snapshot.nodes`` is sorted, so index order
-    is node-id order. ``edges`` maps each link's ``key`` to the link.
+    is node-id order. Node ``i``'s links run to ``targets[offsets[i]:
+    offsets[i + 1]]``, in index order, with lengths ``weights[...]``; each
+    link is listed from both ends. ``edges`` maps each link's ``key`` to the
+    link.
     """
 
     nodes: tuple[str, ...]
     index: dict[str, int]
-    neighbors: list[list[tuple[int, float]]]
+    offsets: np.ndarray
+    targets: np.ndarray
+    weights: np.ndarray
     edges: dict[tuple[str, str], LinkEdge]
 
 
@@ -78,73 +86,109 @@ def _graph(
     """Graph over ``edges``, weighted by distance or, for hop counts, by 1."""
     nodes = snapshot.nodes
     index = {key: i for i, key in enumerate(nodes)}
-    neighbors: list[list[tuple[int, float]]] = [[] for _ in nodes]
-    by_key = {}
-    for edge in edges:
-        a, b = index[edge.node_a], index[edge.node_b]
-        weight = 1.0 if unit_weights else edge.distance_km
-        neighbors[a].append((b, weight))
-        neighbors[b].append((a, weight))
-        by_key[edge.key] = edge
-    return _Graph(nodes, index, neighbors, by_key)
+    by_key = {edge.key: edge for edge in edges}
+    ends = np.array([index[node] for key in by_key for node in key], dtype=np.intp)
+    ends = ends.reshape(-1, 2)
+    lengths = (
+        np.ones(len(ends))
+        if unit_weights
+        else np.array([edge.distance_km for edge in by_key.values()], dtype=np.float64)
+    )
+    heads = np.concatenate([ends[:, 0], ends[:, 1]])
+    tails = np.concatenate([ends[:, 1], ends[:, 0]])
+    order = np.lexsort((tails, heads))
+    offsets = np.zeros(len(nodes) + 1, dtype=np.intp)
+    np.cumsum(np.bincount(heads, minlength=len(nodes)), out=offsets[1:])
+    weights = np.concatenate([lengths, lengths])[order]
+    return _Graph(nodes, index, offsets, tails[order], weights, by_key)
 
 
-def _shortest_paths(
-    graph: _Graph, root: int, targets: Iterable[int] | None = None
-) -> tuple[list[float], list[int], list[int]]:
-    """Dijkstra from ``root`` on ``(distance, hops)``: ``(dist, hops, parent)``.
+# Links one relaxation round may touch, summed over its roots. A round's
+# temporaries are a few arrays of this length, so the roots go in batches
+# of ``_batch_roots``.
+_BATCH_LINKS = 1 << 18
 
-    ``parent[v]`` is the node before ``v`` on the chosen path and -1 for the
-    root and for unreached nodes, whose distance is infinite. Among paths
-    with equal ``(distance, hops)`` the chosen one has the lexicographically
-    smallest node sequence from ``root``. With ``targets`` the search returns
-    once every target is settled; only settled labels are final. Distances
-    add up edge by edge from ``root``, so a label depends neither on
-    neighbor order nor on when the search stops.
+
+def _batch_roots(graph: _Graph) -> int:
+    """Roots per relaxation batch: ``_BATCH_LINKS`` over the number of
+    directed links, at least one; 41 on a 1584-node +grid, 7 on a 528-node
+    in-range mesh."""
+    return max(1, _BATCH_LINKS // max(1, len(graph.targets)))
+
+
+def _shortest_paths(graph: _Graph, roots: Sequence[int]) -> np.ndarray:
+    """Distances from each of ``roots`` to every node, ``(len(roots), N)``.
+
+    Unreached nodes are at infinity. Each round relaxes, in one array pass,
+    the links of every (root, node) pair whose label fell in the round
+    before, and lowers labels with ``np.minimum.at``; a batch of roots ends
+    when no label falls. A label is the float sum ``fl(dist[u] + w)`` of its
+    predecessor's label and the link, and float addition of a non-negative
+    length is monotone, so the labels reach the least fixpoint of
+    ``dist[v] = min_u fl(dist[u] + w)`` whatever the order of relaxation:
+    bit for bit the labels a Dijkstra search settles.
     """
     size = len(graph.nodes)
-    dist = [math.inf] * size
-    hops = [0] * size
-    parent = [-1] * size
-    settled = [False] * size
-    dist[root] = 0.0
-    remaining = set(range(size) if targets is None else targets)
-    heap = [(0.0, 0, root)]
-    neighbors = graph.neighbors
-    push, pop = heapq.heappush, heapq.heappop
-    while heap and remaining:
-        here_dist, here_hops, here = pop(heap)
-        if settled[here]:
-            continue
-        settled[here] = True
-        remaining.discard(here)
-        next_hops = here_hops + 1
-        for there, weight in neighbors[here]:
-            candidate = here_dist + weight
-            if candidate < dist[there]:
-                dist[there] = candidate
-                hops[there] = next_hops
-                parent[there] = here
-                push(heap, (candidate, next_hops, there))
-            elif candidate == dist[there]:
-                if next_hops < hops[there]:
-                    hops[there] = next_hops
-                    parent[there] = here
-                    push(heap, (candidate, next_hops, there))
-                elif next_hops == hops[there] and _precedes(parent, here, parent[there]):
-                    parent[there] = here
-    return dist, hops, parent
+    offsets, targets, weights = graph.offsets, graph.targets, graph.weights
+    roots = np.asarray(roots, dtype=np.intp)
+    dist = np.full((len(roots), size), np.inf)
+    step = _batch_roots(graph)
+    fallen = np.zeros(min(step, len(roots)) * size, dtype=bool)
+    for first in range(0, len(roots), step):
+        batch = roots[first : first + step]
+        labels = dist[first : first + step].reshape(-1)  # a view: pair ``r * size + node``
+        fell = np.arange(len(batch)) * size + batch
+        labels[fell] = 0.0
+        while fell.size:
+            node = fell % size
+            start = offsets[node]
+            count = offsets[node + 1] - start
+            # Every link of every fallen pair: link ``start + k`` of its node.
+            ends = np.cumsum(count)
+            link = np.arange(ends[-1]) + np.repeat(start - ends + count, count)
+            label = np.repeat(labels[fell], count) + weights[link]
+            pair = np.repeat(fell - node, count) + targets[link]
+            lower = label < labels[pair]
+            pair = pair[lower]
+            np.minimum.at(labels, pair, label[lower])
+            fallen[pair] = True
+            fell = np.flatnonzero(fallen)
+            fallen[fell] = False
+    return dist
 
 
-def _precedes(parent: list[int], a: int, b: int) -> bool:
-    """Whether the root-to-``a`` sequence sorts before the root-to-``b`` one.
+def _chain(graph: _Graph, dist: Sequence[float], root: int, v: int) -> list[int] | None:
+    """The chosen ``root``-to-``v`` path as node indices, None if unreached.
 
-    ``a`` and ``b`` are settled at the same depth, so their sequences have
-    equal length and first differ just below their deepest common ancestor.
+    ``dist`` is ``root``'s row of ``_shortest_paths``, best as a list: the
+    search reads it one node at a time. A link ``u -> x`` is tight when
+    ``fl(dist[u] + w) == dist[x]``; the tight paths from ``root`` are
+    exactly the least-distance ones. A breadth-first search backward from
+    ``v`` over tight links keeps, for each node, its tight successors one
+    level nearer ``v``, and stops at the level that holds ``root``. The walk
+    forward from ``root`` then takes the smallest-index successor at each
+    step: the fewest hops among least-distance paths, then the
+    lexicographically smallest node sequence.
     """
-    while parent[a] != parent[b]:
-        a, b = parent[a], parent[b]
-    return a < b
+    if math.isinf(dist[v]):
+        return None
+    offsets, targets, weights = graph.offsets, graph.targets, graph.weights
+    successors: dict[int, list[int]] = {v: []}
+    level = [v]
+    while root not in successors:
+        found: dict[int, list[int]] = {}
+        for here in level:
+            lo, hi = offsets[here], offsets[here + 1]
+            label = dist[here]
+            for there, weight in zip(targets[lo:hi].tolist(), weights[lo:hi].tolist()):
+                if dist[there] + weight == label and there not in successors:
+                    found.setdefault(there, []).append(here)
+        successors.update(found)
+        level = list(found)
+    chain = [root]
+    while chain[-1] != v:
+        chain.append(min(successors[chain[-1]]))
+    return chain
 
 
 def _path(graph: _Graph, chain: Sequence[int]) -> Path:
@@ -168,22 +212,12 @@ def _path(graph: _Graph, chain: Sequence[int]) -> Path:
     )
 
 
-def _to_root(parent: list[int], node: int) -> list[int]:
-    """``node`` and its ancestors, ending at the root of the search."""
-    chain = [node]
-    while parent[chain[-1]] >= 0:
-        chain.append(parent[chain[-1]])
-    return chain
-
-
 def _best_path(graph: _Graph, src: str, dst: str) -> Path | None:
     if src not in graph.index or dst not in graph.index:
         raise ValueError(f"unknown node in pair ({src!r}, {dst!r})")
-    target = graph.index[dst]
-    dist, _, parent = _shortest_paths(graph, graph.index[src], [target])
-    if math.isinf(dist[target]):
-        return None
-    return _path(graph, _to_root(parent, target)[::-1])
+    root = graph.index[src]
+    chain = _chain(graph, _shortest_paths(graph, [root])[0].tolist(), root, graph.index[dst])
+    return None if chain is None else _path(graph, chain)
 
 
 def shortest_distance_path(
@@ -223,10 +257,8 @@ def _hop_blocks(
     Memory per block is a few words per node and one per directed edge.
     """
     size = len(graph.nodes)
-    degree = np.array([len(nbrs) for nbrs in graph.neighbors], dtype=np.intp)
-    neighbors = np.array([j for nbrs in graph.neighbors for j, _ in nbrs], dtype=np.intp)
-    linked = np.flatnonzero(degree)
-    offsets = (np.cumsum(degree) - degree)[linked]
+    linked = np.flatnonzero(np.diff(graph.offsets))
+    offsets = graph.offsets[linked]
     targets = np.asarray(targets, dtype=np.intp)
     for first in range(0, len(sources), _BLOCK):
         block = np.asarray(sources[first : first + _BLOCK], dtype=np.intp)
@@ -250,7 +282,7 @@ def _hop_blocks(
             if not linked.size or (seen[targets] == everyone).all():
                 break
             reached = np.zeros(size, dtype=np.uint64)
-            reached[linked] = np.bitwise_or.reduceat(frontier[neighbors], offsets)
+            reached[linked] = np.bitwise_or.reduceat(frontier[graph.targets], offsets)
             reached &= ~seen
             if not reached.any():
                 break
@@ -404,17 +436,21 @@ def snapshot_sdp_mhp_fraction(
     targets = sorted({dst for dsts in by_source.values() for dst in dsts})
     column = {dst: j for j, dst in enumerate(targets)}
     checked = matched = unreachable = 0
+    step = _batch_roots(graph)  # one engine batch at a time bounds the labels held
     for first, depth in _hop_blocks(graph, sources, targets):
-        for src, hops in zip(sources[first:], depth):
-            dsts = by_source[src]
-            dist, sdp_hops, _ = _shortest_paths(graph, src, dsts)
-            for dst in dsts:
-                if math.isinf(dist[dst]):
-                    unreachable += 1
-                    continue
-                checked += 1
-                if sdp_hops[dst] == hops[column[dst]]:
-                    matched += 1
+        for part in range(0, len(depth), step):
+            block = sources[first + part : first + part + step]
+            rows = _shortest_paths(graph, block)
+            for src, row, hops in zip(block, rows, depth[part : part + step]):
+                dist = row.tolist()
+                for dst in by_source[src]:
+                    chain = _chain(graph, dist, src, dst)
+                    if chain is None:
+                        unreachable += 1
+                        continue
+                    checked += 1
+                    if len(chain) - 1 == hops[column[dst]]:
+                        matched += 1
     fraction = matched / checked if checked else 0.0
     return SdpMhpResult(fraction, checked, matched, unreachable)
 

@@ -98,6 +98,31 @@ class TestRouteCommand:
         assert code == 1
         assert "unknown node" in err
 
+    @pytest.mark.parametrize(
+        ("src", "dst", "message"),
+        [
+            ("S000-000", "nope", "unknown node id in --dst: 'nope'"),
+            ("nope", "gs-london", "unknown node id in --src: 'nope'"),
+        ],
+    )
+    def test_unknown_node_names_only_the_bad_flag(self, src, dst, message, capsys):
+        code, out, err = run_cli(["route", "--src", src, "--dst", dst], capsys)
+        assert (code, out) == (1, "")
+        assert err.strip() == f"error: {message}"
+
+    def test_matches_pinned_output(self, capsys):
+        # Pinned before the path search became the batched array engine:
+        # both metrics, through ground nodes, with the hop metric's many ties.
+        pinned = (DATA / "route_baseline.txt").read_text(encoding="utf-8")
+        got = []
+        for line in pinned.splitlines():
+            if line.startswith("# route "):
+                code, out, _ = run_cli(line[2:].split(), capsys)
+                assert code == 0
+                got.append(line + "\n" + out)
+        assert len(got) == 16
+        assert "".join(got) == pinned
+
 
 class TestHopsCommand:
     def test_pairs_file(self, tmp_path, capsys):
@@ -149,6 +174,27 @@ class TestSdpMhpCommand:
         assert "fraction:" in out
         fraction = float(out.splitlines()[0].split(":")[1])
         assert 0.0 <= fraction <= 1.0
+
+    @pytest.mark.parametrize(
+        ("scenario", "args", "pinned"),
+        [
+            ("shell1_grid.json", ["--mode", "grid", "--epochs", "1"], "sdp_mhp_shell1_grid.txt"),
+            (
+                "shell_24x22.json",
+                ["--mode", "dynamic", "--epochs", "2"],
+                "sdp_mhp_24x22_dynamic_k4.txt",
+            ),
+        ],
+    )
+    def test_matches_pinned_output(self, scenario, args, pinned, capsys):
+        # Pinned before the path search became the batched array engine: the
+        # Starlink shell-1 +grid (72x22) and a 24x22 dynamic k=4 shell.
+        code, out, _ = run_cli(
+            ["sdp-mhp", "--scenario", str(DATA / scenario), "--pairs", "200", "--seed", "5", *args],
+            capsys,
+        )
+        assert code == 0
+        assert out == (DATA / pinned).read_text(encoding="utf-8")
 
 
 class TestIfcSweepCommand:
@@ -222,6 +268,18 @@ class TestIfcSweepCommand:
             else:
                 assert float(row[delay]) == pytest.approx(float(want[delay]), rel=1e-9)
 
+    def test_matches_pinned_dense_mesh_output(self, capsys):
+        # Pinned before the path search became the batched array engine: on
+        # the 24x22 shell at 550 km every relay route crosses a 528-satellite
+        # in-range mesh, so this sweep leans on the route search.
+        code, out, _ = run_cli(
+            ["ifc-sweep", "--scenario", str(DATA / "shell_24x22.json"), "--isls", "1..8",
+             "--seeds", "3"],
+            capsys,
+        )  # fmt: skip
+        assert code == 0
+        assert out == (DATA / "sweep_24x22.csv").read_text(encoding="utf-8")
+
     def test_unknown_mode_is_bad_input(self, capsys):
         code, _, err = run_cli(["ifc-sweep", "--modes", "psychic"], capsys)
         assert code == 1
@@ -239,6 +297,12 @@ class TestIfcSweepCommand:
             (["--seeds", "-3"], "--seeds"),
             (["--seeds", "0"], "--seeds"),
             (["--seeds", "two"], "--seeds"),
+            (["--isls", "1,1"], "--isls"),
+            (["--isls", "1,2", "--modes", "optimized,optimized"], "--modes"),
+            (["--modes", ""], "--modes"),
+            (["--modes", ",,"], "--modes"),
+            (["--modes", "bogus"], "--modes"),
+            (["--modes", "full,optimized,full"], "--modes"),
         ],
     )
     def test_bad_flag_is_named(self, args, flag, capsys):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leoisl import delivery
 from leoisl.delivery import (
     AIR_SHARING_MODES,
     ASSOC_MODES,
@@ -618,6 +619,48 @@ class TestSlotExecution:
                             assert plan_cached(
                                 request, shared, max_isls, mode, **kwargs
                             ) == plan_cached(request, fresh, max_isls, mode, **kwargs)
+
+    def test_batched_route_search_matches_fresh_context_per_route(self):
+        # A file's route options search all of its aircraft's serving
+        # satellites in one batch; every route read from that batch must
+        # equal the route a fresh context finds from a search of its own.
+        scenario = default_scenario()
+        ctx = build_slot_context(scenario, 0.0)
+        entries = sorted(
+            {e.other(gs.node_id) for gs in scenario.ground_stations
+             for e in ctx.edges_at(GROUND_TO_SAT, gs.node_id)}
+        )  # fmt: skip
+        routes = 0
+        for aircraft in scenario.aircraft:
+            air_edges = ctx.edges_at(SAT_TO_AIR, aircraft.node_id)
+            servings = [e.other(aircraft.node_id) for e in air_edges]
+            ctx.search(servings)
+            for serving in servings:
+                for entry in entries:
+                    fresh = SlotContext(ctx.snapshot, ctx.link_params)
+                    assert ctx.isl_route(entry, serving) == fresh.isl_route(entry, serving)
+                    routes += 1
+        assert routes > 100
+
+    def test_zero_budget_sweep_runs_no_route_search(self, monkeypatch):
+        # A zero budget reads only zero-hop routes (entry == serving), so
+        # its cells search from no serving satellite; "full" association
+        # ignores the budget and does search.
+        roots = []
+
+        def counting(graph, batch):
+            roots.extend(batch)
+            return shortest_paths(graph, batch)
+
+        shortest_paths = delivery._shortest_paths
+        monkeypatch.setattr(delivery, "_shortest_paths", counting)
+        scenario = default_scenario()
+        budgeted = [mode for mode in SWEEP_MODES if mode != delivery.MODE_FULL]
+        result = sweep_max_isls(scenario, [0], budgeted, [0.0], [1, 2, 3])
+        assert sum(row.delivered for row in result.rows) > 0
+        assert roots == []
+        sweep_max_isls(scenario, [0], [delivery.MODE_FULL], [0.0], [1])
+        assert roots
 
     def test_passed_requests_match_drawn_requests(self):
         scenario = default_scenario()

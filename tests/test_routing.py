@@ -2,12 +2,14 @@
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from leoisl import routing
 from leoisl.delivery import SlotContext
 from leoisl.links import ISL_LASER, default_link_params
 from leoisl.orbits import (
@@ -19,6 +21,7 @@ from leoisl.orbits import (
     propagate_arrays,
 )
 from leoisl.routing import (
+    _chain,
     _graph,
     _hop_blocks,
     _shortest_paths,
@@ -281,10 +284,10 @@ def isl_graph(snapshot):
 
 
 def dist_hops_to(graph, src, targets):
-    """Per reachable target of ``_shortest_paths``: ``(distance, hops)``."""
-    targets = list(targets)
-    dist, hops, _ = _shortest_paths(graph, src, targets)
-    return {t: (dist[t], hops[t]) for t in targets if dist[t] < math.inf}
+    """Per reachable target: the distance label and the chosen path's hops."""
+    dist = _shortest_paths(graph, [src])[0].tolist()
+    chains = {t: _chain(graph, dist, src, t) for t in targets}
+    return {t: (dist[t], len(chain) - 1) for t, chain in chains.items() if chain is not None}
 
 
 def batched_hops(graph, sources, targets):
@@ -339,13 +342,15 @@ class TestSearchesAgainstNetworkx:
 
 
 @st.composite
-def small_graphs(draw):
+def small_graphs(draw, min_length=1):
     """Random graphs with integer distances: every path sum is exact, so
-    distance ties are real ties and the hop tie-break is exercised."""
+    distance ties are real ties and the hop tie-break is exercised. With
+    ``min_length=0`` some links have zero length, as between coincident
+    satellites."""
     n = draw(st.integers(2, 7))
     nodes = [f"n{i}" for i in range(n)]
     edges = [
-        (a, b, float(draw(st.integers(1, 3))))
+        (a, b, float(draw(st.integers(min_length, 3))))
         for a, b in itertools.combinations(nodes, 2)
         if draw(st.booleans())
     ]
@@ -384,6 +389,60 @@ class TestEarlyExitSearches:
         src, dst = graph.index["s"], graph.index["t"]
         assert dist_hops_to(graph, src, [dst]) == {dst: (6.0, 2)}
         assert batched_hops(graph, [src], [dst]) == [{dst: 2}]
+
+
+def best_by_enumeration(snapshot, src, dst):
+    """Least ``(distance, hops, node sequence)`` over the simple paths."""
+    paths = enumerate_simple_paths(snapshot, src, dst)
+    return min(paths, key=lambda p: (p[1], p[2], p[0])) if paths else None
+
+
+class TestBatchedDistanceSearch:
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(min_length=0), st.data())
+    def test_batch_matches_single_roots_and_enumeration(self, case, data):
+        snapshot, _, _ = case
+        graph = isl_graph(snapshot)
+        n = len(graph.nodes)
+        roots = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
+        roots += roots[:1]  # a repeated root in every batch
+        batch = _shortest_paths(graph, roots)
+        assert batch.shape == (len(roots), n)
+        with mock.patch.object(routing, "_BATCH_LINKS", 1):  # one root per batch
+            assert _shortest_paths(graph, roots).tolist() == batch.tolist()
+        for root, row in zip(roots, batch.tolist()):
+            assert _shortest_paths(graph, [root])[0].tolist() == row
+            for dst in range(n):
+                chain = _chain(graph, row, root, dst)
+                best = best_by_enumeration(snapshot, graph.nodes[root], graph.nodes[dst])
+                if best is None:
+                    assert chain is None and row[dst] == math.inf
+                    continue
+                assert (row[dst], len(chain) - 1) == best[1:]
+                assert tuple(graph.nodes[i] for i in chain) == best[0]
+
+    def test_edgeless_graph_and_isolated_nodes(self):
+        edgeless = isl_graph(make_snapshot(["a", "b", "c"], []))
+        dist = _shortest_paths(edgeless, [2, 0, 2])
+        assert dist.tolist() == [
+            [math.inf, math.inf, 0.0],
+            [0.0, math.inf, math.inf],
+            [math.inf, math.inf, 0.0],
+        ]
+        assert _chain(edgeless, dist[0].tolist(), 2, 2) == [2]
+        assert _chain(edgeless, dist[0].tolist(), 2, 1) is None
+        assert _shortest_paths(edgeless, []).shape == (0, 3)
+        # "c" has no link; "a"-"b" is a zero-length link.
+        graph = isl_graph(make_snapshot(["a", "b", "c", "d"], [("a", "b", 0.0), ("b", "d", 2.0)]))
+        dist = _shortest_paths(graph, [0, 2, 3]).tolist()
+        assert dist == [
+            [0.0, 0.0, math.inf, 2.0],
+            [math.inf, math.inf, 0.0, math.inf],
+            [2.0, 2.0, math.inf, 0.0],
+        ]
+        assert _chain(graph, dist[0], 0, 1) == [0, 1]
+        assert _chain(graph, dist[2], 3, 0) == [3, 1, 0]
+        assert _chain(graph, dist[1], 2, 0) is None
 
 
 class TestTieBreak:
@@ -435,7 +494,8 @@ def reference_hops(graph, src):
     while frontier:
         reached = []
         for here in frontier:
-            for neighbor, _ in graph.neighbors[here]:
+            links = slice(graph.offsets[here], graph.offsets[here + 1])
+            for neighbor in graph.targets[links].tolist():
                 if neighbor not in hops:
                     hops[neighbor] = hops[here] + 1
                     reached.append(neighbor)
@@ -547,4 +607,4 @@ class TestHopStatsAgainstNetworkx:
         assert got == expected
         assert any(row is None for row in expected)  # the polar station sees nothing
         if max_isls == 119:
-            assert max(len(n) for n in isl_graph(snapshot).neighbors) > 10
+            assert np.diff(isl_graph(snapshot).offsets).max() > 10
