@@ -17,6 +17,7 @@ import math
 import sys
 
 from . import delivery, routing
+from .links import ISL_LASER
 from .orbits import propagate
 from .scenario import Scenario, ScenarioError, load_scenario
 from .topology import GRID_MODE, TOPOLOGY_MODES, attach_ground_links, build_isl_snapshot
@@ -134,46 +135,40 @@ def _cmd_propagate(args) -> int:
     return 0
 
 
+def _snapshot(scenario: Scenario, epoch_s: float, mode: str, max_isls: int, ground: bool):
+    """The scenario's ISL snapshot at ``epoch_s``, with its ground links if ``ground``."""
+    topology = scenario.topology
+    snapshot = build_isl_snapshot(
+        scenario.constellation,
+        epoch_s,
+        mode,
+        max_isls=max_isls,
+        max_range_km=topology.max_range_km,
+        grazing_altitude_km=topology.grazing_altitude_km,
+        isl_params=scenario.link_params[ISL_LASER],
+    )
+    if not ground:
+        return snapshot
+    return attach_ground_links(
+        snapshot,
+        [*scenario.ground_stations, *scenario.aircraft],
+        link_params=scenario.link_params,
+        elevation_mask_deg=topology.elevation_mask_deg,
+    )
+
+
 def _cmd_topology(args) -> int:
     scenario = load_scenario(args.scenario)
     max_isls = scenario.topology.max_isls if args.max_isls is None else args.max_isls
-    snapshot = build_isl_snapshot(
-        scenario.constellation,
-        args.epoch,
-        args.mode,
-        max_isls=max_isls,
-        max_range_km=scenario.topology.max_range_km,
-        grazing_altitude_km=scenario.topology.grazing_altitude_km,
-        isl_params=scenario.link_params["isl_laser"],
-    )
-    if args.ground:
-        snapshot = attach_ground_links(
-            snapshot,
-            list(scenario.ground_stations) + list(scenario.aircraft),
-            link_params=scenario.link_params,
-            elevation_mask_deg=scenario.topology.elevation_mask_deg,
-        )
+    snapshot = _snapshot(scenario, args.epoch, args.mode, max_isls, args.ground)
     _write_rows(snapshot.csv_rows(), args.output)
     return 0
 
 
 def _cmd_route(args) -> int:
     scenario = load_scenario(args.scenario)
-    snapshot = build_isl_snapshot(
-        scenario.constellation,
-        args.epoch,
-        scenario.topology.mode,
-        max_isls=scenario.topology.max_isls,
-        max_range_km=scenario.topology.max_range_km,
-        grazing_altitude_km=scenario.topology.grazing_altitude_km,
-        isl_params=scenario.link_params["isl_laser"],
-    )
-    snapshot = attach_ground_links(
-        snapshot,
-        list(scenario.ground_stations) + list(scenario.aircraft),
-        link_params=scenario.link_params,
-        elevation_mask_deg=scenario.topology.elevation_mask_deg,
-    )
+    topology = scenario.topology
+    snapshot = _snapshot(scenario, args.epoch, topology.mode, topology.max_isls, ground=True)
     for flag, node in (("--src", args.src), ("--dst", args.dst)):
         if node not in snapshot.positions:
             raise _CliError(f"unknown node id in {flag}: {node!r}")

@@ -377,10 +377,9 @@ class SlotContext:
     the planners read feeder rates from them. Laser routes are read back
     from distance labels rooted at serving satellites; a file's route
     options label all of its aircraft's serving satellites in one batch
-    (``search``). The labels and the routes read from them are cached for
-    the slot. So are the planners' holder
-    candidates, route options and plans, each under a key holding
-    everything it reads, so that a sweep's cells share them.
+    (``search``). The labels are cached for the slot, and so are the
+    planners' holder candidates, route options and plans, each under a key
+    holding everything it reads, so that a sweep's cells share them.
     """
 
     def __init__(self, snapshot: TopologySnapshot, link_params: dict[str, LinkBudgetParams]):
@@ -396,7 +395,6 @@ class SlotContext:
                 edges.sort(key=lambda e: (e.distance_km, e.other(node)))
         self._isl = _graph(snapshot, snapshot.isl_edges())
         self._searches: dict[int, list[float]] = {}
-        self._routes: dict[tuple[str, str], Path | None] = {}
         self._servings: dict[tuple[str, frozenset[str]], tuple[_Serving, ...]] = {}
         self._cached_plans: dict[tuple, RequestPlan] = {}
         self._route_options: dict[tuple, tuple[_RouteOption, ...]] = {}
@@ -426,8 +424,6 @@ class SlotContext:
         paths this is the reverse of the lexicographically smallest one
         from ``dst``.
         """
-        if (src, dst) in self._routes:
-            return self._routes[src, dst]
         root = self._isl.index[dst]
         if src == dst:  # the zero-hop route needs no search
             chain = [root]
@@ -435,9 +431,7 @@ class SlotContext:
             if root not in self._searches:
                 self.search([dst])
             chain = _chain(self._isl, self._searches[root], root, self._isl.index[src])
-        route = None if chain is None else _path(self._isl, chain[::-1])
-        self._routes[src, dst] = route
-        return route
+        return None if chain is None else _path(self._isl, chain[::-1])
 
 
 def build_slot_context(scenario: "Scenario", epoch_s: float) -> SlotContext:

@@ -367,8 +367,12 @@ def ground_pair_hop_stats(
 
         # One batched search from every start satellite to every end
         # satellite; each pair reads its own rows and columns of each block.
-        sources = np.unique(np.concatenate([visibility[a] for a, _ in pairs]))
-        targets = np.unique(np.concatenate([visibility[b] for _, b in pairs]))
+        is_source = np.zeros(len(graph.nodes), dtype=bool)
+        is_target = np.zeros(len(graph.nodes), dtype=bool)
+        for node_a, node_b in pairs:
+            is_source[visibility[node_a]] = True
+            is_target[visibility[node_b]] = True
+        sources, targets = np.flatnonzero(is_source), np.flatnonzero(is_target)
         starts = [np.searchsorted(sources, visibility[a]) for a, _ in pairs]
         ends = [np.searchsorted(targets, visibility[b]) for _, b in pairs]
         low: list[int | None] = [None] * len(pairs)

@@ -2,15 +2,23 @@
 
 An empty or missing file yields the baseline scenario: 120 satellites in 6
 planes of 20 at 1000 km and 53 degrees, five ground stations, four aircraft,
-and the default link budget per class. Every field can be overridden from
-JSON; unknown keys are rejected with the offending field named.
+and the default link budget per class.
+
+The settings dataclasses are the schema. Each JSON object takes exactly the
+field names of its class, an omitted field keeps the class default, and each
+value is converted by the field's annotation; unknown keys and bad values are
+rejected with the offending field named. Only the JSON-specific values live
+here: the link class and node kind follow from where an entry sits, and an
+aircraft entry that omits its motion cruises like an A320.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 from .delivery import (
@@ -50,6 +58,10 @@ DEFAULT_AIRCRAFT = (
     GroundNode("ac-europe-asia", AIRCRAFT, 45.0, 70.0, 10.7, 110.0, 0.23),
     GroundNode("ac-americas", AIRCRAFT, -5.0, -60.0, 10.7, 200.0, 0.23),
 )
+
+# Motion of an aircraft entry that omits it: A320-class cruise, heading east.
+_AIRCRAFT_MOTION = {"altitude_km": 10.7, "heading_deg": 90.0, "speed_km_s": 0.23}
+_STATION_OMITS = ("kind", "heading_deg", "speed_km_s")
 
 DEFAULT_FILE_CLASS_RANGES = ((50, 100), (500, 1000), (1000, 3000), (10, 1000))
 
@@ -148,73 +160,16 @@ def default_scenario() -> Scenario:
     return Scenario()
 
 
-_CONSTELLATION_FIELDS = (
-    "num_planes",
-    "sats_per_plane",
-    "altitude_km",
-    "inclination_deg",
-    "phasing_factor",
-    "raan_spread_deg",
-)
-_TOPOLOGY_FIELDS = (
-    "mode",
-    "max_isls",
-    "max_range_km",
-    "grazing_altitude_km",
-    "elevation_mask_deg",
-)
-_IFC_FIELDS = (
-    "cache_fraction",
-    "cache_hit_probability",
-    "packet_bits",
-    "file_class_packet_ranges",
-    "air_link_sharing",
-    "delay_model",
-)
-_LINK_FIELDS = (
-    "tx_power_w",
-    "tx_gain_db",
-    "rx_gain_db",
-    "carrier_hz",
-    "bandwidth_hz",
-    "noise_temperature_k",
-    "lisl_fixed_rate_bps",
-)
-_GROUND_FIELDS = (
-    "node_id",
-    "latitude_deg",
-    "longitude_deg",
-    "altitude_km",
-    "heading_deg",
-    "speed_km_s",
-)
-_TOP_FIELDS = (
-    "constellation",
-    "ground_stations",
-    "aircraft",
-    "link_params",
-    "topology",
-    "ifc",
-    "seed",
-)
-
-
-def _check_keys(raw: dict, allowed: tuple[str, ...], where: str) -> None:
+def _check_keys(raw: dict, allowed, where: str) -> None:
     unknown = sorted(set(raw) - set(allowed))
     if unknown:
         raise ScenarioError(f"unknown field {where}.{unknown[0]!r}")
 
 
-def _section(raw: dict, name: str) -> dict:
-    value = raw.get(name, {})
+def _object(value, where: str) -> dict:
     if not isinstance(value, dict):
-        raise ScenarioError(f"{name} must be an object")
+        raise ScenarioError(f"{where} must be an object")
     return value
-
-
-def _number(raw: dict, name: str, default, kind: type, where: str):
-    """``raw[name]`` (``default`` when absent) as ``kind``; errors name the field."""
-    return _as_number(raw.get(name, default), kind, f"{where}.{name}")
 
 
 def _as_number(value, kind: type, field_name: str):
@@ -226,147 +181,107 @@ def _as_number(value, kind: type, field_name: str):
     return kind(value)
 
 
-def _ground_node(raw: dict, kind: str, where: str) -> GroundNode:
-    if not isinstance(raw, dict):
-        raise ScenarioError(f"{where} entries must be objects")
-    _check_keys(raw, _GROUND_FIELDS, where)
-    for name in ("node_id", "latitude_deg", "longitude_deg"):
-        if name not in raw:
-            raise ScenarioError(f"{where}.{name} is required")
-    defaults = {"altitude_km": 10.7, "heading_deg": 90.0, "speed_km_s": 0.23}
-
-    def motion(name: str) -> float:
-        return _number(raw, name, defaults[name] if kind == AIRCRAFT else 0.0, float, where)
-
+def _ranges(value, where: str) -> tuple[tuple[int, int], ...]:
+    """A JSON list of ``[lo, hi]`` integer pairs."""
     try:
-        return GroundNode(
-            node_id=str(raw["node_id"]),
-            kind=kind,
-            latitude_deg=_number(raw, "latitude_deg", None, float, where),
-            longitude_deg=_number(raw, "longitude_deg", None, float, where),
-            altitude_km=motion("altitude_km"),
-            heading_deg=motion("heading_deg"),
-            speed_km_s=motion("speed_km_s"),
-        )
+        pairs = [(lo, hi) for lo, hi in value]
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where} must be a list of [lo, hi] pairs") from exc
+    return tuple(
+        tuple(_as_number(bound, int, f"{where}[{idx}]") for bound in pair)
+        for idx, pair in enumerate(pairs)
+    )
+
+
+_annotations = functools.cache(typing.get_type_hints)
+
+
+def _value(value, kind, where: str):
+    """A JSON value as a field annotated ``kind``; errors name ``where``."""
+    if kind is str:
+        return str(value)
+    if kind in (int, float):
+        return _as_number(value, kind, where)
+    if kind == tuple[tuple[int, int], ...]:
+        return _ranges(value, where)
+    raise TypeError(f"{where}: no JSON form for {kind}")
+
+
+def _build(cls: type, raw, where: str, fixed: dict | None = None, defaults: dict | None = None):
+    """``cls`` from the JSON object ``raw``; errors name the field at ``where``.
+
+    Every field of ``cls`` except those set by ``fixed`` is a JSON key. An
+    omitted one takes ``defaults``'s value, else the class default; a field
+    with neither is required. Each value is converted by its annotation.
+    """
+    fixed = fixed or {}
+    keys = [f for f in fields(cls) if f.name not in fixed]
+    _check_keys(_object(raw, where), [f.name for f in keys], where)
+    given = {**(defaults or {}), **raw}
+    for f in keys:
+        if f.name not in given and f.default is MISSING:
+            raise ScenarioError(f"{where}.{f.name} is required")
+    kinds = _annotations(cls)
+    values = {
+        f.name: _value(given[f.name], kinds[f.name], f"{where}.{f.name}")
+        for f in keys
+        if f.name in given
+    }
+    try:
+        return cls(**fixed, **values)
     except ScenarioError:
         raise
     except ValueError as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
 
 
-def _ground_nodes(
-    raw: dict, where: str, kind: str, default: tuple[GroundNode, ...]
-) -> tuple[GroundNode, ...]:
-    if where not in raw:
-        return default
-    if not isinstance(raw[where], list):
+def _ground_nodes(value, where: str, kind: str) -> tuple[GroundNode, ...]:
+    if not isinstance(value, list):
         raise ScenarioError(f"{where} must be a list")
-    return tuple(_ground_node(item, kind, where) for item in raw[where])
+    motion = _AIRCRAFT_MOTION if kind == AIRCRAFT else None
+    nodes = []
+    for item in value:
+        if not isinstance(item, dict):
+            raise ScenarioError(f"{where} entries must be objects")
+        nodes.append(_build(GroundNode, item, where, {"kind": kind}, motion))
+    return tuple(nodes)
+
+
+def _link_params(value) -> dict[str, LinkBudgetParams]:
+    """The default budgets with each class's JSON overrides applied."""
+    params = default_link_params()
+    for link_class, overrides in _object(value, "link_params").items():
+        if link_class not in params:
+            raise ScenarioError(f"unknown field link_params.{link_class!r}")
+        params[link_class] = _build(
+            LinkBudgetParams,
+            overrides,
+            f"link_params.{link_class}",
+            {"link_class": link_class},
+            asdict(params[link_class]),
+        )
+    return params
+
+
+def _scenario_field(name: str, value):
+    """The top-level JSON field ``name`` as the ``Scenario`` field it sets."""
+    kind = _annotations(Scenario)[name]
+    if kind is int:
+        return _as_number(value, int, f"scenario.{name}")
+    if kind == tuple[GroundNode, ...]:
+        return _ground_nodes(value, name, AIRCRAFT if name == "aircraft" else GROUND_STATION)
+    if kind == dict[str, LinkBudgetParams]:
+        return _link_params(value)
+    return _build(kind, value, name)
 
 
 def scenario_from_dict(raw: dict, *, source: str = "<memory>") -> Scenario:
-    """Build a validated scenario; omitted fields fall back to the baseline."""
+    """Build a validated scenario; omitted fields keep the class defaults."""
     if not isinstance(raw, dict):
         raise ScenarioError(f"{source}: scenario root must be a JSON object")
-    _check_keys(raw, _TOP_FIELDS, "scenario")
-
-    cons_raw = _section(raw, "constellation")
-    _check_keys(cons_raw, _CONSTELLATION_FIELDS, "constellation")
-    try:
-        constellation = ConstellationConfig(
-            num_planes=_number(cons_raw, "num_planes", 6, int, "constellation"),
-            sats_per_plane=_number(cons_raw, "sats_per_plane", 20, int, "constellation"),
-            altitude_km=_number(cons_raw, "altitude_km", 1000.0, float, "constellation"),
-            inclination_deg=_number(cons_raw, "inclination_deg", 53.0, float, "constellation"),
-            phasing_factor=_number(cons_raw, "phasing_factor", 1, int, "constellation"),
-            raan_spread_deg=_number(cons_raw, "raan_spread_deg", 360.0, float, "constellation"),
-        )
-    except ScenarioError:
-        raise
-    except ValueError as exc:
-        raise ScenarioError(f"constellation: {exc}") from exc
-
-    stations = _ground_nodes(raw, "ground_stations", GROUND_STATION, DEFAULT_GROUND_STATIONS)
-    aircraft = _ground_nodes(raw, "aircraft", AIRCRAFT, DEFAULT_AIRCRAFT)
-
-    params = default_link_params()
-    links_raw = _section(raw, "link_params")
-    for link_class, overrides in links_raw.items():
-        if link_class not in params:
-            raise ScenarioError(f"unknown field link_params.{link_class!r}")
-        if not isinstance(overrides, dict):
-            raise ScenarioError(f"link_params.{link_class} must be an object")
-        where = f"link_params.{link_class}"
-        _check_keys(overrides, _LINK_FIELDS, where)
-        base = params[link_class]
-        values = {
-            name: _number(overrides, name, getattr(base, name), float, where)
-            for name in _LINK_FIELDS
-        }
-        try:
-            params[link_class] = LinkBudgetParams(link_class=link_class, **values)
-        except ValueError as exc:
-            raise ScenarioError(f"{where}: {exc}") from exc
-
-    topo_raw = _section(raw, "topology")
-    _check_keys(topo_raw, _TOPOLOGY_FIELDS, "topology")
-    try:
-        topology = TopologySettings(
-            mode=str(topo_raw.get("mode", GRID_MODE)),
-            max_isls=_number(topo_raw, "max_isls", 4, int, "topology"),
-            max_range_km=_number(
-                topo_raw, "max_range_km", DEFAULT_MAX_RANGE_KM, float, "topology"
-            ),
-            grazing_altitude_km=_number(
-                topo_raw, "grazing_altitude_km", DEFAULT_GRAZING_ALTITUDE_KM, float, "topology"
-            ),
-            elevation_mask_deg=_number(
-                topo_raw, "elevation_mask_deg", DEFAULT_ELEVATION_MASK_DEG, float, "topology"
-            ),
-        )
-    except ScenarioError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"topology: {exc}") from exc
-
-    ifc_raw = _section(raw, "ifc")
-    _check_keys(ifc_raw, _IFC_FIELDS, "ifc")
-    ranges_raw = ifc_raw.get("file_class_packet_ranges", DEFAULT_FILE_CLASS_RANGES)
-    try:
-        pairs = [(lo, hi) for lo, hi in ranges_raw]
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(
-            "ifc.file_class_packet_ranges must be a list of [lo, hi] pairs"
-        ) from exc
-    ranges = tuple(
-        tuple(_as_number(bound, int, f"ifc.file_class_packet_ranges[{idx}]") for bound in pair)
-        for idx, pair in enumerate(pairs)
-    )
-    try:
-        ifc = IfcSettings(
-            cache_fraction=_number(ifc_raw, "cache_fraction", 0.1, float, "ifc"),
-            cache_hit_probability=_number(
-                ifc_raw, "cache_hit_probability", 0.5, float, "ifc"
-            ),
-            packet_bits=_number(ifc_raw, "packet_bits", 1080, int, "ifc"),
-            file_class_packet_ranges=ranges,
-            air_link_sharing=str(ifc_raw.get("air_link_sharing", PER_STREAM)),
-            delay_model=str(ifc_raw.get("delay_model", CUT_THROUGH)),
-        )
-    except ScenarioError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ScenarioError(f"ifc: {exc}") from exc
-
-    return Scenario(
-        constellation=constellation,
-        ground_stations=stations,
-        aircraft=aircraft,
-        link_params=params,
-        topology=topology,
-        ifc=ifc,
-        seed=_number(raw, "seed", 1, int, "scenario"),
-    )
+    names = [f.name for f in fields(Scenario)]
+    _check_keys(raw, names, "scenario")
+    return Scenario(**{name: _scenario_field(name, raw[name]) for name in names if name in raw})
 
 
 def load_scenario(path: str | Path | None) -> Scenario:
@@ -385,70 +300,36 @@ def load_scenario(path: str | Path | None) -> Scenario:
     return scenario_from_dict(raw, source=str(path))
 
 
-def _ground_node_to_dict(node: GroundNode) -> dict:
-    out = {
-        "node_id": node.node_id,
-        "latitude_deg": node.latitude_deg,
-        "longitude_deg": node.longitude_deg,
-        "altitude_km": node.altitude_km,
-    }
-    if node.kind == AIRCRAFT:
-        out["heading_deg"] = node.heading_deg
-        out["speed_km_s"] = node.speed_km_s
+def _to_dict(obj, omit: tuple[str, ...] = ()) -> dict:
+    """The fields of ``obj`` not in ``omit``, as plain JSON values."""
+    out = {}
+    for f in fields(obj):
+        if f.name not in omit:
+            value = getattr(obj, f.name)
+            out[f.name] = [list(pair) for pair in value] if isinstance(value, tuple) else value
     return out
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Plain-JSON form; feeding it back through ``scenario_from_dict`` is
-    the identity."""
-    cons = scenario.constellation
-    return {
-        "constellation": {
-            "num_planes": cons.num_planes,
-            "sats_per_plane": cons.sats_per_plane,
-            "altitude_km": cons.altitude_km,
-            "inclination_deg": cons.inclination_deg,
-            "phasing_factor": cons.phasing_factor,
-            "raan_spread_deg": cons.raan_spread_deg,
-        },
-        "ground_stations": [
-            _ground_node_to_dict(g) for g in scenario.ground_stations
-        ],
-        "aircraft": [_ground_node_to_dict(g) for g in scenario.aircraft],
-        "link_params": {
-            link_class: {
-                "tx_power_w": p.tx_power_w,
-                "tx_gain_db": p.tx_gain_db,
-                "rx_gain_db": p.rx_gain_db,
-                "carrier_hz": p.carrier_hz,
-                "bandwidth_hz": p.bandwidth_hz,
-                "noise_temperature_k": p.noise_temperature_k,
-                "lisl_fixed_rate_bps": p.lisl_fixed_rate_bps,
-            }
-            for link_class, p in sorted(scenario.link_params.items())
-        },
-        "topology": {
-            "mode": scenario.topology.mode,
-            "max_isls": scenario.topology.max_isls,
-            "max_range_km": scenario.topology.max_range_km,
-            "grazing_altitude_km": scenario.topology.grazing_altitude_km,
-            "elevation_mask_deg": scenario.topology.elevation_mask_deg,
-        },
-        "ifc": {
-            "cache_fraction": scenario.ifc.cache_fraction,
-            "cache_hit_probability": scenario.ifc.cache_hit_probability,
-            "packet_bits": scenario.ifc.packet_bits,
-            "file_class_packet_ranges": [
-                list(r) for r in scenario.ifc.file_class_packet_ranges
-            ],
-            "air_link_sharing": scenario.ifc.air_link_sharing,
-            "delay_model": scenario.ifc.delay_model,
-        },
-        "seed": scenario.seed,
-    }
+    the identity. A station never moves, so its heading and speed are left out."""
+    out = {}
+    for f in fields(scenario):
+        value = getattr(scenario, f.name)
+        if isinstance(value, dict):
+            out[f.name] = {c: _to_dict(p, ("link_class",)) for c, p in sorted(value.items())}
+        elif isinstance(value, tuple):
+            out[f.name] = [
+                _to_dict(node, ("kind",) if node.kind == AIRCRAFT else _STATION_OMITS)
+                for node in value
+            ]
+        else:
+            out[f.name] = _to_dict(value) if is_dataclass(value) else value
+    return out
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
+    """Write every field of ``scenario`` as sorted, indented JSON."""
     Path(path).write_text(
         json.dumps(scenario_to_dict(scenario), indent=2, sort_keys=True) + "\n",
         encoding="utf-8",

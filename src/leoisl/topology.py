@@ -115,22 +115,22 @@ def _grid_pairs(num_planes: int, slots: int) -> tuple[np.ndarray, np.ndarray]:
 
     Satellite ``(plane, slot)`` has index ``plane * slots + slot``. Every
     link joins a satellite to its next slot in the plane or to the same slot
-    in the next plane; a shell with two slots or two planes names a link
-    twice, and ``np.unique`` keeps one.
+    in the next plane. A ring of two holds one link, which only its index 0
+    emits.
     """
     index = np.arange(num_planes * slots)
     plane, slot = np.divmod(index, slots)
-    ends = []
+    a, b = [index[:0]], [index[:0]]
     if slots >= 2:
-        ends.append(plane * slots + (slot + 1) % slots)
+        own = (slot == 0) | (slots > 2)
+        a.append(index[own])
+        b.append((plane * slots + (slot + 1) % slots)[own])
     if num_planes >= 2:
-        ends.append((plane + 1) % num_planes * slots + slot)
-    if not ends:
-        return index[:0], index[:0]
-    a = np.tile(index, len(ends))
-    b = np.concatenate(ends)
-    pairs = np.unique(np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1), axis=0)
-    return pairs[:, 0], pairs[:, 1]
+        own = (plane == 0) | (num_planes > 2)
+        a.append(index[own])
+        b.append(((plane + 1) % num_planes * slots + slot)[own])
+    a, b = np.concatenate(a), np.concatenate(b)
+    return np.minimum(a, b), np.maximum(a, b)
 
 
 def _shell(

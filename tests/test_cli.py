@@ -4,6 +4,9 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -196,6 +199,26 @@ class TestSdpMhpCommand:
         assert code == 0
         assert out == (DATA / pinned).read_text(encoding="utf-8")
 
+
+
+def test_sdp_mhp_and_hops_leave_numpy_ma_unimported(tmp_path):
+    # numpy imports numpy.ma lazily (tens of ms) on a process's first
+    # np.unique; the grid builder and the hop statistics avoid it.
+    pairs = tmp_path / "pairs.csv"
+    pairs.write_text("pair_id,lat_a,lon_a,lat_b,lon_b\np1,51.5,-0.13,1.35,103.82\n")
+    script = (
+        "import sys\n"
+        "from leoisl.cli import main\n"
+        "assert main(['sdp-mhp', '--pairs', '20', '--epochs', '1']) == 0\n"
+        f"assert main(['hops', '--pairs', {str(pairs)!r}, '--epochs', '1']) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    path = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.splitlines()[-1] == "False"
 
 class TestIfcSweepCommand:
     def test_csv_schema_and_trend(self, capsys):
