@@ -41,7 +41,7 @@ from .topology import (
     attach_ground_links,
     build_dynamic_topology,
     build_grid_topology,
-    build_isl_snapshot,
+    build_snapshot,
 )
 
 __version__ = "0.1.0"
@@ -62,8 +62,8 @@ __all__ = [
     "attach_ground_links",
     "build_dynamic_topology",
     "build_grid_topology",
-    "build_isl_snapshot",
     "build_slot_context",
+    "build_snapshot",
     "capacity_bps",
     "default_scenario",
     "elevation_deg",

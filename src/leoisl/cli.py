@@ -15,12 +15,12 @@ import argparse
 import csv
 import math
 import sys
+from dataclasses import replace
 
 from . import delivery, routing
-from .links import ISL_LASER
 from .orbits import propagate
 from .scenario import Scenario, ScenarioError, load_scenario
-from .topology import GRID_MODE, TOPOLOGY_MODES, attach_ground_links, build_isl_snapshot
+from .topology import GRID_MODE, TOPOLOGY_MODES, build_snapshot
 
 PROPAGATE_CSV_HEADER = (
     "sat_id",
@@ -135,40 +135,18 @@ def _cmd_propagate(args) -> int:
     return 0
 
 
-def _snapshot(scenario: Scenario, epoch_s: float, mode: str, max_isls: int, ground: bool):
-    """The scenario's ISL snapshot at ``epoch_s``, with its ground links if ``ground``."""
-    topology = scenario.topology
-    snapshot = build_isl_snapshot(
-        scenario.constellation,
-        epoch_s,
-        mode,
-        max_isls=max_isls,
-        max_range_km=topology.max_range_km,
-        grazing_altitude_km=topology.grazing_altitude_km,
-        isl_params=scenario.link_params[ISL_LASER],
-    )
-    if not ground:
-        return snapshot
-    return attach_ground_links(
-        snapshot,
-        [*scenario.ground_stations, *scenario.aircraft],
-        link_params=scenario.link_params,
-        elevation_mask_deg=topology.elevation_mask_deg,
-    )
-
-
 def _cmd_topology(args) -> int:
     scenario = load_scenario(args.scenario)
     max_isls = scenario.topology.max_isls if args.max_isls is None else args.max_isls
-    snapshot = _snapshot(scenario, args.epoch, args.mode, max_isls, args.ground)
+    topology = replace(scenario.topology, mode=args.mode, max_isls=max_isls)
+    snapshot = build_snapshot(replace(scenario, topology=topology), args.epoch, ground=args.ground)
     _write_rows(snapshot.csv_rows(), args.output)
     return 0
 
 
 def _cmd_route(args) -> int:
     scenario = load_scenario(args.scenario)
-    topology = scenario.topology
-    snapshot = _snapshot(scenario, args.epoch, topology.mode, topology.max_isls, ground=True)
+    snapshot = build_snapshot(scenario, args.epoch, ground=True)
     for flag, node in (("--src", args.src), ("--dst", args.dst)):
         if node not in snapshot.positions:
             raise _CliError(f"unknown node id in {flag}: {node!r}")
@@ -239,16 +217,7 @@ def _pair_coordinate(text: str | None, column: str, where: str) -> float:
 def _cmd_hops(args) -> int:
     scenario = load_scenario(args.scenario)
     pairs = _load_pairs(args.pairs)
-    rows = routing.ground_pair_hop_stats(
-        scenario.constellation,
-        pairs,
-        _epochs(scenario, args.epochs),
-        scenario.topology.mode,
-        max_isls=scenario.topology.max_isls,
-        max_range_km=scenario.topology.max_range_km,
-        grazing_altitude_km=scenario.topology.grazing_altitude_km,
-        elevation_mask_deg=scenario.topology.elevation_mask_deg,
-    )
+    rows = routing.ground_pair_hop_stats(scenario, pairs, _epochs(scenario, args.epochs))
     out = [routing.HOP_STATS_CSV_HEADER]
     out.extend(row.csv_values() for row in rows)
     _write_rows(out, args.output)
@@ -257,16 +226,10 @@ def _cmd_hops(args) -> int:
 
 def _cmd_sdp_mhp(args) -> int:
     scenario = load_scenario(args.scenario)
-    mode = args.mode or scenario.topology.mode
+    if args.mode is not None:
+        scenario = replace(scenario, topology=replace(scenario.topology, mode=args.mode))
     result = routing.sdp_mhp_fraction(
-        scenario.constellation,
-        mode,
-        args.pairs,
-        _epochs(scenario, args.epochs),
-        args.seed,
-        max_isls=scenario.topology.max_isls,
-        max_range_km=scenario.topology.max_range_km,
-        grazing_altitude_km=scenario.topology.grazing_altitude_km,
+        scenario, args.pairs, _epochs(scenario, args.epochs), args.seed
     )
     print(f"fraction: {result.fraction}")
     print(f"pairs_checked: {result.pairs_checked}")

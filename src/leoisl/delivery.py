@@ -19,7 +19,7 @@ satellite do.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -35,13 +35,7 @@ from .links import (
     snr_linear,
 )
 from .routing import Path, _chain, _graph, _path, _shortest_paths
-from .topology import (
-    DYNAMIC_MODE,
-    LinkEdge,
-    TopologySnapshot,
-    attach_ground_links,
-    build_isl_snapshot,
-)
+from .topology import DYNAMIC_MODE, LinkEdge, TopologySnapshot, build_snapshot
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
@@ -387,6 +381,8 @@ class SlotContext:
         self.link_params = link_params
         self._by_class_by_node: dict[str, dict[str, list[LinkEdge]]] = {}
         for edge in snapshot.edges:
+            if edge.link_class == ISL_LASER:
+                continue
             per_node = self._by_class_by_node.setdefault(edge.link_class, {})
             per_node.setdefault(edge.node_a, []).append(edge)
             per_node.setdefault(edge.node_b, []).append(edge)
@@ -401,6 +397,9 @@ class SlotContext:
         self._non_cached_plans: dict[tuple, tuple[RequestPlan, ...]] = {}
 
     def edges_at(self, link_class: str, node: str) -> list[LinkEdge]:
+        """Ground links of ``link_class`` at ``node``, nearest first, ties by
+        the far end's id. Laser links are not indexed here: ``edge_between``
+        and ``isl_route`` read them from the mesh graph."""
         return self._by_class_by_node.get(link_class, {}).get(node, [])
 
     def edge_between(self, link_class: str, a: str, b: str) -> LinkEdge | None:
@@ -436,23 +435,13 @@ class SlotContext:
 
 def build_slot_context(scenario: "Scenario", epoch_s: float) -> SlotContext:
     """Candidate snapshot for one epoch: full in-range mesh plus ground links."""
-    config = scenario.constellation
-    mesh = build_isl_snapshot(
-        config,
-        epoch_s,
-        DYNAMIC_MODE,
-        max_isls=config.total_satellites - 1,
-        max_range_km=scenario.topology.max_range_km,
-        grazing_altitude_km=scenario.topology.grazing_altitude_km,
-        isl_params=scenario.link_params[ISL_LASER],
+    mesh = replace(
+        scenario.topology,
+        mode=DYNAMIC_MODE,
+        max_isls=scenario.constellation.total_satellites - 1,
     )
-    snapshot = attach_ground_links(
-        mesh,
-        list(scenario.ground_stations) + list(scenario.aircraft),
-        link_params=scenario.link_params,
-        elevation_mask_deg=scenario.topology.elevation_mask_deg,
-    )
-    return SlotContext(snapshot, scenario.link_params)
+    candidates = build_snapshot(replace(scenario, topology=mesh), epoch_s, ground=True)
+    return SlotContext(candidates, scenario.link_params)
 
 
 # ---------------------------------------------------------------------------

@@ -121,8 +121,10 @@ class GroundNode:
             raise ValueError(
                 f"latitude_deg must be within [-90, 90], got {self.latitude_deg}"
             )
-        if self.kind == GROUND_STATION and self.speed_km_s != 0.0:
-            raise ValueError("ground stations must have speed_km_s == 0")
+        if self.kind == GROUND_STATION:
+            for name in ("heading_deg", "speed_km_s"):
+                if getattr(self, name) != 0.0:
+                    raise ValueError(f"ground stations must have {name} == 0")
         if self.speed_km_s < 0:
             raise ValueError(f"speed_km_s must be >= 0, got {self.speed_km_s}")
         if self.altitude_km < 0:

@@ -20,25 +20,15 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .orbits import (
-    DEFAULT_ELEVATION_MASK_DEG,
-    DEFAULT_GRAZING_ALTITUDE_KM,
-    ConstellationConfig,
-    GroundNode,
-    elevations_deg,
-    ground_position,
-)
-from .topology import (
-    DEFAULT_MAX_RANGE_KM,
-    GRID_MODE,
-    LinkEdge,
-    TopologySnapshot,
-    build_isl_snapshot,
-)
+from .orbits import GroundNode, elevations_deg, ground_position
+from .topology import LinkEdge, TopologySnapshot, build_snapshot
+
+if TYPE_CHECKING:  # pragma: no cover - scenario imports this module through delivery
+    from .scenario import Scenario
 
 HOP_STATS_CSV_HEADER = (
     "pair_id",
@@ -323,21 +313,16 @@ class HopStatsRow:
 
 
 def ground_pair_hop_stats(
-    config: ConstellationConfig,
+    scenario: Scenario,
     pairs: Sequence[tuple[GroundNode, GroundNode]],
     epochs: Iterable[float],
-    topology_mode: str = GRID_MODE,
-    *,
-    max_isls: int = 4,
-    max_range_km: float = DEFAULT_MAX_RANGE_KM,
-    grazing_altitude_km: float = DEFAULT_GRAZING_ALTITUDE_KM,
-    elevation_mask_deg: float = DEFAULT_ELEVATION_MASK_DEG,
 ) -> list[HopStatsRow]:
     """MHP hop-count stats over every satellite association of each pair.
 
-    For each pair and epoch, every visible start satellite is associated
-    with every visible end satellite and the ISL hop count between them is
-    collected; the row reports min/max/mean and the max-min spread.
+    For each pair and epoch, every start satellite above the scenario's
+    elevation mask is associated with every such end satellite and the ISL
+    hop count between them, over the scenario's ISL snapshot, is collected;
+    the row reports min/max/mean and the max-min spread.
     """
     if not pairs:
         raise ValueError("pairs must be non-empty")
@@ -346,14 +331,7 @@ def ground_pair_hop_stats(
         raise ValueError("epochs must be non-empty")
     rows = []
     for epoch_s in epochs:
-        snapshot = build_isl_snapshot(
-            config,
-            epoch_s,
-            topology_mode,
-            max_isls=max_isls,
-            max_range_km=max_range_km,
-            grazing_altitude_km=grazing_altitude_km,
-        )
+        snapshot = build_snapshot(scenario, epoch_s)
         graph = _graph(snapshot, snapshot.isl_edges())
         sat_positions = np.array([snapshot.positions[key] for key in graph.nodes])
 
@@ -363,7 +341,7 @@ def ground_pair_hop_stats(
         for node in itertools.chain.from_iterable(pairs):
             if node not in visibility:
                 elevations = elevations_deg(ground_position(node, epoch_s), sat_positions)
-                visibility[node] = np.flatnonzero(elevations >= elevation_mask_deg)
+                visibility[node] = np.flatnonzero(elevations >= scenario.topology.elevation_mask_deg)
 
         # One batched search from every start satellite to every end
         # satellite; each pair reads its own rows and columns of each block.
@@ -460,17 +438,10 @@ def snapshot_sdp_mhp_fraction(
 
 
 def sdp_mhp_fraction(
-    config: ConstellationConfig,
-    topology_mode: str,
-    sample_pairs: int,
-    epochs: Iterable[float],
-    rng_seed: int,
-    *,
-    max_isls: int = 4,
-    max_range_km: float = DEFAULT_MAX_RANGE_KM,
-    grazing_altitude_km: float = DEFAULT_GRAZING_ALTITUDE_KM,
+    scenario: Scenario, sample_pairs: int, epochs: Iterable[float], rng_seed: int
 ) -> SdpMhpResult:
-    """Sample satellite pairs per epoch and report the matched fraction."""
+    """Sample satellite pairs of the scenario's ISL snapshot per epoch and
+    report the matched fraction."""
     if sample_pairs < 1:
         raise ValueError(f"sample_pairs must be >= 1, got {sample_pairs}")
     epochs = list(epochs)
@@ -479,14 +450,7 @@ def sdp_mhp_fraction(
     rng = np.random.default_rng(rng_seed)
     checked = matched = unreachable = 0
     for epoch_s in epochs:
-        snapshot = build_isl_snapshot(
-            config,
-            epoch_s,
-            topology_mode,
-            max_isls=max_isls,
-            max_range_km=max_range_km,
-            grazing_altitude_km=grazing_altitude_km,
-        )
+        snapshot = build_snapshot(scenario, epoch_s)
         nodes = list(snapshot.nodes)
         if len(nodes) < 2:
             continue

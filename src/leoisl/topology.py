@@ -4,6 +4,8 @@ Two ISL construction modes: the quasi-permanent +grid (two in-plane
 neighbors, two same-slot neighbors in adjacent planes) and a dynamic
 degree-capped assignment over everything in communication range. Ground
 stations and aircraft are attached afterwards via elevation-masked RF links.
+``build_snapshot`` builds a scenario's epoch from its settings; the three
+builders it calls stay public for callers that hold positions already.
 
 Snapshots are immutable once built; build one per epoch and route on it.
 """
@@ -11,6 +13,7 @@ Snapshots are immutable once built; build one per epoch and route on it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -35,6 +38,9 @@ from .orbits import (
     elevations_deg,
     ground_position,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - scenario imports this module
+    from .scenario import Scenario
 
 
 DEFAULT_MAX_RANGE_KM = 5000.0
@@ -265,43 +271,6 @@ def build_dynamic_topology(
     return _snapshot(keys, pos, lo, hi, distances, epoch_s, isl_params)
 
 
-def build_isl_snapshot(
-    config: ConstellationConfig,
-    epoch_s: float,
-    mode: str,
-    *,
-    max_isls: int,
-    max_range_km: float = DEFAULT_MAX_RANGE_KM,
-    grazing_altitude_km: float = DEFAULT_GRAZING_ALTITUDE_KM,
-    isl_params: LinkBudgetParams | None = None,
-) -> TopologySnapshot:
-    """The shell's ISL snapshot at ``epoch_s`` in topology ``mode``.
-
-    ``grid`` builds the +grid; ``dynamic`` the nearest-first mesh with at
-    most ``max_isls`` links per satellite within ``max_range_km``.
-    """
-    if mode not in TOPOLOGY_MODES:
-        raise ValueError(f"topology mode must be one of {TOPOLOGY_MODES}, got {mode!r}")
-    positions, _ = orbits.propagate_arrays(config, epoch_s)
-    if mode == GRID_MODE:
-        return build_grid_topology(
-            positions,
-            config,
-            epoch_s,
-            grazing_altitude_km=grazing_altitude_km,
-            isl_params=isl_params,
-        )
-    return build_dynamic_topology(
-        positions,
-        config,
-        max_isls,
-        epoch_s,
-        max_range_km=max_range_km,
-        grazing_altitude_km=grazing_altitude_km,
-        isl_params=isl_params,
-    )
-
-
 def attach_ground_links(
     snapshot: TopologySnapshot,
     ground_nodes: list[GroundNode],
@@ -359,4 +328,46 @@ def attach_ground_links(
         nodes=tuple(sorted(positions)),
         edges=tuple(new_edges),
         positions=positions,
+    )
+
+
+def build_snapshot(
+    scenario: Scenario, epoch_s: float, *, ground: bool = False
+) -> TopologySnapshot:
+    """The scenario's snapshot at ``epoch_s``, built as ``scenario.topology`` says.
+
+    Propagates the shell once, then builds the +grid (``grid``) or the
+    nearest-first mesh with at most ``max_isls`` links per satellite
+    (``dynamic``) with the scenario's laser budget. With ``ground``, the
+    scenario's stations and aircraft are attached at its elevation mask.
+    """
+    topology = scenario.topology
+    config = scenario.constellation
+    isl_params = scenario.link_params[ISL_LASER]
+    positions, _ = orbits.propagate_arrays(config, epoch_s)
+    if topology.mode == GRID_MODE:
+        snapshot = build_grid_topology(
+            positions,
+            config,
+            epoch_s,
+            grazing_altitude_km=topology.grazing_altitude_km,
+            isl_params=isl_params,
+        )
+    else:
+        snapshot = build_dynamic_topology(
+            positions,
+            config,
+            topology.max_isls,
+            epoch_s,
+            max_range_km=topology.max_range_km,
+            grazing_altitude_km=topology.grazing_altitude_km,
+            isl_params=isl_params,
+        )
+    if not ground:
+        return snapshot
+    return attach_ground_links(
+        snapshot,
+        [*scenario.ground_stations, *scenario.aircraft],
+        link_params=scenario.link_params,
+        elevation_mask_deg=topology.elevation_mask_deg,
     )

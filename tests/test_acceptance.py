@@ -29,7 +29,7 @@ from leoisl.links import (
 )
 from leoisl.orbits import ConstellationConfig, propagate, propagate_arrays, visible
 from leoisl.routing import min_hop_path, sdp_mhp_fraction, shortest_distance_path
-from leoisl.scenario import default_scenario
+from leoisl.scenario import Scenario, TopologySettings, default_scenario
 from leoisl.topology import LinkEdge, TopologySnapshot, build_dynamic_topology
 
 from oracles import (
@@ -182,7 +182,8 @@ def test_criterion_4_sdp_subset_of_mhp():
     config = ConstellationConfig()
     period = config.orbital_period_s
     epochs = [i * period / 10.0 for i in range(10)]
-    result = sdp_mhp_fraction(config, "grid", 200, epochs, rng_seed=4)
+    scenario = Scenario(config, topology=TopologySettings("grid"))
+    result = sdp_mhp_fraction(scenario, 200, epochs, rng_seed=4)
     assert result.pairs_checked == 2000
     assert result.fraction >= 0.95
     print(

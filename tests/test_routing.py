@@ -31,6 +31,7 @@ from leoisl.routing import (
     shortest_distance_path,
     snapshot_sdp_mhp_fraction,
 )
+from leoisl.scenario import Scenario, TopologySettings
 from leoisl.topology import (
     LinkEdge,
     TopologySnapshot,
@@ -202,7 +203,7 @@ class TestHopStats:
         config = ConstellationConfig()
         here = GroundNode("a", GROUND_STATION, 20.0, 30.0)
         also_here = GroundNode("b", GROUND_STATION, 20.0, 30.0)
-        rows = ground_pair_hop_stats(config, [(here, also_here)], [0.0])
+        rows = ground_pair_hop_stats(Scenario(config), [(here, also_here)], [0.0])
         assert len(rows) == 1
         assert rows[0].min_hops == 0
         assert rows[0].spread >= 0
@@ -211,7 +212,7 @@ class TestHopStats:
         config = ConstellationConfig()
         london = GroundNode("london", GROUND_STATION, 51.507, -0.128)
         singapore = GroundNode("singapore", GROUND_STATION, 1.352, 103.820)
-        rows = ground_pair_hop_stats(config, [(london, singapore)], [0.0, 900.0])
+        rows = ground_pair_hop_stats(Scenario(config), [(london, singapore)], [0.0, 900.0])
         for row in rows:
             assert not row.skipped
             assert row.max_hops >= row.min_hops > 0
@@ -226,25 +227,25 @@ class TestHopStats:
         )
         a = GroundNode("a", GROUND_STATION, 0.0, 0.0)
         b = GroundNode("b", GROUND_STATION, 1.0, 1.0)
-        rows = ground_pair_hop_stats(config, [(a, b)], [0.0])
+        rows = ground_pair_hop_stats(Scenario(config), [(a, b)], [0.0])
         row = rows[0]
         assert row.skipped or (row.min_hops == 0 and row.max_hops == 0)
 
     def test_empty_inputs_rejected(self):
         config = ConstellationConfig()
         with pytest.raises(ValueError):
-            ground_pair_hop_stats(config, [], [0.0])
+            ground_pair_hop_stats(Scenario(config), [], [0.0])
 
     def test_nodes_sharing_an_id_keep_their_own_visibility(self):
-        config = ConstellationConfig()
+        scenario = Scenario(ConstellationConfig())
         london = GroundNode("x", GROUND_STATION, 51.507, -0.128)
         singapore = GroundNode("y", GROUND_STATION, 1.352, 103.820)
         sydney = GroundNode("x", GROUND_STATION, -33.87, 151.21)
         lima = GroundNode("y", GROUND_STATION, -12.05, -77.04)
         epochs = [0.0, 900.0]
-        together = ground_pair_hop_stats(config, [(london, singapore), (sydney, lima)], epochs)
-        first = ground_pair_hop_stats(config, [(london, singapore)], epochs)
-        second = ground_pair_hop_stats(config, [(sydney, lima)], epochs)
+        together = ground_pair_hop_stats(scenario, [(london, singapore), (sydney, lima)], epochs)
+        first = ground_pair_hop_stats(scenario, [(london, singapore)], epochs)
+        second = ground_pair_hop_stats(scenario, [(sydney, lima)], epochs)
         assert together == [first[0], second[0], first[1], second[1]]
         assert first != second
 
@@ -273,8 +274,8 @@ class TestSdpMhpFraction:
             snapshot_sdp_mhp_fraction(snapshot, [("a", "zz")])
 
     def test_low_inclination_grid_fraction(self):
-        config = ConstellationConfig()
-        result = sdp_mhp_fraction(config, "grid", 50, [0.0, 1200.0], 11)
+        scenario = Scenario(ConstellationConfig(), topology=TopologySettings("grid"))
+        result = sdp_mhp_fraction(scenario, 50, [0.0, 1200.0], 11)
         assert result.pairs_checked == 100
         assert result.fraction >= 0.95
 
@@ -586,12 +587,27 @@ class TestHopStatsAgainstNetworkx:
          GroundNode("lima", GROUND_STATION, -12.05, -77.04)),
     ]  # fmt: skip
 
-    @pytest.mark.parametrize("mode, max_isls", [("grid", 4), ("dynamic", 3), ("dynamic", 119)])
-    def test_rows_match(self, mode, max_isls):
+    @pytest.mark.parametrize(
+        "mode, max_isls, reach",
+        [
+            pytest.param("grid", 4, {}, id="grid-4"),
+            pytest.param("dynamic", 3, {}, id="dynamic-3"),
+            pytest.param("dynamic", 119, {}, id="dynamic-119"),
+            pytest.param(
+                "dynamic",
+                6,
+                {"max_range_km": 3000.0, "elevation_mask_deg": 15.0},
+                id="dynamic-6-short-reach",
+            ),
+        ],
+    )
+    def test_rows_match(self, mode, max_isls, reach):
         # max_isls 119 on 120 satellites admits every link in range and sight.
+        # The driver reads range and mask from the scenario, as the reference does.
         config = ConstellationConfig()
+        topology = TopologySettings(mode, max_isls, **reach)
         epochs = [0.0, 1500.0]
-        rows = ground_pair_hop_stats(config, self.PAIRS, epochs, mode, max_isls=max_isls)
+        rows = ground_pair_hop_stats(Scenario(config, topology=topology), self.PAIRS, epochs)
         got = [
             None if row.skipped else (row.min_hops, row.max_hops, row.mean_hops, row.associations)
             for row in rows
@@ -602,8 +618,12 @@ class TestHopStatsAgainstNetworkx:
             if mode == "grid":
                 snapshot = build_grid_topology(positions, config, epoch)
             else:
-                snapshot = build_dynamic_topology(positions, config, max_isls, epoch)
-            expected += reference_hop_stats(snapshot, self.PAIRS, epoch, 10.0)
+                snapshot = build_dynamic_topology(
+                    positions, config, max_isls, epoch, max_range_km=topology.max_range_km
+                )
+            expected += reference_hop_stats(
+                snapshot, self.PAIRS, epoch, topology.elevation_mask_deg
+            )
         assert got == expected
         assert any(row is None for row in expected)  # the polar station sees nothing
         if max_isls == 119:

@@ -424,6 +424,10 @@ CRAFT = {"node_id": "a", "latitude_deg": 0, "longitude_deg": 0}
         ({"seed": 2.5}, "scenario.seed must be an integer, got 2.5"),
         ({"seed": None}, "scenario.seed must be a number, got None"),
         ({"seed": False}, "scenario.seed must be a number, got False"),
+        (
+            {"ground_stations": [{**STATION, "heading_deg": 45}]},
+            "ground_stations: ground stations must have heading_deg == 0",
+        ),
     ],
 )
 def test_error_text_is_pinned(raw, message):
@@ -492,7 +496,7 @@ def constellations(draw):
 
 
 def ground_nodes(kind, prefix):
-    # A station's heading is not saved, so only heading 0 round-trips.
+    # GroundNode rejects a station with a nonzero heading or speed.
     moving = kind == AIRCRAFT
     node = st.builds(
         GroundNode,

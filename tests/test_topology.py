@@ -27,12 +27,13 @@ from leoisl.orbits import (
     sat_keys,
     visible,
 )
+from leoisl.scenario import Scenario, TopologySettings
 from leoisl.topology import (
     LinkEdge,
     attach_ground_links,
     build_dynamic_topology,
     build_grid_topology,
-    build_isl_snapshot,
+    build_snapshot,
 )
 
 CASE_CONFIG = ConstellationConfig()
@@ -478,15 +479,14 @@ class TestDynamicProperties:
 
 class TestSnapshotEntryPoint:
     def test_modes_match_the_builders(self):
+        def scenario(mode):
+            return Scenario(CASE_CONFIG, topology=TopologySettings(mode, max_isls=2))
+
         positions = shell_positions(CASE_CONFIG, 300.0)
-        grid = build_isl_snapshot(CASE_CONFIG, 300.0, "grid", max_isls=2)
-        dynamic = build_isl_snapshot(CASE_CONFIG, 300.0, "dynamic", max_isls=2)
+        grid = build_snapshot(scenario("grid"), 300.0)
+        dynamic = build_snapshot(scenario("dynamic"), 300.0)
         assert grid == build_grid_topology(positions, CASE_CONFIG, 300.0)
         assert dynamic == build_dynamic_topology(positions, CASE_CONFIG, 2, 300.0)
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="topology mode"):
-            build_isl_snapshot(CASE_CONFIG, 0.0, "mesh", max_isls=4)
 
 
 class TestGroundAttachment:
