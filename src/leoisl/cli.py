@@ -20,7 +20,7 @@ from dataclasses import replace
 from . import delivery, routing
 from .orbits import propagate
 from .scenario import Scenario, ScenarioError, load_scenario
-from .topology import GRID_MODE, TOPOLOGY_MODES, build_snapshot
+from .topology import TOPOLOGY_MODES, build_snapshot
 
 PROPAGATE_CSV_HEADER = (
     "sat_id",
@@ -137,8 +137,9 @@ def _cmd_propagate(args) -> int:
 
 def _cmd_topology(args) -> int:
     scenario = load_scenario(args.scenario)
+    mode = args.mode or scenario.topology.mode
     max_isls = scenario.topology.max_isls if args.max_isls is None else args.max_isls
-    topology = replace(scenario.topology, mode=args.mode, max_isls=max_isls)
+    topology = replace(scenario.topology, mode=mode, max_isls=max_isls)
     snapshot = build_snapshot(replace(scenario, topology=topology), args.epoch, ground=args.ground)
     _write_rows(snapshot.csv_rows(), args.output)
     return 0
@@ -267,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("topology", help="edge-list CSV at one epoch")
     common(p)
     p.add_argument("--epoch", type=_epoch_s, default=0.0)
-    p.add_argument("--mode", choices=TOPOLOGY_MODES, default=GRID_MODE)
+    p.add_argument("--mode", choices=TOPOLOGY_MODES, default=None)
     p.add_argument("--max-isls", type=_non_negative_int, default=None, dest="max_isls")
     p.add_argument("--ground", action="store_true", help="attach ground links")
     p.set_defaults(func=_cmd_topology)

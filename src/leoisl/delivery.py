@@ -40,14 +40,6 @@ from .topology import DYNAMIC_MODE, LinkEdge, TopologySnapshot, build_snapshot
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
 
-ASSOC_OPTIMIZED = "optimized"
-ASSOC_GREEDY = "greedy"
-ASSOC_FULL = "fully_connected"
-ASSOC_MODES = (ASSOC_OPTIMIZED, ASSOC_GREEDY, ASSOC_FULL)
-
-BANDWIDTH_OPTIMIZED = "optimized"
-BANDWIDTH_EQUAL = "equal"
-
 PER_STREAM = "per_stream"
 EQUAL_SPLIT = "equal_split"
 AIR_SHARING_MODES = (PER_STREAM, EQUAL_SPLIT)
@@ -56,19 +48,14 @@ CUT_THROUGH = "cut_through"
 STORE_AND_FORWARD = "store_and_forward"
 DELAY_MODELS = (CUT_THROUGH, STORE_AND_FORWARD)
 
+# The planning schemes the study compares: optimized association and
+# feeder bandwidth, greedy (nearest-serving) association, equal feeder
+# shares, and the fully connected bound with no degree budget.
 MODE_OPTIMIZED = "optimized"
 MODE_GREEDY = "greedy"
 MODE_EQUAL = "equal"
 MODE_FULL = "full"
 SWEEP_MODES = (MODE_OPTIMIZED, MODE_GREEDY, MODE_EQUAL, MODE_FULL)
-
-# sweep mode -> (association mode, bandwidth mode)
-_MODE_MAP = {
-    MODE_OPTIMIZED: (ASSOC_OPTIMIZED, BANDWIDTH_OPTIMIZED),
-    MODE_GREEDY: (ASSOC_GREEDY, BANDWIDTH_OPTIMIZED),
-    MODE_EQUAL: (ASSOC_OPTIMIZED, BANDWIDTH_EQUAL),
-    MODE_FULL: (ASSOC_FULL, BANDWIDTH_OPTIMIZED),
-}
 
 _MIN_SHARE = 1e-9
 
@@ -367,18 +354,23 @@ def optimize_gs_shares(
 class SlotContext:
     """Per-epoch lookups over the candidate snapshot (mesh plus ground links).
 
-    ``link_params`` must be the link budgets the snapshot was built with:
-    the planners read feeder rates from them. Laser routes are read back
-    from distance labels rooted at serving satellites; a file's route
-    options label all of its aircraft's serving satellites in one batch
-    (``search``). The labels are cached for the slot, and so are the
-    planners' holder candidates, route options and plans, each under a key
-    holding everything it reads, so that a sweep's cells share them.
+    ``scenario`` must be the scenario the snapshot was built from. The
+    context plans for that scenario alone: it keeps its link budgets, which
+    feeder rates are read from, and its delivery settings (air-link sharing
+    and delay model). Laser routes are read back from distance labels
+    rooted at serving satellites; a file's route options label all of its
+    aircraft's serving satellites in one batch (``search``). The labels are
+    cached for the slot, and so are the planners' holder candidates, route
+    options and plans, each under a key holding everything it reads, so
+    that a sweep's cells share them.
     """
 
-    def __init__(self, snapshot: TopologySnapshot, link_params: dict[str, LinkBudgetParams]):
+    def __init__(self, snapshot: TopologySnapshot, scenario: "Scenario"):
         self.snapshot = snapshot
-        self.link_params = link_params
+        self.link_params = scenario.link_params
+        self.ifc = scenario.ifc
+        self.per_stream = scenario.ifc.air_link_sharing == PER_STREAM
+        self.store_and_forward = scenario.ifc.delay_model == STORE_AND_FORWARD
         self._by_class_by_node: dict[str, dict[str, list[LinkEdge]]] = {}
         for edge in snapshot.edges:
             if edge.link_class == ISL_LASER:
@@ -441,7 +433,7 @@ def build_slot_context(scenario: "Scenario", epoch_s: float) -> SlotContext:
         max_isls=scenario.constellation.total_satellites - 1,
     )
     candidates = build_snapshot(replace(scenario, topology=mesh), epoch_s, ground=True)
-    return SlotContext(candidates, scenario.link_params)
+    return SlotContext(candidates, scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -486,11 +478,7 @@ def _servings(ctx: SlotContext, aircraft: str, holders: frozenset[str]) -> tuple
 
 
 def _holder_rates(
-    air_edge: LinkEdge,
-    candidates: Sequence[_HolderCandidate],
-    streams: int,
-    air_sharing: str,
-    store_and_forward: bool,
+    ctx: SlotContext, air_edge: LinkEdge, candidates: Sequence[_HolderCandidate], streams: int
 ) -> tuple[float, list[float]]:
     """Air share and each holder's stream rate when ``streams`` streams
     share the serving satellite's air link.
@@ -500,8 +488,8 @@ def _holder_rates(
     laser link and then the air share: cut-through runs at the slower of
     the two, store-and-forward pays both transmission times.
     """
-    share = air_edge.capacity_bps if air_sharing == PER_STREAM else air_edge.capacity_bps / streams
-    if store_and_forward:
+    share = air_edge.capacity_bps if ctx.per_stream else air_edge.capacity_bps / streams
+    if ctx.store_and_forward:
         return share, [1.0 / (1.0 / c.edge.capacity_bps + 1.0 / share) for c in candidates]
     return share, [min(c.edge.capacity_bps, share) for c in candidates]
 
@@ -512,24 +500,15 @@ def _highest_rates(rates: Sequence[float], count: int) -> tuple[int, ...]:
 
 
 def _evaluate_cached(
-    serving: str,
-    aircraft: str,
-    air_edge: LinkEdge,
-    serving_holds: bool,
-    candidates: Sequence[_HolderCandidate],
-    chosen: tuple[int, ...],
-    bits: float,
-    air_sharing: str,
-    store_and_forward: bool,
+    ctx: SlotContext, option: _Serving, aircraft: str, chosen: tuple[int, ...], bits: float
 ) -> tuple[float, list[StreamPlan]]:
     """Delay of one (serving satellite, holder subset) choice."""
+    air_edge, serving, serving_holds, candidates = option
     m = len(chosen) + (1 if serving_holds else 0)
     if m == 0:
         return math.inf, []
     air_prop = air_edge.delay_s
-    share, rates = _holder_rates(
-        air_edge, [candidates[i] for i in chosen], m, air_sharing, store_and_forward
-    )
+    share, rates = _holder_rates(ctx, air_edge, [candidates[i] for i in chosen], m)
     sources = []
     specs = []
     if serving_holds:
@@ -588,15 +567,7 @@ def _largest_terms_holders(
 
 
 def _select_holders(
-    serving: str,
-    aircraft: str,
-    air_edge: LinkEdge,
-    serving_holds: bool,
-    candidates: Sequence[_HolderCandidate],
-    budget: int,
-    bits: float,
-    air_sharing: str,
-    store_and_forward: bool,
+    ctx: SlotContext, option: _Serving, aircraft: str, budget: int, bits: float
 ) -> tuple[float, tuple[int, ...]]:
     """Least-delay set of at most ``budget`` holders for one serving satellite.
 
@@ -604,36 +575,31 @@ def _select_holders(
     each count is solved at its own rates; a set smaller than its count
     only runs faster. The least delay wins, fewer holders on a tie.
     """
+    air_edge, _, serving_holds, candidates = option
     air_prop = air_edge.delay_s
     props = [c.prop_s + air_prop for c in candidates]
-    if air_sharing == PER_STREAM:
+    if ctx.per_stream:
         sizes: Iterable[int] = (budget,)
     else:
         sizes = range(0 if serving_holds else 1, budget + 1)
     best: tuple[float, tuple[int, ...]] = (math.inf, ())
     for size in sizes:
-        share, rates = _holder_rates(
-            air_edge, candidates, size + serving_holds, air_sharing, store_and_forward
-        )
+        share, rates = _holder_rates(ctx, air_edge, candidates, size + serving_holds)
         own = [(air_prop, share)] if serving_holds else []
         chosen = _largest_terms_holders(own, props, rates, size, bits)
-        delay, _ = _evaluate_cached(
-            serving, aircraft, air_edge, serving_holds,
-            candidates, chosen, bits, air_sharing, store_and_forward,
-        )
+        delay, _ = _evaluate_cached(ctx, option, aircraft, chosen, bits)
         if (delay, len(chosen)) < (best[0], len(best[1])):
             best = (delay, chosen)
     return best
 
 
+def _check_mode(mode: str) -> None:
+    if mode not in SWEEP_MODES:
+        raise ValueError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
+
+
 def plan_cached(
-    request: FileRequest,
-    ctx: SlotContext,
-    max_isls: int,
-    mode: str = ASSOC_OPTIMIZED,
-    *,
-    air_sharing: str = PER_STREAM,
-    store_and_forward: bool = False,
+    request: FileRequest, ctx: SlotContext, max_isls: int, mode: str = MODE_OPTIMIZED
 ) -> RequestPlan:
     """Serving-satellite association and holder selection for a cached file.
 
@@ -641,63 +607,56 @@ def plan_cached(
     holder set within the budget: the budget's largest positive
     rate x slack terms ``r_c * (D - p_c)`` at the optimal delay D, ties by
     (propagation, holder id), fewer holders winning across stream counts;
-    the least delay over serving satellites wins. ``greedy`` takes the
-    nearest serving satellite that can deliver and fills its budget with
-    the highest-rate holders; ``fully_connected`` lifts the degree budget.
+    the least delay over serving satellites wins. ``equal`` plans as
+    ``optimized``: the band it splits equally is a ground station's, which
+    a cached file does not use. ``greedy`` takes the nearest serving
+    satellite that can deliver and fills its budget with the highest-rate
+    holders; ``full`` lifts the degree budget.
 
-    Plans are memoised on the context: a budget at or above every serving
-    satellite's candidate count plans as that count, and
-    ``fully_connected`` reads no budget, so cells that differ only there
-    share one plan.
+    Plans are memoised on the context by (request, greedy or not, effective
+    budget). Each serving satellite's budget is ``min(max_isls, its
+    candidate count)``, so the effective budget is ``max_isls`` capped at
+    the largest candidate count, and ``full`` takes that count: cells that
+    differ only there share one plan.
     """
-    if mode not in ASSOC_MODES:
-        raise ValueError(f"mode must be one of {ASSOC_MODES}, got {mode!r}")
-    if air_sharing not in AIR_SHARING_MODES:
-        raise ValueError(f"air_sharing must be one of {AIR_SHARING_MODES}")
+    _check_mode(mode)
     if max_isls < 0:
         raise ValueError(f"max_isls must be >= 0, got {max_isls}")
     if not request.cached:
         raise ValueError(f"request {request.request_id} is not cached")
     servings = _servings(ctx, request.aircraft_id, request.cache_holders)
-    if mode == ASSOC_FULL:
-        effective_budget = None
-    else:
-        effective_budget = min(max_isls, max((len(c) for *_, c in servings), default=0))
-    key = (request, mode, effective_budget, air_sharing, store_and_forward)
+    effective_budget = max((len(c) for *_, c in servings), default=0)
+    if mode != MODE_FULL:
+        effective_budget = min(max_isls, effective_budget)
+    greedy = mode == MODE_GREEDY
+    key = (request, greedy, effective_budget)
     memo = ctx._cached_plans.get(key)
     if memo is not None:
         return memo
     bits = float(request.total_bits)
-    best: tuple[float, str, LinkEdge, bool, Sequence[_HolderCandidate], tuple[int, ...]] | None = None
-    for air_edge, serving, serving_holds, candidates in servings:
-        budget = len(candidates) if mode == ASSOC_FULL else min(max_isls, len(candidates))
-        if mode == ASSOC_GREEDY:
-            _, rates = _holder_rates(air_edge, candidates, 1, air_sharing, store_and_forward)
+    best: tuple[float, _Serving, tuple[int, ...]] | None = None
+    for option in servings:
+        air_edge, _, serving_holds, candidates = option
+        budget = min(effective_budget, len(candidates))
+        if greedy:
+            _, rates = _holder_rates(ctx, air_edge, candidates, 1)
             chosen = _highest_rates(rates, budget)
             if not chosen and not serving_holds:
                 continue  # nothing to stream from here; try the next nearest
-            delay, _ = _evaluate_cached(
-                serving, request.aircraft_id, air_edge, serving_holds,
-                candidates, chosen, bits, air_sharing, store_and_forward,
-            )
-            best = (delay, serving, air_edge, serving_holds, candidates, chosen)
+            delay, _ = _evaluate_cached(ctx, option, request.aircraft_id, chosen, bits)
+            best = (delay, option, chosen)
             break
-        delay, chosen = _select_holders(
-            serving, request.aircraft_id, air_edge, serving_holds,
-            candidates, budget, bits, air_sharing, store_and_forward,
-        )
+        delay, chosen = _select_holders(ctx, option, request.aircraft_id, budget, bits)
         if math.isinf(delay):
             continue
         if best is None or delay < best[0]:
-            best = (delay, serving, air_edge, serving_holds, candidates, chosen)
+            best = (delay, option, chosen)
     if best is None:
         plan = RequestPlan(request=request, delivered=False, delay_s=math.inf)
     else:
-        delay, serving, air_edge, serving_holds, candidates, chosen = best
-        _, streams = _evaluate_cached(
-            serving, request.aircraft_id, air_edge, serving_holds,
-            candidates, chosen, bits, air_sharing, store_and_forward,
-        )
+        delay, option, chosen = best
+        _, serving, _, candidates = option
+        _, streams = _evaluate_cached(ctx, option, request.aircraft_id, chosen, bits)
         plan = RequestPlan(
             request=request,
             delivered=True,
@@ -732,18 +691,18 @@ class _RouteOption:
 
 
 def _route_options(
-    ctx: SlotContext, request: FileRequest, max_isls: int
+    ctx: SlotContext, request: FileRequest, zero_budget: bool
 ) -> tuple[_RouteOption, ...]:
     """Every chain to the request's aircraft, memoised on the context under
     everything it reads: the aircraft, the source stations and whether the
     budget is zero."""
-    key = (request.aircraft_id, request.source_gs_set, max_isls == 0)
+    key = (request.aircraft_id, request.source_gs_set, zero_budget)
     memo = ctx._route_options.get(key)
     if memo is not None:
         return memo
     options: list[_RouteOption] = []
     air_edges = ctx.edges_at(SAT_TO_AIR, request.aircraft_id)
-    if max_isls:  # a zero budget reads only zero-hop routes
+    if not zero_budget:  # a zero budget reads only zero-hop routes
         ctx.search(edge.other(request.aircraft_id) for edge in air_edges)
     for gs in sorted(request.source_gs_set):
         direct = ctx.edge_between(GROUND_TO_AIR, gs, request.aircraft_id)
@@ -766,7 +725,7 @@ def _route_options(
             entry = feeder.other(gs)
             for air_edge in air_edges:
                 serving = air_edge.other(request.aircraft_id)
-                if max_isls == 0 and entry != serving:
+                if zero_budget and entry != serving:
                     continue
                 route = ctx.isl_route(entry, serving)
                 if route is None:
@@ -796,9 +755,7 @@ def _route_options(
     return memo
 
 
-def _flow_for(
-    ctx: SlotContext, request: FileRequest, option: _RouteOption, store_and_forward: bool
-) -> GsFlow:
+def _flow_for(ctx: SlotContext, request: FileRequest, option: _RouteOption) -> GsFlow:
     return GsFlow(
         flow_id=request.request_id,
         bits=float(request.total_bits),
@@ -806,19 +763,16 @@ def _flow_for(
         fixed_cap_bps=option.fixed_cap_bps,
         feeder_params=ctx.link_params[option.feeder_class],
         feeder_distance_km=option.feeder_distance_km,
-        store_and_forward=store_and_forward,
+        store_and_forward=ctx.store_and_forward,
         fixed_inv_rate=option.fixed_inv_rate,
     )
 
 
 def _greedy_route(
-    ctx: SlotContext,
-    request: FileRequest,
-    options: Sequence[_RouteOption],
-    store_and_forward: bool,
+    ctx: SlotContext, request: FileRequest, options: Sequence[_RouteOption]
 ) -> _RouteOption:
     def rate_key(option: _RouteOption):
-        flow = _flow_for(ctx, request, option, store_and_forward)
+        flow = _flow_for(ctx, request, option)
         return (
             -flow.rate_bps(1.0),
             option.base_prop_s,
@@ -841,39 +795,29 @@ def plan_non_cached(
     requests: Sequence[FileRequest],
     ctx: SlotContext,
     max_isls: int,
-    mode: str = ASSOC_OPTIMIZED,
-    *,
-    bandwidth_mode: str = BANDWIDTH_OPTIMIZED,
-    store_and_forward: bool = False,
+    mode: str = MODE_OPTIMIZED,
 ) -> list[RequestPlan]:
     """Jointly plan the slot's non-cached files.
 
     Each file takes one chain. Two route assignments are evaluated end to
-    end under the requested bandwidth scheme, per-file standalone-best and
-    greedy serving-first, and the cheaper one wins; the greedy baseline mode
-    is pinned to the latter, so the optimized plan can never lose to it.
+    end, per-file standalone-best and greedy serving-first, and the cheaper
+    one wins; ``greedy`` is pinned to the latter, so the optimized plan can
+    never lose to it. Stations split their feeder band optimally, or in
+    equal shares under ``equal``. ``full`` lifts the degree budget, which
+    the planner reads only through the zero-budget route filter.
     """
-    if mode not in ASSOC_MODES:
-        raise ValueError(f"mode must be one of {ASSOC_MODES}, got {mode!r}")
-    if bandwidth_mode not in (BANDWIDTH_OPTIMIZED, BANDWIDTH_EQUAL):
-        raise ValueError(f"unknown bandwidth_mode {bandwidth_mode!r}")
+    _check_mode(mode)
     if max_isls < 0:
         raise ValueError(f"max_isls must be >= 0, got {max_isls}")
     for request in requests:
         if request.cached:
             raise ValueError(f"request {request.request_id} is cached")
 
-    budget = len(ctx.snapshot.nodes) if mode == ASSOC_FULL else max_isls
-    # Everything below reads only the context and these values (the budget
-    # only through the zero-budget route filter), so a slot's sweep cells
-    # share one plan per distinct key.
-    key = (
-        tuple(requests),
-        mode == ASSOC_GREEDY,
-        bandwidth_mode,
-        budget == 0,
-        store_and_forward,
-    )
+    equal = mode == MODE_EQUAL
+    zero_budget = max_isls == 0 and mode != MODE_FULL
+    # Everything below reads only the context and these values, so a slot's
+    # sweep cells share one plan per distinct key.
+    key = (tuple(requests), mode == MODE_GREEDY, equal, zero_budget)
     memo = ctx._non_cached_plans.get(key)
     if memo is not None:
         return list(memo)
@@ -881,7 +825,7 @@ def plan_non_cached(
     plans: dict[str, RequestPlan] = {}
     deliverable: list[FileRequest] = []
     for request in requests:
-        options = _route_options(ctx, request, budget)
+        options = _route_options(ctx, request, zero_budget)
         if not options:
             plans[request.request_id] = RequestPlan(
                 request=request, delivered=False, delay_s=math.inf
@@ -897,52 +841,47 @@ def plan_non_cached(
             standalone[request.request_id] = min(
                 options,
                 key=lambda o: (
-                    _flow_for(ctx, request, o, store_and_forward).delay_s(1.0),
+                    _flow_for(ctx, request, o).delay_s(1.0),
                     o.gs,
                     o.entry or "",
                     o.serving or "",
                 ),
             )
         greedy = {
-            request.request_id: _greedy_route(
-                ctx, request, options_by_request[request.request_id], store_and_forward
-            )
+            request.request_id: _greedy_route(ctx, request, options_by_request[request.request_id])
             for request in deliverable
         }
 
         def evaluate(
-            assignment: dict[str, _RouteOption], equal: bool
+            assignment: dict[str, _RouteOption],
         ) -> tuple[float, dict[str, float], dict[str, float]]:
             by_gs: dict[str, list[GsFlow]] = {}
             for request in deliverable:
                 option = assignment[request.request_id]
-                by_gs.setdefault(option.gs, []).append(
-                    _flow_for(ctx, request, option, store_and_forward)
-                )
+                by_gs.setdefault(option.gs, []).append(_flow_for(ctx, request, option))
             shares: dict[str, float] = {}
             for gs in sorted(by_gs):
                 shares.update(optimize_gs_shares(by_gs[gs], equal=equal))
             delays = {}
             for request in deliverable:
                 option = assignment[request.request_id]
-                flow = _flow_for(ctx, request, option, store_and_forward)
+                flow = _flow_for(ctx, request, option)
                 delays[request.request_id] = flow.delay_s(shares[request.request_id])
             return sum(delays.values()), shares, delays
 
-        equal = bandwidth_mode == BANDWIDTH_EQUAL
-        if mode == ASSOC_GREEDY:
+        if mode == MODE_GREEDY:
             assignment = greedy
         else:
-            total_standalone, _, _ = evaluate(standalone, equal)
-            total_greedy, _, _ = evaluate(greedy, equal)
+            total_standalone, _, _ = evaluate(standalone)
+            total_greedy, _, _ = evaluate(greedy)
             assignment = standalone if total_standalone <= total_greedy else greedy
-        _, shares, delays = evaluate(assignment, equal)
+        _, shares, delays = evaluate(assignment)
 
         for request in deliverable:
             option = assignment[request.request_id]
             share = shares[request.request_id]
             delay = delays[request.request_id]
-            flow = _flow_for(ctx, request, option, store_and_forward)
+            flow = _flow_for(ctx, request, option)
             stream = StreamPlan(
                 source=option.gs,
                 nodes=option.nodes,
@@ -1032,38 +971,25 @@ def run_slot(
     compares the same workload across every sweep cell. Cells that share
     work pass it in: ``ctx`` must be ``build_slot_context(scenario,
     epoch_s)`` and ``requests`` must be ``generate_requests(scenario,
-    rng_seed)``; either is built here when omitted.
+    rng_seed)``; either is built here when omitted. A context built from a
+    scenario with other link budgets or delivery settings is rejected.
     """
-    if mode not in SWEEP_MODES:
-        raise ValueError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
+    _check_mode(mode)
     if max_isls < 0:
         raise ValueError(f"max_isls must be >= 0, got {max_isls}")
-    assoc_mode, bandwidth_mode = _MODE_MAP[mode]
     if ctx is None:
         ctx = build_slot_context(scenario, epoch_s)
-    store_and_forward = scenario.ifc.delay_model == STORE_AND_FORWARD
+    for name in ("link_params", "ifc"):
+        if getattr(ctx, name) != getattr(scenario, name):
+            raise ValueError(f"ctx was built from a scenario with a different {name}")
     if requests is None:
         requests = generate_requests(scenario, rng_seed)
     plans: dict[str, RequestPlan] = {}
     for request in requests:
         if request.cached:
-            plans[request.request_id] = plan_cached(
-                request,
-                ctx,
-                max_isls,
-                assoc_mode,
-                air_sharing=scenario.ifc.air_link_sharing,
-                store_and_forward=store_and_forward,
-            )
+            plans[request.request_id] = plan_cached(request, ctx, max_isls, mode)
     non_cached = [r for r in requests if not r.cached]
-    for plan in plan_non_cached(
-        non_cached,
-        ctx,
-        max_isls,
-        assoc_mode,
-        bandwidth_mode=bandwidth_mode,
-        store_and_forward=store_and_forward,
-    ):
+    for plan in plan_non_cached(non_cached, ctx, max_isls, mode):
         plans[plan.request.request_id] = plan
     ordered = tuple(plans[r.request_id] for r in requests)
     delivered = [p for p in ordered if p.delivered]
@@ -1137,8 +1063,7 @@ def sweep_max_isls(
     if not isls_values or not modes or not epochs or not seeds:
         raise ValueError("isls_values, modes, epochs and seeds must be non-empty")
     for mode in modes:
-        if mode not in SWEEP_MODES:
-            raise ValueError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
+        _check_mode(mode)
     # Requests read only the seed, so each seed's draw serves every cell.
     requests = {seed: generate_requests(scenario, seed) for seed in seeds}
     rows = []

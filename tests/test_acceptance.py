@@ -321,7 +321,7 @@ def test_criterion_7_small_plan_optimality():
             cache_holders=frozenset(holders),
         )
         max_isls = int(rng.integers(1, 4))
-        plan = plan_cached(request, SlotContext(snapshot, default_link_params()), max_isls)
+        plan = plan_cached(request, SlotContext(snapshot, default_scenario()), max_isls)
         oracle = enumerate_cached_plan_delay(request, snapshot, max_isls)
         if not plan.delivered:
             assert math.isinf(oracle)

@@ -68,6 +68,20 @@ class TestTopologyCommand:
             degree[row[2]] = degree.get(row[2], 0) + 1
         assert max(degree.values()) <= 1
 
+    def test_scenario_mode_is_the_default(self, tmp_path, capsys):
+        # Without --mode the scenario's topology applies: here its k=2 mesh,
+        # not the 210-link +grid of the built-in baseline.
+        path = tmp_path / "dynamic.json"
+        path.write_text(json.dumps({"topology": {"mode": "dynamic", "max_isls": 2}}))
+        code, out, _ = run_cli(["topology", "--scenario", str(path)], capsys)
+        assert code == 0
+        assert len(parse_csv(out)) - 1 == 118
+        flagged = run_cli(["topology", "--scenario", str(path), "--mode", "dynamic"], capsys)
+        assert flagged[1] == out
+        _, baseline, _ = run_cli(["topology"], capsys)
+        assert len(parse_csv(baseline)) - 1 == 210
+        assert run_cli(["topology", "--mode", "grid"], capsys)[1] == baseline
+
     @pytest.mark.parametrize("max_isls", ["2", "4"])
     @pytest.mark.parametrize("epoch", ["0", "777.5", "2400"])
     def test_matches_pinned_dynamic_output(self, max_isls, epoch, capsys):

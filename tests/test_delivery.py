@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from leoisl import delivery
 from leoisl.delivery import (
     AIR_SHARING_MODES,
-    ASSOC_MODES,
+    CUT_THROUGH,
     DELAY_MODELS,
     EQUAL_SPLIT,
     STORE_AND_FORWARD,
@@ -63,8 +63,8 @@ def make_snapshot(edges):
     )
 
 
-def context(snapshot):
-    return SlotContext(snapshot, default_link_params())
+def context(snapshot, **ifc):
+    return SlotContext(snapshot, Scenario(ifc=IfcSettings(**ifc)))
 
 
 def cached_request(holders, packets=1000, aircraft="air-1"):
@@ -307,7 +307,7 @@ class TestPlanCached:
         )
         request = cached_request({"H1", "H2"})
         constrained = plan_cached(request, context(snapshot), 8)
-        unconstrained = plan_cached(request, context(snapshot), 0, mode="fully_connected")
+        unconstrained = plan_cached(request, context(snapshot), 0, mode="full")
         assert constrained == unconstrained
 
     def test_no_visible_satellite_undeliverable(self):
@@ -392,12 +392,11 @@ class TestPlanCached:
             packet_bits=1,
             cache_holders=frozenset(holders),
         )
+        delay_model = STORE_AND_FORWARD if store_and_forward else CUT_THROUGH
         plan = plan_cached(
             request,
-            context(snapshot),
+            context(snapshot, air_link_sharing=air_sharing, delay_model=delay_model),
             budget,
-            air_sharing=air_sharing,
-            store_and_forward=store_and_forward,
         )
         oracle = enumerate_cached_plan_delay(
             request, snapshot, budget, air_sharing, store_and_forward
@@ -419,8 +418,8 @@ class TestPlanCached:
         ]
         snapshot = make_snapshot(edges)
         request = cached_request({"S0", "H1"}, packets=3000)
-        per_stream = plan_cached(request, context(snapshot), 4, air_sharing=PER_STREAM)
-        split = plan_cached(request, context(snapshot), 4, air_sharing=EQUAL_SPLIT)
+        per_stream = plan_cached(request, context(snapshot, air_link_sharing=PER_STREAM), 4)
+        split = plan_cached(request, context(snapshot, air_link_sharing=EQUAL_SPLIT), 4)
         assert len(per_stream.streams) == 2
         assert per_stream.delay_s < air_prop + request.total_bits / 8e8 + 1e-15
         assert len(split.streams) == 1
@@ -454,9 +453,7 @@ class TestPlanNonCached:
         assert plan.delivered
         assert plan.gs_id == "G1"
         assert plan.bandwidth_share == 1.0
-        (equal_plan,) = plan_non_cached(
-            [request], context(snapshot), 4, bandwidth_mode="equal"
-        )
+        (equal_plan,) = plan_non_cached([request], context(snapshot), 4, mode="equal")
         assert equal_plan.bandwidth_share == 1.0
 
     def test_two_identical_files_split_evenly(self):
@@ -473,7 +470,7 @@ class TestPlanNonCached:
         plans = plan_non_cached(requests, context(snapshot), 4)
         assert plans[0].bandwidth_share == pytest.approx(0.5, abs=1e-9)
         assert plans[1].bandwidth_share == pytest.approx(0.5, abs=1e-9)
-        equal_plans = plan_non_cached(requests, context(snapshot), 4, bandwidth_mode="equal")
+        equal_plans = plan_non_cached(requests, context(snapshot), 4, mode="equal")
         assert [p.bandwidth_share for p in equal_plans] == [0.5, 0.5]
 
     def test_unbalanced_sizes_beat_equal_allocation(self):
@@ -488,7 +485,7 @@ class TestPlanNonCached:
             self.request("r2", {"G1"}, packets=1000, aircraft="air-2"),
         ]
         optimized = plan_non_cached(requests, context(snapshot), 4)
-        equal = plan_non_cached(requests, context(snapshot), 4, bandwidth_mode="equal")
+        equal = plan_non_cached(requests, context(snapshot), 4, mode="equal")
         assert optimized[1].bandwidth_share > optimized[0].bandwidth_share
         assert sum(p.delay_s for p in optimized) < sum(p.delay_s for p in equal)
 
@@ -497,6 +494,26 @@ class TestPlanNonCached:
         request = self.request("r1", {"G1"})
         (plan,) = plan_non_cached([request], context(snapshot), 4)
         assert not plan.delivered
+
+    def test_full_plans_as_optimized_at_a_positive_budget(self):
+        # "full" lifts the degree budget, which the non-cached planner reads
+        # only through the zero-budget route filter: on the baseline's
+        # no-hit requests it equals "optimized" at every budget >= 1, and
+        # at budget 0 it equals "optimized" at budget 1. Fresh contexts, so
+        # neither plan is a memo hit of the other.
+        scenario = Scenario(ifc=IfcSettings(cache_hit_probability=0.0))
+        snapshot = build_slot_context(scenario, 0.0).snapshot
+        for seed in (1, 2, 3):
+            requests = generate_requests(scenario, seed)
+            for max_isls in range(9):
+                full = plan_non_cached(
+                    requests, SlotContext(snapshot, scenario), max_isls, mode="full"
+                )
+                optimized = plan_non_cached(
+                    requests, SlotContext(snapshot, scenario), max(max_isls, 1)
+                )
+                assert full == optimized
+                assert any(plan.delivered for plan in full)
 
     def test_zero_budget_requires_shared_satellite(self):
         # Entry and serving differ; with no ISL budget the chain is illegal.
@@ -572,31 +589,30 @@ class TestSlotExecution:
         assert row.delivered == plan.delivered
 
     def test_shared_context_matches_fresh_context(self):
-        # One context serves every cell, as in the sweep; each cell must plan
-        # as on a context of its own. Budget 0 exercises the entry == serving
-        # route filter and full vs optimized the association mode. Only
-        # without cache hits do two flows share a station, which the equal
-        # bandwidth mode needs to differ; those two scenarios draw the same
-        # requests under both delay models.
-        base = default_scenario()
-        shared = build_slot_context(base, 0.0)
+        # One context per scenario serves every cell, as in the sweep; each
+        # cell must plan as on a context of its own. Budget 0 exercises the
+        # entry == serving route filter and full vs optimized the
+        # association mode. Only without cache hits do two flows share a
+        # station, which the equal bandwidth mode needs to differ; those two
+        # scenarios draw the same requests under both delay models.
         no_hits = [
             Scenario(ifc=IfcSettings(cache_hit_probability=0.0, delay_model=model))
             for model in ("cut_through", "store_and_forward")
         ]
-        cases = [(base, range(9), (1, 2, 3))]
+        cases = [(default_scenario(), range(9), (1, 2, 3))]
         cases += [(scenario, (0, 1, 8), (1,)) for scenario in no_hits]
         for scenario, budgets, seeds in cases:
+            shared = build_slot_context(scenario, 0.0)
             for max_isls in budgets:
                 for mode in SWEEP_MODES:
                     for seed in seeds:
-                        fresh = SlotContext(shared.snapshot, scenario.link_params)
+                        fresh = SlotContext(shared.snapshot, scenario)
                         assert run_slot(
                             scenario, 0.0, max_isls, mode, seed, ctx=shared
                         ) == run_slot(scenario, 0.0, max_isls, mode, seed, ctx=fresh)
-        # Every cached plan too, on the same context: all association modes,
-        # air sharing modes and delay models, and budgets past every serving
-        # satellite's candidate count (at most 4 here).
+        # Every cached plan too, on each scenario's shared context: all
+        # modes, air sharing modes and delay models, and budgets past every
+        # serving satellite's candidate count (at most 4 here).
         all_cached = [
             Scenario(
                 ifc=IfcSettings(
@@ -607,18 +623,30 @@ class TestSlotExecution:
             for model in DELAY_MODELS
         ]
         for scenario in all_cached:
-            kwargs = {
-                "air_sharing": scenario.ifc.air_link_sharing,
-                "store_and_forward": scenario.ifc.delay_model == STORE_AND_FORWARD,
-            }
+            shared = build_slot_context(scenario, 0.0)
             for seed in (1, 2):
                 for request in generate_requests(scenario, seed):
-                    for mode in ASSOC_MODES:
+                    for mode in SWEEP_MODES:
                         for max_isls in range(10):
-                            fresh = SlotContext(shared.snapshot, scenario.link_params)
+                            fresh = SlotContext(shared.snapshot, scenario)
                             assert plan_cached(
-                                request, shared, max_isls, mode, **kwargs
-                            ) == plan_cached(request, fresh, max_isls, mode, **kwargs)
+                                request, shared, max_isls, mode
+                            ) == plan_cached(request, fresh, max_isls, mode)
+
+    @pytest.mark.parametrize(
+        "overrides, field",
+        [
+            ({"link_params": {"ground_to_sat": {"bandwidth_hz": 5e6}}}, "link_params"),
+            ({"ifc": {"delay_model": "store_and_forward"}}, "ifc"),
+        ],
+    )
+    def test_context_of_another_scenario_rejected(self, overrides, field):
+        # A context keeps its scenario's link budgets and delivery settings,
+        # so it must not plan a scenario whose settings differ.
+        ctx = build_slot_context(default_scenario(), 0.0)
+        other = scenario_from_dict(overrides)
+        with pytest.raises(ValueError, match=f"different {field}$"):
+            run_slot(other, 0.0, 4, "optimized", 1, ctx=ctx)
 
     def test_batched_route_search_matches_fresh_context_per_route(self):
         # A file's route options search all of its aircraft's serving
@@ -637,7 +665,7 @@ class TestSlotExecution:
             ctx.search(servings)
             for serving in servings:
                 for entry in entries:
-                    fresh = SlotContext(ctx.snapshot, ctx.link_params)
+                    fresh = SlotContext(ctx.snapshot, scenario)
                     assert ctx.isl_route(entry, serving) == fresh.isl_route(entry, serving)
                     routes += 1
         assert routes > 100
@@ -749,3 +777,12 @@ class TestSlotExecution:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             run_slot(default_scenario(), 0.0, 4, "best", 1)
+
+
+@pytest.mark.parametrize("mode", ["fully_connected", "best"])
+def test_planners_reject_retired_and_unknown_modes(mode):
+    snapshot = make_snapshot([edge("S0", AIR, SAT_TO_AIR, 1000.0, 8e8)])
+    with pytest.raises(ValueError, match=repr(mode)):
+        plan_cached(cached_request({"S0"}), context(snapshot), 4, mode)
+    with pytest.raises(ValueError, match=repr(mode)):
+        plan_non_cached([], context(snapshot), 4, mode)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from leoisl import routing
 from leoisl.delivery import SlotContext
-from leoisl.links import ISL_LASER, default_link_params
+from leoisl.links import ISL_LASER
 from leoisl.orbits import (
     GROUND_STATION,
     ConstellationConfig,
@@ -31,7 +31,7 @@ from leoisl.routing import (
     shortest_distance_path,
     snapshot_sdp_mhp_fraction,
 )
-from leoisl.scenario import Scenario, TopologySettings
+from leoisl.scenario import Scenario, TopologySettings, default_scenario
 from leoisl.topology import (
     LinkEdge,
     TopologySnapshot,
@@ -454,7 +454,7 @@ class TestTieBreak:
     def test_paths_are_the_lexicographic_minimum(self, case):
         # Integer distances make equal-distance paths real ties.
         snapshot, src, _ = case
-        ctx = SlotContext(snapshot, default_link_params())
+        ctx = SlotContext(snapshot, default_scenario())
         a = snapshot.nodes[src]
         for b in snapshot.nodes:
             expected_sdp = oracle_best(snapshot, a, b, "distance")
@@ -477,7 +477,7 @@ class TestTieBreak:
         )  # fmt: skip
         assert shortest_distance_path(snapshot, "r", "t").nodes == ("r", "a", "d", "t")
         assert min_hop_path(snapshot, "r", "t").nodes == ("r", "a", "d", "t")
-        ctx = SlotContext(snapshot, default_link_params())
+        ctx = SlotContext(snapshot, default_scenario())
         assert ctx.isl_route("t", "r").nodes == ("t", "d", "a", "r")
 
 
