@@ -20,7 +20,7 @@ from dataclasses import replace
 from . import delivery, routing
 from .orbits import propagate
 from .scenario import Scenario, ScenarioError, load_scenario
-from .topology import TOPOLOGY_MODES, build_snapshot
+from .topology import GRID_MODE, TOPOLOGY_MODES, build_snapshot
 
 PROPAGATE_CSV_HEADER = (
     "sat_id",
@@ -138,6 +138,8 @@ def _cmd_propagate(args) -> int:
 def _cmd_topology(args) -> int:
     scenario = load_scenario(args.scenario)
     mode = args.mode or scenario.topology.mode
+    if mode == GRID_MODE and args.max_isls is not None:
+        raise _CliError("--max-isls applies to the dynamic mode only; the +grid has degree 4")
     max_isls = scenario.topology.max_isls if args.max_isls is None else args.max_isls
     topology = replace(scenario.topology, mode=mode, max_isls=max_isls)
     snapshot = build_snapshot(replace(scenario, topology=topology), args.epoch, ground=args.ground)

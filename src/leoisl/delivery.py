@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -31,8 +32,7 @@ from .links import (
     ISL_LASER,
     SAT_TO_AIR,
     LinkBudgetParams,
-    capacity_bps,
-    snr_linear,
+    rf_terms,
 )
 from .routing import Path, _chain, _graph, _path, _shortest_paths
 from .topology import DYNAMIC_MODE, LinkEdge, TopologySnapshot, build_snapshot
@@ -234,6 +234,8 @@ class GsFlow:
     ``fixed_cap_bps`` is the bottleneck of the share-independent hops
     (infinite when the feeder is the only link); ``fixed_inv_rate`` is the
     summed inverse rate of those hops for the store-and-forward model.
+    The feeder's received and noise power are read once per flow, from the
+    ``links.rf_terms`` memo.
     """
 
     flow_id: str
@@ -245,8 +247,15 @@ class GsFlow:
     store_and_forward: bool = False
     fixed_inv_rate: float = 0.0
 
+    @cached_property
+    def _feeder_terms(self) -> tuple[float, float]:
+        return rf_terms(self.feeder_params, self.feeder_distance_km)
+
     def feeder_capacity_bps(self, share: float) -> float:
-        return capacity_bps(self.feeder_params, self.feeder_distance_km, share)
+        # capacity_bps's arithmetic, in its order, on the cached terms.
+        rx_w, noise_w = self._feeder_terms
+        bw = self.feeder_params.bandwidth_hz * share
+        return bw * math.log2(1.0 + rx_w / (noise_w * share))
 
     def rate_bps(self, share: float) -> float:
         cap = self.feeder_capacity_bps(share)
@@ -255,24 +264,22 @@ class GsFlow:
         return min(cap, self.fixed_cap_bps)
 
     def delay_s(self, share: float) -> float:
-        rate = self.rate_bps(share)
-        if rate <= 0:
-            return math.inf
-        return self.base_prop_s + self.bits / rate
+        return _delay_s(self.base_prop_s, self.bits, self.rate_bps(share))
 
 
-def _feeder_capacity_slope(params: LinkBudgetParams, distance_km: float, share: float) -> float:
-    # d/dshare of share*B*log2(1 + S/share) with S the full-band SNR.
-    s_full = snr_linear(params, distance_km, 1.0)
-    return (params.bandwidth_hz / math.log(2.0)) * (
-        math.log1p(s_full / share) - s_full / (share + s_full)
-    )
+def _delay_s(prop_s: float, bits: float, rate_bps: float) -> float:
+    return math.inf if rate_bps <= 0 else prop_s + bits / rate_bps
 
 
 def _marginal_gain(flow: GsFlow, share: float) -> float:
     """-d(delay)/d(share): how much one more unit of share still buys."""
     cap = flow.feeder_capacity_bps(share)
-    slope = _feeder_capacity_slope(flow.feeder_params, flow.feeder_distance_km, share)
+    # d/dshare of share*B*log2(1 + S/share), S the full-band SNR.
+    rx_w, noise_w = flow._feeder_terms
+    s_full = rx_w / noise_w
+    slope = (flow.feeder_params.bandwidth_hz / math.log(2.0)) * (
+        math.log1p(s_full / share) - s_full / (share + s_full)
+    )
     return flow.bits * slope / (cap * cap)
 
 
@@ -688,6 +695,9 @@ class _RouteOption:
     feeder_class: str
     feeder_distance_km: float
     activated_edge: tuple[str, str] | None
+    # The flow's rate at share 1.0 under the context's delay model; filled
+    # in by _route_options, which builds every option.
+    full_rate_bps: float = math.nan
 
 
 def _route_options(
@@ -751,7 +761,11 @@ def _route_options(
                         ),
                     )
                 )
-    ctx._route_options[key] = memo = tuple(options)
+    memo = tuple(
+        replace(option, full_rate_bps=_flow_for(ctx, request, option).rate_bps(1.0))
+        for option in options
+    )
+    ctx._route_options[key] = memo
     return memo
 
 
@@ -772,13 +786,7 @@ def _greedy_route(
     ctx: SlotContext, request: FileRequest, options: Sequence[_RouteOption]
 ) -> _RouteOption:
     def rate_key(option: _RouteOption):
-        flow = _flow_for(ctx, request, option)
-        return (
-            -flow.rate_bps(1.0),
-            option.base_prop_s,
-            option.gs,
-            option.entry or "",
-        )
+        return (-option.full_rate_bps, option.base_prop_s, option.gs, option.entry or "")
 
     for air_edge in ctx.edges_at(SAT_TO_AIR, request.aircraft_id):
         serving = air_edge.other(request.aircraft_id)
@@ -838,10 +846,11 @@ def plan_non_cached(
         standalone: dict[str, _RouteOption] = {}
         for request in deliverable:
             options = options_by_request[request.request_id]
+            bits = float(request.total_bits)
             standalone[request.request_id] = min(
                 options,
                 key=lambda o: (
-                    _flow_for(ctx, request, o).delay_s(1.0),
+                    _delay_s(o.base_prop_s, bits, o.full_rate_bps),
                     o.gs,
                     o.entry or "",
                     o.serving or "",
@@ -852,36 +861,32 @@ def plan_non_cached(
             for request in deliverable
         }
 
-        def evaluate(
-            assignment: dict[str, _RouteOption],
-        ) -> tuple[float, dict[str, float], dict[str, float]]:
+        def evaluate(assignment: dict[str, _RouteOption]) -> tuple:
+            flows = {
+                request.request_id: _flow_for(ctx, request, assignment[request.request_id])
+                for request in deliverable
+            }
             by_gs: dict[str, list[GsFlow]] = {}
-            for request in deliverable:
-                option = assignment[request.request_id]
-                by_gs.setdefault(option.gs, []).append(_flow_for(ctx, request, option))
+            for request_id, flow in flows.items():
+                by_gs.setdefault(assignment[request_id].gs, []).append(flow)
             shares: dict[str, float] = {}
             for gs in sorted(by_gs):
                 shares.update(optimize_gs_shares(by_gs[gs], equal=equal))
-            delays = {}
-            for request in deliverable:
-                option = assignment[request.request_id]
-                flow = _flow_for(ctx, request, option)
-                delays[request.request_id] = flow.delay_s(shares[request.request_id])
-            return sum(delays.values()), shares, delays
+            delays = {rid: flow.delay_s(shares[rid]) for rid, flow in flows.items()}
+            return sum(delays.values()), assignment, flows, shares, delays
 
         if mode == MODE_GREEDY:
-            assignment = greedy
+            chosen = evaluate(greedy)
         else:
-            total_standalone, _, _ = evaluate(standalone)
-            total_greedy, _, _ = evaluate(greedy)
-            assignment = standalone if total_standalone <= total_greedy else greedy
-        _, shares, delays = evaluate(assignment)
+            by_standalone, by_greedy = evaluate(standalone), evaluate(greedy)
+            chosen = by_standalone if by_standalone[0] <= by_greedy[0] else by_greedy
+        _, assignment, flows, shares, delays = chosen
 
         for request in deliverable:
             option = assignment[request.request_id]
             share = shares[request.request_id]
             delay = delays[request.request_id]
-            flow = _flow_for(ctx, request, option)
+            flow = flows[request.request_id]
             stream = StreamPlan(
                 source=option.gs,
                 nodes=option.nodes,

@@ -11,8 +11,11 @@ from pathlib import Path
 
 import pytest
 
+from leoisl import links
 from leoisl.cli import main
+from leoisl.delivery import build_slot_context
 from leoisl.orbits import ConstellationConfig, propagate_arrays
+from leoisl.scenario import default_scenario
 from leoisl.topology import build_grid_topology
 
 
@@ -67,6 +70,39 @@ class TestTopologyCommand:
             degree[row[1]] = degree.get(row[1], 0) + 1
             degree[row[2]] = degree.get(row[2], 0) + 1
         assert max(degree.values()) <= 1
+
+    def test_dynamic_budget_flag_caps_at_two(self, capsys):
+        code, out, _ = run_cli(["topology", "--mode", "dynamic", "--max-isls", "2"], capsys)
+        assert code == 0
+        degree = {}
+        for row in parse_csv(out)[1:]:
+            degree[row[1]] = degree.get(row[1], 0) + 1
+            degree[row[2]] = degree.get(row[2], 0) + 1
+        assert max(degree.values()) == 2
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--mode", "grid", "--max-isls", "1"],
+            ["--mode", "grid", "--max-isls", "0"],
+            ["--max-isls", "1"],  # the built-in scenario's mode is grid
+        ],
+    )
+    def test_budget_flag_rejected_under_grid(self, args, capsys):
+        code, out, err = run_cli(["topology", *args], capsys)
+        assert code == 1
+        assert out == ""
+        assert "--max-isls" in err
+
+    def test_budget_flag_rejected_under_scenario_grid(self, tmp_path, capsys):
+        path = tmp_path / "grid.json"
+        path.write_text(json.dumps({"topology": {"mode": "grid", "max_isls": 2}}))
+        code, out, err = run_cli(["topology", "--scenario", str(path), "--max-isls", "2"], capsys)
+        assert code == 1
+        assert out == ""
+        assert "--max-isls" in err
+        # The scenario's own grid without the flag still prints the +grid.
+        assert len(parse_csv(run_cli(["topology", "--scenario", str(path)], capsys)[1])) - 1 == 210
 
     def test_scenario_mode_is_the_default(self, tmp_path, capsys):
         # Without --mode the scenario's topology applies: here its k=2 mesh,
@@ -316,6 +352,32 @@ class TestIfcSweepCommand:
         )  # fmt: skip
         assert code == 0
         assert out == (DATA / "sweep_24x22.csv").read_text(encoding="utf-8")
+
+    def test_sweep_prices_each_feeder_link_once(self, monkeypatch, capsys):
+        # Building the ground links prices each of them once; the planners
+        # may price each feeder link at most once more, however many cells,
+        # keys and bisection steps read its rate.
+        ground = [
+            e
+            for e in build_slot_context(default_scenario(), 0.0).snapshot.edges
+            if e.link_class != links.ISL_LASER
+        ]
+        feeders = [e for e in ground if e.link_class in (links.GROUND_TO_SAT, links.GROUND_TO_AIR)]
+        assert (len(ground), len(feeders)) == (47, 26)
+        calls = []
+        original = links.fspl_db
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "leoisl" and getattr(module, "fspl_db", None) is original:
+                monkeypatch.setattr(module, "fspl_db", counted)
+        links.rf_terms.cache_clear()
+        code, _, _ = run_cli(["ifc-sweep", "--isls", "1..8", "--seeds", "10"], capsys)
+        assert code == 0
+        assert 0 < len(calls) <= len(ground) + len(feeders)
 
     def test_unknown_mode_is_bad_input(self, capsys):
         code, _, err = run_cli(["ifc-sweep", "--modes", "psychic"], capsys)

@@ -1,6 +1,8 @@
 """Delivery planning: water-filling, bandwidth shares, and slot execution."""
 
 import math
+import pathlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -33,19 +35,30 @@ from leoisl.delivery import (
 )
 from leoisl.delivery import _marginal_gain, _share_cap
 from leoisl.links import (
+    GROUND_TO_AIR,
     GROUND_TO_SAT,
     ISL_LASER,
     SAT_TO_AIR,
+    LinkBudgetParams,
+    capacity_bps,
     default_link_params,
     propagation_delay_s,
+    snr_linear,
 )
 from leoisl.routing import Path
-from leoisl.scenario import IfcSettings, Scenario, default_scenario, scenario_from_dict
+from leoisl.scenario import (
+    IfcSettings,
+    Scenario,
+    default_scenario,
+    load_scenario,
+    scenario_from_dict,
+)
 from leoisl.topology import LinkEdge, TopologySnapshot
 
 from oracles import bisection_delay_oracle, enumerate_cached_plan_delay
 
 C_KM_S = 299792.458
+DATA = pathlib.Path(__file__).parent / "data"
 
 
 def edge(a, b, link_class, distance, capacity):
@@ -278,6 +291,35 @@ class TestGsShares:
         optimized_total = sum(f.delay_s(shares[f.flow_id]) for f in flows)
         equal_total = sum(f.delay_s(equal[f.flow_id]) for f in flows)
         assert optimized_total <= equal_total * (1 + 1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.sampled_from((SAT_TO_AIR, GROUND_TO_AIR, GROUND_TO_SAT)),
+        st.floats(0.5, 100.0),  # tx power, W
+        st.floats(0.0, 60.0),  # tx gain, dB
+        st.floats(0.0, 60.0),  # rx gain, dB
+        st.floats(1.0e9, 40.0e9),  # carrier, Hz
+        st.floats(1.0e6, 1.0e9),  # bandwidth, Hz
+        st.floats(50.0, 1000.0),  # noise temperature, K
+        st.floats(200.0, 3000.0),  # distance, km
+        st.floats(1e-9, 1.0),  # share
+        st.floats(1.0e3, 1.0e10),  # bits
+    )
+    def test_cached_feeder_terms_are_bit_identical(
+        self, link_class, power, tx_gain, rx_gain, carrier, bandwidth, noise_k, distance, share, bits
+    ):
+        params = LinkBudgetParams(
+            link_class, power, tx_gain, rx_gain, carrier, bandwidth, noise_temperature_k=noise_k
+        )
+        flow = GsFlow("f", bits, 0.01, math.inf, params, distance)
+        cap = capacity_bps(params, distance, share)
+        assert flow.feeder_capacity_bps(share) == cap
+        # The marginal gain as written before the feeder terms were cached.
+        s_full = snr_linear(params, distance, 1.0)
+        slope = (bandwidth / math.log(2.0)) * (
+            math.log1p(s_full / share) - s_full / (share + s_full)
+        )
+        assert _marginal_gain(flow, share) == bits * slope / (cap * cap)
 
 
 AIR = "air-1"
@@ -529,6 +571,33 @@ class TestPlanNonCached:
         (routed,) = plan_non_cached([request], context(snapshot), 1)
         assert routed.delivered
         assert routed.activated_isl_edges == (("S-entry", "S-serve"),)
+
+    @pytest.mark.parametrize(
+        ("scenario_file", "store_and_forward"),
+        [(None, False), ("feeder_limited.json", False), ("cached_equal_split_saf.json", True)],
+    )
+    def test_route_options_carry_their_full_share_rate(self, scenario_file, store_and_forward):
+        # The standalone and greedy keys read each option's stored rate in
+        # place of building its flow; the two must agree bit for bit.
+        scenario = default_scenario() if scenario_file is None else load_scenario(DATA / scenario_file)
+        # Every request non-cached, so that every aircraft has route options.
+        scenario = replace(scenario, ifc=replace(scenario.ifc, cache_hit_probability=0.0))
+        ctx = build_slot_context(scenario, 0.0)
+        assert ctx.store_and_forward == store_and_forward
+        checked = 0
+        for seed in (1, 2, 3):
+            requests = generate_requests(scenario, seed)
+            for max_isls in range(9):
+                for mode in SWEEP_MODES:
+                    plan_non_cached(requests, ctx, max_isls, mode)
+            for request in requests:
+                for zero_budget in (False, True):
+                    for option in delivery._route_options(ctx, request, zero_budget):
+                        flow = delivery._flow_for(ctx, request, option)
+                        assert option.full_rate_bps == flow.rate_bps(1.0)
+                        checked += 1
+        assert checked > 0
+        assert len(ctx._route_options) > 0
 
 
 class TestSlotExecution:
