@@ -11,7 +11,6 @@ from .delivery import (
     plan_cached,
     plan_non_cached,
     run_slot,
-    stream_delay,
     sweep_max_isls,
 )
 from .links import LinkBudgetParams, capacity_bps, fspl_db, propagation_delay_s
@@ -84,7 +83,6 @@ __all__ = [
     "save_scenario",
     "sdp_mhp_fraction",
     "shortest_distance_path",
-    "stream_delay",
     "sweep_max_isls",
     "visible",
 ]

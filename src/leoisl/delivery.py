@@ -154,27 +154,6 @@ class DeliveryPlan:
 # ---------------------------------------------------------------------------
 
 
-def stream_delay(path, bits: float, *, store_and_forward: bool = False) -> float:
-    """End-to-end delay of one stream carrying ``bits`` along ``path``.
-
-    Cut-through (default): propagation plus a single transmission time at
-    the bottleneck link. Store-and-forward pays the transmission time on
-    every hop instead.
-    """
-    if bits < 0:
-        raise ValueError(f"bits must be >= 0, got {bits}")
-    prop = path.total_propagation_delay_s
-    if bits == 0:
-        return prop
-    if store_and_forward:
-        if any(cap <= 0 for cap in path.edge_capacities_bps):
-            return math.inf
-        return prop + bits * sum(1.0 / cap for cap in path.edge_capacities_bps)
-    if path.bottleneck_capacity_bps <= 0:
-        return math.inf
-    return prop + bits / path.bottleneck_capacity_bps
-
-
 def optimal_ratio_delay(
     sources: Sequence[tuple[float, float]], total_bits: float
 ) -> tuple[float, list[float]]:
@@ -375,7 +354,6 @@ class SlotContext:
     def __init__(self, snapshot: TopologySnapshot, scenario: "Scenario"):
         self.snapshot = snapshot
         self.link_params = scenario.link_params
-        self.ifc = scenario.ifc
         self.per_stream = scenario.ifc.air_link_sharing == PER_STREAM
         self.store_and_forward = scenario.ifc.delay_model == STORE_AND_FORWARD
         self._by_class_by_node: dict[str, dict[str, list[LinkEdge]]] = {}
@@ -575,8 +553,9 @@ def _largest_terms_holders(
 
 def _select_holders(
     ctx: SlotContext, option: _Serving, aircraft: str, budget: int, bits: float
-) -> tuple[float, tuple[int, ...]]:
-    """Least-delay set of at most ``budget`` holders for one serving satellite.
+) -> tuple[float, tuple[int, ...], list[StreamPlan]]:
+    """Least-delay set of at most ``budget`` holders for one serving
+    satellite, with its delay and streams.
 
     Under ``equal_split`` the stream rates depend on the stream count, so
     each count is solved at its own rates; a set smaller than its count
@@ -589,14 +568,14 @@ def _select_holders(
         sizes: Iterable[int] = (budget,)
     else:
         sizes = range(0 if serving_holds else 1, budget + 1)
-    best: tuple[float, tuple[int, ...]] = (math.inf, ())
+    best: tuple[float, tuple[int, ...], list[StreamPlan]] = (math.inf, (), [])
     for size in sizes:
         share, rates = _holder_rates(ctx, air_edge, candidates, size + serving_holds)
         own = [(air_prop, share)] if serving_holds else []
         chosen = _largest_terms_holders(own, props, rates, size, bits)
-        delay, _ = _evaluate_cached(ctx, option, aircraft, chosen, bits)
+        delay, streams = _evaluate_cached(ctx, option, aircraft, chosen, bits)
         if (delay, len(chosen)) < (best[0], len(best[1])):
-            best = (delay, chosen)
+            best = (delay, chosen, streams)
     return best
 
 
@@ -641,7 +620,7 @@ def plan_cached(
     if memo is not None:
         return memo
     bits = float(request.total_bits)
-    best: tuple[float, _Serving, tuple[int, ...]] | None = None
+    best: tuple[float, _Serving, tuple[int, ...], list[StreamPlan]] | None = None
     for option in servings:
         air_edge, _, serving_holds, candidates = option
         budget = min(effective_budget, len(candidates))
@@ -650,20 +629,19 @@ def plan_cached(
             chosen = _highest_rates(rates, budget)
             if not chosen and not serving_holds:
                 continue  # nothing to stream from here; try the next nearest
-            delay, _ = _evaluate_cached(ctx, option, request.aircraft_id, chosen, bits)
-            best = (delay, option, chosen)
+            delay, streams = _evaluate_cached(ctx, option, request.aircraft_id, chosen, bits)
+            best = (delay, option, chosen, streams)
             break
-        delay, chosen = _select_holders(ctx, option, request.aircraft_id, budget, bits)
+        delay, chosen, streams = _select_holders(ctx, option, request.aircraft_id, budget, bits)
         if math.isinf(delay):
             continue
         if best is None or delay < best[0]:
-            best = (delay, option, chosen)
+            best = (delay, option, chosen, streams)
     if best is None:
         plan = RequestPlan(request=request, delivered=False, delay_s=math.inf)
     else:
-        delay, option, chosen = best
+        delay, option, chosen, streams = best
         _, serving, _, candidates = option
-        _, streams = _evaluate_cached(ctx, option, request.aircraft_id, chosen, bits)
         plan = RequestPlan(
             request=request,
             delivered=True,
@@ -958,37 +936,16 @@ def generate_requests(scenario: "Scenario", rng_seed: int) -> list[FileRequest]:
 
 
 def run_slot(
-    scenario: "Scenario",
-    epoch_s: float,
-    max_isls: int,
-    mode: str,
-    rng_seed: int,
-    *,
-    ctx: SlotContext | None = None,
-    requests: Sequence[FileRequest] | None = None,
+    ctx: SlotContext, requests: Sequence[FileRequest], max_isls: int, mode: str
 ) -> DeliveryPlan:
-    """Generate and plan one slot's requests; average over delivered files.
+    """Plan one slot's requests on ``ctx``; average over delivered files.
 
-    The average is None when nothing was delivered.
-
-    Fully deterministic in (scenario, epoch, max_isls, mode, seed): request
-    generation never looks at the degree budget or the mode, so a fixed seed
-    compares the same workload across every sweep cell. Cells that share
-    work pass it in: ``ctx`` must be ``build_slot_context(scenario,
-    epoch_s)`` and ``requests`` must be ``generate_requests(scenario,
-    rng_seed)``; either is built here when omitted. A context built from a
-    scenario with other link budgets or delivery settings is rejected.
+    The plan's epoch is the context's, and the average is None when nothing
+    was delivered. Fully deterministic in (context, requests, max_isls,
+    mode). Request generation never looks at the degree budget or the mode,
+    so one ``generate_requests`` draw compares the same workload across
+    every sweep cell, and cells that share one context share its memos.
     """
-    _check_mode(mode)
-    if max_isls < 0:
-        raise ValueError(f"max_isls must be >= 0, got {max_isls}")
-    if ctx is None:
-        ctx = build_slot_context(scenario, epoch_s)
-    for name in ("link_params", "ifc"):
-        if getattr(ctx, name) != getattr(scenario, name):
-            raise ValueError(f"ctx was built from a scenario with a different {name}")
-    if requests is None:
-        requests = generate_requests(scenario, rng_seed)
     plans: dict[str, RequestPlan] = {}
     for request in requests:
         if request.cached:
@@ -1000,7 +957,7 @@ def run_slot(
     delivered = [p for p in ordered if p.delivered]
     average = sum(p.delay_s for p in delivered) / len(delivered) if delivered else None
     return DeliveryPlan(
-        epoch_s=epoch_s,
+        epoch_s=ctx.snapshot.epoch_s,
         max_isls=max_isls,
         mode=mode,
         request_plans=ordered,
@@ -1077,16 +1034,13 @@ def sweep_max_isls(
         for max_isls in isls_values:
             for mode in modes:
                 for seed in seeds:
-                    plan = run_slot(
-                        scenario, epoch_s, max_isls, mode, seed,
-                        ctx=ctx, requests=requests[seed],
-                    )
+                    plan = run_slot(ctx, requests[seed], max_isls, mode)
                     rows.append(
                         SweepRow(
                             max_isls=max_isls,
                             mode=mode,
                             seed=seed,
-                            epoch_s=epoch_s,
+                            epoch_s=plan.epoch_s,
                             avg_delay_s=plan.average_delay_s,
                             delivered=plan.delivered,
                             undelivered=plan.undelivered,

@@ -30,7 +30,6 @@ from leoisl.delivery import (
     plan_cached,
     plan_non_cached,
     run_slot,
-    stream_delay,
     sweep_max_isls,
 )
 from leoisl.delivery import _marginal_gain, _share_cap
@@ -45,7 +44,6 @@ from leoisl.links import (
     propagation_delay_s,
     snr_linear,
 )
-from leoisl.routing import Path
 from leoisl.scenario import (
     IfcSettings,
     Scenario,
@@ -80,6 +78,12 @@ def context(snapshot, **ifc):
     return SlotContext(snapshot, Scenario(ifc=IfcSettings(**ifc)))
 
 
+def fresh_slot(scenario, max_isls, mode, seed, epoch_s=0.0):
+    """One slot planned on a context and a request draw of its own."""
+    requests = generate_requests(scenario, seed)
+    return run_slot(build_slot_context(scenario, epoch_s), requests, max_isls, mode)
+
+
 def cached_request(holders, packets=1000, aircraft="air-1"):
     return FileRequest(
         request_id="req-c",
@@ -89,49 +93,6 @@ def cached_request(holders, packets=1000, aircraft="air-1"):
         cached=True,
         cache_holders=frozenset(holders),
     )
-
-
-class TestStreamDelay:
-    def test_zero_bits_pure_propagation(self):
-        path = Path(("a", "b"), 1, 100.0, 100.0 / C_KM_S, 1e9, (1e9,))
-        assert stream_delay(path, 0) == path.total_propagation_delay_s
-
-    def test_single_laser_hop(self):
-        distance = 2306.16
-        path = Path(
-            ("a", "b"), 1, distance, propagation_delay_s(distance), 1e10, (1e10,)
-        )
-        got = stream_delay(path, 108000)
-        assert got == pytest.approx(7.704e-3, rel=1e-3)
-
-    def test_two_hop_dominates_each_leg(self):
-        leg = Path(("a", "b"), 1, 1000.0, propagation_delay_s(1000.0), 5e8, (5e8,))
-        both = Path(
-            ("a", "b", "c"),
-            2,
-            2000.0,
-            propagation_delay_s(2000.0),
-            5e8,
-            (5e8, 9e8),
-        )
-        bits = 1e6
-        assert stream_delay(both, bits) >= stream_delay(leg, bits)
-
-    def test_store_and_forward_pays_every_hop(self):
-        path = Path(
-            ("a", "b", "c"), 2, 2000.0, propagation_delay_s(2000.0), 5e8, (5e8, 9e8)
-        )
-        bits = 1e6
-        cut = stream_delay(path, bits)
-        snf = stream_delay(path, bits, store_and_forward=True)
-        assert snf == pytest.approx(
-            path.total_propagation_delay_s + bits / 5e8 + bits / 9e8
-        )
-        assert snf > cut
-
-    def test_zero_capacity_sentinel(self):
-        path = Path(("a", "b"), 1, 1.0, 0.0, 0.0, (0.0,))
-        assert math.isinf(stream_delay(path, 10))
 
 
 class TestOptimalRatioDelay:
@@ -603,13 +564,13 @@ class TestPlanNonCached:
 class TestSlotExecution:
     def test_same_seed_identical_plans(self):
         scenario = default_scenario()
-        first = run_slot(scenario, 0.0, 3, "optimized", 11)
-        second = run_slot(scenario, 0.0, 3, "optimized", 11)
+        first = fresh_slot(scenario, 3, "optimized", 11)
+        second = fresh_slot(scenario, 3, "optimized", 11)
         assert first == second
 
     def test_zero_aircraft_slot(self):
         scenario = Scenario(aircraft=())
-        plan = run_slot(scenario, 0.0, 4, "optimized", 1)
+        plan = fresh_slot(scenario, 4, "optimized", 1)
         assert plan.request_plans == ()
         assert plan.average_delay_s is None
         assert plan.delivered == 0
@@ -617,7 +578,7 @@ class TestSlotExecution:
     def test_zero_delivery_slot_reports_no_average(self):
         # A near-vertical elevation mask hides every satellite and station.
         scenario = scenario_from_dict({"topology": {"elevation_mask_deg": 89.9}})
-        plan = run_slot(scenario, 0.0, 4, "optimized", 1)
+        plan = fresh_slot(scenario, 4, "optimized", 1)
         assert (plan.average_delay_s, plan.delivered, plan.undelivered) == (None, 0, 4)
         result = sweep_max_isls(scenario, [4], ["optimized"], [0.0], [1])
         assert result.csv_rows()[1][4:] == ("", 0, 4)
@@ -653,7 +614,7 @@ class TestSlotExecution:
         result = sweep_max_isls(scenario, [3], ["optimized"], [0.0], [5])
         assert len(result.rows) == 1
         row = result.rows[0]
-        plan = run_slot(scenario, 0.0, 3, "optimized", 5)
+        plan = fresh_slot(scenario, 3, "optimized", 5)
         assert row.avg_delay_s == plan.average_delay_s
         assert row.delivered == plan.delivered
 
@@ -675,10 +636,11 @@ class TestSlotExecution:
             for max_isls in budgets:
                 for mode in SWEEP_MODES:
                     for seed in seeds:
+                        requests = generate_requests(scenario, seed)
                         fresh = SlotContext(shared.snapshot, scenario)
-                        assert run_slot(
-                            scenario, 0.0, max_isls, mode, seed, ctx=shared
-                        ) == run_slot(scenario, 0.0, max_isls, mode, seed, ctx=fresh)
+                        assert run_slot(shared, requests, max_isls, mode) == run_slot(
+                            fresh, requests, max_isls, mode
+                        )
         # Every cached plan too, on each scenario's shared context: all
         # modes, air sharing modes and delay models, and budgets past every
         # serving satellite's candidate count (at most 4 here).
@@ -701,21 +663,6 @@ class TestSlotExecution:
                             assert plan_cached(
                                 request, shared, max_isls, mode
                             ) == plan_cached(request, fresh, max_isls, mode)
-
-    @pytest.mark.parametrize(
-        "overrides, field",
-        [
-            ({"link_params": {"ground_to_sat": {"bandwidth_hz": 5e6}}}, "link_params"),
-            ({"ifc": {"delay_model": "store_and_forward"}}, "ifc"),
-        ],
-    )
-    def test_context_of_another_scenario_rejected(self, overrides, field):
-        # A context keeps its scenario's link budgets and delivery settings,
-        # so it must not plan a scenario whose settings differ.
-        ctx = build_slot_context(default_scenario(), 0.0)
-        other = scenario_from_dict(overrides)
-        with pytest.raises(ValueError, match=f"different {field}$"):
-            run_slot(other, 0.0, 4, "optimized", 1, ctx=ctx)
 
     def test_batched_route_search_matches_fresh_context_per_route(self):
         # A file's route options search all of its aircraft's serving
@@ -766,9 +713,9 @@ class TestSlotExecution:
             requests = generate_requests(scenario, seed)
             for max_isls in (0, 2):
                 for mode in SWEEP_MODES:
-                    assert run_slot(
-                        scenario, 0.0, max_isls, mode, seed, ctx=ctx, requests=requests
-                    ) == run_slot(scenario, 0.0, max_isls, mode, seed)
+                    assert run_slot(ctx, requests, max_isls, mode) == fresh_slot(
+                        scenario, max_isls, mode, seed
+                    )
 
     def test_mode_dominance_and_convergence_small(self):
         scenario = default_scenario()
@@ -804,9 +751,11 @@ class TestSlotExecution:
 
     def test_degree_feasibility_of_plans(self):
         scenario = default_scenario()
+        ctx = build_slot_context(scenario, 0.0)
         for seed in range(3):
+            requests = generate_requests(scenario, seed)
             for k in (1, 2, 4):
-                plan = run_slot(scenario, 0.0, k, "optimized", seed)
+                plan = run_slot(ctx, requests, k, "optimized")
                 for request_plan in plan.request_plans:
                     degree = {}
                     for a, b in request_plan.activated_isl_edges:
@@ -834,18 +783,48 @@ class TestSlotExecution:
             cells = {}
             for mode in ("optimized", "greedy", "equal", "full"):
                 for k in (1, 3):
-                    cells[(mode, k)] = run_slot(scenario, 0.0, k, mode, 2)
+                    cells[(mode, k)] = fresh_slot(scenario, k, mode, 2)
             for k in (1, 3):
                 opt = cells[("optimized", k)].average_delay_s
                 assert opt <= cells[("greedy", k)].average_delay_s + 1e-12
                 assert opt <= cells[("equal", k)].average_delay_s + 1e-12
                 assert cells[("full", k)].average_delay_s <= opt + 1e-12
-            base_plan = run_slot(base, 0.0, 3, "optimized", 2)
+            base_plan = fresh_slot(base, 3, "optimized", 2)
             assert cells[("optimized", 3)] != base_plan  # the knobs must bite
 
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            run_slot(default_scenario(), 0.0, 4, "best", 1)
+        # The planners check the mode and budget: cached requests reach
+        # plan_cached, and every slot, even an empty or all-cached one,
+        # reaches plan_non_cached.
+        scenarios = [Scenario(ifc=IfcSettings(cache_hit_probability=p)) for p in (0.0, 0.5, 1.0)]
+        for scenario in scenarios + [Scenario(aircraft=())]:
+            ctx = build_slot_context(scenario, 0.0)
+            requests = generate_requests(scenario, 1)
+            with pytest.raises(ValueError, match="got 'best'$"):
+                run_slot(ctx, requests, 4, "best")
+            with pytest.raises(ValueError, match="max_isls must be >= 0, got -1$"):
+                run_slot(ctx, requests, -1, "optimized")
+
+    def test_plan_reports_the_epoch_of_its_context(self):
+        scenario = default_scenario()
+        requests = generate_requests(scenario, 1)
+        early = run_slot(build_slot_context(scenario, 0.0), requests, 4, "optimized")
+        late = run_slot(build_slot_context(scenario, 3000.0), requests, 4, "optimized")
+        assert (early.epoch_s, late.epoch_s) == (0.0, 3000.0)
+        assert early.average_delay_s != late.average_delay_s
+
+    def test_sweep_rows_carry_the_epoch_of_their_context(self):
+        scenario = default_scenario()
+        epochs = [0.0, 3000.0]
+        result = sweep_max_isls(scenario, [2], ["optimized"], epochs, [1, 2])
+        assert sorted({row.epoch_s for row in result.rows}) == epochs
+        for row in result.rows:
+            plan = fresh_slot(scenario, 2, "optimized", row.seed, row.epoch_s)
+            assert (row.epoch_s, row.avg_delay_s, row.delivered) == (
+                plan.epoch_s,
+                plan.average_delay_s,
+                plan.delivered,
+            )
 
 
 @pytest.mark.parametrize("mode", ["fully_connected", "best"])
