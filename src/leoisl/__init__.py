@@ -17,13 +17,11 @@ from .links import LinkBudgetParams, capacity_bps, fspl_db, propagation_delay_s
 from .orbits import (
     ConstellationConfig,
     GroundNode,
-    SatelliteState,
     elevation_deg,
     elevations_deg,
     generate_walker,
     ground_position,
     propagate,
-    propagate_arrays,
     visible,
 )
 from .routing import (
@@ -54,7 +52,6 @@ __all__ = [
     "LinkEdge",
     "Path",
     "RequestPlan",
-    "SatelliteState",
     "Scenario",
     "SlotContext",
     "TopologySnapshot",
@@ -77,7 +74,6 @@ __all__ = [
     "plan_cached",
     "plan_non_cached",
     "propagate",
-    "propagate_arrays",
     "propagation_delay_s",
     "run_slot",
     "save_scenario",

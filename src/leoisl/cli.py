@@ -123,14 +123,11 @@ def _epochs(scenario: Scenario, count: int) -> list[float]:
 
 def _cmd_propagate(args) -> int:
     scenario = load_scenario(args.scenario)
-    states = propagate(scenario.constellation, args.epoch)
+    config = scenario.constellation
     rows = [PROPAGATE_CSV_HEADER]
-    for state in states:
-        x, y, z = state.position_km
-        vx, vy, vz = state.velocity_km_s
-        rows.append(
-            (state.node_key, state.sat_id[0], state.sat_id[1], x, y, z, vx, vy, vz)
-        )
+    for i, state in enumerate(propagate(config, args.epoch)):
+        plane, slot = divmod(i, config.sats_per_plane)
+        rows.append((state.node_key, plane, slot, *state.position_km, *state.velocity_km_s))
     _write_rows(rows, args.output)
     return 0
 
@@ -151,7 +148,7 @@ def _cmd_route(args) -> int:
     scenario = load_scenario(args.scenario)
     snapshot = build_snapshot(scenario, args.epoch, ground=True)
     for flag, node in (("--src", args.src), ("--dst", args.dst)):
-        if node not in snapshot.positions:
+        if node not in snapshot.nodes:
             raise _CliError(f"unknown node id in {flag}: {node!r}")
     if args.metric == "distance":
         path = routing.shortest_distance_path(snapshot, args.src, args.dst)

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -29,13 +29,12 @@ from . import orbits
 from .links import (
     GROUND_TO_AIR,
     GROUND_TO_SAT,
-    ISL_LASER,
     SAT_TO_AIR,
     LinkBudgetParams,
     rf_terms,
 )
-from .routing import Path, _chain, _graph, _path, _shortest_paths
-from .topology import DYNAMIC_MODE, LinkEdge, TopologySnapshot, build_snapshot
+from .routing import Path, _chain, _graph, _link, _path, _shortest_paths
+from .topology import DYNAMIC_MODE, ISL_CODE, LinkEdge, TopologySnapshot, build_snapshot
 
 if TYPE_CHECKING:  # pragma: no cover
     from .scenario import Scenario
@@ -238,12 +237,21 @@ class GsFlow:
 
     def rate_bps(self, share: float) -> float:
         cap = self.feeder_capacity_bps(share)
-        if self.store_and_forward:
-            return 1.0 / (1.0 / cap + self.fixed_inv_rate)
-        return min(cap, self.fixed_cap_bps)
+        return _series_rate(cap, self.fixed_cap_bps, self.fixed_inv_rate, self.store_and_forward)
 
     def delay_s(self, share: float) -> float:
         return _delay_s(self.base_prop_s, self.bits, self.rate_bps(share))
+
+
+def _series_rate(
+    rate_bps: float, fixed_cap_bps: float, fixed_inv_rate: float, store_and_forward: bool
+) -> float:
+    """Rate over a link of ``rate_bps`` in series with fixed hops (bottleneck
+    ``fixed_cap_bps``, summed inverse rate ``fixed_inv_rate``): cut-through
+    runs at the slowest hop, store-and-forward pays every hop's time."""
+    if store_and_forward:
+        return 1.0 / (1.0 / rate_bps + fixed_inv_rate)
+    return min(rate_bps, fixed_cap_bps)
 
 
 def _delay_s(prop_s: float, bits: float, rate_bps: float) -> float:
@@ -356,17 +364,13 @@ class SlotContext:
         self.link_params = scenario.link_params
         self.per_stream = scenario.ifc.air_link_sharing == PER_STREAM
         self.store_and_forward = scenario.ifc.delay_model == STORE_AND_FORWARD
-        self._by_class_by_node: dict[str, dict[str, list[LinkEdge]]] = {}
-        for edge in snapshot.edges:
-            if edge.link_class == ISL_LASER:
-                continue
-            per_node = self._by_class_by_node.setdefault(edge.link_class, {})
-            per_node.setdefault(edge.node_a, []).append(edge)
-            per_node.setdefault(edge.node_b, []).append(edge)
-        for per_node in self._by_class_by_node.values():
-            for node, edges in per_node.items():
-                edges.sort(key=lambda e: (e.distance_km, e.other(node)))
-        self._isl = _graph(snapshot, snapshot.isl_edges())
+        self._ground: dict[tuple[str, str], list[LinkEdge]] = {}
+        for edge in snapshot.link_edges(snapshot.links.link_class != ISL_CODE):
+            for node in edge.key:
+                self._ground.setdefault((edge.link_class, node), []).append(edge)
+        for (_, node), edges in self._ground.items():
+            edges.sort(key=lambda e: (e.distance_km, e.other(node)))
+        self._isl = _graph(snapshot)
         self._searches: dict[int, list[float]] = {}
         self._servings: dict[tuple[str, frozenset[str]], tuple[_Serving, ...]] = {}
         self._cached_plans: dict[tuple, RequestPlan] = {}
@@ -375,13 +379,12 @@ class SlotContext:
 
     def edges_at(self, link_class: str, node: str) -> list[LinkEdge]:
         """Ground links of ``link_class`` at ``node``, nearest first, ties by
-        the far end's id. Laser links are not indexed here: ``edge_between``
-        and ``isl_route`` read them from the mesh graph."""
-        return self._by_class_by_node.get(link_class, {}).get(node, [])
+        the far end's id. Laser links are not indexed here: ``_servings``
+        and ``isl_route`` read them from the mesh graph's arrays."""
+        return self._ground.get((link_class, node), [])
 
     def edge_between(self, link_class: str, a: str, b: str) -> LinkEdge | None:
-        if link_class == ISL_LASER:
-            return self._isl.edges.get((a, b) if a < b else (b, a))
+        """The ground link of ``link_class`` between ``a`` and ``b``, if any."""
         for edge in self.edges_at(link_class, a):
             if edge.other(a) == b:
                 return edge
@@ -426,11 +429,14 @@ def build_slot_context(scenario: "Scenario", epoch_s: float) -> SlotContext:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _HolderCandidate:
+class _HolderCandidate(NamedTuple):
+    """A cache holder, its laser link to a serving satellite (by its ends)
+    and that link's rate and delay."""
+
     holder: str
-    edge: LinkEdge
-    prop_s: float
+    key: tuple[str, str]
+    capacity_bps: float
+    delay_s: float
 
 
 # (air edge, serving satellite, serving satellite holds the file, its
@@ -438,14 +444,24 @@ class _HolderCandidate:
 _Serving = tuple[LinkEdge, str, bool, tuple[_HolderCandidate, ...]]
 
 
-def _servings(ctx: SlotContext, aircraft: str, holders: frozenset[str]) -> tuple[_Serving, ...]:
+def _check_nodes(ctx: SlotContext, request: FileRequest, nodes: Iterable[str]) -> None:
+    """Reject a request that names a node missing from the context's snapshot."""
+    for node in nodes:
+        if node not in ctx._isl.index:
+            raise ValueError(f"request {request.request_id} names unknown node {node!r}")
+
+
+def _servings(ctx: SlotContext, request: FileRequest) -> tuple[_Serving, ...]:
     """The aircraft's visible serving satellites, nearest first, each with
-    its holder candidates; computed once per slot and holder set."""
+    its holder candidates; computed once per slot, aircraft and holder set."""
+    aircraft, holders = request.aircraft_id, request.cache_holders
     key = (aircraft, holders)
     memo = ctx._servings.get(key)
     if memo is not None:
         return memo
     ordered_holders = sorted(holders)
+    _check_nodes(ctx, request, [aircraft, *ordered_holders])
+    graph = ctx._isl
     servings = []
     for air_edge in ctx.edges_at(SAT_TO_AIR, aircraft):
         serving = air_edge.other(aircraft)
@@ -453,10 +469,11 @@ def _servings(ctx: SlotContext, aircraft: str, holders: frozenset[str]) -> tuple
         for holder in ordered_holders:
             if holder == serving:
                 continue
-            edge = ctx.edge_between(ISL_LASER, holder, serving)
-            if edge is not None:
-                candidates.append(_HolderCandidate(holder, edge, edge.delay_s))
-        candidates.sort(key=lambda c: (c.prop_s, c.holder))
+            k = _link(graph, graph.index[holder], graph.index[serving])
+            if k is not None:
+                ends = (holder, serving) if holder < serving else (serving, holder)
+                candidates.append(_HolderCandidate(holder, ends, graph.capacity[k], graph.delay[k]))
+        candidates.sort(key=lambda c: (c.delay_s, c.holder))
         servings.append((air_edge, serving, serving in holders, tuple(candidates)))
     ctx._servings[key] = memo = tuple(servings)
     return memo
@@ -474,9 +491,11 @@ def _holder_rates(
     the two, store-and-forward pays both transmission times.
     """
     share = air_edge.capacity_bps if ctx.per_stream else air_edge.capacity_bps / streams
-    if ctx.store_and_forward:
-        return share, [1.0 / (1.0 / c.edge.capacity_bps + 1.0 / share) for c in candidates]
-    return share, [min(c.edge.capacity_bps, share) for c in candidates]
+    inv_share = 1.0 / share
+    return share, [
+        _series_rate(c.capacity_bps, share, inv_share, ctx.store_and_forward)
+        for c in candidates
+    ]
 
 
 def _highest_rates(rates: Sequence[float], count: int) -> tuple[int, ...]:
@@ -501,7 +520,7 @@ def _evaluate_cached(
         specs.append((serving, (serving, aircraft), air_prop, share))
     for idx, rate in zip(chosen, rates):
         cand = candidates[idx]
-        prop = cand.prop_s + air_prop
+        prop = cand.delay_s + air_prop
         sources.append((prop, rate))
         specs.append((cand.holder, (cand.holder, serving, aircraft), prop, rate))
     delay, ratios = optimal_ratio_delay(sources, bits)
@@ -563,7 +582,7 @@ def _select_holders(
     """
     air_edge, _, serving_holds, candidates = option
     air_prop = air_edge.delay_s
-    props = [c.prop_s + air_prop for c in candidates]
+    props = [c.delay_s + air_prop for c in candidates]
     if ctx.per_stream:
         sizes: Iterable[int] = (budget,)
     else:
@@ -579,9 +598,12 @@ def _select_holders(
     return best
 
 
-def _check_mode(mode: str) -> None:
+def _check_mode(mode: str, max_isls: int = 0) -> None:
+    """The planners' argument check, and with no budget the sweep's."""
     if mode not in SWEEP_MODES:
         raise ValueError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
+    if max_isls < 0:
+        raise ValueError(f"max_isls must be >= 0, got {max_isls}")
 
 
 def plan_cached(
@@ -605,12 +627,10 @@ def plan_cached(
     the largest candidate count, and ``full`` takes that count: cells that
     differ only there share one plan.
     """
-    _check_mode(mode)
-    if max_isls < 0:
-        raise ValueError(f"max_isls must be >= 0, got {max_isls}")
+    _check_mode(mode, max_isls)
     if not request.cached:
         raise ValueError(f"request {request.request_id} is not cached")
-    servings = _servings(ctx, request.aircraft_id, request.cache_holders)
+    servings = _servings(ctx, request)
     effective_budget = max((len(c) for *_, c in servings), default=0)
     if mode != MODE_FULL:
         effective_budget = min(max_isls, effective_budget)
@@ -648,7 +668,7 @@ def plan_cached(
             delay_s=delay,
             serving_satellite=serving,
             streams=tuple(streams),
-            activated_isl_edges=tuple(sorted(candidates[i].edge.key for i in chosen)),
+            activated_isl_edges=tuple(sorted(candidates[i].key for i in chosen)),
         )
     ctx._cached_plans[key] = plan
     return plan
@@ -688,6 +708,7 @@ def _route_options(
     memo = ctx._route_options.get(key)
     if memo is not None:
         return memo
+    _check_nodes(ctx, request, [request.aircraft_id, *sorted(request.source_gs_set)])
     options: list[_RouteOption] = []
     air_edges = ctx.edges_at(SAT_TO_AIR, request.aircraft_id)
     if not zero_budget:  # a zero budget reads only zero-hop routes
@@ -792,9 +813,7 @@ def plan_non_cached(
     equal shares under ``equal``. ``full`` lifts the degree budget, which
     the planner reads only through the zero-budget route filter.
     """
-    _check_mode(mode)
-    if max_isls < 0:
-        raise ValueError(f"max_isls must be >= 0, got {max_isls}")
+    _check_mode(mode, max_isls)
     for request in requests:
         if request.cached:
             raise ValueError(f"request {request.request_id} is cached")

@@ -85,19 +85,6 @@ class ConstellationConfig:
         return 2.0 * math.pi / self.mean_motion_rad_s
 
 
-@dataclass(frozen=True, eq=False)
-class SatelliteState:
-    """Inertial position/velocity of one satellite at some epoch."""
-
-    sat_id: tuple[int, int]
-    position_km: np.ndarray
-    velocity_km_s: np.ndarray
-
-    @property
-    def node_key(self) -> str:
-        return sat_key(*self.sat_id)
-
-
 @dataclass(frozen=True)
 class GroundNode:
     """A ground station or an aircraft (great-circle motion, cruise altitude)."""
@@ -158,11 +145,11 @@ def _cos_sin(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array([math.cos(x) for x in values]), np.array([math.sin(x) for x in values])
 
 
-def propagate_arrays(
-    config: ConstellationConfig, epoch_s: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(N, 3)`` positions and velocities of the whole shell at ``epoch_s``
-    seconds after t=0, in shell index order (see :func:`sat_keys`).
+def propagate(config: ConstellationConfig, epoch_s: float) -> np.recarray:
+    """The whole shell at ``epoch_s`` seconds after t=0: one record per
+    satellite in shell index order, with fields ``node_key`` (see
+    :func:`sat_keys`), ``position_km`` and ``velocity_km_s``. The fields of the
+    array are the shell arrays: ``.position_km`` is ``(N, 3)``.
 
     Circular two-body motion: every satellite moves at the shared mean motion
     ``sqrt(mu / a^3)`` along its plane, so ``|position| == a`` exactly and
@@ -179,17 +166,11 @@ def propagate_arrays(
     co, so = _cos_sin(np.radians(raan_deg))
     x, y, z = a * (cu * co - su * cos_i * so), a * (cu * so + su * cos_i * co), a * su * sin_i
     vx, vy, vz = -su * co - cu * cos_i * so, -su * so + cu * cos_i * co, cu * sin_i
-    return np.stack([x, y, z], axis=1), (a * n) * np.stack([vx, vy, vz], axis=1)
-
-
-def propagate(config: ConstellationConfig, epoch_s: float) -> list[SatelliteState]:
-    """:func:`propagate_arrays` as one :class:`SatelliteState` per satellite,
-    in shell index order; the states' arrays are rows of the shell arrays."""
-    positions, velocities = propagate_arrays(config, epoch_s)
-    return [
-        SatelliteState(divmod(i, config.sats_per_plane), position, velocity)
-        for i, (position, velocity) in enumerate(zip(positions, velocities))
-    ]
+    keys = np.array(sat_keys(config))
+    return np.rec.fromarrays(
+        [keys, np.stack([x, y, z], axis=1), (a * n) * np.stack([vx, vy, vz], axis=1)],
+        dtype=[("node_key", keys.dtype), ("position_km", float, 3), ("velocity_km_s", float, 3)],
+    )
 
 
 def ground_position(node: GroundNode, epoch_s: float) -> np.ndarray:

@@ -17,6 +17,7 @@ runs.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -25,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .orbits import GroundNode, elevations_deg, ground_position
-from .topology import LinkEdge, TopologySnapshot, build_snapshot
+from .topology import ISL_CODE, TopologySnapshot, build_snapshot
 
 if TYPE_CHECKING:  # pragma: no cover - scenario imports this module through delivery
     from .scenario import Scenario
@@ -58,8 +59,10 @@ class _Graph(NamedTuple):
     Node ``i`` is ``nodes[i]``; ``snapshot.nodes`` is sorted, so index order
     is node-id order. Node ``i``'s links run to ``targets[offsets[i]:
     offsets[i + 1]]``, in index order, with lengths ``weights[...]``; each
-    link is listed from both ends. ``edges`` maps each link's ``key`` to the
-    link.
+    link is listed from both ends. ``pairs`` holds each link's ``a * N + b``
+    in snapshot link order, which increases, so ``_link`` finds a link by
+    bisection; ``distance``, ``delay`` and ``capacity`` are its metrics, as
+    lists because paths read them one hop at a time.
     """
 
     nodes: tuple[str, ...]
@@ -67,30 +70,47 @@ class _Graph(NamedTuple):
     offsets: np.ndarray
     targets: np.ndarray
     weights: np.ndarray
-    edges: dict[tuple[str, str], LinkEdge]
+    pairs: list[int]
+    distance: list[float]
+    delay: list[float]
+    capacity: list[float]
 
 
 def _graph(
-    snapshot: TopologySnapshot, edges: Iterable[LinkEdge], *, unit_weights: bool = False
+    snapshot: TopologySnapshot, *, ground: bool = False, unit_weights: bool = False
 ) -> _Graph:
-    """Graph over ``edges``, weighted by distance or, for hop counts, by 1."""
+    """Graph over the snapshot's laser links, or over all its links with
+    ``ground``; weighted by distance or, for hop counts, by 1."""
     nodes = snapshot.nodes
-    index = {key: i for i, key in enumerate(nodes)}
-    by_key = {edge.key: edge for edge in edges}
-    ends = np.array([index[node] for key in by_key for node in key], dtype=np.intp)
-    ends = ends.reshape(-1, 2)
-    lengths = (
-        np.ones(len(ends))
-        if unit_weights
-        else np.array([edge.distance_km for edge in by_key.values()], dtype=np.float64)
-    )
-    heads = np.concatenate([ends[:, 0], ends[:, 1]])
-    tails = np.concatenate([ends[:, 1], ends[:, 0]])
-    order = np.lexsort((tails, heads))
+    links = snapshot.links
+    if not ground:
+        links = links.take(links.link_class == ISL_CODE)
+    lengths = np.ones(len(links.a)) if unit_weights else links.distance_km
+    heads = np.concatenate([links.a, links.b])
+    tails = np.concatenate([links.b, links.a])
+    order = np.argsort(heads * len(nodes) + tails, kind="stable")
     offsets = np.zeros(len(nodes) + 1, dtype=np.intp)
     np.cumsum(np.bincount(heads, minlength=len(nodes)), out=offsets[1:])
     weights = np.concatenate([lengths, lengths])[order]
-    return _Graph(nodes, index, offsets, tails[order], weights, by_key)
+    return _Graph(
+        nodes,
+        {key: i for i, key in enumerate(nodes)},
+        offsets,
+        tails[order],
+        weights,
+        (links.a * len(nodes) + links.b).tolist(),
+        links.distance_km.tolist(),
+        links.delay_s.tolist(),
+        links.capacity_bps.tolist(),
+    )
+
+
+def _link(graph: _Graph, u: int, v: int) -> int | None:
+    """Position of the ``u``-``v`` link in the graph's link lists, None if
+    the two are not linked."""
+    pair = u * len(graph.nodes) + v if u < v else v * len(graph.nodes) + u
+    k = bisect.bisect_left(graph.pairs, pair)
+    return k if k < len(graph.pairs) and graph.pairs[k] == pair else None
 
 
 # Links one relaxation round may touch, summed over its roots. A round's
@@ -187,11 +207,11 @@ def _path(graph: _Graph, chain: Sequence[int]) -> Path:
     distance = 0.0
     delay = 0.0
     capacities = []
-    for a, b in zip(nodes, nodes[1:]):
-        edge = graph.edges[(a, b) if a < b else (b, a)]
-        distance += edge.distance_km
-        delay += edge.delay_s
-        capacities.append(edge.capacity_bps)
+    for u, v in zip(chain, chain[1:]):
+        k = _link(graph, u, v)
+        distance += graph.distance[k]
+        delay += graph.delay[k]
+        capacities.append(graph.capacity[k])
     return Path(
         nodes=nodes,
         hop_count=len(nodes) - 1,
@@ -214,12 +234,12 @@ def shortest_distance_path(
     snapshot: TopologySnapshot, src: str, dst: str
 ) -> Path | None:
     """Minimum total-distance path, or None when the pair is disconnected."""
-    return _best_path(_graph(snapshot, snapshot.edges), src, dst)
+    return _best_path(_graph(snapshot, ground=True), src, dst)
 
 
 def min_hop_path(snapshot: TopologySnapshot, src: str, dst: str) -> Path | None:
     """Minimum edge-count path, or None when the pair is disconnected."""
-    return _best_path(_graph(snapshot, snapshot.edges, unit_weights=True), src, dst)
+    return _best_path(_graph(snapshot, ground=True, unit_weights=True), src, dst)
 
 
 # ---------------------------------------------------------------------------
@@ -332,15 +352,15 @@ def ground_pair_hop_stats(
     rows = []
     for epoch_s in epochs:
         snapshot = build_snapshot(scenario, epoch_s)
-        graph = _graph(snapshot, snapshot.isl_edges())
-        sat_positions = np.array([snapshot.positions[key] for key in graph.nodes])
+        graph = _graph(snapshot)
 
         # Sorted indices of the satellites each ground node sees, computed
         # once per node. Keyed by the node itself: two nodes may share an id.
         visibility: dict[GroundNode, np.ndarray] = {}
         for node in itertools.chain.from_iterable(pairs):
             if node not in visibility:
-                elevations = elevations_deg(ground_position(node, epoch_s), sat_positions)
+                here = ground_position(node, epoch_s)
+                elevations = elevations_deg(here, snapshot.positions)
                 visibility[node] = np.flatnonzero(elevations >= scenario.topology.elevation_mask_deg)
 
         # One batched search from every start satellite to every end
@@ -408,7 +428,7 @@ def snapshot_sdp_mhp_fraction(
     snapshot: TopologySnapshot, pairs: Sequence[tuple[str, str]]
 ) -> SdpMhpResult:
     """Evaluate the SDP-hops == MHP-hops discriminant on explicit pairs."""
-    graph = _graph(snapshot, snapshot.isl_edges())
+    graph = _graph(snapshot)
     by_source: dict[int, list[int]] = {}
     for src, dst in pairs:
         if src not in graph.index or dst not in graph.index:

@@ -12,8 +12,9 @@ Snapshots are immutable once built; build one per epoch and route on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
@@ -22,10 +23,11 @@ from .links import (
     GROUND_TO_AIR,
     GROUND_TO_SAT,
     ISL_LASER,
+    LINK_CLASSES,
     SAT_TO_AIR,
+    SPEED_OF_LIGHT_KM_S,
     LinkBudgetParams,
     capacity_bps,
-    propagation_delay_s,
 )
 from .orbits import (
     AIRCRAFT,
@@ -79,41 +81,89 @@ class LinkEdge:
         return self.node_b if node == self.node_a else self.node_a
 
 
-@dataclass
+# Link class codes index this tuple. It is sorted, so code order is id order.
+CLASS_ORDER = tuple(sorted(LINK_CLASSES))
+ISL_CODE = CLASS_ORDER.index(ISL_LASER)
+
+
+class Links(NamedTuple):
+    """Parallel link arrays: link ``k`` joins node indexes ``a[k]`` and
+    ``b[k]``, and its class is ``CLASS_ORDER[link_class[k]]``."""
+
+    a: np.ndarray
+    b: np.ndarray
+    link_class: np.ndarray
+    distance_km: np.ndarray
+    capacity_bps: np.ndarray
+    delay_s: np.ndarray
+
+    def take(self, rows) -> Links:
+        """The links at ``rows``: an index array, a mask or a slice."""
+        return Links(*(column[rows] for column in self))
+
+
+def _links(a, b, link_class: str, distances: np.ndarray, capacities) -> Links:
+    """Links of one class, with light-time delays."""
+    code = np.full(len(distances), CLASS_ORDER.index(link_class), dtype=np.int8)
+    delays = distances / SPEED_OF_LIGHT_KM_S  # propagation_delay_s, elementwise
+    return Links(a, b, code, distances, np.asarray(capacities, dtype=float), delays)
+
+
+@dataclass(eq=False)
 class TopologySnapshot:
-    """Time-stamped link graph over satellite and ground nodes."""
+    """Time-stamped link graph over satellite and ground nodes.
+
+    Row ``i`` of the ``(N, 3)`` ``positions`` belongs to ``nodes[i]``, and
+    the links index ``nodes``. Built from nodes in any order, a snapshot
+    holds them sorted by id, and its links in (node_a, node_b, class) order
+    with ``a < b``.
+    """
 
     epoch_s: float
     nodes: tuple[str, ...]
-    edges: tuple[LinkEdge, ...]
-    # Excluded from equality: ndarray comparison is elementwise.
-    positions: dict[str, np.ndarray] = field(compare=False)
+    positions: np.ndarray
+    links: Links
 
-    def isl_edges(self) -> list[LinkEdge]:
-        return [e for e in self.edges if e.link_class == ISL_LASER]
+    def __post_init__(self) -> None:
+        by_id = sorted(range(len(self.nodes)), key=self.nodes.__getitem__)
+        rank = np.empty(len(by_id), dtype=np.intp)
+        rank[by_id] = np.arange(len(by_id))
+        self.nodes = tuple(self.nodes[i] for i in by_id)
+        self.positions = self.positions[by_id]
+        a, b = rank[self.links.a], rank[self.links.b]
+        a, b = np.minimum(a, b), np.maximum(a, b)
+        # One sort by (a, b, class) packed into an integer: a stable sort of
+        # a key that arrives mostly in order takes about a pass.
+        key = (a * len(by_id) + b) * len(CLASS_ORDER) + self.links.link_class
+        self.links = self.links._replace(a=a, b=b).take(np.argsort(key, kind="stable"))
+
+    def __eq__(self, other: object) -> bool:
+        """Same epoch, nodes and links; positions are not compared."""
+        if not isinstance(other, TopologySnapshot):
+            return NotImplemented
+        return (self.epoch_s, self.nodes, self.edges) == (other.epoch_s, other.nodes, other.edges)
+
+    def _rows(self, rows) -> Iterator[tuple]:
+        """The links at ``rows`` (see ``Links.take``) as ``LinkEdge`` field tuples."""
+        nodes = self.nodes
+        for i, j, k, *metrics in zip(*(column.tolist() for column in self.links.take(rows))):
+            yield (nodes[i], nodes[j], CLASS_ORDER[k], *metrics)
+
+    def link_edges(self, rows) -> tuple[LinkEdge, ...]:
+        return tuple(LinkEdge(*fields) for fields in self._rows(rows))
+
+    @cached_property
+    def edges(self) -> tuple[LinkEdge, ...]:
+        """Every link as a ``LinkEdge``, built on first use."""
+        return self.link_edges(slice(None))
 
     def isl_degrees(self) -> dict[str, int]:
-        degrees = {n: 0 for n in self.nodes}
-        for edge in self.isl_edges():
-            degrees[edge.node_a] += 1
-            degrees[edge.node_b] += 1
-        return degrees
+        laser = self.links.take(self.links.link_class == ISL_CODE)
+        ends = np.concatenate([laser.a, laser.b])
+        return dict(zip(self.nodes, np.bincount(ends, minlength=len(self.nodes)).tolist()))
 
     def csv_rows(self) -> list[tuple]:
-        rows = [CSV_HEADER]
-        for e in self.edges:
-            rows.append(
-                (
-                    self.epoch_s,
-                    e.node_a,
-                    e.node_b,
-                    e.link_class,
-                    e.distance_km,
-                    e.capacity_bps,
-                    e.delay_s,
-                )
-            )
-        return rows
+        return [CSV_HEADER, *((self.epoch_s, *fields) for fields in self._rows(slice(None)))]
 
 
 def _grid_pairs(num_planes: int, slots: int) -> tuple[np.ndarray, np.ndarray]:
@@ -163,25 +213,8 @@ def _snapshot(
     length ``distances[i]``: the tail both builders share."""
     if isl_params is None:
         isl_params = links.default_link_params()[ISL_LASER]
-    rate = isl_params.lisl_fixed_rate_bps
-    # Links are ordered by (lower id, higher id). Each pair occurs once, so
-    # sorting the id ranks of its ends gives that order.
-    by_key = sorted(range(len(keys)), key=keys.__getitem__)
-    nodes = tuple(keys[i] for i in by_key)
-    rank = np.empty(len(keys), dtype=np.intp)
-    rank[by_key] = np.arange(len(keys))
-    first, second = np.minimum(rank[lo], rank[hi]), np.maximum(rank[lo], rank[hi])
-    order = np.lexsort((second, first))
-    ends = zip(first[order].tolist(), second[order].tolist(), distances[order].tolist())
-    return TopologySnapshot(
-        epoch_s=epoch_s,
-        nodes=nodes,
-        edges=tuple(
-            LinkEdge(nodes[a], nodes[b], ISL_LASER, d, rate, propagation_delay_s(d))
-            for a, b, d in ends
-        ),
-        positions=dict(zip(keys, pos)),
-    )
+    rates = np.full(len(distances), isl_params.lisl_fixed_rate_bps)
+    return TopologySnapshot(epoch_s, keys, pos, _links(lo, hi, ISL_LASER, distances, rates))
 
 
 def build_grid_topology(
@@ -195,7 +228,7 @@ def build_grid_topology(
     """The +grid pattern: in-plane ring plus same-slot links to adjacent planes.
 
     ``positions`` is the shell's ``(N, 3)`` array in shell index order, as
-    :func:`orbits.propagate_arrays` returns it. Candidate links that fail
+    :func:`orbits.propagate`'s ``position_km``. Candidate links that fail
     line-of-sight (Earth plus grazing buffer) are dropped, so satellites near
     unfavorable geometry carry fewer than four links. Degenerate shells
     (single plane, two slots, ...) yield the subset of the pattern that
@@ -263,12 +296,12 @@ def build_dynamic_topology(
         hi.append(near + (i + 1))
         distances.append(d[near])
     lo, hi, distances = (np.concatenate(parts) for parts in (lo, hi, distances))
-    order = np.lexsort((hi, lo, distances))
+    # From n - 1 links per node on, the final layer admits every candidate.
     if max_isls < len(keys) - 1:
-        # From n - 1 links per node on, the final layer admits every candidate.
+        order = np.lexsort((hi, lo, distances))
         order = order[_admit(lo[order].tolist(), hi[order].tolist(), len(keys), max_isls)]
-    lo, hi, distances = by_key[lo[order]], by_key[hi[order]], distances[order]
-    return _snapshot(keys, pos, lo, hi, distances, epoch_s, isl_params)
+        lo, hi, distances = lo[order], hi[order], distances[order]
+    return _snapshot(keys, pos, by_key[lo], by_key[hi], distances, epoch_s, isl_params)
 
 
 def attach_ground_links(
@@ -288,47 +321,39 @@ def attach_ground_links(
     """
     if link_params is None:
         link_params = links.default_link_params()
-    sat_keys = [n for n in snapshot.nodes if n in snapshot.positions]
-    positions = dict(snapshot.positions)
-    stations = [g for g in ground_nodes if g.kind == GROUND_STATION]
-    aircraft = [g for g in ground_nodes if g.kind == AIRCRAFT]
+    ids = set(snapshot.nodes)
     for node in ground_nodes:
-        if node.node_id in positions:
+        if node.node_id in ids:
             raise ValueError(f"duplicate node id {node.node_id!r} in snapshot")
-        positions[node.node_id] = ground_position(node, snapshot.epoch_s)
+        ids.add(node.node_id)
+    # The ground nodes follow the snapshot's: ``ground_nodes[i]`` is ``first + i``.
+    first = len(snapshot.nodes)
+    placed = [ground_position(node, snapshot.epoch_s) for node in ground_nodes]
+    positions = np.concatenate([snapshot.positions, np.reshape(placed, (-1, 3))])
+    parts = [snapshot.links]
 
-    new_edges = list(snapshot.edges)
+    def link(ground: int, others: np.ndarray, link_class: str) -> None:
+        distances = orbits.row_norms(positions[ground] - positions[others])
+        keep = distances != 0.0  # coincident nodes; the loss model is undefined
+        others, distances = others[keep], distances[keep]
+        params = link_params[link_class]
+        capacities = [capacity_bps(params, d, 1.0) for d in distances.tolist()]
+        ground_ends = np.full(len(others), ground)
+        parts.append(_links(ground_ends, others, link_class, distances, capacities))
 
-    def link(ground_id: str, other_id: str, link_class: str) -> None:
-        distance = float(np.linalg.norm(positions[ground_id] - positions[other_id]))
-        if distance == 0.0:  # coincident nodes; the loss model is undefined
-            return
-        a, b = sorted((ground_id, other_id))
-        capacity = capacity_bps(link_params[link_class], distance, 1.0)
-        new_edges.append(
-            LinkEdge(a, b, link_class, distance, capacity, propagation_delay_s(distance))
-        )
-
-    sat_positions = np.array([snapshot.positions[key] for key in sat_keys])
-    for node in stations + aircraft:
+    for g, node in enumerate(ground_nodes, first):
+        elevations = elevations_deg(positions[g], snapshot.positions)
         sat_class = GROUND_TO_SAT if node.kind == GROUND_STATION else SAT_TO_AIR
-        elevations = elevations_deg(positions[node.node_id], sat_positions)
-        for sat, elevation in zip(sat_keys, elevations.tolist()):
-            if elevation >= elevation_mask_deg:
-                link(node.node_id, sat, sat_class)
+        link(g, np.flatnonzero(elevations >= elevation_mask_deg), sat_class)
+    stations = [g for g, node in enumerate(ground_nodes, first) if node.kind == GROUND_STATION]
+    aircraft = [g for g, node in enumerate(ground_nodes, first) if node.kind == AIRCRAFT]
     for gs in stations:
-        for ac in aircraft:
-            here, there = positions[gs.node_id], positions[ac.node_id]
-            if elevation_deg(here, there) >= elevation_mask_deg:
-                link(gs.node_id, ac.node_id, GROUND_TO_AIR)
-
-    new_edges.sort(key=lambda e: (e.key, e.link_class))
-    return TopologySnapshot(
-        epoch_s=snapshot.epoch_s,
-        nodes=tuple(sorted(positions)),
-        edges=tuple(new_edges),
-        positions=positions,
-    )
+        here = positions[gs]
+        seen = [ac for ac in aircraft if elevation_deg(here, positions[ac]) >= elevation_mask_deg]
+        link(gs, np.array(seen, dtype=np.intp), GROUND_TO_AIR)
+    nodes = snapshot.nodes + tuple(node.node_id for node in ground_nodes)
+    merged = Links(*map(np.concatenate, zip(*parts)))
+    return TopologySnapshot(snapshot.epoch_s, nodes, positions, merged)
 
 
 def build_snapshot(
@@ -344,7 +369,7 @@ def build_snapshot(
     topology = scenario.topology
     config = scenario.constellation
     isl_params = scenario.link_params[ISL_LASER]
-    positions, _ = orbits.propagate_arrays(config, epoch_s)
+    positions = orbits.propagate(config, epoch_s).position_km
     if topology.mode == GRID_MODE:
         snapshot = build_grid_topology(
             positions,

@@ -11,8 +11,31 @@ import math
 import numpy as np
 
 from leoisl.delivery import PER_STREAM, optimal_ratio_delay
-from leoisl.links import ISL_LASER, SAT_TO_AIR
+from leoisl.links import ISL_LASER, SAT_TO_AIR, SPEED_OF_LIGHT_KM_S
 from leoisl.orbits import EARTH_MU_KM3_S2, propagate
+from leoisl.topology import CLASS_ORDER, LinkEdge, Links, TopologySnapshot
+
+
+def edge(a, b, link_class, distance, capacity):
+    """A hand-built link with its ends in id order and a light-time delay."""
+    a, b = sorted((a, b))
+    return LinkEdge(a, b, link_class, distance, capacity, distance / SPEED_OF_LIGHT_KM_S)
+
+
+def snapshot_of(edges, nodes=(), epoch_s=0.0):
+    """A hand-built snapshot holding ``edges`` (``LinkEdge`` objects, in any
+    order) over their ends and any further ``nodes``. Hand-built graphs
+    have no geometry, so every position is NaN."""
+    nodes = tuple(sorted({*nodes, *(n for e in edges for n in e.key)}))
+    index = {node: i for i, node in enumerate(nodes)}
+    links = Links(
+        np.array([index[e.node_a] for e in edges], dtype=np.intp),
+        np.array([index[e.node_b] for e in edges], dtype=np.intp),
+        np.array([CLASS_ORDER.index(e.link_class) for e in edges], dtype=np.int8),
+        *(np.array([getattr(e, f) for e in edges], dtype=float)
+          for f in ("distance_km", "capacity_bps", "delay_s")),
+    )
+    return TopologySnapshot(epoch_s, nodes, np.full((len(nodes), 3), np.nan), links)
 
 
 def rk4_two_body(r0, v0, dt, steps):

@@ -27,35 +27,20 @@ from leoisl.links import (
     SAT_TO_AIR,
     default_link_params,
 )
-from leoisl.orbits import ConstellationConfig, propagate, propagate_arrays, visible
+from leoisl.orbits import ConstellationConfig, propagate, visible
 from leoisl.routing import min_hop_path, sdp_mhp_fraction, shortest_distance_path
 from leoisl.scenario import Scenario, TopologySettings, default_scenario
-from leoisl.topology import LinkEdge, TopologySnapshot, build_dynamic_topology
+from leoisl.topology import build_dynamic_topology
 
 from oracles import (
     bisection_delay_oracle,
+    edge,
     enumerate_cached_plan_delay,
     feasible_split_delay,
     measured_period_s,
     neighbor_lists,
+    snapshot_of,
 )
-
-C_KM_S = 299792.458
-
-
-def _edge(a, b, link_class, distance, capacity):
-    a, b = sorted((a, b))
-    return LinkEdge(a, b, link_class, distance, capacity, distance / C_KM_S)
-
-
-def _snapshot(edges):
-    nodes = sorted({n for e in edges for n in e.key})
-    return TopologySnapshot(
-        epoch_s=0.0,
-        nodes=tuple(nodes),
-        edges=tuple(sorted(edges, key=lambda e: (e.key, e.link_class))),
-        positions={},
-    )
 
 
 def test_criterion_1_delay_sweep_trend():
@@ -105,10 +90,9 @@ def test_criterion_2_orbital_correctness():
     for id_a, id_b in pairs:
         distances = []
         for epoch in np.linspace(0.0, config.orbital_period_s, 60):
-            by_id = {s.sat_id: s for s in propagate(config, float(epoch))}
-            distances.append(
-                float(np.linalg.norm(by_id[id_a].position_km - by_id[id_b].position_km))
-            )
+            positions = propagate(config, float(epoch)).position_km
+            a, b = (positions[plane * config.sats_per_plane + slot] for plane, slot in (id_a, id_b))
+            distances.append(float(np.linalg.norm(a - b)))
         worst = max(worst, (max(distances) - min(distances)) / max(distances))
     assert worst < 1e-6
     print(
@@ -127,13 +111,8 @@ def test_criterion_3_routing_oracle_equivalence():
         edges = []
         for a, b in itertools.combinations(nodes, 2):
             if rng.random() < 0.45:
-                edges.append(_edge(a, b, ISL_LASER, float(rng.uniform(0.1, 10.0)), 1e10))
-        snapshot = TopologySnapshot(
-            epoch_s=0.0,
-            nodes=tuple(nodes),
-            edges=tuple(sorted(edges, key=lambda e: e.key)),
-            positions={},
-        )
+                edges.append(edge(a, b, ISL_LASER, float(rng.uniform(0.1, 10.0)), 1e10))
+        snapshot = snapshot_of(edges, nodes)
         adjacency = neighbor_lists(snapshot)
 
         def all_paths(src, dst):
@@ -281,7 +260,7 @@ def test_criterion_7_small_plan_optimality():
     for _ in range(200):
         serving_count = int(rng.integers(1, 5))
         edges = [
-            _edge(
+            edge(
                 f"S{i}",
                 "air-x",
                 SAT_TO_AIR,
@@ -301,7 +280,7 @@ def test_criterion_7_small_plan_optimality():
             for i in range(serving_count):
                 if rng.random() < 0.75:
                     edges.append(
-                        _edge(
+                        edge(
                             holder,
                             f"S{i}",
                             ISL_LASER,
@@ -311,7 +290,7 @@ def test_criterion_7_small_plan_optimality():
                     )
         if not holders:
             holders = {f"S{int(rng.integers(0, serving_count))}"}
-        snapshot = _snapshot(edges)
+        snapshot = snapshot_of(edges, holders)
         request = FileRequest(
             request_id="req",
             aircraft_id="air-x",
@@ -341,8 +320,9 @@ def test_criterion_8_structural_invariants(tmp_path):
     from leoisl.orbits import sat_key
 
     config = ConstellationConfig()
-    positions, _ = propagate_arrays(config, 0.0)
+    positions = propagate(config, 0.0).position_km
     grid = build_grid_topology(positions, config, 0.0)
+    where = dict(zip(grid.nodes, grid.positions))
     degrees = grid.isl_degrees()
     assert all(d <= 4 for d in degrees.values())
     full = 0
@@ -355,7 +335,7 @@ def test_criterion_8_structural_invariants(tmp_path):
                 sat_key((plane + 1) % 6, slot),
                 sat_key((plane - 1) % 6, slot),
             ]
-            if all(visible(grid.positions[here], grid.positions[n]) for n in neighbors):
+            if all(visible(where[here], where[n]) for n in neighbors):
                 assert degrees[here] == 4
                 full += 1
     assert full > 0
@@ -365,8 +345,9 @@ def test_criterion_8_structural_invariants(tmp_path):
         dynamic = build_dynamic_topology(positions, config, k, epoch_s=0.0)
         degs = dynamic.isl_degrees()
         assert max(degs.values()) <= k
+        where = dict(zip(dynamic.nodes, dynamic.positions))
         for link in dynamic.edges:
-            assert visible(dynamic.positions[link.node_a], dynamic.positions[link.node_b])
+            assert visible(where[link.node_a], where[link.node_b])
         current = {e.key for e in dynamic.edges}
         assert previous <= current
         previous = current

@@ -14,7 +14,7 @@ import pytest
 from leoisl import links
 from leoisl.cli import main
 from leoisl.delivery import build_slot_context
-from leoisl.orbits import ConstellationConfig, propagate_arrays
+from leoisl.orbits import ConstellationConfig, propagate
 from leoisl.scenario import default_scenario
 from leoisl.topology import build_grid_topology
 
@@ -42,6 +42,12 @@ class TestPropagateCommand:
         x, y, z = (float(v) for v in rows[1][3:6])
         assert math.sqrt(x * x + y * y + z * z) == pytest.approx(7371.0, rel=1e-9)
 
+    def test_matches_pinned_output(self, capsys):
+        # Pinned while propagation still built one state object per satellite.
+        code, out, _ = run_cli(["propagate", "--epoch", "777.5"], capsys)
+        assert code == 0
+        assert out == (DATA / "propagate_epoch777.5.csv").read_text(encoding="utf-8")
+
 
 class TestTopologyCommand:
     def test_grid_edge_count_matches_builder(self, capsys):
@@ -49,7 +55,7 @@ class TestTopologyCommand:
         assert code == 0
         rows = parse_csv(out)
         config = ConstellationConfig()
-        snapshot = build_grid_topology(propagate_arrays(config, 0.0)[0], config, 0.0)
+        snapshot = build_grid_topology(propagate(config, 0.0).position_km, config, 0.0)
         assert len(rows) - 1 == len(snapshot.edges)
         assert {row[3] for row in rows[1:]} == {"isl_laser"}
         # Handshake: twice the edge count equals the degree sum, <= 4 each.
@@ -121,21 +127,21 @@ class TestTopologyCommand:
     @pytest.mark.parametrize("max_isls", ["2", "4"])
     @pytest.mark.parametrize("epoch", ["0", "777.5", "2400"])
     def test_matches_pinned_dynamic_output(self, max_isls, epoch, capsys):
-        # Pinned before the dynamic builder moved to index-pair arrays: ids
-        # and link classes must match exactly, the floats to 1e-12.
+        # Pinned before the dynamic builder moved to index-pair arrays.
         code, out, _ = run_cli(
             ["topology", "--mode", "dynamic", "--max-isls", max_isls, "--ground", "--epoch", epoch],
             capsys,
         )
         assert code == 0
-        rows = parse_csv(out)
         pinned = DATA / f"topology_dynamic_k{max_isls}_epoch{epoch}.csv"
-        expected = parse_csv(pinned.read_text(encoding="utf-8"))
-        assert rows[0] == expected[0]
-        assert [row[1:4] for row in rows] == [row[1:4] for row in expected]
-        for row, want in zip(rows[1:], expected[1:]):
-            got = [float(row[0])] + [float(x) for x in row[4:]]
-            assert got == pytest.approx([float(want[0])] + [float(x) for x in want[4:]], rel=1e-12)
+        assert out == pinned.read_text(encoding="utf-8")
+
+    def test_matches_pinned_grid_output(self, capsys):
+        # Pinned before snapshots held their links as arrays: the +grid with
+        # every ground link, each distance, capacity and delay to the bit.
+        code, out, _ = run_cli(["topology", "--ground", "--epoch", "777.5"], capsys)
+        assert code == 0
+        assert out == (DATA / "topology_grid_ground_epoch777.5.csv").read_text(encoding="utf-8")
 
 
 class TestRouteCommand:

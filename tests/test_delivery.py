@@ -2,6 +2,7 @@
 
 import math
 import pathlib
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -51,27 +52,11 @@ from leoisl.scenario import (
     load_scenario,
     scenario_from_dict,
 )
-from leoisl.topology import LinkEdge, TopologySnapshot
+from leoisl.topology import LinkEdge
 
-from oracles import bisection_delay_oracle, enumerate_cached_plan_delay
+from oracles import bisection_delay_oracle, edge, enumerate_cached_plan_delay, snapshot_of
 
-C_KM_S = 299792.458
 DATA = pathlib.Path(__file__).parent / "data"
-
-
-def edge(a, b, link_class, distance, capacity):
-    a, b = sorted((a, b))
-    return LinkEdge(a, b, link_class, distance, capacity, distance / C_KM_S)
-
-
-def make_snapshot(edges):
-    nodes = sorted({n for e in edges for n in e.key})
-    return TopologySnapshot(
-        epoch_s=0.0,
-        nodes=tuple(nodes),
-        edges=tuple(sorted(edges, key=lambda e: (e.key, e.link_class))),
-        positions={},
-    )
 
 
 def context(snapshot, **ifc):
@@ -291,7 +276,7 @@ class TestPlanCached:
         edges = [edge("S0", AIR, SAT_TO_AIR, 1000.0, air_cap)]
         for holder, distance, cap in holders_spec:
             edges.append(edge(holder, "S0", ISL_LASER, distance, cap))
-        return make_snapshot(edges)
+        return snapshot_of(edges)
 
     def test_local_cache_hit(self):
         snapshot = self.snapshot_one_serving()
@@ -314,7 +299,7 @@ class TestPlanCached:
         assert constrained == unconstrained
 
     def test_no_visible_satellite_undeliverable(self):
-        snapshot = make_snapshot([edge("S0", "other-air", SAT_TO_AIR, 900.0, 8e8)])
+        snapshot = snapshot_of([edge("S0", "other-air", SAT_TO_AIR, 900.0, 8e8)], [AIR])
         request = cached_request({"S0"})
         plan = plan_cached(request, context(snapshot), 4)
         assert not plan.delivered
@@ -355,7 +340,7 @@ class TestPlanCached:
                                 1e10,
                             )
                         )
-            snapshot = make_snapshot(edges)
+            snapshot = snapshot_of(edges, holders)
             request = cached_request(set(holders), packets=int(rng.integers(10, 3000)))
             k = int(rng.integers(1, 4))
             optimized = plan_cached(request, context(snapshot), k)
@@ -385,7 +370,7 @@ class TestPlanCached:
             prop, cap = draw(st.tuples(st.integers(1, 12), st.integers(1, 9)), label=f"H{i:02d}")
             edges.append(LinkEdge(f"H{i:02d}", "S0", ISL_LASER, 1.0, float(cap), float(prop)))
             holders.add(f"H{i:02d}")
-        snapshot = make_snapshot(edges)
+        snapshot = snapshot_of(edges)
         request = FileRequest(
             request_id="req-c",
             aircraft_id=AIR,
@@ -419,7 +404,7 @@ class TestPlanCached:
             edge("S0", AIR, SAT_TO_AIR, 1000.0, 8e8),
             edge("H1", "S0", ISL_LASER, 60.0, 1e10),
         ]
-        snapshot = make_snapshot(edges)
+        snapshot = snapshot_of(edges)
         request = cached_request({"S0", "H1"}, packets=3000)
         per_stream = plan_cached(request, context(snapshot, air_link_sharing=PER_STREAM), 4)
         split = plan_cached(request, context(snapshot, air_link_sharing=EQUAL_SPLIT), 4)
@@ -437,7 +422,7 @@ class TestPlanNonCached:
                 edges.append(edge(gs, sat, GROUND_TO_SAT, 1800.0, 0.0))
         for sat in servings:
             edges.append(edge(sat, AIR, SAT_TO_AIR, 1200.0, air_cap))
-        return make_snapshot(edges)
+        return snapshot_of(edges)
 
     def request(self, rid, gs_set, packets=800, aircraft=AIR):
         return FileRequest(
@@ -465,7 +450,7 @@ class TestPlanNonCached:
             edge("S0", "air-1", SAT_TO_AIR, 1200.0, 8e8),
             edge("S0", "air-2", SAT_TO_AIR, 1200.0, 8e8),
         ]
-        snapshot = make_snapshot(edges)
+        snapshot = snapshot_of(edges)
         requests = [
             self.request("r1", {"G1"}, aircraft="air-1"),
             self.request("r2", {"G1"}, aircraft="air-2"),
@@ -482,7 +467,7 @@ class TestPlanNonCached:
             edge("S0", "air-1", SAT_TO_AIR, 1200.0, 8e8),
             edge("S0", "air-2", SAT_TO_AIR, 1200.0, 8e8),
         ]
-        snapshot = make_snapshot(edges)
+        snapshot = snapshot_of(edges)
         requests = [
             self.request("r1", {"G1"}, packets=100, aircraft="air-1"),
             self.request("r2", {"G1"}, packets=1000, aircraft="air-2"),
@@ -493,7 +478,7 @@ class TestPlanNonCached:
         assert sum(p.delay_s for p in optimized) < sum(p.delay_s for p in equal)
 
     def test_no_route_is_undeliverable(self):
-        snapshot = make_snapshot([edge("S0", AIR, SAT_TO_AIR, 1200.0, 8e8)])
+        snapshot = snapshot_of([edge("S0", AIR, SAT_TO_AIR, 1200.0, 8e8)], ["G1"])
         request = self.request("r1", {"G1"})
         (plan,) = plan_non_cached([request], context(snapshot), 4)
         assert not plan.delivered
@@ -525,7 +510,7 @@ class TestPlanNonCached:
             edge("S-entry", "S-serve", ISL_LASER, 2000.0, 1e10),
             edge("S-serve", AIR, SAT_TO_AIR, 1200.0, 8e8),
         ]
-        snapshot = make_snapshot(edges)
+        snapshot = snapshot_of(edges)
         request = self.request("r1", {"G1"})
         (blocked,) = plan_non_cached([request], context(snapshot), 0)
         assert not blocked.delivered
@@ -829,8 +814,58 @@ class TestSlotExecution:
 
 @pytest.mark.parametrize("mode", ["fully_connected", "best"])
 def test_planners_reject_retired_and_unknown_modes(mode):
-    snapshot = make_snapshot([edge("S0", AIR, SAT_TO_AIR, 1000.0, 8e8)])
+    snapshot = snapshot_of([edge("S0", AIR, SAT_TO_AIR, 1000.0, 8e8)])
     with pytest.raises(ValueError, match=repr(mode)):
         plan_cached(cached_request({"S0"}), context(snapshot), 4, mode)
     with pytest.raises(ValueError, match=repr(mode)):
         plan_non_cached([], context(snapshot), 4, mode)
+
+
+class TestUnknownNodes:
+    """A request that names a node missing from the snapshot is refused by
+    every planner, instead of being left undelivered."""
+
+    def slot(self):
+        scenario = default_scenario()
+        return build_slot_context(scenario, 0.0), generate_requests(scenario, 1)
+
+    @staticmethod
+    def refused(request, node):
+        return pytest.raises(
+            ValueError, match=re.escape(f"request {request.request_id} names unknown node {node!r}")
+        )
+
+    def test_unknown_aircraft(self):
+        ctx, requests = self.slot()
+        requests = [replace(r, aircraft_id=r.aircraft_id + "-x") for r in requests]
+        cached = next(r for r in requests if r.cached)
+        non_cached = next(r for r in requests if not r.cached)
+        with self.refused(cached, cached.aircraft_id):
+            plan_cached(cached, ctx, 4)
+        with self.refused(non_cached, non_cached.aircraft_id):
+            plan_non_cached([non_cached], ctx, 4)
+        with self.refused(requests[0], requests[0].aircraft_id):
+            run_slot(ctx, requests, 4, "optimized")
+
+    def test_unknown_cache_holder(self):
+        ctx, requests = self.slot()
+        requests = [
+            replace(r, cache_holders=frozenset({"S999-999"})) if r.cached else r for r in requests
+        ]
+        cached = next(r for r in requests if r.cached)
+        with self.refused(cached, "S999-999"):
+            plan_cached(cached, ctx, 4)
+        with self.refused(cached, "S999-999"):
+            run_slot(ctx, requests, 4, "greedy")
+
+    def test_unknown_source_station(self):
+        ctx, requests = self.slot()
+        requests = [
+            r if r.cached else replace(r, source_gs_set=frozenset({"gs-nowhere"}))
+            for r in requests
+        ]
+        non_cached = next(r for r in requests if not r.cached)
+        with self.refused(non_cached, "gs-nowhere"):
+            plan_non_cached([non_cached], ctx, 0)
+        with self.refused(non_cached, "gs-nowhere"):
+            run_slot(ctx, requests, 4, "full")

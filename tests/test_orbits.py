@@ -18,7 +18,6 @@ from leoisl.orbits import (
     generate_walker,
     ground_position,
     propagate,
-    propagate_arrays,
     sat_key,
     sat_keys,
     visible,
@@ -76,10 +75,10 @@ class TestPropagation:
         assert len(states) == 120
         first = states[0]
         a = CASE_CONFIG.semi_major_axis_km
-        assert first.sat_id == (0, 0)
+        assert first.node_key == sat_key(0, 0)
         np.testing.assert_allclose(first.position_km, [a, 0.0, 0.0], atol=1e-9)
         for index, state in enumerate(states):
-            assert state.sat_id == divmod(index, CASE_CONFIG.sats_per_plane)
+            assert state.node_key == sat_key(*divmod(index, CASE_CONFIG.sats_per_plane))
         assert tuple(s.node_key for s in states) == sat_keys(CASE_CONFIG)
 
     def test_radius_conserved_over_random_epochs(self):
@@ -119,11 +118,11 @@ class TestPropagation:
         for id_a, id_b in pairs:
             distances = []
             for epoch in np.linspace(0.0, period, 40):
-                by_id = {s.sat_id: s for s in propagate(CASE_CONFIG, float(epoch))}
+                by_key = {s.node_key: s for s in propagate(CASE_CONFIG, float(epoch))}
                 distances.append(
                     float(
                         np.linalg.norm(
-                            by_id[id_a].position_km - by_id[id_b].position_km
+                            by_key[sat_key(*id_a)].position_km - by_key[sat_key(*id_b)].position_km
                         )
                     )
                 )
@@ -191,12 +190,12 @@ class TestMatchesScalarReference:
             altitude_km=altitude_km,
             phasing_factor=phasing,
         )
-        positions, velocities = propagate_arrays(config, epoch)
+        states = propagate(config, epoch)
+        positions, velocities = states.position_km, states.velocity_km_s
         ref_positions, ref_velocities = scalar_propagate_reference(config, epoch)
         assert positions.shape == velocities.shape == (config.total_satellites, 3)
         assert np.array_equal(positions, ref_positions)
         assert np.array_equal(velocities, ref_velocities)
-        states = propagate(config, epoch)
         assert np.array_equal([s.position_km for s in states], positions)
         assert np.array_equal([s.velocity_km_s for s in states], velocities)
 
@@ -224,7 +223,8 @@ class TestPropagationProperties:
             raan_spread_deg=raan_spread_deg,
         )
         a = config.semi_major_axis_km
-        positions, velocities = propagate_arrays(config, epoch)
+        shell = propagate(config, epoch)
+        positions, velocities = shell.position_km, shell.velocity_km_s
         radius = np.linalg.norm(positions, axis=1)
         speed = np.linalg.norm(velocities, axis=1)
         assert np.allclose(radius, a, rtol=1e-12, atol=0.0)
@@ -233,7 +233,8 @@ class TestPropagationProperties:
         assert np.all(np.abs(cosines) < 1e-12)
         # One period later: the anomaly grew by 2 pi, up to the rounding of
         # n * epoch, which grows with the epoch.
-        later, later_velocities = propagate_arrays(config, epoch + config.orbital_period_s)
+        later_shell = propagate(config, epoch + config.orbital_period_s)
+        later, later_velocities = later_shell.position_km, later_shell.velocity_km_s
         tolerance = 1e-12 * (1.0 + config.mean_motion_rad_s * epoch)
         assert np.allclose(later, positions, rtol=0.0, atol=tolerance * a)
         assert np.allclose(later_velocities, velocities, rtol=0.0, atol=tolerance * speed.max())
@@ -287,8 +288,8 @@ class TestVisibility:
 
     def test_adjacent_intra_plane_visible(self):
         states = propagate(CASE_CONFIG, 0.0)
-        by_id = {s.sat_id: s for s in states}
-        assert visible(by_id[(0, 0)].position_km, by_id[(0, 1)].position_km) is True
+        by_key = {s.node_key: s for s in states}
+        assert visible(by_key[sat_key(0, 0)].position_km, by_key[sat_key(0, 1)].position_km) is True
 
     def test_zero_length_segment(self):
         a = np.array([7000.0, 0.0, 0.0])
@@ -329,7 +330,7 @@ class TestVectorizedElevation:
     def test_matches_scalar_on_sampled_pairs(self):
         rng = np.random.default_rng(11)
         for epoch in (0.0, 1500.0, 4000.0):
-            sats = np.array([s.position_km for s in propagate(CASE_CONFIG, epoch)])
+            sats = propagate(CASE_CONFIG, epoch).position_km
             for _ in range(20):
                 node = GroundNode(
                     "g", GROUND_STATION, rng.uniform(-80, 80), rng.uniform(-180, 180)

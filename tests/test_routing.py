@@ -18,7 +18,7 @@ from leoisl.orbits import (
     GroundNode,
     elevations_deg,
     ground_position,
-    propagate_arrays,
+    propagate,
 )
 from leoisl.routing import (
     _chain,
@@ -32,28 +32,14 @@ from leoisl.routing import (
     snapshot_sdp_mhp_fraction,
 )
 from leoisl.scenario import Scenario, TopologySettings, default_scenario
-from leoisl.topology import (
-    LinkEdge,
-    TopologySnapshot,
-    build_dynamic_topology,
-    build_grid_topology,
-)
+from leoisl.topology import build_dynamic_topology, build_grid_topology
 
-from oracles import neighbor_lists
+from oracles import edge, neighbor_lists, snapshot_of
 
 
-def make_snapshot(nodes, weighted_edges, epoch_s=0.0):
-    """Synthetic satellite-only snapshot from (a, b, distance) triples."""
-    edges = []
-    for a, b, distance in weighted_edges:
-        a, b = sorted((a, b))
-        edges.append(
-            LinkEdge(a, b, ISL_LASER, distance, 1.0e10, distance / 299792.458)
-        )
-    edges.sort(key=lambda e: e.key)
-    return TopologySnapshot(
-        epoch_s=epoch_s, nodes=tuple(sorted(nodes)), edges=tuple(edges), positions={}
-    )
+def lasers(weighted_edges):
+    """Laser links from (a, b, distance) triples."""
+    return [edge(a, b, ISL_LASER, distance, 1.0e10) for a, b, distance in weighted_edges]
 
 
 def enumerate_simple_paths(snapshot, src, dst):
@@ -91,12 +77,12 @@ def random_snapshot(rng):
     for a, b in itertools.combinations(nodes, 2):
         if rng.random() < 0.4:
             edges.append((a, b, float(rng.uniform(0.1, 10.0))))
-    return make_snapshot(nodes, edges), nodes
+    return snapshot_of(lasers(edges), nodes), nodes
 
 
 class TestPathBasics:
     def test_same_node(self):
-        snapshot = make_snapshot(["a", "b"], [("a", "b", 5.0)])
+        snapshot = snapshot_of(lasers([("a", "b", 5.0)]))
         path = shortest_distance_path(snapshot, "a", "a")
         assert path.nodes == ("a",)
         assert path.hop_count == 0
@@ -104,41 +90,33 @@ class TestPathBasics:
         assert math.isinf(path.bottleneck_capacity_bps)
 
     def test_triangle_distance_prefers_direct(self):
-        snapshot = make_snapshot(
-            ["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 1.5)]
-        )
+        snapshot = snapshot_of(lasers([("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 1.5)]))
         path = shortest_distance_path(snapshot, "a", "c")
         assert path.nodes == ("a", "c")
         assert path.total_distance_km == pytest.approx(1.5)
 
     def test_triangle_hops_prefers_direct(self):
-        snapshot = make_snapshot(
-            ["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 1.5)]
-        )
+        snapshot = snapshot_of(lasers([("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 1.5)]))
         path = min_hop_path(snapshot, "a", "c")
         assert path.nodes == ("a", "c")
         assert path.hop_count == 1
 
     def test_adjacent_nodes_one_hop_regardless_of_length(self):
-        snapshot = make_snapshot(
-            ["a", "b", "c"], [("a", "b", 0.1), ("b", "c", 0.1), ("a", "c", 99.0)]
-        )
+        snapshot = snapshot_of(lasers([("a", "b", 0.1), ("b", "c", 0.1), ("a", "c", 99.0)]))
         assert min_hop_path(snapshot, "a", "c").hop_count == 1
 
     def test_disconnected_pair(self):
-        snapshot = make_snapshot(["a", "b", "c"], [("a", "b", 1.0)])
+        snapshot = snapshot_of(lasers([("a", "b", 1.0)]), ["a", "b", "c"])
         assert shortest_distance_path(snapshot, "a", "c") is None
         assert min_hop_path(snapshot, "a", "c") is None
 
     def test_unknown_node_rejected(self):
-        snapshot = make_snapshot(["a", "b"], [("a", "b", 1.0)])
+        snapshot = snapshot_of(lasers([("a", "b", 1.0)]))
         with pytest.raises(ValueError):
             shortest_distance_path(snapshot, "a", "zz")
 
     def test_path_metrics_consistent(self):
-        snapshot = make_snapshot(
-            ["a", "b", "c"], [("a", "b", 2.0), ("b", "c", 3.0)]
-        )
+        snapshot = snapshot_of(lasers([("a", "b", 2.0), ("b", "c", 3.0)]))
         path = shortest_distance_path(snapshot, "a", "c")
         assert path.hop_count == len(path.nodes) - 1
         assert path.total_distance_km == pytest.approx(5.0)
@@ -150,7 +128,7 @@ class TestPathBasics:
         from leoisl.topology import build_grid_topology
 
         config = ConstellationConfig()
-        snapshot = build_grid_topology(propagate_arrays(config, 0.0)[0], config, 0.0)
+        snapshot = build_grid_topology(propagate(config, 0.0).position_km, config, 0.0)
         path = min_hop_path(snapshot, sat_key(0, 0), sat_key(0, 1))
         assert path.hop_count == 1
 
@@ -254,7 +232,7 @@ class TestSdpMhpFraction:
     def test_complete_uniform_graph(self):
         nodes = [f"n{i}" for i in range(5)]
         edges = [(a, b, 1.0) for a, b in itertools.combinations(nodes, 2)]
-        snapshot = make_snapshot(nodes, edges)
+        snapshot = snapshot_of(lasers(edges), nodes)
         pairs = [(a, b) for a, b in itertools.combinations(nodes, 2)]
         result = snapshot_sdp_mhp_fraction(snapshot, pairs)
         assert result.fraction == 1.0
@@ -262,14 +240,12 @@ class TestSdpMhpFraction:
 
     def test_detour_beats_direct_edge(self):
         # Two short legs beat the long direct edge on distance but not hops.
-        snapshot = make_snapshot(
-            ["a", "b", "c"], [("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 3.0)]
-        )
+        snapshot = snapshot_of(lasers([("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 3.0)]))
         result = snapshot_sdp_mhp_fraction(snapshot, [("a", "c")])
         assert result.fraction == 0.0
 
     def test_unknown_node_rejected(self):
-        snapshot = make_snapshot(["a", "b"], [("a", "b", 1.0)])
+        snapshot = snapshot_of(lasers([("a", "b", 1.0)]))
         with pytest.raises(ValueError, match="unknown node"):
             snapshot_sdp_mhp_fraction(snapshot, [("a", "zz")])
 
@@ -278,10 +254,6 @@ class TestSdpMhpFraction:
         result = sdp_mhp_fraction(scenario, 50, [0.0, 1200.0], 11)
         assert result.pairs_checked == 100
         assert result.fraction >= 0.95
-
-
-def isl_graph(snapshot):
-    return _graph(snapshot, snapshot.isl_edges())
 
 
 def dist_hops_to(graph, src, targets):
@@ -309,7 +281,7 @@ def full_labels(graph, src):
 
 def baseline_snapshots():
     config = ConstellationConfig()
-    positions, _ = propagate_arrays(config, 0.0)
+    positions = propagate(config, 0.0).position_km
     return {
         "grid": build_grid_topology(positions, config, 0.0),
         "dynamic-3": build_dynamic_topology(positions, config, 3, 0.0),
@@ -325,9 +297,9 @@ class TestSearchesAgainstNetworkx:
         snapshot = baseline_snapshots()[name]
         oracle = nx.Graph()
         oracle.add_nodes_from(snapshot.nodes)
-        for edge in snapshot.isl_edges():
-            oracle.add_edge(edge.node_a, edge.node_b, weight=edge.distance_km)
-        graph = isl_graph(snapshot)
+        for link in snapshot.edges:  # lasers only: no ground nodes
+            oracle.add_edge(link.node_a, link.node_b, weight=link.distance_km)
+        graph = _graph(snapshot)
         everything = range(len(graph.nodes))
         # All 120 sources in one batched search: a full block and a partial one.
         all_hops = batched_hops(graph, everything, everything)
@@ -355,7 +327,7 @@ def small_graphs(draw, min_length=1):
         for a, b in itertools.combinations(nodes, 2)
         if draw(st.booleans())
     ]
-    snapshot = make_snapshot(nodes, edges)
+    snapshot = snapshot_of(lasers(edges), nodes)
     src = draw(st.integers(0, n - 1))
     targets = draw(st.sets(st.integers(0, n - 1)))
     return snapshot, src, targets
@@ -366,7 +338,7 @@ class TestEarlyExitSearches:
     @given(small_graphs())
     def test_early_exit_matches_full_search_and_enumeration(self, case):
         snapshot, src, targets = case
-        graph = isl_graph(snapshot)
+        graph = _graph(snapshot)
         all_hops, all_dist_hops = full_labels(graph, src)
         hops = batched_hops(graph, [src], targets)[0]
         dist_hops = dist_hops_to(graph, src, targets)
@@ -382,11 +354,11 @@ class TestEarlyExitSearches:
 
     def test_equal_distance_path_found_later_with_fewer_hops(self):
         # s-x-y-t (1+1+4) relaxes t before s-z-t (3+3) does; both are 6 km.
-        snapshot = make_snapshot(
-            ["s", "t", "x", "y", "z"],
-            [("s", "x", 1.0), ("x", "y", 1.0), ("y", "t", 4.0), ("s", "z", 3.0), ("z", "t", 3.0)],
-        )
-        graph = isl_graph(snapshot)
+        snapshot = snapshot_of(lasers(
+            [("s", "x", 1.0), ("x", "y", 1.0), ("y", "t", 4.0),
+             ("s", "z", 3.0), ("z", "t", 3.0)]
+        ))  # fmt: skip
+        graph = _graph(snapshot)
         src, dst = graph.index["s"], graph.index["t"]
         assert dist_hops_to(graph, src, [dst]) == {dst: (6.0, 2)}
         assert batched_hops(graph, [src], [dst]) == [{dst: 2}]
@@ -403,7 +375,7 @@ class TestBatchedDistanceSearch:
     @given(small_graphs(min_length=0), st.data())
     def test_batch_matches_single_roots_and_enumeration(self, case, data):
         snapshot, _, _ = case
-        graph = isl_graph(snapshot)
+        graph = _graph(snapshot)
         n = len(graph.nodes)
         roots = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
         roots += roots[:1]  # a repeated root in every batch
@@ -423,7 +395,7 @@ class TestBatchedDistanceSearch:
                 assert tuple(graph.nodes[i] for i in chain) == best[0]
 
     def test_edgeless_graph_and_isolated_nodes(self):
-        edgeless = isl_graph(make_snapshot(["a", "b", "c"], []))
+        edgeless = _graph(snapshot_of(lasers([]), ["a", "b", "c"]))
         dist = _shortest_paths(edgeless, [2, 0, 2])
         assert dist.tolist() == [
             [math.inf, math.inf, 0.0],
@@ -434,7 +406,7 @@ class TestBatchedDistanceSearch:
         assert _chain(edgeless, dist[0].tolist(), 2, 1) is None
         assert _shortest_paths(edgeless, []).shape == (0, 3)
         # "c" has no link; "a"-"b" is a zero-length link.
-        graph = isl_graph(make_snapshot(["a", "b", "c", "d"], [("a", "b", 0.0), ("b", "d", 2.0)]))
+        graph = _graph(snapshot_of(lasers([("a", "b", 0.0), ("b", "d", 2.0)]), ["c"]))
         dist = _shortest_paths(graph, [0, 2, 3]).tolist()
         assert dist == [
             [0.0, 0.0, math.inf, 2.0],
@@ -470,11 +442,10 @@ class TestTieBreak:
 
     def test_tie_decided_above_the_last_hop(self):
         # r-a-d-t and r-b-c-t tie; c reaches t first, but a < b decides.
-        snapshot = make_snapshot(
-            ["a", "b", "c", "d", "r", "t"],
+        snapshot = snapshot_of(lasers(
             [("r", "a", 1.0), ("a", "d", 1.0), ("d", "t", 1.0),
-             ("r", "b", 1.0), ("b", "c", 1.0), ("c", "t", 1.0)],
-        )  # fmt: skip
+             ("r", "b", 1.0), ("b", "c", 1.0), ("c", "t", 1.0)]
+        ))  # fmt: skip
         assert shortest_distance_path(snapshot, "r", "t").nodes == ("r", "a", "d", "t")
         assert min_hop_path(snapshot, "r", "t").nodes == ("r", "a", "d", "t")
         ctx = SlotContext(snapshot, default_scenario())
@@ -484,8 +455,8 @@ class TestTieBreak:
 def edge_list_graph(n, edges):
     """Integer-indexed ISL graph; node ``i`` is ``n{i:03d}``, links are index pairs."""
     names = [f"n{i:03d}" for i in range(n)]
-    snapshot = make_snapshot(names, [(names[a], names[b], 1.0) for a, b in edges])
-    return isl_graph(snapshot)
+    snapshot = snapshot_of(lasers([(names[a], names[b], 1.0) for a, b in edges]), names)
+    return _graph(snapshot)
 
 
 def reference_hops(graph, src):
@@ -553,11 +524,10 @@ def reference_hop_stats(snapshot, pairs, epoch_s, mask_deg):
     nx = pytest.importorskip("networkx")
     oracle = nx.Graph()
     oracle.add_nodes_from(snapshot.nodes)
-    oracle.add_edges_from(edge.key for edge in snapshot.isl_edges())
-    positions = np.array([snapshot.positions[key] for key in snapshot.nodes])
+    oracle.add_edges_from(link.key for link in snapshot.edges)  # lasers only
 
     def seen_from(node):
-        elevations = elevations_deg(ground_position(node, epoch_s), positions)
+        elevations = elevations_deg(ground_position(node, epoch_s), snapshot.positions)
         return [snapshot.nodes[i] for i in np.flatnonzero(elevations >= mask_deg)]
 
     rows = []
@@ -614,7 +584,7 @@ class TestHopStatsAgainstNetworkx:
         ]
         expected = []
         for epoch in epochs:
-            positions, _ = propagate_arrays(config, epoch)
+            positions = propagate(config, epoch).position_km
             if mode == "grid":
                 snapshot = build_grid_topology(positions, config, epoch)
             else:
@@ -627,4 +597,4 @@ class TestHopStatsAgainstNetworkx:
         assert got == expected
         assert any(row is None for row in expected)  # the polar station sees nothing
         if max_isls == 119:
-            assert np.diff(isl_graph(snapshot).offsets).max() > 10
+            assert np.diff(_graph(snapshot).offsets).max() > 10

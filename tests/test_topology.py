@@ -22,14 +22,17 @@ from leoisl.orbits import (
     GroundNode,
     elevation_deg,
     ground_position,
-    propagate_arrays,
+    propagate,
     sat_key,
     sat_keys,
     visible,
 )
-from leoisl.scenario import Scenario, TopologySettings
+from leoisl.delivery import SWEEP_MODES, sweep_max_isls
+from leoisl.routing import sdp_mhp_fraction
+from leoisl.scenario import Scenario, TopologySettings, default_scenario
 from leoisl.topology import (
     LinkEdge,
+    TopologySnapshot,
     attach_ground_links,
     build_dynamic_topology,
     build_grid_topology,
@@ -40,7 +43,11 @@ CASE_CONFIG = ConstellationConfig()
 
 
 def shell_positions(config, epoch):
-    return propagate_arrays(config, epoch)[0]
+    return propagate(config, epoch).position_km
+
+
+def positions_by_id(snapshot):
+    return dict(zip(snapshot.nodes, snapshot.positions))
 
 
 def cluster_config(planes, slots):
@@ -63,7 +70,7 @@ class TestGrid:
     def test_case_grid_degrees(self):
         snapshot = build_grid_topology(shell_positions(CASE_CONFIG, 0.0), CASE_CONFIG, 0.0)
         degrees = snapshot.isl_degrees()
-        positions = snapshot.positions
+        positions = positions_by_id(snapshot)
         assert all(d <= 4 for d in degrees.values())
         full_everywhere = 0
         for plane in range(CASE_CONFIG.num_planes):
@@ -83,7 +90,7 @@ class TestGrid:
         degrees = snapshot.isl_degrees()
         assert sum(degrees.values()) == 2 * len(snapshot.edges)
         # 240 structural edges minus those failing line of sight.
-        positions = snapshot.positions
+        positions = positions_by_id(snapshot)
         dropped = 0
         seen = set()
         for plane in range(6):
@@ -133,10 +140,9 @@ class TestGrid:
 
     def test_edges_connect_visible_endpoints(self):
         snapshot = build_grid_topology(shell_positions(CASE_CONFIG, 321.0), CASE_CONFIG, 321.0)
+        positions = positions_by_id(snapshot)
         for edge in snapshot.edges:
-            assert visible(
-                snapshot.positions[edge.node_a], snapshot.positions[edge.node_b]
-            )
+            assert visible(positions[edge.node_a], positions[edge.node_b])
 
     def test_structure_epoch_stable_up_to_visibility(self):
         # The candidate edge-id set never changes with the epoch; only the
@@ -153,10 +159,9 @@ class TestGrid:
             )
             present = {e.key for e in snapshot.edges}
             assert present <= structural
+            positions = positions_by_id(snapshot)
             for key in structural - present:
-                assert not visible(
-                    snapshot.positions[key[0]], snapshot.positions[key[1]]
-                )
+                assert not visible(positions[key[0]], positions[key[1]])
 
 
 def scalar_grid_reference(shell, config, grazing_altitude_km):
@@ -470,10 +475,11 @@ class TestDynamicProperties:
             current = {e.key for e in snapshot.edges}
             assert previous <= current
             previous = current
+            by_id = positions_by_id(snapshot)
             for edge in snapshot.edges:
                 assert edge.node_a < edge.node_b
                 assert edge.distance_km <= max_range_km
-                pa, pb = snapshot.positions[edge.node_a], snapshot.positions[edge.node_b]
+                pa, pb = by_id[edge.node_a], by_id[edge.node_b]
                 assert visible(pa, pb, grazing)
 
 
@@ -561,7 +567,7 @@ class TestGroundAttachment:
 def scalar_attach_reference(snapshot, ground):
     """Edges of ``attach_ground_links`` with one scalar elevation test per pair."""
     params = default_link_params()
-    positions = dict(snapshot.positions)
+    positions = positions_by_id(snapshot)
     for node in ground:
         positions[node.node_id] = ground_position(node, snapshot.epoch_s)
     edges = list(snapshot.edges)
@@ -590,3 +596,26 @@ def scalar_attach_reference(snapshot, ground):
                 )
             )
     return tuple(sorted(edges, key=lambda e: (e.key, e.link_class)))
+
+
+class TestArraySnapshot:
+    def test_sweep_and_sdp_mhp_never_build_link_objects(self, monkeypatch):
+        # The planners and the path engine read the link arrays; only the
+        # ground links and the holder links a plan names become LinkEdges.
+        def refuse(snapshot):
+            raise AssertionError("snapshot.edges materialised")
+
+        monkeypatch.setattr(TopologySnapshot, "edges", property(refuse))
+        scenario = default_scenario()
+        result = sweep_max_isls(scenario, range(0, 9), SWEEP_MODES, [0.0], [1, 2])
+        assert any(row.delivered for row in result.rows)
+        assert sdp_mhp_fraction(scenario, 50, [0.0, 1800.0], 1).pairs_checked > 0
+
+    def test_links_in_id_order_whatever_the_input_order(self):
+        snapshot = build_snapshot(Scenario(CASE_CONFIG), 600.0, ground=True)
+        links = snapshot.links
+        shuffled = links.take(np.random.default_rng(3).permutation(len(links.a)))
+        again = TopologySnapshot(snapshot.epoch_s, snapshot.nodes, snapshot.positions, shuffled)
+        assert all(np.array_equal(x, y) for x, y in zip(again.links, links))
+        keys = [(e.node_a, e.node_b, e.link_class) for e in snapshot.edges]
+        assert keys == sorted(keys)
