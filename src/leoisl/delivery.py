@@ -31,6 +31,7 @@ from .links import (
     GROUND_TO_SAT,
     SAT_TO_AIR,
     LinkBudgetParams,
+    capacity_bps,
     rf_terms,
 )
 from .routing import Path, _chain, _graph, _link, _path, _shortest_paths
@@ -383,13 +384,6 @@ class SlotContext:
         and ``isl_route`` read them from the mesh graph's arrays."""
         return self._ground.get((link_class, node), [])
 
-    def edge_between(self, link_class: str, a: str, b: str) -> LinkEdge | None:
-        """The ground link of ``link_class`` between ``a`` and ``b``, if any."""
-        for edge in self.edges_at(link_class, a):
-            if edge.other(a) == b:
-                return edge
-        return None
-
     def search(self, roots: Iterable[str]) -> None:
         """Distances over the mesh from every root not searched yet, in one batch."""
         fresh = sorted({self._isl.index[root] for root in roots} - self._searches.keys())
@@ -472,7 +466,8 @@ def _servings(ctx: SlotContext, request: FileRequest) -> tuple[_Serving, ...]:
             k = _link(graph, graph.index[holder], graph.index[serving])
             if k is not None:
                 ends = (holder, serving) if holder < serving else (serving, holder)
-                candidates.append(_HolderCandidate(holder, ends, graph.capacity[k], graph.delay[k]))
+                rate, delay = graph.links.capacity_bps[k], graph.links.delay_s[k]
+                candidates.append(_HolderCandidate(holder, ends, float(rate), float(delay)))
         candidates.sort(key=lambda c: (c.delay_s, c.holder))
         servings.append((air_edge, serving, serving in holders, tuple(candidates)))
     ctx._servings[key] = memo = tuple(servings)
@@ -681,21 +676,20 @@ def plan_cached(
 
 @dataclass(frozen=True)
 class _RouteOption:
-    """One candidate chain for a non-cached file."""
+    """One candidate chain for a non-cached file, with its feeder link and
+    ``full_rate_bps``, the flow's rate at share 1.0 under the context's
+    delay model: ``GsFlow.rate_bps(1.0)``, float for float."""
 
     gs: str
     entry: str | None
     serving: str | None
     nodes: tuple[str, ...]
+    feeder: LinkEdge
     base_prop_s: float
     fixed_cap_bps: float
     fixed_inv_rate: float
-    feeder_class: str
-    feeder_distance_km: float
     activated_edge: tuple[str, str] | None
-    # The flow's rate at share 1.0 under the context's delay model; filled
-    # in by _route_options, which builds every option.
-    full_rate_bps: float = math.nan
+    full_rate_bps: float
 
 
 def _route_options(
@@ -704,67 +698,66 @@ def _route_options(
     """Every chain to the request's aircraft, memoised on the context under
     everything it reads: the aircraft, the source stations and whether the
     budget is zero."""
-    key = (request.aircraft_id, request.source_gs_set, zero_budget)
+    aircraft = request.aircraft_id
+    key = (aircraft, request.source_gs_set, zero_budget)
     memo = ctx._route_options.get(key)
     if memo is not None:
         return memo
-    _check_nodes(ctx, request, [request.aircraft_id, *sorted(request.source_gs_set)])
+    _check_nodes(ctx, request, [aircraft, *sorted(request.source_gs_set)])
     options: list[_RouteOption] = []
-    air_edges = ctx.edges_at(SAT_TO_AIR, request.aircraft_id)
+    air_edges = ctx.edges_at(SAT_TO_AIR, aircraft)
     if not zero_budget:  # a zero budget reads only zero-hop routes
-        ctx.search(edge.other(request.aircraft_id) for edge in air_edges)
+        ctx.search(edge.other(aircraft) for edge in air_edges)
+    saf = ctx.store_and_forward
+    direct_links = {edge.other(aircraft): edge for edge in ctx.edges_at(GROUND_TO_AIR, aircraft)}
     for gs in sorted(request.source_gs_set):
-        direct = ctx.edge_between(GROUND_TO_AIR, gs, request.aircraft_id)
+        direct = direct_links.get(gs)
         if direct is not None:
+            direct_bps = capacity_bps(ctx.link_params[GROUND_TO_AIR], direct.distance_km)
             options.append(
                 _RouteOption(
                     gs=gs,
                     entry=None,
                     serving=None,
-                    nodes=(gs, request.aircraft_id),
+                    nodes=(gs, aircraft),
+                    feeder=direct,
                     base_prop_s=direct.delay_s,
                     fixed_cap_bps=math.inf,
                     fixed_inv_rate=0.0,
-                    feeder_class=GROUND_TO_AIR,
-                    feeder_distance_km=direct.distance_km,
                     activated_edge=None,
+                    full_rate_bps=_series_rate(direct_bps, math.inf, 0.0, saf),
                 )
             )
         for feeder in ctx.edges_at(GROUND_TO_SAT, gs):
             entry = feeder.other(gs)
+            feeder_bps = capacity_bps(ctx.link_params[GROUND_TO_SAT], feeder.distance_km)
             for air_edge in air_edges:
-                serving = air_edge.other(request.aircraft_id)
+                serving = air_edge.other(aircraft)
                 if zero_budget and entry != serving:
                     continue
                 route = ctx.isl_route(entry, serving)
                 if route is None:
                     continue
                 caps = route.edge_capacities_bps + (air_edge.capacity_bps,)
+                fixed_cap_bps = min(caps)
+                fixed_inv_rate = sum(1.0 / c for c in caps)
+                prop_s = feeder.delay_s + route.total_propagation_delay_s + air_edge.delay_s
+                activated = tuple(sorted(route.nodes[-2:])) if route.hop_count else None
                 options.append(
                     _RouteOption(
                         gs=gs,
                         entry=entry,
                         serving=serving,
-                        nodes=(gs,) + route.nodes + (request.aircraft_id,),
-                        base_prop_s=(
-                            feeder.delay_s + route.total_propagation_delay_s + air_edge.delay_s
-                        ),
-                        fixed_cap_bps=min(caps),
-                        fixed_inv_rate=sum(1.0 / c for c in caps),
-                        feeder_class=GROUND_TO_SAT,
-                        feeder_distance_km=feeder.distance_km,
-                        activated_edge=(
-                            None
-                            if route.hop_count == 0
-                            else tuple(sorted(route.nodes[-2:]))
-                        ),
+                        nodes=(gs,) + route.nodes + (aircraft,),
+                        feeder=feeder,
+                        base_prop_s=prop_s,
+                        fixed_cap_bps=fixed_cap_bps,
+                        fixed_inv_rate=fixed_inv_rate,
+                        activated_edge=activated,
+                        full_rate_bps=_series_rate(feeder_bps, fixed_cap_bps, fixed_inv_rate, saf),
                     )
                 )
-    memo = tuple(
-        replace(option, full_rate_bps=_flow_for(ctx, request, option).rate_bps(1.0))
-        for option in options
-    )
-    ctx._route_options[key] = memo
+    ctx._route_options[key] = memo = tuple(options)
     return memo
 
 
@@ -774,8 +767,8 @@ def _flow_for(ctx: SlotContext, request: FileRequest, option: _RouteOption) -> G
         bits=float(request.total_bits),
         base_prop_s=option.base_prop_s,
         fixed_cap_bps=option.fixed_cap_bps,
-        feeder_params=ctx.link_params[option.feeder_class],
-        feeder_distance_km=option.feeder_distance_km,
+        feeder_params=ctx.link_params[option.feeder.link_class],
+        feeder_distance_km=option.feeder.distance_km,
         store_and_forward=ctx.store_and_forward,
         fixed_inv_rate=option.fixed_inv_rate,
     )

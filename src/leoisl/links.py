@@ -13,6 +13,8 @@ import functools
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 SPEED_OF_LIGHT_KM_S = 299792.458
 BOLTZMANN_J_PER_K = 1.380649e-23
 
@@ -168,8 +170,10 @@ def capacity_bps(
     return bw * math.log2(1.0 + snr_linear(params, distance_km, bandwidth_share))
 
 
-def propagation_delay_s(distance_km: float) -> float:
-    """Straight-line propagation delay in vacuum."""
-    if distance_km < 0:
-        raise ValueError(f"distance_km must be >= 0, got {distance_km}")
+def propagation_delay_s(distance_km: float | np.ndarray) -> float | np.ndarray:
+    """Straight-line propagation delay in vacuum, of one distance or,
+    elementwise, of an array of them. A negative entry is rejected, and the
+    error names the smallest."""
+    if np.any(np.less(distance_km, 0)):
+        raise ValueError(f"distance_km must be >= 0, got {np.nanmin(distance_km)}")
     return distance_km / SPEED_OF_LIGHT_KM_S

@@ -8,6 +8,7 @@ advance along a great circle at constant speed and cruise altitude.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -118,8 +119,9 @@ class GroundNode:
             raise ValueError(f"altitude_km must be >= 0, got {self.altitude_km}")
 
 
+@functools.lru_cache(maxsize=16)
 def sat_keys(config: ConstellationConfig) -> tuple[str, ...]:
-    """Node id of every satellite in shell index order, ``plane * sats_per_plane + slot``."""
+    """Node ids in shell index order (``plane * sats_per_plane + slot``), memoised per shell."""
     return tuple(sat_key(*divmod(i, config.sats_per_plane)) for i in range(config.total_satellites))
 
 

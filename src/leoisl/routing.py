@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .orbits import GroundNode, elevations_deg, ground_position
-from .topology import ISL_CODE, TopologySnapshot, build_snapshot
+from .topology import ISL_CODE, Links, TopologySnapshot, build_snapshot
 
 if TYPE_CHECKING:  # pragma: no cover - scenario imports this module through delivery
     from .scenario import Scenario
@@ -59,10 +59,10 @@ class _Graph(NamedTuple):
     Node ``i`` is ``nodes[i]``; ``snapshot.nodes`` is sorted, so index order
     is node-id order. Node ``i``'s links run to ``targets[offsets[i]:
     offsets[i + 1]]``, in index order, with lengths ``weights[...]``; each
-    link is listed from both ends. ``pairs`` holds each link's ``a * N + b``
-    in snapshot link order, which increases, so ``_link`` finds a link by
-    bisection; ``distance``, ``delay`` and ``capacity`` are its metrics, as
-    lists because paths read them one hop at a time.
+    link is listed from both ends. ``links`` are the snapshot's link arrays
+    the graph was built from, and ``pairs`` holds each link's ``a * N + b``
+    in their order, which increases, so ``_link`` finds a link's row by
+    bisection.
     """
 
     nodes: tuple[str, ...]
@@ -71,9 +71,7 @@ class _Graph(NamedTuple):
     targets: np.ndarray
     weights: np.ndarray
     pairs: list[int]
-    distance: list[float]
-    delay: list[float]
-    capacity: list[float]
+    links: Links
 
 
 def _graph(
@@ -99,15 +97,13 @@ def _graph(
         tails[order],
         weights,
         (links.a * len(nodes) + links.b).tolist(),
-        links.distance_km.tolist(),
-        links.delay_s.tolist(),
-        links.capacity_bps.tolist(),
+        links,
     )
 
 
 def _link(graph: _Graph, u: int, v: int) -> int | None:
-    """Position of the ``u``-``v`` link in the graph's link lists, None if
-    the two are not linked."""
+    """Row of the ``u``-``v`` link in ``graph.links``, None if the two are
+    not linked."""
     pair = u * len(graph.nodes) + v if u < v else v * len(graph.nodes) + u
     k = bisect.bisect_left(graph.pairs, pair)
     return k if k < len(graph.pairs) and graph.pairs[k] == pair else None
@@ -202,16 +198,17 @@ def _chain(graph: _Graph, dist: Sequence[float], root: int, v: int) -> list[int]
 
 
 def _path(graph: _Graph, chain: Sequence[int]) -> Path:
-    """The ``Path`` along node indices ``chain``, summed from its first node."""
+    """The ``Path`` along node indices ``chain``, each metric column read once;
+    distance and delay add up hop by hop from the first node, not by ``sum()``."""
     nodes = tuple([graph.nodes[i] for i in chain])
+    rows = [_link(graph, u, v) for u, v in zip(chain, chain[1:])]
+    links = graph.links
     distance = 0.0
     delay = 0.0
-    capacities = []
-    for u, v in zip(chain, chain[1:]):
-        k = _link(graph, u, v)
-        distance += graph.distance[k]
-        delay += graph.delay[k]
-        capacities.append(graph.capacity[k])
+    for hop_km, hop_s in zip(links.distance_km[rows].tolist(), links.delay_s[rows].tolist()):
+        distance += hop_km
+        delay += hop_s
+    capacities = links.capacity_bps[rows].tolist()
     return Path(
         nodes=nodes,
         hop_count=len(nodes) - 1,

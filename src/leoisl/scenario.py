@@ -35,6 +35,7 @@ from .orbits import (
     GROUND_STATION,
     ConstellationConfig,
     GroundNode,
+    sat_keys,
 )
 from .topology import DEFAULT_MAX_RANGE_KM, GRID_MODE, TOPOLOGY_MODES
 
@@ -75,20 +76,22 @@ class TopologySettings:
     elevation_mask_deg: float = DEFAULT_ELEVATION_MASK_DEG
 
     def __post_init__(self) -> None:
-        for name in ("max_range_km", "grazing_altitude_km", "elevation_mask_deg"):
+        for name, rule, holds in (
+            ("max_range_km", "> 0", lambda value: value > 0),
+            ("grazing_altitude_km", ">= 0", lambda value: value >= 0),
+            ("elevation_mask_deg", "within [-90, 90]", lambda value: -90.0 <= value <= 90.0),
+        ):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ScenarioError(f"topology.{name} must be finite, got {value}")
+            if not holds(value):
+                raise ScenarioError(f"topology.{name} must be {rule}, got {value}")
         if self.mode not in TOPOLOGY_MODES:
             raise ScenarioError(
                 f"topology.mode must be one of {TOPOLOGY_MODES}, got {self.mode!r}"
             )
         if self.max_isls < 0:
             raise ScenarioError(f"topology.max_isls must be >= 0, got {self.max_isls}")
-        if self.max_range_km <= 0:
-            raise ScenarioError(
-                f"topology.max_range_km must be > 0, got {self.max_range_km}"
-            )
 
 
 @dataclass(frozen=True)
@@ -151,6 +154,10 @@ class Scenario:
         for node in self.aircraft:
             if node.kind != AIRCRAFT:
                 raise ScenarioError(f"aircraft entry {node.node_id!r} is not an aircraft")
+        for node in self.ground_stations + self.aircraft:
+            if node.node_id in sat_keys(self.constellation):
+                where = "aircraft" if node.kind == AIRCRAFT else "ground_stations"
+                raise ScenarioError(f"{where} entry {node.node_id!r} has a satellite's id")
         missing = [c for c in LINK_CLASSES if c not in self.link_params]
         if missing:
             raise ScenarioError(f"link_params missing classes: {missing}")

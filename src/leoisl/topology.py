@@ -25,7 +25,6 @@ from .links import (
     ISL_LASER,
     LINK_CLASSES,
     SAT_TO_AIR,
-    SPEED_OF_LIGHT_KM_S,
     LinkBudgetParams,
     capacity_bps,
 )
@@ -36,7 +35,6 @@ from .orbits import (
     GROUND_STATION,
     ConstellationConfig,
     GroundNode,
-    elevation_deg,
     elevations_deg,
     ground_position,
 )
@@ -102,11 +100,10 @@ class Links(NamedTuple):
         return Links(*(column[rows] for column in self))
 
 
-def _links(a, b, link_class: str, distances: np.ndarray, capacities) -> Links:
+def _links(a, b, link_class: str, distances: np.ndarray, capacities: np.ndarray) -> Links:
     """Links of one class, with light-time delays."""
     code = np.full(len(distances), CLASS_ORDER.index(link_class), dtype=np.int8)
-    delays = distances / SPEED_OF_LIGHT_KM_S  # propagation_delay_s, elementwise
-    return Links(a, b, code, distances, np.asarray(capacities, dtype=float), delays)
+    return Links(a, b, code, distances, capacities, links.propagation_delay_s(distances))
 
 
 @dataclass(eq=False)
@@ -213,7 +210,7 @@ def _snapshot(
     length ``distances[i]``: the tail both builders share."""
     if isl_params is None:
         isl_params = links.default_link_params()[ISL_LASER]
-    rates = np.full(len(distances), isl_params.lisl_fixed_rate_bps)
+    rates = np.full(len(distances), isl_params.lisl_fixed_rate_bps, dtype=float)
     return TopologySnapshot(epoch_s, keys, pos, _links(lo, hi, ISL_LASER, distances, rates))
 
 
@@ -333,24 +330,24 @@ def attach_ground_links(
     parts = [snapshot.links]
 
     def link(ground: int, others: np.ndarray, link_class: str) -> None:
+        """Links of ``link_class`` from ``ground`` to the ``others`` above its mask."""
+        others = others[elevations_deg(positions[ground], positions[others]) >= elevation_mask_deg]
         distances = orbits.row_norms(positions[ground] - positions[others])
         keep = distances != 0.0  # coincident nodes; the loss model is undefined
         others, distances = others[keep], distances[keep]
         params = link_params[link_class]
-        capacities = [capacity_bps(params, d, 1.0) for d in distances.tolist()]
+        capacities = np.array([capacity_bps(params, d, 1.0) for d in distances.tolist()])
         ground_ends = np.full(len(others), ground)
         parts.append(_links(ground_ends, others, link_class, distances, capacities))
 
+    satellites = np.arange(first)
+    aircraft = first + np.flatnonzero([node.kind == AIRCRAFT for node in ground_nodes])
     for g, node in enumerate(ground_nodes, first):
-        elevations = elevations_deg(positions[g], snapshot.positions)
-        sat_class = GROUND_TO_SAT if node.kind == GROUND_STATION else SAT_TO_AIR
-        link(g, np.flatnonzero(elevations >= elevation_mask_deg), sat_class)
-    stations = [g for g, node in enumerate(ground_nodes, first) if node.kind == GROUND_STATION]
-    aircraft = [g for g, node in enumerate(ground_nodes, first) if node.kind == AIRCRAFT]
-    for gs in stations:
-        here = positions[gs]
-        seen = [ac for ac in aircraft if elevation_deg(here, positions[ac]) >= elevation_mask_deg]
-        link(gs, np.array(seen, dtype=np.intp), GROUND_TO_AIR)
+        if node.kind == GROUND_STATION:
+            link(g, satellites, GROUND_TO_SAT)
+            link(g, aircraft, GROUND_TO_AIR)
+        else:
+            link(g, satellites, SAT_TO_AIR)
     nodes = snapshot.nodes + tuple(node.node_id for node in ground_nodes)
     merged = Links(*map(np.concatenate, zip(*parts)))
     return TopologySnapshot(snapshot.epoch_s, nodes, positions, merged)

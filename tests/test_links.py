@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from leoisl.links import (
@@ -101,6 +102,15 @@ class TestPropagationDelay:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             propagation_delay_s(-1.0)
+
+    def test_array_matches_scalar_elementwise(self):
+        distances = np.array([0.0, 1.5, 1000.0, 2306.0, 13426.642825385174])
+        delays = propagation_delay_s(distances)
+        assert delays.tolist() == [propagation_delay_s(d) for d in distances.tolist()]
+
+    def test_negative_array_entry_rejected_naming_the_smallest(self):
+        with pytest.raises(ValueError, match=r"^distance_km must be >= 0, got -7\.5$"):
+            propagation_delay_s(np.array([3.0, -2.0, -7.5, 0.0]))
 
 
 class TestDefaults:

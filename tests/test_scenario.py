@@ -428,6 +428,26 @@ CRAFT = {"node_id": "a", "latitude_deg": 0, "longitude_deg": 0}
             {"ground_stations": [{**STATION, "heading_deg": 45}]},
             "ground_stations: ground stations must have heading_deg == 0",
         ),
+        (
+            {"topology": {"elevation_mask_deg": 95}},
+            "topology.elevation_mask_deg must be within [-90, 90], got 95.0",
+        ),
+        (
+            {"topology": {"elevation_mask_deg": -90.5}},
+            "topology.elevation_mask_deg must be within [-90, 90], got -90.5",
+        ),
+        (
+            {"topology": {"grazing_altitude_km": -7000}},
+            "topology.grazing_altitude_km must be >= 0, got -7000.0",
+        ),
+        (
+            {"ground_stations": [{**STATION, "node_id": "S000-001"}]},
+            "ground_stations entry 'S000-001' has a satellite's id",
+        ),
+        (
+            {"aircraft": [{**CRAFT, "node_id": "S005-019"}]},
+            "aircraft entry 'S005-019' has a satellite's id",
+        ),
     ],
 )
 def test_error_text_is_pinned(raw, message):
@@ -545,8 +565,8 @@ scenarios = st.builds(
         mode=st.sampled_from(TOPOLOGY_MODES),
         max_isls=st.integers(0, 50),
         max_range_km=positive,
-        grazing_altitude_km=finite,
-        elevation_mask_deg=finite,
+        grazing_altitude_km=st.floats(0.0, 1e6),
+        elevation_mask_deg=st.floats(-90.0, 90.0),
     ),
     ifc=st.builds(
         IfcSettings,
