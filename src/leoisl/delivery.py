@@ -34,7 +34,7 @@ from .links import (
     capacity_bps,
     rf_terms,
 )
-from .routing import Path, _chain, _graph, _link, _path, _shortest_paths
+from .routing import _chain, _graph, _link, _path, _shortest_paths, _total
 from .topology import DYNAMIC_MODE, ISL_CODE, LinkEdge, TopologySnapshot, build_snapshot
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -193,9 +193,9 @@ def optimal_ratio_delay(
             break
     for prop, rate, idx in usable[:active]:
         ratios[idx] = max(0.0, (delay - prop) * rate / total_bits)
-    # The active set satisfies sum((D - p) * r) == bits analytically; divide
-    # out the floating-point residue so the ratios sum to exactly one.
-    total = sum(ratios)
+    # The active set's (D - p) * r add up to bits analytically; divide out
+    # the floating-point residue so the ratios add up to exactly one.
+    total = _total(ratios)
     if total > 0:
         ratios = [r / total for r in ratios]
     return delay, ratios
@@ -317,7 +317,7 @@ def optimize_gs_shares(
     if equal:
         return {flow.flow_id: 1.0 / n for flow in flows}
     caps = [_share_cap(flow) for flow in flows]
-    total_cap = sum(caps)
+    total_cap = _total(caps)
     if total_cap <= 1.0:
         slack = (1.0 - total_cap) / n
         return {flow.flow_id: cap + slack for flow, cap in zip(flows, caps)}
@@ -328,12 +328,12 @@ def optimize_gs_shares(
         ]
 
     hi = 1.0
-    while sum(shares_at(hi)) > 1.0:
+    while _total(shares_at(hi)) > 1.0:
         hi *= 4.0
     lo = 0.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if sum(shares_at(mid)) > 1.0:
+        if _total(shares_at(mid)) > 1.0:
             lo = mid
         else:
             hi = mid
@@ -352,12 +352,9 @@ class SlotContext:
     ``scenario`` must be the scenario the snapshot was built from. The
     context plans for that scenario alone: it keeps its link budgets, which
     feeder rates are read from, and its delivery settings (air-link sharing
-    and delay model). Laser routes are read back from distance labels
-    rooted at serving satellites; a file's route options label all of its
-    aircraft's serving satellites in one batch (``search``). The labels are
-    cached for the slot, and so are the planners' holder candidates, route
-    options and plans, each under a key holding everything it reads, so
-    that a sweep's cells share them.
+    and delay model). The planners' holder candidates, route options and
+    plans are cached for the slot, each under a key holding everything it
+    reads, so that a sweep's cells share them.
     """
 
     def __init__(self, snapshot: TopologySnapshot, scenario: "Scenario"):
@@ -372,7 +369,6 @@ class SlotContext:
         for (_, node), edges in self._ground.items():
             edges.sort(key=lambda e: (e.distance_km, e.other(node)))
         self._isl = _graph(snapshot)
-        self._searches: dict[int, list[float]] = {}
         self._servings: dict[tuple[str, frozenset[str]], tuple[_Serving, ...]] = {}
         self._cached_plans: dict[tuple, RequestPlan] = {}
         self._route_options: dict[tuple, tuple[_RouteOption, ...]] = {}
@@ -381,30 +377,8 @@ class SlotContext:
     def edges_at(self, link_class: str, node: str) -> list[LinkEdge]:
         """Ground links of ``link_class`` at ``node``, nearest first, ties by
         the far end's id. Laser links are not indexed here: ``_servings``
-        and ``isl_route`` read them from the mesh graph's arrays."""
+        and ``_route_options`` read them from the mesh graph's arrays."""
         return self._ground.get((link_class, node), [])
-
-    def search(self, roots: Iterable[str]) -> None:
-        """Distances over the mesh from every root not searched yet, in one batch."""
-        fresh = sorted({self._isl.index[root] for root in roots} - self._searches.keys())
-        if fresh:
-            self._searches.update(zip(fresh, _shortest_paths(self._isl, fresh).tolist()))
-
-    def isl_route(self, src: str, dst: str) -> Path | None:
-        """Shortest-distance laser path from src to dst over the mesh.
-
-        The search is rooted at ``dst``, so among equal ``(distance, hops)``
-        paths this is the reverse of the lexicographically smallest one
-        from ``dst``.
-        """
-        root = self._isl.index[dst]
-        if src == dst:  # the zero-hop route needs no search
-            chain = [root]
-        else:
-            if root not in self._searches:
-                self.search([dst])
-            chain = _chain(self._isl, self._searches[root], root, self._isl.index[src])
-        return None if chain is None else _path(self._isl, chain[::-1])
 
 
 def build_slot_context(scenario: "Scenario", epoch_s: float) -> SlotContext:
@@ -697,7 +671,10 @@ def _route_options(
 ) -> tuple[_RouteOption, ...]:
     """Every chain to the request's aircraft, memoised on the context under
     everything it reads: the aircraft, the source stations and whether the
-    budget is zero."""
+    budget is zero. A relay is read back from the distance labels of its
+    serving satellite: among equal ``(distance, hops)`` paths, the reverse of
+    the lexicographically smallest one from there. The aircraft's serving
+    satellites are labelled in one batch, held for this build only."""
     aircraft = request.aircraft_id
     key = (aircraft, request.source_gs_set, zero_budget)
     memo = ctx._route_options.get(key)
@@ -705,9 +682,11 @@ def _route_options(
         return memo
     _check_nodes(ctx, request, [aircraft, *sorted(request.source_gs_set)])
     options: list[_RouteOption] = []
+    graph = ctx._isl
     air_edges = ctx.edges_at(SAT_TO_AIR, aircraft)
-    if not zero_budget:  # a zero budget reads only zero-hop routes
-        ctx.search(edge.other(aircraft) for edge in air_edges)
+    roots = [graph.index[edge.other(aircraft)] for edge in air_edges]
+    # A zero budget reads only zero-hop routes, which need no labels.
+    labels = {} if zero_budget else dict(zip(roots, _shortest_paths(graph, roots).tolist()))
     saf = ctx.store_and_forward
     direct_links = {edge.other(aircraft): edge for edge in ctx.edges_at(GROUND_TO_AIR, aircraft)}
     for gs in sorted(request.source_gs_set):
@@ -731,16 +710,20 @@ def _route_options(
         for feeder in ctx.edges_at(GROUND_TO_SAT, gs):
             entry = feeder.other(gs)
             feeder_bps = capacity_bps(ctx.link_params[GROUND_TO_SAT], feeder.distance_km)
-            for air_edge in air_edges:
+            for air_edge, root in zip(air_edges, roots):
                 serving = air_edge.other(aircraft)
-                if zero_budget and entry != serving:
+                if entry == serving:
+                    chain = [root]
+                elif zero_budget:
                     continue
-                route = ctx.isl_route(entry, serving)
-                if route is None:
-                    continue
+                else:
+                    chain = _chain(graph, labels[root], root, graph.index[entry])
+                    if chain is None:
+                        continue
+                route = _path(graph, chain[::-1])
                 caps = route.edge_capacities_bps + (air_edge.capacity_bps,)
                 fixed_cap_bps = min(caps)
-                fixed_inv_rate = sum(1.0 / c for c in caps)
+                fixed_inv_rate = _total(1.0 / c for c in caps)
                 prop_s = feeder.delay_s + route.total_propagation_delay_s + air_edge.delay_s
                 activated = tuple(sorted(route.nodes[-2:])) if route.hop_count else None
                 options.append(
@@ -863,7 +846,7 @@ def plan_non_cached(
             for gs in sorted(by_gs):
                 shares.update(optimize_gs_shares(by_gs[gs], equal=equal))
             delays = {rid: flow.delay_s(shares[rid]) for rid, flow in flows.items()}
-            return sum(delays.values()), assignment, flows, shares, delays
+            return _total(delays.values()), assignment, flows, shares, delays
 
         if mode == MODE_GREEDY:
             chosen = evaluate(greedy)
@@ -967,7 +950,7 @@ def run_slot(
         plans[plan.request.request_id] = plan
     ordered = tuple(plans[r.request_id] for r in requests)
     delivered = [p for p in ordered if p.delivered]
-    average = sum(p.delay_s for p in delivered) / len(delivered) if delivered else None
+    average = _total(p.delay_s for p in delivered) / len(delivered) if delivered else None
     return DeliveryPlan(
         epoch_s=ctx.snapshot.epoch_s,
         max_isls=max_isls,
@@ -1010,7 +993,7 @@ class SweepResult:
         if not rows:
             raise KeyError(f"no rows for (max_isls={max_isls}, mode={mode!r})")
         cells = [r.avg_delay_s for r in rows if r.avg_delay_s is not None]
-        return sum(cells) / len(cells) if cells else None
+        return _total(cells) / len(cells) if cells else None
 
     def summary(self) -> list[tuple[int, str, float | None]]:
         keys = sorted({(r.max_isls, r.mode) for r in self.rows})

@@ -18,8 +18,10 @@ runs.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
 
@@ -197,23 +199,24 @@ def _chain(graph: _Graph, dist: Sequence[float], root: int, v: int) -> list[int]
     return chain
 
 
+def _total(values: Iterable[float]) -> float:
+    """Float sum from 0.0, strictly left to right. Every float total goes
+    through here: the builtin ``sum`` is compensated from Python 3.12 on."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def _path(graph: _Graph, chain: Sequence[int]) -> Path:
     """The ``Path`` along node indices ``chain``, each metric column read once;
-    distance and delay add up hop by hop from the first node, not by ``sum()``."""
+    distance and delay add up hop by hop from the first node."""
     nodes = tuple([graph.nodes[i] for i in chain])
     rows = [_link(graph, u, v) for u, v in zip(chain, chain[1:])]
     links = graph.links
-    distance = 0.0
-    delay = 0.0
-    for hop_km, hop_s in zip(links.distance_km[rows].tolist(), links.delay_s[rows].tolist()):
-        distance += hop_km
-        delay += hop_s
     capacities = links.capacity_bps[rows].tolist()
     return Path(
         nodes=nodes,
         hop_count=len(nodes) - 1,
-        total_distance_km=distance,
-        total_propagation_delay_s=delay,
+        total_distance_km=_total(links.distance_km[rows].tolist()),
+        total_propagation_delay_s=_total(links.delay_s[rows].tolist()),
         bottleneck_capacity_bps=min(capacities) if capacities else math.inf,
         edge_capacities_bps=tuple(capacities),
     )

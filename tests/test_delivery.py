@@ -45,6 +45,7 @@ from leoisl.links import (
     propagation_delay_s,
     snr_linear,
 )
+from leoisl.routing import _chain, _path
 from leoisl.scenario import (
     IfcSettings,
     Scenario,
@@ -649,26 +650,60 @@ class TestSlotExecution:
                                 request, shared, max_isls, mode
                             ) == plan_cached(request, fresh, max_isls, mode)
 
-    def test_batched_route_search_matches_fresh_context_per_route(self):
-        # A file's route options search all of its aircraft's serving
-        # satellites in one batch; every route read from that batch must
-        # equal the route a fresh context finds from a search of its own.
+    def test_batched_route_search_matches_fresh_context_per_route(self, monkeypatch):
+        # A file's route options label all of its aircraft's serving
+        # satellites in one batch; every relay read from that batch must
+        # equal the one read from its serving satellite's labels alone, and
+        # every (station, entry, serving) chain those labels reach has its
+        # option.
+        batches = []
+
+        def recording(graph, roots):
+            batches.append(list(roots))
+            return shortest_paths(graph, roots)
+
+        shortest_paths = delivery._shortest_paths
+        monkeypatch.setattr(delivery, "_shortest_paths", recording)
         scenario = default_scenario()
         ctx = build_slot_context(scenario, 0.0)
-        entries = sorted(
-            {e.other(gs.node_id) for gs in scenario.ground_stations
-             for e in ctx.edges_at(GROUND_TO_SAT, gs.node_id)}
-        )  # fmt: skip
+        graph = ctx._isl
+        stations = frozenset(gs.node_id for gs in scenario.ground_stations)
         routes = 0
-        for aircraft in scenario.aircraft:
+        for aircraft in sorted(scenario.aircraft, key=lambda a: a.node_id):
+            request = FileRequest(
+                "req-n", aircraft.node_id, 0, 100, cached=False, source_gs_set=stations
+            )
+            batches.clear()
+            relays = {
+                (o.gs, o.entry, o.serving): o
+                for o in delivery._route_options(ctx, request, zero_budget=False)
+                if o.entry is not None
+            }
             air_edges = ctx.edges_at(SAT_TO_AIR, aircraft.node_id)
             servings = [e.other(aircraft.node_id) for e in air_edges]
-            ctx.search(servings)
-            for serving in servings:
-                for entry in entries:
-                    fresh = SlotContext(ctx.snapshot, scenario)
-                    assert ctx.isl_route(entry, serving) == fresh.isl_route(entry, serving)
-                    routes += 1
+            assert batches == [[graph.index[serving] for serving in servings]]
+            reached = 0
+            for air_edge, serving in zip(air_edges, servings):
+                root = graph.index[serving]
+                labels = shortest_paths(graph, [root])[0].tolist()
+                for gs in sorted(stations):
+                    for feeder in ctx.edges_at(GROUND_TO_SAT, gs):
+                        entry = feeder.other(gs)
+                        chain = _chain(graph, labels, root, graph.index[entry])
+                        if chain is None:
+                            continue
+                        route = _path(graph, chain[::-1])
+                        option = relays[(gs, entry, serving)]
+                        assert option.nodes == (gs, *route.nodes, aircraft.node_id)
+                        assert option.base_prop_s == (
+                            feeder.delay_s + route.total_propagation_delay_s + air_edge.delay_s
+                        )
+                        assert option.fixed_cap_bps == min(
+                            route.edge_capacities_bps + (air_edge.capacity_bps,)
+                        )
+                        reached += 1
+            assert reached == len(relays)
+            routes += reached
         assert routes > 100
 
     def test_zero_budget_sweep_runs_no_route_search(self, monkeypatch):

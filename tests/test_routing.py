@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from leoisl import routing
-from leoisl.delivery import SlotContext
 from leoisl.links import ISL_LASER
 from leoisl.orbits import (
     GROUND_STATION,
@@ -24,6 +23,7 @@ from leoisl.routing import (
     _chain,
     _graph,
     _hop_blocks,
+    _path,
     _shortest_paths,
     ground_pair_hop_stats,
     min_hop_path,
@@ -31,7 +31,7 @@ from leoisl.routing import (
     shortest_distance_path,
     snapshot_sdp_mhp_fraction,
 )
-from leoisl.scenario import Scenario, TopologySettings, default_scenario
+from leoisl.scenario import Scenario, TopologySettings
 from leoisl.topology import build_dynamic_topology, build_grid_topology
 
 from oracles import edge, neighbor_lists, snapshot_of
@@ -418,6 +418,14 @@ class TestBatchedDistanceSearch:
         assert _chain(graph, dist[1], 2, 0) is None
 
 
+def relay(graph, src, dst):
+    """The laser route from ``src`` to ``dst`` as delivery reads a relay back:
+    from a single root's labels at ``dst``, reversed and summed from ``src``."""
+    root = graph.index[dst]
+    chain = _chain(graph, _shortest_paths(graph, [root])[0].tolist(), root, graph.index[src])
+    return None if chain is None else _path(graph, chain[::-1])
+
+
 class TestTieBreak:
     """Equal ``(distance, hops)`` paths go to the smallest node sequence."""
 
@@ -426,19 +434,20 @@ class TestTieBreak:
     def test_paths_are_the_lexicographic_minimum(self, case):
         # Integer distances make equal-distance paths real ties.
         snapshot, src, _ = case
-        ctx = SlotContext(snapshot, default_scenario())
+        graph = _graph(snapshot)
         a = snapshot.nodes[src]
         for b in snapshot.nodes:
             expected_sdp = oracle_best(snapshot, a, b, "distance")
             sdp = shortest_distance_path(snapshot, a, b)
             mhp = min_hop_path(snapshot, a, b)
-            route = ctx.isl_route(b, a)
+            route = relay(graph, b, a)
             if expected_sdp is None:
                 assert sdp is None and mhp is None and route is None
                 continue
             assert sdp.nodes == expected_sdp[0]
             assert mhp.nodes == oracle_best(snapshot, a, b, "hops")[0]
             assert route.nodes == expected_sdp[0][::-1]
+            assert route.total_distance_km == sdp.total_distance_km
 
     def test_tie_decided_above_the_last_hop(self):
         # r-a-d-t and r-b-c-t tie; c reaches t first, but a < b decides.
@@ -448,8 +457,7 @@ class TestTieBreak:
         ))  # fmt: skip
         assert shortest_distance_path(snapshot, "r", "t").nodes == ("r", "a", "d", "t")
         assert min_hop_path(snapshot, "r", "t").nodes == ("r", "a", "d", "t")
-        ctx = SlotContext(snapshot, default_scenario())
-        assert ctx.isl_route("t", "r").nodes == ("t", "d", "a", "r")
+        assert relay(_graph(snapshot), "t", "r").nodes == ("t", "d", "a", "r")
 
 
 def edge_list_graph(n, edges):
