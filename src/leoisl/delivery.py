@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,8 +31,8 @@ from .links import (
     GROUND_TO_SAT,
     SAT_TO_AIR,
     LinkBudgetParams,
-    capacity_bps,
     rf_terms,
+    shannon_bps,
 )
 from .routing import _chain, _graph, _link, _path, _shortest_paths, _total
 from .topology import DYNAMIC_MODE, ISL_CODE, LinkEdge, TopologySnapshot, build_snapshot
@@ -207,41 +207,60 @@ def optimal_ratio_delay(
 
 
 @dataclass(frozen=True)
-class GsFlow:
-    """One non-cached flow drawing a share of its ground station's band.
+class _RouteOption:
+    """One chain for a non-cached file, priced at any share of its station's
+    band: station ``gs``'s feeder (``feeder_params`` over
+    ``feeder_distance_km``), then the laser relay from ``entry`` to
+    ``serving`` and its air link; a direct feeder has neither (None).
 
-    ``fixed_cap_bps`` is the bottleneck of the share-independent hops
-    (infinite when the feeder is the only link); ``fixed_inv_rate`` is the
-    summed inverse rate of those hops for the store-and-forward model.
-    The feeder's received and noise power are read once per flow, from the
-    ``links.rf_terms`` memo.
+    ``fixed_cap_bps`` and ``fixed_inv_rate`` are the bottleneck and the
+    summed inverse rate (for store-and-forward) of the share-independent
+    hops: infinite and zero for a direct feeder. The feeder's received and
+    noise power are read once, from the ``links.rf_terms`` memo.
     """
 
-    flow_id: str
-    bits: float
+    gs: str
+    entry: str | None
+    serving: str | None
+    nodes: tuple[str, ...]
+    activated_edge: tuple[str, str] | None
     base_prop_s: float
     fixed_cap_bps: float
+    fixed_inv_rate: float
     feeder_params: LinkBudgetParams
     feeder_distance_km: float
-    store_and_forward: bool = False
-    fixed_inv_rate: float = 0.0
+    store_and_forward: bool
 
     @cached_property
     def _feeder_terms(self) -> tuple[float, float]:
         return rf_terms(self.feeder_params, self.feeder_distance_km)
 
     def feeder_capacity_bps(self, share: float) -> float:
-        # capacity_bps's arithmetic, in its order, on the cached terms.
         rx_w, noise_w = self._feeder_terms
-        bw = self.feeder_params.bandwidth_hz * share
-        return bw * math.log2(1.0 + rx_w / (noise_w * share))
+        return shannon_bps(self.feeder_params.bandwidth_hz, rx_w, noise_w, share)
 
     def rate_bps(self, share: float) -> float:
         cap = self.feeder_capacity_bps(share)
         return _series_rate(cap, self.fixed_cap_bps, self.fixed_inv_rate, self.store_and_forward)
 
+    @cached_property
+    def full_rate_bps(self) -> float:
+        """``rate_bps(1.0)``, computed once: both route keys read it on every plan."""
+        return self.rate_bps(1.0)
+
+
+class GsFlow(NamedTuple):
+    """A non-cached file of ``bits`` drawing a share of its option's station band."""
+
+    flow_id: str
+    bits: float
+    option: _RouteOption
+
+    def rate_bps(self, share: float) -> float:
+        return self.option.rate_bps(share)
+
     def delay_s(self, share: float) -> float:
-        return _delay_s(self.base_prop_s, self.bits, self.rate_bps(share))
+        return _delay_s(self.option.base_prop_s, self.bits, self.option.rate_bps(share))
 
 
 def _series_rate(
@@ -259,13 +278,25 @@ def _delay_s(prop_s: float, bits: float, rate_bps: float) -> float:
     return math.inf if rate_bps <= 0 else prop_s + bits / rate_bps
 
 
+def _bisect(below: Callable[[float], bool], lo: float, hi: float) -> tuple[float, float]:
+    """The bracket after 60 halvings: a midpoint ``below`` takes becomes ``lo``, else ``hi``."""
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if below(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
 def _marginal_gain(flow: GsFlow, share: float) -> float:
     """-d(delay)/d(share): how much one more unit of share still buys."""
-    cap = flow.feeder_capacity_bps(share)
+    rx_w, noise_w = flow.option._feeder_terms
+    bandwidth_hz = flow.option.feeder_params.bandwidth_hz
+    cap = shannon_bps(bandwidth_hz, rx_w, noise_w, share)
     # d/dshare of share*B*log2(1 + S/share), S the full-band SNR.
-    rx_w, noise_w = flow._feeder_terms
     s_full = rx_w / noise_w
-    slope = (flow.feeder_params.bandwidth_hz / math.log(2.0)) * (
+    slope = (bandwidth_hz / math.log(2.0)) * (
         math.log1p(s_full / share) - s_full / (share + s_full)
     )
     return flow.bits * slope / (cap * cap)
@@ -273,30 +304,16 @@ def _marginal_gain(flow: GsFlow, share: float) -> float:
 
 def _share_cap(flow: GsFlow) -> float:
     """Smallest share beyond which more feeder bandwidth cannot help."""
-    if flow.store_and_forward or math.isinf(flow.fixed_cap_bps):
+    option, fixed = flow.option, flow.option.fixed_cap_bps
+    if option.store_and_forward or option.feeder_capacity_bps(1.0) <= fixed:
         return 1.0
-    if flow.feeder_capacity_bps(1.0) <= flow.fixed_cap_bps:
-        return 1.0
-    lo, hi = _MIN_SHARE, 1.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if flow.feeder_capacity_bps(mid) < flow.fixed_cap_bps:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return _bisect(lambda share: option.feeder_capacity_bps(share) < fixed, _MIN_SHARE, 1.0)[1]
 
 
 def _share_at_marginal(flow: GsFlow, lam: float, cap: float) -> float:
     if _marginal_gain(flow, cap) >= lam:
         return cap
-    lo, hi = _MIN_SHARE, cap
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _marginal_gain(flow, mid) >= lam:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = _bisect(lambda share: _marginal_gain(flow, share) >= lam, _MIN_SHARE, cap)
     return 0.5 * (lo + hi)
 
 
@@ -327,17 +344,13 @@ def optimize_gs_shares(
             _share_at_marginal(flow, lam, cap) for flow, cap in zip(flows, caps)
         ]
 
+    def oversubscribed(lam: float) -> bool:
+        return _total(shares_at(lam)) > 1.0
+
     hi = 1.0
-    while _total(shares_at(hi)) > 1.0:
+    while oversubscribed(hi):
         hi *= 4.0
-    lo = 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if _total(shares_at(mid)) > 1.0:
-            lo = mid
-        else:
-            hi = mid
-    final = shares_at(hi)
+    final = shares_at(_bisect(oversubscribed, 0.0, hi)[1])
     return {flow.flow_id: share for flow, share in zip(flows, final)}
 
 
@@ -567,12 +580,20 @@ def _select_holders(
     return best
 
 
-def _check_mode(mode: str, max_isls: int = 0) -> None:
-    """The planners' argument check, and with no budget the sweep's."""
+def _check_mode(mode: str, max_isls: int) -> None:
+    """The planners' argument check."""
     if mode not in SWEEP_MODES:
         raise ValueError(f"mode must be one of {SWEEP_MODES}, got {mode!r}")
     if max_isls < 0:
         raise ValueError(f"max_isls must be >= 0, got {max_isls}")
+
+
+def _check_request_ids(requests: Sequence[FileRequest]) -> None:
+    """Reject requests that share an id: plans and feeder shares are keyed by it."""
+    ids = [request.request_id for request in requests]
+    if len(set(ids)) < len(ids):
+        repeated = next(rid for k, rid in enumerate(ids) if rid in ids[:k])
+        raise ValueError(f"request id {repeated!r} is repeated")
 
 
 def plan_cached(
@@ -648,24 +669,6 @@ def plan_cached(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _RouteOption:
-    """One candidate chain for a non-cached file, with its feeder link and
-    ``full_rate_bps``, the flow's rate at share 1.0 under the context's
-    delay model: ``GsFlow.rate_bps(1.0)``, float for float."""
-
-    gs: str
-    entry: str | None
-    serving: str | None
-    nodes: tuple[str, ...]
-    feeder: LinkEdge
-    base_prop_s: float
-    fixed_cap_bps: float
-    fixed_inv_rate: float
-    activated_edge: tuple[str, str] | None
-    full_rate_bps: float
-
-
 def _route_options(
     ctx: SlotContext, request: FileRequest, zero_budget: bool
 ) -> tuple[_RouteOption, ...]:
@@ -682,37 +685,42 @@ def _route_options(
         return memo
     _check_nodes(ctx, request, [aircraft, *sorted(request.source_gs_set)])
     options: list[_RouteOption] = []
+
+    def add(
+        gs: str, feeder: LinkEdge, relay: tuple[str, ...], caps: Sequence[float], prop_s: float
+    ) -> None:
+        # ``relay`` runs from the entry to the serving satellite; a direct
+        # feeder has none, and no fixed hops to cap it.
+        options.append(
+            _RouteOption(
+                gs=gs,
+                entry=relay[0] if relay else None,
+                serving=relay[-1] if relay else None,
+                nodes=(gs, *relay, aircraft),
+                activated_edge=tuple(sorted(relay[-2:])) if len(relay) > 1 else None,
+                base_prop_s=prop_s,
+                fixed_cap_bps=min(caps, default=math.inf),
+                fixed_inv_rate=_total(1.0 / c for c in caps),
+                feeder_params=ctx.link_params[feeder.link_class],
+                feeder_distance_km=feeder.distance_km,
+                store_and_forward=ctx.store_and_forward,
+            )
+        )
+
     graph = ctx._isl
     air_edges = ctx.edges_at(SAT_TO_AIR, aircraft)
     roots = [graph.index[edge.other(aircraft)] for edge in air_edges]
     # A zero budget reads only zero-hop routes, which need no labels.
     labels = {} if zero_budget else dict(zip(roots, _shortest_paths(graph, roots).tolist()))
-    saf = ctx.store_and_forward
     direct_links = {edge.other(aircraft): edge for edge in ctx.edges_at(GROUND_TO_AIR, aircraft)}
     for gs in sorted(request.source_gs_set):
         direct = direct_links.get(gs)
         if direct is not None:
-            direct_bps = capacity_bps(ctx.link_params[GROUND_TO_AIR], direct.distance_km)
-            options.append(
-                _RouteOption(
-                    gs=gs,
-                    entry=None,
-                    serving=None,
-                    nodes=(gs, aircraft),
-                    feeder=direct,
-                    base_prop_s=direct.delay_s,
-                    fixed_cap_bps=math.inf,
-                    fixed_inv_rate=0.0,
-                    activated_edge=None,
-                    full_rate_bps=_series_rate(direct_bps, math.inf, 0.0, saf),
-                )
-            )
+            add(gs, direct, (), (), direct.delay_s)
         for feeder in ctx.edges_at(GROUND_TO_SAT, gs):
             entry = feeder.other(gs)
-            feeder_bps = capacity_bps(ctx.link_params[GROUND_TO_SAT], feeder.distance_km)
             for air_edge, root in zip(air_edges, roots):
-                serving = air_edge.other(aircraft)
-                if entry == serving:
+                if entry == air_edge.other(aircraft):
                     chain = [root]
                 elif zero_budget:
                     continue
@@ -722,44 +730,18 @@ def _route_options(
                         continue
                 route = _path(graph, chain[::-1])
                 caps = route.edge_capacities_bps + (air_edge.capacity_bps,)
-                fixed_cap_bps = min(caps)
-                fixed_inv_rate = _total(1.0 / c for c in caps)
                 prop_s = feeder.delay_s + route.total_propagation_delay_s + air_edge.delay_s
-                activated = tuple(sorted(route.nodes[-2:])) if route.hop_count else None
-                options.append(
-                    _RouteOption(
-                        gs=gs,
-                        entry=entry,
-                        serving=serving,
-                        nodes=(gs,) + route.nodes + (aircraft,),
-                        feeder=feeder,
-                        base_prop_s=prop_s,
-                        fixed_cap_bps=fixed_cap_bps,
-                        fixed_inv_rate=fixed_inv_rate,
-                        activated_edge=activated,
-                        full_rate_bps=_series_rate(feeder_bps, fixed_cap_bps, fixed_inv_rate, saf),
-                    )
-                )
+                add(gs, feeder, route.nodes, caps, prop_s)
     ctx._route_options[key] = memo = tuple(options)
     return memo
-
-
-def _flow_for(ctx: SlotContext, request: FileRequest, option: _RouteOption) -> GsFlow:
-    return GsFlow(
-        flow_id=request.request_id,
-        bits=float(request.total_bits),
-        base_prop_s=option.base_prop_s,
-        fixed_cap_bps=option.fixed_cap_bps,
-        feeder_params=ctx.link_params[option.feeder.link_class],
-        feeder_distance_km=option.feeder.distance_km,
-        store_and_forward=ctx.store_and_forward,
-        fixed_inv_rate=option.fixed_inv_rate,
-    )
 
 
 def _greedy_route(
     ctx: SlotContext, request: FileRequest, options: Sequence[_RouteOption]
 ) -> _RouteOption:
+    """The best-rate option at the nearest serving satellite that has any;
+    with none, every option is a direct link, and the best-rate one wins."""
+
     def rate_key(option: _RouteOption):
         return (-option.full_rate_bps, option.base_prop_s, option.gs, option.entry or "")
 
@@ -768,9 +750,6 @@ def _greedy_route(
         pool = [o for o in options if o.serving == serving]
         if pool:
             return min(pool, key=rate_key)
-    direct = [o for o in options if o.serving is None]
-    if direct:
-        return min(direct, key=rate_key)
     return min(options, key=rate_key)
 
 
@@ -802,83 +781,63 @@ def plan_non_cached(
     memo = ctx._non_cached_plans.get(key)
     if memo is not None:
         return list(memo)
-    options_by_request: dict[str, Sequence[_RouteOption]] = {}
+    _check_request_ids(requests)
     plans: dict[str, RequestPlan] = {}
     deliverable: list[FileRequest] = []
+    standalone: list[GsFlow] = []
+    greedy: list[GsFlow] = []
     for request in requests:
         options = _route_options(ctx, request, zero_budget)
         if not options:
-            plans[request.request_id] = RequestPlan(
-                request=request, delivered=False, delay_s=math.inf
-            )
+            plans[request.request_id] = RequestPlan(request, delivered=False, delay_s=math.inf)
             continue
-        options_by_request[request.request_id] = options
+        bits = float(request.total_bits)
+        best = min(
+            options,
+            key=lambda o: (
+                _delay_s(o.base_prop_s, bits, o.full_rate_bps),
+                o.gs,
+                o.entry or "",
+                o.serving or "",
+            ),
+        )
         deliverable.append(request)
+        standalone.append(GsFlow(request.request_id, bits, best))
+        greedy.append(GsFlow(request.request_id, bits, _greedy_route(ctx, request, options)))
 
-    if deliverable:
-        standalone: dict[str, _RouteOption] = {}
-        for request in deliverable:
-            options = options_by_request[request.request_id]
-            bits = float(request.total_bits)
-            standalone[request.request_id] = min(
-                options,
-                key=lambda o: (
-                    _delay_s(o.base_prop_s, bits, o.full_rate_bps),
-                    o.gs,
-                    o.entry or "",
-                    o.serving or "",
-                ),
-            )
-        greedy = {
-            request.request_id: _greedy_route(ctx, request, options_by_request[request.request_id])
-            for request in deliverable
-        }
+    def evaluate(flows: list[GsFlow]) -> tuple[float, list[GsFlow], dict[str, float]]:
+        by_gs: dict[str, list[GsFlow]] = {}
+        for flow in flows:
+            by_gs.setdefault(flow.option.gs, []).append(flow)
+        shares: dict[str, float] = {}
+        for gs in sorted(by_gs):
+            shares.update(optimize_gs_shares(by_gs[gs], equal=equal))
+        return _total(flow.delay_s(shares[flow.flow_id]) for flow in flows), flows, shares
 
-        def evaluate(assignment: dict[str, _RouteOption]) -> tuple:
-            flows = {
-                request.request_id: _flow_for(ctx, request, assignment[request.request_id])
-                for request in deliverable
-            }
-            by_gs: dict[str, list[GsFlow]] = {}
-            for request_id, flow in flows.items():
-                by_gs.setdefault(assignment[request_id].gs, []).append(flow)
-            shares: dict[str, float] = {}
-            for gs in sorted(by_gs):
-                shares.update(optimize_gs_shares(by_gs[gs], equal=equal))
-            delays = {rid: flow.delay_s(shares[rid]) for rid, flow in flows.items()}
-            return _total(delays.values()), assignment, flows, shares, delays
+    # The assignment with the least total delay wins, standalone on a tie.
+    assignments = [greedy] if mode == MODE_GREEDY else [standalone, greedy]
+    _, flows, shares = min((evaluate(a) for a in assignments), key=lambda e: e[0])
 
-        if mode == MODE_GREEDY:
-            chosen = evaluate(greedy)
-        else:
-            by_standalone, by_greedy = evaluate(standalone), evaluate(greedy)
-            chosen = by_standalone if by_standalone[0] <= by_greedy[0] else by_greedy
-        _, assignment, flows, shares, delays = chosen
-
-        for request in deliverable:
-            option = assignment[request.request_id]
-            share = shares[request.request_id]
-            delay = delays[request.request_id]
-            flow = flows[request.request_id]
-            stream = StreamPlan(
-                source=option.gs,
-                nodes=option.nodes,
-                prop_delay_s=option.base_prop_s,
-                rate_bps=flow.rate_bps(share),
-                ratio=1.0,
-            )
-            plans[request.request_id] = RequestPlan(
-                request=request,
-                delivered=True,
-                delay_s=delay,
-                serving_satellite=option.serving,
-                gs_id=option.gs,
-                bandwidth_share=share,
-                streams=(stream,),
-                activated_isl_edges=(
-                    (option.activated_edge,) if option.activated_edge else ()
-                ),
-            )
+    for request, flow in zip(deliverable, flows):
+        option = flow.option
+        share = shares[flow.flow_id]
+        stream = StreamPlan(
+            source=option.gs,
+            nodes=option.nodes,
+            prop_delay_s=option.base_prop_s,
+            rate_bps=flow.rate_bps(share),
+            ratio=1.0,
+        )
+        plans[request.request_id] = RequestPlan(
+            request=request,
+            delivered=True,
+            delay_s=flow.delay_s(share),
+            serving_satellite=option.serving,
+            gs_id=option.gs,
+            bandwidth_share=share,
+            streams=(stream,),
+            activated_isl_edges=((option.activated_edge,) if option.activated_edge else ()),
+        )
 
     result = [plans[request.request_id] for request in requests]
     ctx._non_cached_plans[key] = tuple(result)
@@ -941,6 +900,7 @@ def run_slot(
     so one ``generate_requests`` draw compares the same workload across
     every sweep cell, and cells that share one context share its memos.
     """
+    _check_request_ids(requests)
     plans: dict[str, RequestPlan] = {}
     for request in requests:
         if request.cached:
@@ -1020,7 +980,9 @@ def sweep_max_isls(
     if not isls_values or not modes or not epochs or not seeds:
         raise ValueError("isls_values, modes, epochs and seeds must be non-empty")
     for mode in modes:
-        _check_mode(mode)
+        _check_mode(mode, min(isls_values))
+    if len(set(isls_values)) < len(isls_values):
+        raise ValueError(f"isls_values must not repeat, got {isls_values}")
     # Requests read only the seed, so each seed's draw serves every cell.
     requests = {seed: generate_requests(scenario, seed) for seed in seeds}
     rows = []

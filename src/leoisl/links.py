@@ -166,8 +166,14 @@ def capacity_bps(
         raise ValueError(f"distance_km must be > 0, got {distance_km}")
     if params.link_class == ISL_LASER:
         return params.lisl_fixed_rate_bps
-    bw = params.bandwidth_hz * bandwidth_share
-    return bw * math.log2(1.0 + snr_linear(params, distance_km, bandwidth_share))
+    rx_w, noise_w = rf_terms(params, distance_km)
+    return shannon_bps(params.bandwidth_hz, rx_w, noise_w, bandwidth_share)
+
+
+def shannon_bps(bandwidth_hz: float, rx_w: float, noise_w: float, share: float) -> float:
+    """Shannon rate ``B*x * log2(1 + rx / (noise*x))`` of a ``share`` x of a band
+    ``B`` with full-band received power ``rx_w`` and noise power ``noise_w``."""
+    return bandwidth_hz * share * math.log2(1.0 + rx_w / (noise_w * share))
 
 
 def propagation_delay_s(distance_km: float | np.ndarray) -> float | np.ndarray:

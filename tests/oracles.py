@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from leoisl.delivery import PER_STREAM, optimal_ratio_delay
+from leoisl.delivery import PER_STREAM, GsFlow, _RouteOption, optimal_ratio_delay
 from leoisl.links import ISL_LASER, SAT_TO_AIR, SPEED_OF_LIGHT_KM_S
 from leoisl.orbits import EARTH_MU_KM3_S2, propagate
 from leoisl.topology import CLASS_ORDER, LinkEdge, Links, TopologySnapshot
@@ -36,6 +36,26 @@ def snapshot_of(edges, nodes=(), epoch_s=0.0):
           for f in ("distance_km", "capacity_bps", "delay_s")),
     )
     return TopologySnapshot(epoch_s, nodes, np.full((len(nodes), 3), np.nan), links)
+
+
+def gs_flow(flow_id, bits, base_prop_s, fixed_cap_bps, feeder_params, feeder_distance_km):
+    """A cut-through flow over a hand-built route option: a feeder of
+    ``feeder_params`` over ``feeder_distance_km`` in series with fixed hops
+    whose bottleneck is ``fixed_cap_bps``."""
+    option = _RouteOption(
+        gs="gs",
+        entry=None,
+        serving=None,
+        nodes=("gs", "air"),
+        activated_edge=None,
+        base_prop_s=base_prop_s,
+        fixed_cap_bps=fixed_cap_bps,
+        fixed_inv_rate=0.0,
+        feeder_params=feeder_params,
+        feeder_distance_km=feeder_distance_km,
+        store_and_forward=False,
+    )
+    return GsFlow(flow_id, bits, option)
 
 
 def rk4_two_body(r0, v0, dt, steps):

@@ -14,7 +14,6 @@ import pytest
 from leoisl import cli
 from leoisl.delivery import (
     FileRequest,
-    GsFlow,
     SlotContext,
     optimal_ratio_delay,
     optimize_gs_shares,
@@ -37,6 +36,7 @@ from oracles import (
     edge,
     enumerate_cached_plan_delay,
     feasible_split_delay,
+    gs_flow,
     measured_period_s,
     neighbor_lists,
     snapshot_of,
@@ -210,7 +210,7 @@ def test_criterion_6_bandwidth_allocation_optimality():
                 math.inf if rng.random() < 0.3 else float(rng.uniform(2e8, 2e9))
             )
             flows.append(
-                GsFlow(
+                gs_flow(
                     flow_id=f"f{i}",
                     bits=float(rng.integers(10, 3000)) * 1080.0,
                     base_prop_s=float(rng.uniform(0.005, 0.04)),

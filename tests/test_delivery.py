@@ -20,7 +20,6 @@ from leoisl.delivery import (
     PER_STREAM,
     SWEEP_MODES,
     FileRequest,
-    GsFlow,
     SweepResult,
     SweepRow,
     SlotContext,
@@ -55,7 +54,7 @@ from leoisl.scenario import (
 )
 from leoisl.topology import LinkEdge
 
-from oracles import bisection_delay_oracle, edge, enumerate_cached_plan_delay, snapshot_of
+from oracles import bisection_delay_oracle, edge, enumerate_cached_plan_delay, gs_flow, snapshot_of
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -152,7 +151,7 @@ class TestOptimalRatioDelay:
 
 class TestGsShares:
     def flow(self, flow_id, bits, fixed_cap=math.inf, distance=1500.0, prop=0.02):
-        return GsFlow(
+        return gs_flow(
             flow_id=flow_id,
             bits=bits,
             base_prop_s=prop,
@@ -258,9 +257,9 @@ class TestGsShares:
         params = LinkBudgetParams(
             link_class, power, tx_gain, rx_gain, carrier, bandwidth, noise_temperature_k=noise_k
         )
-        flow = GsFlow("f", bits, 0.01, math.inf, params, distance)
+        flow = gs_flow("f", bits, 0.01, math.inf, params, distance)
         cap = capacity_bps(params, distance, share)
-        assert flow.feeder_capacity_bps(share) == cap
+        assert flow.option.feeder_capacity_bps(share) == cap
         # The marginal gain as written before the feeder terms were cached.
         s_full = snr_linear(params, distance, 1.0)
         slope = (bandwidth / math.log(2.0)) * (
@@ -524,8 +523,9 @@ class TestPlanNonCached:
         [(None, False), ("feeder_limited.json", False), ("cached_equal_split_saf.json", True)],
     )
     def test_route_options_carry_their_full_share_rate(self, scenario_file, store_and_forward):
-        # The standalone and greedy keys read each option's stored rate in
-        # place of building its flow; the two must agree bit for bit.
+        # The standalone and greedy keys read each option's full-share rate;
+        # it must equal, bit for bit, the series rate of the feeder's
+        # full-band capacity, with the feeder found from the option's ends.
         scenario = default_scenario() if scenario_file is None else load_scenario(DATA / scenario_file)
         # Every request non-cached, so that every aircraft has route options.
         scenario = replace(scenario, ifc=replace(scenario.ifc, cache_hit_probability=0.0))
@@ -540,8 +540,22 @@ class TestPlanNonCached:
             for request in requests:
                 for zero_budget in (False, True):
                     for option in delivery._route_options(ctx, request, zero_budget):
-                        flow = delivery._flow_for(ctx, request, option)
-                        assert option.full_rate_bps == flow.rate_bps(1.0)
+                        if option.entry is None:
+                            link_class, far_end = GROUND_TO_AIR, request.aircraft_id
+                        else:
+                            link_class, far_end = GROUND_TO_SAT, option.entry
+                        links = ctx.edges_at(link_class, option.gs)
+                        (feeder,) = [e for e in links if e.other(option.gs) == far_end]
+                        params = ctx.link_params[link_class]
+                        assert option.feeder_params == params
+                        assert option.feeder_distance_km == feeder.distance_km
+                        expected = delivery._series_rate(
+                            capacity_bps(params, feeder.distance_km),
+                            option.fixed_cap_bps,
+                            option.fixed_inv_rate,
+                            store_and_forward,
+                        )
+                        assert option.full_rate_bps == expected
                         checked += 1
         assert checked > 0
         assert len(ctx._route_options) > 0
@@ -824,6 +838,36 @@ class TestSlotExecution:
                 run_slot(ctx, requests, 4, "best")
             with pytest.raises(ValueError, match="max_isls must be >= 0, got -1$"):
                 run_slot(ctx, requests, -1, "optimized")
+
+    def test_repeated_request_ids_rejected(self):
+        # Plans and feeder shares are keyed by request id, so a repeated id
+        # would hand one request's plan to another.
+        scenario = default_scenario()
+        ctx = build_slot_context(scenario, 0.0)
+        requests = generate_requests(scenario, 1)
+        first = requests[0].request_id
+        repeated = [requests[0], replace(requests[1], request_id=first), *requests[2:]]
+        with pytest.raises(ValueError, match=f"request id {first!r} is repeated$"):
+            run_slot(ctx, repeated, 2, "optimized")
+        non_cached = [r for r in requests if not r.cached]
+        again = non_cached[0].request_id
+        with pytest.raises(ValueError, match=f"request id {again!r} is repeated$"):
+            plan_non_cached([*non_cached, non_cached[0]], ctx, 2)
+        # Distinct ids still plan every request, each its own.
+        plan = run_slot(ctx, requests, 2, "optimized")
+        assert [p.request for p in plan.request_plans] == requests
+
+    @pytest.mark.parametrize(
+        ("isls", "message"),
+        [([2, -1], "max_isls must be >= 0, got -1$"), ([1, 2, 1], r"repeat, got \[1, 2, 1\]$")],
+    )
+    def test_sweep_rejects_bad_budgets_before_building(self, monkeypatch, isls, message):
+        def unreachable(*args):
+            raise AssertionError("a slot context was built")
+
+        monkeypatch.setattr(delivery, "build_slot_context", unreachable)
+        with pytest.raises(ValueError, match=message):
+            sweep_max_isls(default_scenario(), isls, ["optimized"], [0.0], [1])
 
     def test_plan_reports_the_epoch_of_its_context(self):
         scenario = default_scenario()
