@@ -34,7 +34,7 @@ from .links import (
     rf_terms,
     shannon_bps,
 )
-from .routing import _chain, _graph, _link, _path, _shortest_paths, _total
+from .routing import _chain, _graph, _path, _shortest_paths, _total
 from .topology import DYNAMIC_MODE, ISL_CODE, LinkEdge, TopologySnapshot, build_snapshot
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -446,11 +446,12 @@ def _servings(ctx: SlotContext, request: FileRequest) -> tuple[_Serving, ...]:
     servings = []
     for air_edge in ctx.edges_at(SAT_TO_AIR, aircraft):
         serving = air_edge.other(aircraft)
+        # The serving satellite's laser links by far end; it has no self-link.
+        lo, hi = graph.offsets[graph.index[serving]], graph.offsets[graph.index[serving] + 1]
+        linked = dict(zip(graph.targets[lo:hi].tolist(), graph.rows[lo:hi].tolist()))
         candidates = []
         for holder in ordered_holders:
-            if holder == serving:
-                continue
-            k = _link(graph, graph.index[holder], graph.index[serving])
+            k = linked.get(graph.index[holder])
             if k is not None:
                 ends = (holder, serving) if holder < serving else (serving, holder)
                 rate, delay = graph.links.capacity_bps[k], graph.links.delay_s[k]
@@ -721,14 +722,15 @@ def _route_options(
             entry = feeder.other(gs)
             for air_edge, root in zip(air_edges, roots):
                 if entry == air_edge.other(aircraft):
-                    chain = [root]
+                    found = [root], []
                 elif zero_budget:
                     continue
                 else:
-                    chain = _chain(graph, labels[root], root, graph.index[entry])
-                    if chain is None:
+                    found = _chain(graph, labels[root], root, graph.index[entry])
+                    if found is None:
                         continue
-                route = _path(graph, chain[::-1])
+                chain, rows = found
+                route = _path(graph, chain[::-1], rows[::-1])
                 caps = route.edge_capacities_bps + (air_edge.capacity_bps,)
                 prop_s = feeder.delay_s + route.total_propagation_delay_s + air_edge.delay_s
                 add(gs, feeder, route.nodes, caps, prop_s)
@@ -773,11 +775,12 @@ def plan_non_cached(
         if request.cached:
             raise ValueError(f"request {request.request_id} is cached")
 
+    greedy_only = mode == MODE_GREEDY
     equal = mode == MODE_EQUAL
     zero_budget = max_isls == 0 and mode != MODE_FULL
     # Everything below reads only the context and these values, so a slot's
     # sweep cells share one plan per distinct key.
-    key = (tuple(requests), mode == MODE_GREEDY, equal, zero_budget)
+    key = (tuple(requests), greedy_only, equal, zero_budget)
     memo = ctx._non_cached_plans.get(key)
     if memo is not None:
         return list(memo)
@@ -792,6 +795,10 @@ def plan_non_cached(
             plans[request.request_id] = RequestPlan(request, delivered=False, delay_s=math.inf)
             continue
         bits = float(request.total_bits)
+        deliverable.append(request)
+        greedy.append(GsFlow(request.request_id, bits, _greedy_route(ctx, request, options)))
+        if greedy_only:
+            continue
         best = min(
             options,
             key=lambda o: (
@@ -801,9 +808,7 @@ def plan_non_cached(
                 o.serving or "",
             ),
         )
-        deliverable.append(request)
         standalone.append(GsFlow(request.request_id, bits, best))
-        greedy.append(GsFlow(request.request_id, bits, _greedy_route(ctx, request, options)))
 
     def evaluate(flows: list[GsFlow]) -> tuple[float, list[GsFlow], dict[str, float]]:
         by_gs: dict[str, list[GsFlow]] = {}
@@ -815,7 +820,7 @@ def plan_non_cached(
         return _total(flow.delay_s(shares[flow.flow_id]) for flow in flows), flows, shares
 
     # The assignment with the least total delay wins, standalone on a tie.
-    assignments = [greedy] if mode == MODE_GREEDY else [standalone, greedy]
+    assignments = [greedy] if greedy_only else [standalone, greedy]
     _, flows, shares = min((evaluate(a) for a in assignments), key=lambda e: e[0])
 
     for request, flow in zip(deliverable, flows):
@@ -977,12 +982,15 @@ def sweep_max_isls(
     modes = list(modes)
     epochs = list(epochs)
     seeds = list(seeds)
-    if not isls_values or not modes or not epochs or not seeds:
+    lists = {"isls_values": isls_values, "modes": modes, "epochs": epochs, "seeds": seeds}
+    if not all(lists.values()):
         raise ValueError("isls_values, modes, epochs and seeds must be non-empty")
     for mode in modes:
         _check_mode(mode, min(isls_values))
-    if len(set(isls_values)) < len(isls_values):
-        raise ValueError(f"isls_values must not repeat, got {isls_values}")
+    # A repeated seed or epoch would weigh its cells twice in the means.
+    for name, values in lists.items():
+        if len(set(values)) < len(values):
+            raise ValueError(f"{name} must not repeat, got {values}")
     # Requests read only the seed, so each seed's draw serves every cell.
     requests = {seed: generate_requests(scenario, seed) for seed in seeds}
     rows = []

@@ -17,7 +17,6 @@ runs.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -62,9 +61,8 @@ class _Graph(NamedTuple):
     is node-id order. Node ``i``'s links run to ``targets[offsets[i]:
     offsets[i + 1]]``, in index order, with lengths ``weights[...]``; each
     link is listed from both ends. ``links`` are the snapshot's link arrays
-    the graph was built from, and ``pairs`` holds each link's ``a * N + b``
-    in their order, which increases, so ``_link`` finds a link's row by
-    bisection.
+    the graph was built from, and ``rows[p]`` is the row in them of the link
+    at CSR position ``p``.
     """
 
     nodes: tuple[str, ...]
@@ -72,7 +70,7 @@ class _Graph(NamedTuple):
     offsets: np.ndarray
     targets: np.ndarray
     weights: np.ndarray
-    pairs: list[int]
+    rows: np.ndarray
     links: Links
 
 
@@ -98,17 +96,9 @@ def _graph(
         offsets,
         tails[order],
         weights,
-        (links.a * len(nodes) + links.b).tolist(),
+        order % len(links.a),
         links,
     )
-
-
-def _link(graph: _Graph, u: int, v: int) -> int | None:
-    """Row of the ``u``-``v`` link in ``graph.links``, None if the two are
-    not linked."""
-    pair = u * len(graph.nodes) + v if u < v else v * len(graph.nodes) + u
-    k = bisect.bisect_left(graph.pairs, pair)
-    return k if k < len(graph.pairs) and graph.pairs[k] == pair else None
 
 
 # Links one relaxation round may touch, summed over its roots. A round's
@@ -165,8 +155,11 @@ def _shortest_paths(graph: _Graph, roots: Sequence[int]) -> np.ndarray:
     return dist
 
 
-def _chain(graph: _Graph, dist: Sequence[float], root: int, v: int) -> list[int] | None:
-    """The chosen ``root``-to-``v`` path as node indices, None if unreached.
+def _chain(
+    graph: _Graph, dist: Sequence[float], root: int, v: int
+) -> tuple[list[int], np.ndarray] | None:
+    """The chosen ``root``-to-``v`` path as node indices and the rows of its
+    links in ``graph.links``, None if unreached.
 
     ``dist`` is ``root``'s row of ``_shortest_paths``, best as a list: the
     search reads it one node at a time. A link ``u -> x`` is tight when
@@ -181,22 +174,28 @@ def _chain(graph: _Graph, dist: Sequence[float], root: int, v: int) -> list[int]
     if math.isinf(dist[v]):
         return None
     offsets, targets, weights = graph.offsets, graph.targets, graph.weights
-    successors: dict[int, list[int]] = {v: []}
+    # Each successor goes with the CSR position of its link.
+    successors: dict[int, list[tuple[int, int]]] = {v: []}
     level = [v]
     while root not in successors:
-        found: dict[int, list[int]] = {}
+        found: dict[int, list[tuple[int, int]]] = {}
         for here in level:
             lo, hi = offsets[here], offsets[here + 1]
             label = dist[here]
-            for there, weight in zip(targets[lo:hi].tolist(), weights[lo:hi].tolist()):
+            for position, there, weight in zip(
+                range(lo, hi), targets[lo:hi].tolist(), weights[lo:hi].tolist()
+            ):
                 if dist[there] + weight == label and there not in successors:
-                    found.setdefault(there, []).append(here)
+                    found.setdefault(there, []).append((here, position))
         successors.update(found)
         level = list(found)
     chain = [root]
+    positions = []
     while chain[-1] != v:
-        chain.append(min(successors[chain[-1]]))
-    return chain
+        here, position = min(successors[chain[-1]])
+        chain.append(here)
+        positions.append(position)
+    return chain, graph.rows[positions]
 
 
 def _total(values: Iterable[float]) -> float:
@@ -205,11 +204,11 @@ def _total(values: Iterable[float]) -> float:
     return functools.reduce(operator.add, values, 0.0)
 
 
-def _path(graph: _Graph, chain: Sequence[int]) -> Path:
-    """The ``Path`` along node indices ``chain``, each metric column read once;
-    distance and delay add up hop by hop from the first node."""
+def _path(graph: _Graph, chain: Sequence[int], rows: np.ndarray) -> Path:
+    """The ``Path`` along node indices ``chain`` over the links at ``rows``,
+    each metric column read once; distance and delay add up hop by hop from
+    the first node."""
     nodes = tuple([graph.nodes[i] for i in chain])
-    rows = [_link(graph, u, v) for u, v in zip(chain, chain[1:])]
     links = graph.links
     capacities = links.capacity_bps[rows].tolist()
     return Path(
@@ -226,8 +225,8 @@ def _best_path(graph: _Graph, src: str, dst: str) -> Path | None:
     if src not in graph.index or dst not in graph.index:
         raise ValueError(f"unknown node in pair ({src!r}, {dst!r})")
     root = graph.index[src]
-    chain = _chain(graph, _shortest_paths(graph, [root])[0].tolist(), root, graph.index[dst])
-    return None if chain is None else _path(graph, chain)
+    found = _chain(graph, _shortest_paths(graph, [root])[0].tolist(), root, graph.index[dst])
+    return None if found is None else _path(graph, *found)
 
 
 def shortest_distance_path(
@@ -364,7 +363,8 @@ def ground_pair_hop_stats(
                 visibility[node] = np.flatnonzero(elevations >= scenario.topology.elevation_mask_deg)
 
         # One batched search from every start satellite to every end
-        # satellite; each pair reads its own rows and columns of each block.
+        # satellite; each pair keeps its own rows and columns of each block
+        # and folds them once.
         is_source = np.zeros(len(graph.nodes), dtype=bool)
         is_target = np.zeros(len(graph.nodes), dtype=bool)
         for node_a, node_b in pairs:
@@ -373,43 +373,24 @@ def ground_pair_hop_stats(
         sources, targets = np.flatnonzero(is_source), np.flatnonzero(is_target)
         starts = [np.searchsorted(sources, visibility[a]) for a, _ in pairs]
         ends = [np.searchsorted(targets, visibility[b]) for _, b in pairs]
-        low: list[int | None] = [None] * len(pairs)
-        high = [0] * len(pairs)
-        total = [0] * len(pairs)
-        count = [0] * len(pairs)
+        # Seeded empty: no block runs when no start sees a satellite.
+        slices = [[np.empty(0, dtype=np.int32)] for _ in pairs]
         for first, depth in _hop_blocks(graph, sources, targets):
-            for p, (pair_starts, pair_ends) in enumerate(zip(starts, ends)):
+            for pair_slices, pair_starts, pair_ends in zip(slices, starts, ends):
                 lo, hi = np.searchsorted(pair_starts, (first, first + len(depth)))
-                if lo == hi or not pair_ends.size:
-                    continue
-                hops = depth[np.ix_(pair_starts[lo:hi] - first, pair_ends)]
-                hops = hops[hops >= 0]
-                if not hops.size:
-                    continue
-                least, most = int(hops.min()), int(hops.max())
-                low[p] = least if low[p] is None else min(low[p], least)
-                high[p] = max(high[p], most)
-                total[p] += int(hops.sum(dtype=np.int64))
-                count[p] += hops.size
+                pair_slices.append(depth[np.ix_(pair_starts[lo:hi] - first, pair_ends)].ravel())
 
-        for p, (node_a, node_b) in enumerate(pairs):
+        for (node_a, node_b), pair_slices in zip(pairs, slices):
             pair_id = f"{node_a.node_id}|{node_b.node_id}"
-            if not count[p]:
-                rows.append(
-                    HopStatsRow(pair_id, epoch_s, None, None, None, None, 0, True)
-                )
+            hops = np.concatenate(pair_slices)
+            hops = hops[hops >= 0]
+            if not hops.size:
+                rows.append(HopStatsRow(pair_id, epoch_s, None, None, None, None, 0, True))
                 continue
+            least, most = int(hops.min()), int(hops.max())
+            mean = int(hops.sum(dtype=np.int64)) / hops.size
             rows.append(
-                HopStatsRow(
-                    pair_id=pair_id,
-                    epoch_s=epoch_s,
-                    min_hops=low[p],
-                    max_hops=high[p],
-                    mean_hops=total[p] / count[p],
-                    spread=high[p] - low[p],
-                    associations=count[p],
-                    skipped=False,
-                )
+                HopStatsRow(pair_id, epoch_s, least, most, mean, most - least, hops.size, False)
             )
     return rows
 
@@ -446,12 +427,12 @@ def snapshot_sdp_mhp_fraction(
             for src, row, hops in zip(block, rows, depth[part : part + step]):
                 dist = row.tolist()
                 for dst in by_source[src]:
-                    chain = _chain(graph, dist, src, dst)
-                    if chain is None:
+                    found = _chain(graph, dist, src, dst)
+                    if found is None:
                         unreachable += 1
                         continue
                     checked += 1
-                    if len(chain) - 1 == hops[column[dst]]:
+                    if len(found[1]) == hops[column[dst]]:
                         matched += 1
     fraction = matched / checked if checked else 0.0
     return SdpMhpResult(fraction, checked, matched, unreachable)

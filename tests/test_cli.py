@@ -202,6 +202,20 @@ class TestHopsCommand:
         code, _, err = run_cli(["hops", "--pairs", "/nonexistent.csv"], capsys)
         assert code == 1
 
+    def test_matches_pinned_output(self, capsys):
+        # The Starlink shell-1 +grid over three epochs: pairs on one
+        # continent and across oceans, both ends at one place, and polar
+        # ends that see no satellite (blank rows).
+        code, out, _ = run_cli(
+            [
+                "hops", "--scenario", str(DATA / "shell1_grid.json"),
+                "--pairs", str(DATA / "hops_pairs.csv"), "--epochs", "3",
+            ],
+            capsys,
+        )  # fmt: skip
+        assert code == 0
+        assert out == (DATA / "hops_shell1_grid.csv").read_text(encoding="utf-8")
+
     @pytest.mark.parametrize(
         ("rows", "expected"),
         [

@@ -703,10 +703,11 @@ class TestSlotExecution:
                 for gs in sorted(stations):
                     for feeder in ctx.edges_at(GROUND_TO_SAT, gs):
                         entry = feeder.other(gs)
-                        chain = _chain(graph, labels, root, graph.index[entry])
-                        if chain is None:
+                        found = _chain(graph, labels, root, graph.index[entry])
+                        if found is None:
                             continue
-                        route = _path(graph, chain[::-1])
+                        chain, rows = found
+                        route = _path(graph, chain[::-1], rows[::-1])
                         option = relays[(gs, entry, serving)]
                         assert option.nodes == (gs, *route.nodes, aircraft.node_id)
                         assert option.base_prop_s == (
@@ -868,6 +869,26 @@ class TestSlotExecution:
         monkeypatch.setattr(delivery, "build_slot_context", unreachable)
         with pytest.raises(ValueError, match=message):
             sweep_max_isls(default_scenario(), isls, ["optimized"], [0.0], [1])
+
+    @pytest.mark.parametrize(
+        ("modes", "epochs", "seeds", "message"),
+        [
+            (["optimized", "greedy", "optimized"], [0.0], [1], r"^modes must not repeat, got \["),
+            (["optimized"], [0.0, 60.0, 0.0], [1], r"^epochs must not repeat, got \[0.0, 60.0, 0.0\]$"),
+            (["optimized"], [0.0], [1, 1, 2], r"^seeds must not repeat, got \[1, 1, 2\]$"),
+        ],
+        ids=["modes", "epochs", "seeds"],
+    )
+    def test_sweep_rejects_repeats_before_drawing(self, monkeypatch, modes, epochs, seeds, message):
+        # A repeated seed or epoch would count its cells twice in the summary
+        # means, and a repeated mode would duplicate rows.
+        def unreachable(*args):
+            raise AssertionError("requests were drawn or a slot context was built")
+
+        monkeypatch.setattr(delivery, "generate_requests", unreachable)
+        monkeypatch.setattr(delivery, "build_slot_context", unreachable)
+        with pytest.raises(ValueError, match=message):
+            sweep_max_isls(default_scenario(), [1, 2], modes, epochs, seeds)
 
     def test_plan_reports_the_epoch_of_its_context(self):
         scenario = default_scenario()

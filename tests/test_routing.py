@@ -20,6 +20,7 @@ from leoisl.orbits import (
     propagate,
 )
 from leoisl.routing import (
+    HopStatsRow,
     _chain,
     _graph,
     _hop_blocks,
@@ -209,6 +210,13 @@ class TestHopStats:
         row = rows[0]
         assert row.skipped or (row.min_hops == 0 and row.max_hops == 0)
 
+    def test_no_start_satellite_anywhere_skips_every_row(self):
+        # No pair's start sees a satellite, so no search block runs at all.
+        pole = GroundNode("pole", GROUND_STATION, 89.0, 0.0)
+        lima = GroundNode("lima", GROUND_STATION, -12.05, -77.04)
+        rows = ground_pair_hop_stats(Scenario(ConstellationConfig()), [(pole, lima)], [0.0])
+        assert rows == [HopStatsRow("pole|lima", 0.0, None, None, None, None, 0, True)]
+
     def test_empty_inputs_rejected(self):
         config = ConstellationConfig()
         with pytest.raises(ValueError):
@@ -260,7 +268,7 @@ def dist_hops_to(graph, src, targets):
     """Per reachable target: the distance label and the chosen path's hops."""
     dist = _shortest_paths(graph, [src])[0].tolist()
     chains = {t: _chain(graph, dist, src, t) for t in targets}
-    return {t: (dist[t], len(chain) - 1) for t, chain in chains.items() if chain is not None}
+    return {t: (dist[t], len(found[0]) - 1) for t, found in chains.items() if found is not None}
 
 
 def batched_hops(graph, sources, targets):
@@ -377,6 +385,11 @@ class TestBatchedDistanceSearch:
         snapshot, _, _ = case
         graph = _graph(snapshot)
         n = len(graph.nodes)
+        links = graph.links
+        for u in range(n):  # each CSR position's row joins its two ends
+            for p in range(graph.offsets[u], graph.offsets[u + 1]):
+                k = graph.rows[p]
+                assert {links.a[k], links.b[k]} == {u, graph.targets[p]}
         roots = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
         roots += roots[:1]  # a repeated root in every batch
         batch = _shortest_paths(graph, roots)
@@ -386,11 +399,15 @@ class TestBatchedDistanceSearch:
         for root, row in zip(roots, batch.tolist()):
             assert _shortest_paths(graph, [root])[0].tolist() == row
             for dst in range(n):
-                chain = _chain(graph, row, root, dst)
+                found = _chain(graph, row, root, dst)
                 best = best_by_enumeration(snapshot, graph.nodes[root], graph.nodes[dst])
                 if best is None:
-                    assert chain is None and row[dst] == math.inf
+                    assert found is None and row[dst] == math.inf
                     continue
+                chain, rows = found
+                assert len(rows) == len(chain) - 1
+                for u, v, k in zip(chain, chain[1:], rows):
+                    assert {links.a[k], links.b[k]} == {u, v}
                 assert (row[dst], len(chain) - 1) == best[1:]
                 assert tuple(graph.nodes[i] for i in chain) == best[0]
 
@@ -402,7 +419,7 @@ class TestBatchedDistanceSearch:
             [0.0, math.inf, math.inf],
             [math.inf, math.inf, 0.0],
         ]
-        assert _chain(edgeless, dist[0].tolist(), 2, 2) == [2]
+        assert _chain(edgeless, dist[0].tolist(), 2, 2)[0] == [2]
         assert _chain(edgeless, dist[0].tolist(), 2, 1) is None
         assert _shortest_paths(edgeless, []).shape == (0, 3)
         # "c" has no link; "a"-"b" is a zero-length link.
@@ -413,8 +430,8 @@ class TestBatchedDistanceSearch:
             [math.inf, math.inf, 0.0, math.inf],
             [2.0, 2.0, math.inf, 0.0],
         ]
-        assert _chain(graph, dist[0], 0, 1) == [0, 1]
-        assert _chain(graph, dist[2], 3, 0) == [3, 1, 0]
+        assert _chain(graph, dist[0], 0, 1)[0] == [0, 1]
+        assert _chain(graph, dist[2], 3, 0)[0] == [3, 1, 0]
         assert _chain(graph, dist[1], 2, 0) is None
 
 
@@ -422,8 +439,11 @@ def relay(graph, src, dst):
     """The laser route from ``src`` to ``dst`` as delivery reads a relay back:
     from a single root's labels at ``dst``, reversed and summed from ``src``."""
     root = graph.index[dst]
-    chain = _chain(graph, _shortest_paths(graph, [root])[0].tolist(), root, graph.index[src])
-    return None if chain is None else _path(graph, chain[::-1])
+    found = _chain(graph, _shortest_paths(graph, [root])[0].tolist(), root, graph.index[src])
+    if found is None:
+        return None
+    chain, rows = found
+    return _path(graph, chain[::-1], rows[::-1])
 
 
 class TestTieBreak:
@@ -570,6 +590,9 @@ class TestHopStatsAgainstNetworkx:
         [
             pytest.param("grid", 4, {}, id="grid-4"),
             pytest.param("dynamic", 3, {}, id="dynamic-3"),
+            # Two lasers a satellite split the mesh: some associations have
+            # no path and stay out of the counts.
+            pytest.param("dynamic", 2, {}, id="dynamic-2-split"),
             pytest.param("dynamic", 119, {}, id="dynamic-119"),
             pytest.param(
                 "dynamic",
