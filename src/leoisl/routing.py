@@ -250,6 +250,12 @@ _BLOCK = 64  # sources per batched search: one bit of a uint64 word each
 _BITS = np.left_shift(np.uint64(1), np.arange(_BLOCK, dtype=np.uint64))
 
 
+def _unpack(words: np.ndarray, count: int) -> np.ndarray:
+    """Bits 0 to ``count - 1`` of each word as 0/1 columns, ``(len(words), count)``."""
+    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+    return bits.reshape(-1, _BLOCK)[:, :count].astype(np.int32)
+
+
 def _hop_blocks(
     graph: _Graph, sources: Sequence[int], targets: Sequence[int]
 ) -> Iterator[tuple[int, np.ndarray]]:
@@ -260,44 +266,46 @@ def _hop_blocks(
     ``targets[j]``, or -1 when unreachable. Each block runs one
     bit-parallel BFS: bit ``k`` of a node's word says source ``k`` has
     reached it. A level ORs together the frontier words of each node's
-    neighbors (a gather over the CSR neighbor array) and keeps the bits not
-    seen before, so a bit first shows on a node at its hop count. The search
-    stops once every target holds every bit or nothing new is reached.
-    Memory per block is a few words per node and one per directed edge.
+    neighbors and keeps the bits not seen before, so a bit first shows on a
+    node at its hop count. The neighbors come from a table built once per
+    call, max-degree rows by N columns; short columns are padded with node
+    N, whose word stays 0. The search stops once every target holds every
+    bit or nothing new is reached. Each level keeps only the targets' new bits;
+    since each bit arrives at one level, bit ``b`` of its hop count is set
+    exactly when it arrived at a level with bit ``b`` set, so the block
+    decodes one OR of those levels per bit of the last level.
     """
     size = len(graph.nodes)
-    linked = np.flatnonzero(np.diff(graph.offsets))
-    offsets = graph.offsets[linked]
+    degree = np.diff(graph.offsets)
+    table = np.full((degree.max(initial=0), size), size, dtype=np.intp)
+    slot = np.arange(len(graph.targets)) - np.repeat(graph.offsets[:-1], degree)
+    table[slot, np.repeat(np.arange(size), degree)] = graph.targets
     targets = np.asarray(targets, dtype=np.intp)
     for first in range(0, len(sources), _BLOCK):
         block = np.asarray(sources[first : first + _BLOCK], dtype=np.intp)
         bits = _BITS[: len(block)]
         everyone = np.bitwise_or.reduce(bits)
-        frontier = np.zeros(size, dtype=np.uint64)
+        frontier = np.zeros(size + 1, dtype=np.uint64)
         np.bitwise_or.at(frontier, block, bits)
         seen = frontier.copy()
-        # Target-major, so a level updates whole rows.
-        depth = np.full((len(targets), len(block)), -1, dtype=np.int32)
-        level = 0
+        reached = np.zeros(size + 1, dtype=np.uint64)
+        arrivals = []  # per level, the bits that first reach each target
         while True:
-            arrived = frontier[targets]
-            rows = np.flatnonzero(arrived)
-            if rows.size:
-                hit = np.unpackbits(
-                    arrived[rows].astype("<u8", copy=False).view(np.uint8),
-                    bitorder="little",
-                ).reshape(-1, _BLOCK)[:, : len(block)]
-                depth[rows] = np.where(hit, level, depth[rows])
-            if not linked.size or (seen[targets] == everyone).all():
+            arrivals.append(frontier[targets])
+            if (seen[targets] == everyone).all():
                 break
-            reached = np.zeros(size, dtype=np.uint64)
-            reached[linked] = np.bitwise_or.reduceat(frontier[graph.targets], offsets)
+            np.bitwise_or.reduce(frontier[table], axis=0, out=reached[:size])
             reached &= ~seen
             if not reached.any():
                 break
             seen |= reached
-            frontier = reached
-            level += 1
+            frontier, reached = reached, frontier
+        arrived = np.stack(arrivals)
+        levels = np.arange(len(arrived))
+        depth = _unpack(seen[targets], len(block)) - 1  # target-major
+        for b in range(int(levels[-1]).bit_length()):
+            plane = np.bitwise_or.reduce(arrived[(levels >> b) & 1 == 1])
+            depth += _unpack(plane, len(block)) << b
         yield first, depth.T
 
 
@@ -422,7 +430,7 @@ def snapshot_sdp_mhp_fraction(
     step = _batch_roots(graph)  # one engine batch at a time bounds the labels held
     for first, depth in _hop_blocks(graph, sources, targets):
         for part in range(0, len(depth), step):
-            block = sources[first + part : first + part + step]
+            block = sources[first + part : first + min(part + step, len(depth))]
             rows = _shortest_paths(graph, block)
             for src, row, hops in zip(block, rows, depth[part : part + step]):
                 dist = row.tolist()

@@ -263,6 +263,22 @@ class TestSdpMhpFraction:
         assert result.pairs_checked == 100
         assert result.fraction >= 0.95
 
+    def test_each_sampled_source_is_labelled_once(self):
+        # On the 72x22 +grid an engine batch is 41 roots, which does not
+        # divide a hop block's 64: each block's last batch must stop at the
+        # block's end, not label the next block's first roots as well.
+        shell = ConstellationConfig(num_planes=72, sats_per_plane=22, altitude_km=550.0)
+        scenario = Scenario(shell, topology=TopologySettings("grid"))
+        with (
+            mock.patch.object(routing, "_hop_blocks", wraps=_hop_blocks) as hop_search,
+            mock.patch.object(routing, "_shortest_paths", wraps=_shortest_paths) as labels,
+        ):
+            result = sdp_mhp_fraction(scenario, 200, [0.0], 12345)
+        ((_, sources, _),) = [call.args for call in hop_search.call_args_list]
+        assert len(sources) > 64
+        assert [root for call in labels.call_args_list for root in call.args[1]] == sources
+        assert result.pairs_checked + result.pairs_unreachable == 200
+
 
 def dist_hops_to(graph, src, targets):
     """Per reachable target: the distance label and the chosen path's hops."""
@@ -487,6 +503,25 @@ def edge_list_graph(n, edges):
     return _graph(snapshot)
 
 
+@st.composite
+def hop_search_cases(draw):
+    """A graph with isolated nodes and mixed degrees, sometimes with a path
+    of more than 128 links hanging off node 0, and sources and targets in
+    any order with repeats; with a path, its far end is a source and node 0
+    a target."""
+    n = draw(st.integers(1, 24))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    edges = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
+    tail = draw(st.one_of(st.just(0), st.integers(129, 200)))
+    edges |= {(i, i + 1) for i in range(n, n + tail - 1)} | ({(0, n)} if tail else set())
+    size = n + tail
+    node = st.integers(0, size - 1)
+    count = draw(st.integers(0, 150))
+    sources = draw(st.lists(node, min_size=count, max_size=count)) + ([size - 1] if tail else [])
+    targets = draw(st.lists(node, max_size=2 * size)) + ([0] if tail else [])
+    return edge_list_graph(size, sorted(edges)), sources, targets
+
+
 def reference_hops(graph, src):
     """Plain BFS hop counts from ``src``."""
     hops = {src: 0}
@@ -504,6 +539,22 @@ def reference_hops(graph, src):
 
 
 class TestBatchedHopSearch:
+    @settings(max_examples=100, deadline=None)
+    @given(hop_search_cases())
+    def test_blocks_match_reference_bfs(self, case):
+        graph, sources, targets = case
+        blocks = list(_hop_blocks(graph, sources, targets))
+        firsts = list(range(0, len(sources), 64))
+        assert [first for first, _ in blocks] == firsts
+        shapes = [(min(64, len(sources) - first), len(targets)) for first in firsts]
+        assert [depth.shape for _, depth in blocks] == shapes
+        reference = {src: reference_hops(graph, src) for src in set(sources)}
+        for first, depth in blocks:
+            for src, row in zip(sources[first:], depth.tolist()):
+                assert row == [reference[src].get(t, -1) for t in targets]
+        if len(graph.nodes) > 129:  # a long path: hop counts need 8 level bits
+            assert blocks[-1][1][-1, -1] > 128
+
     def test_more_than_64_sources_with_partial_last_block(self):
         # A 150-node ring with two chords; 150 sources make blocks of 64, 64, 22.
         n = 150
