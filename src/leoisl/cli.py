@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 
 from . import delivery, routing
-from .orbits import propagate
+from .orbits import MAX_EPOCH_S, propagate
 from .scenario import Scenario, ScenarioError, load_scenario
 from .topology import GRID_MODE, TOPOLOGY_MODES, build_snapshot
 
@@ -58,6 +58,8 @@ def _epoch_s(text: str) -> float:
     value = float(text)
     if not (math.isfinite(value) and value >= 0):
         raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {text!r}")
+    if value > MAX_EPOCH_S:
+        raise argparse.ArgumentTypeError(f"must be <= 1e9 s (about 31.7 years), got {text!r}")
     return value
 
 

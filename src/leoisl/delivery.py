@@ -19,6 +19,7 @@ satellite do.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
@@ -31,6 +32,7 @@ from .links import (
     GROUND_TO_SAT,
     SAT_TO_AIR,
     LinkBudgetParams,
+    propagation_delay_s,
     rf_terms,
     shannon_bps,
 )
@@ -384,13 +386,13 @@ class SlotContext:
         self._isl = _graph(snapshot)
         self._servings: dict[tuple[str, frozenset[str]], tuple[_Serving, ...]] = {}
         self._cached_plans: dict[tuple, RequestPlan] = {}
-        self._route_options: dict[tuple, tuple[_RouteOption, ...]] = {}
+        self._option_tables: dict[tuple, _OptionTable] = {}
         self._non_cached_plans: dict[tuple, tuple[RequestPlan, ...]] = {}
 
     def edges_at(self, link_class: str, node: str) -> list[LinkEdge]:
         """Ground links of ``link_class`` at ``node``, nearest first, ties by
         the far end's id. Laser links are not indexed here: ``_servings``
-        and ``_route_options`` read them from the mesh graph's arrays."""
+        and ``_OptionTable`` read them from the mesh graph's arrays."""
         return self._ground.get((link_class, node), [])
 
 
@@ -670,89 +672,161 @@ def plan_cached(
 # ---------------------------------------------------------------------------
 
 
-def _route_options(
-    ctx: SlotContext, request: FileRequest, zero_budget: bool
-) -> tuple[_RouteOption, ...]:
-    """Every chain to the request's aircraft, memoised on the context under
-    everything it reads: the aircraft, the source stations and whether the
-    budget is zero. A relay is read back from the distance labels of its
-    serving satellite: among equal ``(distance, hops)`` paths, the reverse of
-    the lexicographically smallest one from there. The aircraft's serving
-    satellites are labelled in one batch, held for this build only."""
-    aircraft = request.aircraft_id
-    key = (aircraft, request.source_gs_set, zero_budget)
-    memo = ctx._route_options.get(key)
-    if memo is not None:
-        return memo
-    _check_nodes(ctx, request, [aircraft, *sorted(request.source_gs_set)])
-    options: list[_RouteOption] = []
+class _OptionTable:
+    """A non-cached file's chains to one aircraft from a set of stations,
+    each built only when a pick needs it.
 
-    def add(
-        gs: str, feeder: LinkEdge, relay: tuple[str, ...], caps: Sequence[float], prop_s: float
-    ) -> None:
-        # ``relay`` runs from the entry to the serving satellite; a direct
-        # feeder has none, and no fixed hops to cap it.
-        options.append(
-            _RouteOption(
+    Row ``k`` is station ``chains[k][0]``'s feeder ``chains[k][1]``, the
+    relay between the mesh nodes ``ends[k]``, entry then serving, and the
+    serving satellite's air link ``chains[k][2]`` ((-1, -1) and None for a
+    direct feeder); with ``zero_budget``, only relays with entry == serving.
+    ``serving`` is the serving column as an array. Without a search,
+    ``prop_s`` and ``rate_bps`` bound a row's propagation delay from below
+    and its full-share rate from above, exactly for a row with no laser hop.
+
+    A relay is at least the straight line between its ends, as link lengths
+    are the distances of their ends' positions (the A* bound: Goldberg and
+    Harrelson, SODA 2005; NaN positions bound by 0). Its delay sums at most
+    N - 1 link delays of an N-node mesh, so rounding may put it below the
+    line's by (N + 10)u to first order, u the unit roundoff: the
+    recursive-summation bound (Higham 2002, §4.2) plus norms and divisions.
+    The line's delay is lowered by (N + 10)eps = 2(N + 10)u, which covers
+    the higher orders, and the rest adds up in the exact option's order;
+    float addition is monotone. The rate bound takes one laser hop at the
+    mesh's top laser rate: a cut-through bottleneck can only be lower, a
+    store-and-forward sum of inverse rates only larger.
+    """
+
+    def __init__(
+        self, ctx: SlotContext, aircraft: str, stations: frozenset[str], zero_budget: bool
+    ):
+        graph, params = ctx._isl, ctx.link_params
+        # The context's parts, not the context, which keeps this table in a memo.
+        self.graph, self.params, self.store_and_forward = graph, params, ctx.store_and_forward
+        self.aircraft = aircraft
+        self.exact: dict[int, _RouteOption | None] = {}  # by row
+        airs = [(e, graph.index[e.other(aircraft)]) for e in ctx.edges_at(SAT_TO_AIR, aircraft)]
+        direct = {e.other(aircraft): e for e in ctx.edges_at(GROUND_TO_AIR, aircraft)}
+        self.nearest = [serving for _, serving in airs]  # serving satellites, nearest first
+        self.chains: list[tuple[str, LinkEdge, LinkEdge | None]] = []
+        columns = []  # entry, serving, feeder delay and full-band rate, air delay and rate
+        for gs in sorted(stations):
+            for feeder in ([direct[gs]] if gs in direct else []) + ctx.edges_at(GROUND_TO_SAT, gs):
+                p = params[feeder.link_class]
+                rate = shannon_bps(p.bandwidth_hz, *rf_terms(p, feeder.distance_km), 1.0)
+                if feeder.link_class == GROUND_TO_AIR:
+                    self.chains.append((gs, feeder, None))
+                    columns.append((-1, -1, feeder.delay_s, rate, 0.0, math.inf))
+                    continue
+                entry = graph.index[feeder.other(gs)]
+                for air, serving in airs:
+                    if entry == serving or not zero_budget:
+                        self.chains.append((gs, feeder, air))
+                        air_terms = (air.delay_s, air.capacity_bps)
+                        columns.append((entry, serving, feeder.delay_s, rate, *air_terms))
+        columns = np.reshape(columns, (-1, 6)).T
+        entries, self.serving = columns[:2].astype(np.intp)
+        self.ends = list(zip(entries.tolist(), self.serving.tolist()))
+        feeder_s, feeder_bps, air_s, air_bps = columns[2:]
+        hop = entries != self.serving
+        laser = float(graph.links.capacity_bps.max(initial=0.0)) or math.inf
+        if ctx.store_and_forward:
+            rate = 1.0 / (1.0 / feeder_bps + (np.where(hop, 1.0 / laser, 0.0) + 1.0 / air_bps))
+        else:
+            rate = np.minimum(feeder_bps, np.minimum(np.where(hop, laser, math.inf), air_bps))
+        ends = ctx.snapshot.positions[entries] - ctx.snapshot.positions[self.serving]
+        line = propagation_delay_s(np.nan_to_num(orbits.row_norms(ends)))
+        margin = (len(graph.nodes) + 10) * np.finfo(float).eps
+        self.prop_s, self.rate_bps = feeder_s + line * (1.0 - margin) + air_s, rate
+
+    def built(self, rows: list[int], labels: dict) -> list[_RouteOption | None]:
+        """The exact options of ``rows``, each built once; None where the
+        entry is out of reach. A relay is read back from its serving
+        satellite's labels: among equal ``(distance, hops)`` paths, the
+        reverse of the lexicographically smallest one from there. Serving
+        satellites missing from ``labels`` are labelled first, in one batch."""
+        graph, exact = self.graph, self.exact
+        todo = [k for k in rows if k not in exact]
+        roots = sorted({s for e, s in (self.ends[k] for k in todo) if e != s} - labels.keys())
+        if roots:
+            labels.update(zip(roots, _shortest_paths(graph, roots).tolist()))
+        for k in todo:
+            (gs, feeder, air), (entry, serving) = self.chains[k], self.ends[k]
+            relay, caps, prop_s = (), (), feeder.delay_s
+            if air is not None:
+                if entry == serving:
+                    found = [serving], []
+                elif (found := _chain(graph, labels[serving], serving, entry)) is None:
+                    exact[k] = None
+                    continue
+                route = _path(graph, found[0][::-1], found[1][::-1])
+                relay, caps = route.nodes, route.edge_capacities_bps + (air.capacity_bps,)
+                prop_s = feeder.delay_s + route.total_propagation_delay_s + air.delay_s
+            exact[k] = _RouteOption(
                 gs=gs,
                 entry=relay[0] if relay else None,
                 serving=relay[-1] if relay else None,
-                nodes=(gs, *relay, aircraft),
+                nodes=(gs, *relay, self.aircraft),
                 activated_edge=tuple(sorted(relay[-2:])) if len(relay) > 1 else None,
                 base_prop_s=prop_s,
                 fixed_cap_bps=min(caps, default=math.inf),
                 fixed_inv_rate=_total(1.0 / c for c in caps),
-                feeder_params=ctx.link_params[feeder.link_class],
+                feeder_params=self.params[feeder.link_class],
                 feeder_distance_km=feeder.distance_km,
-                store_and_forward=ctx.store_and_forward,
+                store_and_forward=self.store_and_forward,
             )
-        )
+        return [exact[k] for k in rows]
 
-    graph = ctx._isl
-    air_edges = ctx.edges_at(SAT_TO_AIR, aircraft)
-    roots = [graph.index[edge.other(aircraft)] for edge in air_edges]
-    # A zero budget reads only zero-hop routes, which need no labels.
-    labels = {} if zero_budget else dict(zip(roots, _shortest_paths(graph, roots).tolist()))
-    direct_links = {edge.other(aircraft): edge for edge in ctx.edges_at(GROUND_TO_AIR, aircraft)}
-    for gs in sorted(request.source_gs_set):
-        direct = direct_links.get(gs)
-        if direct is not None:
-            add(gs, direct, (), (), direct.delay_s)
-        for feeder in ctx.edges_at(GROUND_TO_SAT, gs):
-            entry = feeder.other(gs)
-            for air_edge, root in zip(air_edges, roots):
-                if entry == air_edge.other(aircraft):
-                    found = [root], []
-                elif zero_budget:
-                    continue
-                else:
-                    found = _chain(graph, labels[root], root, graph.index[entry])
-                    if found is None:
-                        continue
-                chain, rows = found
-                route = _path(graph, chain[::-1], rows[::-1])
-                caps = route.edge_capacities_bps + (air_edge.capacity_bps,)
-                prop_s = feeder.delay_s + route.total_propagation_delay_s + air_edge.delay_s
-                add(gs, feeder, route.nodes, caps, prop_s)
-    ctx._route_options[key] = memo = tuple(options)
-    return memo
+    def least(
+        self, order: list[int], bound: Callable, key: Callable, labels: dict
+    ) -> _RouteOption | None:
+        """The built option of least ``key`` among the rows in ``order``,
+        None if none is reachable. ``order`` runs by ``bound``, which is
+        never above a row's exact key. The first row is built alone, then in
+        each round every row whose bound is within the best key so far, until
+        a round adds none: a row left out can neither beat the best nor tie it."""
+        best, done = None, 0
+        while done < len(order):
+            stop = done + 1 if best is None else bisect_right(order, key(best), done, key=bound)
+            if stop == done:
+                break
+            for option in self.built(order[done:stop], labels):
+                if option is not None and (best is None or key(option) < key(best)):
+                    best = option
+            done = stop
+        return best
 
+    def standalone(self, bits: float, labels: dict) -> _RouteOption | None:
+        """The option of least full-share delay, ties by (station, entry,
+        serving); ``prop_s + bits / rate_bps`` bounds a row's delay."""
+        bound = self.prop_s + bits / self.rate_bps
+        order, bound = np.argsort(bound, kind="stable").tolist(), bound.tolist()
 
-def _greedy_route(
-    ctx: SlotContext, request: FileRequest, options: Sequence[_RouteOption]
-) -> _RouteOption:
-    """The best-rate option at the nearest serving satellite that has any;
-    with none, every option is a direct link, and the best-rate one wins."""
+        def key(o: _RouteOption) -> tuple:
+            delay = _delay_s(o.base_prop_s, bits, o.full_rate_bps)
+            return (delay, o.gs, o.entry or "", o.serving or "")
 
-    def rate_key(option: _RouteOption):
-        return (-option.full_rate_bps, option.base_prop_s, option.gs, option.entry or "")
+        return self.least(order, lambda k: (bound[k],), key, labels)
 
-    for air_edge in ctx.edges_at(SAT_TO_AIR, request.aircraft_id):
-        serving = air_edge.other(request.aircraft_id)
-        pool = [o for o in options if o.serving == serving]
-        if pool:
-            return min(pool, key=rate_key)
-    return min(options, key=rate_key)
+    def greedy(self, labels: dict) -> _RouteOption | None:
+        """The option of least ``(-rate, base prop, station, entry)`` at the
+        nearest serving satellite that has any; with none, every option is a
+        direct feeder, and the least of those wins. A row's key at its bounds
+        is never above its exact key."""
+        nodes = (*self.graph.nodes, "")  # a direct feeder's entry, -1, reads ""
+        rates, props = self.rate_bps.tolist(), self.prop_s.tolist()
+
+        def bound(k: int) -> tuple:
+            return (-rates[k], props[k], self.chains[k][0], nodes[self.ends[k][0]])
+
+        def key(o: _RouteOption) -> tuple:
+            return (-o.full_rate_bps, o.base_prop_s, o.gs, o.entry or "")
+
+        for serving in [*self.nearest, -1]:
+            rows = sorted(np.flatnonzero(self.serving == serving).tolist(), key=bound)
+            if (best := self.least(rows, bound, key, labels)) is not None:
+                return best
+        return None
 
 
 def plan_non_cached(
@@ -789,26 +863,22 @@ def plan_non_cached(
     deliverable: list[FileRequest] = []
     standalone: list[GsFlow] = []
     greedy: list[GsFlow] = []
+    labels: dict[int, list[float]] = {}  # serving satellites' labels, for this call only
     for request in requests:
-        options = _route_options(ctx, request, zero_budget)
-        if not options:
+        table_key = (request.aircraft_id, request.source_gs_set, zero_budget)
+        if table_key not in ctx._option_tables:
+            _check_nodes(ctx, request, [request.aircraft_id, *sorted(request.source_gs_set)])
+            ctx._option_tables[table_key] = _OptionTable(ctx, *table_key)
+        table = ctx._option_tables[table_key]
+        pick = table.greedy(labels)
+        if pick is None:
             plans[request.request_id] = RequestPlan(request, delivered=False, delay_s=math.inf)
             continue
         bits = float(request.total_bits)
         deliverable.append(request)
-        greedy.append(GsFlow(request.request_id, bits, _greedy_route(ctx, request, options)))
-        if greedy_only:
-            continue
-        best = min(
-            options,
-            key=lambda o: (
-                _delay_s(o.base_prop_s, bits, o.full_rate_bps),
-                o.gs,
-                o.entry or "",
-                o.serving or "",
-            ),
-        )
-        standalone.append(GsFlow(request.request_id, bits, best))
+        greedy.append(GsFlow(request.request_id, bits, pick))
+        if not greedy_only:
+            standalone.append(GsFlow(request.request_id, bits, table.standalone(bits, labels)))
 
     def evaluate(flows: list[GsFlow]) -> tuple[float, list[GsFlow], dict[str, float]]:
         by_gs: dict[str, list[GsFlow]] = {}

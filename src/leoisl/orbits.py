@@ -25,6 +25,12 @@ GROUND_STATION = "ground_station"
 AIRCRAFT = "aircraft"
 GROUND_KINDS = (GROUND_STATION, AIRCRAFT)
 
+# The largest epoch accepted, about 31.7 years. Motion angles such as
+# ``n * epoch_s`` are rounded to a step that grows with the epoch: up to this
+# bound an in-plane link keeps its epoch-0 length within 1e-5 km on any shell,
+# while at 1e18 s the baseline's first one reads 2747.957 km for 2306.157 km.
+MAX_EPOCH_S = 1e9
+
 
 def sat_key(plane: int, slot: int) -> str:
     """Canonical node id for the satellite at (plane, slot)."""
@@ -147,18 +153,25 @@ def _cos_sin(angles: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array([math.cos(x) for x in values]), np.array([math.sin(x) for x in values])
 
 
+def _check_epoch(epoch_s: float) -> None:
+    if not (math.isfinite(epoch_s) and epoch_s >= 0):
+        raise ValueError(f"epoch_s must be finite and >= 0, got {epoch_s}")
+    if epoch_s > MAX_EPOCH_S:
+        raise ValueError(f"epoch_s must be <= 1e9 s (about 31.7 years), got {epoch_s}")
+
+
 def propagate(config: ConstellationConfig, epoch_s: float) -> np.recarray:
-    """The whole shell at ``epoch_s`` seconds after t=0: one record per
-    satellite in shell index order, with fields ``node_key`` (see
-    :func:`sat_keys`), ``position_km`` and ``velocity_km_s``. The fields of the
-    array are the shell arrays: ``.position_km`` is ``(N, 3)``.
+    """The whole shell at ``epoch_s`` seconds after t=0, up to
+    ``MAX_EPOCH_S``: one record per satellite in shell index order, with
+    fields ``node_key`` (see :func:`sat_keys`), ``position_km`` and
+    ``velocity_km_s``. The fields of the array are the shell arrays:
+    ``.position_km`` is ``(N, 3)``.
 
     Circular two-body motion: every satellite moves at the shared mean motion
     ``sqrt(mu / a^3)`` along its plane, so ``|position| == a`` exactly and
     velocity stays perpendicular to position.
     """
-    if not (math.isfinite(epoch_s) and epoch_s >= 0):
-        raise ValueError(f"epoch_s must be finite and >= 0, got {epoch_s}")
+    _check_epoch(epoch_s)
     a = config.semi_major_axis_km
     n = config.mean_motion_rad_s
     inc = math.radians(config.inclination_deg)
@@ -176,13 +189,14 @@ def propagate(config: ConstellationConfig, epoch_s: float) -> np.recarray:
 
 
 def ground_position(node: GroundNode, epoch_s: float) -> np.ndarray:
-    """Inertial position of a ground node at ``epoch_s``.
+    """Inertial position of a ground node at ``epoch_s``, from 0 to ``MAX_EPOCH_S``.
 
     Ground stations rotate with the Earth. Aircraft first advance along
     their great circle (constant heading at departure, constant speed) and
     the Earth rotation is applied on top. At epoch 0 a node at
     (lat=0, lon=0, alt=0) sits at (R_E, 0, 0): zero Greenwich offset.
     """
+    _check_epoch(epoch_s)
     radius = EARTH_RADIUS_KM + node.altitude_km
     lat = math.radians(node.latitude_deg)
     lon = math.radians(node.longitude_deg)

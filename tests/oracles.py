@@ -10,9 +10,10 @@ import math
 
 import numpy as np
 
-from leoisl.delivery import PER_STREAM, GsFlow, _RouteOption, optimal_ratio_delay
-from leoisl.links import ISL_LASER, SAT_TO_AIR, SPEED_OF_LIGHT_KM_S
+from leoisl.delivery import PER_STREAM, GsFlow, _delay_s, _RouteOption, optimal_ratio_delay
+from leoisl.links import GROUND_TO_AIR, GROUND_TO_SAT, ISL_LASER, SAT_TO_AIR, SPEED_OF_LIGHT_KM_S
 from leoisl.orbits import EARTH_MU_KM3_S2, propagate
+from leoisl.routing import _chain, _path, _shortest_paths, _total
 from leoisl.topology import CLASS_ORDER, LinkEdge, Links, TopologySnapshot
 
 
@@ -205,3 +206,85 @@ def enumerate_cached_plan_delay(
                 delay, _ = optimal_ratio_delay(streams, bits)
                 best = min(best, delay)
     return best
+
+
+def exhaustive_route_options(ctx, request, zero_budget):
+    """Every chain a non-cached file can take to its aircraft, each built in
+    full: the route-option builder the planner used before it bounded its
+    options. The aircraft's serving satellites are labelled in one batch and
+    each relay is read back from its serving satellite's labels. Options run
+    station by station, a direct feeder first, then the feeders nearest
+    first, each with the serving satellites nearest first; with
+    ``zero_budget``, only relays whose entry is the serving satellite."""
+    aircraft = request.aircraft_id
+    options = []
+
+    def add(gs, feeder, relay, caps, prop_s):
+        options.append(
+            _RouteOption(
+                gs=gs,
+                entry=relay[0] if relay else None,
+                serving=relay[-1] if relay else None,
+                nodes=(gs, *relay, aircraft),
+                activated_edge=tuple(sorted(relay[-2:])) if len(relay) > 1 else None,
+                base_prop_s=prop_s,
+                fixed_cap_bps=min(caps, default=math.inf),
+                fixed_inv_rate=_total(1.0 / c for c in caps),
+                feeder_params=ctx.link_params[feeder.link_class],
+                feeder_distance_km=feeder.distance_km,
+                store_and_forward=ctx.store_and_forward,
+            )
+        )
+
+    graph = ctx._isl
+    air_edges = ctx.edges_at(SAT_TO_AIR, aircraft)
+    roots = [graph.index[edge.other(aircraft)] for edge in air_edges]
+    labels = {} if zero_budget else dict(zip(roots, _shortest_paths(graph, roots).tolist()))
+    direct_links = {edge.other(aircraft): edge for edge in ctx.edges_at(GROUND_TO_AIR, aircraft)}
+    for gs in sorted(request.source_gs_set):
+        direct = direct_links.get(gs)
+        if direct is not None:
+            add(gs, direct, (), (), direct.delay_s)
+        for feeder in ctx.edges_at(GROUND_TO_SAT, gs):
+            entry = feeder.other(gs)
+            for air_edge, root in zip(air_edges, roots):
+                if entry == air_edge.other(aircraft):
+                    found = [root], []
+                elif zero_budget:
+                    continue
+                else:
+                    found = _chain(graph, labels[root], root, graph.index[entry])
+                    if found is None:
+                        continue
+                chain, rows = found
+                route = _path(graph, chain[::-1], rows[::-1])
+                caps = route.edge_capacities_bps + (air_edge.capacity_bps,)
+                prop_s = feeder.delay_s + route.total_propagation_delay_s + air_edge.delay_s
+                add(gs, feeder, route.nodes, caps, prop_s)
+    return options
+
+
+def exhaustive_standalone_pick(options, bits):
+    """The option of least full-share delay, ties by (station, entry,
+    serving), by scanning every option; None without options."""
+    return min(
+        options,
+        key=lambda o: (
+            _delay_s(o.base_prop_s, bits, o.full_rate_bps), o.gs, o.entry or "", o.serving or ""
+        ),
+        default=None,
+    )
+
+
+def exhaustive_greedy_pick(ctx, aircraft, options):
+    """The best-rate option at the nearest serving satellite that has any,
+    by scanning every option; with none, the best-rate option of all."""
+
+    def rate_key(option):
+        return (-option.full_rate_bps, option.base_prop_s, option.gs, option.entry or "")
+
+    for air_edge in ctx.edges_at(SAT_TO_AIR, aircraft):
+        pool = [o for o in options if o.serving == air_edge.other(aircraft)]
+        if pool:
+            return min(pool, key=rate_key)
+    return min(options, key=rate_key, default=None)

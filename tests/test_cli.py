@@ -339,13 +339,15 @@ class TestIfcSweepCommand:
             ("cached_equal_split_saf.json", "sweep_cached_equal_split_saf.csv"),
             ("feeder_limited.json", "sweep_feeder_limited.csv"),
             ("non_cached_saf.json", "sweep_non_cached_saf.csv"),
+            ("shell1_grid.json", "sweep_shell1_grid.csv"),
         ],
     )
     def test_matches_pinned_output(self, scenario, pinned, capsys):
         # Pinned before the holder search became the parametric solver (the
         # feeder-limited sweep before the planners' memos, the non-cached
         # store-and-forward one before the route options held their own
-        # labels): a refactor that changes any plan, or any bit of a delay,
+        # labels, the 72x22 one before the planner bounded its route
+        # options): a refactor that changes any plan, or any bit of a delay,
         # shows up here. Only the feeder-limited and non-cached
         # store-and-forward inputs make the equal bandwidth split differ
         # from the optimized one.
@@ -404,6 +406,35 @@ class TestIfcSweepCommand:
         code, _, _ = run_cli(["ifc-sweep", "--isls", "1..8", "--seeds", "10"], capsys)
         assert code == 0
         assert 0 < len(calls) <= len(ground) + len(feeders)
+
+    def test_sweep_builds_only_routes_that_can_win(self, monkeypatch, capsys):
+        # On the 72x22 shell a file has thousands of route options; the
+        # planner builds only those whose delay or rate bounds can still win,
+        # so the sweep labels few serving satellites and reads back few
+        # routes (128 and 21,233 when every option was built).
+        roots = []
+        chains = []
+
+        def labelling(graph, batch):
+            roots.extend(batch)
+            return shortest_paths(graph, batch)
+
+        def reading(*args):
+            chains.append(args[2:])
+            return chain(*args)
+
+        shortest_paths, chain = delivery._shortest_paths, delivery._chain
+        monkeypatch.setattr(delivery, "_shortest_paths", labelling)
+        monkeypatch.setattr(delivery, "_chain", reading)
+        code, out, _ = run_cli(
+            ["ifc-sweep", "--scenario", str(DATA / "shell1_grid.json"), "--isls", "0..8",
+             "--seeds", "3"],
+            capsys,
+        )  # fmt: skip
+        assert code == 0
+        assert out == (DATA / "sweep_shell1_grid.csv").read_text(encoding="utf-8")
+        assert 0 < len(roots) <= 30
+        assert 0 < len(chains) <= 500
 
     def test_unknown_mode_is_bad_input(self, capsys):
         code, _, err = run_cli(["ifc-sweep", "--modes", "psychic"], capsys)
@@ -473,6 +504,25 @@ class TestBadInput:
         code, out, err = run_cli(args, capsys)
         assert (code, out) == (1, "")
         assert "argument --epoch:" in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["propagate", "--epoch", "1000000000.5"],
+            ["topology", "--epoch", "1e18"],
+            ["route", "--src", "gs-london", "--dst", "gs-sydney", "--epoch", "1e300"],
+        ],
+    )
+    def test_epoch_beyond_the_bound(self, args, capsys):
+        # Satellites drift off their shell's geometry as the epoch grows
+        # (at 1e300 they coincide), so an epoch beyond 1e9 s is refused.
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (1, "")
+        message = f"argument --epoch: must be <= 1e9 s (about 31.7 years), got {args[-1]!r}"
+        assert message in err
+        code, out, _ = run_cli([*args[:-1], "1e9"], capsys)
+        assert code == 0
+        assert out
 
     @pytest.mark.parametrize(
         ("section", "field"),

@@ -44,6 +44,7 @@ from leoisl.links import (
     propagation_delay_s,
     snr_linear,
 )
+from leoisl.orbits import AIRCRAFT, GroundNode
 from leoisl.routing import _chain, _path
 from leoisl.scenario import (
     IfcSettings,
@@ -54,7 +55,16 @@ from leoisl.scenario import (
 )
 from leoisl.topology import LinkEdge
 
-from oracles import bisection_delay_oracle, edge, enumerate_cached_plan_delay, gs_flow, snapshot_of
+from oracles import (
+    bisection_delay_oracle,
+    edge,
+    enumerate_cached_plan_delay,
+    exhaustive_greedy_pick,
+    exhaustive_route_options,
+    exhaustive_standalone_pick,
+    gs_flow,
+    snapshot_of,
+)
 
 DATA = pathlib.Path(__file__).parent / "data"
 
@@ -483,6 +493,26 @@ class TestPlanNonCached:
         (plan,) = plan_non_cached([request], context(snapshot), 4)
         assert not plan.delivered
 
+    def test_greedy_falls_back_to_the_best_direct_feeder(self):
+        # The aircraft's one serving satellite reaches no station's entry,
+        # so every option is a direct feeder: greedy takes the best-rate
+        # one (the nearer station), as the standalone pick does.
+        edges = [
+            edge("G1", AIR, GROUND_TO_AIR, 300.0, 0.0),
+            edge("G2", AIR, GROUND_TO_AIR, 200.0, 0.0),
+            edge("G1", "S1", GROUND_TO_SAT, 800.0, 0.0),
+            edge("S0", AIR, SAT_TO_AIR, 1200.0, 8e8),
+        ]
+        request = self.request("r1", {"G1", "G2"})
+        for mode in ("greedy", "optimized"):
+            (plan,) = plan_non_cached([request], context(snapshot_of(edges)), 4, mode=mode)
+            assert plan.delivered
+            assert (plan.gs_id, plan.serving_satellite, plan.streams[0].nodes) == (
+                "G2",
+                None,
+                ("G2", AIR),
+            )
+
     def test_full_plans_as_optimized_at_a_positive_budget(self):
         # "full" lifts the degree budget, which the non-cached planner reads
         # only through the zero-budget route filter: on the baseline's
@@ -537,28 +567,74 @@ class TestPlanNonCached:
             for max_isls in range(9):
                 for mode in SWEEP_MODES:
                     plan_non_cached(requests, ctx, max_isls, mode)
-            for request in requests:
-                for zero_budget in (False, True):
-                    for option in delivery._route_options(ctx, request, zero_budget):
-                        if option.entry is None:
-                            link_class, far_end = GROUND_TO_AIR, request.aircraft_id
-                        else:
-                            link_class, far_end = GROUND_TO_SAT, option.entry
-                        links = ctx.edges_at(link_class, option.gs)
-                        (feeder,) = [e for e in links if e.other(option.gs) == far_end]
-                        params = ctx.link_params[link_class]
-                        assert option.feeder_params == params
-                        assert option.feeder_distance_km == feeder.distance_km
-                        expected = delivery._series_rate(
-                            capacity_bps(params, feeder.distance_km),
-                            option.fixed_cap_bps,
-                            option.fixed_inv_rate,
-                            store_and_forward,
-                        )
-                        assert option.full_rate_bps == expected
-                        checked += 1
+        # Every option the planner built, in every table it kept.
+        for table in ctx._option_tables.values():
+            for option in filter(None, table.exact.values()):
+                if option.entry is None:
+                    link_class, far_end = GROUND_TO_AIR, table.aircraft
+                else:
+                    link_class, far_end = GROUND_TO_SAT, option.entry
+                links = ctx.edges_at(link_class, option.gs)
+                (feeder,) = [e for e in links if e.other(option.gs) == far_end]
+                params = ctx.link_params[link_class]
+                assert option.feeder_params == params
+                assert option.feeder_distance_km == feeder.distance_km
+                expected = delivery._series_rate(
+                    capacity_bps(params, feeder.distance_km),
+                    option.fixed_cap_bps,
+                    option.fixed_inv_rate,
+                    store_and_forward,
+                )
+                assert option.full_rate_bps == expected
+                checked += 1
         assert checked > 0
-        assert len(ctx._route_options) > 0
+        assert len(ctx._option_tables) > 0
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        shell=st.sampled_from([None, "shell_24x22.json"]),
+        delay_model=st.sampled_from(DELAY_MODELS),
+        latitude=st.floats(-70.0, 70.0),
+        longitude=st.floats(-180.0, 180.0),
+        heading=st.floats(0.0, 359.0),
+        epoch_s=st.sampled_from([0.0, 777.5, 2400.0]),
+        seed=st.integers(0, 10_000),
+        bits=st.floats(1e2, 1e10),
+    )
+    def test_pruned_picks_match_exhaustive_picks(
+        self, shell, delay_model, latitude, longitude, heading, epoch_s, seed, bits
+    ):
+        # The planner builds only options whose bounds can still win; its
+        # standalone and greedy picks must equal those of a scan over every
+        # option built in full, at zero and at positive budgets, and every
+        # row's bounds must hold for its exact option.
+        scenario = default_scenario() if shell is None else load_scenario(DATA / shell)
+        drawn = GroundNode("ac-drawn", AIRCRAFT, latitude, longitude, 10.7, heading, 0.23)
+        scenario = replace(
+            scenario,
+            aircraft=(*scenario.aircraft, drawn),
+            ifc=replace(scenario.ifc, cache_hit_probability=0.0, delay_model=delay_model),
+        )
+        ctx = build_slot_context(scenario, epoch_s)
+        nodes = ctx._isl.nodes
+        for request in generate_requests(scenario, seed):
+            aircraft = request.aircraft_id
+            for zero_budget in (False, True):
+                table = delivery._OptionTable(ctx, aircraft, request.source_gs_set, zero_budget)
+                options = exhaustive_route_options(ctx, request, zero_budget)
+                rows = {
+                    (gs, nodes[e] if e >= 0 else None, nodes[s] if s >= 0 else None): k
+                    for k, ((gs, *_), (e, s)) in enumerate(zip(table.chains, table.ends))
+                }
+                for option in options:
+                    k = rows[(option.gs, option.entry, option.serving)]
+                    assert table.prop_s[k] <= option.base_prop_s
+                    assert table.rate_bps[k] >= option.full_rate_bps
+                labels = {}
+                assert table.greedy(labels) == exhaustive_greedy_pick(ctx, aircraft, options)
+                for size in (float(request.total_bits), bits):
+                    expected = exhaustive_standalone_pick(options, size)
+                    assert table.standalone(size, labels) == expected
 
 
 class TestSlotExecution:
@@ -665,11 +741,10 @@ class TestSlotExecution:
                             ) == plan_cached(request, fresh, max_isls, mode)
 
     def test_batched_route_search_matches_fresh_context_per_route(self, monkeypatch):
-        # A file's route options label all of its aircraft's serving
-        # satellites in one batch; every relay read from that batch must
-        # equal the one read from its serving satellite's labels alone, and
-        # every (station, entry, serving) chain those labels reach has its
-        # option.
+        # Building a table's rows labels their serving satellites in one
+        # batch; every relay read from that batch must equal the one read
+        # from its serving satellite's labels alone, and every (station,
+        # entry, serving) chain those labels reach has its option.
         batches = []
 
         def recording(graph, roots):
@@ -684,18 +759,16 @@ class TestSlotExecution:
         stations = frozenset(gs.node_id for gs in scenario.ground_stations)
         routes = 0
         for aircraft in sorted(scenario.aircraft, key=lambda a: a.node_id):
-            request = FileRequest(
-                "req-n", aircraft.node_id, 0, 100, cached=False, source_gs_set=stations
-            )
             batches.clear()
+            table = delivery._OptionTable(ctx, aircraft.node_id, stations, False)
             relays = {
                 (o.gs, o.entry, o.serving): o
-                for o in delivery._route_options(ctx, request, zero_budget=False)
-                if o.entry is not None
+                for o in table.built(list(range(len(table.chains))), {})
+                if o is not None and o.entry is not None
             }
             air_edges = ctx.edges_at(SAT_TO_AIR, aircraft.node_id)
             servings = [e.other(aircraft.node_id) for e in air_edges]
-            assert batches == [[graph.index[serving] for serving in servings]]
+            assert batches == [sorted(graph.index[serving] for serving in servings)]
             reached = 0
             for air_edge, serving in zip(air_edges, servings):
                 root = graph.index[serving]

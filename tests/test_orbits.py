@@ -11,6 +11,7 @@ from leoisl.orbits import (
     EARTH_RADIUS_KM,
     AIRCRAFT,
     GROUND_STATION,
+    MAX_EPOCH_S,
     ConstellationConfig,
     GroundNode,
     elevation_deg,
@@ -133,6 +134,24 @@ class TestPropagation:
         with pytest.raises(ValueError):
             propagate(CASE_CONFIG, -1.0)
 
+    def test_epoch_beyond_the_bound_is_refused(self):
+        craft = GroundNode("ac", AIRCRAFT, 10.0, 20.0, 10.7, 90.0, 0.23)
+        assert MAX_EPOCH_S == 1e9
+        propagate(CASE_CONFIG, MAX_EPOCH_S)
+        ground_position(craft, MAX_EPOCH_S)
+        for epoch in (1e9 + 1.0, 1e18, 1e300):
+            message = f"epoch_s must be <= 1e9 s (about 31.7 years), got {epoch}"
+            with pytest.raises(ValueError) as refused:
+                propagate(CASE_CONFIG, epoch)
+            assert str(refused.value) == message
+            with pytest.raises(ValueError) as refused:
+                ground_position(craft, epoch)
+            assert str(refused.value) == message
+        for epoch in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError) as refused:
+                ground_position(craft, epoch)
+            assert str(refused.value) == f"epoch_s must be finite and >= 0, got {epoch}"
+
 
 def scalar_propagate_reference(config, epoch_s):
     """Positions and velocities from one scalar evaluation per satellite:
@@ -238,6 +257,37 @@ class TestPropagationProperties:
         tolerance = 1e-12 * (1.0 + config.mean_motion_rad_s * epoch)
         assert np.allclose(later, positions, rtol=0.0, atol=tolerance * a)
         assert np.allclose(later_velocities, velocities, rtol=0.0, atol=tolerance * speed.max())
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        planes=st.integers(1, 12),
+        slots=st.integers(2, 40),
+        altitude_km=st.floats(200.0, 36000.0),
+        inclination_deg=st.floats(0.0, 180.0),
+        phasing=st.integers(0, 11),
+        epoch=st.one_of(st.floats(0.0, MAX_EPOCH_S), st.just(MAX_EPOCH_S)),
+    )
+    def test_in_plane_links_keep_their_length_up_to_the_epoch_bound(
+        self, planes, slots, altitude_km, inclination_deg, phasing, epoch
+    ):
+        # Every accepted epoch keeps each in-plane link at its epoch-0
+        # length within 1e-5 km. The slack is the rounding of the motion
+        # angle n * epoch: at 1e9 s the baseline's links move by up to
+        # 7.7e-7 km and a 550 km shell's by up to 1.2e-6 km.
+        config = ConstellationConfig(
+            num_planes=planes,
+            sats_per_plane=slots,
+            altitude_km=altitude_km,
+            inclination_deg=inclination_deg,
+            phasing_factor=min(phasing, planes - 1),
+        )
+
+        def in_plane_links(epoch_s):
+            positions = propagate(config, epoch_s).position_km.reshape(planes, slots, 3)
+            return np.linalg.norm(positions - np.roll(positions, -1, axis=1), axis=2)
+
+        assert np.abs(in_plane_links(epoch) - in_plane_links(0.0)).max() <= 1e-5
 
 
 class TestGroundMotion:
