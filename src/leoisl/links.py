@@ -63,6 +63,8 @@ class LinkBudgetParams:
             raise ValueError(f"tx_power_w must be > 0, got {self.tx_power_w}")
         if self.bandwidth_hz <= 0:
             raise ValueError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
+        if self.lisl_fixed_rate_bps <= 0:
+            raise ValueError(f"lisl_fixed_rate_bps must be > 0, got {self.lisl_fixed_rate_bps}")
         if self.carrier_hz <= 0:
             raise ValueError(f"carrier_hz must be > 0, got {self.carrier_hz}")
         if self.noise_temperature_k <= 0:

@@ -7,12 +7,15 @@ an MHP.
 
 Every path comes from one engine in two parts. ``_shortest_paths`` computes
 the distance labels of a batch of roots at once, in array rounds over the
-graph's CSR arrays; ``_chain`` reads one path back from a root's labels
+graph's CSR arrays, and, given each root's targets, only as far as the
+farthest of them; ``_chain`` reads one path back from a root's labels
 over tight links. The tie-break is minimum ``(distance, hops)`` (an MHP
 weighs each link 1, so its distance is its hop count), then the
 lexicographically smallest node sequence from the root: the path a Dijkstra
 search with that tie-break picks. Results are therefore reproducible across
-runs.
+runs. Where only a path's hop count is wanted, as in ``sdp-mhp``,
+``_sdp_hops`` finds the counts of many pairs in one array search over the
+same tight links, with no read-back.
 """
 
 from __future__ import annotations
@@ -114,7 +117,11 @@ def _batch_roots(graph: _Graph) -> int:
     return max(1, _BATCH_LINKS // max(1, len(graph.targets)))
 
 
-def _shortest_paths(graph: _Graph, roots: Sequence[int]) -> np.ndarray:
+def _shortest_paths(
+    graph: _Graph,
+    roots: Sequence[int],
+    targets: Sequence[Sequence[int]] | None = None,
+) -> np.ndarray:
     """Distances from each of ``roots`` to every node, ``(len(roots), N)``.
 
     Unreached nodes are at infinity. Each round relaxes, in one array pass,
@@ -125,9 +132,19 @@ def _shortest_paths(graph: _Graph, roots: Sequence[int]) -> np.ndarray:
     length is monotone, so the labels reach the least fixpoint of
     ``dist[v] = min_u fl(dist[u] + w)`` whatever the order of relaxation:
     bit for bit the labels a Dijkstra search settles.
+
+    ``targets``, when given, holds for each root the nodes it needs, and a
+    round then drops every fallen pair whose label is above its root's
+    bound: the largest current label among the root's targets, infinite
+    until all are reached. Float addition of a length >= 0 is monotone, so
+    a node no farther than the farthest target has least-distance
+    predecessors no farther still, which are never dropped once exact, and
+    keeps its exact label. Any other label stays at or above its fixpoint,
+    so it never makes a link into a target's tight subgraph look tight, and
+    ``_chain`` reads the same path from these labels as from full ones.
     """
     size = len(graph.nodes)
-    offsets, targets, weights = graph.offsets, graph.targets, graph.weights
+    offsets, neighbors, weights = graph.offsets, graph.targets, graph.weights
     roots = np.asarray(roots, dtype=np.intp)
     dist = np.full((len(roots), size), np.inf)
     step = _batch_roots(graph)
@@ -136,6 +153,13 @@ def _shortest_paths(graph: _Graph, roots: Sequence[int]) -> np.ndarray:
         batch = roots[first : first + step]
         labels = dist[first : first + step].reshape(-1)  # a view: pair ``r * size + node``
         fell = np.arange(len(batch)) * size + batch
+        if targets is not None:
+            # Each root's targets as pairs, padded with the root itself: its
+            # label 0 never raises the bound.
+            wanted = targets[first : first + step]
+            need = np.repeat(fell[:, None], max(map(len, wanted), default=0), axis=1)
+            for k, nodes in enumerate(wanted):
+                need[k, : len(nodes)] = np.asarray(nodes, dtype=np.intp) + k * size
         labels[fell] = 0.0
         while fell.size:
             node = fell % size
@@ -145,13 +169,16 @@ def _shortest_paths(graph: _Graph, roots: Sequence[int]) -> np.ndarray:
             ends = np.cumsum(count)
             link = np.arange(ends[-1]) + np.repeat(start - ends + count, count)
             label = np.repeat(labels[fell], count) + weights[link]
-            pair = np.repeat(fell - node, count) + targets[link]
+            pair = np.repeat(fell - node, count) + neighbors[link]
             lower = label < labels[pair]
             pair = pair[lower]
             np.minimum.at(labels, pair, label[lower])
             fallen[pair] = True
             fell = np.flatnonzero(fallen)
             fallen[fell] = False
+            if targets is not None and fell.size:
+                bound = labels[need].max(axis=1, initial=0.0)
+                fell = fell[labels[fell] <= bound[fell // size]]
     return dist
 
 
@@ -198,6 +225,55 @@ def _chain(
     return chain, graph.rows[positions]
 
 
+def _padded(graph: _Graph, values: np.ndarray, fill: float) -> np.ndarray:
+    """``values``, one per CSR position, as a max-degree by N table: column
+    ``i`` holds node ``i``'s links in order, then ``fill``."""
+    degree = np.diff(graph.offsets)
+    table = np.full((degree.max(initial=0), len(graph.nodes)), fill, dtype=values.dtype)
+    slot = np.arange(len(values)) - np.repeat(graph.offsets[:-1], degree)
+    table[slot, np.repeat(np.arange(len(graph.nodes)), degree)] = values
+    return table
+
+
+def _sdp_hops(
+    graph: _Graph, dist: np.ndarray, roots: np.ndarray, rows: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    """``len(_chain(graph, dist[r], roots[r], e)[1])`` for each pair
+    ``(r, e)`` of ``rows`` and ``ends``, or -1 where ``e`` is unreached.
+
+    One breadth-first search runs backward from every pair's end at once,
+    in array rounds over the CSR arrays, over ``_chain``'s tight links
+    ``fl(dist[u] + w) == dist[x]``; a pair's count is the first level that
+    holds its root. ``dist`` must be exact at the ends, as full labels are
+    and as labels bounded by these ends are: then every tight path from a
+    reached end leads to its root, and each pair's search stops there.
+    """
+    size = len(graph.nodes)
+    labels = dist.reshape(-1)
+    base = rows * size  # each pair's row of ``labels``
+    goal = base + roots[rows]
+    hops = np.full(len(rows), -1, dtype=np.intp)
+    neighbors = _padded(graph, graph.targets, 0)
+    lengths = _padded(graph, graph.weights, np.inf)  # a padded link is never tight
+    pair = np.flatnonzero(np.isfinite(labels[base + ends]))
+    at = base[pair] + ends[pair]
+    depth = 0
+    while pair.size:
+        hops[pair[at == goal[pair]]] = depth
+        open_ = hops[pair] < 0
+        pair, at = pair[open_], at[open_]
+        node = at - base[pair]
+        there = base[pair] + neighbors[:, node]
+        tight = labels[there] + lengths[:, node] == labels[at]
+        key = np.sort((pair * labels.size + there)[tight])
+        fresh = np.empty(key.size, dtype=bool)  # the first of each run of equal keys
+        fresh[:1] = True
+        np.not_equal(key[1:], key[:-1], out=fresh[1:])
+        pair, at = np.divmod(key[fresh], labels.size)
+        depth += 1
+    return hops
+
+
 def _total(values: Iterable[float]) -> float:
     """Float sum from 0.0, strictly left to right. Every float total goes
     through here: the builtin ``sum`` is compensated from Python 3.12 on."""
@@ -224,8 +300,8 @@ def _path(graph: _Graph, chain: Sequence[int], rows: np.ndarray) -> Path:
 def _best_path(graph: _Graph, src: str, dst: str) -> Path | None:
     if src not in graph.index or dst not in graph.index:
         raise ValueError(f"unknown node in pair ({src!r}, {dst!r})")
-    root = graph.index[src]
-    found = _chain(graph, _shortest_paths(graph, [root])[0].tolist(), root, graph.index[dst])
+    root, end = graph.index[src], graph.index[dst]
+    found = _chain(graph, _shortest_paths(graph, [root], [[end]])[0].tolist(), root, end)
     return None if found is None else _path(graph, *found)
 
 
@@ -276,10 +352,7 @@ def _hop_blocks(
     decodes one OR of those levels per bit of the last level.
     """
     size = len(graph.nodes)
-    degree = np.diff(graph.offsets)
-    table = np.full((degree.max(initial=0), size), size, dtype=np.intp)
-    slot = np.arange(len(graph.targets)) - np.repeat(graph.offsets[:-1], degree)
-    table[slot, np.repeat(np.arange(size), degree)] = graph.targets
+    table = _padded(graph, graph.targets, size)
     targets = np.asarray(targets, dtype=np.intp)
     for first in range(0, len(sources), _BLOCK):
         block = np.asarray(sources[first : first + _BLOCK], dtype=np.intp)
@@ -416,34 +489,44 @@ class SdpMhpResult:
 def snapshot_sdp_mhp_fraction(
     snapshot: TopologySnapshot, pairs: Sequence[tuple[str, str]]
 ) -> SdpMhpResult:
-    """Evaluate the SDP-hops == MHP-hops discriminant on explicit pairs."""
+    """Evaluate the SDP-hops == MHP-hops discriminant on explicit pairs.
+
+    Each engine batch of sources is labelled up to its farthest end, and
+    the SDP hop counts of all its pairs come from one ``_sdp_hops`` call;
+    the MHP counts come from ``_hop_blocks``.
+    """
     graph = _graph(snapshot)
-    by_source: dict[int, list[int]] = {}
-    for src, dst in pairs:
-        if src not in graph.index or dst not in graph.index:
-            raise ValueError(f"unknown node in pair ({src!r}, {dst!r})")
-        by_source.setdefault(graph.index[src], []).append(graph.index[dst])
-    sources = list(by_source)
-    targets = sorted({dst for dsts in by_source.values() for dst in dsts})
-    column = {dst: j for j, dst in enumerate(targets)}
-    checked = matched = unreachable = 0
+    index = graph.index
+    try:
+        keys = (index[key] for pair in pairs for key in pair)
+        indexed = np.fromiter(keys, np.intp, 2 * len(pairs))
+    except KeyError:
+        src, dst = next((a, b) for a, b in pairs if a not in index or b not in index)
+        raise ValueError(f"unknown node in pair ({src!r}, {dst!r})") from None
+    indexed = indexed.reshape(-1, 2)
+    # Each pair's source and end, the pairs grouped by source.
+    srcs, dsts = indexed[np.argsort(indexed[:, 0], kind="stable")].T
+    # Distinct nodes by counting, not ``np.unique``: numpy would import
+    # numpy.ma on its first call in the process.
+    sources = np.flatnonzero(np.bincount(srcs, minlength=len(graph.nodes)))
+    targets = np.flatnonzero(np.bincount(dsts, minlength=len(graph.nodes)))
+    which = np.searchsorted(sources, srcs)
+    cuts = np.searchsorted(which, np.arange(len(sources) + 1))
+    columns = np.searchsorted(targets, dsts)
+    checked = matched = 0
     step = _batch_roots(graph)  # one engine batch at a time bounds the labels held
-    for first, depth in _hop_blocks(graph, sources, targets):
-        for part in range(0, len(depth), step):
-            block = sources[first + part : first + min(part + step, len(depth))]
-            rows = _shortest_paths(graph, block)
-            for src, row, hops in zip(block, rows, depth[part : part + step]):
-                dist = row.tolist()
-                for dst in by_source[src]:
-                    found = _chain(graph, dist, src, dst)
-                    if found is None:
-                        unreachable += 1
-                        continue
-                    checked += 1
-                    if len(found[1]) == hops[column[dst]]:
-                        matched += 1
+    for first, depth in _hop_blocks(graph, sources.tolist(), targets):
+        for lo in range(first, first + len(depth), step):
+            hi = min(lo + step, first + len(depth))
+            part = slice(cuts[lo], cuts[hi])
+            wanted = np.split(dsts[part], cuts[lo + 1 : hi] - cuts[lo])
+            dist = _shortest_paths(graph, sources[lo:hi], wanted)
+            sdp = _sdp_hops(graph, dist, sources[lo:hi], which[part] - lo, dsts[part])
+            reached = sdp >= 0
+            checked += int(reached.sum())
+            matched += int((reached & (sdp == depth[which[part] - first, columns[part]])).sum())
     fraction = matched / checked if checked else 0.0
-    return SdpMhpResult(fraction, checked, matched, unreachable)
+    return SdpMhpResult(fraction, checked, matched, len(indexed) - checked)
 
 
 def sdp_mhp_fraction(

@@ -251,21 +251,35 @@ class TestSdpMhpCommand:
     @pytest.mark.parametrize(
         ("scenario", "args", "pinned"),
         [
-            ("shell1_grid.json", ["--mode", "grid", "--epochs", "1"], "sdp_mhp_shell1_grid.txt"),
+            (
+                "shell1_grid.json",
+                ["--mode", "grid", "--epochs", "1", "--pairs", "200", "--seed", "5"],
+                "sdp_mhp_shell1_grid.txt",
+            ),
             (
                 "shell_24x22.json",
-                ["--mode", "dynamic", "--epochs", "2"],
+                ["--mode", "dynamic", "--epochs", "2", "--pairs", "200", "--seed", "5"],
                 "sdp_mhp_24x22_dynamic_k4.txt",
+            ),
+            (
+                "shell1_grid.json",
+                ["--mode", "grid", "--epochs", "2", "--pairs", "2000", "--seed", "7"],
+                "sdp_mhp_shell1_grid_2000.txt",
+            ),
+            (
+                "shell_24x22.json",
+                ["--mode", "dynamic", "--epochs", "2", "--pairs", "2000", "--seed", "7"],
+                "sdp_mhp_24x22_dynamic_2000.txt",
             ),
         ],
     )
     def test_matches_pinned_output(self, scenario, args, pinned, capsys):
-        # Pinned before the path search became the batched array engine: the
-        # Starlink shell-1 +grid (72x22) and a 24x22 dynamic k=4 shell.
-        code, out, _ = run_cli(
-            ["sdp-mhp", "--scenario", str(DATA / scenario), "--pairs", "200", "--seed", "5", *args],
-            capsys,
-        )
+        # The 200-pair pins predate the batched array engine: the Starlink
+        # shell-1 +grid (72x22) and a 24x22 dynamic k=4 shell. The 2000-pair
+        # pins predate the SDP hop counts from array searches: they label
+        # several targets per root, and on the 24x22 mesh the SDP is an MHP
+        # for only 37% of the pairs.
+        code, out, _ = run_cli(["sdp-mhp", "--scenario", str(DATA / scenario), *args], capsys)
         assert code == 0
         assert out == (DATA / pinned).read_text(encoding="utf-8")
 
@@ -541,6 +555,20 @@ class TestBadInput:
         )
         assert (code, out) == (1, "")
         assert field in err
+
+    @pytest.mark.parametrize("rate", [0.0, -5.0])
+    def test_non_positive_laser_rate(self, rate, tmp_path, capsys):
+        # A zero rate divided by zero, and a negative one gave infinite
+        # delays that were counted as delivered.
+        scenario = tmp_path / "rate.json"
+        raw = {"link_params": {"isl_laser": {"lisl_fixed_rate_bps": rate}}}
+        scenario.write_text(json.dumps(raw))
+        code, out, err = run_cli(
+            ["ifc-sweep", "--isls", "1", "--seeds", "1", "--scenario", str(scenario)],
+            capsys,
+        )
+        assert (code, out) == (1, "")
+        assert "lisl_fixed_rate_bps must be > 0" in err
 
     @pytest.mark.parametrize(
         ("raw", "message"),

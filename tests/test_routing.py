@@ -25,6 +25,7 @@ from leoisl.routing import (
     _graph,
     _hop_blocks,
     _path,
+    _sdp_hops,
     _shortest_paths,
     ground_pair_hop_stats,
     min_hop_path,
@@ -279,6 +280,14 @@ class TestSdpMhpFraction:
         assert [root for call in labels.call_args_list for root in call.args[1]] == sources
         assert result.pairs_checked + result.pairs_unreachable == 200
 
+    def test_sdp_hop_counts_read_back_no_path(self):
+        shell = ConstellationConfig(num_planes=72, sats_per_plane=22, altitude_km=550.0)
+        scenario = Scenario(shell, topology=TopologySettings("grid"))
+        with mock.patch.object(routing, "_chain", wraps=_chain) as read_back:
+            result = sdp_mhp_fraction(scenario, 200, [0.0], 12345)
+        assert result.pairs_checked + result.pairs_unreachable == 200
+        assert read_back.call_count == 0
+
 
 def dist_hops_to(graph, src, targets):
     """Per reachable target: the distance label and the chosen path's hops."""
@@ -449,6 +458,59 @@ class TestBatchedDistanceSearch:
         assert _chain(graph, dist[0], 0, 1)[0] == [0, 1]
         assert _chain(graph, dist[2], 3, 0)[0] == [3, 1, 0]
         assert _chain(graph, dist[1], 2, 0) is None
+
+
+@st.composite
+def rooted_targets(draw, n):
+    """Roots, each with its own non-empty list of targets: roots and
+    targets repeat, and a root may be its own target."""
+    roots = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n + 1))
+    node_lists = st.lists(st.integers(0, n - 1), min_size=1, max_size=n + 1)
+    return roots, [draw(node_lists) for _ in roots]
+
+
+class TestTargetBoundedSearch:
+    """Labels bounded by each root's targets and the SDP hop counts read
+    from them, against full labels and ``_chain``."""
+
+    @pytest.mark.parametrize("batch_links", [1, routing._BATCH_LINKS])
+    @settings(max_examples=200, deadline=None)
+    @given(case=small_graphs(min_length=0), data=st.data())
+    def test_bounded_labels_read_the_same_paths(self, batch_links, case, data):
+        snapshot, _, _ = case
+        graph = _graph(snapshot)
+        roots, targets = data.draw(rooted_targets(len(graph.nodes)))
+        full = _shortest_paths(graph, roots)
+        with mock.patch.object(routing, "_BATCH_LINKS", batch_links):
+            bounded = _shortest_paths(graph, roots, targets)
+        for root, ends, exact, row in zip(roots, targets, full.tolist(), bounded.tolist()):
+            for end in ends:
+                assert row[end] == exact[end]
+                expected = _chain(graph, exact, root, end)
+                found = _chain(graph, row, root, end)
+                if expected is None:
+                    assert found is None
+                    continue
+                assert found[0] == expected[0]
+                assert found[1].tolist() == expected[1].tolist()
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=small_graphs(min_length=0), data=st.data())
+    def test_sdp_hops_match_chain(self, case, data):
+        snapshot, _, _ = case
+        graph = _graph(snapshot)
+        roots, targets = data.draw(rooted_targets(len(graph.nodes)))
+        rows = np.repeat(np.arange(len(roots)), [len(ends) for ends in targets])
+        ends = np.concatenate(targets)
+        full = _shortest_paths(graph, roots)
+        expected = []
+        for row, end in zip(rows, ends):
+            found = _chain(graph, full[row].tolist(), roots[row], end)
+            expected.append(-1 if found is None else len(found[1]))
+        roots = np.asarray(roots)
+        assert _sdp_hops(graph, full, roots, rows, ends).tolist() == expected
+        bounded = _shortest_paths(graph, roots, targets)
+        assert _sdp_hops(graph, bounded, roots, rows, ends).tolist() == expected
 
 
 def relay(graph, src, dst):

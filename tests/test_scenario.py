@@ -448,6 +448,10 @@ CRAFT = {"node_id": "a", "latitude_deg": 0, "longitude_deg": 0}
             {"aircraft": [{**CRAFT, "node_id": "S005-019"}]},
             "aircraft entry 'S005-019' has a satellite's id",
         ),
+        (
+            {"link_params": {"isl_laser": {"lisl_fixed_rate_bps": 0.0}}},
+            "link_params.isl_laser: lisl_fixed_rate_bps must be > 0, got 0.0",
+        ),
     ],
 )
 def test_error_text_is_pinned(raw, message):
