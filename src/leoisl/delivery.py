@@ -36,7 +36,7 @@ from .links import (
     rf_terms,
     shannon_bps,
 )
-from .routing import _chain, _graph, _path, _shortest_paths, _total
+from .routing import _chains, _graph, _path, _shortest_paths, _total
 from .topology import DYNAMIC_MODE, ISL_CODE, LinkEdge, TopologySnapshot, build_snapshot
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -739,24 +739,27 @@ class _OptionTable:
         margin = (len(graph.nodes) + 10) * np.finfo(float).eps
         self.prop_s, self.rate_bps = feeder_s + line * (1.0 - margin) + air_s, rate
 
-    def built(self, rows: list[int], labels: dict) -> list[_RouteOption | None]:
+    def built(self, rows: list[int]) -> list[_RouteOption | None]:
         """The exact options of ``rows``, each built once; None where the
-        entry is out of reach. A relay is read back from its serving
-        satellite's labels: among equal ``(distance, hops)`` paths, the
-        reverse of the lexicographically smallest one from there. Serving
-        satellites missing from ``labels`` are labelled first, in one batch."""
+        entry is out of reach. The rows' serving satellites are labelled in
+        one batch, each as far as its entries, and every relay is read back
+        in one ``_chains`` call: among equal ``(distance, hops)`` paths from
+        the serving satellite, the reverse of the lexicographically smallest."""
         graph, exact = self.graph, self.exact
         todo = [k for k in rows if k not in exact]
-        roots = sorted({s for e, s in (self.ends[k] for k in todo) if e != s} - labels.keys())
-        if roots:
-            labels.update(zip(roots, _shortest_paths(graph, roots).tolist()))
+        relays = [k for k in todo if self.ends[k][0] != self.ends[k][1]]
+        chains = {}
+        if relays:
+            entries, servings = np.array([self.ends[k] for k in relays]).T
+            roots = np.array(sorted(set(servings.tolist())))
+            which = np.searchsorted(roots, servings)
+            dist = _shortest_paths(graph, roots, [entries[which == r] for r in range(len(roots))])
+            chains = dict(zip(relays, _chains(graph, dist, roots, which, entries)))
         for k in todo:
-            (gs, feeder, air), (entry, serving) = self.chains[k], self.ends[k]
+            (gs, feeder, air), serving = self.chains[k], self.ends[k][1]
             relay, caps, prop_s = (), (), feeder.delay_s
             if air is not None:
-                if entry == serving:
-                    found = [serving], []
-                elif (found := _chain(graph, labels[serving], serving, entry)) is None:
+                if (found := chains.get(k, ([serving], []))) is None:  # zero hops: no chain
                     exact[k] = None
                     continue
                 route = _path(graph, found[0][::-1], found[1][::-1])
@@ -777,9 +780,7 @@ class _OptionTable:
             )
         return [exact[k] for k in rows]
 
-    def least(
-        self, order: list[int], bound: Callable, key: Callable, labels: dict
-    ) -> _RouteOption | None:
+    def least(self, order: list[int], bound: Callable, key: Callable) -> _RouteOption | None:
         """The built option of least ``key`` among the rows in ``order``,
         None if none is reachable. ``order`` runs by ``bound``, which is
         never above a row's exact key. The first row is built alone, then in
@@ -790,13 +791,13 @@ class _OptionTable:
             stop = done + 1 if best is None else bisect_right(order, key(best), done, key=bound)
             if stop == done:
                 break
-            for option in self.built(order[done:stop], labels):
+            for option in self.built(order[done:stop]):
                 if option is not None and (best is None or key(option) < key(best)):
                     best = option
             done = stop
         return best
 
-    def standalone(self, bits: float, labels: dict) -> _RouteOption | None:
+    def standalone(self, bits: float) -> _RouteOption | None:
         """The option of least full-share delay, ties by (station, entry,
         serving); ``prop_s + bits / rate_bps`` bounds a row's delay."""
         bound = self.prop_s + bits / self.rate_bps
@@ -806,9 +807,9 @@ class _OptionTable:
             delay = _delay_s(o.base_prop_s, bits, o.full_rate_bps)
             return (delay, o.gs, o.entry or "", o.serving or "")
 
-        return self.least(order, lambda k: (bound[k],), key, labels)
+        return self.least(order, lambda k: (bound[k],), key)
 
-    def greedy(self, labels: dict) -> _RouteOption | None:
+    def greedy(self) -> _RouteOption | None:
         """The option of least ``(-rate, base prop, station, entry)`` at the
         nearest serving satellite that has any; with none, every option is a
         direct feeder, and the least of those wins. A row's key at its bounds
@@ -824,7 +825,7 @@ class _OptionTable:
 
         for serving in [*self.nearest, -1]:
             rows = sorted(np.flatnonzero(self.serving == serving).tolist(), key=bound)
-            if (best := self.least(rows, bound, key, labels)) is not None:
+            if (best := self.least(rows, bound, key)) is not None:
                 return best
         return None
 
@@ -863,14 +864,13 @@ def plan_non_cached(
     deliverable: list[FileRequest] = []
     standalone: list[GsFlow] = []
     greedy: list[GsFlow] = []
-    labels: dict[int, list[float]] = {}  # serving satellites' labels, for this call only
     for request in requests:
         table_key = (request.aircraft_id, request.source_gs_set, zero_budget)
         if table_key not in ctx._option_tables:
             _check_nodes(ctx, request, [request.aircraft_id, *sorted(request.source_gs_set)])
             ctx._option_tables[table_key] = _OptionTable(ctx, *table_key)
         table = ctx._option_tables[table_key]
-        pick = table.greedy(labels)
+        pick = table.greedy()
         if pick is None:
             plans[request.request_id] = RequestPlan(request, delivered=False, delay_s=math.inf)
             continue
@@ -878,7 +878,7 @@ def plan_non_cached(
         deliverable.append(request)
         greedy.append(GsFlow(request.request_id, bits, pick))
         if not greedy_only:
-            standalone.append(GsFlow(request.request_id, bits, table.standalone(bits, labels)))
+            standalone.append(GsFlow(request.request_id, bits, table.standalone(bits)))
 
     def evaluate(flows: list[GsFlow]) -> tuple[float, list[GsFlow], dict[str, float]]:
         by_gs: dict[str, list[GsFlow]] = {}

@@ -5,17 +5,17 @@ snapshot, hop-count statistics between ground terminals across all possible
 satellite associations, and an empirical check of how often the SDP is also
 an MHP.
 
-Every path comes from one engine in two parts. ``_shortest_paths`` computes
+Every path comes from one engine. ``_shortest_paths`` computes
 the distance labels of a batch of roots at once, in array rounds over the
-graph's CSR arrays, and, given each root's targets, only as far as the
-farthest of them; ``_chain`` reads one path back from a root's labels
-over tight links. The tie-break is minimum ``(distance, hops)`` (an MHP
-weighs each link 1, so its distance is its hop count), then the
-lexicographically smallest node sequence from the root: the path a Dijkstra
-search with that tie-break picks. Results are therefore reproducible across
-runs. Where only a path's hop count is wanted, as in ``sdp-mhp``,
-``_sdp_hops`` finds the counts of many pairs in one array search over the
-same tight links, with no read-back.
+graph's CSR arrays, only as far as the farthest of each root's targets;
+``_tight_levels`` then runs one breadth-first search backward from the end
+of every (root, end) pair at once over tight links, and ``_chains`` walks
+each pair's path forward through its levels. The tie-break is minimum
+``(distance, hops)`` (an MHP weighs each link 1, so its distance is its hop
+count), then the lexicographically smallest node sequence from the root:
+the path a Dijkstra search with that tie-break picks. Results are therefore
+reproducible across runs. Where only a path's hop count is wanted, as in
+``sdp-mhp``, the levels' counts suffice and no path is walked.
 """
 
 from __future__ import annotations
@@ -117,12 +117,19 @@ def _batch_roots(graph: _Graph) -> int:
     return max(1, _BATCH_LINKS // max(1, len(graph.targets)))
 
 
+def _links_at(offsets: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The CSR positions of every link of each of ``nodes``, node by node
+    and in index order within a node, and each node's link count."""
+    start = offsets[nodes]
+    count = offsets[nodes + 1] - start
+    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count), count
+
+
 def _shortest_paths(
-    graph: _Graph,
-    roots: Sequence[int],
-    targets: Sequence[Sequence[int]] | None = None,
+    graph: _Graph, roots: Sequence[int], targets: Sequence[Sequence[int]]
 ) -> np.ndarray:
-    """Distances from each of ``roots`` to every node, ``(len(roots), N)``.
+    """Distances from each of ``roots`` to every node, ``(len(roots), N)``,
+    exact up to the farthest of each root's ``targets``.
 
     Unreached nodes are at infinity. Each round relaxes, in one array pass,
     the links of every (root, node) pair whose label fell in the round
@@ -133,15 +140,15 @@ def _shortest_paths(
     ``dist[v] = min_u fl(dist[u] + w)`` whatever the order of relaxation:
     bit for bit the labels a Dijkstra search settles.
 
-    ``targets``, when given, holds for each root the nodes it needs, and a
-    round then drops every fallen pair whose label is above its root's
-    bound: the largest current label among the root's targets, infinite
-    until all are reached. Float addition of a length >= 0 is monotone, so
-    a node no farther than the farthest target has least-distance
-    predecessors no farther still, which are never dropped once exact, and
-    keeps its exact label. Any other label stays at or above its fixpoint,
-    so it never makes a link into a target's tight subgraph look tight, and
-    ``_chain`` reads the same path from these labels as from full ones.
+    A round drops every fallen pair whose label is above its root's bound:
+    the largest current label among the root's targets, infinite until all
+    are reached. Float addition of a length >= 0 is monotone, so a node no
+    farther than the farthest target has least-distance predecessors no
+    farther still, which are never dropped once exact, and keeps its exact
+    label. Any other label stays at or above its fixpoint, so it never makes
+    a link into a target's tight subgraph look tight, and ``_chains`` reads
+    the same paths from these labels as from full ones. Full labels take
+    every node as a target.
     """
     size = len(graph.nodes)
     offsets, neighbors, weights = graph.offsets, graph.targets, graph.weights
@@ -153,21 +160,16 @@ def _shortest_paths(
         batch = roots[first : first + step]
         labels = dist[first : first + step].reshape(-1)  # a view: pair ``r * size + node``
         fell = np.arange(len(batch)) * size + batch
-        if targets is not None:
-            # Each root's targets as pairs, padded with the root itself: its
-            # label 0 never raises the bound.
-            wanted = targets[first : first + step]
-            need = np.repeat(fell[:, None], max(map(len, wanted), default=0), axis=1)
-            for k, nodes in enumerate(wanted):
-                need[k, : len(nodes)] = np.asarray(nodes, dtype=np.intp) + k * size
+        # Each root's targets as pairs, padded with the root itself: its
+        # label 0 never raises the bound.
+        wanted = targets[first : first + step]
+        need = np.repeat(fell[:, None], max(map(len, wanted), default=0), axis=1)
+        for k, nodes in enumerate(wanted):
+            need[k, : len(nodes)] = np.asarray(nodes, dtype=np.intp) + k * size
         labels[fell] = 0.0
         while fell.size:
             node = fell % size
-            start = offsets[node]
-            count = offsets[node + 1] - start
-            # Every link of every fallen pair: link ``start + k`` of its node.
-            ends = np.cumsum(count)
-            link = np.arange(ends[-1]) + np.repeat(start - ends + count, count)
+            link, count = _links_at(offsets, node)
             label = np.repeat(labels[fell], count) + weights[link]
             pair = np.repeat(fell - node, count) + neighbors[link]
             lower = label < labels[pair]
@@ -176,102 +178,89 @@ def _shortest_paths(
             fallen[pair] = True
             fell = np.flatnonzero(fallen)
             fallen[fell] = False
-            if targets is not None and fell.size:
+            if fell.size:
                 bound = labels[need].max(axis=1, initial=0.0)
                 fell = fell[labels[fell] <= bound[fell // size]]
     return dist
 
 
-def _chain(
-    graph: _Graph, dist: Sequence[float], root: int, v: int
-) -> tuple[list[int], np.ndarray] | None:
-    """The chosen ``root``-to-``v`` path as node indices and the rows of its
-    links in ``graph.links``, None if unreached.
-
-    ``dist`` is ``root``'s row of ``_shortest_paths``, best as a list: the
-    search reads it one node at a time. A link ``u -> x`` is tight when
-    ``fl(dist[u] + w) == dist[x]``; the tight paths from ``root`` are
-    exactly the least-distance ones. A breadth-first search backward from
-    ``v`` over tight links keeps, for each node, its tight successors one
-    level nearer ``v``, and stops at the level that holds ``root``. The walk
-    forward from ``root`` then takes the smallest-index successor at each
-    step: the fewest hops among least-distance paths, then the
-    lexicographically smallest node sequence.
-    """
-    if math.isinf(dist[v]):
-        return None
-    offsets, targets, weights = graph.offsets, graph.targets, graph.weights
-    # Each successor goes with the CSR position of its link.
-    successors: dict[int, list[tuple[int, int]]] = {v: []}
-    level = [v]
-    while root not in successors:
-        found: dict[int, list[tuple[int, int]]] = {}
-        for here in level:
-            lo, hi = offsets[here], offsets[here + 1]
-            label = dist[here]
-            for position, there, weight in zip(
-                range(lo, hi), targets[lo:hi].tolist(), weights[lo:hi].tolist()
-            ):
-                if dist[there] + weight == label and there not in successors:
-                    found.setdefault(there, []).append((here, position))
-        successors.update(found)
-        level = list(found)
-    chain = [root]
-    positions = []
-    while chain[-1] != v:
-        here, position = min(successors[chain[-1]])
-        chain.append(here)
-        positions.append(position)
-    return chain, graph.rows[positions]
-
-
-def _padded(graph: _Graph, values: np.ndarray, fill: float) -> np.ndarray:
-    """``values``, one per CSR position, as a max-degree by N table: column
-    ``i`` holds node ``i``'s links in order, then ``fill``."""
-    degree = np.diff(graph.offsets)
-    table = np.full((degree.max(initial=0), len(graph.nodes)), fill, dtype=values.dtype)
-    slot = np.arange(len(values)) - np.repeat(graph.offsets[:-1], degree)
-    table[slot, np.repeat(np.arange(len(graph.nodes)), degree)] = values
-    return table
-
-
-def _sdp_hops(
+def _tight_levels(
     graph: _Graph, dist: np.ndarray, roots: np.ndarray, rows: np.ndarray, ends: np.ndarray
-) -> np.ndarray:
-    """``len(_chain(graph, dist[r], roots[r], e)[1])`` for each pair
-    ``(r, e)`` of ``rows`` and ``ends``, or -1 where ``e`` is unreached.
+) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
+    """The hop count of the chosen path of each pair ``(r, e)`` of ``rows``
+    and ``ends``, from ``roots[r]`` to ``e`` over ``dist[r]``, or -1 where
+    ``e`` is unreached; and the levels of the search that finds them.
 
-    One breadth-first search runs backward from every pair's end at once,
-    in array rounds over the CSR arrays, over ``_chain``'s tight links
-    ``fl(dist[u] + w) == dist[x]``; a pair's count is the first level that
-    holds its root. ``dist`` must be exact at the ends, as full labels are
-    and as labels bounded by these ends are: then every tight path from a
-    reached end leads to its root, and each pair's search stops there.
+    A link ``u -> x`` is tight when ``fl(dist[u] + w) == dist[x]``; the
+    tight paths from a root are exactly its least-distance ones. One
+    breadth-first search runs backward from every pair's end at once, in
+    array rounds over the CSR arrays; a pair's count is the first level that
+    holds its root, the fewest hops among its least-distance paths. Level
+    ``d`` holds, as sorted keys ``pair * N + node``, the nodes with a tight
+    path of ``d`` links to the pair's end, for each pair still searching;
+    and for each key past level 0, the CSR position of its first tight link
+    into level ``d - 1``. Positions run by node index, so that link leads to
+    the smallest-index successor. ``dist`` must be exact at the ends, as
+    full labels are and as labels bounded by these ends are: then every
+    tight path from a reached end leads to its root, and each pair's search
+    stops there.
     """
-    size = len(graph.nodes)
+    size, width = len(graph.nodes), max(1, len(graph.targets))
     labels = dist.reshape(-1)
     base = rows * size  # each pair's row of ``labels``
-    goal = base + roots[rows]
     hops = np.full(len(rows), -1, dtype=np.intp)
-    neighbors = _padded(graph, graph.targets, 0)
-    lengths = _padded(graph, graph.weights, np.inf)  # a padded link is never tight
+    levels = []
     pair = np.flatnonzero(np.isfinite(labels[base + ends]))
-    at = base[pair] + ends[pair]
-    depth = 0
+    node, link = ends[pair], np.full(len(pair), -1)
     while pair.size:
-        hops[pair[at == goal[pair]]] = depth
+        levels.append((pair * size + node, link))
+        hops[pair[node == roots[rows[pair]]]] = len(levels) - 1
         open_ = hops[pair] < 0
-        pair, at = pair[open_], at[open_]
-        node = at - base[pair]
-        there = base[pair] + neighbors[:, node]
-        tight = labels[there] + lengths[:, node] == labels[at]
-        key = np.sort((pair * labels.size + there)[tight])
+        pair, node = pair[open_], node[open_]
+        link, count = _links_at(graph.offsets, node)
+        pair, node = np.repeat(pair, count), np.repeat(node, count)
+        there, row = graph.targets[link], base[pair]
+        tight = labels[row + there] + graph.weights[link] == labels[row + node]
+        key, link = np.divmod(np.sort(((pair * size + there) * width + link)[tight]), width)
         fresh = np.empty(key.size, dtype=bool)  # the first of each run of equal keys
         fresh[:1] = True
         np.not_equal(key[1:], key[:-1], out=fresh[1:])
-        pair, at = np.divmod(key[fresh], labels.size)
-        depth += 1
-    return hops
+        (pair, node), link = np.divmod(key[fresh], size), link[fresh]
+    return hops, levels
+
+
+def _chains(
+    graph: _Graph, dist: np.ndarray, roots: np.ndarray, rows: np.ndarray, ends: np.ndarray
+) -> list[tuple[list[int], np.ndarray] | None]:
+    """The chosen path of each pair ``(r, e)`` of ``rows`` and ``ends``,
+    from ``roots[r]`` to ``e`` over ``dist[r]``: its node indices and the
+    rows of its links in ``graph.links``, or None where ``e`` is unreached.
+
+    Every pair walks forward from its root through ``_tight_levels``, one
+    level nearer its end per step, along each node's first tight link: the
+    fewest hops among least-distance paths, then the lexicographically
+    smallest node sequence.
+    """
+    hops, levels = _tight_levels(graph, dist, roots, rows, ends)
+    size = len(graph.nodes)
+    span = len(rows) * size
+    # Every level in one sorted array, level ``d``'s keys shifted by ``d * span``.
+    none = np.empty(0, dtype=np.intp)
+    keys = np.concatenate([none] + [key + d * span for d, (key, _) in enumerate(levels)])
+    firsts = np.concatenate([none] + [link for _, link in levels])
+    nodes = np.zeros((len(rows), hops.max(initial=0) + 1), dtype=np.intp)
+    links = np.zeros((len(rows), nodes.shape[1] - 1), dtype=np.intp)
+    nodes[:, 0] = roots[rows]
+    pair = np.flatnonzero(hops > 0)
+    for step in range(links.shape[1]):
+        key = (hops[pair] - step) * span + pair * size + nodes[pair, step]
+        links[pair, step] = link = firsts[np.searchsorted(keys, key)]
+        nodes[pair, step + 1] = np.searchsorted(graph.offsets, link, side="right") - 1
+        pair = pair[hops[pair] > step + 1]
+    return [
+        None if h < 0 else (nodes[k, : h + 1].tolist(), graph.rows[links[k, :h]])
+        for k, h in enumerate(hops.tolist())
+    ]
 
 
 def _total(values: Iterable[float]) -> float:
@@ -300,8 +289,8 @@ def _path(graph: _Graph, chain: Sequence[int], rows: np.ndarray) -> Path:
 def _best_path(graph: _Graph, src: str, dst: str) -> Path | None:
     if src not in graph.index or dst not in graph.index:
         raise ValueError(f"unknown node in pair ({src!r}, {dst!r})")
-    root, end = graph.index[src], graph.index[dst]
-    found = _chain(graph, _shortest_paths(graph, [root], [[end]])[0].tolist(), root, end)
+    root, end = np.array([graph.index[src]]), np.array([graph.index[dst]])
+    (found,) = _chains(graph, _shortest_paths(graph, root, [end]), root, np.zeros(1, np.intp), end)
     return None if found is None else _path(graph, *found)
 
 
@@ -352,7 +341,10 @@ def _hop_blocks(
     decodes one OR of those levels per bit of the last level.
     """
     size = len(graph.nodes)
-    table = _padded(graph, graph.targets, size)
+    degree = np.diff(graph.offsets)
+    table = np.full((degree.max(initial=0), size), size, dtype=graph.targets.dtype)
+    slot = np.arange(len(graph.targets)) - np.repeat(graph.offsets[:-1], degree)
+    table[slot, np.repeat(np.arange(size), degree)] = graph.targets
     targets = np.asarray(targets, dtype=np.intp)
     for first in range(0, len(sources), _BLOCK):
         block = np.asarray(sources[first : first + _BLOCK], dtype=np.intp)
@@ -491,14 +483,14 @@ def snapshot_sdp_mhp_fraction(
 ) -> SdpMhpResult:
     """Evaluate the SDP-hops == MHP-hops discriminant on explicit pairs.
 
-    Each engine batch of sources is labelled up to its farthest end, and
-    the SDP hop counts of all its pairs come from one ``_sdp_hops`` call;
+    Each hop block's sources are labelled up to their farthest ends, and
+    the SDP hop counts of all its pairs come from one ``_tight_levels`` call;
     the MHP counts come from ``_hop_blocks``.
     """
     graph = _graph(snapshot)
     index = graph.index
     try:
-        keys = (index[key] for pair in pairs for key in pair)
+        keys = map(index.__getitem__, itertools.chain.from_iterable(pairs))
         indexed = np.fromiter(keys, np.intp, 2 * len(pairs))
     except KeyError:
         src, dst = next((a, b) for a, b in pairs if a not in index or b not in index)
@@ -514,17 +506,16 @@ def snapshot_sdp_mhp_fraction(
     cuts = np.searchsorted(which, np.arange(len(sources) + 1))
     columns = np.searchsorted(targets, dsts)
     checked = matched = 0
-    step = _batch_roots(graph)  # one engine batch at a time bounds the labels held
     for first, depth in _hop_blocks(graph, sources.tolist(), targets):
-        for lo in range(first, first + len(depth), step):
-            hi = min(lo + step, first + len(depth))
-            part = slice(cuts[lo], cuts[hi])
-            wanted = np.split(dsts[part], cuts[lo + 1 : hi] - cuts[lo])
-            dist = _shortest_paths(graph, sources[lo:hi], wanted)
-            sdp = _sdp_hops(graph, dist, sources[lo:hi], which[part] - lo, dsts[part])
-            reached = sdp >= 0
-            checked += int(reached.sum())
-            matched += int((reached & (sdp == depth[which[part] - first, columns[part]])).sum())
+        # One hop block's sources at a time bounds the labels held to 64 rows.
+        last = first + len(depth)
+        part = slice(cuts[first], cuts[last])
+        wanted = np.split(dsts[part], cuts[first + 1 : last] - cuts[first])
+        dist = _shortest_paths(graph, sources[first:last], wanted)
+        sdp, _ = _tight_levels(graph, dist, sources[first:last], which[part] - first, dsts[part])
+        reached = sdp >= 0
+        checked += int(reached.sum())
+        matched += int((reached & (sdp == depth[which[part] - first, columns[part]])).sum())
     fraction = matched / checked if checked else 0.0
     return SdpMhpResult(fraction, checked, matched, len(indexed) - checked)
 
@@ -543,16 +534,15 @@ def sdp_mhp_fraction(
     checked = matched = unreachable = 0
     for epoch_s in epochs:
         snapshot = build_snapshot(scenario, epoch_s)
-        nodes = list(snapshot.nodes)
+        nodes = snapshot.nodes
         if len(nodes) < 2:
             continue
-        pairs = []
-        for _ in range(sample_pairs):
-            i = int(rng.integers(0, len(nodes)))
-            j = int(rng.integers(0, len(nodes) - 1))
-            if j >= i:
-                j += 1
-            pairs.append((nodes[i], nodes[j]))
+        # One draw for every endpoint: the same numbers, in the same order,
+        # as one scalar draw per endpoint, source then end, pair by pair.
+        draws = rng.integers(0, np.tile([len(nodes), len(nodes) - 1], sample_pairs))
+        i, j = draws.reshape(-1, 2).T
+        j += j >= i
+        pairs = list(zip(np.take(nodes, i).tolist(), np.take(nodes, j).tolist()))
         result = snapshot_sdp_mhp_fraction(snapshot, pairs)
         checked += result.pairs_checked
         matched += result.pairs_matched

@@ -13,7 +13,7 @@ import numpy as np
 from leoisl.delivery import PER_STREAM, GsFlow, _delay_s, _RouteOption, optimal_ratio_delay
 from leoisl.links import GROUND_TO_AIR, GROUND_TO_SAT, ISL_LASER, SAT_TO_AIR, SPEED_OF_LIGHT_KM_S
 from leoisl.orbits import EARTH_MU_KM3_S2, propagate
-from leoisl.routing import _chain, _path, _shortest_paths, _total
+from leoisl.routing import _chains, _path, _shortest_paths, _total
 from leoisl.topology import CLASS_ORDER, LinkEdge, Links, TopologySnapshot
 
 
@@ -37,6 +37,11 @@ def snapshot_of(edges, nodes=(), epoch_s=0.0):
           for f in ("distance_km", "capacity_bps", "delay_s")),
     )
     return TopologySnapshot(epoch_s, nodes, np.full((len(nodes), 3), np.nan), links)
+
+
+def full_dist(graph, roots):
+    """Distance labels of ``roots`` to every node: each root targets them all."""
+    return _shortest_paths(graph, roots, [range(len(graph.nodes))] * len(roots))
 
 
 def gs_flow(flow_id, bits, base_prop_s, fixed_cap_bps, feeder_params, feeder_distance_km):
@@ -212,14 +217,39 @@ def exhaustive_route_options(ctx, request, zero_budget):
     """Every chain a non-cached file can take to its aircraft, each built in
     full: the route-option builder the planner used before it bounded its
     options. The aircraft's serving satellites are labelled in one batch and
-    each relay is read back from its serving satellite's labels. Options run
-    station by station, a direct feeder first, then the feeders nearest
-    first, each with the serving satellites nearest first; with
-    ``zero_budget``, only relays whose entry is the serving satellite."""
+    every relay is read back from its serving satellite's labels in one
+    ``_chains`` call. Options run station by station, a direct feeder first,
+    then the feeders nearest first, each with the serving satellites nearest
+    first; with ``zero_budget``, only relays whose entry is the serving
+    satellite."""
     aircraft = request.aircraft_id
+    graph = ctx._isl
+    air_edges = ctx.edges_at(SAT_TO_AIR, aircraft)
+    roots = np.array([graph.index[edge.other(aircraft)] for edge in air_edges], dtype=np.intp)
+    direct_links = {edge.other(aircraft): edge for edge in ctx.edges_at(GROUND_TO_AIR, aircraft)}
+    chains = []  # (station, feeder, air link or None, root row, entry), in option order
+    for gs in sorted(request.source_gs_set):
+        if gs in direct_links:
+            chains.append((gs, direct_links[gs], None, -1, -1))
+        for feeder in ctx.edges_at(GROUND_TO_SAT, gs):
+            entry = graph.index[feeder.other(gs)]
+            for k, air_edge in enumerate(air_edges):
+                if entry == roots[k] or not zero_budget:
+                    chains.append((gs, feeder, air_edge, k, entry))
+    wanted = [(k, entry) for _, _, air, k, entry in chains if air is not None and entry != roots[k]]
+    rows, ends = np.array(wanted, dtype=np.intp).reshape(-1, 2).T
+    read = iter(_chains(graph, full_dist(graph, roots), roots, rows, ends) if wanted else ())
     options = []
-
-    def add(gs, feeder, relay, caps, prop_s):
+    for gs, feeder, air_edge, k, entry in chains:
+        relay, caps, prop_s = (), (), feeder.delay_s
+        if air_edge is not None:
+            found = ([entry], []) if entry == roots[k] else next(read)
+            if found is None:
+                continue
+            chain, links = found
+            route = _path(graph, chain[::-1], links[::-1])
+            relay, caps = route.nodes, route.edge_capacities_bps + (air_edge.capacity_bps,)
+            prop_s = feeder.delay_s + route.total_propagation_delay_s + air_edge.delay_s
         options.append(
             _RouteOption(
                 gs=gs,
@@ -235,32 +265,6 @@ def exhaustive_route_options(ctx, request, zero_budget):
                 store_and_forward=ctx.store_and_forward,
             )
         )
-
-    graph = ctx._isl
-    air_edges = ctx.edges_at(SAT_TO_AIR, aircraft)
-    roots = [graph.index[edge.other(aircraft)] for edge in air_edges]
-    labels = {} if zero_budget else dict(zip(roots, _shortest_paths(graph, roots).tolist()))
-    direct_links = {edge.other(aircraft): edge for edge in ctx.edges_at(GROUND_TO_AIR, aircraft)}
-    for gs in sorted(request.source_gs_set):
-        direct = direct_links.get(gs)
-        if direct is not None:
-            add(gs, direct, (), (), direct.delay_s)
-        for feeder in ctx.edges_at(GROUND_TO_SAT, gs):
-            entry = feeder.other(gs)
-            for air_edge, root in zip(air_edges, roots):
-                if entry == air_edge.other(aircraft):
-                    found = [root], []
-                elif zero_budget:
-                    continue
-                else:
-                    found = _chain(graph, labels[root], root, graph.index[entry])
-                    if found is None:
-                        continue
-                chain, rows = found
-                route = _path(graph, chain[::-1], rows[::-1])
-                caps = route.edge_capacities_bps + (air_edge.capacity_bps,)
-                prop_s = feeder.delay_s + route.total_propagation_delay_s + air_edge.delay_s
-                add(gs, feeder, route.nodes, caps, prop_s)
     return options
 
 

@@ -170,17 +170,22 @@ class TestRouteCommand:
         assert err.strip() == f"error: {message}"
 
     def test_matches_pinned_output(self, capsys):
-        # Pinned before the path search became the batched array engine:
-        # both metrics, through ground nodes, with the hop metric's many ties.
-        pinned = (DATA / "route_baseline.txt").read_text(encoding="utf-8")
-        got = []
-        for line in pinned.splitlines():
-            if line.startswith("# route "):
-                code, out, _ = run_cli(line[2:].split(), capsys)
-                assert code == 0
-                got.append(line + "\n" + out)
-        assert len(got) == 16
-        assert "".join(got) == pinned
+        # Pinned before the path search became the batched array engine (the
+        # 72x22 one before every read-back became one array search): both
+        # metrics, through ground nodes, with the hop metric's many ties; on
+        # the 72x22 shell, hop paths of 10 links and more.
+        for name, count in (("route_baseline.txt", 16), ("route_shell1_grid.txt", 12)):
+            pinned = (DATA / name).read_text(encoding="utf-8")
+            got = []
+            for line in pinned.splitlines():
+                if line.startswith("# route "):
+                    args = [str(DATA / a[11:]) if a.startswith("tests/data/") else a
+                            for a in line[2:].split()]  # fmt: skip
+                    code, out, _ = run_cli(args, capsys)
+                    assert code == 0
+                    got.append(line + "\n" + out)
+            assert len(got) == count
+            assert "".join(got) == pinned
 
 
 class TestHopsCommand:
@@ -425,21 +430,22 @@ class TestIfcSweepCommand:
         # On the 72x22 shell a file has thousands of route options; the
         # planner builds only those whose delay or rate bounds can still win,
         # so the sweep labels few serving satellites and reads back few
-        # routes (128 and 21,233 when every option was built).
+        # routes (128 and 21,233 when every option was built), counted as
+        # the roots labelled and the pairs walked.
         roots = []
-        chains = []
+        pairs = []
 
-        def labelling(graph, batch):
+        def labelling(graph, batch, targets):
             roots.extend(batch)
-            return shortest_paths(graph, batch)
+            return shortest_paths(graph, batch, targets)
 
-        def reading(*args):
-            chains.append(args[2:])
-            return chain(*args)
+        def reading(graph, dist, batch, rows, ends):
+            pairs.extend(zip(batch[rows], ends))
+            return chains(graph, dist, batch, rows, ends)
 
-        shortest_paths, chain = delivery._shortest_paths, delivery._chain
+        shortest_paths, chains = delivery._shortest_paths, delivery._chains
         monkeypatch.setattr(delivery, "_shortest_paths", labelling)
-        monkeypatch.setattr(delivery, "_chain", reading)
+        monkeypatch.setattr(delivery, "_chains", reading)
         code, out, _ = run_cli(
             ["ifc-sweep", "--scenario", str(DATA / "shell1_grid.json"), "--isls", "0..8",
              "--seeds", "3"],
@@ -448,7 +454,7 @@ class TestIfcSweepCommand:
         assert code == 0
         assert out == (DATA / "sweep_shell1_grid.csv").read_text(encoding="utf-8")
         assert 0 < len(roots) <= 30
-        assert 0 < len(chains) <= 500
+        assert 0 < len(pairs) <= 500
 
     def test_unknown_mode_is_bad_input(self, capsys):
         code, _, err = run_cli(["ifc-sweep", "--modes", "psychic"], capsys)

@@ -45,7 +45,7 @@ from leoisl.links import (
     snr_linear,
 )
 from leoisl.orbits import AIRCRAFT, GroundNode
-from leoisl.routing import _chain, _path
+from leoisl.routing import _chains, _path
 from leoisl.scenario import (
     IfcSettings,
     Scenario,
@@ -62,6 +62,7 @@ from oracles import (
     exhaustive_greedy_pick,
     exhaustive_route_options,
     exhaustive_standalone_pick,
+    full_dist,
     gs_flow,
     snapshot_of,
 )
@@ -630,11 +631,10 @@ class TestPlanNonCached:
                     k = rows[(option.gs, option.entry, option.serving)]
                     assert table.prop_s[k] <= option.base_prop_s
                     assert table.rate_bps[k] >= option.full_rate_bps
-                labels = {}
-                assert table.greedy(labels) == exhaustive_greedy_pick(ctx, aircraft, options)
+                assert table.greedy() == exhaustive_greedy_pick(ctx, aircraft, options)
                 for size in (float(request.total_bits), bits):
                     expected = exhaustive_standalone_pick(options, size)
-                    assert table.standalone(size, labels) == expected
+                    assert table.standalone(size) == expected
 
 
 class TestSlotExecution:
@@ -742,14 +742,15 @@ class TestSlotExecution:
 
     def test_batched_route_search_matches_fresh_context_per_route(self, monkeypatch):
         # Building a table's rows labels their serving satellites in one
-        # batch; every relay read from that batch must equal the one read
-        # from its serving satellite's labels alone, and every (station,
-        # entry, serving) chain those labels reach has its option.
+        # batch, each as far as its entries; every relay read from that batch
+        # must equal the one read from its serving satellite's full labels
+        # alone, and every (station, entry, serving) chain those labels reach
+        # has its option.
         batches = []
 
-        def recording(graph, roots):
+        def recording(graph, roots, targets):
             batches.append(list(roots))
-            return shortest_paths(graph, roots)
+            return shortest_paths(graph, roots, targets)
 
         shortest_paths = delivery._shortest_paths
         monkeypatch.setattr(delivery, "_shortest_paths", recording)
@@ -763,33 +764,34 @@ class TestSlotExecution:
             table = delivery._OptionTable(ctx, aircraft.node_id, stations, False)
             relays = {
                 (o.gs, o.entry, o.serving): o
-                for o in table.built(list(range(len(table.chains))), {})
+                for o in table.built(list(range(len(table.chains))))
                 if o is not None and o.entry is not None
             }
             air_edges = ctx.edges_at(SAT_TO_AIR, aircraft.node_id)
             servings = [e.other(aircraft.node_id) for e in air_edges]
             assert batches == [sorted(graph.index[serving] for serving in servings)]
             reached = 0
+            feeders = [(gs, f) for gs in sorted(stations) for f in ctx.edges_at(GROUND_TO_SAT, gs)]
+            entries = np.array([graph.index[f.other(gs)] for gs, f in feeders], dtype=np.intp)
             for air_edge, serving in zip(air_edges, servings):
-                root = graph.index[serving]
-                labels = shortest_paths(graph, [root])[0].tolist()
-                for gs in sorted(stations):
-                    for feeder in ctx.edges_at(GROUND_TO_SAT, gs):
-                        entry = feeder.other(gs)
-                        found = _chain(graph, labels, root, graph.index[entry])
-                        if found is None:
-                            continue
-                        chain, rows = found
-                        route = _path(graph, chain[::-1], rows[::-1])
-                        option = relays[(gs, entry, serving)]
-                        assert option.nodes == (gs, *route.nodes, aircraft.node_id)
-                        assert option.base_prop_s == (
-                            feeder.delay_s + route.total_propagation_delay_s + air_edge.delay_s
-                        )
-                        assert option.fixed_cap_bps == min(
-                            route.edge_capacities_bps + (air_edge.capacity_bps,)
-                        )
-                        reached += 1
+                root = np.array([graph.index[serving]])
+                chains = _chains(
+                    graph, full_dist(graph, root), root, np.zeros(len(entries), np.intp), entries
+                )
+                for (gs, feeder), found in zip(feeders, chains):
+                    if found is None:
+                        continue
+                    chain, rows = found
+                    route = _path(graph, chain[::-1], rows[::-1])
+                    option = relays[(gs, feeder.other(gs), serving)]
+                    assert option.nodes == (gs, *route.nodes, aircraft.node_id)
+                    assert option.base_prop_s == (
+                        feeder.delay_s + route.total_propagation_delay_s + air_edge.delay_s
+                    )
+                    assert option.fixed_cap_bps == min(
+                        route.edge_capacities_bps + (air_edge.capacity_bps,)
+                    )
+                    reached += 1
             assert reached == len(relays)
             routes += reached
         assert routes > 100
@@ -800,9 +802,9 @@ class TestSlotExecution:
         # ignores the budget and does search.
         roots = []
 
-        def counting(graph, batch):
+        def counting(graph, batch, targets):
             roots.extend(batch)
-            return shortest_paths(graph, batch)
+            return shortest_paths(graph, batch, targets)
 
         shortest_paths = delivery._shortest_paths
         monkeypatch.setattr(delivery, "_shortest_paths", counting)

@@ -21,12 +21,12 @@ from leoisl.orbits import (
 )
 from leoisl.routing import (
     HopStatsRow,
-    _chain,
+    _chains,
     _graph,
     _hop_blocks,
     _path,
-    _sdp_hops,
     _shortest_paths,
+    _tight_levels,
     ground_pair_hop_stats,
     min_hop_path,
     sdp_mhp_fraction,
@@ -34,9 +34,9 @@ from leoisl.routing import (
     snapshot_sdp_mhp_fraction,
 )
 from leoisl.scenario import Scenario, TopologySettings
-from leoisl.topology import build_dynamic_topology, build_grid_topology
+from leoisl.topology import build_dynamic_topology, build_grid_topology, build_snapshot
 
-from oracles import edge, neighbor_lists, snapshot_of
+from oracles import edge, full_dist, neighbor_lists, snapshot_of
 
 
 def lasers(weighted_edges):
@@ -264,10 +264,38 @@ class TestSdpMhpFraction:
         assert result.pairs_checked == 100
         assert result.fraction >= 0.95
 
+    @pytest.mark.parametrize("n", [2, 3, 5, 120, 528, 1584, 65537, 2**31 + 5])
+    @pytest.mark.parametrize("seed", [0, 5, 12345])
+    def test_one_array_draw_matches_one_draw_per_endpoint(self, n, seed):
+        # The sampler draws every endpoint in one call; the numbers and the
+        # generator's state after them must be those of one scalar draw per
+        # endpoint, so that every sampled pair, in every epoch, is unchanged.
+        scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = [int(scalar.integers(0, high)) for _ in range(300) for high in (n, n - 1)]
+        assert batched.integers(0, np.tile([n, n - 1], 300)).tolist() == expected
+        assert batched.bit_generator.state == scalar.bit_generator.state
+
+    def test_sampled_pairs_match_one_draw_per_endpoint(self):
+        scenario = Scenario(ConstellationConfig(), topology=TopologySettings("grid"))
+        epochs, seed = [0.0, 1200.0], 7
+        with mock.patch.object(
+            routing, "snapshot_sdp_mhp_fraction", wraps=snapshot_sdp_mhp_fraction
+        ) as evaluated:
+            sdp_mhp_fraction(scenario, 300, epochs, seed)
+        rng = np.random.default_rng(seed)
+        for epoch_s, call in zip(epochs, evaluated.call_args_list, strict=True):
+            nodes = build_snapshot(scenario, epoch_s).nodes
+            expected = []
+            for _ in range(300):
+                i = int(rng.integers(0, len(nodes)))
+                j = int(rng.integers(0, len(nodes) - 1))
+                expected.append((nodes[i], nodes[j + (j >= i)]))
+            assert call.args[1] == expected
+
     def test_each_sampled_source_is_labelled_once(self):
-        # On the 72x22 +grid an engine batch is 41 roots, which does not
-        # divide a hop block's 64: each block's last batch must stop at the
-        # block's end, not label the next block's first roots as well.
+        # Each hop block's sources are labelled with that block only: on the
+        # 72x22 +grid an engine batch is 41 roots, which does not divide a
+        # block's 64, and no root of the next block may be labelled as well.
         shell = ConstellationConfig(num_planes=72, sats_per_plane=22, altitude_km=550.0)
         scenario = Scenario(shell, topology=TopologySettings("grid"))
         with (
@@ -283,7 +311,7 @@ class TestSdpMhpFraction:
     def test_sdp_hop_counts_read_back_no_path(self):
         shell = ConstellationConfig(num_planes=72, sats_per_plane=22, altitude_km=550.0)
         scenario = Scenario(shell, topology=TopologySettings("grid"))
-        with mock.patch.object(routing, "_chain", wraps=_chain) as read_back:
+        with mock.patch.object(routing, "_chains", wraps=_chains) as read_back:
             result = sdp_mhp_fraction(scenario, 200, [0.0], 12345)
         assert result.pairs_checked + result.pairs_unreachable == 200
         assert read_back.call_count == 0
@@ -291,9 +319,14 @@ class TestSdpMhpFraction:
 
 def dist_hops_to(graph, src, targets):
     """Per reachable target: the distance label and the chosen path's hops."""
-    dist = _shortest_paths(graph, [src])[0].tolist()
-    chains = {t: _chain(graph, dist, src, t) for t in targets}
-    return {t: (dist[t], len(found[0]) - 1) for t, found in chains.items() if found is not None}
+    targets = np.array(sorted(targets), dtype=np.intp)
+    dist = full_dist(graph, [src])
+    chains = _chains(graph, dist, np.array([src]), np.zeros(len(targets), np.intp), targets)
+    return {
+        t: (dist[0, t].item(), len(found[0]) - 1)
+        for t, found in zip(targets.tolist(), chains)
+        if found is not None
+    }
 
 
 def batched_hops(graph, sources, targets):
@@ -417,14 +450,15 @@ class TestBatchedDistanceSearch:
                 assert {links.a[k], links.b[k]} == {u, graph.targets[p]}
         roots = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
         roots += roots[:1]  # a repeated root in every batch
-        batch = _shortest_paths(graph, roots)
+        batch = full_dist(graph, roots)
         assert batch.shape == (len(roots), n)
         with mock.patch.object(routing, "_BATCH_LINKS", 1):  # one root per batch
-            assert _shortest_paths(graph, roots).tolist() == batch.tolist()
+            assert full_dist(graph, roots).tolist() == batch.tolist()
         for root, row in zip(roots, batch.tolist()):
-            assert _shortest_paths(graph, [root])[0].tolist() == row
-            for dst in range(n):
-                found = _chain(graph, row, root, dst)
+            single = full_dist(graph, [root])
+            assert single[0].tolist() == row
+            chains = _chains(graph, single, np.array([root]), np.zeros(n, np.intp), np.arange(n))
+            for dst, found in enumerate(chains):
                 best = best_by_enumeration(snapshot, graph.nodes[root], graph.nodes[dst])
                 if best is None:
                     assert found is None and row[dst] == math.inf
@@ -438,26 +472,30 @@ class TestBatchedDistanceSearch:
 
     def test_edgeless_graph_and_isolated_nodes(self):
         edgeless = _graph(snapshot_of(lasers([]), ["a", "b", "c"]))
-        dist = _shortest_paths(edgeless, [2, 0, 2])
+        roots = np.array([2, 0, 2])
+        dist = full_dist(edgeless, roots)
         assert dist.tolist() == [
             [math.inf, math.inf, 0.0],
             [0.0, math.inf, math.inf],
             [math.inf, math.inf, 0.0],
         ]
-        assert _chain(edgeless, dist[0].tolist(), 2, 2)[0] == [2]
-        assert _chain(edgeless, dist[0].tolist(), 2, 1) is None
-        assert _shortest_paths(edgeless, []).shape == (0, 3)
+        found = _chains(edgeless, dist, roots, np.array([0, 0]), np.array([2, 1]))
+        assert found[0][0] == [2]
+        assert found[1] is None
+        assert full_dist(edgeless, []).shape == (0, 3)
         # "c" has no link; "a"-"b" is a zero-length link.
         graph = _graph(snapshot_of(lasers([("a", "b", 0.0), ("b", "d", 2.0)]), ["c"]))
-        dist = _shortest_paths(graph, [0, 2, 3]).tolist()
-        assert dist == [
+        roots = np.array([0, 2, 3])
+        dist = full_dist(graph, roots)
+        assert dist.tolist() == [
             [0.0, 0.0, math.inf, 2.0],
             [math.inf, math.inf, 0.0, math.inf],
             [2.0, 2.0, math.inf, 0.0],
         ]
-        assert _chain(graph, dist[0], 0, 1)[0] == [0, 1]
-        assert _chain(graph, dist[2], 3, 0)[0] == [3, 1, 0]
-        assert _chain(graph, dist[1], 2, 0) is None
+        found = _chains(graph, dist, roots, np.array([0, 2, 1]), np.array([1, 0, 0]))
+        assert found[0][0] == [0, 1]
+        assert found[1][0] == [3, 1, 0]
+        assert found[2] is None
 
 
 @st.composite
@@ -470,8 +508,8 @@ def rooted_targets(draw, n):
 
 
 class TestTargetBoundedSearch:
-    """Labels bounded by each root's targets and the SDP hop counts read
-    from them, against full labels and ``_chain``."""
+    """Labels bounded by each root's targets, and the paths and SDP hop
+    counts read back from them, against full labels and enumeration."""
 
     @pytest.mark.parametrize("batch_links", [1, routing._BATCH_LINKS])
     @settings(max_examples=200, deadline=None)
@@ -480,44 +518,54 @@ class TestTargetBoundedSearch:
         snapshot, _, _ = case
         graph = _graph(snapshot)
         roots, targets = data.draw(rooted_targets(len(graph.nodes)))
-        full = _shortest_paths(graph, roots)
+        full = full_dist(graph, roots)
         with mock.patch.object(routing, "_BATCH_LINKS", batch_links):
             bounded = _shortest_paths(graph, roots, targets)
-        for root, ends, exact, row in zip(roots, targets, full.tolist(), bounded.tolist()):
-            for end in ends:
-                assert row[end] == exact[end]
-                expected = _chain(graph, exact, root, end)
-                found = _chain(graph, row, root, end)
-                if expected is None:
-                    assert found is None
-                    continue
-                assert found[0] == expected[0]
-                assert found[1].tolist() == expected[1].tolist()
+        rows = np.repeat(np.arange(len(roots)), [len(ends) for ends in targets])
+        ends = np.concatenate(targets)
+        assert bounded[rows, ends].tolist() == full[rows, ends].tolist()
+        roots = np.asarray(roots)
+        expected = _chains(graph, full, roots, rows, ends)
+        for want, found in zip(expected, _chains(graph, bounded, roots, rows, ends)):
+            if want is None:
+                assert found is None
+                continue
+            assert found[0] == want[0]
+            assert found[1].tolist() == want[1].tolist()
 
     @settings(max_examples=300, deadline=None)
     @given(case=small_graphs(min_length=0), data=st.data())
-    def test_sdp_hops_match_chain(self, case, data):
+    def test_chains_and_hop_counts_match_enumeration(self, case, data):
+        # Pairs in one batch, with repeated roots and roots that are their
+        # own ends, over full labels and over labels bounded by the ends.
         snapshot, _, _ = case
         graph = _graph(snapshot)
+        links = graph.links
         roots, targets = data.draw(rooted_targets(len(graph.nodes)))
         rows = np.repeat(np.arange(len(roots)), [len(ends) for ends in targets])
         ends = np.concatenate(targets)
-        full = _shortest_paths(graph, roots)
-        expected = []
-        for row, end in zip(rows, ends):
-            found = _chain(graph, full[row].tolist(), roots[row], end)
-            expected.append(-1 if found is None else len(found[1]))
         roots = np.asarray(roots)
-        assert _sdp_hops(graph, full, roots, rows, ends).tolist() == expected
-        bounded = _shortest_paths(graph, roots, targets)
-        assert _sdp_hops(graph, bounded, roots, rows, ends).tolist() == expected
+        for dist in (full_dist(graph, roots), _shortest_paths(graph, roots, targets)):
+            hops, _ = _tight_levels(graph, dist, roots, rows, ends)
+            chains = _chains(graph, dist, roots, rows, ends)
+            assert len(hops) == len(chains) == len(rows)
+            for root, end, count, found in zip(roots[rows], ends, hops.tolist(), chains):
+                best = best_by_enumeration(snapshot, graph.nodes[root], graph.nodes[end])
+                if best is None:
+                    assert found is None and count == -1
+                    continue
+                chain, link_rows = found
+                assert tuple(graph.nodes[i] for i in chain) == best[0]
+                assert count == len(link_rows) == len(chain) - 1
+                for u, v, k in zip(chain, chain[1:], link_rows):
+                    assert {links.a[k], links.b[k]} == {u, v}
 
 
 def relay(graph, src, dst):
     """The laser route from ``src`` to ``dst`` as delivery reads a relay back:
     from a single root's labels at ``dst``, reversed and summed from ``src``."""
-    root = graph.index[dst]
-    found = _chain(graph, _shortest_paths(graph, [root])[0].tolist(), root, graph.index[src])
+    root, end = np.array([graph.index[dst]]), np.array([graph.index[src]])
+    (found,) = _chains(graph, full_dist(graph, root), root, np.zeros(1, np.intp), end)
     if found is None:
         return None
     chain, rows = found
