@@ -448,9 +448,10 @@ def _servings(ctx: SlotContext, request: FileRequest) -> tuple[_Serving, ...]:
     servings = []
     for air_edge in ctx.edges_at(SAT_TO_AIR, aircraft):
         serving = air_edge.other(aircraft)
-        # The serving satellite's laser links by far end; it has no self-link.
-        lo, hi = graph.offsets[graph.index[serving]], graph.offsets[graph.index[serving] + 1]
-        linked = dict(zip(graph.targets[lo:hi].tolist(), graph.rows[lo:hi].tolist()))
+        # The serving satellite's laser links by far end, pads at node N; it
+        # has no self-link.
+        here = graph.index[serving]
+        linked = dict(zip(graph.neighbors[here].tolist(), graph.rows[here].tolist()))
         candidates = []
         for holder in ordered_holders:
             k = linked.get(graph.index[holder])

@@ -297,15 +297,18 @@ def elevation_deg(observer_pos: np.ndarray, target_pos: np.ndarray) -> float:
 def elevations_deg(observer_pos: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """:func:`elevation_deg` of every row of an ``(N, 3)`` ``positions`` array.
 
-    Same zenith, clipping and zero-range (90 degrees) conventions. The sums
-    run in another order than the scalar form's, so a result can differ from
-    it in the last bits.
+    From one ``(3,)`` observer the result is ``(N,)``; from ``(M, 3)``
+    observers it is ``(M, N)``, each row bit for bit the one-observer
+    result. Same zenith, clipping and zero-range (90 degrees) conventions.
+    The sums run in another order than the scalar form's, so a result can
+    differ from it in the last bits.
     """
     obs = np.asarray(observer_pos, dtype=float)
-    los = np.asarray(positions, dtype=float).reshape(-1, 3) - obs
-    rng = np.linalg.norm(los, axis=1)
-    zenith = obs / float(np.linalg.norm(obs))
+    los = np.asarray(positions, dtype=float).reshape(-1, 3) - obs[..., None, :]
+    rng = np.linalg.norm(los, axis=-1)
+    # One norm per observer, as the scalar form takes it.
+    norms = [float(np.linalg.norm(o)) for o in obs.reshape(-1, 3)]
+    zenith = obs / np.reshape(norms, obs.shape[:-1] + (1,))
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.clip((los * zenith).sum(axis=1) / rng, -1.0, 1.0)
+        s = np.clip((los * zenith[..., None, :]).sum(axis=-1) / rng, -1.0, 1.0)
     return np.where(rng == 0.0, 90.0, np.degrees(np.arcsin(s)))
-

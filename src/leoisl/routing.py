@@ -7,7 +7,7 @@ an MHP.
 
 Every path comes from one engine. ``_shortest_paths`` computes
 the distance labels of a batch of roots at once, in array rounds over the
-graph's CSR arrays, only as far as the farthest of each root's targets;
+graph's padded table, only as far as the farthest of each root's targets;
 ``_tight_levels`` then runs one breadth-first search backward from the end
 of every (root, end) pair at once over tight links, and ``_chains`` walks
 each pair's path forward through its levels. The tie-break is minimum
@@ -58,21 +58,23 @@ class Path:
 
 
 class _Graph(NamedTuple):
-    """Integer-indexed view of some of a snapshot's links, as CSR arrays.
+    """Integer-indexed view of some of a snapshot's links, as one padded table.
 
     Node ``i`` is ``nodes[i]``; ``snapshot.nodes`` is sorted, so index order
-    is node-id order. Node ``i``'s links run to ``targets[offsets[i]:
-    offsets[i + 1]]``, in index order, with lengths ``weights[...]``; each
-    link is listed from both ends. ``links`` are the snapshot's link arrays
-    the graph was built from, and ``rows[p]`` is the row in them of the link
-    at CSR position ``p``.
+    is node-id order. Row ``i`` of the max-degree-wide ``neighbors`` lists
+    node ``i``'s links by far end, in index order; ``lengths`` holds their
+    lengths and ``rows`` their rows in ``links``, the snapshot's link arrays
+    the graph was built from. Each link is listed from both ends. Short rows
+    are padded with node ``N = len(nodes)`` at infinite length and row -1.
+    A pad's length keeps it from lowering a label or looking tight, whatever
+    label it reads, and the hop search gives node N a word that stays 0.
+    A link's table position ``i * width + slot`` orders by node first.
     """
 
     nodes: tuple[str, ...]
     index: dict[str, int]
-    offsets: np.ndarray
-    targets: np.ndarray
-    weights: np.ndarray
+    neighbors: np.ndarray
+    lengths: np.ndarray
     rows: np.ndarray
     links: Links
 
@@ -82,47 +84,40 @@ def _graph(
 ) -> _Graph:
     """Graph over the snapshot's laser links, or over all its links with
     ``ground``; weighted by distance or, for hop counts, by 1."""
-    nodes = snapshot.nodes
+    nodes, size = snapshot.nodes, len(snapshot.nodes)
     links = snapshot.links
     if not ground:
         links = links.take(links.link_class == ISL_CODE)
     lengths = np.ones(len(links.a)) if unit_weights else links.distance_km
-    heads = np.concatenate([links.a, links.b])
+    # Every link from both ends, by (near end, far end): row-major order
+    # over the table's filled slots.
     tails = np.concatenate([links.b, links.a])
-    order = np.argsort(heads * len(nodes) + tails, kind="stable")
-    offsets = np.zeros(len(nodes) + 1, dtype=np.intp)
-    np.cumsum(np.bincount(heads, minlength=len(nodes)), out=offsets[1:])
-    weights = np.concatenate([lengths, lengths])[order]
-    return _Graph(
-        nodes,
-        {key: i for i, key in enumerate(nodes)},
-        offsets,
-        tails[order],
-        weights,
-        order % len(links.a),
-        links,
-    )
+    order = np.argsort(np.concatenate([links.a, links.b]) * size + tails, kind="stable")
+    degree = np.bincount(links.a, minlength=size) + np.bincount(links.b, minlength=size)
+    filled = np.arange(degree.max(initial=0)) < degree[:, None]
+
+    def padded(pad, values: np.ndarray) -> np.ndarray:
+        table = np.full(filled.shape, pad, dtype=values.dtype)
+        table[filled] = values
+        return table
+
+    neighbors = padded(size, tails[order])
+    rows = np.remainder(order, max(1, len(links.a)), out=order)  # in place: a large mesh
+    index = {key: i for i, key in enumerate(nodes)}
+    return _Graph(nodes, index, neighbors, padded(np.inf, lengths[rows]), padded(-1, rows), links)
 
 
-# Links one relaxation round may touch, summed over its roots. A round's
-# temporaries are a few arrays of this length, so the roots go in batches
-# of ``_batch_roots``.
-_BATCH_LINKS = 1 << 18
+# Table slots one relaxation round may touch, summed over its roots. A
+# round's temporaries are a few arrays of this length, so the roots go in
+# batches of ``_batch_roots``.
+_BATCH_LINKS = 1 << 19
 
 
 def _batch_roots(graph: _Graph) -> int:
-    """Roots per relaxation batch: ``_BATCH_LINKS`` over the number of
-    directed links, at least one; 41 on a 1584-node +grid, 7 on a 528-node
-    in-range mesh."""
-    return max(1, _BATCH_LINKS // max(1, len(graph.targets)))
-
-
-def _links_at(offsets: np.ndarray, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The CSR positions of every link of each of ``nodes``, node by node
-    and in index order within a node, and each node's link count."""
-    start = offsets[nodes]
-    count = offsets[nodes + 1] - start
-    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count, count), count
+    """Roots per relaxation batch: ``_BATCH_LINKS`` over the table's slots,
+    at least one; 82 on a 1584-node +grid, more than a hop block's 64
+    sources, and 1 on its in-range mesh."""
+    return max(1, _BATCH_LINKS // max(1, graph.neighbors.size))
 
 
 def _shortest_paths(
@@ -133,12 +128,14 @@ def _shortest_paths(
 
     Unreached nodes are at infinity. Each round relaxes, in one array pass,
     the links of every (root, node) pair whose label fell in the round
-    before, and lowers labels with ``np.minimum.at``; a batch of roots ends
-    when no label falls. A label is the float sum ``fl(dist[u] + w)`` of its
-    predecessor's label and the link, and float addition of a non-negative
-    length is monotone, so the labels reach the least fixpoint of
-    ``dist[v] = min_u fl(dist[u] + w)`` whatever the order of relaxation:
-    bit for bit the labels a Dijkstra search settles.
+    before, read as that node's table row, and lowers labels with
+    ``np.minimum.at``; a batch of roots ends when no label falls. A label is
+    the float sum ``fl(dist[u] + w)`` of its predecessor's label and the
+    link, and float addition of a non-negative length is monotone, so the
+    labels reach the least fixpoint of ``dist[v] = min_u fl(dist[u] + w)``
+    whatever the order of relaxation: bit for bit the labels a Dijkstra
+    search settles. A pad's pair ``r * N + N`` is the next row's first
+    label, or past the last (read clipped); its infinite length never lowers it.
 
     A round drops every fallen pair whose label is above its root's bound:
     the largest current label among the root's targets, infinite until all
@@ -151,7 +148,6 @@ def _shortest_paths(
     every node as a target.
     """
     size = len(graph.nodes)
-    offsets, neighbors, weights = graph.offsets, graph.targets, graph.weights
     roots = np.asarray(roots, dtype=np.intp)
     dist = np.full((len(roots), size), np.inf)
     step = _batch_roots(graph)
@@ -169,10 +165,9 @@ def _shortest_paths(
         labels[fell] = 0.0
         while fell.size:
             node = fell % size
-            link, count = _links_at(offsets, node)
-            label = np.repeat(labels[fell], count) + weights[link]
-            pair = np.repeat(fell - node, count) + neighbors[link]
-            lower = label < labels[pair]
+            label = (labels[fell][:, None] + np.take(graph.lengths, node, axis=0)).ravel()
+            pair = ((fell - node)[:, None] + np.take(graph.neighbors, node, axis=0)).ravel()
+            lower = label < np.take(labels, pair, mode="clip")
             pair = pair[lower]
             np.minimum.at(labels, pair, label[lower])
             fallen[pair] = True
@@ -194,18 +189,20 @@ def _tight_levels(
     A link ``u -> x`` is tight when ``fl(dist[u] + w) == dist[x]``; the
     tight paths from a root are exactly its least-distance ones. One
     breadth-first search runs backward from every pair's end at once, in
-    array rounds over the CSR arrays; a pair's count is the first level that
-    holds its root, the fewest hops among its least-distance paths. Level
-    ``d`` holds, as sorted keys ``pair * N + node``, the nodes with a tight
-    path of ``d`` links to the pair's end, for each pair still searching;
-    and for each key past level 0, the CSR position of its first tight link
-    into level ``d - 1``. Positions run by node index, so that link leads to
-    the smallest-index successor. ``dist`` must be exact at the ends, as
-    full labels are and as labels bounded by these ends are: then every
-    tight path from a reached end leads to its root, and each pair's search
-    stops there.
+    array rounds over the table's rows; a pair's count is the first level
+    that holds its root, the fewest hops among its least-distance paths.
+    Level ``d`` holds, as sorted keys ``pair * N + node``, the nodes with a
+    tight path of ``d`` links to the pair's end, for each pair still
+    searching; and for each key past level 0, the table position of its
+    first tight link into level ``d - 1``. Positions order by node first,
+    so that link leads to the smallest-index successor. ``dist`` must be
+    exact at the ends, as full labels are and as labels bounded by these
+    ends are: then every tight path from a reached end leads to its root,
+    and each pair's search stops there. A pad is never tight: its infinite
+    length tops any label it reads (the last row's read clipped).
     """
-    size, width = len(graph.nodes), max(1, len(graph.targets))
+    size, width = len(graph.nodes), graph.neighbors.shape[1]
+    span = max(1, graph.neighbors.size)
     labels = dist.reshape(-1)
     base = rows * size  # each pair's row of ``labels``
     hops = np.full(len(rows), -1, dtype=np.intp)
@@ -217,11 +214,11 @@ def _tight_levels(
         hops[pair[node == roots[rows[pair]]]] = len(levels) - 1
         open_ = hops[pair] < 0
         pair, node = pair[open_], node[open_]
-        link, count = _links_at(graph.offsets, node)
-        pair, node = np.repeat(pair, count), np.repeat(node, count)
-        there, row = graph.targets[link], base[pair]
-        tight = labels[row + there] + graph.weights[link] == labels[row + node]
-        key, link = np.divmod(np.sort(((pair * size + there) * width + link)[tight]), width)
+        there, row = np.take(graph.neighbors, node, axis=0), base[pair]
+        ahead = np.take(labels, row[:, None] + there, mode="clip")
+        tight = ahead + np.take(graph.lengths, node, axis=0) == labels[row + node][:, None]
+        link = node[:, None] * width + np.arange(width)
+        key, link = np.divmod(np.sort(((pair[:, None] * size + there) * span + link)[tight]), span)
         fresh = np.empty(key.size, dtype=bool)  # the first of each run of equal keys
         fresh[:1] = True
         np.not_equal(key[1:], key[:-1], out=fresh[1:])
@@ -255,10 +252,10 @@ def _chains(
     for step in range(links.shape[1]):
         key = (hops[pair] - step) * span + pair * size + nodes[pair, step]
         links[pair, step] = link = firsts[np.searchsorted(keys, key)]
-        nodes[pair, step + 1] = np.searchsorted(graph.offsets, link, side="right") - 1
+        nodes[pair, step + 1] = link // graph.neighbors.shape[1]
         pair = pair[hops[pair] > step + 1]
     return [
-        None if h < 0 else (nodes[k, : h + 1].tolist(), graph.rows[links[k, :h]])
+        None if h < 0 else (nodes[k, : h + 1].tolist(), np.take(graph.rows, links[k, :h]))
         for k, h in enumerate(hops.tolist())
     ]
 
@@ -311,13 +308,17 @@ def min_hop_path(snapshot: TopologySnapshot, src: str, dst: str) -> Path | None:
 # ---------------------------------------------------------------------------
 
 
-_BLOCK = 64  # sources per batched search: one bit of a uint64 word each
+_BLOCK = 64  # sources per yielded block: one bit of a uint64 word each
 _BITS = np.left_shift(np.uint64(1), np.arange(_BLOCK, dtype=np.uint64))
+# Table slots times 64-bit words one hop-search level may gather. A level's
+# temporaries are a few arrays of this many words, so the sources go in
+# searches of as many words as fit, at least one.
+_BATCH_WORDS = 1 << 16
 
 
 def _unpack(words: np.ndarray, count: int) -> np.ndarray:
     """Bits 0 to ``count - 1`` of each word as 0/1 columns, ``(len(words), count)``."""
-    bits = np.unpackbits(words.astype("<u8", copy=False).view(np.uint8), bitorder="little")
+    bits = np.unpackbits(np.ascontiguousarray(words, dtype="<u8").view(np.uint8), bitorder="little")
     return bits.reshape(-1, _BLOCK)[:, :count].astype(np.int32)
 
 
@@ -328,50 +329,58 @@ def _hop_blocks(
 
     Yields ``(first, depth)`` per block of up to 64 consecutive sources:
     ``depth[k, j]`` is the hop count from ``sources[first + k]`` to
-    ``targets[j]``, or -1 when unreachable. Each block runs one
-    bit-parallel BFS: bit ``k`` of a node's word says source ``k`` has
-    reached it. A level ORs together the frontier words of each node's
-    neighbors and keeps the bits not seen before, so a bit first shows on a
-    node at its hop count. The neighbors come from a table built once per
-    call, max-degree rows by N columns; short columns are padded with node
-    N, whose word stays 0. The search stops once every target holds every
-    bit or nothing new is reached. Each level keeps only the targets' new bits;
-    since each bit arrives at one level, bit ``b`` of its hop count is set
-    exactly when it arrived at a level with bit ``b`` set, so the block
-    decodes one OR of those levels per bit of the last level.
+    ``targets[j]``, or -1 when unreachable. Each search is one bit-parallel
+    BFS over as many 64-bit words per node as ``_BATCH_WORDS`` allows
+    (Then et al., VLDB 2014): bit ``k`` of word ``w`` says the search's
+    source ``64 w + k`` has reached the node. A level gathers the frontier
+    words of each node's neighbors, node-major through the graph's table,
+    ORs them together and keeps the bits not seen before, so a bit first
+    shows on a node at its hop count. Pads read node N, whose words stay 0.
+    The search stops once every target holds every bit or nothing new is
+    reached. Each bit arrives at a target at one level, so bit ``b`` of its
+    hop count is set exactly when it arrived at a level with bit ``b`` set:
+    each level ORs its targets' new bits into the plane of each of its set
+    bits, and each block decodes its word of the planes.
     """
     size = len(graph.nodes)
-    degree = np.diff(graph.offsets)
-    table = np.full((degree.max(initial=0), size), size, dtype=graph.targets.dtype)
-    slot = np.arange(len(graph.targets)) - np.repeat(graph.offsets[:-1], degree)
-    table[slot, np.repeat(np.arange(size), degree)] = graph.targets
+    words = max(1, _BATCH_WORDS // max(1, graph.neighbors.size))
+    sources = np.asarray(sources, dtype=np.intp)
     targets = np.asarray(targets, dtype=np.intp)
-    for first in range(0, len(sources), _BLOCK):
-        block = np.asarray(sources[first : first + _BLOCK], dtype=np.intp)
-        bits = _BITS[: len(block)]
-        everyone = np.bitwise_or.reduce(bits)
-        frontier = np.zeros(size + 1, dtype=np.uint64)
-        np.bitwise_or.at(frontier, block, bits)
+    slots = np.ascontiguousarray(graph.neighbors.T)  # np.take copies a strided index per call
+    for start in range(0, len(sources), words * _BLOCK):
+        bit = np.arange(min(words * _BLOCK, len(sources) - start))
+        frontier = np.zeros((size + 1, -(-len(bit) // _BLOCK)), dtype=np.uint64)
+        np.bitwise_or.at(frontier, (sources[start + bit], bit // _BLOCK), _BITS[bit % _BLOCK])
+        everyone = np.bitwise_or.reduce(frontier, axis=0)
         seen = frontier.copy()
-        reached = np.zeros(size + 1, dtype=np.uint64)
-        arrivals = []  # per level, the bits that first reach each target
-        while True:
-            arrivals.append(frontier[targets])
+        reached = np.zeros_like(frontier)
+        planes = []  # plane ``b``: the targets' bits that arrived at a level with bit ``b``
+        for level in itertools.count():
+            arrived = frontier[targets]
+            if level >> len(planes):  # the first level with this many bits
+                planes.append(np.zeros_like(arrived))
+            for b, plane in enumerate(planes):
+                if level >> b & 1:
+                    plane |= arrived
             if (seen[targets] == everyone).all():
                 break
-            np.bitwise_or.reduce(frontier[table], axis=0, out=reached[:size])
-            reached &= ~seen
+            grown = reached[:size]  # node N's words stay 0
+            np.bitwise_or.reduce(np.take(frontier, slots, axis=0), axis=0, out=grown)
+            grown &= np.invert(seen[:size], out=frontier[:size])
             if not reached.any():
                 break
             seen |= reached
             frontier, reached = reached, frontier
-        arrived = np.stack(arrivals)
-        levels = np.arange(len(arrived))
-        depth = _unpack(seen[targets], len(block)) - 1  # target-major
-        for b in range(int(levels[-1]).bit_length()):
-            plane = np.bitwise_or.reduce(arrived[(levels >> b) & 1 == 1])
-            depth += _unpack(plane, len(block)) << b
-        yield first, depth.T
+        seen = seen[targets]
+        for w in range(seen.shape[1]):
+            count = min(_BLOCK, len(bit) - w * _BLOCK)
+            depth = _unpack(seen[:, w], count) - 1  # target-major
+            for b, plane in enumerate(planes):
+                depth += _unpack(plane[:, w], count) << b
+            yield start + w * _BLOCK, depth.T
+
+
+_OBSERVERS = 8  # ground nodes per ``elevations_deg`` call: rows of its temporaries
 
 
 @dataclass(frozen=True)
@@ -421,23 +430,26 @@ def ground_pair_hop_stats(
     epochs = list(epochs)
     if not epochs:
         raise ValueError("epochs must be non-empty")
+    # Each distinct ground node once, in order. Keyed by the node itself:
+    # two nodes may share an id.
+    ground = list(dict.fromkeys(itertools.chain.from_iterable(pairs)))
     rows = []
     for epoch_s in epochs:
         snapshot = build_snapshot(scenario, epoch_s)
         graph = _graph(snapshot)
 
-        # Sorted indices of the satellites each ground node sees, computed
-        # once per node. Keyed by the node itself: two nodes may share an id.
+        # Sorted indices of the satellites each ground node sees, in chunks
+        # of observers that bound the elevation arrays.
         visibility: dict[GroundNode, np.ndarray] = {}
-        for node in itertools.chain.from_iterable(pairs):
-            if node not in visibility:
-                here = ground_position(node, epoch_s)
-                elevations = elevations_deg(here, snapshot.positions)
-                visibility[node] = np.flatnonzero(elevations >= scenario.topology.elevation_mask_deg)
+        for first in range(0, len(ground), _OBSERVERS):
+            chunk = ground[first : first + _OBSERVERS]
+            here = np.array([ground_position(node, epoch_s) for node in chunk])
+            above = elevations_deg(here, snapshot.positions) >= scenario.topology.elevation_mask_deg
+            visibility.update(zip(chunk, map(np.flatnonzero, above)))
 
         # One batched search from every start satellite to every end
-        # satellite; each pair keeps its own rows and columns of each block
-        # and folds them once.
+        # satellite. Every association (pair, start, end), pair by pair,
+        # takes its hop count from the block holding its start.
         is_source = np.zeros(len(graph.nodes), dtype=bool)
         is_target = np.zeros(len(graph.nodes), dtype=bool)
         for node_a, node_b in pairs:
@@ -446,24 +458,24 @@ def ground_pair_hop_stats(
         sources, targets = np.flatnonzero(is_source), np.flatnonzero(is_target)
         starts = [np.searchsorted(sources, visibility[a]) for a, _ in pairs]
         ends = [np.searchsorted(targets, visibility[b]) for _, b in pairs]
-        # Seeded empty: no block runs when no start sees a satellite.
-        slices = [[np.empty(0, dtype=np.int32)] for _ in pairs]
+        start = np.concatenate([np.repeat(s, len(e)) for s, e in zip(starts, ends)])
+        end = np.concatenate([np.tile(e, len(s)) for s, e in zip(starts, ends)])
+        hops = np.empty(len(start), dtype=np.int32)
         for first, depth in _hop_blocks(graph, sources, targets):
-            for pair_slices, pair_starts, pair_ends in zip(slices, starts, ends):
-                lo, hi = np.searchsorted(pair_starts, (first, first + len(depth)))
-                pair_slices.append(depth[np.ix_(pair_starts[lo:hi] - first, pair_ends)].ravel())
+            at = np.flatnonzero(start // _BLOCK == first // _BLOCK)
+            hops[at] = depth[start[at] - first, end[at]]
 
-        for (node_a, node_b), pair_slices in zip(pairs, slices):
+        cuts = np.cumsum([len(s) * len(e) for s, e in zip(starts, ends)])
+        for (node_a, node_b), counts in zip(pairs, np.split(hops, cuts[:-1])):
             pair_id = f"{node_a.node_id}|{node_b.node_id}"
-            hops = np.concatenate(pair_slices)
-            hops = hops[hops >= 0]
-            if not hops.size:
+            counts = counts[counts >= 0]
+            if not counts.size:
                 rows.append(HopStatsRow(pair_id, epoch_s, None, None, None, None, 0, True))
                 continue
-            least, most = int(hops.min()), int(hops.max())
-            mean = int(hops.sum(dtype=np.int64)) / hops.size
+            least, most = int(counts.min()), int(counts.max())
+            mean = int(counts.sum(dtype=np.int64)) / counts.size
             rows.append(
-                HopStatsRow(pair_id, epoch_s, least, most, mean, most - least, hops.size, False)
+                HopStatsRow(pair_id, epoch_s, least, most, mean, most - least, counts.size, False)
             )
     return rows
 
@@ -478,26 +490,16 @@ class SdpMhpResult:
     pairs_unreachable: int
 
 
-def snapshot_sdp_mhp_fraction(
-    snapshot: TopologySnapshot, pairs: Sequence[tuple[str, str]]
-) -> SdpMhpResult:
-    """Evaluate the SDP-hops == MHP-hops discriminant on explicit pairs.
+def _sdp_mhp(graph: _Graph, srcs: np.ndarray, dsts: np.ndarray) -> SdpMhpResult:
+    """The SDP-hops == MHP-hops discriminant on the index pairs ``(srcs[k], dsts[k])``.
 
     Each hop block's sources are labelled up to their farthest ends, and
     the SDP hop counts of all its pairs come from one ``_tight_levels`` call;
     the MHP counts come from ``_hop_blocks``.
     """
-    graph = _graph(snapshot)
-    index = graph.index
-    try:
-        keys = map(index.__getitem__, itertools.chain.from_iterable(pairs))
-        indexed = np.fromiter(keys, np.intp, 2 * len(pairs))
-    except KeyError:
-        src, dst = next((a, b) for a, b in pairs if a not in index or b not in index)
-        raise ValueError(f"unknown node in pair ({src!r}, {dst!r})") from None
-    indexed = indexed.reshape(-1, 2)
     # Each pair's source and end, the pairs grouped by source.
-    srcs, dsts = indexed[np.argsort(indexed[:, 0], kind="stable")].T
+    order = np.argsort(srcs, kind="stable")
+    srcs, dsts = srcs[order], dsts[order]
     # Distinct nodes by counting, not ``np.unique``: numpy would import
     # numpy.ma on its first call in the process.
     sources = np.flatnonzero(np.bincount(srcs, minlength=len(graph.nodes)))
@@ -506,7 +508,7 @@ def snapshot_sdp_mhp_fraction(
     cuts = np.searchsorted(which, np.arange(len(sources) + 1))
     columns = np.searchsorted(targets, dsts)
     checked = matched = 0
-    for first, depth in _hop_blocks(graph, sources.tolist(), targets):
+    for first, depth in _hop_blocks(graph, sources, targets):
         # One hop block's sources at a time bounds the labels held to 64 rows.
         last = first + len(depth)
         part = slice(cuts[first], cuts[last])
@@ -516,8 +518,22 @@ def snapshot_sdp_mhp_fraction(
         reached = sdp >= 0
         checked += int(reached.sum())
         matched += int((reached & (sdp == depth[which[part] - first, columns[part]])).sum())
-    fraction = matched / checked if checked else 0.0
-    return SdpMhpResult(fraction, checked, matched, len(indexed) - checked)
+    return SdpMhpResult(matched / checked if checked else 0.0, checked, matched, len(srcs) - checked)
+
+
+def snapshot_sdp_mhp_fraction(
+    snapshot: TopologySnapshot, pairs: Sequence[tuple[str, str]]
+) -> SdpMhpResult:
+    """Evaluate the SDP-hops == MHP-hops discriminant on explicit pairs."""
+    graph = _graph(snapshot)
+    index = graph.index
+    try:
+        keys = map(index.__getitem__, itertools.chain.from_iterable(pairs))
+        indexed = np.fromiter(keys, np.intp, 2 * len(pairs))
+    except KeyError:
+        src, dst = next((a, b) for a, b in pairs if a not in index or b not in index)
+        raise ValueError(f"unknown node in pair ({src!r}, {dst!r})") from None
+    return _sdp_mhp(graph, indexed[0::2], indexed[1::2])
 
 
 def sdp_mhp_fraction(
@@ -534,16 +550,15 @@ def sdp_mhp_fraction(
     checked = matched = unreachable = 0
     for epoch_s in epochs:
         snapshot = build_snapshot(scenario, epoch_s)
-        nodes = snapshot.nodes
-        if len(nodes) < 2:
+        size = len(snapshot.nodes)
+        if size < 2:
             continue
         # One draw for every endpoint: the same numbers, in the same order,
         # as one scalar draw per endpoint, source then end, pair by pair.
-        draws = rng.integers(0, np.tile([len(nodes), len(nodes) - 1], sample_pairs))
+        draws = rng.integers(0, np.tile([size, size - 1], sample_pairs))
         i, j = draws.reshape(-1, 2).T
         j += j >= i
-        pairs = list(zip(np.take(nodes, i).tolist(), np.take(nodes, j).tolist()))
-        result = snapshot_sdp_mhp_fraction(snapshot, pairs)
+        result = _sdp_mhp(_graph(snapshot), i, j)
         checked += result.pairs_checked
         matched += result.pairs_matched
         unreachable += result.pairs_unreachable

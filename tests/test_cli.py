@@ -221,6 +221,19 @@ class TestHopsCommand:
         assert code == 0
         assert out == (DATA / "hops_shell1_grid.csv").read_text(encoding="utf-8")
 
+    def test_matches_pinned_padded_mesh_output(self, capsys):
+        # A 24x22 dynamic mesh at four lasers a satellite: satellites of
+        # degree 3 and 4, so the hop search reads padded table rows.
+        code, out, _ = run_cli(
+            [
+                "hops", "--scenario", str(DATA / "shell_24x22_dynamic_k4.json"),
+                "--pairs", str(DATA / "hops_pairs.csv"), "--epochs", "3",
+            ],
+            capsys,
+        )  # fmt: skip
+        assert code == 0
+        assert out == (DATA / "hops_24x22_dynamic_k4.csv").read_text(encoding="utf-8")
+
     @pytest.mark.parametrize(
         ("rows", "expected"),
         [

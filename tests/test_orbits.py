@@ -431,3 +431,46 @@ class TestVectorizedElevation:
     def test_empty_positions(self):
         observer = ground_position(GroundNode("g", GROUND_STATION, 0.0, 0.0), 0.0)
         assert elevations_deg(observer, np.empty((0, 3))).shape == (0,)
+
+
+class TestSeveralObservers:
+    """``elevations_deg`` from several observers at once, row for row."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        places=st.lists(
+            st.tuples(
+                st.floats(-89.0, 89.0),
+                st.floats(-180.0, 180.0),
+                st.sampled_from([GROUND_STATION, AIRCRAFT]),
+            ),
+            min_size=1,
+            max_size=9,
+        ),
+        epoch=st.floats(0.0, 6000.0),
+        mask=st.sampled_from([0.0, 10.0, 25.0]),
+    )
+    def test_rows_equal_one_observer_calls(self, places, epoch, mask):
+        nodes = [
+            GroundNode(f"g{k}", kind, lat, lon, altitude_km=10.0 if kind == AIRCRAFT else 0.0)
+            for k, (lat, lon, kind) in enumerate(places)
+        ]
+        observers = np.array([ground_position(node, epoch) for node in nodes])
+        rng = np.random.default_rng(len(places))
+        positions = np.concatenate(
+            [
+                propagate(CASE_CONFIG, epoch).position_km,
+                observers[:1],  # zero range from the first observer
+                [_target_at(observers[0], mask, rng.normal(size=3), 1500.0)],  # at its mask
+            ]
+        )
+        batched = elevations_deg(observers, positions)
+        stacked = np.stack([elevations_deg(observer, positions) for observer in observers])
+        assert batched.shape == (len(observers), len(positions))
+        assert np.array_equal(batched, stacked)
+        assert batched[0, -2] == 90.0
+        assert np.array_equal(batched >= mask, stacked >= mask)
+
+    def test_no_positions(self):
+        observers = np.array([ground_position(GroundNode("g", GROUND_STATION, 0.0, 0.0), 0.0)] * 2)
+        assert elevations_deg(observers, np.empty((0, 3))).shape == (2, 0)

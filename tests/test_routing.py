@@ -25,6 +25,7 @@ from leoisl.routing import (
     _graph,
     _hop_blocks,
     _path,
+    _sdp_mhp,
     _shortest_paths,
     _tight_levels,
     ground_pair_hop_stats,
@@ -278,24 +279,23 @@ class TestSdpMhpFraction:
     def test_sampled_pairs_match_one_draw_per_endpoint(self):
         scenario = Scenario(ConstellationConfig(), topology=TopologySettings("grid"))
         epochs, seed = [0.0, 1200.0], 7
-        with mock.patch.object(
-            routing, "snapshot_sdp_mhp_fraction", wraps=snapshot_sdp_mhp_fraction
-        ) as evaluated:
+        with mock.patch.object(routing, "_sdp_mhp", wraps=_sdp_mhp) as evaluated:
             sdp_mhp_fraction(scenario, 300, epochs, seed)
         rng = np.random.default_rng(seed)
         for epoch_s, call in zip(epochs, evaluated.call_args_list, strict=True):
-            nodes = build_snapshot(scenario, epoch_s).nodes
+            graph, srcs, dsts = call.args
+            assert graph.nodes == build_snapshot(scenario, epoch_s).nodes
             expected = []
             for _ in range(300):
-                i = int(rng.integers(0, len(nodes)))
-                j = int(rng.integers(0, len(nodes) - 1))
-                expected.append((nodes[i], nodes[j + (j >= i)]))
-            assert call.args[1] == expected
+                i = int(rng.integers(0, len(graph.nodes)))
+                j = int(rng.integers(0, len(graph.nodes) - 1))
+                expected.append((i, j + (j >= i)))
+            assert list(zip(srcs.tolist(), dsts.tolist())) == expected
 
     def test_each_sampled_source_is_labelled_once(self):
         # Each hop block's sources are labelled with that block only: on the
-        # 72x22 +grid an engine batch is 41 roots, which does not divide a
-        # block's 64, and no root of the next block may be labelled as well.
+        # 72x22 +grid an engine batch holds 82 roots, more than a block's 64,
+        # and no root of the next block may be labelled as well.
         shell = ConstellationConfig(num_planes=72, sats_per_plane=22, altitude_km=550.0)
         scenario = Scenario(shell, topology=TopologySettings("grid"))
         with (
@@ -305,7 +305,7 @@ class TestSdpMhpFraction:
             result = sdp_mhp_fraction(scenario, 200, [0.0], 12345)
         ((_, sources, _),) = [call.args for call in hop_search.call_args_list]
         assert len(sources) > 64
-        assert [root for call in labels.call_args_list for root in call.args[1]] == sources
+        assert [root for call in labels.call_args_list for root in call.args[1]] == list(sources)
         assert result.pairs_checked + result.pairs_unreachable == 200
 
     def test_sdp_hop_counts_read_back_no_path(self):
@@ -444,10 +444,10 @@ class TestBatchedDistanceSearch:
         graph = _graph(snapshot)
         n = len(graph.nodes)
         links = graph.links
-        for u in range(n):  # each CSR position's row joins its two ends
-            for p in range(graph.offsets[u], graph.offsets[u + 1]):
-                k = graph.rows[p]
-                assert {links.a[k], links.b[k]} == {u, graph.targets[p]}
+        for u in range(n):  # each table slot's row joins its two ends
+            for v, k in zip(graph.neighbors[u].tolist(), graph.rows[u].tolist()):
+                if v < n:
+                    assert {links.a[k], links.b[k]} == {u, v}
         roots = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n))
         roots += roots[:1]  # a repeated root in every batch
         batch = full_dist(graph, roots)
@@ -639,9 +639,8 @@ def reference_hops(graph, src):
     while frontier:
         reached = []
         for here in frontier:
-            links = slice(graph.offsets[here], graph.offsets[here + 1])
-            for neighbor in graph.targets[links].tolist():
-                if neighbor not in hops:
+            for neighbor in graph.neighbors[here].tolist():
+                if neighbor < len(graph.nodes) and neighbor not in hops:
                     hops[neighbor] = hops[here] + 1
                     reached.append(neighbor)
         frontier = reached
@@ -706,6 +705,109 @@ class TestBatchedHopSearch:
         assert labels == [{3: 0}, {0: 0}, {1: 0}]
         assert batched_hops(graph, [], range(4)) == []
         assert batched_hops(graph, [2], []) == [{}]
+
+
+def words_budget(graph, words):
+    """A ``_BATCH_WORDS`` that gives each hop search ``words`` 64-bit words."""
+    return words * max(1, graph.neighbors.size)
+
+
+def assert_hop_blocks(graph, sources, targets):
+    """``_hop_blocks`` yields 64-source blocks equal to plain BFS hop counts."""
+    blocks = list(_hop_blocks(graph, sources, targets))
+    assert [first for first, _ in blocks] == list(range(0, len(sources), 64))
+    reference = {src: reference_hops(graph, src) for src in set(sources)}
+    for first, depth in blocks:
+        assert depth.shape == (min(64, len(sources) - first), len(targets))
+        for src, row in zip(sources[first:], depth.tolist()):
+            assert row == [reference[src].get(t, -1) for t in targets]
+
+
+class TestManyWordHopSearch:
+    """Hop searches over several 64-bit words per node, at forced budgets."""
+
+    @pytest.mark.parametrize("words", [1, 2, 3])
+    @settings(max_examples=40, deadline=None)
+    @given(case=hop_search_cases())
+    def test_budgets_match_reference_bfs(self, words, case):
+        graph, sources, targets = case
+        with mock.patch.object(routing, "_BATCH_WORDS", words_budget(graph, words)):
+            assert_hop_blocks(graph, sources, targets)
+
+    @pytest.mark.parametrize(
+        "count, words",
+        [
+            pytest.param(150, 1, id="one-word-three-searches"),
+            pytest.param(100, 2, id="two-words-partial-last"),
+            pytest.param(300, 2, id="two-words-three-searches"),
+            pytest.param(300, 8, id="five-words-one-search"),
+        ],
+    )
+    def test_ring_with_isolated_nodes(self, count, words):
+        # A 150-node ring with two chords, then 10 nodes of degree 0; the
+        # sources cycle through every node.
+        n = 150
+        graph = edge_list_graph(n + 10, [(i, (i + 1) % n) for i in range(n)] + [(0, 75), (30, 110)])
+        assert graph.neighbors.shape == (n + 10, 3)
+        sources = [k * 7 % (n + 10) for k in range(count)]
+        targets = [0, 7, 75, 110, 149, 150, 159]
+        with mock.patch.object(routing, "_BATCH_WORDS", words_budget(graph, words)):
+            assert_hop_blocks(graph, sources, targets)
+
+    @pytest.mark.parametrize("words", [1, None])
+    def test_dense_mesh(self, words):
+        # max_isls 119 on 120 satellites: every link in range and sight,
+        # rows of very different degree padded to the widest.
+        config = ConstellationConfig()
+        positions = propagate(config, 0.0).position_km
+        graph = _graph(build_dynamic_topology(positions, config, 119, 0.0))
+        degree = (graph.neighbors < len(graph.nodes)).sum(axis=1)
+        assert degree.max() > degree.min() + 5
+        everything = list(range(len(graph.nodes)))
+        budget = routing._BATCH_WORDS if words is None else words_budget(graph, words)
+        with mock.patch.object(routing, "_BATCH_WORDS", budget):
+            assert_hop_blocks(graph, everything, everything)
+
+
+class TestPaddedTable:
+    """Each node's row of the table against the snapshot's link arrays."""
+
+    @staticmethod
+    def check(snapshot, graph, unit_weights=False):
+        n, links = len(graph.nodes), graph.links
+        degree = np.bincount(np.concatenate([links.a, links.b]), minlength=n)
+        assert graph.neighbors.shape == graph.lengths.shape == graph.rows.shape
+        assert graph.neighbors.shape == (n, degree.max(initial=0))
+        for u in range(n):
+            ends = {}
+            for k in np.flatnonzero((links.a == u) | (links.b == u)).tolist():
+                ends[int(links.b[k] if links.a[k] == u else links.a[k])] = k
+            count = degree[u]
+            assert graph.neighbors[u, :count].tolist() == sorted(ends)
+            assert graph.rows[u, :count].tolist() == [ends[v] for v in sorted(ends)]
+            lengths = np.ones(count) if unit_weights else links.distance_km[graph.rows[u, :count]]
+            assert graph.lengths[u, :count].tolist() == lengths.tolist()
+            assert (graph.neighbors[u, count:] == n).all()
+            assert (graph.lengths[u, count:] == np.inf).all()
+            assert (graph.rows[u, count:] == -1).all()
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_graphs(min_length=0))
+    def test_small_graphs(self, case):
+        snapshot, _, _ = case
+        self.check(snapshot, _graph(snapshot))
+        self.check(snapshot, _graph(snapshot, ground=True, unit_weights=True), unit_weights=True)
+
+    def test_meshes_with_isolated_nodes(self):
+        config = ConstellationConfig()
+        positions = propagate(config, 0.0).position_km
+        for snapshot in (
+            build_grid_topology(positions, config, 0.0),
+            build_dynamic_topology(positions, config, 119, 0.0),
+            build_dynamic_topology(positions, config, 4, 0.0, max_range_km=2500.0),
+            snapshot_of(lasers([]), ["a", "b"]),
+        ):
+            self.check(snapshot, _graph(snapshot))
 
 
 def reference_hop_stats(snapshot, pairs, epoch_s, mask_deg):
@@ -789,4 +891,4 @@ class TestHopStatsAgainstNetworkx:
         assert got == expected
         assert any(row is None for row in expected)  # the polar station sees nothing
         if max_isls == 119:
-            assert np.diff(_graph(snapshot).offsets).max() > 10
+            assert _graph(snapshot).neighbors.shape[1] > 10
