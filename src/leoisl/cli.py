@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 
 from . import delivery, routing
-from .orbits import MAX_EPOCH_S, propagate
+from .orbits import GROUND_STATION, MAX_EPOCH_S, GroundNode, propagate
 from .scenario import Scenario, ScenarioError, load_scenario
 from .topology import GRID_MODE, TOPOLOGY_MODES, build_snapshot
 
@@ -172,8 +172,6 @@ _PAIR_COORDINATES = ("lat_a", "lon_a", "lat_b", "lon_b")
 
 def _load_pairs(path: str):
     """Pair file: CSV with header pair_id,lat_a,lon_a,lat_b,lon_b; ids unique."""
-    from .orbits import GROUND_STATION, GroundNode
-
     pairs = []
     seen: set[str] = set()
     with open(path, newline="", encoding="utf-8") as handle:
@@ -320,10 +318,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ScenarioError, ValueError, FileNotFoundError) as exc:
+    except (_CliError, ScenarioError, ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # noqa: BLE001 - runtime failure boundary

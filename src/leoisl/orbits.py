@@ -259,9 +259,7 @@ def row_norms(vectors: np.ndarray) -> np.ndarray:
 
 
 def visible_rows(
-    pos_a: np.ndarray,
-    pos_b: np.ndarray,
-    grazing_altitude_km: float = DEFAULT_GRAZING_ALTITUDE_KM,
+    pos_a: np.ndarray, pos_b: np.ndarray, grazing_altitude_km: float
 ) -> np.ndarray:
     """:func:`visible` of each row pair of two ``(N, 3)`` arrays.
 

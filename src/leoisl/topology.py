@@ -4,8 +4,9 @@ Two ISL construction modes: the quasi-permanent +grid (two in-plane
 neighbors, two same-slot neighbors in adjacent planes) and a dynamic
 degree-capped assignment over everything in communication range. Ground
 stations and aircraft are attached afterwards via elevation-masked RF links.
-``build_snapshot`` builds a scenario's epoch from its settings; the three
-builders it calls stay public for callers that hold positions already.
+``build_snapshot`` builds a scenario's epoch; it and the three builders it
+calls read every setting (shell, link budget, range, grazing altitude,
+elevation mask, ground nodes) from the scenario they are handed.
 
 Snapshots are immutable once built; build one per epoch and route on it.
 """
@@ -25,16 +26,11 @@ from .links import (
     ISL_LASER,
     LINK_CLASSES,
     SAT_TO_AIR,
-    LinkBudgetParams,
     capacity_bps,
 )
 from .orbits import (
     AIRCRAFT,
-    DEFAULT_ELEVATION_MASK_DEG,
-    DEFAULT_GRAZING_ALTITUDE_KM,
     GROUND_STATION,
-    ConstellationConfig,
-    GroundNode,
     elevations_deg,
     ground_position,
 )
@@ -186,11 +182,9 @@ def _grid_pairs(num_planes: int, slots: int) -> tuple[np.ndarray, np.ndarray]:
     return np.minimum(a, b), np.maximum(a, b)
 
 
-def _shell(
-    positions: np.ndarray, config: ConstellationConfig
-) -> tuple[tuple[str, ...], np.ndarray]:
+def _shell(positions: np.ndarray, scenario: Scenario) -> tuple[tuple[str, ...], np.ndarray]:
     """The shell's node ids and its ``(N, 3)`` positions, in shell index order."""
-    keys = orbits.sat_keys(config)
+    keys = orbits.sat_keys(scenario.constellation)
     pos = np.asarray(positions, dtype=float)
     if pos.shape != (len(keys), 3):
         raise ValueError(f"positions must have shape ({len(keys)}, 3), got {pos.shape}")
@@ -204,41 +198,37 @@ def _snapshot(
     hi: np.ndarray,
     distances: np.ndarray,
     epoch_s: float,
-    isl_params: LinkBudgetParams | None,
+    scenario: Scenario,
 ) -> TopologySnapshot:
     """ISL snapshot with one link per index pair ``(lo[i], hi[i])``, of
-    length ``distances[i]``: the tail both builders share."""
-    if isl_params is None:
-        isl_params = links.default_link_params()[ISL_LASER]
-    rates = np.full(len(distances), isl_params.lisl_fixed_rate_bps, dtype=float)
+    length ``distances[i]``, at the scenario's laser rate: the tail both
+    builders share."""
+    rate = scenario.link_params[ISL_LASER].lisl_fixed_rate_bps
+    rates = np.full(len(distances), rate, dtype=float)
     return TopologySnapshot(epoch_s, keys, pos, _links(lo, hi, ISL_LASER, distances, rates))
 
 
 def build_grid_topology(
-    positions: np.ndarray,
-    config: ConstellationConfig,
-    epoch_s: float = 0.0,
-    *,
-    grazing_altitude_km: float = DEFAULT_GRAZING_ALTITUDE_KM,
-    isl_params: LinkBudgetParams | None = None,
+    positions: np.ndarray, scenario: Scenario, epoch_s: float
 ) -> TopologySnapshot:
     """The +grid pattern: in-plane ring plus same-slot links to adjacent planes.
 
-    ``positions`` is the shell's ``(N, 3)`` array in shell index order, as
-    :func:`orbits.propagate`'s ``position_km``. Candidate links that fail
-    line-of-sight (Earth plus grazing buffer) are dropped, so satellites near
-    unfavorable geometry carry fewer than four links. Degenerate shells
-    (single plane, two slots, ...) yield the subset of the pattern that
-    exists without duplicate edges.
+    ``positions`` is the scenario shell's ``(N, 3)`` array in shell index
+    order, as :func:`orbits.propagate`'s ``position_km``. Candidate links
+    that fail line-of-sight (Earth plus the scenario's grazing buffer) are
+    dropped, so satellites near unfavorable geometry carry fewer than four
+    links. Degenerate shells (single plane, two slots, ...) yield the subset
+    of the pattern that exists without duplicate edges.
     """
-    keys, pos = _shell(positions, config)
+    keys, pos = _shell(positions, scenario)
+    config = scenario.constellation
     # Line of sight runs from the lower index, as the scalar check would
     # walking the shell plane by plane.
     lo, hi = _grid_pairs(config.num_planes, config.sats_per_plane)
-    seen = orbits.visible_rows(pos[lo], pos[hi], grazing_altitude_km)
+    seen = orbits.visible_rows(pos[lo], pos[hi], scenario.topology.grazing_altitude_km)
     lo, hi = lo[seen], hi[seen]
     distances = orbits.row_norms(pos[lo] - pos[hi])
-    return _snapshot(keys, pos, lo, hi, distances, epoch_s, isl_params)
+    return _snapshot(keys, pos, lo, hi, distances, epoch_s, scenario)
 
 
 def _admit(lo: list[int], hi: list[int], num_nodes: int, max_isls: int) -> np.ndarray:
@@ -256,28 +246,20 @@ def _admit(lo: list[int], hi: list[int], num_nodes: int, max_isls: int) -> np.nd
 
 
 def build_dynamic_topology(
-    positions: np.ndarray,
-    config: ConstellationConfig,
-    max_isls: int,
-    epoch_s: float = 0.0,
-    *,
-    max_range_km: float = DEFAULT_MAX_RANGE_KM,
-    grazing_altitude_km: float = DEFAULT_GRAZING_ALTITUDE_KM,
-    isl_params: LinkBudgetParams | None = None,
+    positions: np.ndarray, scenario: Scenario, epoch_s: float
 ) -> TopologySnapshot:
     """Degree-capped greedy assignment over all pairs in communication range.
 
-    ``positions`` is the shell's ``(N, 3)`` array in shell index order.
-    Candidates (visible, within ``max_range_km``) are ranked nearest first,
-    ties by node id. Edges are then admitted in budget layers 1..max_isls:
-    within each layer a candidate is accepted iff both endpoints still sit
-    below the layer's degree. The layering makes the edge set for budget k
-    a strict subset of the set for k+1, which a single greedy pass over the
-    ranked list does not guarantee.
+    ``positions`` is the scenario shell's ``(N, 3)`` array in shell index
+    order. Candidates (visible, within the scenario's ``max_range_km``) are
+    ranked nearest first, ties by node id. Edges are then admitted in budget
+    layers 1..max_isls: within each layer a candidate is accepted iff both
+    endpoints still sit below the layer's degree. The layering makes the
+    edge set for budget k a strict subset of the set for k+1, which a single
+    greedy pass over the ranked list does not guarantee.
     """
-    if max_isls < 0:
-        raise ValueError(f"max_isls must be >= 0, got {max_isls}")
-    keys, pos = _shell(positions, config)
+    keys, pos = _shell(positions, scenario)
+    topology = scenario.topology
     # Pairs are taken in node-id order, so ties rank by id and line of sight
     # runs from the lower id. Shell index order agrees with it only while
     # planes and slots stay below 1000, where ``sat_key`` pads to 3 digits.
@@ -287,37 +269,34 @@ def build_dynamic_topology(
     # The last row has no later rows; its empty arrays keep the lists non-empty.
     for i in range(len(keys)):
         d = orbits.row_norms(ranked[i] - ranked[i + 1 :])
-        near = np.flatnonzero(d <= max_range_km)
-        near = near[orbits.visible_rows(ranked[i], ranked[i + 1 + near], grazing_altitude_km)]
+        near = np.flatnonzero(d <= topology.max_range_km)
+        seen = orbits.visible_rows(ranked[i], ranked[i + 1 + near], topology.grazing_altitude_km)
+        near = near[seen]
         lo.append(np.full(len(near), i))
         hi.append(near + (i + 1))
         distances.append(d[near])
     lo, hi, distances = (np.concatenate(parts) for parts in (lo, hi, distances))
     # From n - 1 links per node on, the final layer admits every candidate.
-    if max_isls < len(keys) - 1:
+    if topology.max_isls < len(keys) - 1:
         order = np.lexsort((hi, lo, distances))
-        order = order[_admit(lo[order].tolist(), hi[order].tolist(), len(keys), max_isls)]
+        taken = _admit(lo[order].tolist(), hi[order].tolist(), len(keys), topology.max_isls)
+        order = order[taken]
         lo, hi, distances = lo[order], hi[order], distances[order]
-    return _snapshot(keys, pos, by_key[lo], by_key[hi], distances, epoch_s, isl_params)
+    return _snapshot(keys, pos, by_key[lo], by_key[hi], distances, epoch_s, scenario)
 
 
-def attach_ground_links(
-    snapshot: TopologySnapshot,
-    ground_nodes: list[GroundNode],
-    *,
-    link_params: dict[str, LinkBudgetParams] | None = None,
-    elevation_mask_deg: float = DEFAULT_ELEVATION_MASK_DEG,
-) -> TopologySnapshot:
-    """New snapshot with feeder, space-to-air and ground-to-air edges added.
+def attach_ground_links(snapshot: TopologySnapshot, scenario: Scenario) -> TopologySnapshot:
+    """New snapshot with the scenario's stations and aircraft and their
+    feeder, space-to-air and ground-to-air edges added.
 
-    A ground station links to every satellite above its elevation mask
-    (``ground_to_sat``), an aircraft to every such satellite
-    (``sat_to_air``), and a ground station to every aircraft above its mask
-    (``ground_to_air``). Edge capacities are full-bandwidth; allocation
-    factors are applied downstream by the delivery planner.
+    A ground station links to every satellite above the scenario's elevation
+    mask (``ground_to_sat``), an aircraft to every such satellite
+    (``sat_to_air``), and a ground station to every aircraft above the mask
+    (``ground_to_air``). Edge capacities are full-bandwidth at the scenario's
+    link budgets; allocation factors are applied downstream by the delivery
+    planner.
     """
-    if link_params is None:
-        link_params = links.default_link_params()
+    ground_nodes = [*scenario.ground_stations, *scenario.aircraft]
     ids = set(snapshot.nodes)
     for node in ground_nodes:
         if node.node_id in ids:
@@ -331,11 +310,12 @@ def attach_ground_links(
 
     def link(ground: int, others: np.ndarray, link_class: str) -> None:
         """Links of ``link_class`` from ``ground`` to the ``others`` above its mask."""
-        others = others[elevations_deg(positions[ground], positions[others]) >= elevation_mask_deg]
+        elevations = elevations_deg(positions[ground], positions[others])
+        others = others[elevations >= scenario.topology.elevation_mask_deg]
         distances = orbits.row_norms(positions[ground] - positions[others])
         keep = distances != 0.0  # coincident nodes; the loss model is undefined
         others, distances = others[keep], distances[keep]
-        params = link_params[link_class]
+        params = scenario.link_params[link_class]
         capacities = np.array([capacity_bps(params, d, 1.0) for d in distances.tolist()])
         ground_ends = np.full(len(others), ground)
         parts.append(_links(ground_ends, others, link_class, distances, capacities))
@@ -356,40 +336,17 @@ def attach_ground_links(
 def build_snapshot(
     scenario: Scenario, epoch_s: float, *, ground: bool = False
 ) -> TopologySnapshot:
-    """The scenario's snapshot at ``epoch_s``, built as ``scenario.topology`` says.
+    """The scenario's snapshot at ``epoch_s``.
 
-    Propagates the shell once, then builds the +grid (``grid``) or the
-    nearest-first mesh with at most ``max_isls`` links per satellite
-    (``dynamic``) with the scenario's laser budget. With ``ground``, the
-    scenario's stations and aircraft are attached at its elevation mask.
+    Propagates the shell once and builds the ISLs that
+    ``scenario.topology.mode`` names: the +grid (``grid``) or the
+    nearest-first mesh (``dynamic``). With ``ground``, attaches the
+    scenario's stations and aircraft. Every builder reads its settings from
+    the scenario.
     """
-    topology = scenario.topology
-    config = scenario.constellation
-    isl_params = scenario.link_params[ISL_LASER]
-    positions = orbits.propagate(config, epoch_s).position_km
-    if topology.mode == GRID_MODE:
-        snapshot = build_grid_topology(
-            positions,
-            config,
-            epoch_s,
-            grazing_altitude_km=topology.grazing_altitude_km,
-            isl_params=isl_params,
-        )
+    positions = orbits.propagate(scenario.constellation, epoch_s).position_km
+    if scenario.topology.mode == GRID_MODE:
+        snapshot = build_grid_topology(positions, scenario, epoch_s)
     else:
-        snapshot = build_dynamic_topology(
-            positions,
-            config,
-            topology.max_isls,
-            epoch_s,
-            max_range_km=topology.max_range_km,
-            grazing_altitude_km=topology.grazing_altitude_km,
-            isl_params=isl_params,
-        )
-    if not ground:
-        return snapshot
-    return attach_ground_links(
-        snapshot,
-        [*scenario.ground_stations, *scenario.aircraft],
-        link_params=scenario.link_params,
-        elevation_mask_deg=topology.elevation_mask_deg,
-    )
+        snapshot = build_dynamic_topology(positions, scenario, epoch_s)
+    return attach_ground_links(snapshot, scenario) if ground else snapshot

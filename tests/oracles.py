@@ -12,8 +12,9 @@ import numpy as np
 
 from leoisl.delivery import PER_STREAM, GsFlow, _delay_s, _RouteOption, optimal_ratio_delay
 from leoisl.links import GROUND_TO_AIR, GROUND_TO_SAT, ISL_LASER, SAT_TO_AIR, SPEED_OF_LIGHT_KM_S
-from leoisl.orbits import EARTH_MU_KM3_S2, propagate
+from leoisl.orbits import AIRCRAFT, EARTH_MU_KM3_S2, GROUND_STATION, propagate
 from leoisl.routing import _chains, _path, _shortest_paths, _total
+from leoisl.scenario import Scenario, TopologySettings
 from leoisl.topology import CLASS_ORDER, LinkEdge, Links, TopologySnapshot
 
 
@@ -37,6 +38,18 @@ def snapshot_of(edges, nodes=(), epoch_s=0.0):
           for f in ("distance_km", "capacity_bps", "delay_s")),
     )
     return TopologySnapshot(epoch_s, nodes, np.full((len(nodes), 3), np.nan), links)
+
+
+def scenario_on(config, ground=(), **topology):
+    """A scenario on the shell ``config`` whose stations and aircraft are the
+    ``ground`` nodes and whose topology settings are ``topology``; every
+    other field keeps its default."""
+    return Scenario(
+        config,
+        ground_stations=tuple(node for node in ground if node.kind == GROUND_STATION),
+        aircraft=tuple(node for node in ground if node.kind == AIRCRAFT),
+        topology=TopologySettings(**topology),
+    )
 
 
 def full_dist(graph, roots):

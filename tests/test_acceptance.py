@@ -39,6 +39,7 @@ from oracles import (
     gs_flow,
     measured_period_s,
     neighbor_lists,
+    scenario_on,
     snapshot_of,
 )
 
@@ -321,7 +322,7 @@ def test_criterion_8_structural_invariants(tmp_path):
 
     config = ConstellationConfig()
     positions = propagate(config, 0.0).position_km
-    grid = build_grid_topology(positions, config, 0.0)
+    grid = build_grid_topology(positions, scenario_on(config), 0.0)
     where = dict(zip(grid.nodes, grid.positions))
     degrees = grid.isl_degrees()
     assert all(d <= 4 for d in degrees.values())
@@ -342,7 +343,7 @@ def test_criterion_8_structural_invariants(tmp_path):
 
     previous = set()
     for k in range(1, 9):
-        dynamic = build_dynamic_topology(positions, config, k, epoch_s=0.0)
+        dynamic = build_dynamic_topology(positions, scenario_on(config, max_isls=k), 0.0)
         degs = dynamic.isl_degrees()
         assert max(degs.values()) <= k
         where = dict(zip(dynamic.nodes, dynamic.positions))

@@ -15,7 +15,7 @@ from leoisl import delivery, links, routing
 from leoisl.cli import main
 from leoisl.delivery import build_slot_context
 from leoisl.orbits import ConstellationConfig, propagate
-from leoisl.scenario import default_scenario
+from leoisl.scenario import Scenario, default_scenario
 from leoisl.topology import build_grid_topology
 
 
@@ -55,7 +55,7 @@ class TestTopologyCommand:
         assert code == 0
         rows = parse_csv(out)
         config = ConstellationConfig()
-        snapshot = build_grid_topology(propagate(config, 0.0).position_km, config, 0.0)
+        snapshot = build_grid_topology(propagate(config, 0.0).position_km, Scenario(config), 0.0)
         assert len(rows) - 1 == len(snapshot.edges)
         assert {row[3] for row in rows[1:]} == {"isl_laser"}
         # Handshake: twice the edge count equals the degree sum, <= 4 each.

@@ -37,7 +37,7 @@ from leoisl.routing import (
 from leoisl.scenario import Scenario, TopologySettings
 from leoisl.topology import build_dynamic_topology, build_grid_topology, build_snapshot
 
-from oracles import edge, full_dist, neighbor_lists, snapshot_of
+from oracles import edge, full_dist, neighbor_lists, scenario_on, snapshot_of
 
 
 def lasers(weighted_edges):
@@ -131,7 +131,7 @@ class TestPathBasics:
         from leoisl.topology import build_grid_topology
 
         config = ConstellationConfig()
-        snapshot = build_grid_topology(propagate(config, 0.0).position_km, config, 0.0)
+        snapshot = build_grid_topology(propagate(config, 0.0).position_km, Scenario(config), 0.0)
         path = min_hop_path(snapshot, sat_key(0, 0), sat_key(0, 1))
         assert path.hop_count == 1
 
@@ -349,8 +349,8 @@ def baseline_snapshots():
     config = ConstellationConfig()
     positions = propagate(config, 0.0).position_km
     return {
-        "grid": build_grid_topology(positions, config, 0.0),
-        "dynamic-3": build_dynamic_topology(positions, config, 3, 0.0),
+        "grid": build_grid_topology(positions, scenario_on(config), 0.0),
+        "dynamic-3": build_dynamic_topology(positions, scenario_on(config, max_isls=3), 0.0),
     }
 
 
@@ -511,7 +511,9 @@ class TestTargetBoundedSearch:
     """Labels bounded by each root's targets, and the paths and SDP hop
     counts read back from them, against full labels and enumeration."""
 
-    @pytest.mark.parametrize("batch_links", [1, routing._BATCH_LINKS])
+    @pytest.mark.parametrize(
+        "batch_links", [1, routing._BATCH_LINKS], ids=["one-root", "default"]
+    )
     @settings(max_examples=200, deadline=None)
     @given(case=small_graphs(min_length=0), data=st.data())
     def test_bounded_labels_read_the_same_paths(self, batch_links, case, data):
@@ -760,7 +762,7 @@ class TestManyWordHopSearch:
         # rows of very different degree padded to the widest.
         config = ConstellationConfig()
         positions = propagate(config, 0.0).position_km
-        graph = _graph(build_dynamic_topology(positions, config, 119, 0.0))
+        graph = _graph(build_dynamic_topology(positions, scenario_on(config, max_isls=119), 0.0))
         degree = (graph.neighbors < len(graph.nodes)).sum(axis=1)
         assert degree.max() > degree.min() + 5
         everything = list(range(len(graph.nodes)))
@@ -802,9 +804,11 @@ class TestPaddedTable:
         config = ConstellationConfig()
         positions = propagate(config, 0.0).position_km
         for snapshot in (
-            build_grid_topology(positions, config, 0.0),
-            build_dynamic_topology(positions, config, 119, 0.0),
-            build_dynamic_topology(positions, config, 4, 0.0, max_range_km=2500.0),
+            build_grid_topology(positions, scenario_on(config), 0.0),
+            build_dynamic_topology(positions, scenario_on(config, max_isls=119), 0.0),
+            build_dynamic_topology(
+                positions, scenario_on(config, max_isls=4, max_range_km=2500.0), 0.0
+            ),
             snapshot_of(lasers([]), ["a", "b"]),
         ):
             self.check(snapshot, _graph(snapshot))
@@ -871,7 +875,8 @@ class TestHopStatsAgainstNetworkx:
         config = ConstellationConfig()
         topology = TopologySettings(mode, max_isls, **reach)
         epochs = [0.0, 1500.0]
-        rows = ground_pair_hop_stats(Scenario(config, topology=topology), self.PAIRS, epochs)
+        scenario = Scenario(config, topology=topology)
+        rows = ground_pair_hop_stats(scenario, self.PAIRS, epochs)
         got = [
             None if row.skipped else (row.min_hops, row.max_hops, row.mean_hops, row.associations)
             for row in rows
@@ -880,11 +885,9 @@ class TestHopStatsAgainstNetworkx:
         for epoch in epochs:
             positions = propagate(config, epoch).position_km
             if mode == "grid":
-                snapshot = build_grid_topology(positions, config, epoch)
+                snapshot = build_grid_topology(positions, scenario, epoch)
             else:
-                snapshot = build_dynamic_topology(
-                    positions, config, max_isls, epoch, max_range_km=topology.max_range_km
-                )
+                snapshot = build_dynamic_topology(positions, scenario, epoch)
             expected += reference_hop_stats(
                 snapshot, self.PAIRS, epoch, topology.elevation_mask_deg
             )

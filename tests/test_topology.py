@@ -1,5 +1,7 @@
 """Grid and dynamic topology construction checks."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,8 +31,10 @@ from leoisl.orbits import (
 )
 from leoisl.delivery import SWEEP_MODES, sweep_max_isls
 from leoisl.routing import sdp_mhp_fraction
-from leoisl.scenario import Scenario, TopologySettings, default_scenario
+from leoisl.scenario import Scenario, ScenarioError, TopologySettings, default_scenario
 from leoisl.topology import (
+    ISL_CODE,
+    TOPOLOGY_MODES,
     LinkEdge,
     TopologySnapshot,
     attach_ground_links,
@@ -39,7 +43,10 @@ from leoisl.topology import (
     build_snapshot,
 )
 
+from oracles import scenario_on
+
 CASE_CONFIG = ConstellationConfig()
+CASE_SCENARIO = scenario_on(CASE_CONFIG)
 
 
 def shell_positions(config, epoch):
@@ -68,7 +75,7 @@ def grid_structural_neighbors(config, plane, slot):
 
 class TestGrid:
     def test_case_grid_degrees(self):
-        snapshot = build_grid_topology(shell_positions(CASE_CONFIG, 0.0), CASE_CONFIG, 0.0)
+        snapshot = build_grid_topology(shell_positions(CASE_CONFIG, 0.0), CASE_SCENARIO, 0.0)
         degrees = snapshot.isl_degrees()
         positions = positions_by_id(snapshot)
         assert all(d <= 4 for d in degrees.values())
@@ -86,7 +93,7 @@ class TestGrid:
         assert full_everywhere > 0  # the check must actually bite
 
     def test_case_grid_edge_count_handshake(self):
-        snapshot = build_grid_topology(shell_positions(CASE_CONFIG, 0.0), CASE_CONFIG, 0.0)
+        snapshot = build_grid_topology(shell_positions(CASE_CONFIG, 0.0), CASE_SCENARIO, 0.0)
         degrees = snapshot.isl_degrees()
         assert sum(degrees.values()) == 2 * len(snapshot.edges)
         # 240 structural edges minus those failing line of sight.
@@ -108,7 +115,7 @@ class TestGrid:
 
     def test_single_plane_ring(self):
         config = ConstellationConfig(num_planes=1, sats_per_plane=20, phasing_factor=0)
-        snapshot = build_grid_topology(shell_positions(config, 0.0), config, 0.0)
+        snapshot = build_grid_topology(shell_positions(config, 0.0), scenario_on(config), 0.0)
         degrees = snapshot.isl_degrees()
         assert len(snapshot.edges) == 20
         assert set(degrees.values()) == {2}
@@ -124,7 +131,7 @@ class TestGrid:
         positions = np.array(
             [[r, 0.0, 0.0], [r, 500.0, 0.0], [r, 0.0, 500.0], [r, 500.0, 500.0]]
         )
-        snapshot = build_grid_topology(positions, config, 0.0)
+        snapshot = build_grid_topology(positions, scenario_on(config), 0.0)
         assert len(snapshot.edges) == 4
         assert len({e.key for e in snapshot.edges}) == 4
         assert set(snapshot.isl_degrees().values()) == {2}
@@ -135,11 +142,11 @@ class TestGrid:
         config = ConstellationConfig(
             num_planes=2, sats_per_plane=2, altitude_km=1000.0, phasing_factor=0
         )
-        snapshot = build_grid_topology(shell_positions(config, 0.0), config, 0.0)
+        snapshot = build_grid_topology(shell_positions(config, 0.0), scenario_on(config), 0.0)
         assert snapshot.edges == ()
 
     def test_edges_connect_visible_endpoints(self):
-        snapshot = build_grid_topology(shell_positions(CASE_CONFIG, 321.0), CASE_CONFIG, 321.0)
+        snapshot = build_grid_topology(shell_positions(CASE_CONFIG, 321.0), CASE_SCENARIO, 321.0)
         positions = positions_by_id(snapshot)
         for edge in snapshot.edges:
             assert visible(positions[edge.node_a], positions[edge.node_b])
@@ -155,7 +162,7 @@ class TestGrid:
                     structural.add(tuple(sorted((here, other))))
         for epoch in (0.0, 911.0, 4242.0):
             snapshot = build_grid_topology(
-                shell_positions(CASE_CONFIG, epoch), CASE_CONFIG, epoch
+                shell_positions(CASE_CONFIG, epoch), CASE_SCENARIO, epoch
             )
             present = {e.key for e in snapshot.edges}
             assert present <= structural
@@ -211,7 +218,7 @@ class TestGridMatchesScalarReference:
             positions = shell_positions(config, epoch)
             for grazing in GRAZING_ALTITUDES_KM:
                 snapshot = build_grid_topology(
-                    positions, config, epoch, grazing_altitude_km=grazing
+                    positions, scenario_on(config, grazing_altitude_km=grazing), epoch
                 )
                 assert snapshot.edges == scalar_grid_reference(positions, config, grazing)
                 counts.add(len(snapshot.edges))
@@ -231,11 +238,11 @@ class TestGridMatchesScalarReference:
         for positions in (shell_positions(config, 0.0), shell_positions(config, 1234.5), cluster):
             for grazing in GRAZING_ALTITUDES_KM:
                 snapshot = build_grid_topology(
-                    positions, config, 0.0, grazing_altitude_km=grazing
+                    positions, scenario_on(config, grazing_altitude_km=grazing), 0.0
                 )
                 assert snapshot.edges == scalar_grid_reference(positions, config, grazing)
         expected = {(1, 1): 0, (1, 2): 1, (2, 1): 1, (2, 2): 4}[(planes, slots)]
-        assert len(build_grid_topology(cluster, config, 0.0).edges) == expected
+        assert len(build_grid_topology(cluster, scenario_on(config), 0.0).edges) == expected
 
     def test_line_of_sight_runs_from_the_lower_index(self):
         # A segment grazing the 80 km sphere: the scalar test says visible
@@ -245,7 +252,7 @@ class TestGridMatchesScalarReference:
         config = cluster_config(1, 2)
         for first, second in ((GRAZING_A, GRAZING_B), (GRAZING_B, GRAZING_A)):
             positions = np.array([first, second])
-            snapshot = build_grid_topology(positions, config, 0.0)
+            snapshot = build_grid_topology(positions, scenario_on(config), 0.0)
             assert snapshot.edges == scalar_grid_reference(positions, config, 80.0)
             assert len(snapshot.edges) == visible(first, second)
 
@@ -253,14 +260,13 @@ class TestGridMatchesScalarReference:
 class TestDynamic:
     def test_zero_budget_empty(self):
         positions = shell_positions(CASE_CONFIG, 0.0)
-        snapshot = build_dynamic_topology(positions, CASE_CONFIG, 0)
+        snapshot = build_dynamic_topology(positions, scenario_on(CASE_CONFIG, max_isls=0), 0.0)
         assert snapshot.edges == ()
 
     def test_unbounded_budget_links_every_candidate(self):
         positions = shell_positions(CASE_CONFIG, 0.0)
-        snapshot = build_dynamic_topology(
-            positions, CASE_CONFIG, len(positions) - 1, max_range_km=4000.0
-        )
+        scenario = scenario_on(CASE_CONFIG, max_isls=len(positions) - 1, max_range_km=4000.0)
+        snapshot = build_dynamic_topology(positions, scenario, 0.0)
         expected = 0
         ordered = sorted(zip(sat_keys(CASE_CONFIG), positions))
         for i, (_, pa) in enumerate(ordered):
@@ -272,23 +278,24 @@ class TestDynamic:
 
     def test_three_collinear_budget_one(self):
         positions = np.array([[7000.0, 0.0, 0.0], [7000.0, 800.0, 0.0], [7000.0, 2000.0, 0.0]])
-        snapshot = build_dynamic_topology(
-            positions, cluster_config(1, 3), 1, max_range_km=10000.0
-        )
+        scenario = scenario_on(cluster_config(1, 3), max_isls=1, max_range_km=10000.0)
+        snapshot = build_dynamic_topology(positions, scenario, 0.0)
         assert len(snapshot.edges) == 1
         assert snapshot.edges[0].key == (sat_key(0, 0), sat_key(0, 1))
 
     def test_degree_cap_respected(self):
         positions = shell_positions(CASE_CONFIG, 777.0)
         for k in (1, 2, 3, 5, 8):
-            snapshot = build_dynamic_topology(positions, CASE_CONFIG, k, epoch_s=777.0)
+            scenario = scenario_on(CASE_CONFIG, max_isls=k)
+            snapshot = build_dynamic_topology(positions, scenario, 777.0)
             assert max(snapshot.isl_degrees().values()) <= k
 
     def test_edge_sets_nested_in_budget(self):
         positions = shell_positions(CASE_CONFIG, 123.0)
         previous = set()
         for k in range(1, 8):
-            snapshot = build_dynamic_topology(positions, CASE_CONFIG, k, epoch_s=123.0)
+            scenario = scenario_on(CASE_CONFIG, max_isls=k)
+            snapshot = build_dynamic_topology(positions, scenario, 123.0)
             current = {e.key for e in snapshot.edges}
             assert previous <= current
             previous = current
@@ -302,15 +309,15 @@ class TestDynamic:
         )
         config = cluster_config(2, 2)
         planes = {key: index // 2 for index, key in enumerate(sat_keys(config))}
-        nearest = build_dynamic_topology(positions, config, 1)
+        nearest = build_dynamic_topology(positions, scenario_on(config, max_isls=1), 0.0)
         assert len(nearest.edges) == 2
         assert all(planes[e.node_a] != planes[e.node_b] for e in nearest.edges)
 
     def test_positions_must_fit_the_shell(self):
         with pytest.raises(ValueError, match=r"shape \(120, 3\)"):
-            build_dynamic_topology(np.zeros((119, 3)), CASE_CONFIG, 2)
+            build_dynamic_topology(np.zeros((119, 3)), scenario_on(CASE_CONFIG, max_isls=2), 0.0)
         with pytest.raises(ValueError, match=r"shape \(120, 3\)"):
-            build_grid_topology(np.zeros((120, 2)), CASE_CONFIG)
+            build_grid_topology(np.zeros((120, 2)), CASE_SCENARIO, 0.0)
 
 
 def scalar_dynamic_candidates(shell, config, max_range_km, grazing_altitude_km):
@@ -363,9 +370,10 @@ def assert_dynamic_matches_reference(positions, config, budgets, **geometry):
     grazing = geometry.get("grazing_altitude_km", 80.0)
     candidates = scalar_dynamic_candidates(positions, config, max_range_km, grazing)
     for k in budgets:
-        snapshot = build_dynamic_topology(
-            positions, config, k, max_range_km=max_range_km, grazing_altitude_km=grazing
+        scenario = scenario_on(
+            config, max_isls=k, max_range_km=max_range_km, grazing_altitude_km=grazing
         )
+        snapshot = build_dynamic_topology(positions, scenario, 0.0)
         assert snapshot.edges == scalar_dynamic_reference(candidates, len(positions), k)
     return candidates
 
@@ -419,7 +427,7 @@ class TestDynamicMatchesScalarReference:
         for first, second in ((GRAZING_A, GRAZING_B), (GRAZING_B, GRAZING_A)):
             positions = np.array([first, second])
             assert_dynamic_matches_reference(positions, config, (0, 1))
-            snapshot = build_dynamic_topology(positions, config, 1)
+            snapshot = build_dynamic_topology(positions, scenario_on(config, max_isls=1), 0.0)
             assert len(snapshot.edges) == visible(first, second)
 
     def test_node_id_order_past_three_digits(self):
@@ -432,14 +440,14 @@ class TestDynamicMatchesScalarReference:
         for first, second in ((GRAZING_A, GRAZING_B), (GRAZING_B, GRAZING_A)):
             positions = far.copy()
             positions[1000], positions[101] = first, second
-            snapshot = build_dynamic_topology(positions, config, 1)
+            snapshot = build_dynamic_topology(positions, scenario_on(config, max_isls=1), 0.0)
             assert len(snapshot.edges) == visible(first, second)
         # Slots 101 and 1000 tie at 500 km from slot 0; the lower id wins.
         positions = far.copy()
         positions[0] = [7000.0, 0.0, 0.0]
         positions[101] = [7000.0, 500.0, 0.0]
         positions[1000] = [7000.0, -500.0, 0.0]
-        (edge,) = build_dynamic_topology(positions, config, 1).edges
+        (edge,) = build_dynamic_topology(positions, scenario_on(config, max_isls=1), 0.0).edges
         assert edge.key == (sat_key(0, 0), sat_key(0, 1000))
 
 
@@ -467,9 +475,10 @@ class TestDynamicProperties:
         config = cluster_config(1, len(positions))
         previous = set()
         for k in range(len(positions)):
-            snapshot = build_dynamic_topology(
-                positions, config, k, max_range_km=max_range_km, grazing_altitude_km=grazing
+            scenario = scenario_on(
+                config, max_isls=k, max_range_km=max_range_km, grazing_altitude_km=grazing
             )
+            snapshot = build_dynamic_topology(positions, scenario, 0.0)
             degrees = snapshot.isl_degrees()
             assert max(degrees.values()) <= k
             current = {e.key for e in snapshot.edges}
@@ -491,8 +500,74 @@ class TestSnapshotEntryPoint:
         positions = shell_positions(CASE_CONFIG, 300.0)
         grid = build_snapshot(scenario("grid"), 300.0)
         dynamic = build_snapshot(scenario("dynamic"), 300.0)
-        assert grid == build_grid_topology(positions, CASE_CONFIG, 300.0)
-        assert dynamic == build_dynamic_topology(positions, CASE_CONFIG, 2, 300.0)
+        assert grid == build_grid_topology(positions, scenario("grid"), 300.0)
+        assert dynamic == build_dynamic_topology(positions, scenario("dynamic"), 300.0)
+
+
+def links_of(scenario, laser, **topology):
+    """``(node_a, node_b, class)`` of the laser (``laser``) or ground links
+    that ``build_snapshot`` gives ``scenario`` at epoch 600 s, with its
+    topology settings replaced by ``topology``."""
+    scenario = replace(scenario, topology=replace(scenario.topology, **topology))
+    snapshot = build_snapshot(scenario, 600.0, ground=True)
+    isl = snapshot.links.link_class == ISL_CODE
+    return {(e.node_a, e.node_b, e.link_class) for e in snapshot.link_edges(isl == laser)}
+
+
+class TestEachSettingReachesTheSnapshot:
+    """Each setting, away from its default, changes what ``build_snapshot``
+    builds on a small shell: a builder that read a default instead of the
+    scenario would fail here."""
+
+    BASE = Scenario(CASE_CONFIG)  # the baseline stations and aircraft
+    FULL_MESH = CASE_CONFIG.total_satellites - 1
+
+    def test_laser_rate_sets_every_laser_capacity(self):
+        rate = 2.5e9
+        assert rate != self.BASE.link_params[ISL_LASER].lisl_fixed_rate_bps
+        params = dict(self.BASE.link_params)
+        params[ISL_LASER] = replace(params[ISL_LASER], lisl_fixed_rate_bps=rate)
+        for mode in TOPOLOGY_MODES:
+            scenario = replace(self.BASE, link_params=params, topology=TopologySettings(mode))
+            snapshot = build_snapshot(scenario, 600.0, ground=True)
+            laser = snapshot.links.link_class == ISL_CODE
+            assert laser.any() and not laser.all()
+            assert (snapshot.links.capacity_bps[laser] == rate).all()
+
+    def test_rf_budget_sets_ground_link_capacities(self):
+        params = dict(self.BASE.link_params)
+        params[GROUND_TO_SAT] = replace(params[GROUND_TO_SAT], tx_power_w=40.0)
+        snapshot = build_snapshot(replace(self.BASE, link_params=params), 600.0, ground=True)
+        feeders = [e for e in snapshot.edges if e.link_class == GROUND_TO_SAT]
+        assert feeders
+        for e in feeders:
+            assert e.capacity_bps == capacity_bps(params[GROUND_TO_SAT], e.distance_km, 1.0)
+            default = capacity_bps(self.BASE.link_params[GROUND_TO_SAT], e.distance_km, 1.0)
+            assert e.capacity_bps != default
+
+    def test_higher_elevation_mask_keeps_fewer_ground_links(self):
+        default = links_of(self.BASE, False)
+        higher = links_of(self.BASE, False, elevation_mask_deg=30.0)
+        assert higher and higher < default
+
+    def test_shorter_range_keeps_fewer_dynamic_links(self):
+        mesh = {"mode": "dynamic", "max_isls": self.FULL_MESH}
+        default = links_of(self.BASE, True, **mesh)
+        shorter = links_of(self.BASE, True, max_range_km=2500.0, **mesh)
+        assert shorter and shorter < default
+
+    @pytest.mark.parametrize("mode", TOPOLOGY_MODES)
+    def test_higher_grazing_altitude_keeps_fewer_links(self, mode):
+        topology = {"mode": mode, "max_isls": self.FULL_MESH}
+        default = links_of(self.BASE, True, **topology)
+        higher = links_of(self.BASE, True, grazing_altitude_km=700.0, **topology)
+        assert higher and higher < default
+
+    def test_max_isls_caps_every_degree(self):
+        for k in (1, 2, 3):
+            scenario = replace(self.BASE, topology=TopologySettings("dynamic", k))
+            degrees = build_snapshot(scenario, 600.0).isl_degrees().values()
+            assert max(degrees) == k
 
 
 class TestGroundAttachment:
@@ -500,16 +575,16 @@ class TestGroundAttachment:
         config = ConstellationConfig(
             num_planes=1, sats_per_plane=12, inclination_deg=0.0, phasing_factor=0
         )
-        snapshot = build_grid_topology(shell_positions(config, 0.0), config, 0.0)
+        snapshot = build_grid_topology(shell_positions(config, 0.0), scenario_on(config), 0.0)
         pole = GroundNode("gs-pole", GROUND_STATION, 90.0, 0.0)
-        attached = attach_ground_links(snapshot, [pole])
+        attached = attach_ground_links(snapshot, scenario_on(config, [pole]))
         assert not [e for e in attached.edges if e.link_class == GROUND_TO_SAT]
 
     def test_nadir_aircraft_distance(self):
         positions = shell_positions(CASE_CONFIG, 0.0)  # (0,0) sits at (a, 0, 0)
-        snapshot = build_grid_topology(positions, CASE_CONFIG, 0.0)
+        snapshot = build_grid_topology(positions, CASE_SCENARIO, 0.0)
         craft = GroundNode("ac-nadir", AIRCRAFT, 0.0, 0.0, 10.7)
-        attached = attach_ground_links(snapshot, [craft])
+        attached = attach_ground_links(snapshot, scenario_on(CASE_CONFIG, [craft]))
         edges = [
             e
             for e in attached.edges
@@ -520,10 +595,10 @@ class TestGroundAttachment:
         assert edges[0].distance_km == pytest.approx(expected, abs=1e-9)
 
     def test_ground_to_air_edge_for_nearby_aircraft(self):
-        snapshot = build_grid_topology(shell_positions(CASE_CONFIG, 0.0), CASE_CONFIG, 0.0)
+        snapshot = build_grid_topology(shell_positions(CASE_CONFIG, 0.0), CASE_SCENARIO, 0.0)
         station = GroundNode("gs-0", GROUND_STATION, 0.0, 0.0)
         craft = GroundNode("ac-0", AIRCRAFT, 0.3, 0.0, 10.7)
-        attached = attach_ground_links(snapshot, [station, craft])
+        attached = attach_ground_links(snapshot, scenario_on(CASE_CONFIG, [station, craft]))
         direct = [e for e in attached.edges if e.link_class == GROUND_TO_AIR]
         assert len(direct) == 1
         assert set(direct[0].key) == {"gs-0", "ac-0"}
@@ -531,8 +606,8 @@ class TestGroundAttachment:
     def test_station_coverage_report(self):
         from leoisl.scenario import DEFAULT_GROUND_STATIONS
 
-        snapshot = build_grid_topology(shell_positions(CASE_CONFIG, 2500.0), CASE_CONFIG, 2500.0)
-        attached = attach_ground_links(snapshot, list(DEFAULT_GROUND_STATIONS))
+        snapshot = build_grid_topology(shell_positions(CASE_CONFIG, 2500.0), CASE_SCENARIO, 2500.0)
+        attached = attach_ground_links(snapshot, scenario_on(CASE_CONFIG, DEFAULT_GROUND_STATIONS))
         per_station = {g.node_id: 0 for g in DEFAULT_GROUND_STATIONS}
         for edge in attached.edges:
             if edge.link_class == GROUND_TO_SAT:
@@ -542,16 +617,22 @@ class TestGroundAttachment:
         print(f"feeder visibility at epoch 2500s: {per_station}")
 
     def test_duplicate_ids_rejected(self):
-        snapshot = build_grid_topology(shell_positions(CASE_CONFIG, 0.0), CASE_CONFIG, 0.0)
+        # The scenario refuses a ground node named like a satellite, so the
+        # clash comes from attaching the same ground nodes twice.
         clash = GroundNode(sat_key(0, 0), GROUND_STATION, 0.0, 0.0)
+        with pytest.raises(ScenarioError):
+            scenario_on(CASE_CONFIG, [clash])
+        scenario = scenario_on(CASE_CONFIG, [GroundNode("gs-0", GROUND_STATION, 0.0, 0.0)])
+        snapshot = build_grid_topology(shell_positions(CASE_CONFIG, 0.0), scenario, 0.0)
+        attached = attach_ground_links(snapshot, scenario)
         with pytest.raises(ValueError):
-            attach_ground_links(snapshot, [clash])
+            attach_ground_links(attached, scenario)
 
     def test_coincident_nodes_produce_no_edge(self):
-        snapshot = build_grid_topology(shell_positions(CASE_CONFIG, 0.0), CASE_CONFIG, 0.0)
+        snapshot = build_grid_topology(shell_positions(CASE_CONFIG, 0.0), CASE_SCENARIO, 0.0)
         station = GroundNode("gs-here", GROUND_STATION, 10.0, 20.0, 5.0)
         parked = GroundNode("ac-here", AIRCRAFT, 10.0, 20.0, 5.0)
-        attached = attach_ground_links(snapshot, [station, parked])
+        attached = attach_ground_links(snapshot, scenario_on(CASE_CONFIG, [station, parked]))
         assert not [e for e in attached.edges if e.link_class == GROUND_TO_AIR]
 
     @pytest.mark.parametrize("epoch", [0.0, 1800.0, 5400.0])
@@ -559,8 +640,8 @@ class TestGroundAttachment:
         from leoisl.scenario import DEFAULT_AIRCRAFT, DEFAULT_GROUND_STATIONS
 
         ground = list(DEFAULT_GROUND_STATIONS) + list(DEFAULT_AIRCRAFT)
-        snapshot = build_grid_topology(shell_positions(CASE_CONFIG, epoch), CASE_CONFIG, epoch)
-        attached = attach_ground_links(snapshot, ground)
+        snapshot = build_grid_topology(shell_positions(CASE_CONFIG, epoch), CASE_SCENARIO, epoch)
+        attached = attach_ground_links(snapshot, scenario_on(CASE_CONFIG, ground))
         assert attached.edges == scalar_attach_reference(snapshot, ground)
 
 
