@@ -1,10 +1,10 @@
-"""Link-budget models for the four link classes.
+"""Link-budget models for the three RF link classes.
 
 RF classes (satellite-to-air, ground-to-air, ground-to-satellite) use free
 space path loss plus a Shannon capacity over a kT*B noise floor. Laser
-inter-satellite links are modeled as a fixed-rate pipe: the optical power
-budget is out of scope, only the class rate and speed-of-light propagation
-matter here.
+inter-satellite links are a fixed-rate pipe with no budget here: the
+optical power budget is out of scope, and their rate is the scenario's
+``topology.laser_rate_bps``.
 """
 
 from __future__ import annotations
@@ -22,31 +22,23 @@ SAT_TO_AIR = "sat_to_air"
 GROUND_TO_AIR = "ground_to_air"
 GROUND_TO_SAT = "ground_to_sat"
 ISL_LASER = "isl_laser"
-LINK_CLASSES = (SAT_TO_AIR, GROUND_TO_AIR, GROUND_TO_SAT, ISL_LASER)
+RF_CLASSES = (SAT_TO_AIR, GROUND_TO_AIR, GROUND_TO_SAT)
+LINK_CLASSES = (*RF_CLASSES, ISL_LASER)
 
 
 @dataclass(frozen=True)
 class LinkBudgetParams:
-    """Per-class link constants.
+    """The free-space budget of one RF class; every field enters
+    ``rf_terms``. A scenario holds one per class in ``RF_CLASSES``."""
 
-    ``lisl_fixed_rate_bps`` only matters for ``isl_laser``; the RF fields are
-    kept populated there for serialization symmetry but are unused.
-    """
-
-    link_class: str
     tx_power_w: float
     tx_gain_db: float
     rx_gain_db: float
     carrier_hz: float
     bandwidth_hz: float
     noise_temperature_k: float = 290.0
-    lisl_fixed_rate_bps: float = 1.0e10
 
     def __post_init__(self) -> None:
-        if self.link_class not in LINK_CLASSES:
-            raise ValueError(
-                f"link_class must be one of {LINK_CLASSES}, got {self.link_class!r}"
-            )
         for name in (
             "tx_power_w",
             "tx_gain_db",
@@ -54,7 +46,6 @@ class LinkBudgetParams:
             "carrier_hz",
             "bandwidth_hz",
             "noise_temperature_k",
-            "lisl_fixed_rate_bps",
         ):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -63,8 +54,6 @@ class LinkBudgetParams:
             raise ValueError(f"tx_power_w must be > 0, got {self.tx_power_w}")
         if self.bandwidth_hz <= 0:
             raise ValueError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
-        if self.lisl_fixed_rate_bps <= 0:
-            raise ValueError(f"lisl_fixed_rate_bps must be > 0, got {self.lisl_fixed_rate_bps}")
         if self.carrier_hz <= 0:
             raise ValueError(f"carrier_hz must be > 0, got {self.carrier_hz}")
         if self.noise_temperature_k <= 0:
@@ -74,12 +63,11 @@ class LinkBudgetParams:
 
 
 def default_link_params() -> dict[str, LinkBudgetParams]:
-    """Baseline parameter set: 5 W satellites, 10 W ground stations,
-    40/30/52 dB satellite/aircraft/ground antenna gains, 100 MHz RF channels
-    at 15/18/30 GHz, and 10 Gbps laser ISLs at 197 THz."""
+    """Baseline RF budgets: 5 W satellites, 10 W ground stations,
+    40/30/52 dB satellite/aircraft/ground antenna gains, and 100 MHz
+    channels at 15/18/30 GHz."""
     return {
         SAT_TO_AIR: LinkBudgetParams(
-            link_class=SAT_TO_AIR,
             tx_power_w=5.0,
             tx_gain_db=40.0,
             rx_gain_db=30.0,
@@ -87,7 +75,6 @@ def default_link_params() -> dict[str, LinkBudgetParams]:
             bandwidth_hz=100.0e6,
         ),
         GROUND_TO_AIR: LinkBudgetParams(
-            link_class=GROUND_TO_AIR,
             tx_power_w=10.0,
             tx_gain_db=52.0,
             rx_gain_db=30.0,
@@ -95,23 +82,11 @@ def default_link_params() -> dict[str, LinkBudgetParams]:
             bandwidth_hz=100.0e6,
         ),
         GROUND_TO_SAT: LinkBudgetParams(
-            link_class=GROUND_TO_SAT,
             tx_power_w=10.0,
             tx_gain_db=52.0,
             rx_gain_db=40.0,
             carrier_hz=30.0e9,
             bandwidth_hz=100.0e6,
-        ),
-        ISL_LASER: LinkBudgetParams(
-            link_class=ISL_LASER,
-            tx_power_w=5.0,
-            tx_gain_db=0.0,
-            rx_gain_db=0.0,
-            carrier_hz=197.0e12,
-            # Nominal placeholder; the laser class is a fixed-rate pipe and
-            # never evaluates a Shannon capacity.
-            bandwidth_hz=100.0e6,
-            lisl_fixed_rate_bps=1.0e10,
         ),
     }
 
@@ -156,18 +131,12 @@ def snr_linear(
 def capacity_bps(
     params: LinkBudgetParams, distance_km: float, bandwidth_share: float = 1.0
 ) -> float:
-    """Achievable rate of one link.
-
-    RF classes: Shannon rate ``B' * log2(1 + SNR)`` with ``B'`` the granted
-    bandwidth slice and the SNR recomputed over that slice. Laser ISLs return
-    the fixed class rate regardless of distance and share.
-    """
+    """Shannon rate ``B' * log2(1 + SNR)`` of an RF link, with ``B'`` the
+    granted bandwidth slice and the SNR recomputed over that slice."""
     if bandwidth_share <= 0:
         raise ValueError(f"bandwidth_share must be > 0, got {bandwidth_share}")
     if distance_km <= 0:
         raise ValueError(f"distance_km must be > 0, got {distance_km}")
-    if params.link_class == ISL_LASER:
-        return params.lisl_fixed_rate_bps
     rx_w, noise_w = rf_terms(params, distance_km)
     return shannon_bps(params.bandwidth_hz, rx_w, noise_w, bandwidth_share)
 

@@ -19,7 +19,6 @@ EARTH_MU_KM3_S2 = 398600.4418
 EARTH_ROTATION_RAD_S = 7.2921159e-5
 
 DEFAULT_GRAZING_ALTITUDE_KM = 80.0
-DEFAULT_ELEVATION_MASK_DEG = 10.0
 
 GROUND_STATION = "ground_station"
 AIRCRAFT = "aircraft"

@@ -2,14 +2,14 @@
 
 An empty or missing file yields the baseline scenario: 120 satellites in 6
 planes of 20 at 1000 km and 53 degrees, five ground stations, four aircraft,
-and the default link budget per class.
+the default budget of each RF link class, and 10 Gbps laser ISLs.
 
 The settings dataclasses are the schema. Each JSON object takes exactly the
 field names of its class, an omitted field keeps the class default, and each
 value is converted by the field's annotation; unknown keys and bad values are
 rejected with the offending field named. Only the JSON-specific values live
-here: the link class and node kind follow from where an entry sits, and an
-aircraft entry that omits its motion cruises like an A320.
+here: a node's kind follows from the list it sits in, and an aircraft entry
+that omits its motion cruises like an A320.
 """
 
 from __future__ import annotations
@@ -27,17 +27,16 @@ from .delivery import (
     DELAY_MODELS,
     PER_STREAM,
 )
-from .links import LINK_CLASSES, LinkBudgetParams, default_link_params
+from .links import RF_CLASSES, LinkBudgetParams, default_link_params
 from .orbits import (
     AIRCRAFT,
-    DEFAULT_ELEVATION_MASK_DEG,
     DEFAULT_GRAZING_ALTITUDE_KM,
     GROUND_STATION,
     ConstellationConfig,
     GroundNode,
     sat_keys,
 )
-from .topology import DEFAULT_MAX_RANGE_KM, GRID_MODE, TOPOLOGY_MODES
+from .topology import GRID_MODE, TOPOLOGY_MODES
 
 
 class ScenarioError(ValueError):
@@ -71,15 +70,17 @@ DEFAULT_FILE_CLASS_RANGES = ((50, 100), (500, 1000), (1000, 3000), (10, 1000))
 class TopologySettings:
     mode: str = GRID_MODE
     max_isls: int = 4
-    max_range_km: float = DEFAULT_MAX_RANGE_KM
+    max_range_km: float = 5000.0
     grazing_altitude_km: float = DEFAULT_GRAZING_ALTITUDE_KM
-    elevation_mask_deg: float = DEFAULT_ELEVATION_MASK_DEG
+    elevation_mask_deg: float = 10.0
+    laser_rate_bps: float = 1.0e10
 
     def __post_init__(self) -> None:
         for name, rule, holds in (
             ("max_range_km", "> 0", lambda value: value > 0),
             ("grazing_altitude_km", ">= 0", lambda value: value >= 0),
             ("elevation_mask_deg", "within [-90, 90]", lambda value: -90.0 <= value <= 90.0),
+            ("laser_rate_bps", "> 0", lambda value: value > 0),
         ):
             value = getattr(self, name)
             if not math.isfinite(value):
@@ -158,9 +159,12 @@ class Scenario:
             if node.node_id in sat_keys(self.constellation):
                 where = "aircraft" if node.kind == AIRCRAFT else "ground_stations"
                 raise ScenarioError(f"{where} entry {node.node_id!r} has a satellite's id")
-        missing = [c for c in LINK_CLASSES if c not in self.link_params]
+        missing = [c for c in RF_CLASSES if c not in self.link_params]
         if missing:
             raise ScenarioError(f"link_params missing classes: {missing}")
+        unknown = sorted(set(self.link_params) - set(RF_CLASSES))
+        if unknown:
+            raise ScenarioError(f"link_params has unknown classes: {unknown}")
 
 
 def default_scenario() -> Scenario:
@@ -260,13 +264,9 @@ def _link_params(value) -> dict[str, LinkBudgetParams]:
     for link_class, overrides in _object(value, "link_params").items():
         if link_class not in params:
             raise ScenarioError(f"unknown field link_params.{link_class!r}")
-        params[link_class] = _build(
-            LinkBudgetParams,
-            overrides,
-            f"link_params.{link_class}",
-            {"link_class": link_class},
-            asdict(params[link_class]),
-        )
+        where = f"link_params.{link_class}"
+        defaults = asdict(params[link_class])
+        params[link_class] = _build(LinkBudgetParams, overrides, where, defaults=defaults)
     return params
 
 
@@ -324,7 +324,7 @@ def scenario_to_dict(scenario: Scenario) -> dict:
     for f in fields(scenario):
         value = getattr(scenario, f.name)
         if isinstance(value, dict):
-            out[f.name] = {c: _to_dict(p, ("link_class",)) for c, p in sorted(value.items())}
+            out[f.name] = {c: _to_dict(p) for c, p in sorted(value.items())}
         elif isinstance(value, tuple):
             out[f.name] = [
                 _to_dict(node, ("kind",) if node.kind == AIRCRAFT else _STATION_OMITS)

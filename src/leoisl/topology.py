@@ -5,8 +5,8 @@ neighbors, two same-slot neighbors in adjacent planes) and a dynamic
 degree-capped assignment over everything in communication range. Ground
 stations and aircraft are attached afterwards via elevation-masked RF links.
 ``build_snapshot`` builds a scenario's epoch; it and the three builders it
-calls read every setting (shell, link budget, range, grazing altitude,
-elevation mask, ground nodes) from the scenario they are handed.
+calls read every setting (shell, laser rate, RF budgets, range, grazing
+altitude, elevation mask, ground nodes) from the scenario they are handed.
 
 Snapshots are immutable once built; build one per epoch and route on it.
 """
@@ -38,8 +38,6 @@ from .orbits import (
 if TYPE_CHECKING:  # pragma: no cover - scenario imports this module
     from .scenario import Scenario
 
-
-DEFAULT_MAX_RANGE_KM = 5000.0
 
 GRID_MODE = "grid"
 DYNAMIC_MODE = "dynamic"
@@ -203,8 +201,7 @@ def _snapshot(
     """ISL snapshot with one link per index pair ``(lo[i], hi[i])``, of
     length ``distances[i]``, at the scenario's laser rate: the tail both
     builders share."""
-    rate = scenario.link_params[ISL_LASER].lisl_fixed_rate_bps
-    rates = np.full(len(distances), rate, dtype=float)
+    rates = np.full(len(distances), scenario.topology.laser_rate_bps, dtype=float)
     return TopologySnapshot(epoch_s, keys, pos, _links(lo, hi, ISL_LASER, distances, rates))
 
 

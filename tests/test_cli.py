@@ -580,14 +580,14 @@ class TestBadInput:
         # A zero rate divided by zero, and a negative one gave infinite
         # delays that were counted as delivered.
         scenario = tmp_path / "rate.json"
-        raw = {"link_params": {"isl_laser": {"lisl_fixed_rate_bps": rate}}}
+        raw = {"topology": {"laser_rate_bps": rate}}
         scenario.write_text(json.dumps(raw))
         code, out, err = run_cli(
             ["ifc-sweep", "--isls", "1", "--seeds", "1", "--scenario", str(scenario)],
             capsys,
         )
         assert (code, out) == (1, "")
-        assert "lisl_fixed_rate_bps must be > 0" in err
+        assert "topology.laser_rate_bps must be > 0" in err
 
     @pytest.mark.parametrize(
         ("raw", "message"),
@@ -603,6 +603,28 @@ class TestBadInput:
         code, out, err = run_cli(["propagate", "--scenario", str(scenario)], capsys)
         assert (code, out) == (1, "")
         assert message in err
+
+    @pytest.mark.parametrize(
+        ("raw", "field"),
+        [
+            (
+                {"link_params": {"isl_laser": {"lisl_fixed_rate_bps": 1e9}}},
+                "link_params.'isl_laser'",
+            ),
+            (
+                {"link_params": {"sat_to_air": {"lisl_fixed_rate_bps": 1e10}}},
+                "link_params.sat_to_air.'lisl_fixed_rate_bps'",
+            ),
+        ],
+    )
+    def test_old_laser_rate_fields_are_refused(self, raw, field, tmp_path, capsys):
+        # Files saved before the laser rate moved to topology.laser_rate_bps
+        # carry these fields; they must not load with the rate ignored.
+        scenario = tmp_path / "old.json"
+        scenario.write_text(json.dumps(raw))
+        code, out, err = run_cli(["topology", "--scenario", str(scenario)], capsys)
+        assert (code, out) == (1, "")
+        assert f"unknown field {field}" in err
 
     def test_bad_scenario_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -251,7 +251,6 @@ class TestGsShares:
 
     @settings(max_examples=300, deadline=None)
     @given(
-        st.sampled_from((SAT_TO_AIR, GROUND_TO_AIR, GROUND_TO_SAT)),
         st.floats(0.5, 100.0),  # tx power, W
         st.floats(0.0, 60.0),  # tx gain, dB
         st.floats(0.0, 60.0),  # rx gain, dB
@@ -263,10 +262,10 @@ class TestGsShares:
         st.floats(1.0e3, 1.0e10),  # bits
     )
     def test_cached_feeder_terms_are_bit_identical(
-        self, link_class, power, tx_gain, rx_gain, carrier, bandwidth, noise_k, distance, share, bits
+        self, power, tx_gain, rx_gain, carrier, bandwidth, noise_k, distance, share, bits
     ):
         params = LinkBudgetParams(
-            link_class, power, tx_gain, rx_gain, carrier, bandwidth, noise_temperature_k=noise_k
+            power, tx_gain, rx_gain, carrier, bandwidth, noise_temperature_k=noise_k
         )
         flow = gs_flow("f", bits, 0.01, math.inf, params, distance)
         cap = capacity_bps(params, distance, share)

@@ -7,7 +7,7 @@ import pytest
 
 from leoisl.links import (
     GROUND_TO_SAT,
-    ISL_LASER,
+    RF_CLASSES,
     SAT_TO_AIR,
     LinkBudgetParams,
     capacity_bps,
@@ -16,6 +16,7 @@ from leoisl.links import (
     propagation_delay_s,
     snr_linear,
 )
+from leoisl.scenario import TopologySettings
 
 PARAMS = default_link_params()
 
@@ -47,12 +48,6 @@ class TestCapacity:
         assert snr_db == pytest.approx(25.0, abs=0.05)
         assert capacity_bps(params, 1000.0) == pytest.approx(8.3e8, rel=0.02)
 
-    def test_laser_rate_is_distance_free(self):
-        params = PARAMS[ISL_LASER]
-        for d in (1.0, 500.0, 5000.0):
-            assert capacity_bps(params, d) == 1.0e10
-        assert capacity_bps(params, 500.0, bandwidth_share=0.2) == 1.0e10
-
     def test_capacity_vanishes_with_share(self):
         params = PARAMS[GROUND_TO_SAT]
         caps = [capacity_bps(params, 1500.0, share) for share in (1e-2, 1e-4, 1e-6)]
@@ -82,11 +77,9 @@ class TestCapacity:
 
     def test_param_invariants(self):
         with pytest.raises(ValueError):
-            LinkBudgetParams(SAT_TO_AIR, 0.0, 40.0, 30.0, 15e9, 100e6)
+            LinkBudgetParams(0.0, 40.0, 30.0, 15e9, 100e6)
         with pytest.raises(ValueError):
-            LinkBudgetParams(SAT_TO_AIR, 5.0, 40.0, 30.0, 15e9, 0.0)
-        with pytest.raises(ValueError):
-            LinkBudgetParams("laser", 5.0, 40.0, 30.0, 15e9, 100e6)
+            LinkBudgetParams(5.0, 40.0, 30.0, 15e9, 0.0)
 
 
 class TestPropagationDelay:
@@ -120,8 +113,8 @@ class TestDefaults:
         assert PARAMS[SAT_TO_AIR].carrier_hz == 15.0e9
         assert PARAMS["ground_to_air"].carrier_hz == 18.0e9
         assert PARAMS[GROUND_TO_SAT].carrier_hz == 30.0e9
-        assert PARAMS[ISL_LASER].carrier_hz == 197.0e12
-        assert PARAMS[ISL_LASER].lisl_fixed_rate_bps == 1.0e10
+        assert tuple(PARAMS) == RF_CLASSES
+        assert TopologySettings().laser_rate_bps == 1.0e10
         for link_class in (SAT_TO_AIR, "ground_to_air", GROUND_TO_SAT):
             assert PARAMS[link_class].bandwidth_hz == 100.0e6
         assert PARAMS[SAT_TO_AIR].tx_gain_db == 40.0

@@ -10,7 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from leoisl.delivery import AIR_SHARING_MODES, DELAY_MODELS
-from leoisl.links import LINK_CLASSES, LinkBudgetParams
+from leoisl.links import (
+    ISL_LASER,
+    RF_CLASSES,
+    SAT_TO_AIR,
+    LinkBudgetParams,
+    default_link_params,
+)
 from leoisl.orbits import AIRCRAFT, GROUND_STATION, ConstellationConfig, GroundNode
 from leoisl.scenario import (
     IfcSettings,
@@ -161,11 +167,34 @@ INF = float("inf")
             {"aircraft": [{"node_id": "a", "latitude_deg": True, "longitude_deg": 0}]},
             "aircraft.latitude_deg",
         ),
+        ({"topology": {"laser_rate_bps": 0}}, "topology.laser_rate_bps"),
+        ({"topology": {"laser_rate_bps": -5}}, "topology.laser_rate_bps"),
+        ({"topology": {"laser_rate_bps": NAN}}, "topology.laser_rate_bps"),
+        ({"topology": {"laser_rate_bps": True}}, "topology.laser_rate_bps"),
+        ({"topology": {"laser_rate_bps": "fast"}}, "topology.laser_rate_bps"),
     ],
 )
 def test_bad_value_names_field(raw, field):
     with pytest.raises(ScenarioError, match=field):
         scenario_from_dict(raw)
+
+
+class TestLinkParamsHoldExactlyTheRfClasses:
+    """A scenario built in Python is checked like a file: a budget for a
+    class that has none (the laser) or a missing RF budget is refused."""
+
+    def test_laser_budget_is_refused(self):
+        params = {**default_link_params(), ISL_LASER: default_link_params()[SAT_TO_AIR]}
+        with pytest.raises(ScenarioError) as info:
+            Scenario(link_params=params)
+        assert str(info.value) == "link_params has unknown classes: ['isl_laser']"
+
+    def test_missing_rf_budget_is_named(self):
+        params = default_link_params()
+        del params[SAT_TO_AIR]
+        with pytest.raises(ScenarioError) as info:
+            Scenario(link_params=params)
+        assert str(info.value) == "link_params missing classes: ['sat_to_air']"
 
 
 class TestRoundTrip:
@@ -330,8 +359,8 @@ CRAFT = {"node_id": "a", "latitude_deg": 0, "longitude_deg": 0}
             "unknown field link_params.sat_to_air.'link_class'",
         ),
         (
-            {"link_params": {"isl_laser": {"lisl_fixed_rate_bps": "fast"}}},
-            "link_params.isl_laser.lisl_fixed_rate_bps must be a number, got 'fast'",
+            {"topology": {"laser_rate_bps": "fast"}},
+            "topology.laser_rate_bps must be a number, got 'fast'",
         ),
         (
             {"link_params": {"ground_to_air": {"bandwidth_hz": 0}}},
@@ -449,8 +478,8 @@ CRAFT = {"node_id": "a", "latitude_deg": 0, "longitude_deg": 0}
             "aircraft entry 'S005-019' has a satellite's id",
         ),
         (
-            {"link_params": {"isl_laser": {"lisl_fixed_rate_bps": 0.0}}},
-            "link_params.isl_laser: lisl_fixed_rate_bps must be > 0, got 0.0",
+            {"topology": {"laser_rate_bps": 0.0}},
+            "topology.laser_rate_bps must be > 0, got 0.0",
         ),
     ],
 )
@@ -460,19 +489,18 @@ def test_error_text_is_pinned(raw, message):
     assert str(info.value) == message
 
 
-# sha256 of the saved text, pinned before the serializer walked the
-# dataclass fields; None is the built-in baseline.
+# sha256 of the saved text; None is the built-in baseline.
 @pytest.mark.parametrize(
     ("name", "digest"),
     [
-        (None, "5ad31579b9d2f1010233104cf673ec14393ca16c01b310106450189cdca6daa9"),
+        (None, "8634ca60afcec478c264f6ca9d4e96ec323337c78428ff15c5a6b02ea3a4c4b2"),
         (
             "cached_equal_split_saf.json",
-            "2a614cfb4fbefd734f1fd9e7f7c6d3f185f13999895a6a903eccf1224df890b0",
+            "1ea0cc2c684cfcdadec6dab8ca19f5e6173d68799dd92cd69d2488ada1c5c8b9",
         ),
-        ("feeder_limited.json", "56f5150b63e198c93b8d7044535e1078eebb9d17985f2156c801f4a8533eacc8"),
-        ("shell1_grid.json", "8c872080ee53955a8a3fa536a814e484887d6d4044395e4853a6ff5c8cc8bcff"),
-        ("shell_24x22.json", "5c4b799a0ca3dc816ad2c0c8de2eee940fa6ac69bedfb7c726606d224c616d42"),
+        ("feeder_limited.json", "b283b00f73be8076856f154b5888ad197ebbf50b4ae35cbca61284729daa9afb"),
+        ("shell1_grid.json", "fe567c9355e70aecb03f8b3cd8c58101f67792fd832048a00a1a2ef64005d351"),
+        ("shell_24x22.json", "7982c7103fe63594bdad98a8dc814d3605390fecfb0cead0ad29070b8372d132"),
     ],
 )
 def test_saved_text_is_pinned(name, digest, tmp_path):
@@ -491,9 +519,9 @@ def test_every_dataclass_field_is_a_json_key():
     assert set(data["constellation"]) == names(ConstellationConfig)
     assert set(data["topology"]) == names(TopologySettings)
     assert set(data["ifc"]) == names(IfcSettings)
-    assert set(data["link_params"]) == set(LINK_CLASSES)
+    assert set(data["link_params"]) == set(RF_CLASSES)
     for entry in data["link_params"].values():
-        assert set(entry) == names(LinkBudgetParams, "link_class")
+        assert set(entry) == names(LinkBudgetParams)
     for entry in data["aircraft"]:
         assert set(entry) == names(GroundNode, "kind")
     # A station never moves, so its heading and speed are not written.
@@ -539,16 +567,14 @@ link_budgets = st.fixed_dictionaries(
     {
         link_class: st.builds(
             LinkBudgetParams,
-            link_class=st.just(link_class),
             tx_power_w=positive,
             tx_gain_db=finite,
             rx_gain_db=finite,
             carrier_hz=positive,
             bandwidth_hz=positive,
             noise_temperature_k=positive,
-            lisl_fixed_rate_bps=positive,
         )
-        for link_class in LINK_CLASSES
+        for link_class in RF_CLASSES
     }
 )
 
@@ -571,6 +597,7 @@ scenarios = st.builds(
         max_range_km=positive,
         grazing_altitude_km=st.floats(0.0, 1e6),
         elevation_mask_deg=st.floats(-90.0, 90.0),
+        laser_rate_bps=positive,
     ),
     ifc=st.builds(
         IfcSettings,

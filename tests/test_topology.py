@@ -18,7 +18,6 @@ from leoisl.links import (
 )
 from leoisl.orbits import (
     AIRCRAFT,
-    DEFAULT_ELEVATION_MASK_DEG,
     GROUND_STATION,
     ConstellationConfig,
     GroundNode,
@@ -174,7 +173,7 @@ class TestGrid:
 def scalar_grid_reference(shell, config, grazing_altitude_km):
     """Edges of ``build_grid_topology`` with one scalar line-of-sight test and
     one ``np.linalg.norm`` per candidate link, walking the shell plane by plane."""
-    rate = default_link_params()[ISL_LASER].lisl_fixed_rate_bps
+    rate = TopologySettings().laser_rate_bps
     positions = dict(zip(sat_keys(config), np.asarray(shell, float)))
     seen = set()
     edges = []
@@ -341,7 +340,7 @@ def scalar_dynamic_candidates(shell, config, max_range_km, grazing_altitude_km):
 def scalar_dynamic_reference(candidates, num_nodes, max_isls):
     """Edges of ``build_dynamic_topology`` from its ranked candidates: every
     layer walks the whole list and skips the links already taken."""
-    rate = default_link_params()[ISL_LASER].lisl_fixed_rate_bps
+    rate = TopologySettings().laser_rate_bps
     accepted = []
     if max_isls >= num_nodes - 1:
         accepted = candidates
@@ -524,11 +523,10 @@ class TestEachSettingReachesTheSnapshot:
 
     def test_laser_rate_sets_every_laser_capacity(self):
         rate = 2.5e9
-        assert rate != self.BASE.link_params[ISL_LASER].lisl_fixed_rate_bps
-        params = dict(self.BASE.link_params)
-        params[ISL_LASER] = replace(params[ISL_LASER], lisl_fixed_rate_bps=rate)
+        assert rate != self.BASE.topology.laser_rate_bps
         for mode in TOPOLOGY_MODES:
-            scenario = replace(self.BASE, link_params=params, topology=TopologySettings(mode))
+            topology = TopologySettings(mode, laser_rate_bps=rate)
+            scenario = replace(self.BASE, topology=topology)
             snapshot = build_snapshot(scenario, 600.0, ground=True)
             laser = snapshot.links.link_class == ISL_CODE
             assert laser.any() and not laser.all()
@@ -660,7 +658,7 @@ def scalar_attach_reference(snapshot, ground):
             others = [(sat, SAT_TO_AIR) for sat in snapshot.nodes]
         for other, link_class in others:
             elevation = elevation_deg(positions[node.node_id], positions[other])
-            if elevation < DEFAULT_ELEVATION_MASK_DEG:
+            if elevation < TopologySettings().elevation_mask_deg:
                 continue
             distance = float(np.linalg.norm(positions[node.node_id] - positions[other]))
             if distance == 0.0:
