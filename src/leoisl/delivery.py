@@ -91,10 +91,10 @@ class FileRequest:
     source_gs_set: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        if self.num_packets <= 0:
-            raise ValueError(f"num_packets must be > 0, got {self.num_packets}")
-        if self.packet_bits <= 0:
-            raise ValueError(f"packet_bits must be > 0, got {self.packet_bits}")
+        orbits.check_fields(self, (
+            ("num_packets", "> 0", lambda v: v > 0),
+            ("packet_bits", "> 0", lambda v: v > 0),
+        ))
 
     @property
     def total_bits(self) -> int:
@@ -713,18 +713,17 @@ class _OptionTable:
         columns = []  # entry, serving, feeder delay and full-band rate, air delay and rate
         for gs in sorted(stations):
             for feeder in ([direct[gs]] if gs in direct else []) + ctx.edges_at(GROUND_TO_SAT, gs):
-                p = params[feeder.link_class]
-                rate = shannon_bps(p.bandwidth_hz, *rf_terms(p, feeder.distance_km), 1.0)
+                feeder_terms = (feeder.delay_s, feeder.capacity_bps)
                 if feeder.link_class == GROUND_TO_AIR:
                     self.chains.append((gs, feeder, None))
-                    columns.append((-1, -1, feeder.delay_s, rate, 0.0, math.inf))
+                    columns.append((-1, -1, *feeder_terms, 0.0, math.inf))
                     continue
                 entry = graph.index[feeder.other(gs)]
                 for air, serving in airs:
                     if entry == serving or not zero_budget:
                         self.chains.append((gs, feeder, air))
                         air_terms = (air.delay_s, air.capacity_bps)
-                        columns.append((entry, serving, feeder.delay_s, rate, *air_terms))
+                        columns.append((entry, serving, *feeder_terms, *air_terms))
         columns = np.reshape(columns, (-1, 6)).T
         entries, self.serving = columns[:2].astype(np.intp)
         self.ends = list(zip(entries.tolist(), self.serving.tolist()))

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+from .orbits import check_fields
 
 SPEED_OF_LIGHT_KM_S = 299792.458
 BOLTZMANN_J_PER_K = 1.380649e-23
@@ -39,27 +41,13 @@ class LinkBudgetParams:
     noise_temperature_k: float = 290.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "tx_power_w",
-            "tx_gain_db",
-            "rx_gain_db",
-            "carrier_hz",
-            "bandwidth_hz",
-            "noise_temperature_k",
-        ):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.tx_power_w <= 0:
-            raise ValueError(f"tx_power_w must be > 0, got {self.tx_power_w}")
-        if self.bandwidth_hz <= 0:
-            raise ValueError(f"bandwidth_hz must be > 0, got {self.bandwidth_hz}")
-        if self.carrier_hz <= 0:
-            raise ValueError(f"carrier_hz must be > 0, got {self.carrier_hz}")
-        if self.noise_temperature_k <= 0:
-            raise ValueError(
-                f"noise_temperature_k must be > 0, got {self.noise_temperature_k}"
-            )
+        check_fields(self, (
+            *((f.name, "finite", math.isfinite) for f in fields(self)),
+            ("tx_power_w", "> 0", lambda v: v > 0),
+            ("bandwidth_hz", "> 0", lambda v: v > 0),
+            ("carrier_hz", "> 0", lambda v: v > 0),
+            ("noise_temperature_k", "> 0", lambda v: v > 0),
+        ))
 
 
 def default_link_params() -> dict[str, LinkBudgetParams]:

@@ -31,6 +31,17 @@ GROUND_KINDS = (GROUND_STATION, AIRCRAFT)
 MAX_EPOCH_S = 1e9
 
 
+def check_fields(obj, rules, prefix: str = "", error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` at the first ``(field, rule, holds)`` of ``rules`` whose
+    ``holds`` is false on ``obj``'s field, with the text ``f"{prefix}{field}
+    must be {rule}, got {value}"``; a string value is shown by its repr."""
+    for name, rule, holds in rules:
+        value = getattr(obj, name)
+        if not holds(value):
+            shown = repr(value) if isinstance(value, str) else value
+            raise error(f"{prefix}{name} must be {rule}, got {shown}")
+
+
 def sat_key(plane: int, slot: int) -> str:
     """Canonical node id for the satellite at (plane, slot)."""
     return f"S{plane:03d}-{slot:03d}"
@@ -52,27 +63,16 @@ class ConstellationConfig:
     raan_spread_deg: float = 360.0
 
     def __post_init__(self) -> None:
-        for name in ("altitude_km", "raan_spread_deg"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.num_planes < 1:
-            raise ValueError(f"num_planes must be >= 1, got {self.num_planes}")
-        if self.sats_per_plane < 1:
-            raise ValueError(f"sats_per_plane must be >= 1, got {self.sats_per_plane}")
-        if self.altitude_km <= 0:
-            raise ValueError(f"altitude_km must be > 0, got {self.altitude_km}")
-        if not 0.0 <= self.inclination_deg <= 180.0:
-            raise ValueError(
-                f"inclination_deg must be within [0, 180], got {self.inclination_deg}"
-            )
-        if not 0 <= self.phasing_factor <= self.num_planes - 1:
-            raise ValueError(
-                "phasing_factor must be within [0, num_planes-1], "
-                f"got {self.phasing_factor}"
-            )
-        if self.raan_spread_deg <= 0:
-            raise ValueError(f"raan_spread_deg must be > 0, got {self.raan_spread_deg}")
+        check_fields(self, (
+            ("altitude_km", "finite", math.isfinite),
+            ("raan_spread_deg", "finite", math.isfinite),
+            ("num_planes", ">= 1", lambda v: v >= 1),
+            ("sats_per_plane", ">= 1", lambda v: v >= 1),
+            ("altitude_km", "> 0", lambda v: v > 0),
+            ("inclination_deg", "within [0, 180]", lambda v: 0.0 <= v <= 180.0),
+            ("phasing_factor", "within [0, num_planes-1]", lambda v: 0 <= v <= self.num_planes - 1),
+            ("raan_spread_deg", "> 0", lambda v: v > 0),
+        ))
 
     @property
     def total_satellites(self) -> int:
@@ -104,24 +104,22 @@ class GroundNode:
     speed_km_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in GROUND_KINDS:
-            raise ValueError(f"kind must be one of {GROUND_KINDS}, got {self.kind!r}")
-        for name in ("longitude_deg", "altitude_km", "heading_deg", "speed_km_s"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if not -90.0 <= self.latitude_deg <= 90.0:
-            raise ValueError(
-                f"latitude_deg must be within [-90, 90], got {self.latitude_deg}"
-            )
+        check_fields(self, (
+            ("kind", f"one of {GROUND_KINDS}", lambda v: v in GROUND_KINDS),
+            ("longitude_deg", "finite", math.isfinite),
+            ("altitude_km", "finite", math.isfinite),
+            ("heading_deg", "finite", math.isfinite),
+            ("speed_km_s", "finite", math.isfinite),
+            ("latitude_deg", "within [-90, 90]", lambda v: -90.0 <= v <= 90.0),
+        ))
         if self.kind == GROUND_STATION:
             for name in ("heading_deg", "speed_km_s"):
                 if getattr(self, name) != 0.0:
                     raise ValueError(f"ground stations must have {name} == 0")
-        if self.speed_km_s < 0:
-            raise ValueError(f"speed_km_s must be >= 0, got {self.speed_km_s}")
-        if self.altitude_km < 0:
-            raise ValueError(f"altitude_km must be >= 0, got {self.altitude_km}")
+        check_fields(self, (
+            ("speed_km_s", ">= 0", lambda v: v >= 0),
+            ("altitude_km", ">= 0", lambda v: v >= 0),
+        ))
 
 
 @functools.lru_cache(maxsize=16)

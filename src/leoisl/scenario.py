@@ -34,6 +34,7 @@ from .orbits import (
     GROUND_STATION,
     ConstellationConfig,
     GroundNode,
+    check_fields,
     sat_keys,
 )
 from .topology import GRID_MODE, TOPOLOGY_MODES
@@ -65,6 +66,9 @@ _STATION_OMITS = ("kind", "heading_deg", "speed_km_s")
 
 DEFAULT_FILE_CLASS_RANGES = ((50, 100), (500, 1000), (1000, 3000), (10, 1000))
 
+# File sizes are drawn as numpy int64s, so no packet count or size may exceed this.
+INT64_MAX = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class TopologySettings:
@@ -76,23 +80,18 @@ class TopologySettings:
     laser_rate_bps: float = 1.0e10
 
     def __post_init__(self) -> None:
-        for name, rule, holds in (
-            ("max_range_km", "> 0", lambda value: value > 0),
-            ("grazing_altitude_km", ">= 0", lambda value: value >= 0),
-            ("elevation_mask_deg", "within [-90, 90]", lambda value: -90.0 <= value <= 90.0),
-            ("laser_rate_bps", "> 0", lambda value: value > 0),
-        ):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ScenarioError(f"topology.{name} must be finite, got {value}")
-            if not holds(value):
-                raise ScenarioError(f"topology.{name} must be {rule}, got {value}")
-        if self.mode not in TOPOLOGY_MODES:
-            raise ScenarioError(
-                f"topology.mode must be one of {TOPOLOGY_MODES}, got {self.mode!r}"
-            )
-        if self.max_isls < 0:
-            raise ScenarioError(f"topology.max_isls must be >= 0, got {self.max_isls}")
+        check_fields(self, (
+            ("max_range_km", "finite", math.isfinite),
+            ("max_range_km", "> 0", lambda v: v > 0),
+            ("grazing_altitude_km", "finite", math.isfinite),
+            ("grazing_altitude_km", ">= 0", lambda v: v >= 0),
+            ("elevation_mask_deg", "finite", math.isfinite),
+            ("elevation_mask_deg", "within [-90, 90]", lambda v: -90.0 <= v <= 90.0),
+            ("laser_rate_bps", "finite", math.isfinite),
+            ("laser_rate_bps", "> 0", lambda v: v > 0),
+            ("mode", f"one of {TOPOLOGY_MODES}", lambda v: v in TOPOLOGY_MODES),
+            ("max_isls", ">= 0", lambda v: v >= 0),
+        ), "topology.", ScenarioError)
 
 
 @dataclass(frozen=True)
@@ -105,34 +104,24 @@ class IfcSettings:
     delay_model: str = CUT_THROUGH
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.cache_fraction <= 1.0:
-            raise ScenarioError(
-                f"ifc.cache_fraction must be within (0, 1], got {self.cache_fraction}"
-            )
-        if not 0.0 <= self.cache_hit_probability <= 1.0:
-            raise ScenarioError(
-                "ifc.cache_hit_probability must be within [0, 1], "
-                f"got {self.cache_hit_probability}"
-            )
-        if self.packet_bits <= 0:
-            raise ScenarioError(f"ifc.packet_bits must be > 0, got {self.packet_bits}")
+        check_fields(self, (
+            ("cache_fraction", "within (0, 1]", lambda v: 0.0 < v <= 1.0),
+            ("cache_hit_probability", "within [0, 1]", lambda v: 0.0 <= v <= 1.0),
+            ("packet_bits", "> 0", lambda v: v > 0),
+            ("packet_bits", f"<= {INT64_MAX}", lambda v: v <= INT64_MAX),
+        ), "ifc.", ScenarioError)
         if not self.file_class_packet_ranges:
             raise ScenarioError("ifc.file_class_packet_ranges must be non-empty")
         for idx, (lo, hi) in enumerate(self.file_class_packet_ranges):
+            where = f"ifc.file_class_packet_ranges[{idx}]"
             if not 0 < lo <= hi:
-                raise ScenarioError(
-                    f"ifc.file_class_packet_ranges[{idx}] must satisfy 0 < lo <= hi, "
-                    f"got ({lo}, {hi})"
-                )
-        if self.air_link_sharing not in AIR_SHARING_MODES:
-            raise ScenarioError(
-                f"ifc.air_link_sharing must be one of {AIR_SHARING_MODES}, "
-                f"got {self.air_link_sharing!r}"
-            )
-        if self.delay_model not in DELAY_MODELS:
-            raise ScenarioError(
-                f"ifc.delay_model must be one of {DELAY_MODELS}, got {self.delay_model!r}"
-            )
+                raise ScenarioError(f"{where} must satisfy 0 < lo <= hi, got ({lo}, {hi})")
+            if hi > INT64_MAX:
+                raise ScenarioError(f"{where} must satisfy hi <= {INT64_MAX}, got ({lo}, {hi})")
+        check_fields(self, (
+            ("air_link_sharing", f"one of {AIR_SHARING_MODES}", lambda v: v in AIR_SHARING_MODES),
+            ("delay_model", f"one of {DELAY_MODELS}", lambda v: v in DELAY_MODELS),
+        ), "ifc.", ScenarioError)
 
 
 @dataclass(frozen=True)
@@ -146,6 +135,7 @@ class Scenario:
     seed: int = 1
 
     def __post_init__(self) -> None:
+        check_fields(self, (("seed", ">= 0", lambda v: v >= 0),), "scenario.", ScenarioError)
         ids = [g.node_id for g in self.ground_stations + self.aircraft]
         if len(ids) != len(set(ids)):
             raise ScenarioError("ground_stations/aircraft node ids must be unique")
@@ -189,7 +179,10 @@ def _as_number(value, kind: type, field_name: str):
         raise ScenarioError(f"{field_name} must be a number, got {value!r}")
     if kind is int and isinstance(value, float) and not value.is_integer():
         raise ScenarioError(f"{field_name} must be an integer, got {value!r}")
-    return kind(value)
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ScenarioError(f"{field_name} must be within float range, got {value!r}") from None
 
 
 def _ranges(value, where: str) -> tuple[tuple[int, int], ...]:

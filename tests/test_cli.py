@@ -595,6 +595,23 @@ class TestBadInput:
             ({"seed": 1.5}, "scenario.seed must be an integer"),
             ({"seed": True}, "scenario.seed must be a number"),
             ({"snapshot_duration_s": 10.0}, "unknown field scenario.'snapshot_duration_s'"),
+            # Past the float range or int64: bad input (exit 1), not a runtime failure.
+            pytest.param(
+                {"constellation": {"altitude_km": 10**399}},
+                "constellation.altitude_km must be within float range",
+                id="altitude-400-digits",
+            ),
+            pytest.param(
+                {"ifc": {"packet_bits": 10**399}},
+                "ifc.packet_bits must be <= 9223372036854775807",
+                id="packet-bits-400-digits",
+            ),
+            pytest.param(
+                {"ifc": {"file_class_packet_ranges": [[1, 10**22]]}},
+                "ifc.file_class_packet_ranges[0] must satisfy hi <= 9223372036854775807",
+                id="range-hi-10e22",
+            ),
+            pytest.param({"seed": -1}, "scenario.seed must be >= 0, got -1", id="seed-negative"),
         ],
     )
     def test_rejected_scenario_value(self, raw, message, tmp_path, capsys):

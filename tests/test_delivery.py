@@ -74,6 +74,13 @@ def context(snapshot, **ifc):
     return SlotContext(snapshot, Scenario(ifc=IfcSettings(**ifc)))
 
 
+def feeder(gs, node, link_class, distance):
+    """A hand-built feeder at its default budget's full-band rate, as a
+    snapshot prices it."""
+    capacity = capacity_bps(default_link_params()[link_class], distance)
+    return edge(gs, node, link_class, distance, capacity)
+
+
 def fresh_slot(scenario, max_isls, mode, seed, epoch_s=0.0):
     """One slot planned on a context and a request draw of its own."""
     requests = generate_requests(scenario, seed)
@@ -429,7 +436,7 @@ class TestPlanNonCached:
         edges = []
         for gs in feeders:
             for sat in servings:
-                edges.append(edge(gs, sat, GROUND_TO_SAT, 1800.0, 0.0))
+                edges.append(feeder(gs, sat, GROUND_TO_SAT, 1800.0))
         for sat in servings:
             edges.append(edge(sat, AIR, SAT_TO_AIR, 1200.0, air_cap))
         return snapshot_of(edges)
@@ -456,7 +463,7 @@ class TestPlanNonCached:
 
     def test_two_identical_files_split_evenly(self):
         edges = [
-            edge("G1", "S0", GROUND_TO_SAT, 1800.0, 0.0),
+            feeder("G1", "S0", GROUND_TO_SAT, 1800.0),
             edge("S0", "air-1", SAT_TO_AIR, 1200.0, 8e8),
             edge("S0", "air-2", SAT_TO_AIR, 1200.0, 8e8),
         ]
@@ -473,7 +480,7 @@ class TestPlanNonCached:
 
     def test_unbalanced_sizes_beat_equal_allocation(self):
         edges = [
-            edge("G1", "S0", GROUND_TO_SAT, 1800.0, 0.0),
+            feeder("G1", "S0", GROUND_TO_SAT, 1800.0),
             edge("S0", "air-1", SAT_TO_AIR, 1200.0, 8e8),
             edge("S0", "air-2", SAT_TO_AIR, 1200.0, 8e8),
         ]
@@ -498,9 +505,9 @@ class TestPlanNonCached:
         # so every option is a direct feeder: greedy takes the best-rate
         # one (the nearer station), as the standalone pick does.
         edges = [
-            edge("G1", AIR, GROUND_TO_AIR, 300.0, 0.0),
-            edge("G2", AIR, GROUND_TO_AIR, 200.0, 0.0),
-            edge("G1", "S1", GROUND_TO_SAT, 800.0, 0.0),
+            feeder("G1", AIR, GROUND_TO_AIR, 300.0),
+            feeder("G2", AIR, GROUND_TO_AIR, 200.0),
+            feeder("G1", "S1", GROUND_TO_SAT, 800.0),
             edge("S0", AIR, SAT_TO_AIR, 1200.0, 8e8),
         ]
         request = self.request("r1", {"G1", "G2"})
@@ -536,7 +543,7 @@ class TestPlanNonCached:
     def test_zero_budget_requires_shared_satellite(self):
         # Entry and serving differ; with no ISL budget the chain is illegal.
         edges = [
-            edge("G1", "S-entry", GROUND_TO_SAT, 1800.0, 0.0),
+            feeder("G1", "S-entry", GROUND_TO_SAT, 1800.0),
             edge("S-entry", "S-serve", ISL_LASER, 2000.0, 1e10),
             edge("S-serve", AIR, SAT_TO_AIR, 1200.0, 8e8),
         ]

@@ -481,6 +481,40 @@ CRAFT = {"node_id": "a", "latitude_deg": 0, "longitude_deg": 0}
             {"topology": {"laser_rate_bps": 0.0}},
             "topology.laser_rate_bps must be > 0, got 0.0",
         ),
+        # numpy refused these with messages that named no field, or they
+        # overflowed a float conversion after loading.
+        pytest.param({"seed": -1}, "scenario.seed must be >= 0, got -1", id="seed-negative"),
+        pytest.param(
+            {"ifc": {"file_class_packet_ranges": [[1, 10**22]]}},
+            "ifc.file_class_packet_ranges[0] must satisfy hi <= 9223372036854775807, "
+            f"got (1, {10**22})",
+            id="range-hi-above-int64",
+        ),
+        pytest.param(
+            {"ifc": {"packet_bits": 2**63}},
+            f"ifc.packet_bits must be <= 9223372036854775807, got {2**63}",
+            id="packet-bits-above-int64",
+        ),
+        pytest.param(
+            {"ifc": {"packet_bits": 10**399}},
+            f"ifc.packet_bits must be <= 9223372036854775807, got {10**399}",
+            id="packet-bits-400-digits",
+        ),
+        pytest.param(
+            {"constellation": {"altitude_km": 10**399}},
+            f"constellation.altitude_km must be within float range, got {10**399}",
+            id="altitude-400-digits",
+        ),
+        pytest.param(
+            {"topology": {"laser_rate_bps": 10**399}},
+            f"topology.laser_rate_bps must be within float range, got {10**399}",
+            id="laser-rate-400-digits",
+        ),
+        pytest.param(
+            {"aircraft": [{**CRAFT, "speed_km_s": 10**399}]},
+            f"aircraft.speed_km_s must be within float range, got {10**399}",
+            id="aircraft-speed-400-digits",
+        ),
     ],
 )
 def test_error_text_is_pinned(raw, message):
@@ -493,14 +527,31 @@ def test_error_text_is_pinned(raw, message):
 @pytest.mark.parametrize(
     ("name", "digest"),
     [
-        (None, "8634ca60afcec478c264f6ca9d4e96ec323337c78428ff15c5a6b02ea3a4c4b2"),
-        (
+        pytest.param(
+            None,
+            "8634ca60afcec478c264f6ca9d4e96ec323337c78428ff15c5a6b02ea3a4c4b2",
+            id="baseline",
+        ),
+        pytest.param(
             "cached_equal_split_saf.json",
             "1ea0cc2c684cfcdadec6dab8ca19f5e6173d68799dd92cd69d2488ada1c5c8b9",
+            id="cached_equal_split_saf",
         ),
-        ("feeder_limited.json", "b283b00f73be8076856f154b5888ad197ebbf50b4ae35cbca61284729daa9afb"),
-        ("shell1_grid.json", "fe567c9355e70aecb03f8b3cd8c58101f67792fd832048a00a1a2ef64005d351"),
-        ("shell_24x22.json", "7982c7103fe63594bdad98a8dc814d3605390fecfb0cead0ad29070b8372d132"),
+        pytest.param(
+            "feeder_limited.json",
+            "b283b00f73be8076856f154b5888ad197ebbf50b4ae35cbca61284729daa9afb",
+            id="feeder_limited",
+        ),
+        pytest.param(
+            "shell1_grid.json",
+            "fe567c9355e70aecb03f8b3cd8c58101f67792fd832048a00a1a2ef64005d351",
+            id="shell1_grid",
+        ),
+        pytest.param(
+            "shell_24x22.json",
+            "7982c7103fe63594bdad98a8dc814d3605390fecfb0cead0ad29070b8372d132",
+            id="shell_24x22",
+        ),
     ],
 )
 def test_saved_text_is_pinned(name, digest, tmp_path):
