@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property, partial
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -312,10 +312,11 @@ def _share_cap(flow: GsFlow) -> float:
     return _bisect(lambda share: option.feeder_capacity_bps(share) < fixed, _MIN_SHARE, 1.0)[1]
 
 
-def _share_at_marginal(flow: GsFlow, lam: float, cap: float) -> float:
-    if _marginal_gain(flow, cap) >= lam:
+def _share_at_marginal(gain: Callable[[float], float], lam: float, cap: float) -> float:
+    """The share at which a flow's marginal ``gain`` falls to ``lam``, at most ``cap``."""
+    if gain(cap) >= lam:
         return cap
-    lo, hi = _bisect(lambda share: _marginal_gain(flow, share) >= lam, _MIN_SHARE, cap)
+    lo, hi = _bisect(lambda share: gain(share) >= lam, _MIN_SHARE, cap)
     return 0.5 * (lo + hi)
 
 
@@ -329,6 +330,10 @@ def optimize_gs_shares(
     marginals (found by bisection on the common marginal value); flows whose
     delay already hit the downstream bottleneck are capped at the share that
     reaches it. Leftover band is spread evenly, which changes no delay.
+
+    Each inner bisection starts from ``(_MIN_SHARE, cap)``, so a flow's
+    midpoints come from one fixed tree, and the outer steps walk much of it
+    again; each flow prices a midpoint once and reads it back after.
     """
     if not flows:
         return {}
@@ -341,10 +346,10 @@ def optimize_gs_shares(
         slack = (1.0 - total_cap) / n
         return {flow.flow_id: cap + slack for flow, cap in zip(flows, caps)}
 
+    gains = [cache(partial(_marginal_gain, flow)) for flow in flows]
+
     def shares_at(lam: float) -> list[float]:
-        return [
-            _share_at_marginal(flow, lam, cap) for flow, cap in zip(flows, caps)
-        ]
+        return [_share_at_marginal(gain, lam, cap) for gain, cap in zip(gains, caps)]
 
     def oversubscribed(lam: float) -> bool:
         return _total(shares_at(lam)) > 1.0
@@ -367,9 +372,9 @@ class SlotContext:
     ``scenario`` must be the scenario the snapshot was built from. The
     context plans for that scenario alone: it keeps its link budgets, which
     feeder rates are read from, and its delivery settings (air-link sharing
-    and delay model). The planners' holder candidates, route options and
-    plans are cached for the slot, each under a key holding everything it
-    reads, so that a sweep's cells share them.
+    and delay model). The planners' holder candidates, route options,
+    stations' feeder splits and plans are cached for the slot, each under a
+    key holding everything it reads, so that a sweep's cells share them.
     """
 
     def __init__(self, snapshot: TopologySnapshot, scenario: "Scenario"):
@@ -388,12 +393,22 @@ class SlotContext:
         self._cached_plans: dict[tuple, RequestPlan] = {}
         self._option_tables: dict[tuple, _OptionTable] = {}
         self._non_cached_plans: dict[tuple, tuple[RequestPlan, ...]] = {}
+        self._gs_shares: dict[tuple, dict[str, float]] = {}
 
     def edges_at(self, link_class: str, node: str) -> list[LinkEdge]:
         """Ground links of ``link_class`` at ``node``, nearest first, ties by
         the far end's id. Laser links are not indexed here: ``_servings``
         and ``_OptionTable`` read them from the mesh graph's arrays."""
         return self._ground.get((link_class, node), [])
+
+    def gs_shares(self, flows: Sequence[GsFlow], equal: bool) -> dict[str, float]:
+        """``optimize_gs_shares(flows, equal=equal)``, solved once per slot.
+        The flows in their order (float totals follow it) and ``equal`` are
+        all the solver reads, so they are the key."""
+        key = (tuple(flows), equal)
+        if key not in self._gs_shares:
+            self._gs_shares[key] = optimize_gs_shares(flows, equal=equal)
+        return dict(self._gs_shares[key])
 
 
 def build_slot_context(scenario: "Scenario", epoch_s: float) -> SlotContext:
@@ -886,7 +901,7 @@ def plan_non_cached(
             by_gs.setdefault(flow.option.gs, []).append(flow)
         shares: dict[str, float] = {}
         for gs in sorted(by_gs):
-            shares.update(optimize_gs_shares(by_gs[gs], equal=equal))
+            shares.update(ctx.gs_shares(by_gs[gs], equal))
         return _total(flow.delay_s(shares[flow.flow_id]) for flow in flows), flows, shares
 
     # The assignment with the least total delay wins, standalone on a tie.

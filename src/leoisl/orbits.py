@@ -30,6 +30,12 @@ GROUND_KINDS = (GROUND_STATION, AIRCRAFT)
 # while at 1e18 s the baseline's first one reads 2747.957 km for 2306.157 km.
 MAX_EPOCH_S = 1e9
 
+# The largest shell accepted, more than 60x Starlink shell 1 (1,584
+# satellites). Loading a scenario names every satellite, and the in-range
+# mesh grows with the square of the count, so a larger shell would fill memory
+# before any command ran.
+MAX_SATELLITES = 100_000
+
 
 def check_fields(obj, rules, prefix: str = "", error: type[Exception] = ValueError) -> None:
     """Raise ``error`` at the first ``(field, rule, holds)`` of ``rules`` whose
@@ -68,6 +74,11 @@ class ConstellationConfig:
             ("raan_spread_deg", "finite", math.isfinite),
             ("num_planes", ">= 1", lambda v: v >= 1),
             ("sats_per_plane", ">= 1", lambda v: v >= 1),
+            (
+                "total_satellites",
+                f"<= {MAX_SATELLITES} (num_planes * sats_per_plane)",
+                lambda v: v <= MAX_SATELLITES,
+            ),
             ("altitude_km", "> 0", lambda v: v > 0),
             ("inclination_deg", "within [0, 180]", lambda v: 0.0 <= v <= 180.0),
             ("phasing_factor", "within [0, num_planes-1]", lambda v: 0 <= v <= self.num_planes - 1),
@@ -246,7 +257,7 @@ def visible(
 
 
 def row_norms(vectors: np.ndarray) -> np.ndarray:
-    """Euclidean norm of each row of an ``(N, 3)`` array.
+    """Euclidean norm of each row of an ``(..., 3)`` array.
 
     Bit-identical to ``float(np.linalg.norm(row))``: that is
     ``sqrt(row.dot(row))``, a BLAS dot, and ``np.vecdot`` runs the same dot

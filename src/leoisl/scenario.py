@@ -284,6 +284,16 @@ def scenario_from_dict(raw: dict, *, source: str = "<memory>") -> Scenario:
     return Scenario(**{name: _scenario_field(name, raw[name]) for name in names if name in raw})
 
 
+def _json_int(literal: str) -> int | float:
+    """A JSON integer literal as an int. One past Python's digit limit for
+    integer strings reads as a float, infinite, so the check of the field it
+    sets names it, where ``int`` would raise a ``ValueError`` naming none."""
+    try:
+        return int(literal)
+    except ValueError:
+        return float(literal)
+
+
 def load_scenario(path: str | Path | None) -> Scenario:
     """Load a scenario file; None or an empty file means all defaults."""
     if path is None:
@@ -292,7 +302,7 @@ def load_scenario(path: str | Path | None) -> Scenario:
     if not text.strip():
         return default_scenario()
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             f"{path}: invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"

@@ -228,6 +228,13 @@ def build_grid_topology(
     return _snapshot(keys, pos, lo, hi, distances, epoch_s, scenario)
 
 
+# Candidate pairs one scan block may hold. A block's temporaries are a few
+# arrays of this many pairs (its differences three floats each), so a block
+# takes ``_SCAN_PAIRS // N`` rows: a 120-satellite shell in one block, 248
+# rows at 528 satellites and 82 at 1584.
+_SCAN_PAIRS = 1 << 17
+
+
 def _admit(lo: list[int], hi: list[int], num_nodes: int, max_isls: int) -> np.ndarray:
     """Mask of the ranked candidates admitted by budget layers ``1..max_isls``:
     within a layer, a candidate is taken iff both ends sit below its degree."""
@@ -263,15 +270,20 @@ def build_dynamic_topology(
     by_key = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
     ranked = pos[by_key]
     lo, hi, distances = [], [], []
-    # The last row has no later rows; its empty arrays keep the lists non-empty.
-    for i in range(len(keys)):
-        d = orbits.row_norms(ranked[i] - ranked[i + 1 :])
-        near = np.flatnonzero(d <= topology.max_range_km)
-        seen = orbits.visible_rows(ranked[i], ranked[i + 1 + near], topology.grazing_altitude_km)
-        near = near[seen]
-        lo.append(np.full(len(near), i))
-        hi.append(near + (i + 1))
-        distances.append(d[near])
+    # Rows ``first..last`` against every later row, one block at a time. Row
+    # ``i``'s column ``c`` is node ``first + 1 + c``, later than ``i`` iff
+    # ``c >= i - first``. ``np.nonzero`` walks the block row-major, so the
+    # pairs come out as a scan row by row would emit them.
+    step = max(1, _SCAN_PAIRS // len(keys))
+    for first in range(0, len(keys), step):
+        d = orbits.row_norms(ranked[first : first + step, None] - ranked[None, first + 1 :])
+        later = np.arange(d.shape[1]) >= np.arange(d.shape[0])[:, None]
+        rows, cols = np.nonzero(later & (d <= topology.max_range_km))
+        i, j = first + rows, first + 1 + cols
+        seen = orbits.visible_rows(ranked[i], ranked[j], topology.grazing_altitude_km)
+        lo.append(i[seen])
+        hi.append(j[seen])
+        distances.append(d[rows[seen], cols[seen]])
     lo, hi, distances = (np.concatenate(parts) for parts in (lo, hi, distances))
     # From n - 1 links per node on, the final layer admits every candidate.
     if topology.max_isls < len(keys) - 1:

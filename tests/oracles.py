@@ -10,7 +10,16 @@ import math
 
 import numpy as np
 
-from leoisl.delivery import PER_STREAM, GsFlow, _delay_s, _RouteOption, optimal_ratio_delay
+from leoisl.delivery import (
+    _MIN_SHARE,
+    PER_STREAM,
+    GsFlow,
+    _delay_s,
+    _marginal_gain,
+    _RouteOption,
+    _share_cap,
+    optimal_ratio_delay,
+)
 from leoisl.links import GROUND_TO_AIR, GROUND_TO_SAT, ISL_LASER, SAT_TO_AIR, SPEED_OF_LIGHT_KM_S
 from leoisl.orbits import AIRCRAFT, EARTH_MU_KM3_S2, GROUND_STATION, propagate
 from leoisl.routing import _chains, _path, _shortest_paths, _total
@@ -57,10 +66,19 @@ def full_dist(graph, roots):
     return _shortest_paths(graph, roots, [range(len(graph.nodes))] * len(roots))
 
 
-def gs_flow(flow_id, bits, base_prop_s, fixed_cap_bps, feeder_params, feeder_distance_km):
-    """A cut-through flow over a hand-built route option: a feeder of
-    ``feeder_params`` over ``feeder_distance_km`` in series with fixed hops
-    whose bottleneck is ``fixed_cap_bps``."""
+def gs_flow(
+    flow_id,
+    bits,
+    base_prop_s,
+    fixed_cap_bps,
+    feeder_params,
+    feeder_distance_km,
+    store_and_forward=False,
+):
+    """A flow over a hand-built route option: a feeder of ``feeder_params``
+    over ``feeder_distance_km`` in series with one fixed hop of
+    ``fixed_cap_bps`` (none when infinite), cut-through unless
+    ``store_and_forward``."""
     option = _RouteOption(
         gs="gs",
         entry=None,
@@ -69,12 +87,56 @@ def gs_flow(flow_id, bits, base_prop_s, fixed_cap_bps, feeder_params, feeder_dis
         activated_edge=None,
         base_prop_s=base_prop_s,
         fixed_cap_bps=fixed_cap_bps,
-        fixed_inv_rate=0.0,
+        fixed_inv_rate=1.0 / fixed_cap_bps if store_and_forward else 0.0,
         feeder_params=feeder_params,
         feeder_distance_km=feeder_distance_km,
-        store_and_forward=False,
+        store_and_forward=store_and_forward,
     )
     return GsFlow(flow_id, bits, option)
+
+
+def nested_bisection_gs_shares(flows, *, equal=False):
+    """``optimize_gs_shares`` as three nested 60-step bisections that price
+    every marginal gain afresh: the outer one on the common marginal value,
+    and per flow one on its share at that value (its cap from ``_share_cap``)."""
+
+    def bisect(below, lo, hi):
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if below(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo, hi
+
+    if not flows:
+        return {}
+    n = len(flows)
+    if equal:
+        return {flow.flow_id: 1.0 / n for flow in flows}
+    caps = [_share_cap(flow) for flow in flows]
+    total_cap = _total(caps)
+    if total_cap <= 1.0:
+        slack = (1.0 - total_cap) / n
+        return {flow.flow_id: cap + slack for flow, cap in zip(flows, caps)}
+
+    def share_at(flow, lam, cap):
+        if _marginal_gain(flow, cap) >= lam:
+            return cap
+        lo, hi = bisect(lambda share: _marginal_gain(flow, share) >= lam, _MIN_SHARE, cap)
+        return 0.5 * (lo + hi)
+
+    def shares_at(lam):
+        return [share_at(flow, lam, cap) for flow, cap in zip(flows, caps)]
+
+    def oversubscribed(lam):
+        return _total(shares_at(lam)) > 1.0
+
+    hi = 1.0
+    while oversubscribed(hi):
+        hi *= 4.0
+    final = shares_at(bisect(oversubscribed, 0.0, hi)[1])
+    return {flow.flow_id: share for flow, share in zip(flows, final)}
 
 
 def rk4_two_body(r0, v0, dt, steps):

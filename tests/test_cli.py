@@ -136,6 +136,19 @@ class TestTopologyCommand:
         pinned = DATA / f"topology_dynamic_k{max_isls}_epoch{epoch}.csv"
         assert out == pinned.read_text(encoding="utf-8")
 
+    def test_matches_pinned_24x22_dynamic_output(self, capsys):
+        # Pinned before the candidate scan went in row blocks. Its 528 rows
+        # take three blocks (248, 248 and 32 rows), where the 120-satellite
+        # pins above take one.
+        argv = [
+            "topology", "--scenario", str(DATA / "shell_24x22.json"), "--mode", "dynamic",
+            "--max-isls", "4", "--ground", "--epoch", "777.5",
+        ]  # fmt: skip
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        pinned = DATA / "topology_24x22_dynamic_k4_ground_epoch777.5.csv"
+        assert out == pinned.read_text(encoding="utf-8")
+
     def test_matches_pinned_grid_output(self, capsys):
         # Pinned before snapshots held their links as arrays: the +grid with
         # every ground link, each distance, capacity and delay to the bit.
@@ -620,6 +633,15 @@ class TestBadInput:
         code, out, err = run_cli(["propagate", "--scenario", str(scenario)], capsys)
         assert (code, out) == (1, "")
         assert message in err
+
+    def test_over_long_integer_literal_is_named(self, tmp_path, capsys):
+        # 5000 digits: past Python's limit for integer strings, which the JSON
+        # reader raised with advice the user cannot apply.
+        scenario = tmp_path / "scenario.json"
+        scenario.write_text('{"ifc": {"packet_bits": 1' + "0" * 4999 + "}}")
+        code, out, err = run_cli(["propagate", "--scenario", str(scenario)], capsys)
+        assert (code, out) == (1, "")
+        assert err == "error: ifc.packet_bits must be an integer, got inf\n"
 
     @pytest.mark.parametrize(
         ("raw", "field"),

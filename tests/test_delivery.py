@@ -64,6 +64,7 @@ from oracles import (
     exhaustive_standalone_pick,
     full_dist,
     gs_flow,
+    nested_bisection_gs_shares,
     snapshot_of,
 )
 
@@ -168,7 +169,9 @@ class TestOptimalRatioDelay:
 
 
 class TestGsShares:
-    def flow(self, flow_id, bits, fixed_cap=math.inf, distance=1500.0, prop=0.02):
+    def flow(
+        self, flow_id, bits, fixed_cap=math.inf, distance=1500.0, prop=0.02, saf=False
+    ):
         return gs_flow(
             flow_id=flow_id,
             bits=bits,
@@ -176,6 +179,7 @@ class TestGsShares:
             fixed_cap_bps=fixed_cap,
             feeder_params=default_link_params()[GROUND_TO_SAT],
             feeder_distance_km=distance,
+            store_and_forward=saf,
         )
 
     def test_single_flow_gets_everything(self):
@@ -255,6 +259,69 @@ class TestGsShares:
         optimized_total = sum(f.delay_s(shares[f.flow_id]) for f in flows)
         equal_total = sum(f.delay_s(equal[f.flow_id]) for f in flows)
         assert optimized_total <= equal_total * (1 + 1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 5000),
+                st.integers(500, 2500),
+                st.one_of(st.none(), st.integers(1, 2000)),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_shares_equal_the_nested_bisection_bit_for_bit(self, specs, saf, equal):
+        # Packets, feeder distance (km) and downstream cap (Mbps, None for
+        # none), as in the property above; store-and-forward and equal split
+        # each on and off. Every marginal gain read back from a flow's memo
+        # is the one priced afresh, so the shares are the same floats.
+        flows = [
+            self.flow(
+                f"f{i}",
+                packets * 1080.0,
+                fixed_cap=math.inf if cap is None else cap * 1e6,
+                distance=float(distance),
+                saf=saf,
+            )
+            for i, (packets, distance, cap) in enumerate(specs)
+        ]
+        shares = optimize_gs_shares(flows, equal=equal)
+        reference = nested_bisection_gs_shares(flows, equal=equal)
+        assert [(k, v.hex()) for k, v in shares.items()] == [
+            (k, v.hex()) for k, v in reference.items()
+        ]
+
+    def test_slot_memo_keys_on_flow_order_bits_and_equal(self, monkeypatch):
+        ctx = context(snapshot_of([], ["gs"]))
+        small, big = self.flow("a", 1e6), self.flow("b", 4e6, fixed_cap=2e7)
+        bigger = self.flow("b", 8e6, fixed_cap=2e7)
+        cases = [
+            ([small, big], False),
+            ([big, small], False),  # order only
+            ([small, bigger], False),  # bits only
+            ([small, big], True),  # equal only
+        ]
+        for flows, equal in cases:
+            expected = nested_bisection_gs_shares(flows, equal=equal)
+            assert list(ctx.gs_shares(flows, equal).items()) == list(expected.items())
+        assert len(ctx._gs_shares) == len(cases)
+
+        # A repeat is read back, never solved again, and the caller's copy
+        # does not reach the memo.
+        def unsolvable(flows, *, equal=False):
+            raise AssertionError("solved a split the slot already holds")
+
+        monkeypatch.setattr(delivery, "optimize_gs_shares", unsolvable)
+        for flows, equal in reversed(cases):
+            shares = ctx.gs_shares(flows, equal)
+            expected = nested_bisection_gs_shares(flows, equal=equal)
+            assert list(shares.items()) == list(expected.items())
+            shares.clear()
+        assert all(ctx._gs_shares.values())
 
     @settings(max_examples=300, deadline=None)
     @given(

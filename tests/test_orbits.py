@@ -12,6 +12,7 @@ from leoisl.orbits import (
     AIRCRAFT,
     GROUND_STATION,
     MAX_EPOCH_S,
+    MAX_SATELLITES,
     ConstellationConfig,
     GroundNode,
     elevation_deg,
@@ -68,6 +69,13 @@ class TestWalkerPattern:
             ConstellationConfig(altitude_km=-1.0)
         with pytest.raises(ValueError):
             ConstellationConfig(num_planes=2, phasing_factor=5)
+
+    def test_shell_size_bound(self):
+        # The bound is on the product: neither factor alone reaches it.
+        largest = ConstellationConfig(num_planes=5000, sats_per_plane=20)
+        assert largest.total_satellites == MAX_SATELLITES
+        with pytest.raises(ValueError, match="total_satellites must be <= 100000"):
+            ConstellationConfig(num_planes=317, sats_per_plane=316)
 
 
 class TestPropagation:

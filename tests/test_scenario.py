@@ -87,6 +87,35 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="unique"):
             scenario_from_dict(raw)
 
+    @pytest.mark.parametrize(
+        ("text", "message"),
+        [
+            pytest.param(
+                '{"ifc": {"packet_bits": 1' + "0" * 4999 + "}}",
+                "ifc.packet_bits must be an integer, got inf",
+                id="packet-bits-5000-digits",
+            ),
+            pytest.param(
+                '{"constellation": {"altitude_km": -1' + "0" * 4999 + "}}",
+                "constellation: altitude_km must be finite, got -inf",
+                id="altitude-minus-5000-digits",
+            ),
+            pytest.param(
+                '{"seed": 1' + "0" * 4300 + "}",
+                "scenario.seed must be an integer, got inf",
+                id="seed-4301-digits",
+            ),
+        ],
+    )
+    def test_over_long_integer_literal_names_its_field(self, text, message, tmp_path):
+        # Past Python's 4300-digit limit for integer strings, the JSON reader
+        # itself raised, naming neither the file nor the field.
+        path = tmp_path / "long.json"
+        path.write_text(text)
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(path)
+        assert str(info.value) == message
+
     def test_invalid_json_reports_line(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text('{\n  "constellation": [,]\n}\n')
@@ -514,6 +543,13 @@ CRAFT = {"node_id": "a", "latitude_deg": 0, "longitude_deg": 0}
             {"aircraft": [{**CRAFT, "speed_km_s": 10**399}]},
             f"aircraft.speed_km_s must be within float range, got {10**399}",
             id="aircraft-speed-400-digits",
+        ),
+        # Loading named every satellite of the shell first, until memory ran out.
+        pytest.param(
+            {"constellation": {"num_planes": 1_000_000}},
+            "constellation: total_satellites must be <= 100000 "
+            "(num_planes * sats_per_plane), got 20000000",
+            id="shell-above-max-satellites",
         ),
     ],
 )

@@ -28,6 +28,7 @@ from leoisl.orbits import (
     sat_keys,
     visible,
 )
+from leoisl import topology
 from leoisl.delivery import SWEEP_MODES, sweep_max_isls
 from leoisl.routing import sdp_mhp_fraction
 from leoisl.scenario import Scenario, ScenarioError, TopologySettings, default_scenario
@@ -397,6 +398,15 @@ class TestDynamicMatchesScalarReference:
                 )
                 counts.add(len(candidates))
         assert len(counts) > 1  # line of sight dropped candidates in some cases
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_scan_blocks_of_any_height(self, rows, monkeypatch):
+        # One row per block, then five, which do not divide the 528 rows: the
+        # last block is short, and in-range pairs cross every block boundary.
+        config = ConstellationConfig(num_planes=24, sats_per_plane=22, altitude_km=550.0)
+        n = config.total_satellites
+        monkeypatch.setattr(topology, "_SCAN_PAIRS", rows * n)
+        assert_dynamic_matches_reference(shell_positions(config, 777.5), config, (4, n - 1))
 
     def test_starlink_shell_budget_four(self):
         config = ConstellationConfig(num_planes=72, sats_per_plane=22, altitude_km=550.0)
