@@ -31,7 +31,7 @@ from .routing import (
     sdp_mhp_fraction,
     shortest_distance_path,
 )
-from .scenario import Scenario, default_scenario, load_scenario, save_scenario
+from .scenario import Scenario, load_scenario, save_scenario
 from .topology import (
     LinkEdge,
     TopologySnapshot,
@@ -61,7 +61,6 @@ __all__ = [
     "build_slot_context",
     "build_snapshot",
     "capacity_bps",
-    "default_scenario",
     "elevation_deg",
     "elevations_deg",
     "fspl_db",

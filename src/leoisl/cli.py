@@ -18,7 +18,7 @@ import sys
 from dataclasses import replace
 
 from . import delivery, routing
-from .orbits import GROUND_STATION, MAX_EPOCH_S, GroundNode, propagate
+from .orbits import GROUND_STATION, MAX_EPOCH_S, MAX_SATELLITES, GroundNode, propagate
 from .scenario import Scenario, ScenarioError, load_scenario
 from .topology import GRID_MODE, TOPOLOGY_MODES, build_snapshot
 
@@ -82,24 +82,29 @@ def _non_negative_int(text: str) -> int:
 
 
 def _parse_int_range(text: str) -> list[int]:
-    """Degree budgets >= 0: a range '1..8' or a comma list '1,2,5'."""
+    """Degree budgets from 0 to ``MAX_SATELLITES - 1``: a range '1..8' or a
+    comma list '1,2,5'. A satellite has at most that many peers, so no larger
+    budget plans differently; a range's ends are checked before it is expanded."""
     try:
         if ".." in text:
-            lo_text, hi_text = text.split("..", 1)
-            values = list(range(int(lo_text), int(hi_text) + 1))
+            lo, hi = (int(part) for part in text.split("..", 1))
+            values = range(lo, hi + 1)
+            ends = [lo, hi] if values else []
         else:
-            values = [int(part) for part in text.split(",") if part]
+            values = ends = [int(part) for part in text.split(",") if part]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"must be a range '1..8' or a list '1,2,4', got {text!r}"
         ) from None
-    if not values:
+    if not ends:
         raise argparse.ArgumentTypeError(f"names no budget: {text!r}")
-    if min(values) < 0:
+    if min(ends) < 0:
         raise argparse.ArgumentTypeError(f"budgets must be >= 0, got {text!r}")
+    if max(ends) > MAX_SATELLITES - 1:
+        raise argparse.ArgumentTypeError(f"budgets must be <= {MAX_SATELLITES - 1}, got {text!r}")
     if len(set(values)) < len(values):
         raise argparse.ArgumentTypeError(f"budgets must not repeat, got {text!r}")
-    return values
+    return list(values)
 
 
 def _parse_modes(text: str) -> list[str]:

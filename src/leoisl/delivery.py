@@ -86,7 +86,7 @@ class FileRequest:
     file_class: int
     num_packets: int
     cached: bool
-    packet_bits: int = 1080
+    packet_bits: int
     cache_holders: frozenset[str] = frozenset()
     source_gs_set: frozenset[str] = frozenset()
 
@@ -140,15 +140,6 @@ class DeliveryPlan:
     average_delay_s: float | None
     delivered: int
     undelivered: int
-
-    def gs_bandwidth_shares(self) -> dict[str, dict[str, float]]:
-        shares: dict[str, dict[str, float]] = {}
-        for plan in self.request_plans:
-            if plan.gs_id is not None and plan.bandwidth_share is not None:
-                shares.setdefault(plan.gs_id, {})[plan.request.request_id] = (
-                    plan.bandwidth_share
-                )
-        return shares
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +209,7 @@ class _RouteOption:
     ``fixed_cap_bps`` and ``fixed_inv_rate`` are the bottleneck and the
     summed inverse rate (for store-and-forward) of the share-independent
     hops: infinite and zero for a direct feeder. The feeder's received and
-    noise power are read once, from the ``links.rf_terms`` memo.
+    noise power are computed once per option, by ``_feeder_terms``.
     """
 
     gs: str

@@ -9,7 +9,6 @@ optical power budget is out of scope, and their rate is the scenario's
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, fields
 
@@ -88,14 +87,9 @@ def fspl_db(distance_km: float, carrier_hz: float) -> float:
     return 92.45 + 20.0 * math.log10(carrier_hz / 1e9) + 20.0 * math.log10(distance_km)
 
 
-@functools.lru_cache(maxsize=4096)
 def rf_terms(params: LinkBudgetParams, distance_km: float) -> tuple[float, float]:
-    """Received power and full-band noise power ``k*T*B`` (both W) of an RF link.
-
-    These are the share-independent terms of ``snr_linear``; memoised, so a
-    planner that prices one link many times computes its loss once. The
-    memo is bounded well above the ground links of one slot's snapshot.
-    """
+    """Received power and full-band noise power ``k*T*B`` (both W) of an RF
+    link: the share-independent terms of its Shannon rate."""
     rx_dbw = (
         10.0 * math.log10(params.tx_power_w)
         + params.tx_gain_db
@@ -104,16 +98,6 @@ def rf_terms(params: LinkBudgetParams, distance_km: float) -> tuple[float, float
     )
     noise_w = BOLTZMANN_J_PER_K * params.noise_temperature_k * params.bandwidth_hz
     return 10.0 ** (rx_dbw / 10.0), noise_w
-
-
-def snr_linear(
-    params: LinkBudgetParams, distance_km: float, bandwidth_share: float = 1.0
-) -> float:
-    """Linear SNR of an RF link over a ``bandwidth_share`` slice of the band."""
-    if bandwidth_share <= 0:
-        raise ValueError(f"bandwidth_share must be > 0, got {bandwidth_share}")
-    rx_w, noise_w = rf_terms(params, distance_km)
-    return rx_w / (noise_w * bandwidth_share)
 
 
 def capacity_bps(

@@ -18,8 +18,6 @@ EARTH_RADIUS_KM = 6371.0
 EARTH_MU_KM3_S2 = 398600.4418
 EARTH_ROTATION_RAD_S = 7.2921159e-5
 
-DEFAULT_GRAZING_ALTITUDE_KM = 80.0
-
 GROUND_STATION = "ground_station"
 AIRCRAFT = "aircraft"
 GROUND_KINDS = (GROUND_STATION, AIRCRAFT)
@@ -234,11 +232,7 @@ def ground_position(node: GroundNode, epoch_s: float) -> np.ndarray:
     return radius * (rotation @ unit)
 
 
-def visible(
-    pos_a: np.ndarray,
-    pos_b: np.ndarray,
-    grazing_altitude_km: float = DEFAULT_GRAZING_ALTITUDE_KM,
-) -> bool:
+def visible(pos_a: np.ndarray, pos_b: np.ndarray, grazing_altitude_km: float) -> bool:
     """Line-of-sight between two space nodes.
 
     True iff the segment a-b stays outside the sphere of radius

@@ -521,21 +521,6 @@ def _sdp_mhp(graph: _Graph, srcs: np.ndarray, dsts: np.ndarray) -> SdpMhpResult:
     return SdpMhpResult(matched / checked if checked else 0.0, checked, matched, len(srcs) - checked)
 
 
-def snapshot_sdp_mhp_fraction(
-    snapshot: TopologySnapshot, pairs: Sequence[tuple[str, str]]
-) -> SdpMhpResult:
-    """Evaluate the SDP-hops == MHP-hops discriminant on explicit pairs."""
-    graph = _graph(snapshot)
-    index = graph.index
-    try:
-        keys = map(index.__getitem__, itertools.chain.from_iterable(pairs))
-        indexed = np.fromiter(keys, np.intp, 2 * len(pairs))
-    except KeyError:
-        src, dst = next((a, b) for a, b in pairs if a not in index or b not in index)
-        raise ValueError(f"unknown node in pair ({src!r}, {dst!r})") from None
-    return _sdp_mhp(graph, indexed[0::2], indexed[1::2])
-
-
 def sdp_mhp_fraction(
     scenario: Scenario, sample_pairs: int, epochs: Iterable[float], rng_seed: int
 ) -> SdpMhpResult:

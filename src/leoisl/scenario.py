@@ -30,7 +30,6 @@ from .delivery import (
 from .links import RF_CLASSES, LinkBudgetParams, default_link_params
 from .orbits import (
     AIRCRAFT,
-    DEFAULT_GRAZING_ALTITUDE_KM,
     GROUND_STATION,
     ConstellationConfig,
     GroundNode,
@@ -75,7 +74,7 @@ class TopologySettings:
     mode: str = GRID_MODE
     max_isls: int = 4
     max_range_km: float = 5000.0
-    grazing_altitude_km: float = DEFAULT_GRAZING_ALTITUDE_KM
+    grazing_altitude_km: float = 80.0
     elevation_mask_deg: float = 10.0
     laser_rate_bps: float = 1.0e10
 
@@ -157,10 +156,6 @@ class Scenario:
             raise ScenarioError(f"link_params has unknown classes: {unknown}")
 
 
-def default_scenario() -> Scenario:
-    return Scenario()
-
-
 def _check_keys(raw: dict, allowed, where: str) -> None:
     unknown = sorted(set(raw) - set(allowed))
     if unknown:
@@ -203,7 +198,9 @@ _annotations = functools.cache(typing.get_type_hints)
 def _value(value, kind, where: str):
     """A JSON value as a field annotated ``kind``; errors name ``where``."""
     if kind is str:
-        return str(value)
+        if not isinstance(value, str):
+            raise ScenarioError(f"{where} must be a string, got {value!r}")
+        return value
     if kind in (int, float):
         return _as_number(value, kind, where)
     if kind == tuple[tuple[int, int], ...]:
@@ -297,10 +294,10 @@ def _json_int(literal: str) -> int | float:
 def load_scenario(path: str | Path | None) -> Scenario:
     """Load a scenario file; None or an empty file means all defaults."""
     if path is None:
-        return default_scenario()
+        return Scenario()
     text = Path(path).read_text(encoding="utf-8")
     if not text.strip():
-        return default_scenario()
+        return Scenario()
     try:
         raw = json.loads(text, parse_int=_json_int)
     except json.JSONDecodeError as exc:

@@ -128,12 +128,6 @@ class TopologySnapshot:
         key = (a * len(by_id) + b) * len(CLASS_ORDER) + self.links.link_class
         self.links = self.links._replace(a=a, b=b).take(np.argsort(key, kind="stable"))
 
-    def __eq__(self, other: object) -> bool:
-        """Same epoch, nodes and links; positions are not compared."""
-        if not isinstance(other, TopologySnapshot):
-            return NotImplemented
-        return (self.epoch_s, self.nodes, self.edges) == (other.epoch_s, other.nodes, other.edges)
-
     def _rows(self, rows) -> Iterator[tuple]:
         """The links at ``rows`` (see ``Links.take``) as ``LinkEdge`` field tuples."""
         nodes = self.nodes
@@ -147,11 +141,6 @@ class TopologySnapshot:
     def edges(self) -> tuple[LinkEdge, ...]:
         """Every link as a ``LinkEdge``, built on first use."""
         return self.link_edges(slice(None))
-
-    def isl_degrees(self) -> dict[str, int]:
-        laser = self.links.take(self.links.link_class == ISL_CODE)
-        ends = np.concatenate([laser.a, laser.b])
-        return dict(zip(self.nodes, np.bincount(ends, minlength=len(self.nodes)).tolist()))
 
     def csv_rows(self) -> list[tuple]:
         return [CSV_HEADER, *((self.epoch_s, *fields) for fields in self._rows(slice(None)))]

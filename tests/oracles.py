@@ -222,6 +222,16 @@ def feasible_split_delay(sources, bits, ratios):
     return worst
 
 
+def isl_degrees(snapshot):
+    """Laser links at each node of ``snapshot``, by node id, counted edge by edge."""
+    degrees = dict.fromkeys(snapshot.nodes, 0)
+    for edge in snapshot.edges:
+        if edge.link_class == ISL_LASER:
+            degrees[edge.node_a] += 1
+            degrees[edge.node_b] += 1
+    return degrees
+
+
 def neighbor_lists(snapshot):
     """Every node's ``(neighbor, edge)`` pairs, sorted by neighbor id."""
     neighbors = {node: [] for node in snapshot.nodes}

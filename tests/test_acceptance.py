@@ -28,7 +28,7 @@ from leoisl.links import (
 )
 from leoisl.orbits import ConstellationConfig, propagate, visible
 from leoisl.routing import min_hop_path, sdp_mhp_fraction, shortest_distance_path
-from leoisl.scenario import Scenario, TopologySettings, default_scenario
+from leoisl.scenario import Scenario, TopologySettings
 from leoisl.topology import build_dynamic_topology
 
 from oracles import (
@@ -37,6 +37,7 @@ from oracles import (
     enumerate_cached_plan_delay,
     feasible_split_delay,
     gs_flow,
+    isl_degrees,
     measured_period_s,
     neighbor_lists,
     scenario_on,
@@ -46,7 +47,7 @@ from oracles import (
 
 def test_criterion_1_delay_sweep_trend():
     """Degree sweep: monotone optimized curve, convergence, dominance, <60 s."""
-    scenario = default_scenario()
+    scenario = Scenario()
     seeds = list(range(10))
     modes = ["optimized", "greedy", "equal", "full"]
     started = time.monotonic()
@@ -298,10 +299,11 @@ def test_criterion_7_small_plan_optimality():
             file_class=int(rng.integers(0, 4)),
             num_packets=int(rng.integers(10, 3000)),
             cached=True,
+            packet_bits=1080,
             cache_holders=frozenset(holders),
         )
         max_isls = int(rng.integers(1, 4))
-        plan = plan_cached(request, SlotContext(snapshot, default_scenario()), max_isls)
+        plan = plan_cached(request, SlotContext(snapshot, Scenario()), max_isls)
         oracle = enumerate_cached_plan_delay(request, snapshot, max_isls)
         if not plan.delivered:
             assert math.isinf(oracle)
@@ -323,8 +325,9 @@ def test_criterion_8_structural_invariants(tmp_path):
     config = ConstellationConfig()
     positions = propagate(config, 0.0).position_km
     grid = build_grid_topology(positions, scenario_on(config), 0.0)
+    grazing = TopologySettings().grazing_altitude_km
     where = dict(zip(grid.nodes, grid.positions))
-    degrees = grid.isl_degrees()
+    degrees = isl_degrees(grid)
     assert all(d <= 4 for d in degrees.values())
     full = 0
     for plane in range(config.num_planes):
@@ -336,7 +339,7 @@ def test_criterion_8_structural_invariants(tmp_path):
                 sat_key((plane + 1) % 6, slot),
                 sat_key((plane - 1) % 6, slot),
             ]
-            if all(visible(where[here], where[n]) for n in neighbors):
+            if all(visible(where[here], where[n], grazing) for n in neighbors):
                 assert degrees[here] == 4
                 full += 1
     assert full > 0
@@ -344,11 +347,11 @@ def test_criterion_8_structural_invariants(tmp_path):
     previous = set()
     for k in range(1, 9):
         dynamic = build_dynamic_topology(positions, scenario_on(config, max_isls=k), 0.0)
-        degs = dynamic.isl_degrees()
+        degs = isl_degrees(dynamic)
         assert max(degs.values()) <= k
         where = dict(zip(dynamic.nodes, dynamic.positions))
         for link in dynamic.edges:
-            assert visible(where[link.node_a], where[link.node_b])
+            assert visible(where[link.node_a], where[link.node_b], grazing)
         current = {e.key for e in dynamic.edges}
         assert previous <= current
         previous = current

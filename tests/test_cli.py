@@ -15,7 +15,7 @@ from leoisl import delivery, links, routing
 from leoisl.cli import main
 from leoisl.delivery import build_slot_context
 from leoisl.orbits import ConstellationConfig, propagate
-from leoisl.scenario import Scenario, default_scenario
+from leoisl.scenario import Scenario
 from leoisl.topology import build_grid_topology
 
 
@@ -432,7 +432,7 @@ class TestIfcSweepCommand:
         # keys and bisection steps read its rate.
         ground = [
             e
-            for e in build_slot_context(default_scenario(), 0.0).snapshot.edges
+            for e in build_slot_context(Scenario(), 0.0).snapshot.edges
             if e.link_class != links.ISL_LASER
         ]
         feeders = [e for e in ground if e.link_class in (links.GROUND_TO_SAT, links.GROUND_TO_AIR)]
@@ -447,7 +447,6 @@ class TestIfcSweepCommand:
         for name, module in list(sys.modules.items()):
             if name.split(".")[0] == "leoisl" and getattr(module, "fspl_db", None) is original:
                 monkeypatch.setattr(module, "fspl_db", counted)
-        links.rf_terms.cache_clear()
         code, _, _ = run_cli(["ifc-sweep", "--isls", "1..8", "--seeds", "10"], capsys)
         assert code == 0
         assert 0 < len(calls) <= len(ground) + len(feeders)
@@ -505,6 +504,7 @@ class TestIfcSweepCommand:
             (["--modes", ",,"], "--modes"),
             (["--modes", "bogus"], "--modes"),
             (["--modes", "full,optimized,full"], "--modes"),
+            (["--isls", "0..100000"], "--isls"),
         ],
     )
     def test_bad_flag_is_named(self, args, flag, capsys):
@@ -625,6 +625,12 @@ class TestBadInput:
                 id="range-hi-10e22",
             ),
             pytest.param({"seed": -1}, "scenario.seed must be >= 0, got -1", id="seed-negative"),
+            # A string field took any JSON value: a null id ran as a station "None".
+            pytest.param(
+                {"ground_stations": [{"node_id": None, "latitude_deg": 0, "longitude_deg": 0}]},
+                "ground_stations.node_id must be a string, got None",
+                id="station-id-null",
+            ),
         ],
     )
     def test_rejected_scenario_value(self, raw, message, tmp_path, capsys):

@@ -42,14 +42,13 @@ from leoisl.links import (
     capacity_bps,
     default_link_params,
     propagation_delay_s,
-    snr_linear,
+    rf_terms,
 )
 from leoisl.orbits import AIRCRAFT, GroundNode
 from leoisl.routing import _chains, _path
 from leoisl.scenario import (
     IfcSettings,
     Scenario,
-    default_scenario,
     load_scenario,
     scenario_from_dict,
 )
@@ -95,6 +94,7 @@ def cached_request(holders, packets=1000, aircraft="air-1"):
         file_class=2,
         num_packets=packets,
         cached=True,
+        packet_bits=1080,
         cache_holders=frozenset(holders),
     )
 
@@ -345,7 +345,8 @@ class TestGsShares:
         cap = capacity_bps(params, distance, share)
         assert flow.option.feeder_capacity_bps(share) == cap
         # The marginal gain as written before the feeder terms were cached.
-        s_full = snr_linear(params, distance, 1.0)
+        rx_w, noise_w = rf_terms(params, distance)
+        s_full = rx_w / noise_w
         slope = (bandwidth / math.log(2.0)) * (
             math.log1p(s_full / share) - s_full / (share + s_full)
         )
@@ -515,6 +516,7 @@ class TestPlanNonCached:
             file_class=1,
             num_packets=packets,
             cached=False,
+            packet_bits=1080,
             source_gs_set=frozenset(gs_set),
         )
 
@@ -630,7 +632,7 @@ class TestPlanNonCached:
         # The standalone and greedy keys read each option's full-share rate;
         # it must equal, bit for bit, the series rate of the feeder's
         # full-band capacity, with the feeder found from the option's ends.
-        scenario = default_scenario() if scenario_file is None else load_scenario(DATA / scenario_file)
+        scenario = Scenario() if scenario_file is None else load_scenario(DATA / scenario_file)
         # Every request non-cached, so that every aircraft has route options.
         scenario = replace(scenario, ifc=replace(scenario.ifc, cache_hit_probability=0.0))
         ctx = build_slot_context(scenario, 0.0)
@@ -682,7 +684,7 @@ class TestPlanNonCached:
         # standalone and greedy picks must equal those of a scan over every
         # option built in full, at zero and at positive budgets, and every
         # row's bounds must hold for its exact option.
-        scenario = default_scenario() if shell is None else load_scenario(DATA / shell)
+        scenario = Scenario() if shell is None else load_scenario(DATA / shell)
         drawn = GroundNode("ac-drawn", AIRCRAFT, latitude, longitude, 10.7, heading, 0.23)
         scenario = replace(
             scenario,
@@ -712,7 +714,7 @@ class TestPlanNonCached:
 
 class TestSlotExecution:
     def test_same_seed_identical_plans(self):
-        scenario = default_scenario()
+        scenario = Scenario()
         first = fresh_slot(scenario, 3, "optimized", 11)
         second = fresh_slot(scenario, 3, "optimized", 11)
         assert first == second
@@ -742,7 +744,7 @@ class TestSlotExecution:
         assert SweepResult(rows).mean_delay(2, "optimized") == 0.5
 
     def test_request_generation_is_seeded_and_classed(self):
-        scenario = default_scenario()
+        scenario = Scenario()
         first = generate_requests(scenario, 3)
         second = generate_requests(scenario, 3)
         assert first == second
@@ -759,7 +761,7 @@ class TestSlotExecution:
                 assert not request.cache_holders
 
     def test_sweep_single_cell_matches_run_slot(self):
-        scenario = default_scenario()
+        scenario = Scenario()
         result = sweep_max_isls(scenario, [3], ["optimized"], [0.0], [5])
         assert len(result.rows) == 1
         row = result.rows[0]
@@ -778,7 +780,7 @@ class TestSlotExecution:
             Scenario(ifc=IfcSettings(cache_hit_probability=0.0, delay_model=model))
             for model in ("cut_through", "store_and_forward")
         ]
-        cases = [(default_scenario(), range(9), (1, 2, 3))]
+        cases = [(Scenario(), range(9), (1, 2, 3))]
         cases += [(scenario, (0, 1, 8), (1,)) for scenario in no_hits]
         for scenario, budgets, seeds in cases:
             shared = build_slot_context(scenario, 0.0)
@@ -827,7 +829,7 @@ class TestSlotExecution:
 
         shortest_paths = delivery._shortest_paths
         monkeypatch.setattr(delivery, "_shortest_paths", recording)
-        scenario = default_scenario()
+        scenario = Scenario()
         ctx = build_slot_context(scenario, 0.0)
         graph = ctx._isl
         stations = frozenset(gs.node_id for gs in scenario.ground_stations)
@@ -881,7 +883,7 @@ class TestSlotExecution:
 
         shortest_paths = delivery._shortest_paths
         monkeypatch.setattr(delivery, "_shortest_paths", counting)
-        scenario = default_scenario()
+        scenario = Scenario()
         budgeted = [mode for mode in SWEEP_MODES if mode != delivery.MODE_FULL]
         result = sweep_max_isls(scenario, [0], budgeted, [0.0], [1, 2, 3])
         assert sum(row.delivered for row in result.rows) > 0
@@ -890,7 +892,7 @@ class TestSlotExecution:
         assert roots
 
     def test_passed_requests_match_drawn_requests(self):
-        scenario = default_scenario()
+        scenario = Scenario()
         ctx = build_slot_context(scenario, 0.0)
         for seed in (1, 2, 3):
             requests = generate_requests(scenario, seed)
@@ -901,7 +903,7 @@ class TestSlotExecution:
                     )
 
     def test_mode_dominance_and_convergence_small(self):
-        scenario = default_scenario()
+        scenario = Scenario()
         result = sweep_max_isls(
             scenario, [1, 2, 8], ["optimized", "greedy", "equal", "full"], [0.0], [0, 1]
         )
@@ -933,12 +935,13 @@ class TestSlotExecution:
         assert any(optimized < equal for optimized, equal in pairs)
 
     def test_degree_feasibility_of_plans(self):
-        scenario = default_scenario()
+        scenario = Scenario()
         ctx = build_slot_context(scenario, 0.0)
         for seed in range(3):
             requests = generate_requests(scenario, seed)
             for k in (1, 2, 4):
                 plan = run_slot(ctx, requests, k, "optimized")
+                gs_shares = {}
                 for request_plan in plan.request_plans:
                     degree = {}
                     for a, b in request_plan.activated_isl_edges:
@@ -949,11 +952,13 @@ class TestSlotExecution:
                     if request_plan.delivered and request_plan.request.cached:
                         total = sum(s.ratio for s in request_plan.streams)
                         assert total == pytest.approx(1.0, abs=1e-12)
-                for shares in plan.gs_bandwidth_shares().values():
-                    assert sum(shares.values()) <= 1.0 + 1e-12
+                    gs, share = request_plan.gs_id, request_plan.bandwidth_share
+                    if gs is not None and share is not None:
+                        gs_shares[gs] = gs_shares.get(gs, 0.0) + share
+                assert all(total <= 1.0 + 1e-12 for total in gs_shares.values())
 
     def test_store_and_forward_and_split_sharing_variants(self):
-        base = default_scenario()
+        base = Scenario()
         from leoisl.scenario import IfcSettings
 
         variants = [
@@ -991,7 +996,7 @@ class TestSlotExecution:
     def test_repeated_request_ids_rejected(self):
         # Plans and feeder shares are keyed by request id, so a repeated id
         # would hand one request's plan to another.
-        scenario = default_scenario()
+        scenario = Scenario()
         ctx = build_slot_context(scenario, 0.0)
         requests = generate_requests(scenario, 1)
         first = requests[0].request_id
@@ -1016,7 +1021,7 @@ class TestSlotExecution:
 
         monkeypatch.setattr(delivery, "build_slot_context", unreachable)
         with pytest.raises(ValueError, match=message):
-            sweep_max_isls(default_scenario(), isls, ["optimized"], [0.0], [1])
+            sweep_max_isls(Scenario(), isls, ["optimized"], [0.0], [1])
 
     @pytest.mark.parametrize(
         ("modes", "epochs", "seeds", "message"),
@@ -1036,10 +1041,10 @@ class TestSlotExecution:
         monkeypatch.setattr(delivery, "generate_requests", unreachable)
         monkeypatch.setattr(delivery, "build_slot_context", unreachable)
         with pytest.raises(ValueError, match=message):
-            sweep_max_isls(default_scenario(), [1, 2], modes, epochs, seeds)
+            sweep_max_isls(Scenario(), [1, 2], modes, epochs, seeds)
 
     def test_plan_reports_the_epoch_of_its_context(self):
-        scenario = default_scenario()
+        scenario = Scenario()
         requests = generate_requests(scenario, 1)
         early = run_slot(build_slot_context(scenario, 0.0), requests, 4, "optimized")
         late = run_slot(build_slot_context(scenario, 3000.0), requests, 4, "optimized")
@@ -1047,7 +1052,7 @@ class TestSlotExecution:
         assert early.average_delay_s != late.average_delay_s
 
     def test_sweep_rows_carry_the_epoch_of_their_context(self):
-        scenario = default_scenario()
+        scenario = Scenario()
         epochs = [0.0, 3000.0]
         result = sweep_max_isls(scenario, [2], ["optimized"], epochs, [1, 2])
         assert sorted({row.epoch_s for row in result.rows}) == epochs
@@ -1074,7 +1079,7 @@ class TestUnknownNodes:
     every planner, instead of being left undelivered."""
 
     def slot(self):
-        scenario = default_scenario()
+        scenario = Scenario()
         return build_slot_context(scenario, 0.0), generate_requests(scenario, 1)
 
     @staticmethod

@@ -14,7 +14,7 @@ from leoisl.links import (
     default_link_params,
     fspl_db,
     propagation_delay_s,
-    snr_linear,
+    rf_terms,
 )
 from leoisl.scenario import TopologySettings
 
@@ -44,7 +44,8 @@ class TestFspl:
 class TestCapacity:
     def test_sat_to_air_case_values(self):
         params = PARAMS[SAT_TO_AIR]
-        snr_db = 10.0 * math.log10(snr_linear(params, 1000.0))
+        rx_w, noise_w = rf_terms(params, 1000.0)
+        snr_db = 10.0 * math.log10(rx_w / noise_w)
         assert snr_db == pytest.approx(25.0, abs=0.05)
         assert capacity_bps(params, 1000.0) == pytest.approx(8.3e8, rel=0.02)
 

@@ -342,16 +342,17 @@ class TestGroundMotion:
 class TestVisibility:
     def test_diametrically_opposite_blocked(self):
         a = np.array([7371.0, 0.0, 0.0])
-        assert visible(a, -a) is False
+        assert visible(a, -a, 80.0) is False
 
     def test_adjacent_intra_plane_visible(self):
         states = propagate(CASE_CONFIG, 0.0)
         by_key = {s.node_key: s for s in states}
-        assert visible(by_key[sat_key(0, 0)].position_km, by_key[sat_key(0, 1)].position_km) is True
+        a, b = by_key[sat_key(0, 0)].position_km, by_key[sat_key(0, 1)].position_km
+        assert visible(a, b, 80.0) is True
 
     def test_zero_length_segment(self):
         a = np.array([7000.0, 0.0, 0.0])
-        assert visible(a, a) is True
+        assert visible(a, a, 80.0) is True
 
     def test_symmetry(self):
         rng = np.random.default_rng(7)
@@ -360,7 +361,7 @@ class TestVisibility:
             b = rng.normal(size=3)
             a = a / np.linalg.norm(a) * rng.uniform(6600, 9000)
             b = b / np.linalg.norm(b) * rng.uniform(6600, 9000)
-            assert visible(a, b) == visible(b, a)
+            assert visible(a, b, 80.0) == visible(b, a, 80.0)
 
     def test_elevation_overhead(self):
         ground = np.array([EARTH_RADIUS_KM, 0.0, 0.0])

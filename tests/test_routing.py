@@ -32,7 +32,6 @@ from leoisl.routing import (
     min_hop_path,
     sdp_mhp_fraction,
     shortest_distance_path,
-    snapshot_sdp_mhp_fraction,
 )
 from leoisl.scenario import Scenario, TopologySettings
 from leoisl.topology import build_dynamic_topology, build_grid_topology, build_snapshot
@@ -243,21 +242,16 @@ class TestSdpMhpFraction:
         nodes = [f"n{i}" for i in range(5)]
         edges = [(a, b, 1.0) for a, b in itertools.combinations(nodes, 2)]
         snapshot = snapshot_of(lasers(edges), nodes)
-        pairs = [(a, b) for a, b in itertools.combinations(nodes, 2)]
-        result = snapshot_sdp_mhp_fraction(snapshot, pairs)
+        srcs, dsts = np.array(list(itertools.combinations(range(len(nodes)), 2))).T
+        result = _sdp_mhp(_graph(snapshot), srcs, dsts)
         assert result.fraction == 1.0
-        assert result.pairs_checked == len(pairs)
+        assert result.pairs_checked == len(srcs)
 
     def test_detour_beats_direct_edge(self):
         # Two short legs beat the long direct edge on distance but not hops.
         snapshot = snapshot_of(lasers([("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 3.0)]))
-        result = snapshot_sdp_mhp_fraction(snapshot, [("a", "c")])
+        result = _sdp_mhp(_graph(snapshot), np.array([0]), np.array([2]))  # a to c
         assert result.fraction == 0.0
-
-    def test_unknown_node_rejected(self):
-        snapshot = snapshot_of(lasers([("a", "b", 1.0)]))
-        with pytest.raises(ValueError, match="unknown node"):
-            snapshot_sdp_mhp_fraction(snapshot, [("a", "zz")])
 
     def test_low_inclination_grid_fraction(self):
         scenario = Scenario(ConstellationConfig(), topology=TopologySettings("grid"))

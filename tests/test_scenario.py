@@ -23,7 +23,6 @@ from leoisl.scenario import (
     Scenario,
     ScenarioError,
     TopologySettings,
-    default_scenario,
     load_scenario,
     save_scenario,
     scenario_from_dict,
@@ -36,7 +35,7 @@ DATA = Path(__file__).parent / "data"
 
 class TestDefaults:
     def test_baseline_parameters(self):
-        scenario = default_scenario()
+        scenario = Scenario()
         cons = scenario.constellation
         assert (cons.num_planes, cons.sats_per_plane) == (6, 20)
         assert cons.altitude_km == 1000.0
@@ -55,13 +54,13 @@ class TestDefaults:
         assert scenario.topology.max_range_km == 5000.0
 
     def test_none_and_empty_file_mean_defaults(self, tmp_path):
-        assert load_scenario(None) == default_scenario()
+        assert load_scenario(None) == Scenario()
         empty = tmp_path / "empty.json"
         empty.write_text("")
-        assert load_scenario(empty) == default_scenario()
+        assert load_scenario(empty) == Scenario()
         blank_object = tmp_path / "blank.json"
         blank_object.write_text("{}")
-        assert load_scenario(blank_object) == default_scenario()
+        assert load_scenario(blank_object) == Scenario()
 
 
 class TestValidation:
@@ -295,10 +294,18 @@ CRAFT = {"node_id": "a", "latitude_deg": 0, "longitude_deg": 0}
 @pytest.mark.parametrize(
     ("raw", "message"),
     [
-        ([], "<memory>: scenario root must be a JSON object"),
-        ({"satellites": 5}, "unknown field scenario.'satellites'"),
-        ({"constellation": 5}, "constellation must be an object"),
-        ({"constellation": {"planes": 6}}, "unknown field constellation.'planes'"),
+        pytest.param([], "<memory>: scenario root must be a JSON object", id="root-list"),
+        pytest.param(
+            {"satellites": 5}, "unknown field scenario.'satellites'", id="root-unknown-field"
+        ),
+        pytest.param(
+            {"constellation": 5}, "constellation must be an object", id="constellation-number"
+        ),
+        pytest.param(
+            {"constellation": {"planes": 6}},
+            "unknown field constellation.'planes'",
+            id="constellation-unknown-field",
+        ),
         (
             {"constellation": {"num_planes": "six"}},
             "constellation.num_planes must be a number, got 'six'",
@@ -551,6 +558,23 @@ CRAFT = {"node_id": "a", "latitude_deg": 0, "longitude_deg": 0}
             "(num_planes * sats_per_plane), got 20000000",
             id="shell-above-max-satellites",
         ),
+        # A string field took any JSON value through ``str``: a null id named
+        # a station "None".
+        pytest.param(
+            {"ground_stations": [{**STATION, "node_id": None}]},
+            "ground_stations.node_id must be a string, got None",
+            id="station-id-null",
+        ),
+        pytest.param(
+            {"topology": {"mode": ["grid"]}},
+            "topology.mode must be a string, got ['grid']",
+            id="mode-list",
+        ),
+        pytest.param(
+            {"ifc": {"delay_model": 5}},
+            "ifc.delay_model must be a string, got 5",
+            id="delay-model-number",
+        ),
     ],
 )
 def test_error_text_is_pinned(raw, message):
@@ -591,7 +615,7 @@ def test_error_text_is_pinned(raw, message):
     ],
 )
 def test_saved_text_is_pinned(name, digest, tmp_path):
-    scenario = default_scenario() if name is None else load_scenario(DATA / name)
+    scenario = Scenario() if name is None else load_scenario(DATA / name)
     target = tmp_path / "saved.json"
     save_scenario(scenario, target)
     assert hashlib.sha256(target.read_bytes()).hexdigest() == digest
@@ -601,7 +625,7 @@ def test_every_dataclass_field_is_a_json_key():
     def names(cls, *fixed):
         return {f.name for f in fields(cls)} - set(fixed)
 
-    data = scenario_to_dict(default_scenario())
+    data = scenario_to_dict(Scenario())
     assert set(data) == names(Scenario)
     assert set(data["constellation"]) == names(ConstellationConfig)
     assert set(data["topology"]) == names(TopologySettings)
@@ -614,7 +638,7 @@ def test_every_dataclass_field_is_a_json_key():
     # A station never moves, so its heading and speed are not written.
     for entry in data["ground_stations"]:
         assert set(entry) == names(GroundNode, "kind", "heading_deg", "speed_km_s")
-    assert scenario_from_dict(data) == default_scenario()
+    assert scenario_from_dict(data) == Scenario()
 
 
 finite = st.floats(-1e6, 1e6)

@@ -31,7 +31,7 @@ from leoisl.orbits import (
 from leoisl import topology
 from leoisl.delivery import SWEEP_MODES, sweep_max_isls
 from leoisl.routing import sdp_mhp_fraction
-from leoisl.scenario import Scenario, ScenarioError, TopologySettings, default_scenario
+from leoisl.scenario import Scenario, ScenarioError, TopologySettings
 from leoisl.topology import (
     ISL_CODE,
     TOPOLOGY_MODES,
@@ -43,10 +43,11 @@ from leoisl.topology import (
     build_snapshot,
 )
 
-from oracles import scenario_on
+from oracles import isl_degrees, scenario_on
 
 CASE_CONFIG = ConstellationConfig()
 CASE_SCENARIO = scenario_on(CASE_CONFIG)
+GRAZING_KM = CASE_SCENARIO.topology.grazing_altitude_km
 
 
 def shell_positions(config, epoch):
@@ -76,7 +77,7 @@ def grid_structural_neighbors(config, plane, slot):
 class TestGrid:
     def test_case_grid_degrees(self):
         snapshot = build_grid_topology(shell_positions(CASE_CONFIG, 0.0), CASE_SCENARIO, 0.0)
-        degrees = snapshot.isl_degrees()
+        degrees = isl_degrees(snapshot)
         positions = positions_by_id(snapshot)
         assert all(d <= 4 for d in degrees.values())
         full_everywhere = 0
@@ -85,7 +86,7 @@ class TestGrid:
                 here = sat_key(plane, slot)
                 neighbors = grid_structural_neighbors(CASE_CONFIG, plane, slot)
                 all_visible = all(
-                    visible(positions[here], positions[n]) for n in neighbors
+                    visible(positions[here], positions[n], GRAZING_KM) for n in neighbors
                 )
                 if all_visible:
                     assert degrees[here] == 4
@@ -94,7 +95,7 @@ class TestGrid:
 
     def test_case_grid_edge_count_handshake(self):
         snapshot = build_grid_topology(shell_positions(CASE_CONFIG, 0.0), CASE_SCENARIO, 0.0)
-        degrees = snapshot.isl_degrees()
+        degrees = isl_degrees(snapshot)
         assert sum(degrees.values()) == 2 * len(snapshot.edges)
         # 240 structural edges minus those failing line of sight.
         positions = positions_by_id(snapshot)
@@ -108,7 +109,7 @@ class TestGrid:
                     if key in seen:
                         continue
                     seen.add(key)
-                    if not visible(positions[here], positions[other]):
+                    if not visible(positions[here], positions[other], GRAZING_KM):
                         dropped += 1
         assert len(seen) == 240
         assert len(snapshot.edges) == 240 - dropped
@@ -116,7 +117,7 @@ class TestGrid:
     def test_single_plane_ring(self):
         config = ConstellationConfig(num_planes=1, sats_per_plane=20, phasing_factor=0)
         snapshot = build_grid_topology(shell_positions(config, 0.0), scenario_on(config), 0.0)
-        degrees = snapshot.isl_degrees()
+        degrees = isl_degrees(snapshot)
         assert len(snapshot.edges) == 20
         assert set(degrees.values()) == {2}
 
@@ -134,7 +135,7 @@ class TestGrid:
         snapshot = build_grid_topology(positions, scenario_on(config), 0.0)
         assert len(snapshot.edges) == 4
         assert len({e.key for e in snapshot.edges}) == 4
-        assert set(snapshot.isl_degrees().values()) == {2}
+        assert set(isl_degrees(snapshot).values()) == {2}
 
     def test_two_by_two_real_shell_is_fully_blocked(self):
         # The honest geometric outcome for the degenerate 2x2 shell: both
@@ -149,7 +150,7 @@ class TestGrid:
         snapshot = build_grid_topology(shell_positions(CASE_CONFIG, 321.0), CASE_SCENARIO, 321.0)
         positions = positions_by_id(snapshot)
         for edge in snapshot.edges:
-            assert visible(positions[edge.node_a], positions[edge.node_b])
+            assert visible(positions[edge.node_a], positions[edge.node_b], GRAZING_KM)
 
     def test_structure_epoch_stable_up_to_visibility(self):
         # The candidate edge-id set never changes with the epoch; only the
@@ -168,7 +169,7 @@ class TestGrid:
             assert present <= structural
             positions = positions_by_id(snapshot)
             for key in structural - present:
-                assert not visible(positions[key[0]], positions[key[1]])
+                assert not visible(positions[key[0]], positions[key[1]], GRAZING_KM)
 
 
 def scalar_grid_reference(shell, config, grazing_altitude_km):
@@ -248,13 +249,14 @@ class TestGridMatchesScalarReference:
         # A segment grazing the 80 km sphere: the scalar test says visible
         # from one end and blocked from the other, so the grid must test
         # from (0, 0) as the plane-by-plane walk does.
-        assert visible(GRAZING_A, GRAZING_B) != visible(GRAZING_B, GRAZING_A)
+        forward = visible(GRAZING_A, GRAZING_B, GRAZING_KM)
+        assert forward != visible(GRAZING_B, GRAZING_A, GRAZING_KM)
         config = cluster_config(1, 2)
         for first, second in ((GRAZING_A, GRAZING_B), (GRAZING_B, GRAZING_A)):
             positions = np.array([first, second])
             snapshot = build_grid_topology(positions, scenario_on(config), 0.0)
             assert snapshot.edges == scalar_grid_reference(positions, config, 80.0)
-            assert len(snapshot.edges) == visible(first, second)
+            assert len(snapshot.edges) == visible(first, second, GRAZING_KM)
 
 
 class TestDynamic:
@@ -272,7 +274,7 @@ class TestDynamic:
         for i, (_, pa) in enumerate(ordered):
             for _, pb in ordered[i + 1 :]:
                 d = float(np.linalg.norm(pa - pb))
-                if d <= 4000.0 and visible(pa, pb):
+                if d <= 4000.0 and visible(pa, pb, GRAZING_KM):
                     expected += 1
         assert len(snapshot.edges) == expected
 
@@ -288,7 +290,7 @@ class TestDynamic:
         for k in (1, 2, 3, 5, 8):
             scenario = scenario_on(CASE_CONFIG, max_isls=k)
             snapshot = build_dynamic_topology(positions, scenario, 777.0)
-            assert max(snapshot.isl_degrees().values()) <= k
+            assert max(isl_degrees(snapshot).values()) <= k
 
     def test_edge_sets_nested_in_budget(self):
         positions = shell_positions(CASE_CONFIG, 123.0)
@@ -437,7 +439,7 @@ class TestDynamicMatchesScalarReference:
             positions = np.array([first, second])
             assert_dynamic_matches_reference(positions, config, (0, 1))
             snapshot = build_dynamic_topology(positions, scenario_on(config, max_isls=1), 0.0)
-            assert len(snapshot.edges) == visible(first, second)
+            assert len(snapshot.edges) == visible(first, second, GRAZING_KM)
 
     def test_node_id_order_past_three_digits(self):
         # With 1001 slots, slot 1000 has id S000-1000, which sorts before
@@ -450,7 +452,7 @@ class TestDynamicMatchesScalarReference:
             positions = far.copy()
             positions[1000], positions[101] = first, second
             snapshot = build_dynamic_topology(positions, scenario_on(config, max_isls=1), 0.0)
-            assert len(snapshot.edges) == visible(first, second)
+            assert len(snapshot.edges) == visible(first, second, GRAZING_KM)
         # Slots 101 and 1000 tie at 500 km from slot 0; the lower id wins.
         positions = far.copy()
         positions[0] = [7000.0, 0.0, 0.0]
@@ -488,7 +490,7 @@ class TestDynamicProperties:
                 config, max_isls=k, max_range_km=max_range_km, grazing_altitude_km=grazing
             )
             snapshot = build_dynamic_topology(positions, scenario, 0.0)
-            degrees = snapshot.isl_degrees()
+            degrees = isl_degrees(snapshot)
             assert max(degrees.values()) <= k
             current = {e.key for e in snapshot.edges}
             assert previous <= current
@@ -506,11 +508,17 @@ class TestSnapshotEntryPoint:
         def scenario(mode):
             return Scenario(CASE_CONFIG, topology=TopologySettings(mode, max_isls=2))
 
+        def links(snapshot):
+            # Same epoch, nodes and links; positions are not compared.
+            return snapshot.epoch_s, snapshot.nodes, snapshot.edges
+
         positions = shell_positions(CASE_CONFIG, 300.0)
         grid = build_snapshot(scenario("grid"), 300.0)
         dynamic = build_snapshot(scenario("dynamic"), 300.0)
-        assert grid == build_grid_topology(positions, scenario("grid"), 300.0)
-        assert dynamic == build_dynamic_topology(positions, scenario("dynamic"), 300.0)
+        assert links(grid) == links(build_grid_topology(positions, scenario("grid"), 300.0))
+        assert links(dynamic) == links(
+            build_dynamic_topology(positions, scenario("dynamic"), 300.0)
+        )
 
 
 def links_of(scenario, laser, **topology):
@@ -574,7 +582,7 @@ class TestEachSettingReachesTheSnapshot:
     def test_max_isls_caps_every_degree(self):
         for k in (1, 2, 3):
             scenario = replace(self.BASE, topology=TopologySettings("dynamic", k))
-            degrees = build_snapshot(scenario, 600.0).isl_degrees().values()
+            degrees = isl_degrees(build_snapshot(scenario, 600.0)).values()
             assert max(degrees) == k
 
 
@@ -695,7 +703,7 @@ class TestArraySnapshot:
             raise AssertionError("snapshot.edges materialised")
 
         monkeypatch.setattr(TopologySnapshot, "edges", property(refuse))
-        scenario = default_scenario()
+        scenario = Scenario()
         result = sweep_max_isls(scenario, range(0, 9), SWEEP_MODES, [0.0], [1, 2])
         assert any(row.delivered for row in result.rows)
         assert sdp_mhp_fraction(scenario, 50, [0.0, 1800.0], 1).pairs_checked > 0
