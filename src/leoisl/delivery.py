@@ -36,7 +36,7 @@ from .links import (
     rf_terms,
     shannon_bps,
 )
-from .routing import _chains, _graph, _path, _shortest_paths, _total
+from .routing import _chains, _graph, _least_distance, _path, _total
 from .topology import DYNAMIC_MODE, ISL_CODE, LinkEdge, TopologySnapshot, build_snapshot
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -747,20 +747,17 @@ class _OptionTable:
 
     def built(self, rows: list[int]) -> list[_RouteOption | None]:
         """The exact options of ``rows``, each built once; None where the
-        entry is out of reach. The rows' serving satellites are labelled in
-        one batch, each as far as its entries, and every relay is read back
-        in one ``_chains`` call: among equal ``(distance, hops)`` paths from
-        the serving satellite, the reverse of the lexicographically smallest."""
+        entry is out of reach. Every relay is read in one ``_least_distance``
+        call from its serving satellite to its entry: among equal
+        ``(distance, hops)`` paths from the serving satellite, the reverse of
+        the lexicographically smallest."""
         graph, exact = self.graph, self.exact
         todo = [k for k in rows if k not in exact]
         relays = [k for k in todo if self.ends[k][0] != self.ends[k][1]]
         chains = {}
-        if relays:
+        if relays:  # most calls build no relay: skip the search's setup
             entries, servings = np.array([self.ends[k] for k in relays]).T
-            roots = np.array(sorted(set(servings.tolist())))
-            which = np.searchsorted(roots, servings)
-            dist = _shortest_paths(graph, roots, [entries[which == r] for r in range(len(roots))])
-            chains = dict(zip(relays, _chains(graph, dist, roots, which, entries)))
+            chains = dict(zip(relays, _least_distance(graph, servings, entries, _chains)))
         for k in todo:
             (gs, feeder, air), serving = self.chains[k], self.ends[k][1]
             relay, caps, prop_s = (), (), feeder.delay_s

@@ -114,6 +114,7 @@ class GroundNode:
 
     def __post_init__(self) -> None:
         check_fields(self, (
+            ("node_id", "non-empty", bool),
             ("kind", f"one of {GROUND_KINDS}", lambda v: v in GROUND_KINDS),
             ("longitude_deg", "finite", math.isfinite),
             ("altitude_km", "finite", math.isfinite),

@@ -5,12 +5,14 @@ snapshot, hop-count statistics between ground terminals across all possible
 satellite associations, and an empirical check of how often the SDP is also
 an MHP.
 
-Every path comes from one engine. ``_shortest_paths`` computes
-the distance labels of a batch of roots at once, in array rounds over the
-graph's padded table, only as far as the farthest of each root's targets;
+Every search answers (start, end) pairs of node indexes as they are given.
+``_hop_counts`` gives each pair's minimum hop count. Every path comes from
+one engine, behind ``_least_distance``: ``_shortest_paths`` computes the
+distance labels of a batch of starts at once, in array rounds over the
+graph's padded table, only as far as the farthest of each start's ends;
 ``_tight_levels`` then runs one breadth-first search backward from the end
-of every (root, end) pair at once over tight links, and ``_chains`` walks
-each pair's path forward through its levels. The tie-break is minimum
+of every pair at once over tight links, and ``_chains`` walks each pair's
+path forward through its levels. The tie-break is minimum
 ``(distance, hops)`` (an MHP weighs each link 1, so its distance is its hop
 count), then the lexicographically smallest node sequence from the root:
 the path a Dijkstra search with that tie-break picks. Results are therefore
@@ -25,7 +27,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -115,16 +117,17 @@ _BATCH_LINKS = 1 << 19
 
 def _batch_roots(graph: _Graph) -> int:
     """Roots per relaxation batch: ``_BATCH_LINKS`` over the table's slots,
-    at least one; 82 on a 1584-node +grid, more than a hop block's 64
-    sources, and 1 on its in-range mesh."""
+    at least one; 82 on a 1584-node +grid, more than the 64 starts
+    ``_least_distance`` labels at once, and 1 on its in-range mesh."""
     return max(1, _BATCH_LINKS // max(1, graph.neighbors.size))
 
 
 def _shortest_paths(
-    graph: _Graph, roots: Sequence[int], targets: Sequence[Sequence[int]]
+    graph: _Graph, roots: np.ndarray, rows: np.ndarray, ends: np.ndarray
 ) -> np.ndarray:
     """Distances from each of ``roots`` to every node, ``(len(roots), N)``,
-    exact up to the farthest of each root's ``targets``.
+    exact up to the farthest of each root's ends: root ``roots[rows[k]]``
+    needs ``ends[k]``.
 
     Unreached nodes are at infinity. Each round relaxes, in one array pass,
     the links of every (root, node) pair whose label fell in the round
@@ -138,17 +141,16 @@ def _shortest_paths(
     label, or past the last (read clipped); its infinite length never lowers it.
 
     A round drops every fallen pair whose label is above its root's bound:
-    the largest current label among the root's targets, infinite until all
+    the largest current label among the root's ends, infinite until all
     are reached. Float addition of a length >= 0 is monotone, so a node no
-    farther than the farthest target has least-distance predecessors no
+    farther than the farthest end has least-distance predecessors no
     farther still, which are never dropped once exact, and keeps its exact
     label. Any other label stays at or above its fixpoint, so it never makes
-    a link into a target's tight subgraph look tight, and ``_chains`` reads
-    the same paths from these labels as from full ones. Full labels take
-    every node as a target.
+    a link into an end's tight subgraph look tight, and ``_chains`` reads
+    the same paths from these labels as from full ones. Full labels give
+    each root every node as an end.
     """
     size = len(graph.nodes)
-    roots = np.asarray(roots, dtype=np.intp)
     dist = np.full((len(roots), size), np.inf)
     step = _batch_roots(graph)
     fallen = np.zeros(min(step, len(roots)) * size, dtype=bool)
@@ -156,12 +158,11 @@ def _shortest_paths(
         batch = roots[first : first + step]
         labels = dist[first : first + step].reshape(-1)  # a view: pair ``r * size + node``
         fell = np.arange(len(batch)) * size + batch
-        # Each root's targets as pairs, padded with the root itself: its
-        # label 0 never raises the bound.
-        wanted = targets[first : first + step]
-        need = np.repeat(fell[:, None], max(map(len, wanted), default=0), axis=1)
-        for k, nodes in enumerate(wanted):
-            need[k, : len(nodes)] = np.asarray(nodes, dtype=np.intp) + k * size
+        # The batch's ends as pairs ``r * size + end``, sorted: one run per
+        # root, which holds the root itself, whose label 0 never raises the bound.
+        mine = (rows >= first) & (rows < first + step)
+        need = np.sort(np.concatenate([fell, (rows[mine] - first) * size + ends[mine]]))
+        runs = np.searchsorted(need, fell - batch)
         labels[fell] = 0.0
         while fell.size:
             node = fell % size
@@ -174,7 +175,7 @@ def _shortest_paths(
             fell = np.flatnonzero(fallen)
             fallen[fell] = False
             if fell.size:
-                bound = labels[need].max(axis=1, initial=0.0)
+                bound = np.maximum.reduceat(labels[need], runs)
                 fell = fell[labels[fell] <= bound[fell // size]]
     return dist
 
@@ -260,6 +261,29 @@ def _chains(
     ]
 
 
+_BLOCK = 64  # starts per label block and per hop-search word, a bit each
+
+
+def _least_distance(
+    graph: _Graph, starts: Sequence[int], ends: Sequence[int], read: Callable
+) -> list:
+    """``read``'s answer for each pair ``(starts[k], ends[k])`` of node
+    indexes: with ``_chains`` its chosen path. The distinct starts are
+    labelled ``_BLOCK`` at a time, each only as far as its own ends, and
+    ``read(graph, dist, roots, rows, ends)`` reads a block's pairs. A
+    start's labels depend on its own ends alone, so the blocks change no answer."""
+    starts, ends = np.asarray(starts, dtype=np.intp), np.asarray(ends, dtype=np.intp)
+    roots = np.flatnonzero(np.bincount(starts, minlength=len(graph.nodes)))
+    which = np.searchsorted(roots, starts)
+    found = [None] * len(starts)
+    for first in range(0, len(roots), _BLOCK):
+        pair = np.flatnonzero(which // _BLOCK == first // _BLOCK)
+        block = (roots[first : first + _BLOCK], which[pair] - first, ends[pair])
+        for k, answer in zip(pair.tolist(), read(graph, _shortest_paths(graph, *block), *block)):
+            found[k] = answer
+    return found
+
+
 def _total(values: Iterable[float]) -> float:
     """Float sum from 0.0, strictly left to right. Every float total goes
     through here: the builtin ``sum`` is compensated from Python 3.12 on."""
@@ -286,8 +310,7 @@ def _path(graph: _Graph, chain: Sequence[int], rows: np.ndarray) -> Path:
 def _best_path(graph: _Graph, src: str, dst: str) -> Path | None:
     if src not in graph.index or dst not in graph.index:
         raise ValueError(f"unknown node in pair ({src!r}, {dst!r})")
-    root, end = np.array([graph.index[src]]), np.array([graph.index[dst]])
-    (found,) = _chains(graph, _shortest_paths(graph, root, [end]), root, np.zeros(1, np.intp), end)
+    (found,) = _least_distance(graph, [graph.index[src]], [graph.index[dst]], _chains)
     return None if found is None else _path(graph, *found)
 
 
@@ -308,53 +331,46 @@ def min_hop_path(snapshot: TopologySnapshot, src: str, dst: str) -> Path | None:
 # ---------------------------------------------------------------------------
 
 
-_BLOCK = 64  # sources per yielded block: one bit of a uint64 word each
 _BITS = np.left_shift(np.uint64(1), np.arange(_BLOCK, dtype=np.uint64))
 # Table slots times 64-bit words one hop-search level may gather. A level's
-# temporaries are a few arrays of this many words, so the sources go in
+# temporaries are a few arrays of this many words, so the starts go in
 # searches of as many words as fit, at least one.
 _BATCH_WORDS = 1 << 16
 
 
-def _unpack(words: np.ndarray, count: int) -> np.ndarray:
-    """Bits 0 to ``count - 1`` of each word as 0/1 columns, ``(len(words), count)``."""
-    bits = np.unpackbits(np.ascontiguousarray(words, dtype="<u8").view(np.uint8), bitorder="little")
-    return bits.reshape(-1, _BLOCK)[:, :count].astype(np.int32)
+def _hop_counts(graph: _Graph, starts: Sequence[int], ends: Sequence[int]) -> np.ndarray:
+    """The minimum hop count of each pair ``(starts[k], ends[k])`` of node
+    indexes, -1 where the end is unreachable.
 
-
-def _hop_blocks(
-    graph: _Graph, sources: Sequence[int], targets: Sequence[int]
-) -> Iterator[tuple[int, np.ndarray]]:
-    """Minimum hop counts from ``sources`` to ``targets``, 64 sources at a time.
-
-    Yields ``(first, depth)`` per block of up to 64 consecutive sources:
-    ``depth[k, j]`` is the hop count from ``sources[first + k]`` to
-    ``targets[j]``, or -1 when unreachable. Each search is one bit-parallel
-    BFS over as many 64-bit words per node as ``_BATCH_WORDS`` allows
-    (Then et al., VLDB 2014): bit ``k`` of word ``w`` says the search's
-    source ``64 w + k`` has reached the node. A level gathers the frontier
-    words of each node's neighbors, node-major through the graph's table,
-    ORs them together and keeps the bits not seen before, so a bit first
-    shows on a node at its hop count. Pads read node N, whose words stay 0.
-    The search stops once every target holds every bit or nothing new is
-    reached. Each bit arrives at a target at one level, so bit ``b`` of its
-    hop count is set exactly when it arrived at a level with bit ``b`` set:
-    each level ORs its targets' new bits into the plane of each of its set
-    bits, and each block decodes its word of the planes.
+    One bit-parallel BFS (Then et al., VLDB 2014) runs from the distinct
+    starts, as many 64-bit words per node as ``_BATCH_WORDS`` allows: bit
+    ``k`` of word ``w`` says start ``64 w + k`` has reached the node. A level
+    ORs the frontier words of each node's neighbors, node-major through the
+    graph's table (pads read node N, whose words stay 0), and keeps the bits
+    not seen before, so a bit first shows on a node at its hop count. The
+    search stops once every end holds every bit or nothing new is reached.
+    Each level ORs its ends' new bits into the plane of each set bit of its
+    number, so bit ``b`` of a pair's count is its start's bit of its end's
+    word in plane ``b``; only the pairs' bits are decoded.
     """
     size = len(graph.nodes)
+    starts, ends = np.asarray(starts, dtype=np.intp), np.asarray(ends, dtype=np.intp)
+    # Distinct nodes by counting, not ``np.unique``: numpy would import
+    # numpy.ma on its first call in the process.
+    sources = np.flatnonzero(np.bincount(starts, minlength=size))
+    targets = np.flatnonzero(np.bincount(ends, minlength=size))
+    source, target = np.searchsorted(sources, starts), np.searchsorted(targets, ends)
+    hops = np.empty(len(starts), dtype=np.intp)
     words = max(1, _BATCH_WORDS // max(1, graph.neighbors.size))
-    sources = np.asarray(sources, dtype=np.intp)
-    targets = np.asarray(targets, dtype=np.intp)
     slots = np.ascontiguousarray(graph.neighbors.T)  # np.take copies a strided index per call
-    for start in range(0, len(sources), words * _BLOCK):
-        bit = np.arange(min(words * _BLOCK, len(sources) - start))
+    for first in range(0, len(sources), words * _BLOCK):
+        bit = np.arange(min(words * _BLOCK, len(sources) - first))
         frontier = np.zeros((size + 1, -(-len(bit) // _BLOCK)), dtype=np.uint64)
-        np.bitwise_or.at(frontier, (sources[start + bit], bit // _BLOCK), _BITS[bit % _BLOCK])
+        np.bitwise_or.at(frontier, (sources[first + bit], bit // _BLOCK), _BITS[bit % _BLOCK])
         everyone = np.bitwise_or.reduce(frontier, axis=0)
         seen = frontier.copy()
         reached = np.zeros_like(frontier)
-        planes = []  # plane ``b``: the targets' bits that arrived at a level with bit ``b``
+        planes = []  # plane ``b``: the ends' bits that arrived at a level with bit ``b``
         for level in itertools.count():
             arrived = frontier[targets]
             if level >> len(planes):  # the first level with this many bits
@@ -371,13 +387,14 @@ def _hop_blocks(
                 break
             seen |= reached
             frontier, reached = reached, frontier
-        seen = seen[targets]
-        for w in range(seen.shape[1]):
-            count = min(_BLOCK, len(bit) - w * _BLOCK)
-            depth = _unpack(seen[:, w], count) - 1  # target-major
-            for b, plane in enumerate(planes):
-                depth += _unpack(plane[:, w], count) << b
-            yield start + w * _BLOCK, depth.T
+        pair = np.flatnonzero((source >= first) & (source < first + len(bit)))
+        offset = source[pair] - first
+        at, mask = (target[pair], offset // _BLOCK), _BITS[offset % _BLOCK]
+        count = ((seen[targets][at] & mask) != 0) - 1
+        for b, plane in enumerate(planes):
+            count += ((plane[at] & mask) != 0) << b
+        hops[pair] = count
+    return hops
 
 
 _OBSERVERS = 8  # ground nodes per ``elevations_deg`` call: rows of its temporaries
@@ -402,15 +419,8 @@ class HopStatsRow:
     skipped: bool
 
     def csv_values(self) -> tuple:
-        blank = ""
-        return (
-            self.pair_id,
-            self.epoch_s,
-            blank if self.min_hops is None else self.min_hops,
-            blank if self.max_hops is None else self.max_hops,
-            blank if self.mean_hops is None else self.mean_hops,
-            blank if self.spread is None else self.spread,
-        )
+        stats = (self.min_hops, self.max_hops, self.mean_hops, self.spread)
+        return (self.pair_id, self.epoch_s, *("" if v is None else v for v in stats))
 
 
 def ground_pair_hop_stats(
@@ -447,25 +457,12 @@ def ground_pair_hop_stats(
             above = elevations_deg(here, snapshot.positions) >= scenario.topology.elevation_mask_deg
             visibility.update(zip(chunk, map(np.flatnonzero, above)))
 
-        # One batched search from every start satellite to every end
-        # satellite. Every association (pair, start, end), pair by pair,
-        # takes its hop count from the block holding its start.
-        is_source = np.zeros(len(graph.nodes), dtype=bool)
-        is_target = np.zeros(len(graph.nodes), dtype=bool)
-        for node_a, node_b in pairs:
-            is_source[visibility[node_a]] = True
-            is_target[visibility[node_b]] = True
-        sources, targets = np.flatnonzero(is_source), np.flatnonzero(is_target)
-        starts = [np.searchsorted(sources, visibility[a]) for a, _ in pairs]
-        ends = [np.searchsorted(targets, visibility[b]) for _, b in pairs]
-        start = np.concatenate([np.repeat(s, len(e)) for s, e in zip(starts, ends)])
-        end = np.concatenate([np.tile(e, len(s)) for s, e in zip(starts, ends)])
-        hops = np.empty(len(start), dtype=np.int32)
-        for first, depth in _hop_blocks(graph, sources, targets):
-            at = np.flatnonzero(start // _BLOCK == first // _BLOCK)
-            hops[at] = depth[start[at] - first, end[at]]
-
-        cuts = np.cumsum([len(s) * len(e) for s, e in zip(starts, ends)])
+        # Every association (pair, start, end), pair by pair, in one search.
+        sides = [(visibility[a], visibility[b]) for a, b in pairs]
+        start = np.concatenate([np.repeat(s, len(e)) for s, e in sides])
+        end = np.concatenate([np.tile(e, len(s)) for s, e in sides])
+        hops = _hop_counts(graph, start, end)
+        cuts = np.cumsum([len(s) * len(e) for s, e in sides])
         for (node_a, node_b), counts in zip(pairs, np.split(hops, cuts[:-1])):
             pair_id = f"{node_a.node_id}|{node_b.node_id}"
             counts = counts[counts >= 0]
@@ -491,33 +488,13 @@ class SdpMhpResult:
 
 
 def _sdp_mhp(graph: _Graph, srcs: np.ndarray, dsts: np.ndarray) -> SdpMhpResult:
-    """The SDP-hops == MHP-hops discriminant on the index pairs ``(srcs[k], dsts[k])``.
-
-    Each hop block's sources are labelled up to their farthest ends, and
-    the SDP hop counts of all its pairs come from one ``_tight_levels`` call;
-    the MHP counts come from ``_hop_blocks``.
-    """
-    # Each pair's source and end, the pairs grouped by source.
-    order = np.argsort(srcs, kind="stable")
-    srcs, dsts = srcs[order], dsts[order]
-    # Distinct nodes by counting, not ``np.unique``: numpy would import
-    # numpy.ma on its first call in the process.
-    sources = np.flatnonzero(np.bincount(srcs, minlength=len(graph.nodes)))
-    targets = np.flatnonzero(np.bincount(dsts, minlength=len(graph.nodes)))
-    which = np.searchsorted(sources, srcs)
-    cuts = np.searchsorted(which, np.arange(len(sources) + 1))
-    columns = np.searchsorted(targets, dsts)
-    checked = matched = 0
-    for first, depth in _hop_blocks(graph, sources, targets):
-        # One hop block's sources at a time bounds the labels held to 64 rows.
-        last = first + len(depth)
-        part = slice(cuts[first], cuts[last])
-        wanted = np.split(dsts[part], cuts[first + 1 : last] - cuts[first])
-        dist = _shortest_paths(graph, sources[first:last], wanted)
-        sdp, _ = _tight_levels(graph, dist, sources[first:last], which[part] - first, dsts[part])
-        reached = sdp >= 0
-        checked += int(reached.sum())
-        matched += int((reached & (sdp == depth[which[part] - first, columns[part]])).sum())
+    """The SDP-hops == MHP-hops discriminant on the index pairs ``(srcs[k], dsts[k])``:
+    the SDP hop counts are read from ``_tight_levels``, no path walked, and
+    the MHP counts come from ``_hop_counts``."""
+    sdp = np.array(_least_distance(graph, srcs, dsts, lambda *block: _tight_levels(*block)[0]))
+    reached = sdp >= 0
+    checked = int(reached.sum())
+    matched = int((reached & (sdp == _hop_counts(graph, srcs, dsts))).sum())
     return SdpMhpResult(matched / checked if checked else 0.0, checked, matched, len(srcs) - checked)
 
 

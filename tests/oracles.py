@@ -62,8 +62,10 @@ def scenario_on(config, ground=(), **topology):
 
 
 def full_dist(graph, roots):
-    """Distance labels of ``roots`` to every node: each root targets them all."""
-    return _shortest_paths(graph, roots, [range(len(graph.nodes))] * len(roots))
+    """Distance labels of ``roots`` to every node: each root needs them all."""
+    n, roots = len(graph.nodes), np.asarray(roots, dtype=np.intp)
+    rows, ends = np.divmod(np.arange(len(roots) * n), max(1, n))
+    return _shortest_paths(graph, roots, rows, ends)
 
 
 def gs_flow(

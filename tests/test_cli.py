@@ -460,16 +460,16 @@ class TestIfcSweepCommand:
         roots = []
         pairs = []
 
-        def labelling(graph, batch, targets):
+        def labelling(graph, batch, *wanted):
             roots.extend(batch)
-            return shortest_paths(graph, batch, targets)
+            return shortest_paths(graph, batch, *wanted)
 
         def reading(graph, dist, batch, rows, ends):
             pairs.extend(zip(batch[rows], ends))
             return chains(graph, dist, batch, rows, ends)
 
-        shortest_paths, chains = delivery._shortest_paths, delivery._chains
-        monkeypatch.setattr(delivery, "_shortest_paths", labelling)
+        shortest_paths, chains = routing._shortest_paths, delivery._chains
+        monkeypatch.setattr(routing, "_shortest_paths", labelling)
         monkeypatch.setattr(delivery, "_chains", reading)
         code, out, _ = run_cli(
             ["ifc-sweep", "--scenario", str(DATA / "shell1_grid.json"), "--isls", "0..8",
@@ -630,6 +630,17 @@ class TestBadInput:
                 {"ground_stations": [{"node_id": None, "latitude_deg": 0, "longitude_deg": 0}]},
                 "ground_stations.node_id must be a string, got None",
                 id="station-id-null",
+            ),
+            # An empty id ran, its links written with a blank node column.
+            pytest.param(
+                {"ground_stations": [{"node_id": "", "latitude_deg": 0, "longitude_deg": 0}]},
+                "ground_stations: node_id must be non-empty, got ''",
+                id="station-id-empty",
+            ),
+            pytest.param(
+                {"aircraft": [{"node_id": "", "latitude_deg": 0, "longitude_deg": 0}]},
+                "aircraft: node_id must be non-empty, got ''",
+                id="aircraft-id-empty",
             ),
         ],
     )

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leoisl import delivery
+from leoisl import delivery, routing
 from leoisl.delivery import (
     AIR_SHARING_MODES,
     CUT_THROUGH,
@@ -823,12 +823,12 @@ class TestSlotExecution:
         # has its option.
         batches = []
 
-        def recording(graph, roots, targets):
+        def recording(graph, roots, *wanted):
             batches.append(list(roots))
-            return shortest_paths(graph, roots, targets)
+            return shortest_paths(graph, roots, *wanted)
 
-        shortest_paths = delivery._shortest_paths
-        monkeypatch.setattr(delivery, "_shortest_paths", recording)
+        shortest_paths = routing._shortest_paths
+        monkeypatch.setattr(routing, "_shortest_paths", recording)
         scenario = Scenario()
         ctx = build_slot_context(scenario, 0.0)
         graph = ctx._isl
@@ -877,12 +877,12 @@ class TestSlotExecution:
         # ignores the budget and does search.
         roots = []
 
-        def counting(graph, batch, targets):
+        def counting(graph, batch, *wanted):
             roots.extend(batch)
-            return shortest_paths(graph, batch, targets)
+            return shortest_paths(graph, batch, *wanted)
 
-        shortest_paths = delivery._shortest_paths
-        monkeypatch.setattr(delivery, "_shortest_paths", counting)
+        shortest_paths = routing._shortest_paths
+        monkeypatch.setattr(routing, "_shortest_paths", counting)
         scenario = Scenario()
         budgeted = [mode for mode in SWEEP_MODES if mode != delivery.MODE_FULL]
         result = sweep_max_isls(scenario, [0], budgeted, [0.0], [1, 2, 3])

@@ -23,7 +23,8 @@ from leoisl.routing import (
     HopStatsRow,
     _chains,
     _graph,
-    _hop_blocks,
+    _hop_counts,
+    _least_distance,
     _path,
     _sdp_mhp,
     _shortest_paths,
@@ -287,19 +288,22 @@ class TestSdpMhpFraction:
             assert list(zip(srcs.tolist(), dsts.tolist())) == expected
 
     def test_each_sampled_source_is_labelled_once(self):
-        # Each hop block's sources are labelled with that block only: on the
-        # 72x22 +grid an engine batch holds 82 roots, more than a block's 64,
-        # and no root of the next block may be labelled as well.
+        # The sampled sources are labelled 64 at a time, each once: on the
+        # 72x22 +grid an engine batch holds 82 roots, more than 64, and no
+        # root of the next 64 may be labelled as well.
         shell = ConstellationConfig(num_planes=72, sats_per_plane=22, altitude_km=550.0)
         scenario = Scenario(shell, topology=TopologySettings("grid"))
         with (
-            mock.patch.object(routing, "_hop_blocks", wraps=_hop_blocks) as hop_search,
+            mock.patch.object(routing, "_hop_counts", wraps=_hop_counts) as hop_search,
             mock.patch.object(routing, "_shortest_paths", wraps=_shortest_paths) as labels,
         ):
             result = sdp_mhp_fraction(scenario, 200, [0.0], 12345)
-        ((_, sources, _),) = [call.args for call in hop_search.call_args_list]
+        ((_, starts, _),) = [call.args for call in hop_search.call_args_list]
+        sources = sorted(set(starts.tolist()))
         assert len(sources) > 64
-        assert [root for call in labels.call_args_list for root in call.args[1]] == list(sources)
+        blocks = [call.args[1].tolist() for call in labels.call_args_list]
+        assert [root for block in blocks for root in block] == sources
+        assert [len(block) for block in blocks[:-1]] == [64] * (len(blocks) - 1)
         assert result.pairs_checked + result.pairs_unreachable == 200
 
     def test_sdp_hop_counts_read_back_no_path(self):
@@ -323,15 +327,19 @@ def dist_hops_to(graph, src, targets):
     }
 
 
+def every_pair(sources, targets):
+    """Each (source, target) pair, source-major, as start and end lists."""
+    pairs = list(itertools.product(sources, targets))
+    return [s for s, _ in pairs], [t for _, t in pairs]
+
+
 def batched_hops(graph, sources, targets):
-    """The batched hop search as one ``{target: hops}`` dict per source."""
+    """The hop search over every (source, target) pair at once, as one
+    ``{target: hops}`` dict per source."""
     targets = list(targets)
-    labels = []
-    for first, depth in _hop_blocks(graph, list(sources), targets):
-        assert first == len(labels)
-        labels.extend({t: int(h) for t, h in zip(targets, row) if h >= 0} for row in depth)
-    assert len(labels) == len(sources)
-    return labels
+    hops = _hop_counts(graph, *every_pair(sources, targets))
+    rows = hops.reshape(len(sources), len(targets)).tolist()
+    return [{t: h for t, h in zip(targets, row) if h >= 0} for row in rows]
 
 
 def full_labels(graph, src):
@@ -491,6 +499,29 @@ class TestBatchedDistanceSearch:
         assert found[1][0] == [3, 1, 0]
         assert found[2] is None
 
+    def test_pair_layer_matches_single_roots(self):
+        # 160 distinct starts in a shuffled order, 64 labelled at a time:
+        # each pair's path and hop count equal those read from its start's
+        # full labels alone. Nodes 150-159 have no link; a start may be its end.
+        n = 150
+        graph = edge_list_graph(n + 10, [(i, (i + 1) % n) for i in range(n)] + [(0, 75), (30, 110)])
+        rng = np.random.default_rng(7)
+        starts = np.repeat(np.arange(n + 10), 3)
+        ends = rng.integers(0, n + 10, len(starts))
+        ends[::7] = starts[::7]
+        order = rng.permutation(len(starts))
+        starts, ends = starts[order], ends[order]
+        paths = _least_distance(graph, starts, ends, _chains)
+        counts = _least_distance(graph, starts, ends, lambda *block: _tight_levels(*block)[0])
+        for start, end, path, count in zip(starts.tolist(), ends.tolist(), paths, counts):
+            root, last = np.array([start]), np.array([end])
+            (single,) = _chains(graph, full_dist(graph, root), root, np.zeros(1, np.intp), last)
+            if single is None:
+                assert path is None and count == -1
+                continue
+            assert path[0] == single[0] and path[1].tolist() == single[1].tolist()
+            assert count == len(single[0]) - 1
+
 
 @st.composite
 def rooted_targets(draw, n):
@@ -514,13 +545,13 @@ class TestTargetBoundedSearch:
         snapshot, _, _ = case
         graph = _graph(snapshot)
         roots, targets = data.draw(rooted_targets(len(graph.nodes)))
-        full = full_dist(graph, roots)
-        with mock.patch.object(routing, "_BATCH_LINKS", batch_links):
-            bounded = _shortest_paths(graph, roots, targets)
         rows = np.repeat(np.arange(len(roots)), [len(ends) for ends in targets])
         ends = np.concatenate(targets)
-        assert bounded[rows, ends].tolist() == full[rows, ends].tolist()
         roots = np.asarray(roots)
+        full = full_dist(graph, roots)
+        with mock.patch.object(routing, "_BATCH_LINKS", batch_links):
+            bounded = _shortest_paths(graph, roots, rows, ends)
+        assert bounded[rows, ends].tolist() == full[rows, ends].tolist()
         expected = _chains(graph, full, roots, rows, ends)
         for want, found in zip(expected, _chains(graph, bounded, roots, rows, ends)):
             if want is None:
@@ -541,7 +572,7 @@ class TestTargetBoundedSearch:
         rows = np.repeat(np.arange(len(roots)), [len(ends) for ends in targets])
         ends = np.concatenate(targets)
         roots = np.asarray(roots)
-        for dist in (full_dist(graph, roots), _shortest_paths(graph, roots, targets)):
+        for dist in (full_dist(graph, roots), _shortest_paths(graph, roots, rows, ends)):
             hops, _ = _tight_levels(graph, dist, roots, rows, ends)
             chains = _chains(graph, dist, roots, rows, ends)
             assert len(hops) == len(chains) == len(rows)
@@ -612,9 +643,9 @@ def edge_list_graph(n, edges):
 @st.composite
 def hop_search_cases(draw):
     """A graph with isolated nodes and mixed degrees, sometimes with a path
-    of more than 128 links hanging off node 0, and sources and targets in
-    any order with repeats; with a path, its far end is a source and node 0
-    a target."""
+    of more than 128 links hanging off node 0, and (start, end) pairs in any
+    order, starts and ends repeating; with a path, the last pair runs from
+    its far end to node 0."""
     n = draw(st.integers(1, 24))
     pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
     edges = {(min(a, b), max(a, b)) for a, b in pairs if a != b}
@@ -622,10 +653,8 @@ def hop_search_cases(draw):
     edges |= {(i, i + 1) for i in range(n, n + tail - 1)} | ({(0, n)} if tail else set())
     size = n + tail
     node = st.integers(0, size - 1)
-    count = draw(st.integers(0, 150))
-    sources = draw(st.lists(node, min_size=count, max_size=count)) + ([size - 1] if tail else [])
-    targets = draw(st.lists(node, max_size=2 * size)) + ([0] if tail else [])
-    return edge_list_graph(size, sorted(edges)), sources, targets
+    pairs = draw(st.lists(st.tuples(node, node), max_size=150)) + ([(size - 1, 0)] if tail else [])
+    return edge_list_graph(size, sorted(edges)), [s for s, _ in pairs], [e for _, e in pairs]
 
 
 def reference_hops(graph, src):
@@ -643,36 +672,36 @@ def reference_hops(graph, src):
     return hops
 
 
+def assert_hop_counts(graph, starts, ends):
+    """``_hop_counts`` gives each pair its plain BFS hop count, -1 where unreachable."""
+    reference = {src: reference_hops(graph, src) for src in set(starts)}
+    hops = _hop_counts(graph, starts, ends)
+    assert hops.tolist() == [reference[s].get(e, -1) for s, e in zip(starts, ends)]
+    return hops
+
+
 class TestBatchedHopSearch:
     @settings(max_examples=100, deadline=None)
     @given(hop_search_cases())
     def test_blocks_match_reference_bfs(self, case):
-        graph, sources, targets = case
-        blocks = list(_hop_blocks(graph, sources, targets))
-        firsts = list(range(0, len(sources), 64))
-        assert [first for first, _ in blocks] == firsts
-        shapes = [(min(64, len(sources) - first), len(targets)) for first in firsts]
-        assert [depth.shape for _, depth in blocks] == shapes
-        reference = {src: reference_hops(graph, src) for src in set(sources)}
-        for first, depth in blocks:
-            for src, row in zip(sources[first:], depth.tolist()):
-                assert row == [reference[src].get(t, -1) for t in targets]
-        if len(graph.nodes) > 129:  # a long path: hop counts need 8 level bits
-            assert blocks[-1][1][-1, -1] > 128
+        hops = assert_hop_counts(*case)
+        if len(case[0].nodes) > 129:  # a long path: hop counts need 8 level bits
+            assert hops[-1] > 128
 
     def test_more_than_64_sources_with_partial_last_block(self):
-        # A 150-node ring with two chords; 150 sources make blocks of 64, 64, 22.
+        # A 150-node ring with two chords; 150 distinct starts fill words of
+        # 64, 64 and 22 bits. The pairs run in a shuffled order.
         n = 150
         graph = edge_list_graph(n, [(i, (i + 1) % n) for i in range(n)] + [(0, 75), (30, 110)])
         sources = list(range(n))
         targets = [0, 7, 75, 110, 149]
-        blocks = list(_hop_blocks(graph, sources, targets))
-        assert [first for first, _ in blocks] == [0, 64, 128]
-        assert [depth.shape for _, depth in blocks] == [(64, 5), (64, 5), (22, 5)]
         labels = batched_hops(graph, sources, targets)
         for src in sources:
             expected = reference_hops(graph, src)
             assert labels[src] == {t: expected[t] for t in targets}
+        starts, ends = every_pair(sources, targets)
+        order = np.random.default_rng(3).permutation(len(starts)).tolist()
+        assert_hop_counts(graph, [starts[k] for k in order], [ends[k] for k in order])
 
     def test_repeated_sources(self):
         graph = edge_list_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)])
@@ -708,17 +737,6 @@ def words_budget(graph, words):
     return words * max(1, graph.neighbors.size)
 
 
-def assert_hop_blocks(graph, sources, targets):
-    """``_hop_blocks`` yields 64-source blocks equal to plain BFS hop counts."""
-    blocks = list(_hop_blocks(graph, sources, targets))
-    assert [first for first, _ in blocks] == list(range(0, len(sources), 64))
-    reference = {src: reference_hops(graph, src) for src in set(sources)}
-    for first, depth in blocks:
-        assert depth.shape == (min(64, len(sources) - first), len(targets))
-        for src, row in zip(sources[first:], depth.tolist()):
-            assert row == [reference[src].get(t, -1) for t in targets]
-
-
 class TestManyWordHopSearch:
     """Hop searches over several 64-bit words per node, at forced budgets."""
 
@@ -726,9 +744,11 @@ class TestManyWordHopSearch:
     @settings(max_examples=40, deadline=None)
     @given(case=hop_search_cases())
     def test_budgets_match_reference_bfs(self, words, case):
-        graph, sources, targets = case
+        graph, starts, ends = case
         with mock.patch.object(routing, "_BATCH_WORDS", words_budget(graph, words)):
-            assert_hop_blocks(graph, sources, targets)
+            hops = assert_hop_counts(graph, starts, ends)
+        if len(graph.nodes) > 129:  # a long path: hop counts need 8 level bits
+            assert hops[-1] > 128
 
     @pytest.mark.parametrize(
         "count, words",
@@ -748,7 +768,7 @@ class TestManyWordHopSearch:
         sources = [k * 7 % (n + 10) for k in range(count)]
         targets = [0, 7, 75, 110, 149, 150, 159]
         with mock.patch.object(routing, "_BATCH_WORDS", words_budget(graph, words)):
-            assert_hop_blocks(graph, sources, targets)
+            assert_hop_counts(graph, *every_pair(sources, targets))
 
     @pytest.mark.parametrize("words", [1, None])
     def test_dense_mesh(self, words):
@@ -762,7 +782,7 @@ class TestManyWordHopSearch:
         everything = list(range(len(graph.nodes)))
         budget = routing._BATCH_WORDS if words is None else words_budget(graph, words)
         with mock.patch.object(routing, "_BATCH_WORDS", budget):
-            assert_hop_blocks(graph, everything, everything)
+            assert_hop_counts(graph, *every_pair(everything, everything))
 
 
 class TestPaddedTable:

@@ -306,25 +306,30 @@ CRAFT = {"node_id": "a", "latitude_deg": 0, "longitude_deg": 0}
             "unknown field constellation.'planes'",
             id="constellation-unknown-field",
         ),
-        (
+        pytest.param(
             {"constellation": {"num_planes": "six"}},
             "constellation.num_planes must be a number, got 'six'",
+            id="num-planes-string",
         ),
-        (
+        pytest.param(
             {"constellation": {"num_planes": 6.5}},
             "constellation.num_planes must be an integer, got 6.5",
+            id="num-planes-fraction",
         ),
-        (
+        pytest.param(
             {"constellation": {"sats_per_plane": True}},
             "constellation.sats_per_plane must be a number, got True",
+            id="sats-per-plane-bool",
         ),
-        (
+        pytest.param(
             {"constellation": {"altitude_km": None}},
             "constellation.altitude_km must be a number, got None",
+            id="altitude-null",
         ),
-        (
+        pytest.param(
             {"constellation": {"altitude_km": -5}},
             "constellation: altitude_km must be > 0, got -5.0",
+            id="altitude-negative",
         ),
         (
             {"constellation": {"phasing_factor": 6}},
@@ -574,6 +579,17 @@ CRAFT = {"node_id": "a", "latitude_deg": 0, "longitude_deg": 0}
             {"ifc": {"delay_model": 5}},
             "ifc.delay_model must be a string, got 5",
             id="delay-model-number",
+        ),
+        # An empty id ran: its links were written with a blank node column.
+        pytest.param(
+            {"ground_stations": [{**STATION, "node_id": ""}]},
+            "ground_stations: node_id must be non-empty, got ''",
+            id="station-id-empty",
+        ),
+        pytest.param(
+            {"aircraft": [{**CRAFT, "node_id": ""}]},
+            "aircraft: node_id must be non-empty, got ''",
+            id="aircraft-id-empty",
         ),
     ],
 )
