@@ -301,15 +301,17 @@ def elevations_deg(observer_pos: np.ndarray, positions: np.ndarray) -> np.ndarra
     From one ``(3,)`` observer the result is ``(N,)``; from ``(M, 3)``
     observers it is ``(M, N)``, each row bit for bit the one-observer
     result. Same zenith, clipping and zero-range (90 degrees) conventions.
-    The sums run in another order than the scalar form's, so a result can
-    differ from it in the last bits.
+    Each three-term sum runs left to right over x, y and z columns, as a
+    last-axis sum of ``(M, N, 3)`` arrays does; the scalar form's dot
+    products round otherwise, so a result can differ from it in the last bits.
     """
     obs = np.asarray(observer_pos, dtype=float)
-    los = np.asarray(positions, dtype=float).reshape(-1, 3) - obs[..., None, :]
-    rng = np.linalg.norm(los, axis=-1)
+    here = obs.reshape(-1, 3).T[:, :, None]  # (3, M, 1): a column per coordinate
+    x, y, z = np.asarray(positions, dtype=float).reshape(-1, 3).T[:, None, :] - here
+    rng = np.sqrt(x * x + y * y + z * z)
     # One norm per observer, as the scalar form takes it.
-    norms = [float(np.linalg.norm(o)) for o in obs.reshape(-1, 3)]
-    zenith = obs / np.reshape(norms, obs.shape[:-1] + (1,))
+    zx, zy, zz = here / np.array([[float(np.linalg.norm(o))] for o in obs.reshape(-1, 3)])
     with np.errstate(divide="ignore", invalid="ignore"):
-        s = np.clip((los * zenith[..., None, :]).sum(axis=-1) / rng, -1.0, 1.0)
-    return np.where(rng == 0.0, 90.0, np.degrees(np.arcsin(s)))
+        s = np.clip((x * zx + y * zy + z * zz) / rng, -1.0, 1.0)
+    elevations = np.where(rng == 0.0, 90.0, np.degrees(np.arcsin(s)))
+    return elevations.reshape(obs.shape[:-1] + rng.shape[-1:])

@@ -6,7 +6,7 @@ satellite associations, and an empirical check of how often the SDP is also
 an MHP.
 
 Every search answers (start, end) pairs of node indexes as they are given.
-``_hop_counts`` gives each pair's minimum hop count. Every path comes from
+``_hop_counts`` decodes each pair's hop count from ``_hop_search``. Paths come from
 one engine, behind ``_least_distance``: ``_shortest_paths`` computes the
 distance labels of a batch of starts at once, in array rounds over the
 graph's padded table, only as far as the farthest of each start's ends;
@@ -27,7 +27,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -332,45 +332,36 @@ def min_hop_path(snapshot: TopologySnapshot, src: str, dst: str) -> Path | None:
 
 
 _BITS = np.left_shift(np.uint64(1), np.arange(_BLOCK, dtype=np.uint64))
-# Table slots times 64-bit words one hop-search level may gather. A level's
-# temporaries are a few arrays of this many words, so the starts go in
-# searches of as many words as fit, at least one.
+# 64-bit words per node row of a hop-search pass, times its N + 1 rows (41 on
+# the 72x22 shell); each column block a level gathers, with its indexes, fits it.
 _BATCH_WORDS = 1 << 16
 
 
-def _hop_counts(graph: _Graph, starts: Sequence[int], ends: Sequence[int]) -> np.ndarray:
-    """The minimum hop count of each pair ``(starts[k], ends[k])`` of node
-    indexes, -1 where the end is unreachable.
-
-    One bit-parallel BFS (Then et al., VLDB 2014) runs from the distinct
-    starts, as many 64-bit words per node as ``_BATCH_WORDS`` allows: bit
-    ``k`` of word ``w`` says start ``64 w + k`` has reached the node. A level
-    ORs the frontier words of each node's neighbors, node-major through the
-    graph's table (pads read node N, whose words stay 0), and keeps the bits
-    not seen before, so a bit first shows on a node at its hop count. The
-    search stops once every end holds every bit or nothing new is reached.
-    Each level ORs its ends' new bits into the plane of each set bit of its
-    number, so bit ``b`` of a pair's count is its start's bit of its end's
-    word in plane ``b``; only the pairs' bits are decoded.
+def _hop_search(graph: _Graph, sources: np.ndarray, targets: np.ndarray) -> Iterator:
+    """A bit-parallel BFS (Then et al., VLDB 2014) from the sorted node
+    indexes ``sources`` to the sorted ``targets``, in passes of as many
+    words per node as ``_BATCH_WORDS`` allows. A level ORs the frontier
+    words of each node's neighbors (pads read node N, whose words stay 0)
+    and keeps the bits not seen before, so a bit first shows on a node at
+    its hop count; the targets' new bits go into the plane of each set bit
+    of its number. A pass ends once every target holds every bit or nothing
+    new is reached, and yields ``(first, seen, planes)``: bit ``k`` of word
+    ``w`` of ``seen[t]`` says source ``first + 64 w + k`` reached
+    ``targets[t]``, and its bit of ``planes[b][t]`` is bit ``b`` of its count.
     """
-    size = len(graph.nodes)
-    starts, ends = np.asarray(starts, dtype=np.intp), np.asarray(ends, dtype=np.intp)
-    # Distinct nodes by counting, not ``np.unique``: numpy would import
-    # numpy.ma on its first call in the process.
-    sources = np.flatnonzero(np.bincount(starts, minlength=size))
-    targets = np.flatnonzero(np.bincount(ends, minlength=size))
-    source, target = np.searchsorted(sources, starts), np.searchsorted(targets, ends)
-    hops = np.empty(len(starts), dtype=np.intp)
-    words = max(1, _BATCH_WORDS // max(1, graph.neighbors.size))
-    slots = np.ascontiguousarray(graph.neighbors.T)  # np.take copies a strided index per call
+    size, width = graph.neighbors.shape
+    words = max(1, _BATCH_WORDS // (size + 1))
     for first in range(0, len(sources), words * _BLOCK):
         bit = np.arange(min(words * _BLOCK, len(sources) - first))
         frontier = np.zeros((size + 1, -(-len(bit) // _BLOCK)), dtype=np.uint64)
         np.bitwise_or.at(frontier, (sources[first + bit], bit // _BLOCK), _BITS[bit % _BLOCK])
         everyone = np.bitwise_or.reduce(frontier, axis=0)
-        seen = frontier.copy()
-        reached = np.zeros_like(frontier)
-        planes = []  # plane ``b``: the ends' bits that arrived at a level with bit ``b``
+        seen, reached, scratch = frontier.copy(), np.zeros_like(frontier), frontier[:size].copy()
+        columns = max(1, _BATCH_WORDS // (size * (frontier.shape[1] + 1)))
+        blocks = [graph.neighbors[:, c : c + columns].T for c in range(0, max(1, width), columns)]
+        if len(blocks) == 1:  # copied once here, not by ``take`` at every level
+            blocks = [np.ascontiguousarray(blocks[0])]
+        planes = []
         for level in itertools.count():
             arrived = frontier[targets]
             if level >> len(planes):  # the first level with this many bits
@@ -381,19 +372,40 @@ def _hop_counts(graph: _Graph, starts: Sequence[int], ends: Sequence[int]) -> np
             if (seen[targets] == everyone).all():
                 break
             grown = reached[:size]  # node N's words stay 0
-            np.bitwise_or.reduce(np.take(frontier, slots, axis=0), axis=0, out=grown)
-            grown &= np.invert(seen[:size], out=frontier[:size])
+            np.bitwise_or.reduce(np.take(frontier, blocks[0], axis=0), axis=0, out=grown)
+            for block in blocks[1:]:
+                grown |= np.bitwise_or.reduce(np.take(frontier, block, axis=0), axis=0, out=scratch)
+            grown &= np.invert(seen[:size], out=scratch)
             if not reached.any():
                 break
             seen |= reached
             frontier, reached = reached, frontier
-        pair = np.flatnonzero((source >= first) & (source < first + len(bit)))
-        offset = source[pair] - first
-        at, mask = (target[pair], offset // _BLOCK), _BITS[offset % _BLOCK]
-        count = ((seen[targets][at] & mask) != 0) - 1
-        for b, plane in enumerate(planes):
-            count += ((plane[at] & mask) != 0) << b
-        hops[pair] = count
+        yield first, seen[targets], planes
+
+
+def _hop_decode(seen: np.ndarray, planes: list, target: np.ndarray, bit: np.ndarray) -> np.ndarray:
+    """The hop counts a ``_hop_search`` pass holds for target rows ``target``
+    and source bits ``bit``, broadcast together; -1 where unreached."""
+    at, mask = (target, bit // _BLOCK), _BITS[bit % _BLOCK]
+    count = ((seen[at] & mask) != 0) - 1
+    for b, plane in enumerate(planes):
+        count += ((plane[at] & mask) != 0) << b
+    return count
+
+
+def _hop_counts(graph: _Graph, starts: Sequence[int], ends: Sequence[int]) -> np.ndarray:
+    """The minimum hop count of each pair ``(starts[k], ends[k])`` of node
+    indexes, -1 where the end is unreachable: one ``_hop_search`` from the
+    distinct starts to the distinct ends, each pair decoding its own bits."""
+    starts, ends = np.asarray(starts, dtype=np.intp), np.asarray(ends, dtype=np.intp)
+    # Distinct nodes by counting: ``np.unique`` would import numpy.ma.
+    sources = np.flatnonzero(np.bincount(starts, minlength=len(graph.nodes)))
+    targets = np.flatnonzero(np.bincount(ends, minlength=len(graph.nodes)))
+    source, target = np.searchsorted(sources, starts), np.searchsorted(targets, ends)
+    hops = np.empty(len(starts), dtype=np.intp)
+    for first, seen, planes in _hop_search(graph, sources, targets):
+        pair = np.flatnonzero((source >= first) & (source < first + _BLOCK * seen.shape[1]))
+        hops[pair] = _hop_decode(seen, planes, target[pair], source[pair] - first)
     return hops
 
 
@@ -431,17 +443,15 @@ def ground_pair_hop_stats(
     """MHP hop-count stats over every satellite association of each pair.
 
     For each pair and epoch, every start satellite above the scenario's
-    elevation mask is associated with every such end satellite and the ISL
-    hop count between them, over the scenario's ISL snapshot, is collected;
-    the row reports min/max/mean and the max-min spread.
+    elevation mask is associated with every such end satellite; one
+    ``_hop_search`` counts their ISL hops, folded a pair's block at a time.
     """
     if not pairs:
         raise ValueError("pairs must be non-empty")
     epochs = list(epochs)
     if not epochs:
         raise ValueError("epochs must be non-empty")
-    # Each distinct ground node once, in order. Keyed by the node itself:
-    # two nodes may share an id.
+    # Each distinct ground node once, in order, keyed by the node: two may share an id.
     ground = list(dict.fromkeys(itertools.chain.from_iterable(pairs)))
     rows = []
     for epoch_s in epochs:
@@ -457,23 +467,26 @@ def ground_pair_hop_stats(
             above = elevations_deg(here, snapshot.positions) >= scenario.topology.elevation_mask_deg
             visibility.update(zip(chunk, map(np.flatnonzero, above)))
 
-        # Every association (pair, start, end), pair by pair, in one search.
-        sides = [(visibility[a], visibility[b]) for a, b in pairs]
-        start = np.concatenate([np.repeat(s, len(e)) for s, e in sides])
-        end = np.concatenate([np.tile(e, len(s)) for s, e in sides])
-        hops = _hop_counts(graph, start, end)
-        cuts = np.cumsum([len(s) * len(e) for s, e in sides])
-        for (node_a, node_b), counts in zip(pairs, np.split(hops, cuts[:-1])):
+        # One search from every start to every end satellite; each pass folds each pair's block.
+        starts, ends = np.zeros((2, len(snapshot.nodes)), dtype=bool)
+        for node_a, node_b in pairs:
+            starts[visibility[node_a]] = ends[visibility[node_b]] = True
+        sources, targets = np.flatnonzero(starts), np.flatnonzero(ends)
+        folds = [(math.inf, -1, 0, 0)] * len(pairs)  # min, max, sum and count of reached
+        for first, seen, planes in _hop_search(graph, sources, targets):
+            for k, (node_a, node_b) in enumerate(pairs):
+                bit = np.searchsorted(sources, visibility[node_a]) - first
+                bit = bit[(bit >= 0) & (bit < _BLOCK * seen.shape[1])]
+                end = np.searchsorted(targets, visibility[node_b])[:, None]
+                counts = _hop_decode(seen, planes, end, bit)
+                if (counts := counts[counts >= 0]).size:
+                    least, most, total, count = folds[k]
+                    least, most = min(least, int(counts.min())), max(most, int(counts.max()))
+                    folds[k] = (least, most, total + int(counts.sum()), count + counts.size)
+        for (node_a, node_b), (least, most, total, count) in zip(pairs, folds):
+            stats = (least, most, total / count, most - least) if count else (None,) * 4
             pair_id = f"{node_a.node_id}|{node_b.node_id}"
-            counts = counts[counts >= 0]
-            if not counts.size:
-                rows.append(HopStatsRow(pair_id, epoch_s, None, None, None, None, 0, True))
-                continue
-            least, most = int(counts.min()), int(counts.max())
-            mean = int(counts.sum(dtype=np.int64)) / counts.size
-            rows.append(
-                HopStatsRow(pair_id, epoch_s, least, most, mean, most - least, counts.size, False)
-            )
+            rows.append(HopStatsRow(pair_id, epoch_s, *stats, count, not count))
     return rows
 
 

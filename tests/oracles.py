@@ -224,6 +224,20 @@ def feasible_split_delay(sources, bits, ratios):
     return worst
 
 
+def stacked_elevations_deg(observer_pos, positions):
+    """``orbits.elevations_deg`` in its ``(M, N, 3)`` form: each line of
+    sight a row of a stacked array, its norm and its dot product with the
+    zenith sums over the last axis."""
+    obs = np.asarray(observer_pos, dtype=float)
+    los = np.asarray(positions, dtype=float).reshape(-1, 3) - obs[..., None, :]
+    rng = np.linalg.norm(los, axis=-1)
+    norms = [float(np.linalg.norm(o)) for o in obs.reshape(-1, 3)]
+    zenith = obs / np.reshape(norms, obs.shape[:-1] + (1,))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.clip((los * zenith[..., None, :]).sum(axis=-1) / rng, -1.0, 1.0)
+    return np.where(rng == 0.0, 90.0, np.degrees(np.arcsin(s)))
+
+
 def isl_degrees(snapshot):
     """Laser links at each node of ``snapshot``, by node id, counted edge by edge."""
     degrees = dict.fromkeys(snapshot.nodes, 0)

@@ -247,6 +247,19 @@ class TestHopsCommand:
         assert code == 0
         assert out == (DATA / "hops_24x22_dynamic_k4.csv").read_text(encoding="utf-8")
 
+    def test_matches_pinned_full_mesh_output(self, capsys):
+        # A 24x22 dynamic mesh with every link in range and sight: a table
+        # 77-78 slots wide, read in blocks of columns at each level.
+        code, out, _ = run_cli(
+            [
+                "hops", "--scenario", str(DATA / "shell_24x22_full_mesh.json"),
+                "--pairs", str(DATA / "hops_pairs.csv"), "--epochs", "3",
+            ],
+            capsys,
+        )  # fmt: skip
+        assert code == 0
+        assert out == (DATA / "hops_24x22_full_mesh.csv").read_text(encoding="utf-8")
+
     @pytest.mark.parametrize(
         ("rows", "expected"),
         [
@@ -302,6 +315,11 @@ class TestSdpMhpCommand:
                 ["--mode", "dynamic", "--epochs", "2", "--pairs", "2000", "--seed", "7"],
                 "sdp_mhp_24x22_dynamic_2000.txt",
             ),
+            (
+                "shell_24x22_full_mesh.json",
+                ["--epochs", "2", "--pairs", "200"],
+                "sdp_mhp_24x22_full_mesh.txt",
+            ),
         ],
     )
     def test_matches_pinned_output(self, scenario, args, pinned, capsys):
@@ -309,7 +327,9 @@ class TestSdpMhpCommand:
         # shell-1 +grid (72x22) and a 24x22 dynamic k=4 shell. The 2000-pair
         # pins predate the SDP hop counts from array searches: they label
         # several targets per root, and on the 24x22 mesh the SDP is an MHP
-        # for only 37% of the pairs.
+        # for only 37% of the pairs. The full-mesh pin, with its dynamic mode
+        # and budget of 527 lasers from the scenario file, has a table 77-78
+        # slots wide.
         code, out, _ = run_cli(["sdp-mhp", "--scenario", str(DATA / scenario), *args], capsys)
         assert code == 0
         assert out == (DATA / pinned).read_text(encoding="utf-8")

@@ -25,7 +25,7 @@ from leoisl.orbits import (
     visible,
 )
 
-from oracles import measured_period_s
+from oracles import measured_period_s, stacked_elevations_deg
 
 CASE_CONFIG = ConstellationConfig()  # 6 planes x 20 sats, 1000 km, 53 deg
 
@@ -483,3 +483,40 @@ class TestSeveralObservers:
     def test_no_positions(self):
         observers = np.array([ground_position(GroundNode("g", GROUND_STATION, 0.0, 0.0), 0.0)] * 2)
         assert elevations_deg(observers, np.empty((0, 3))).shape == (2, 0)
+
+
+class TestCoordinateColumns:
+    """``elevations_deg`` on x, y and z columns against its ``(M, N, 3)``
+    form, bit for bit: every sum keeps its order."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        places=st.lists(
+            st.tuples(st.floats(-90.0, 90.0), st.floats(-180.0, 180.0), st.floats(0.0, 20.0)),
+            min_size=1,
+            max_size=9,
+        ),
+        targets=st.lists(st.tuples(*[st.floats(-9000.0, 9000.0)] * 3), max_size=30),
+        epoch=st.floats(0.0, 6000.0),
+        one=st.booleans(),
+    )
+    def test_equals_the_stacked_form(self, places, targets, epoch, one):
+        nodes = [
+            GroundNode(f"g{k}", AIRCRAFT if alt else GROUND_STATION, lat, lon, altitude_km=alt)
+            for k, (lat, lon, alt) in enumerate(places)
+        ]
+        observers = np.array([ground_position(node, epoch) for node in nodes])
+        positions = np.concatenate(
+            [
+                propagate(CASE_CONFIG, epoch).position_km,
+                np.reshape(targets, (-1, 3)),
+                observers,  # each observer's own row is at zero range from it
+            ]
+        )
+        if one:
+            observers = observers[-1]
+        got = elevations_deg(observers, positions)
+        expected = stacked_elevations_deg(observers, positions)
+        assert got.shape == expected.shape == observers.shape[:-1] + (len(positions),)
+        assert np.array_equal(got.view(np.int64), expected.view(np.int64))
+        assert got.reshape(-1, len(positions))[-1, -1] == 90.0  # the last observer's own row

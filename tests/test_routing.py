@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from leoisl import routing
+from leoisl import cli, routing
 from leoisl.links import ISL_LASER
 from leoisl.orbits import (
     GROUND_STATION,
@@ -34,10 +36,12 @@ from leoisl.routing import (
     sdp_mhp_fraction,
     shortest_distance_path,
 )
-from leoisl.scenario import Scenario, TopologySettings
+from leoisl.scenario import Scenario, TopologySettings, load_scenario
 from leoisl.topology import build_dynamic_topology, build_grid_topology, build_snapshot
 
 from oracles import edge, full_dist, neighbor_lists, scenario_on, snapshot_of
+
+DATA = Path(__file__).parent / "data"
 
 
 def lasers(weighted_edges):
@@ -733,8 +737,9 @@ class TestBatchedHopSearch:
 
 
 def words_budget(graph, words):
-    """A ``_BATCH_WORDS`` that gives each hop search ``words`` 64-bit words."""
-    return words * max(1, graph.neighbors.size)
+    """A ``_BATCH_WORDS`` that gives each hop-search pass ``words`` 64-bit
+    words per node row."""
+    return words * (len(graph.nodes) + 1)
 
 
 class TestManyWordHopSearch:
@@ -785,6 +790,52 @@ class TestManyWordHopSearch:
             assert_hop_counts(graph, *every_pair(everything, everything))
 
 
+def traced_peak(call):
+    """Bytes ``call()`` holds at its traced peak, after one warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestHopSearchMemory:
+    """The hop search's working set: bounded per level, and flat in the
+    number of associations ``hops`` folds."""
+
+    def test_hops_peak_does_not_grow_with_associations(self):
+        # The pinned pairs on the 72x22 +grid: 10,757 associations at epoch
+        # 0, and 16 times as many with every pair listed 16 times.
+        scenario = load_scenario(str(DATA / "shell1_grid.json"))
+        pairs = cli._load_pairs(str(DATA / "hops_pairs.csv"))
+        rows = ground_pair_hop_stats(scenario, pairs * 16, [0.0])
+        assert sum(row.associations for row in rows) == 16 * 10_757
+        once = traced_peak(lambda: ground_pair_hop_stats(scenario, pairs, [0.0]))
+        sixteen = traced_peak(lambda: ground_pair_hop_stats(scenario, pairs * 16, [0.0]))
+        assert abs(sixteen - once) <= 100_000
+
+    @pytest.mark.parametrize("count", [64, 200])
+    def test_a_level_gathers_within_the_budget(self, count):
+        # The 1584-satellite in-range mesh, 226 slots wide: a level's column
+        # blocks and their indexes stay within ``_BATCH_WORDS`` words. Held
+        # across levels are four node-row arrays and at most eight
+        # target-row arrays (the level planes, the arrivals, a comparison).
+        scenario = load_scenario(str(DATA / "shell1_grid.json"))
+        mesh = scenario_on(scenario.constellation, max_isls=1583)
+        positions = propagate(scenario.constellation, 0.0).position_km
+        graph = _graph(build_dynamic_topology(positions, mesh, 0.0))
+        size = len(graph.nodes)
+        assert graph.neighbors.shape == (1584, 226)
+        starts = np.arange(count) * 7 % size  # distinct: 7 is prime to 1584
+        ends = starts[::-1].copy()
+        words = -(-count // 64)
+        held = words * (4 * (size + 1) + 8 * count)
+        peak = traced_peak(lambda: _hop_counts(graph, starts, ends))
+        assert peak <= 8 * (routing._BATCH_WORDS + held)
+
+
 class TestPaddedTable:
     """Each node's row of the table against the snapshot's link arrays."""
 
@@ -828,23 +879,26 @@ class TestPaddedTable:
             self.check(snapshot, _graph(snapshot))
 
 
+def seen_from(snapshot, node, epoch_s, mask_deg):
+    """The satellites ``node`` sees above ``mask_deg``, by id."""
+    elevations = elevations_deg(ground_position(node, epoch_s), snapshot.positions)
+    return [snapshot.nodes[i] for i in np.flatnonzero(elevations >= mask_deg)]
+
+
 def reference_hop_stats(snapshot, pairs, epoch_s, mask_deg):
     """``ground_pair_hop_stats`` rows from one networkx BFS per start satellite."""
     nx = pytest.importorskip("networkx")
     oracle = nx.Graph()
     oracle.add_nodes_from(snapshot.nodes)
     oracle.add_edges_from(link.key for link in snapshot.edges)  # lasers only
-
-    def seen_from(node):
-        elevations = elevations_deg(ground_position(node, epoch_s), snapshot.positions)
-        return [snapshot.nodes[i] for i in np.flatnonzero(elevations >= mask_deg)]
-
-    rows = []
+    rows, searched = [], {}
     for node_a, node_b in pairs:
-        ends = seen_from(node_b)
+        ends = seen_from(snapshot, node_b, epoch_s, mask_deg)
         counts = []
-        for start in seen_from(node_a):
-            hops = nx.single_source_shortest_path_length(oracle, start)
+        for start in seen_from(snapshot, node_a, epoch_s, mask_deg):
+            if start not in searched:
+                searched[start] = nx.single_source_shortest_path_length(oracle, start)
+            hops = searched[start]
             counts.extend(hops[end] for end in ends if end in hops)
         rows.append(
             (min(counts), max(counts), sum(counts) / len(counts), len(counts))
@@ -909,3 +963,68 @@ class TestHopStatsAgainstNetworkx:
         assert any(row is None for row in expected)  # the polar station sees nothing
         if max_isls == 119:
             assert _graph(snapshot).neighbors.shape[1] > 10
+
+    @pytest.mark.parametrize("words", [1, 2])
+    @pytest.mark.parametrize(
+        "mode, max_isls",
+        [
+            pytest.param("grid", 4, id="grid-4"),
+            pytest.param("dynamic", 2, id="dynamic-2-split"),
+        ],
+    )
+    def test_fold_across_passes(self, mode, max_isls, words):
+        # 145-149 start satellites on a 528-satellite shell at a 0 degree
+        # mask: 3 passes of one word, or 2 of two. The first pair is listed
+        # twice, the Sydney pair's ends see the same satellites, London
+        # starts one pair and ends another, and the polar station sees none.
+        london, singapore = self.PAIRS[0]
+        place = {
+            name: GroundNode(name, GROUND_STATION, lat, lon)
+            for name, lat, lon in [
+                ("tokyo", 35.68, 139.69), ("cairo", 30.04, 31.24),
+                ("denver", 39.74, -104.99), ("honolulu", 21.31, -157.86),
+            ]
+        }  # fmt: skip
+        pairs = self.PAIRS + [
+            self.PAIRS[0],
+            (place["tokyo"], london),
+            (place["cairo"], place["denver"]),
+            (place["denver"], singapore),
+            (place["honolulu"], self.PAIRS[1][1]),
+        ]
+        config = ConstellationConfig(num_planes=24, sats_per_plane=22, altitude_km=550.0)
+        topology = TopologySettings(mode, max_isls, elevation_mask_deg=0.0)
+        scenario = Scenario(config, topology=topology)
+        epochs = [0.0, 1500.0]
+        search, firsts = routing._hop_search, []
+
+        def counted(*args):
+            for found in search(*args):
+                firsts.append(found[0])
+                yield found
+
+        budget = words * (config.total_satellites + 1)
+        with (
+            mock.patch.object(routing, "_BATCH_WORDS", budget),
+            mock.patch.object(routing, "_hop_search", counted),
+        ):
+            rows = ground_pair_hop_stats(scenario, pairs, epochs)
+        assert firsts == ([0, 64, 128] if words == 1 else [0, 128]) * len(epochs)
+        expected, every, mask = [], [], topology.elevation_mask_deg
+        for epoch in epochs:
+            snapshot = build_snapshot(scenario, epoch)
+            expected += reference_hop_stats(snapshot, pairs, epoch, mask)
+            every += [
+                len(seen_from(snapshot, a, epoch, mask)) * len(seen_from(snapshot, b, epoch, mask))
+                for a, b in pairs
+            ]
+        got = [
+            None if row.skipped else (row.min_hops, row.max_hops, row.mean_hops, row.associations)
+            for row in rows
+        ]
+        assert got == expected
+        assert rows[4] == rows[0]
+        assert rows[3].skipped and rows[3].associations == 0
+        assert rows[2].min_hops == 0  # both Sydney ends see each satellite they share
+        # Two lasers a satellite split the mesh: some associations are unreachable.
+        assert any(row.associations < full for row, full in zip(rows, every)) == (max_isls == 2)

@@ -331,19 +331,26 @@ CRAFT = {"node_id": "a", "latitude_deg": 0, "longitude_deg": 0}
             "constellation: altitude_km must be > 0, got -5.0",
             id="altitude-negative",
         ),
-        (
+        pytest.param(
             {"constellation": {"phasing_factor": 6}},
             "constellation: phasing_factor must be within [0, num_planes-1], got 6",
+            id="phasing-factor-too-large",
         ),
-        (
+        pytest.param(
             {"constellation": {"inclination_deg": [53]}},
             "constellation.inclination_deg must be a number, got [53]",
+            id="inclination-list",
         ),
-        ({"ground_stations": 5}, "ground_stations must be a list"),
-        ({"ground_stations": ["gs"]}, "ground_stations entries must be objects"),
-        (
+        pytest.param({"ground_stations": 5}, "ground_stations must be a list", id="stations-number"),
+        pytest.param(
+            {"ground_stations": ["gs"]},
+            "ground_stations entries must be objects",
+            id="station-entry-string",
+        ),
+        pytest.param(
             {"ground_stations": [{"latitude_deg": 0, "longitude_deg": 0}]},
             "ground_stations.node_id is required",
+            id="station-id-missing",
         ),
         (
             {"ground_stations": [{"node_id": "g", "longitude_deg": 0}]},
