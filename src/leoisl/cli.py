@@ -81,6 +81,18 @@ def _non_negative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
+# The most epochs or seeds one command takes, far above any study run: each
+# is listed, and each seed's requests drawn, before the first snapshot.
+MAX_COUNT = 10**6
+
+
+def _count(text: str) -> int:
+    value = _positive_int(text)
+    if value > MAX_COUNT:
+        raise argparse.ArgumentTypeError(f"must be <= {MAX_COUNT}, got {text!r}")
+    return value
+
+
 def _parse_int_range(text: str) -> list[int]:
     """Degree budgets from 0 to ``MAX_SATELLITES - 1``: a range '1..8' or a
     comma list '1,2,5'. A satellite has at most that many peers, so no larger
@@ -288,14 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hops", help="ground-pair hop statistics CSV")
     common(p)
     p.add_argument("--pairs", required=True, help="CSV: pair_id,lat_a,lon_a,lat_b,lon_b")
-    p.add_argument("--epochs", type=_positive_int, default=10)
+    p.add_argument("--epochs", type=_count, default=10)
     p.set_defaults(func=_cmd_hops)
 
     p = sub.add_parser("sdp-mhp", help="fraction of SDPs that are also MHPs")
     common(p)
     p.add_argument("--pairs", type=_positive_int, default=200, help="sampled pairs per epoch")
     p.add_argument("--seed", type=_non_negative_int, default=1)
-    p.add_argument("--epochs", type=_positive_int, default=10)
+    p.add_argument("--epochs", type=_count, default=10)
     p.add_argument("--mode", choices=TOPOLOGY_MODES, default=None)
     p.set_defaults(func=_cmd_sdp_mhp)
 
@@ -310,8 +322,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=",".join(delivery.SWEEP_MODES),
         help="comma list of optimized,greedy,equal,full",
     )
-    p.add_argument("--seeds", type=_positive_int, default=10, help="number of seeds")
-    p.add_argument("--epochs", type=_positive_int, default=1)
+    p.add_argument("--seeds", type=_count, default=10, help="number of seeds")
+    p.add_argument("--epochs", type=_count, default=1)
     p.add_argument("--summary", action="store_true", help="emit per-(isls,mode) means")
     p.set_defaults(func=_cmd_ifc_sweep)
 

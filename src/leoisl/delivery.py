@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cache, cached_property, partial
 from typing import TYPE_CHECKING, Callable, Iterable, NamedTuple, Sequence
 
@@ -241,6 +241,14 @@ class _RouteOption:
         """``rate_bps(1.0)``, computed once: both route keys read it on every plan."""
         return self.rate_bps(1.0)
 
+    @cached_property
+    def share_cap(self) -> float:
+        """Smallest share beyond which more feeder bandwidth cannot help."""
+        fixed = self.fixed_cap_bps
+        if self.store_and_forward or self.feeder_capacity_bps(1.0) <= fixed:
+            return 1.0
+        return _bisect(lambda share: self.feeder_capacity_bps(share) < fixed, _MIN_SHARE, 1.0)[1]
+
 
 class GsFlow(NamedTuple):
     """A non-cached file of ``bits`` drawing a share of its option's station band."""
@@ -271,9 +279,12 @@ def _delay_s(prop_s: float, bits: float, rate_bps: float) -> float:
     return math.inf if rate_bps <= 0 else prop_s + bits / rate_bps
 
 
-def _bisect(below: Callable[[float], bool], lo: float, hi: float) -> tuple[float, float]:
-    """The bracket after 60 halvings: a midpoint ``below`` takes becomes ``lo``, else ``hi``."""
-    for _ in range(60):
+def _bisect(
+    below: Callable[[float], bool], lo: float, hi: float, steps: int = 60
+) -> tuple[float, float]:
+    """The bracket after ``steps`` halvings: a midpoint ``below`` takes
+    becomes ``lo``, else ``hi``."""
+    for _ in range(steps):
         mid = 0.5 * (lo + hi)
         if below(mid):
             lo = mid
@@ -295,12 +306,51 @@ def _marginal_gain(flow: GsFlow, share: float) -> float:
     return flow.bits * slope / (cap * cap)
 
 
-def _share_cap(flow: GsFlow) -> float:
-    """Smallest share beyond which more feeder bandwidth cannot help."""
-    option, fixed = flow.option, flow.option.fixed_cap_bps
-    if option.store_and_forward or option.feeder_capacity_bps(1.0) <= fixed:
-        return 1.0
-    return _bisect(lambda share: option.feeder_capacity_bps(share) < fixed, _MIN_SHARE, 1.0)[1]
+def _marginal_root(flows: Sequence[GsFlow], caps: Sequence[float]) -> float | None:
+    """The common marginal gain at which the flows' shares, each at most its
+    cap, add up to one, by Newton's method on smooth formulas; None if it
+    does not settle. It guesses ``optimize_gs_shares``' threshold.
+
+    With x = S / share, S a flow's full-band SNR, its gain is ``K * h(x)``:
+    K = bits ln 2 / (B S^2), h(x) = x^2 u / L^2, L = ln(1 + x) and
+    u = L - x / (1 + x). ln h rises in ln x at a slope D of about 2, so
+    Newton steps in ln x give each share at t = ln(gain), and steps in t,
+    where a share below its cap falls at -share / D, make ln(total) zero.
+    """
+    terms = []  # per flow: S, ln K and ln x, first at share 1/n
+    for flow in flows:
+        rx_w, noise_w = flow.option._feeder_terms
+        snr = rx_w / noise_w
+        scale = flow.bits * math.log(2.0) / (flow.option.feeder_params.bandwidth_hz * snr * snr)
+        terms.append([snr, math.log(scale), math.log(snr * len(flows))])
+    t = _total(ln_scale + 2.0 * y for _, ln_scale, y in terms) / len(terms)
+    try:
+        for _ in range(50):
+            total = slope = 0.0
+            for term, cap in zip(terms, caps):
+                snr, ln_scale, y = term
+                for _ in range(50):
+                    x = math.exp(y)
+                    big_l = math.log1p(x)
+                    u = big_l - x / (1.0 + x)
+                    d = 2.0 + x * x / ((1.0 + x) ** 2 * u) - 2.0 * x / ((1.0 + x) * big_l)
+                    step = (ln_scale + 2.0 * y + math.log(u) - 2.0 * math.log(big_l) - t) / d
+                    y -= step
+                    if abs(step) < 1e-12:
+                        break
+                term[2] = y  # the next total starts from here
+                share = snr / math.exp(y)
+                if share >= cap:
+                    total += cap
+                else:
+                    total, slope = total + share, slope - share / d
+            step = -math.log(total) * total / slope if slope < 0 else 1.0
+            t += step
+            if abs(step) < 1e-12:
+                return math.exp(t)
+    except (ValueError, ZeroDivisionError, OverflowError):  # a log of a non-positive u or L
+        pass
+    return None
 
 
 def _share_at_marginal(gain: Callable[[float], float], lam: float, cap: float) -> float:
@@ -331,7 +381,7 @@ def optimize_gs_shares(
     n = len(flows)
     if equal:
         return {flow.flow_id: 1.0 / n for flow in flows}
-    caps = [_share_cap(flow) for flow in flows]
+    caps = [flow.option.share_cap for flow in flows]
     total_cap = _total(caps)
     if total_cap <= 1.0:
         slack = (1.0 - total_cap) / n
@@ -348,7 +398,24 @@ def optimize_gs_shares(
     hi = 1.0
     while oversubscribed(hi):
         hi *= 4.0
-    final = shares_at(_bisect(oversubscribed, 0.0, hi)[1])
+    # ``oversubscribed`` is true below one threshold and false above it, as
+    # each leaf share falls with ``lam`` and float addition is monotone. So
+    # a tree node with ``oversubscribed(lo)`` and not ``oversubscribed(hi)``
+    # implies every halving above it: the walk starts at the deepest node
+    # holding the guessed threshold, or at the root if a check fails.
+    lo, top, depth, guess = 0.0, hi, 0, _marginal_root(flows, caps)
+    while guess is not None and depth < 60:
+        mid = 0.5 * (lo + hi)
+        if guess * (1.0 + 1e-12) < mid:
+            hi = mid
+        elif guess * (1.0 - 1e-12) > mid:
+            lo = mid
+        else:
+            break
+        depth += 1
+    if (lo > 0.0 and not oversubscribed(lo)) or (hi < top and oversubscribed(hi)):
+        lo, hi, depth = 0.0, top, 0
+    final = shares_at(_bisect(oversubscribed, lo, hi, 60 - depth)[1])
     return {flow.flow_id: share for flow, share in zip(flows, final)}
 
 
@@ -380,7 +447,7 @@ class SlotContext:
         for (_, node), edges in self._ground.items():
             edges.sort(key=lambda e: (e.distance_km, e.other(node)))
         self._isl = _graph(snapshot)
-        self._servings: dict[tuple[str, frozenset[str]], tuple[_Serving, ...]] = {}
+        self._servings: dict[tuple[str, frozenset[str]], tuple[tuple[_Serving, ...], int]] = {}
         self._cached_plans: dict[tuple, RequestPlan] = {}
         self._option_tables: dict[tuple, _OptionTable] = {}
         self._non_cached_plans: dict[tuple, tuple[RequestPlan, ...]] = {}
@@ -428,9 +495,26 @@ class _HolderCandidate(NamedTuple):
     delay_s: float
 
 
-# (air edge, serving satellite, serving satellite holds the file, its
-# laser-linked holders by (propagation, holder id))
-_Serving = tuple[LinkEdge, str, bool, tuple[_HolderCandidate, ...]]
+@dataclass
+class _Solves:
+    """A serving satellite's holder solves for one file size: the best
+    (delay, holder set) within each stream count, and the least count whose
+    solved set came out smaller than it."""
+
+    best: dict[int, tuple[float, tuple[int, ...]]] = field(default_factory=dict)
+    saturated: float = math.inf
+
+
+class _Serving(NamedTuple):
+    """A serving satellite of an aircraft for one holder set: its air link,
+    whether it holds the file, its laser-linked holders by (propagation,
+    holder id), and its holder solves by file size (``_select_holders``)."""
+
+    air_edge: LinkEdge
+    serving: str
+    holds: bool
+    candidates: tuple[_HolderCandidate, ...]
+    solves: dict[float, _Solves]
 
 
 def _check_nodes(ctx: SlotContext, request: FileRequest, nodes: Iterable[str]) -> None:
@@ -440,9 +524,10 @@ def _check_nodes(ctx: SlotContext, request: FileRequest, nodes: Iterable[str]) -
             raise ValueError(f"request {request.request_id} names unknown node {node!r}")
 
 
-def _servings(ctx: SlotContext, request: FileRequest) -> tuple[_Serving, ...]:
+def _servings(ctx: SlotContext, request: FileRequest) -> tuple[tuple[_Serving, ...], int]:
     """The aircraft's visible serving satellites, nearest first, each with
-    its holder candidates; computed once per slot, aircraft and holder set."""
+    its holder candidates, and the most candidates any of them has;
+    computed once per slot, aircraft and holder set."""
     aircraft, holders = request.aircraft_id, request.cache_holders
     key = (aircraft, holders)
     memo = ctx._servings.get(key)
@@ -466,8 +551,9 @@ def _servings(ctx: SlotContext, request: FileRequest) -> tuple[_Serving, ...]:
                 rate, delay = graph.links.capacity_bps[k], graph.links.delay_s[k]
                 candidates.append(_HolderCandidate(holder, ends, float(rate), float(delay)))
         candidates.sort(key=lambda c: (c.delay_s, c.holder))
-        servings.append((air_edge, serving, serving in holders, tuple(candidates)))
-    ctx._servings[key] = memo = tuple(servings)
+        servings.append(_Serving(air_edge, serving, serving in holders, tuple(candidates), {}))
+    most = max((len(option.candidates) for option in servings), default=0)
+    ctx._servings[key] = memo = (tuple(servings), most)
     return memo
 
 
@@ -495,32 +581,33 @@ def _highest_rates(rates: Sequence[float], count: int) -> tuple[int, ...]:
     return tuple(sorted(sorted(range(len(rates)), key=lambda i: (-rates[i], i))[:count]))
 
 
+def _sources(
+    ctx: SlotContext, option: _Serving, chosen: tuple[int, ...]
+) -> list[tuple[float, float]]:
+    """(propagation, rate) of each stream of one holder subset, the serving
+    satellite's own first; none without a stream."""
+    air_edge, _, holds, candidates, _ = option
+    if not chosen and not holds:
+        return []
+    streams = len(chosen) + holds
+    share, rates = _holder_rates(ctx, air_edge, [candidates[i] for i in chosen], streams)
+    own = [(air_edge.delay_s, share)] if holds else []
+    return own + [(candidates[i].delay_s + air_edge.delay_s, r) for i, r in zip(chosen, rates)]
+
+
 def _evaluate_cached(
     ctx: SlotContext, option: _Serving, aircraft: str, chosen: tuple[int, ...], bits: float
 ) -> tuple[float, list[StreamPlan]]:
-    """Delay of one (serving satellite, holder subset) choice."""
-    air_edge, serving, serving_holds, candidates = option
-    m = len(chosen) + (1 if serving_holds else 0)
-    if m == 0:
-        return math.inf, []
-    air_prop = air_edge.delay_s
-    share, rates = _holder_rates(ctx, air_edge, [candidates[i] for i in chosen], m)
-    sources = []
-    specs = []
-    if serving_holds:
-        sources.append((air_prop, share))
-        specs.append((serving, (serving, aircraft), air_prop, share))
-    for idx, rate in zip(chosen, rates):
-        cand = candidates[idx]
-        prop = cand.delay_s + air_prop
-        sources.append((prop, rate))
-        specs.append((cand.holder, (cand.holder, serving, aircraft), prop, rate))
+    """Delay and streams of one (serving satellite, holder subset) choice."""
+    _, serving, holds, candidates, _ = option
+    sources = _sources(ctx, option, chosen)
     delay, ratios = optimal_ratio_delay(sources, bits)
-    streams = [
+    ends = [(serving, (serving, aircraft))] if holds else []
+    ends += [(candidates[i].holder, (candidates[i].holder, serving, aircraft)) for i in chosen]
+    return delay, [
         StreamPlan(source, nodes, prop, rate, ratio)
-        for (source, nodes, prop, rate), ratio in zip(specs, ratios)
+        for (source, nodes), (prop, rate), ratio in zip(ends, sources, ratios)
     ]
-    return delay, streams
 
 
 def _largest_terms_holders(
@@ -563,30 +650,46 @@ def _largest_terms_holders(
 
 
 def _select_holders(
-    ctx: SlotContext, option: _Serving, aircraft: str, budget: int, bits: float
-) -> tuple[float, tuple[int, ...], list[StreamPlan]]:
+    ctx: SlotContext, option: _Serving, budget: int, bits: float
+) -> tuple[float, tuple[int, ...]]:
     """Least-delay set of at most ``budget`` holders for one serving
-    satellite, with its delay and streams.
+    satellite, and its delay.
 
     Under ``equal_split`` the stream rates depend on the stream count, so
     each count is solved at its own rates; a set smaller than its count
     only runs faster. The least delay wins, fewer holders on a tie.
+
+    Each count is solved once per slot, serving satellite and file size
+    (``option.solves``). A set smaller than its count holds every positive
+    term at its own delay, so no set of any size ships more by then at that
+    count's rates, or at a larger count's, which are no higher
+    (``_largest_terms_holders``): every larger budget reads that count, and
+    under ``per_stream``, whose rates do not depend on the count, every
+    budget from the set's size on.
     """
-    air_edge, _, serving_holds, candidates = option
-    air_prop = air_edge.delay_s
-    props = [c.delay_s + air_prop for c in candidates]
+    solves = option.solves.setdefault(bits, _Solves())
+    budget = min(budget, solves.saturated)
+    if budget in solves.best:
+        return solves.best[budget]
+    air_edge, _, holds, candidates, _ = option
+    props = [c.delay_s + air_edge.delay_s for c in candidates]
     if ctx.per_stream:
-        sizes: Iterable[int] = (budget,)
-    else:
-        sizes = range(0 if serving_holds else 1, budget + 1)
-    best: tuple[float, tuple[int, ...], list[StreamPlan]] = (math.inf, (), [])
-    for size in sizes:
-        share, rates = _holder_rates(ctx, air_edge, candidates, size + serving_holds)
-        own = [(air_prop, share)] if serving_holds else []
+        size, best = budget - 1, (math.inf, ())
+    else:  # the best within each count, from the largest count solved below
+        size = max((c for c in solves.best if c < budget), default=-1 if holds else 0)
+        best = solves.best.get(size, (math.inf, ()))
+    for size in range(size + 1, budget + 1):
+        share, rates = _holder_rates(ctx, air_edge, candidates, size + holds)
+        own = [(air_edge.delay_s, share)] if holds else []
         chosen = _largest_terms_holders(own, props, rates, size, bits)
-        delay, streams = _evaluate_cached(ctx, option, aircraft, chosen, bits)
+        delay = optimal_ratio_delay(_sources(ctx, option, chosen), bits)[0]
         if (delay, len(chosen)) < (best[0], len(best[1])):
-            best = (delay, chosen, streams)
+            best = (delay, chosen)
+        solves.best[size] = best
+        if len(chosen) < size:
+            solves.saturated = len(chosen) if ctx.per_stream else size
+            solves.best[solves.saturated] = best
+            break
     return best
 
 
@@ -625,13 +728,13 @@ def plan_cached(
     budget). Each serving satellite's budget is ``min(max_isls, its
     candidate count)``, so the effective budget is ``max_isls`` capped at
     the largest candidate count, and ``full`` takes that count: cells that
-    differ only there share one plan.
+    differ only there share one plan. Streams are built for the winning
+    serving satellite only.
     """
     _check_mode(mode, max_isls)
     if not request.cached:
         raise ValueError(f"request {request.request_id} is not cached")
-    servings = _servings(ctx, request)
-    effective_budget = max((len(c) for *_, c in servings), default=0)
+    servings, effective_budget = _servings(ctx, request)
     if mode != MODE_FULL:
         effective_budget = min(max_isls, effective_budget)
     greedy = mode == MODE_GREEDY
@@ -640,35 +743,33 @@ def plan_cached(
     if memo is not None:
         return memo
     bits = float(request.total_bits)
-    best: tuple[float, _Serving, tuple[int, ...], list[StreamPlan]] | None = None
+    best: tuple[float, _Serving, tuple[int, ...]] | None = None
     for option in servings:
-        air_edge, _, serving_holds, candidates = option
-        budget = min(effective_budget, len(candidates))
+        budget = min(effective_budget, len(option.candidates))
         if greedy:
-            _, rates = _holder_rates(ctx, air_edge, candidates, 1)
+            _, rates = _holder_rates(ctx, option.air_edge, option.candidates, 1)
             chosen = _highest_rates(rates, budget)
-            if not chosen and not serving_holds:
+            if not chosen and not option.holds:
                 continue  # nothing to stream from here; try the next nearest
-            delay, streams = _evaluate_cached(ctx, option, request.aircraft_id, chosen, bits)
-            best = (delay, option, chosen, streams)
+            best = (math.nan, option, chosen)  # the nearest wins; its delay is priced below
             break
-        delay, chosen, streams = _select_holders(ctx, option, request.aircraft_id, budget, bits)
+        delay, chosen = _select_holders(ctx, option, budget, bits)
         if math.isinf(delay):
             continue
         if best is None or delay < best[0]:
-            best = (delay, option, chosen, streams)
+            best = (delay, option, chosen)
     if best is None:
         plan = RequestPlan(request=request, delivered=False, delay_s=math.inf)
     else:
-        delay, option, chosen, streams = best
-        _, serving, _, candidates = option
+        _, option, chosen = best
+        delay, streams = _evaluate_cached(ctx, option, request.aircraft_id, chosen, bits)
         plan = RequestPlan(
             request=request,
             delivered=True,
             delay_s=delay,
-            serving_satellite=serving,
+            serving_satellite=option.serving,
             streams=tuple(streams),
-            activated_isl_edges=tuple(sorted(candidates[i].key for i in chosen)),
+            activated_isl_edges=tuple(sorted(option.candidates[i].key for i in chosen)),
         )
     ctx._cached_plans[key] = plan
     return plan
@@ -712,6 +813,7 @@ class _OptionTable:
         self.graph, self.params, self.store_and_forward = graph, params, ctx.store_and_forward
         self.aircraft = aircraft
         self.exact: dict[int, _RouteOption | None] = {}  # by row
+        self.picks: dict[float | None, _RouteOption | None] = {}  # by ``pick``'s bits
         airs = [(e, graph.index[e.other(aircraft)]) for e in ctx.edges_at(SAT_TO_AIR, aircraft)]
         direct = {e.other(aircraft): e for e in ctx.edges_at(GROUND_TO_AIR, aircraft)}
         self.nearest = [serving for _, serving in airs]  # serving satellites, nearest first
@@ -800,6 +902,13 @@ class _OptionTable:
             done = stop
         return best
 
+    def pick(self, bits: float | None) -> _RouteOption | None:
+        """``greedy()`` for ``bits`` None, else ``standalone(bits)``, each
+        found once: a table and the bits are all either reads."""
+        if bits not in self.picks:
+            self.picks[bits] = self.greedy() if bits is None else self.standalone(bits)
+        return self.picks[bits]
+
     def standalone(self, bits: float) -> _RouteOption | None:
         """The option of least full-share delay, ties by (station, entry,
         serving); ``prop_s + bits / rate_bps`` bounds a row's delay."""
@@ -873,7 +982,7 @@ def plan_non_cached(
             _check_nodes(ctx, request, [request.aircraft_id, *sorted(request.source_gs_set)])
             ctx._option_tables[table_key] = _OptionTable(ctx, *table_key)
         table = ctx._option_tables[table_key]
-        pick = table.greedy()
+        pick = table.pick(None)
         if pick is None:
             plans[request.request_id] = RequestPlan(request, delivered=False, delay_s=math.inf)
             continue
@@ -881,7 +990,7 @@ def plan_non_cached(
         deliverable.append(request)
         greedy.append(GsFlow(request.request_id, bits, pick))
         if not greedy_only:
-            standalone.append(GsFlow(request.request_id, bits, table.standalone(bits)))
+            standalone.append(GsFlow(request.request_id, bits, table.pick(bits)))
 
     def evaluate(flows: list[GsFlow]) -> tuple[float, list[GsFlow], dict[str, float]]:
         by_gs: dict[str, list[GsFlow]] = {}

@@ -295,6 +295,9 @@ def elevation_deg(observer_pos: np.ndarray, target_pos: np.ndarray) -> float:
     return math.degrees(math.asin(s))
 
 
+_OBSERVERS = 8  # ground nodes per ``elevations_deg`` call: rows of its temporaries
+
+
 def elevations_deg(observer_pos: np.ndarray, positions: np.ndarray) -> np.ndarray:
     """:func:`elevation_deg` of every row of an ``(N, 3)`` ``positions`` array.
 

@@ -31,7 +31,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequ
 
 import numpy as np
 
-from .orbits import GroundNode, elevations_deg, ground_position
+from .orbits import _OBSERVERS, GroundNode, elevations_deg, ground_position
 from .topology import ISL_CODE, Links, TopologySnapshot, build_snapshot
 
 if TYPE_CHECKING:  # pragma: no cover - scenario imports this module through delivery
@@ -407,9 +407,6 @@ def _hop_counts(graph: _Graph, starts: Sequence[int], ends: Sequence[int]) -> np
         pair = np.flatnonzero((source >= first) & (source < first + _BLOCK * seen.shape[1]))
         hops[pair] = _hop_decode(seen, planes, target[pair], source[pair] - first)
     return hops
-
-
-_OBSERVERS = 8  # ground nodes per ``elevations_deg`` call: rows of its temporaries
 
 
 @dataclass(frozen=True)

@@ -29,6 +29,7 @@ from .links import (
     capacity_bps,
 )
 from .orbits import (
+    _OBSERVERS,
     AIRCRAFT,
     GROUND_STATION,
     elevations_deg,
@@ -306,10 +307,19 @@ def attach_ground_links(snapshot: TopologySnapshot, scenario: Scenario) -> Topol
     positions = np.concatenate([snapshot.positions, np.reshape(placed, (-1, 3))])
     parts = [snapshot.links]
 
+    def above_mask(observers: np.ndarray, others: np.ndarray) -> dict[int, np.ndarray]:
+        """Which ``others`` each observer sees above its mask, from
+        ``_OBSERVERS`` observers a call; a row of the ``(M, N)`` elevations
+        is the one-observer result bit for bit."""
+        seen = {}
+        for start in range(0, len(observers), _OBSERVERS):
+            chunk = observers[start : start + _OBSERVERS]
+            elevations = elevations_deg(positions[chunk], positions[others])
+            seen.update(zip(chunk.tolist(), elevations >= scenario.topology.elevation_mask_deg))
+        return seen
+
     def link(ground: int, others: np.ndarray, link_class: str) -> None:
-        """Links of ``link_class`` from ``ground`` to the ``others`` above its mask."""
-        elevations = elevations_deg(positions[ground], positions[others])
-        others = others[elevations >= scenario.topology.elevation_mask_deg]
+        """Links of ``link_class`` from ``ground`` to the ``others`` it sees."""
         distances = orbits.row_norms(positions[ground] - positions[others])
         keep = distances != 0.0  # coincident nodes; the loss model is undefined
         others, distances = others[keep], distances[keep]
@@ -318,14 +328,16 @@ def attach_ground_links(snapshot: TopologySnapshot, scenario: Scenario) -> Topol
         ground_ends = np.full(len(others), ground)
         parts.append(_links(ground_ends, others, link_class, distances, capacities))
 
-    satellites = np.arange(first)
-    aircraft = first + np.flatnonzero([node.kind == AIRCRAFT for node in ground_nodes])
+    satellites, ground = np.arange(first), first + np.arange(len(ground_nodes))
+    stations = ground[[node.kind == GROUND_STATION for node in ground_nodes]]
+    aircraft = ground[[node.kind == AIRCRAFT for node in ground_nodes]]
+    sees_satellites, sees_aircraft = above_mask(ground, satellites), above_mask(stations, aircraft)
     for g, node in enumerate(ground_nodes, first):
         if node.kind == GROUND_STATION:
-            link(g, satellites, GROUND_TO_SAT)
-            link(g, aircraft, GROUND_TO_AIR)
+            link(g, satellites[sees_satellites[g]], GROUND_TO_SAT)
+            link(g, aircraft[sees_aircraft[g]], GROUND_TO_AIR)
         else:
-            link(g, satellites, SAT_TO_AIR)
+            link(g, satellites[sees_satellites[g]], SAT_TO_AIR)
     nodes = snapshot.nodes + tuple(node.node_id for node in ground_nodes)
     merged = Links(*map(np.concatenate, zip(*parts)))
     return TopologySnapshot(snapshot.epoch_s, nodes, positions, merged)

@@ -15,9 +15,11 @@ from leoisl.delivery import (
     PER_STREAM,
     GsFlow,
     _delay_s,
+    _evaluate_cached,
+    _holder_rates,
+    _largest_terms_holders,
     _marginal_gain,
     _RouteOption,
-    _share_cap,
     optimal_ratio_delay,
 )
 from leoisl.links import GROUND_TO_AIR, GROUND_TO_SAT, ISL_LASER, SAT_TO_AIR, SPEED_OF_LIGHT_KM_S
@@ -100,7 +102,7 @@ def gs_flow(
 def nested_bisection_gs_shares(flows, *, equal=False):
     """``optimize_gs_shares`` as three nested 60-step bisections that price
     every marginal gain afresh: the outer one on the common marginal value,
-    and per flow one on its share at that value (its cap from ``_share_cap``)."""
+    and per flow one on its share at that value (its cap from ``_RouteOption.share_cap``)."""
 
     def bisect(below, lo, hi):
         for _ in range(60):
@@ -116,7 +118,7 @@ def nested_bisection_gs_shares(flows, *, equal=False):
     n = len(flows)
     if equal:
         return {flow.flow_id: 1.0 / n for flow in flows}
-    caps = [_share_cap(flow) for flow in flows]
+    caps = [flow.option.share_cap for flow in flows]
     total_cap = _total(caps)
     if total_cap <= 1.0:
         slack = (1.0 - total_cap) / n
@@ -311,6 +313,24 @@ def enumerate_cached_plan_delay(
                     streams.append((prop + air_edge.delay_s, rate))
                 delay, _ = optimal_ratio_delay(streams, bits)
                 best = min(best, delay)
+    return best
+
+
+def unmemoised_select_holders(ctx, option, budget, bits):
+    """``delivery._select_holders`` without its slot memo: each stream count
+    up to ``budget`` (under ``per_stream``, ``budget`` alone) solved afresh
+    at its own rates, the least delay winning, fewer holders on a tie."""
+    air_edge, _, holds, candidates, _ = option
+    props = [c.delay_s + air_edge.delay_s for c in candidates]
+    sizes = [budget] if ctx.per_stream else range(0 if holds else 1, budget + 1)
+    best = (math.inf, ())
+    for size in sizes:
+        share, rates = _holder_rates(ctx, air_edge, candidates, size + holds)
+        own = [(air_edge.delay_s, share)] if holds else []
+        chosen = _largest_terms_holders(own, props, rates, size, bits)
+        delay, _ = _evaluate_cached(ctx, option, "aircraft", chosen, bits)
+        if (delay, len(chosen)) < (best[0], len(best[1])):
+            best = (delay, chosen)
     return best
 
 

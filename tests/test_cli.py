@@ -12,9 +12,9 @@ from pathlib import Path
 import pytest
 
 from leoisl import delivery, links, routing
-from leoisl.cli import main
+from leoisl.cli import MAX_COUNT, _count, main
 from leoisl.delivery import build_slot_context
-from leoisl.orbits import ConstellationConfig, propagate
+from leoisl.orbits import _OBSERVERS, ConstellationConfig, propagate
 from leoisl.scenario import Scenario
 from leoisl.topology import build_grid_topology
 
@@ -155,6 +155,21 @@ class TestTopologyCommand:
         code, out, _ = run_cli(["topology", "--ground", "--epoch", "777.5"], capsys)
         assert code == 0
         assert out == (DATA / "topology_grid_ground_epoch777.5.csv").read_text(encoding="utf-8")
+
+    def test_matches_pinned_output_past_one_observer_chunk(self, capsys):
+        # Pinned before ground links took their elevations from several
+        # observers a call: 21 ground nodes take three calls of up to
+        # ``_OBSERVERS`` rows, and the 11 stations two against the aircraft.
+        # Two stations see one aircraft overhead, and one station another.
+        assert _OBSERVERS < 11
+        scenario = DATA / "ground_11_stations_10_aircraft.json"
+        code, out, _ = run_cli(
+            ["topology", "--ground", "--epoch", "777.5", "--scenario", str(scenario)], capsys
+        )
+        assert code == 0
+        pinned = DATA / "topology_grid_ground_21_nodes_epoch777.5.csv"
+        assert out == pinned.read_text(encoding="utf-8")
+        assert out.count(",ground_to_air,") == 3
 
 
 class TestRouteCommand:
@@ -554,6 +569,24 @@ class TestBadInput:
         code, out, err = run_cli(args, capsys)
         assert (code, out) == (1, "")
         assert f"argument {flag}:" in err
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["hops", "--pairs", str(DATA / "hops_pairs.csv"), "--epochs", "1000000000"],
+            ["ifc-sweep", "--seeds", "1000000000"],
+            ["sdp-mhp", "--epochs", "1000001"],
+            ["ifc-sweep", "--epochs", "1000001"],
+        ],
+    )
+    def test_count_above_the_bound_is_refused(self, args, capsys):
+        # Every epoch, and each seed's requests, is listed before the first
+        # snapshot: a billion epochs exited 2 with an empty message.
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (1, "")
+        flag = args[-2]
+        assert err.endswith(f"error: argument {flag}: must be <= 1000000, got {args[-1]!r}\n")
+        assert _count(str(MAX_COUNT)) == MAX_COUNT == 10**6
 
     @pytest.mark.parametrize(
         "args",

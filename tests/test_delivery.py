@@ -32,7 +32,7 @@ from leoisl.delivery import (
     run_slot,
     sweep_max_isls,
 )
-from leoisl.delivery import _marginal_gain, _share_cap
+from leoisl.delivery import _marginal_gain
 from leoisl.links import (
     GROUND_TO_AIR,
     GROUND_TO_SAT,
@@ -65,6 +65,7 @@ from oracles import (
     gs_flow,
     nested_bisection_gs_shares,
     snapshot_of,
+    unmemoised_select_holders,
 )
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -251,7 +252,7 @@ class TestGsShares:
         gains = [
             _marginal_gain(flow, shares[flow.flow_id])
             for flow in flows
-            if shares[flow.flow_id] < _share_cap(flow)
+            if shares[flow.flow_id] < flow.option.share_cap
         ]
         if gains:
             assert max(gains) == pytest.approx(min(gains), rel=1e-9)
@@ -294,6 +295,56 @@ class TestGsShares:
         assert [(k, v.hex()) for k, v in shares.items()] == [
             (k, v.hex()) for k, v in reference.items()
         ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(1, 5000),
+                st.integers(500, 2500),
+                st.one_of(st.none(), st.integers(1, 2000)),
+            ),
+            min_size=2,
+            max_size=6,
+        ),
+        st.booleans(),
+        st.sampled_from([None, 0.0, 1e-30, 1e30, 1.0 - 1e-9, 1.0 + 1e-9]),
+    )
+    def test_a_failed_bracket_walks_from_the_root(self, specs, saf, factor):
+        # A guess that is missing, or whose node the checks refute, leaves
+        # the whole 60-step walk from the root, so the shares are the nested
+        # bisection's still.
+        flows = [
+            self.flow(
+                f"f{i}",
+                packets * 1080.0,
+                fixed_cap=math.inf if cap is None else cap * 1e6,
+                distance=float(distance),
+                saf=saf,
+            )
+            for i, (packets, distance, cap) in enumerate(specs)
+        ]
+        root, bisect = delivery._marginal_root, delivery._bisect
+        walks = []
+
+        def wrong_guess(flows, caps):
+            guess = root(flows, caps)
+            return None if factor is None or guess is None else guess * factor
+
+        def spy(below, lo, hi, steps=60):
+            if lo == 0.0:  # the walk on the common marginal value
+                walks.append(steps)
+            return bisect(below, lo, hi, steps)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(delivery, "_marginal_root", wrong_guess)
+            patch.setattr(delivery, "_bisect", spy)
+            shares = optimize_gs_shares(flows)
+        reference = nested_bisection_gs_shares(flows)
+        assert [(k, v.hex()) for k, v in shares.items()] == [
+            (k, v.hex()) for k, v in reference.items()
+        ]
+        assert walks in ([], [60])  # none when every flow fits under its cap
 
     def test_slot_memo_keys_on_flow_order_bits_and_equal(self, monkeypatch):
         ctx = context(snapshot_of([], ["gs"]))
@@ -480,6 +531,45 @@ class TestPlanCached:
         assert plan.delay_s == pytest.approx(oracle, rel=1e-12, abs=0)
         assert len(plan.activated_isl_edges) <= budget
         assert all(stream.ratio > 0 for stream in plan.streams)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_saturated_entry_equals_a_fresh_solve(self, data):
+        # Integer delays, rates and bits make ties real, as in the property
+        # above. A first budget is solved, then larger ones until a count's
+        # set comes out smaller than it; every budget from the saturated
+        # entry's count on reads it, and it equals a solve without the memo.
+        draw = data.draw
+        n = draw(st.integers(1, 10), label="holders")
+        air_sharing = draw(st.sampled_from(AIR_SHARING_MODES), label="air_sharing")
+        delay_model = draw(st.sampled_from(DELAY_MODELS), label="delay_model")
+        serving_holds = draw(st.booleans(), label="serving_holds")
+        air_prop, air_cap = draw(st.tuples(st.integers(0, 5), st.integers(1, 9)), label="air")
+        edges = [LinkEdge("S0", AIR, SAT_TO_AIR, 1.0, float(air_cap), float(air_prop))]
+        holders = {"S0"} if serving_holds else set()
+        for i in range(n):
+            prop, cap = draw(st.tuples(st.integers(1, 12), st.integers(1, 9)), label=f"H{i:02d}")
+            edges.append(LinkEdge(f"H{i:02d}", "S0", ISL_LASER, 1.0, float(cap), float(prop)))
+            holders.add(f"H{i:02d}")
+        packets = draw(st.integers(1, 200), label="bits")
+        request = replace(cached_request(holders), num_packets=packets, packet_bits=1)
+        ctx = context(snapshot_of(edges), air_link_sharing=air_sharing, delay_model=delay_model)
+        (option,), _ = delivery._servings(ctx, request)
+        bits = float(packets)
+        budget = draw(st.integers(0, n), label="first budget")
+        while True:  # a count above n holders always saturates
+            delivery._select_holders(ctx, option, budget, bits)
+            solves = option.solves[bits]
+            if math.isfinite(solves.saturated):
+                break
+            budget += 1
+        entry, solved = solves.best[solves.saturated], len(solves.best)
+        larger = draw(st.integers(solves.saturated, n + 20), label="larger budget")
+        for budget in (solves.saturated, larger):
+            assert delivery._select_holders(ctx, option, budget, bits) == entry
+            assert unmemoised_select_holders(ctx, option, budget, bits) == entry
+        assert len(solves.best) == solved  # read, not solved again
+        assert math.isinf(entry[0]) or len(entry[1]) <= solves.saturated
 
     def test_air_sharing_modes(self):
         # Serving holds the file; a nearby holder helps only when every

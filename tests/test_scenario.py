@@ -352,25 +352,30 @@ CRAFT = {"node_id": "a", "latitude_deg": 0, "longitude_deg": 0}
             "ground_stations.node_id is required",
             id="station-id-missing",
         ),
-        (
+        pytest.param(
             {"ground_stations": [{"node_id": "g", "longitude_deg": 0}]},
             "ground_stations.latitude_deg is required",
+            id="station-latitude-missing",
         ),
-        (
+        pytest.param(
             {"ground_stations": [{"node_id": "g", "latitude_deg": 0}]},
             "ground_stations.longitude_deg is required",
+            id="station-longitude-missing",
         ),
-        (
+        pytest.param(
             {"ground_stations": [{**STATION, "kind": "aircraft"}]},
             "unknown field ground_stations.'kind'",
+            id="station-kind-field",
         ),
-        (
+        pytest.param(
             {"ground_stations": [{**STATION, "speed_km_s": 0.1}]},
             "ground_stations: ground stations must have speed_km_s == 0",
+            id="station-speed-nonzero",
         ),
-        (
+        pytest.param(
             {"ground_stations": [{**STATION, "latitude_deg": 91}]},
             "ground_stations: latitude_deg must be within [-90, 90], got 91.0",
+            id="station-latitude-91",
         ),
         (
             {"ground_stations": [{**STATION, "altitude_km": True}]},
